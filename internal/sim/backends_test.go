@@ -2,12 +2,15 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"qymera/internal/circuits"
 	"qymera/internal/core"
 	"qymera/internal/quantum"
+	"qymera/internal/sqlengine"
 )
 
 // testCircuits is the cross-validation suite: every backend must produce
@@ -109,6 +112,30 @@ func TestSQLBudgetSpillVsFail(t *testing.T) {
 	noSpill := &SQL{MemoryBudget: 16 * 1024, DisableSpill: true}
 	if _, err := noSpill.Run(dense); !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("err = %v, want budget error", err)
+	}
+}
+
+// TestSQLBudgetErrorByType: budget exhaustion is recognised by error
+// identity, not by message text. A real DisableSpill exhaustion maps to
+// ErrMemoryBudget (and still wraps the engine's ErrBudget); an unrelated
+// engine error that merely quotes the phrase does not.
+func TestSQLBudgetErrorByType(t *testing.T) {
+	_, err := (&SQL{MemoryBudget: 16 * 1024, DisableSpill: true}).Run(circuits.EqualSuperposition(10))
+	if !errors.Is(err, ErrMemoryBudget) || !errors.Is(err, sqlengine.ErrBudget) {
+		t.Fatalf("err = %v, want ErrMemoryBudget wrapping sqlengine.ErrBudget", err)
+	}
+
+	db, err := sqlengine.Open(sqlengine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	_, qerr := db.Query("SELECT 'memory budget exceeded' & 1")
+	if qerr == nil || !strings.Contains(qerr.Error(), "memory budget exceeded") {
+		t.Fatalf("want an engine error quoting the phrase, got %v", qerr)
+	}
+	if err := wrapBudget(fmt.Errorf("sql backend: %w", qerr)); errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("non-budget error %q mapped to ErrMemoryBudget", err)
 	}
 }
 

@@ -2,8 +2,8 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"qymera/internal/core"
@@ -262,15 +262,8 @@ func chainFusionName(v string) string {
 // wrapBudget maps the engine's budget error onto the shared sentinel so
 // the harness treats all backends uniformly.
 func wrapBudget(err error) error {
-	if err == nil {
-		return nil
-	}
-	if containsBudgetErr(err) {
-		return fmt.Errorf("%v: %w", err, ErrMemoryBudget)
+	if errors.Is(err, sqlengine.ErrBudget) {
+		return fmt.Errorf("%w: %w", err, ErrMemoryBudget)
 	}
 	return err
-}
-
-func containsBudgetErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "memory budget exceeded")
 }

@@ -489,7 +489,7 @@ func (x *aggExec) streamAggregate(child batchIter, groupC, argC []vecExpr, out t
 						order := table.order
 						releaseAll()
 						if !x.ctx.env.spillEnabled {
-							return rowsSeen, errBudget
+							return rowsSeen, ErrBudget
 						}
 						return true, x.spillAndMerge(child, groupC, argC, order, sel[si:], groupCols, argCols, out)
 					}
@@ -839,7 +839,7 @@ func (x *aggExec) mergeStore(input tableStore, depth int, out tableStore) error 
 	if overflow {
 		releaseAll()
 		if !x.ctx.env.spillEnabled {
-			return errBudget
+			return ErrBudget
 		}
 		if depth >= maxGraceDepth {
 			return fmt.Errorf("sqlengine: aggregation exceeded maximum partitioning depth %d", maxGraceDepth)
@@ -943,7 +943,7 @@ func (x *aggExec) aggregateStore(input tableStore, depth int, out tableStore) er
 	if overflow {
 		releaseAll()
 		if !x.ctx.env.spillEnabled {
-			return errBudget
+			return ErrBudget
 		}
 		if depth >= maxGraceDepth {
 			return fmt.Errorf("sqlengine: aggregation exceeded maximum partitioning depth %d", maxGraceDepth)

@@ -490,7 +490,7 @@ func (cs *ColStore) reserve(need int64) error {
 			return nil
 		}
 		if !cs.env.spillEnabled {
-			return errBudget
+			return ErrBudget
 		}
 		if err := cs.startSpill(); err != nil {
 			return err
@@ -621,6 +621,71 @@ func (cs *ColStore) AppendBatch(b *rowBatch) error {
 		cs.stats.observeBatch(b)
 	}
 	return cs.maybeFlushChunk()
+}
+
+// appendAmps appends rows given as typed (s, r, i) vectors — the
+// kernel emitter's output — straight into the column vectors, with no
+// Value boxing. Reservation, column kinds and statistics are exactly
+// what AppendBatch produces for the same rows boxed as INTEGER, REAL,
+// REAL.
+func (cs *ColStore) appendAmps(s []int64, r, i []float64) error {
+	if cs.frozen {
+		return fmt.Errorf("sqlengine: internal: append to frozen column store")
+	}
+	if cs.spillErr != nil {
+		return cs.spillErr
+	}
+	cs.decodeForAppend()
+	if err := cs.ensureWidth(3); err != nil {
+		return err
+	}
+	n := len(s)
+	if n == 0 {
+		return nil
+	}
+	need := int64(n) * (colValueBytes(NewInt(0)) + 2*colValueBytes(NewFloat(0)))
+	if err := cs.reserve(need); err != nil {
+		return err
+	}
+	cs.cols[0].appendInts(s, cs.rows)
+	cs.cols[1].appendFloats(r, cs.rows)
+	cs.cols[2].appendFloats(i, cs.rows)
+	cs.rows += n
+	cs.memBytes += need
+	if cs.stats != nil {
+		cs.stats.observeAmps(s, r, i)
+	}
+	return cs.maybeFlushChunk()
+}
+
+// appendInts appends non-NULL INTEGER values starting at row.
+func (c *column) appendInts(v []int64, row int) {
+	if c.kind == colUnset {
+		c.setKind(TypeInt, row)
+	}
+	if c.kind != colInt {
+		for _, x := range v {
+			c.appendValue(NewInt(x), row)
+			row++
+		}
+		return
+	}
+	c.ints = append(c.ints, v...)
+}
+
+// appendFloats appends non-NULL REAL values starting at row.
+func (c *column) appendFloats(v []float64, row int) {
+	if c.kind == colUnset {
+		c.setKind(TypeFloat, row)
+	}
+	if c.kind != colFloat {
+		for _, x := range v {
+			c.appendValue(NewFloat(x), row)
+			row++
+		}
+		return
+	}
+	c.floats = append(c.floats, v...)
 }
 
 // Len returns the total number of rows.

@@ -246,7 +246,7 @@ func (j *joinExec) buildRight(right batchIter, rk []vecExpr) (*buildTable, int64
 	}
 	budget.release(reserved)
 	if !j.ctx.env.spillEnabled {
-		return nil, 0, nil, errBudget
+		return nil, 0, nil, ErrBudget
 	}
 	// Dump the tabled rows plus the remainder of the stream into a keyed
 	// store; map order is irrelevant because downstream access is always
@@ -854,7 +854,7 @@ func (j *joinExec) joinStores(leftStore, rightStore tableStore, depth int, out t
 	if overflow {
 		releaseAll()
 		if !j.ctx.env.spillEnabled {
-			return errBudget
+			return ErrBudget
 		}
 		if depth >= maxGraceDepth {
 			return fmt.Errorf("sqlengine: hash join exceeded maximum partitioning depth %d", maxGraceDepth)

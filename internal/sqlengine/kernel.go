@@ -228,7 +228,7 @@ func kernelAttempt(ctx *execCtx, root planNode, collect bool) (tableStore, table
 	}
 	kernelBump(ctx.env, func(k *kernelCounterSet) *atomic.Int64 { return &k.executions }, 1)
 	start := time.Now()
-	store, err := runGateKernel(ctx, site.kern, bound, collect && site.set == nil)
+	store, err := runGateKernel(ctx, site.kern, bound, collect && site.set == nil, &kAcc{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -85,18 +86,31 @@ type chainBuf struct {
 	any            bool
 }
 
-// emitAll implements kSink, replicating kEmitter.add's pruning HAVING
-// exactly: one rounding per square, one for the sum, then the
-// comparison (NaN fails it, dropping the row).
+// reset readies a recycled buffer to receive a stage's output: empty,
+// with the stage's pruning threshold, and capacity for at least hint
+// rows (kept from earlier stages, grown only when a stage needs more).
+func (b *chainBuf) reset(having bool, eps2 float64, hint int64) {
+	b.having, b.eps2 = having, eps2
+	if c := int(min(hint, maxAccPresize)); cap(b.keys) < c {
+		b.keys = make([]int64, 0, c)
+		b.re = make([]float64, 0, c)
+		b.im = make([]float64, 0, c)
+	}
+	b.keys, b.re, b.im = b.keys[:0], b.re[:0], b.im[:0]
+	b.minKey, b.maxKey, b.any = 0, 0, false
+}
+
+// emitAll implements kSink, applying the same pruning HAVING as
+// kEmitter.
 func (b *chainBuf) emitAll(keys []int64, r, i []float64) error {
+	// At most len(keys) rows survive: grow once, not per append.
+	b.keys = slices.Grow(b.keys, len(keys))
+	b.re = slices.Grow(b.re, len(keys))
+	b.im = slices.Grow(b.im, len(keys))
 	for idx, key := range keys {
 		rv, iv := r[idx], i[idx]
-		if b.having {
-			rr := float64(rv * rv)
-			ii := float64(iv * iv)
-			if !(rr+ii > b.eps2) {
-				continue
-			}
+		if b.having && pruned(b.eps2, rv, iv) {
+			continue
 		}
 		b.keys = append(b.keys, key)
 		b.re = append(b.re, rv)
@@ -502,30 +516,31 @@ func chainDenseBound(in *chainBuf, prog *kernelProg, gOut []int64) int64 {
 // runChainKernel executes a bound chain: every stage but the last emits
 // into the next stage's chainBuf; the last materializes through the
 // standard kernel emitter into a fresh store (exactly the store
-// stage-at-a-time execution would have produced for the top CTE).
+// stage-at-a-time execution would have produced for the top CTE). The
+// run owns one accumulator and two stage buffers and recycles them
+// across all stages: stage k reads one buffer while emitting into the
+// other, so after the first stages warm them up a stage allocates
+// almost nothing.
 func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate) (tableStore, error) {
+	var (
+		acc  kAcc
+		bufs [2]chainBuf
+		cur  *chainBuf
+	)
 	last := len(plan.stages) - 1
-	var cur *chainBuf
 	for i, st := range plan.stages {
 		bk := bound0
 		if i > 0 {
 			bk = bindChainInput(st, cur)
 		}
 		if i == last {
-			return runGateKernel(ctx, st.kern, bk, false)
+			return runGateKernel(ctx, st.kern, bk, false, &acc)
 		}
 		prog := st.kern.prog
-		nxt := &chainBuf{having: prog.having, eps2: prog.eps2}
-		if !bk.empty {
-			var err error
-			if bk.morsel {
-				err = bk.runMorsel(ctx, nxt)
-			} else {
-				err = bk.runSerial(ctx, nxt)
-			}
-			if err != nil {
-				return nil, err
-			}
+		nxt := &bufs[i%2]
+		nxt.reset(prog.having, prog.eps2, bk.groupHint)
+		if err := bk.run(ctx, nxt, &acc); err != nil {
+			return nil, err
 		}
 		cur = nxt
 	}

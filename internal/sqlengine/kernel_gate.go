@@ -41,8 +41,8 @@ type boundGate struct {
 	// regardless of the worker count).
 	morsel bool
 	// denseHi, when >= 0, is a proven upper bound on every group key:
-	// the serial path then uses a dense array accumulator instead of a
-	// hash table.
+	// the serial path then may use a dense array accumulator instead of
+	// a hash table (runSerial).
 	denseHi   int64
 	groupHint int64
 	empty     bool
@@ -235,25 +235,59 @@ func pow2mask(x int64) int64 {
 
 // kAcc is the kernel's group accumulator: group keys and the two sums
 // in first-seen order (the engine's emission order), indexed either
-// densely by key or through an open-addressed int64 hash.
+// densely by key or through an open-addressed int64 hash. One kAcc is
+// recycled across runs (a fused chain's stages, a worker's morsels):
+// reset clears only what the previous run touched and keeps every
+// array's capacity.
 type kAcc struct {
 	dense bool
-	// pos maps key (dense) or probe slot (hashed) to group index + 1.
-	pos  []int32
-	mask uint64
-	keys []int64
-	r, i []float64
+	// dpos maps key to group index + 1 (dense mode); hpos maps probe
+	// slot to group index + 1 (hashed mode). Both are all-zero between
+	// runs.
+	dpos, hpos []int32
+	mask       uint64
+	keys       []int64
+	r, i       []float64
 }
 
-func newKAcc(dense bool, denseHi, hint int64) *kAcc {
+// maxAccPresize caps the group vectors' up-front capacity (a wrong
+// estimate can waste at most this many groups).
+const maxAccPresize = 1 << 20
+
+// reset readies the accumulator for a run. The previous run's position
+// entries are zeroed — a dense array through the keys it used, a hashed
+// table wholesale. The dense array is reallocated only when denseHi
+// outgrows it; the hashed table only when the hint asks for a different
+// size. Group vectors keep their capacity, pre-sized from the hint.
+func (a *kAcc) reset(dense bool, denseHi, hint int64) {
+	if a.dense {
+		for _, k := range a.keys {
+			a.dpos[k] = 0
+		}
+	} else {
+		clear(a.hpos)
+	}
+	a.dense = dense
 	if dense {
-		return &kAcc{dense: true, pos: make([]int32, denseHi+1)}
+		if int64(len(a.dpos)) <= denseHi {
+			a.dpos = make([]int32, denseHi+1)
+		}
+	} else {
+		n := 1024
+		for int64(n) < hint*2 && n < 1<<21 {
+			n <<= 1
+		}
+		if len(a.hpos) != n {
+			a.hpos = make([]int32, n)
+		}
+		a.mask = uint64(n - 1)
 	}
-	n := 1024
-	for int64(n) < hint*2 && n < 1<<21 {
-		n <<= 1
+	if c := int(min(hint, maxAccPresize)); cap(a.keys) < c {
+		a.keys = make([]int64, 0, c)
+		a.r = make([]float64, 0, c)
+		a.i = make([]float64, 0, c)
 	}
-	return &kAcc{pos: make([]int32, n), mask: uint64(n - 1)}
+	a.keys, a.r, a.i = a.keys[:0], a.r[:0], a.i[:0]
 }
 
 // slot returns the group index for a key, appending a fresh zeroed
@@ -262,26 +296,20 @@ func newKAcc(dense bool, denseHi, hint int64) *kAcc {
 // both the streaming and the merge phase.
 func (a *kAcc) slot(key int64) int {
 	if a.dense {
-		if p := a.pos[key]; p != 0 {
+		if p := a.dpos[key]; p != 0 {
 			return int(p) - 1
 		}
-		a.keys = append(a.keys, key)
-		a.r = append(a.r, 0)
-		a.i = append(a.i, 0)
-		a.pos[key] = int32(len(a.keys))
+		a.dpos[key] = int32(a.newGroup(key) + 1)
 		return len(a.keys) - 1
 	}
-	if uint64(len(a.keys))*4 >= uint64(len(a.pos))*3 {
+	if uint64(len(a.keys))*4 >= uint64(len(a.hpos))*3 {
 		a.grow()
 	}
 	h := mix64(uint64(key), 0) & a.mask
 	for {
-		p := a.pos[h]
+		p := a.hpos[h]
 		if p == 0 {
-			a.keys = append(a.keys, key)
-			a.r = append(a.r, 0)
-			a.i = append(a.i, 0)
-			a.pos[h] = int32(len(a.keys))
+			a.hpos[h] = int32(a.newGroup(key) + 1)
 			return len(a.keys) - 1
 		}
 		if a.keys[p-1] == key {
@@ -291,16 +319,32 @@ func (a *kAcc) slot(key int64) int {
 	}
 }
 
+// newGroup appends a zeroed group and returns its index. Full group
+// vectors double (append's growth for large slices is 1.25×, which
+// would reallocate several times per doubling of the state).
+func (a *kAcc) newGroup(key int64) int {
+	if n := len(a.keys); n == cap(a.keys) {
+		c := max(2*n, 64)
+		a.keys = append(make([]int64, 0, c), a.keys...)
+		a.r = append(make([]float64, 0, c), a.r...)
+		a.i = append(make([]float64, 0, c), a.i...)
+	}
+	a.keys = append(a.keys, key)
+	a.r = append(a.r, 0)
+	a.i = append(a.i, 0)
+	return len(a.keys) - 1
+}
+
 func (a *kAcc) grow() {
-	n := len(a.pos) * 2
-	a.pos = make([]int32, n)
+	n := len(a.hpos) * 2
+	a.hpos = make([]int32, n)
 	a.mask = uint64(n - 1)
 	for idx, key := range a.keys {
 		h := mix64(uint64(key), 0) & a.mask
-		for a.pos[h] != 0 {
+		for a.hpos[h] != 0 {
 			h = (h + 1) & a.mask
 		}
-		a.pos[h] = int32(idx + 1)
+		a.hpos[h] = int32(idx + 1)
 	}
 }
 
@@ -399,26 +443,24 @@ func (bk *boundGate) scanRangeRuns(lo, hi int, acc *kAcc) {
 }
 
 // runGateKernel executes a bound kernel and materializes its output
-// store (the exact rows the interpreted core would have produced).
-func runGateKernel(ctx *execCtx, k *gateKernel, bk *boundGate, collect bool) (tableStore, error) {
-	out := ctx.env.newStore()
+// store (the exact rows the interpreted core would have produced). A
+// serial run accumulates into acc (reset first), so a caller running
+// several kernels back to back can recycle one accumulator.
+func runGateKernel(ctx *execCtx, k *gateKernel, bk *boundGate, collect bool, acc *kAcc) (tableStore, error) {
+	// The kernel binds only ColStore inputs (bindGateStage), so the
+	// engine runs the columnar layout: its stores are ColStores.
+	out := newColStore(ctx.env)
 	if collect {
 		attachStats(out)
 	}
 	if bk.groupHint > 0 {
-		if h, ok := out.(rowCapacityHinter); ok {
-			h.hintRows(bk.groupHint)
-		}
+		out.hintRows(bk.groupHint)
 	}
 	em := &kEmitter{out: out, having: bk.prog.having, eps2: bk.prog.eps2}
-	var err error
-	if !bk.empty {
-		if bk.morsel {
-			err = bk.runMorsel(ctx, em)
-		} else {
-			err = bk.runSerial(ctx, em)
-		}
+	if c := int(min(bk.groupHint, batchSize)); c > 0 {
+		em.keys, em.r, em.i = make([]int64, 0, c), make([]float64, 0, c), make([]float64, 0, c)
 	}
+	err := bk.run(ctx, em, acc)
 	if err == nil {
 		err = em.flush()
 	}
@@ -440,11 +482,27 @@ type kSink interface {
 	emitAll(keys []int64, r, i []float64) error
 }
 
+// run executes the bound kernel into em in the mode bindGateStage (or
+// bindChainInput) chose; acc is the serial mode's recycled accumulator.
+func (bk *boundGate) run(ctx *execCtx, em kSink, acc *kAcc) error {
+	switch {
+	case bk.empty:
+		return nil
+	case bk.morsel:
+		return bk.runMorsel(ctx, em)
+	}
+	return bk.runSerial(ctx, em, acc)
+}
+
 // runSerial accumulates all state rows into one accumulator (the
 // engine's single-morsel streaming aggregation) and emits groups in
 // first-seen order.
-func (bk *boundGate) runSerial(ctx *execCtx, em kSink) error {
-	acc := newKAcc(bk.denseHi >= 0, bk.denseHi, bk.groupHint)
+func (bk *boundGate) runSerial(ctx *execCtx, em kSink, acc *kAcc) error {
+	// A dense position array costs its whole key range; a few rows
+	// spread over a wide range (GHZ: two rows, keys up to 2^n)
+	// accumulate hashed instead. Either mode emits groups first-seen.
+	dense := bk.denseHi >= 0 && bk.denseHi < 8*max(int64(bk.rows), 1024)
+	acc.reset(dense, bk.denseHi, bk.groupHint)
 	for lo := 0; lo < bk.rows; lo += morselRows {
 		if err := ctx.cancelled(); err != nil {
 			return err
@@ -505,6 +563,7 @@ func (bk *boundGate) runMorsel(ctx *execCtx, em kSink) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var acc kAcc // recycled across this worker's morsels
 			for !abort.Load() {
 				m := int(next.Add(1)) - 1
 				if m >= nm {
@@ -514,13 +573,13 @@ func (bk *boundGate) runMorsel(ctx *execCtx, em kSink) error {
 					fail(err)
 					return
 				}
-				acc := newKAcc(false, -1, hint)
+				acc.reset(false, -1, hint)
 				lo := m * morselRows
 				hi := lo + morselRows
 				if hi > bk.rows {
 					hi = bk.rows
 				}
-				bk.scanRange(lo, hi, acc)
+				bk.scanRange(lo, hi, &acc)
 				for idx, key := range acc.keys {
 					p := hashPartitionInt(key, 0, aggPartitionsKernel)
 					parts[m][p] = append(parts[m][p], kPartial{key: key, r: acc.r[idx], i: acc.i[idx]})
@@ -555,7 +614,8 @@ func (bk *boundGate) runMorsel(ctx *execCtx, em kSink) error {
 					fail(err)
 					return
 				}
-				acc := newKAcc(false, -1, phint)
+				acc := &kAcc{}
+				acc.reset(false, -1, phint)
 				for m := 0; m < nm; m++ {
 					for _, pt := range parts[m][p] {
 						idx := acc.slot(pt.key)
@@ -579,54 +639,51 @@ func (bk *boundGate) runMorsel(ctx *execCtx, em kSink) error {
 	return nil
 }
 
-// kEmitter buffers output rows into batches and applies the pruning
-// HAVING exactly like the interpreted filter: one rounding per square,
-// one for the sum, then the comparison (NaN fails it, dropping the
-// row, as Value comparison does).
-type kEmitter struct {
-	out    tableStore
-	having bool
-	eps2   float64
-	cols   [3]colVec
-	n      int
+// pruned is the pruning HAVING exactly as the interpreted filter
+// evaluates it: one rounding per square, one for the sum, then the
+// comparison (NaN fails it, dropping the row, as Value comparison
+// does).
+func pruned(eps2, r, i float64) bool {
+	rr := float64(r * r)
+	ii := float64(i * i)
+	return !(rr+ii > eps2)
 }
 
-func (e *kEmitter) add(key int64, r, i float64) error {
-	if e.having {
-		rr := float64(r * r)
-		ii := float64(i * i)
-		if !(rr+ii > e.eps2) {
-			return nil
-		}
-	}
-	e.cols[0] = append(e.cols[0], NewInt(key))
-	e.cols[1] = append(e.cols[1], NewFloat(r))
-	e.cols[2] = append(e.cols[2], NewFloat(i))
-	e.n++
-	if e.n >= batchSize {
-		return e.flush()
-	}
-	return nil
+// kEmitter buffers the surviving output rows into batchSize-row typed
+// (s, r, i) vectors and appends each full batch straight into the
+// output store's typed columns — one budget reservation per batch, the
+// same bytes AppendBatch reserves for the rows boxed.
+type kEmitter struct {
+	out    *ColStore
+	having bool
+	eps2   float64
+	keys   []int64
+	r, i   []float64
 }
 
 func (e *kEmitter) emitAll(keys []int64, r, i []float64) error {
 	for idx, key := range keys {
-		if err := e.add(key, r[idx], i[idx]); err != nil {
-			return err
+		rv, iv := r[idx], i[idx]
+		if e.having && pruned(e.eps2, rv, iv) {
+			continue
+		}
+		e.keys = append(e.keys, key)
+		e.r = append(e.r, rv)
+		e.i = append(e.i, iv)
+		if len(e.keys) >= batchSize {
+			if err := e.flush(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
 func (e *kEmitter) flush() error {
-	if e.n == 0 {
+	if len(e.keys) == 0 {
 		return nil
 	}
-	b := &rowBatch{cols: []colVec{e.cols[0], e.cols[1], e.cols[2]}, n: e.n}
-	err := e.out.AppendBatch(b)
-	e.cols[0] = e.cols[0][:0]
-	e.cols[1] = e.cols[1][:0]
-	e.cols[2] = e.cols[2][:0]
-	e.n = 0
+	err := e.out.appendAmps(e.keys, e.r, e.i)
+	e.keys, e.r, e.i = e.keys[:0], e.r[:0], e.i[:0]
 	return err
 }

@@ -57,7 +57,7 @@ func (rs *RowStore) Append(row Row) error {
 		return nil
 	}
 	if !rs.env.spillEnabled {
-		return errBudget
+		return ErrBudget
 	}
 	// Spill everything buffered so far, then the new row, keeping memory
 	// near zero for this store.

@@ -1,7 +1,9 @@
 package sqlengine
 
 import (
+	"cmp"
 	"container/heap"
+	"slices"
 	"sort"
 )
 
@@ -18,7 +20,10 @@ type sortSpec struct {
 // When every key is a bare column reference — the common case after
 // projection — rows are buffered as-is and compared by column index;
 // otherwise the keys are evaluated vectorized and prepended to each
-// buffered row. The sorted output is row-oriented internally (sorting
+// buffered row. On the bare-column path, a buffer whose key values are
+// all INTEGER is sorted as an int64 permutation (sortIntKeys) instead
+// of through CompareTotal; the data alone selects it, and the order is
+// the same. The sorted output is row-oriented internally (sorting
 // permutes rows, so there is no column locality to preserve) and
 // re-batched through the row adapter — the engine's one remaining
 // row-oriented internal.
@@ -83,6 +88,81 @@ func simpleKeyIdx(keys []sortSpec, schema planSchema) ([]int, bool) {
 	return idx, true
 }
 
+// intSortEnt is one buffered row in the typed sort: its first key and
+// its buffer position (which breaks ties, making the sort stable).
+type intSortEnt struct {
+	k0  int64
+	row int
+}
+
+// sortIntKeys stably sorts buf by the key columns idx when every key
+// value in the buffer is an INTEGER, and reports whether it did; any
+// other value (NULL, REAL, TEXT, BOOLEAN) leaves buf untouched for the
+// generic CompareTotal sort. On all-integer keys CompareTotal is plain
+// int64 order, so the two sorts produce the same permutation.
+func sortIntKeys(buf []Row, idx []int, descs []bool) bool {
+	if len(buf) < 2 {
+		return true
+	}
+	nk := len(idx)
+	ents := make([]intSortEnt, len(buf))
+	var rest []int64 // keys 1..nk-1 of row r at rest[r*(nk-1):]
+	if nk > 1 {
+		rest = make([]int64, len(buf)*(nk-1))
+	}
+	for r, row := range buf {
+		for k, c := range idx {
+			v := row[c]
+			if v.T != TypeInt {
+				return false
+			}
+			if k == 0 {
+				ents[r] = intSortEnt{k0: v.I, row: r}
+			} else {
+				rest[r*(nk-1)+k-1] = v.I
+			}
+		}
+	}
+	slices.SortFunc(ents, func(a, b intSortEnt) int {
+		if c := cmp.Compare(a.k0, b.k0); c != 0 {
+			if descs[0] {
+				return -c
+			}
+			return c
+		}
+		for k := 1; k < nk; k++ {
+			c := cmp.Compare(rest[a.row*(nk-1)+k-1], rest[b.row*(nk-1)+k-1])
+			if c != 0 {
+				if descs[k] {
+					return -c
+				}
+				return c
+			}
+		}
+		return cmp.Compare(a.row, b.row)
+	})
+	// Apply the permutation in place, cycle by cycle (row = -1 marks a
+	// placed entry): buf[i] becomes the old buf[ents[i].row].
+	for i := range ents {
+		if ents[i].row < 0 {
+			continue
+		}
+		tmp := buf[i]
+		j := i
+		for {
+			k := ents[j].row
+			ents[j].row = -1
+			if k == i {
+				buf[j] = tmp
+				break
+			}
+			buf[j] = buf[k]
+			j = k
+		}
+	}
+	return true
+}
+
 func (n *sortNode) open(ctx *execCtx) (batchIter, error) {
 	schema := n.child.schema()
 	width := len(schema)
@@ -94,7 +174,8 @@ func (n *sortNode) open(ctx *execCtx) (batchIter, error) {
 	var compiled []vecExpr
 	var cmp rowCmp
 	nk := 0
-	if idx, ok := simpleKeyIdx(n.keys, schema); ok {
+	idx, simple := simpleKeyIdx(n.keys, schema)
+	if simple {
 		cmp = indexCmp(idx, descs)
 	} else {
 		keyExprs := make([]Expr, len(n.keys))
@@ -128,6 +209,9 @@ func (n *sortNode) open(ctx *execCtx) (batchIter, error) {
 	}
 
 	sortBuf := func() {
+		if simple && sortIntKeys(buf, idx, descs) {
+			return
+		}
 		sort.SliceStable(buf, func(a, b int) bool { return cmp(buf[a], buf[b]) < 0 })
 	}
 	flushRun := func() error {
@@ -151,6 +235,9 @@ func (n *sortNode) open(ctx *execCtx) (batchIter, error) {
 	}
 
 	keyCols := make([]colVec, nk)
+	// Buffered rows are carved out of one slab per input batch instead
+	// of one allocation per row.
+	w := nk + width
 	for {
 		if err := ctx.cancelled(); err != nil {
 			return failAll(err)
@@ -170,8 +257,10 @@ func (n *sortNode) open(ctx *execCtx) (batchIter, error) {
 			}
 			keyCols[i] = col
 		}
+		slab := make([]Value, w*len(sel))
 		for _, pos := range sel {
-			keyed := make(Row, nk+width)
+			keyed := Row(slab[:w:w])
+			slab = slab[w:]
 			for i := 0; i < nk; i++ {
 				keyed[i] = keyCols[i][pos]
 			}
@@ -184,7 +273,7 @@ func (n *sortNode) open(ctx *execCtx) (batchIter, error) {
 					budget.reserveForce(need)
 				} else {
 					if !ctx.env.spillEnabled {
-						return failAll(errBudget)
+						return failAll(ErrBudget)
 					}
 					if err := flushRun(); err != nil {
 						return failAll(err)

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -165,8 +166,8 @@ func TestBudgetErrorWhenSpillDisabled(t *testing.T) {
 	if sawErr == nil {
 		t.Fatal("expected a budget error with spilling disabled")
 	}
-	if !strings.Contains(sawErr.Error(), "memory budget exceeded") {
-		t.Fatalf("err = %v", sawErr)
+	if !errors.Is(sawErr, ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", sawErr)
 	}
 }
 

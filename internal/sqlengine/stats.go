@@ -238,6 +238,23 @@ func (ts *tableStats) observeBatch(b *rowBatch) {
 	ts.rows += int64(b.rows())
 }
 
+// observeAmps is observeBatch for rows given as typed (s, r, i)
+// vectors (ColStore.appendAmps): the same values observed in the same
+// order at the same row indexes.
+func (ts *tableStats) observeAmps(s []int64, r, i []float64) {
+	ts.ensureWidth(3)
+	for k, x := range s {
+		ts.cols[0].observeAt(NewInt(x), ts.rows+int64(k))
+	}
+	for k, x := range r {
+		ts.cols[1].observeAt(NewFloat(x), ts.rows+int64(k))
+	}
+	for k, x := range i {
+		ts.cols[2].observeAt(NewFloat(x), ts.rows+int64(k))
+	}
+	ts.rows += int64(len(s))
+}
+
 // zone returns column col's zone entry for morsel m, or nil when not
 // collected.
 func (ts *tableStats) zone(col, m int) *zoneEntry {

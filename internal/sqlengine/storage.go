@@ -164,8 +164,10 @@ func (env *storageEnv) layoutName() string {
 	return LayoutColumnar
 }
 
-// errBudget is returned when memory is exhausted and spilling is off.
-var errBudget = fmt.Errorf("sqlengine: memory budget exceeded and spilling is disabled")
+// ErrBudget is returned when memory is exhausted and spilling is off.
+// Every path that reports it returns it as is or wraps it with %w, so
+// callers detect it with errors.Is.
+var ErrBudget = fmt.Errorf("sqlengine: memory budget exceeded and spilling is disabled")
 
 // tableStore is the storage contract shared by the columnar ColStore and
 // the legacy row-major RowStore. A store is write-only until Freeze and

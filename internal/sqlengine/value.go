@@ -42,6 +42,7 @@
 package sqlengine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -198,6 +199,11 @@ func typeRank(t Type) int {
 // CompareTotal imposes a total order usable by ORDER BY and DISTINCT:
 // NULLs first, then numerics by value, then text lexicographically.
 func CompareTotal(a, b Value) int {
+	// Exact comparison when both are ints avoids float rounding (and is
+	// the common case: amplitude indexes).
+	if a.T == TypeInt && b.T == TypeInt {
+		return cmp.Compare(a.I, b.I)
+	}
 	ra, rb := typeRank(a.T), typeRank(b.T)
 	if ra != rb {
 		return ra - rb
@@ -208,16 +214,6 @@ func CompareTotal(a, b Value) int {
 	case 1:
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
-		// Exact comparison when both are ints avoids float rounding.
-		if a.T == TypeInt && b.T == TypeInt {
-			switch {
-			case a.I < b.I:
-				return -1
-			case a.I > b.I:
-				return 1
-			}
-			return 0
-		}
 		switch {
 		case af < bf:
 			return -1
