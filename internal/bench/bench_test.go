@@ -73,7 +73,7 @@ func TestMaxQubitsFindsBoundary(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"encoding", "fig2", "fusion", "ghz", "kernel", "matrixfusion", "obs", "optimizer", "outofcore", "parity", "prelim", "pruning", "service", "sqlengine", "sqlengine_parallel", "storage", "storm", "superpos", "sweep", "table1"}
+	want := []string{"encoding", "fig2", "ghz", "matrixfusion", "outofcore", "parity", "prelim", "pruning", "superpos", "sweep", "table1"}
 	got := Experiments()
 	if len(got) != len(want) {
 		t.Fatalf("experiments = %d, want %d", len(got), len(want))

@@ -13,8 +13,7 @@ import (
 func init() {
 	register(Experiment{
 		// "matrixfusion" is the paper's gate-matrix fusion ablation
-		// (§3.2). The id "fusion" now names the engine's whole-circuit
-		// chain-fusion benchmark (exp_chain_fusion.go).
+		// (§3.2), not the engine's whole-circuit chain fusion.
 		ID:    "matrixfusion",
 		Paper: "§3.2 'Query Optimization' — gate fusion",
 		Desc:  "ablation: SQL backend with matrix fusion off / same-qubits / subset; stages, runtime, intermediate rows",

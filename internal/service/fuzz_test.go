@@ -34,7 +34,7 @@ func FuzzSimulateRequest(f *testing.F) {
 			// — and the override path must canonicalize whatever arrives.
 			r.Header["X-Qymera-Tenant"] = []string{tenant}
 		}
-		req, err := decodeRequest(r)
+		req, err := decodeRequest(httptest.NewRecorder(), r)
 		if err != nil {
 			return
 		}

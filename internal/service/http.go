@@ -53,6 +53,8 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusUnprocessableEntity
 	case errors.Is(err, sim.ErrMemoryBudget):
 		status = http.StatusInsufficientStorage
+	case errors.As(err, new(*http.MaxBytesError)):
+		status = http.StatusRequestEntityTooLarge
 	}
 	writeJSON(w, status, errorJSON{Error: err.Error()})
 }
@@ -62,10 +64,15 @@ func writeError(w http.ResponseWriter, err error) {
 // body's "tenant" field.
 const TenantHeader = "X-Qymera-Tenant"
 
-func decodeRequest(r *http.Request) (Request, error) {
+// maxRequestBytes caps a request body. The decoded body is kept in
+// memory and written to the job log, so an unbounded upload would cost
+// both; larger bodies get HTTP 413.
+const maxRequestBytes = 32 << 20
+
+func decodeRequest(w http.ResponseWriter, r *http.Request) (Request, error) {
 	start := time.Now()
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("invalid request body: %w", err)
 	}
@@ -92,7 +99,7 @@ func wantsNDJSON(r *http.Request) bool {
 // a header line {"num_qubits":…}, one line per nonzero amplitude
 // ({"s":…,"r":…,"i":…}, sorted by s), and a final {"stats":{…}} line.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r)
+	req, err := decodeRequest(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -134,7 +141,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 // handleSubmit enqueues an asynchronous job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r)
+	req, err := decodeRequest(w, r)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -305,8 +312,7 @@ type JobLogMetrics struct {
 	Replay ReplayStats `json:"replay"`
 }
 
-// Metrics snapshots the service counters (also used by the bench
-// harness in-process).
+// Metrics snapshots the service counters (the /metrics body).
 func (s *Server) Metrics() MetricsJSON {
 	m := s.manager
 	statuses, backends, tenantJobs, tenantLat, phases := m.metrics.snapshot()

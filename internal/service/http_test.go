@@ -279,3 +279,32 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	r.Body.Close()
 }
+
+// TestHTTPRequestBodyLimit: a body over maxRequestBytes is refused with
+// 413 on both submit paths before it is decoded or logged, while a
+// normal request on the same server still succeeds.
+func TestHTTPRequestBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	big := bytes.Repeat([]byte(" "), maxRequestBytes+1)
+	copy(big, `{"tenant":"`)
+	copy(big[len(big)-2:], `"}`)
+	for _, path := range []string{"/v1/simulate", "/v1/jobs"} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body: status %d, want 413", path, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+
+	doc := Request{Circuit: circuitDoc(t, circuits.GHZ(3))}
+	for path, want := range map[string]int{"/v1/simulate": http.StatusOK, "/v1/jobs": http.StatusAccepted} {
+		resp := postJSON(t, ts.URL+path, doc)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s: normal body: status %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+}

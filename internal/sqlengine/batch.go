@@ -14,10 +14,6 @@ package sqlengine
 // dispatch to a negligible cost per row.
 const batchSize = 1024
 
-// BatchSize is the engine's rows-per-batch target, exported for
-// benchmark reporting.
-const BatchSize = batchSize
-
 // rowBatch is a column-major block of rows.
 //
 // cols holds one []Value per output column; all columns share the same

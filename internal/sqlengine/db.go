@@ -83,7 +83,7 @@ type Config struct {
 	// Tracing controls per-operator span instrumentation: "" or "on"
 	// (the default) instruments statements whose context carries an
 	// obs span (untraced statements pay one nil check), "off" ignores
-	// spans entirely — the bench baseline with zero obs code active.
+	// spans entirely, with zero obs code active.
 	// Amplitudes are bitwise independent of the setting: instrumentation
 	// only reads batches as they stream by (see trace_exec.go).
 	Tracing string

@@ -39,9 +39,6 @@ const (
 	// enough morsels to balance load across workers.
 	morselRows = 8 * batchSize
 
-	// MorselRows is the morsel size, exported for benchmark reporting.
-	MorselRows = morselRows
-
 	// minParallelMorsels gates morsel execution: below two morsels
 	// there is nothing to balance and the serial path is faster.
 	minParallelMorsels = 2

@@ -19,12 +19,13 @@
 //     amplitudes stay bit-identical across worker counts) — alongside
 //     state-vector, sparse, matrix-product-state, and decision-diagram
 //     simulators for comparison;
-//   - the benchmarking harness (cmd/qybench) regenerates the paper's
-//     experiments.
+//   - cmd/qybench regenerates the paper's experiments as tables, and
+//     benchmarks/e2e measures end-to-end performance against
+//     BENCHMARK.json.
 //
 // docs/ARCHITECTURE.md walks through the translation scheme, the
-// executor, and the package map; docs/BENCHMARKS.md documents the
-// benchmark harness and its machine-readable reports.
+// executor, and the package map; docs/BENCHMARKS.md documents both
+// benchmark tools.
 //
 // Quick start:
 //
