@@ -155,15 +155,30 @@ func TestTenantMaxRunning(t *testing.T) {
 // tenant, a light tenant's few jobs must not wait behind the whole
 // heavy backlog — deficit round robin interleaves them, so the light
 // tenant's last job finishes well before the heavy tenant's.
+//
+// Dispatch order must not depend on how fast jobs run, so the blocker
+// is dispatched alone (heavy's queue is empty when it leaves, so heavy
+// keeps no DRR credit), outlives the submission of both backlogs by
+// seconds, and is cancelled once they are queued.
 func TestDRRFairInterleaving(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	defer m.Close()
 	doc := circuitDoc(t, circuits.GHZ(4))
 
-	// Blocker pins the worker while both backlogs queue up.
-	blocker, err := m.Submit(Request{Circuit: circuitDoc(t, circuits.ParitySuperposition(16)), Tenant: "heavy"})
+	blocker, err := m.Submit(Request{Circuit: circuitDoc(t, circuits.RandomDense(14, 40, 1)), Tenant: "heavy"})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		m.mu.Lock()
+		running := blocker.status == JobRunning
+		m.mu.Unlock()
+		if running {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("blocker never dispatched")
+		}
 	}
 	var heavy, light []*Job
 	for i := 0; i < 8; i++ {
@@ -180,6 +195,9 @@ func TestDRRFairInterleaving(t *testing.T) {
 		}
 		light = append(light, j)
 	}
+	if err := m.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -189,6 +207,10 @@ func TestDRRFairInterleaving(t *testing.T) {
 		}
 	}
 	m.mu.Lock()
+	if blocker.status != JobCancelled {
+		m.mu.Unlock()
+		t.Fatalf("blocker ended %s before the backlog was queued; it must outlive the submissions", blocker.status)
+	}
 	lightLast := light[len(light)-1].finished
 	heavyLast := heavy[len(heavy)-1].finished
 	heavyBefore := 0

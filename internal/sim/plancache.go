@@ -37,13 +37,6 @@ import (
 // them. All methods are safe for concurrent use.
 type PlanCache struct {
 	shards [planCacheShards]planShard
-
-	kmu sync.Mutex
-	// kernels caches compiled gate-stage kernel programs (the engine
-	// tier below the SQL text) so sweeps that rebind gate data reuse
-	// the lowered loop too. Lazily created, shared across the backends
-	// that share this PlanCache.
-	kernels *sqlengine.KernelCache
 }
 
 // planCacheShards is the lock-sharding fanout. Power of two so the
@@ -111,15 +104,12 @@ type PlanCacheStats struct {
 	Entries        int    `json:"entries"`
 }
 
-// Kernels returns the cache of compiled gate-stage kernel programs
-// that rides along with the plan cache, creating it on first use.
+// Kernels returns the cache of compiled gate-stage kernel programs the
+// translations of this cache run with: the engine's process-wide
+// sqlengine.ProcessKernelCache, which every SQL backend shares whether
+// or not it has a PlanCache.
 func (pc *PlanCache) Kernels() *sqlengine.KernelCache {
-	pc.kmu.Lock()
-	defer pc.kmu.Unlock()
-	if pc.kernels == nil {
-		pc.kernels = sqlengine.NewKernelCache(0)
-	}
-	return pc.kernels
+	return sqlengine.ProcessKernelCache()
 }
 
 // Stats returns the counters aggregated across every shard.

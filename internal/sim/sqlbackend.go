@@ -93,7 +93,9 @@ type SQL struct {
 	// Cache, when non-nil, caches circuit→SQL translations across Run
 	// calls: exact repeats reuse the whole plan, parameter-sweep
 	// variants reuse the SQL text and rebind only the numeric gate
-	// data. Safe for concurrent use and shareable across backends.
+	// data. Safe for concurrent use and shareable across backends. The
+	// engine below caches parsed statements and compiled kernels per
+	// process, with or without a Cache.
 	Cache *PlanCache
 	// Tracing controls the engine's per-operator span instrumentation
 	// ("" or "on" enables it for contexts carrying an obs span, "off"
@@ -168,11 +170,6 @@ func (b *SQL) RunContext(ctx context.Context, c *quantum.Circuit) (*Result, erro
 		Fusion:       b.ChainFusion,
 		Encodings:    b.Encodings,
 		Tracing:      b.Tracing,
-	}
-	if b.Cache != nil {
-		// Compiled kernels ride along with the plan cache: a sweep that
-		// reuses the SQL text also reuses the lowered kernel program.
-		cfg.KernelCache = b.Cache.Kernels()
 	}
 	db, err := sqlengine.Open(cfg)
 	if err != nil {

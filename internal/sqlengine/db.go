@@ -55,10 +55,10 @@ type Config struct {
 	// bitwise independent of the setting (see the determinism contract
 	// in kernel.go).
 	Kernels string
-	// KernelCache, when non-nil, is a pre-built (possibly shared)
-	// compiled-program cache for the kernel tier. A simulation plan
-	// cache hands every rebound engine instance the same *KernelCache
-	// so a parameter sweep compiles each stage shape once.
+	// KernelCache, when non-nil, is the compiled-program cache of the
+	// kernel tier. Nil uses ProcessKernelCache, which every such engine
+	// in the process shares, so each stage shape compiles once per
+	// process. Set it only to isolate an engine's programs.
 	KernelCache *KernelCache
 	// Fusion controls whole-circuit chain fusion on top of the kernel
 	// tier: "" or "on" (the default) detects runs of consecutive
@@ -163,7 +163,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 	kernelCache := cfg.KernelCache
 	if kernelCache == nil {
-		kernelCache = NewKernelCache(0)
+		kernelCache = processKernelCache
 	}
 	fusion := true
 	switch cfg.Fusion {
@@ -327,7 +327,7 @@ func (db *DB) Query(sqlText string, params ...Value) (*ResultSet, error) {
 // budget reservation and spill file, and returns an error wrapping
 // ctx.Err().
 func (db *DB) QueryContext(ctx context.Context, sqlText string, params ...Value) (*ResultSet, error) {
-	stmt, nparams, err := ParseStatement(sqlText)
+	stmt, nparams, err := parseCached(stmtCache, sqlText)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +408,7 @@ func (db *DB) Exec(sqlText string, params ...Value) (int64, error) {
 
 // ExecContext is Exec with cancellation (see QueryContext).
 func (db *DB) ExecContext(ctx context.Context, sqlText string, params ...Value) (int64, error) {
-	stmt, nparams, err := ParseStatement(sqlText)
+	stmt, nparams, err := parseCached(stmtCache, sqlText)
 	if err != nil {
 		return 0, err
 	}

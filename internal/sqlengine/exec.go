@@ -21,30 +21,32 @@ type planCol struct {
 // resolver for expression compilation.
 type planSchema []planCol
 
+// resolveColumn finds the slot of a (possibly qualified) column. Schema
+// names are stored lowercase, so a case-insensitive compare matches
+// without lowering the lookup's copies; errors name the column in
+// lowercase.
 func (s planSchema) resolveColumn(table, name string) (int, error) {
-	table = strings.ToLower(table)
-	name = strings.ToLower(name)
 	found := -1
 	for i, c := range s {
-		if c.name != name {
+		if !strings.EqualFold(c.name, name) {
 			continue
 		}
-		if table != "" && c.table != table {
+		if table != "" && !strings.EqualFold(c.table, table) {
 			continue
 		}
 		if found >= 0 {
 			if table == "" {
-				return 0, fmt.Errorf("sqlengine: ambiguous column %q", name)
+				return 0, fmt.Errorf("sqlengine: ambiguous column %q", strings.ToLower(name))
 			}
-			return 0, fmt.Errorf("sqlengine: ambiguous column %q.%q", table, name)
+			return 0, fmt.Errorf("sqlengine: ambiguous column %q.%q", strings.ToLower(table), strings.ToLower(name))
 		}
 		found = i
 	}
 	if found < 0 {
 		if table != "" {
-			return 0, fmt.Errorf("sqlengine: no such column %s.%s", table, name)
+			return 0, fmt.Errorf("sqlengine: no such column %s.%s", strings.ToLower(table), strings.ToLower(name))
 		}
-		return 0, fmt.Errorf("sqlengine: no such column %s", name)
+		return 0, fmt.Errorf("sqlengine: no such column %s", strings.ToLower(name))
 	}
 	return found, nil
 }

@@ -15,7 +15,7 @@ import (
 // MaterializeCTE subplans (inlined CTEs appear in place). EXPLAIN
 // itself does no data movement.
 func (db *DB) Explain(sqlText string, params ...Value) (string, error) {
-	stmt, nparams, err := ParseStatement(sqlText)
+	stmt, nparams, err := parseCached(stmtCache, sqlText)
 	if err != nil {
 		return "", err
 	}
@@ -64,7 +64,7 @@ func (db *DB) explainSelect(sel *SelectStmt, params []Value) (string, error) {
 // produced, plus total wall time (planning and CTE materialization
 // included).
 func (db *DB) ExplainAnalyze(ctx context.Context, sqlText string, params ...Value) (string, error) {
-	stmt, nparams, err := ParseStatement(sqlText)
+	stmt, nparams, err := parseCached(stmtCache, sqlText)
 	if err != nil {
 		return "", err
 	}

@@ -1,6 +1,9 @@
 package sqlengine
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzLex feeds arbitrary strings to the SQL lexer. Lex errors are
 // expected on garbage; panics or hangs are bugs.
@@ -75,6 +78,43 @@ DROP TABLE q_state_0;`)
 			if st == nil {
 				t.Fatalf("ParseScript returned nil statement %d without error", i)
 			}
+		}
+	})
+}
+
+// FuzzParseCached checks the statement cache against the parser: for
+// any text that parses, the cached parse deep-equals ParseStatement's,
+// and a second lookup returns the very same cached entry.
+func FuzzParseCached(f *testing.F) {
+	f.Add("SELECT s, r, i FROM state WHERE r != 0 ORDER BY s")
+	f.Add("INSERT INTO g0 VALUES (0, 0, 0.7071067811865476, 0.0), (1, 1, -0.7071067811865476, 0.0)")
+	f.Add("CREATE TABLE q_state_1 AS SELECT ((t.s & ~1) | h.out_s) AS s, SUM((t.r * h.r) - (t.i * h.i)) AS r, SUM((t.r * h.i) + (t.i * h.r)) AS i FROM t JOIN h ON h.in_s = (t.s & 1) GROUP BY ((t.s & ~1) | h.out_s)")
+	f.Add("SELECT ? + ?, CASE WHEN s & 1 = 0 THEN r ELSE -r END FROM state")
+	f.Add("EXPLAIN ANALYZE SELECT 1")
+	f.Add("SELECT FROM WHERE GROUP")
+	cache := newLRU[parsedStmt](1 << 16)
+
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<16 {
+			return
+		}
+		want, wantN, err := ParseStatement(src)
+		got, gotN, cerr := parseCached(cache, src)
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("ParseStatement error %v, cached parse error %v", err, cerr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) || gotN != wantN {
+			t.Fatalf("cached parse differs from ParseStatement for %q", src)
+		}
+		if len(src) > cache.limit/8 {
+			return
+		}
+		again, _, _ := parseCached(cache, src)
+		if again != got {
+			t.Fatalf("second lookup of %q did not return the cached entry", src)
 		}
 	})
 }

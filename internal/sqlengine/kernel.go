@@ -151,48 +151,39 @@ func ResetKernelCounters() {
 // maps, HAVING threshold). Programs are store-independent — execution
 // re-binds them to the current table vectors — so a sweep that re-plans
 // the same structural query with different gate numerics compiles once
-// and rebinds thereafter. Shareable across engine instances (the
-// simulation plan cache hands every rebound engine the same
-// *KernelCache, see sim.PlanCache).
+// and rebinds thereafter. No engine setting enters a program: the row
+// layout declines before lowering (kfRowLayout), and encodings and the
+// worker count are read from the bound stores and the execution context
+// at run time, so one cache serves engines of any configuration. Every
+// engine opened without Config.KernelCache shares ProcessKernelCache.
 type KernelCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*kernelProg
+	lru *lruCache[*kernelProg]
 }
 
 // NewKernelCache creates a kernel program cache holding up to capacity
-// compiled programs (<=0 uses a default of 256). Eviction is
-// whole-cache reset on overflow: programs are tiny and a working set
-// larger than the capacity does not occur in practice.
+// compiled programs (<=0 uses a default of 256), evicting the least
+// recently used program on overflow.
 func NewKernelCache(capacity int) *KernelCache {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &KernelCache{cap: capacity, m: map[string]*kernelProg{}}
+	return &KernelCache{lru: newLRU[*kernelProg](capacity)}
 }
+
+// processKernelCache is the kernel cache of every engine opened without
+// one of its own.
+var processKernelCache = NewKernelCache(0)
+
+// ProcessKernelCache returns the process-wide kernel program cache that
+// Open uses when Config.KernelCache is nil.
+func ProcessKernelCache() *KernelCache { return processKernelCache }
 
 // Len reports the number of cached programs.
-func (c *KernelCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
+func (c *KernelCache) Len() int { return c.lru.len() }
 
-func (c *KernelCache) lookup(key string) (*kernelProg, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.m[key]
-	return p, ok
-}
+func (c *KernelCache) lookup(key string) (*kernelProg, bool) { return c.lru.get(key) }
 
-func (c *KernelCache) store(key string, p *kernelProg) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.m) >= c.cap {
-		c.m = map[string]*kernelProg{}
-	}
-	c.m[key] = p
-}
+func (c *KernelCache) store(key string, p *kernelProg) { c.lru.put(key, p, 1) }
 
 // kernelAttempt is the materialization hook (called from
 // materializePlan when Config.Kernels is on): it pattern-matches the

@@ -177,6 +177,28 @@ func TestKernelCacheReuse(t *testing.T) {
 	}
 }
 
+// TestKernelCacheEvictsLeastRecentlyUsed: overflowing the kernel cache
+// drops only the program used longest ago, not the whole working set.
+func TestKernelCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	c := NewKernelCache(2)
+	a, b := &kernelProg{}, &kernelProg{}
+	c.store("a", a)
+	c.store("b", b)
+	if p, ok := c.lookup("a"); !ok || p != a {
+		t.Fatal("program a missing before overflow")
+	}
+	c.store("c", &kernelProg{})
+	if _, ok := c.lookup("b"); ok {
+		t.Fatal("the least recently used program b survived the overflow")
+	}
+	if p, ok := c.lookup("a"); !ok || p != a {
+		t.Fatal("the recently used program a was evicted")
+	}
+	if c.Len() != 2 {
+		t.Fatalf("cache holds %d programs, capacity 2", c.Len())
+	}
+}
+
 // explainKernelLine extracts the "kernel: ..." header line.
 func explainKernelLine(t *testing.T, plan string) string {
 	t.Helper()

@@ -53,7 +53,9 @@ type lexer struct {
 // lexSQL tokenizes the input; it returns an error with byte position on
 // any unrecognized character or unterminated literal.
 func lexSQL(src string) ([]token, error) {
-	lx := &lexer{src: src}
+	// Translated SQL runs about two bytes per token (operators,
+	// parentheses and short aliases), so this capacity rarely grows.
+	lx := &lexer{src: src, toks: make([]token, 0, len(src)/2+2)}
 	for {
 		tok, err := lx.next()
 		if err != nil {

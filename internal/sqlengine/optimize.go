@@ -304,28 +304,36 @@ func foldExpr(e Expr) Expr {
 	return &Literal{Val: v}
 }
 
-// foldExprs folds a slice in place.
-func foldExprs(es []Expr) {
-	for i, e := range es {
-		es[i] = foldExpr(e)
+// foldExprs returns the folded slice in a new backing array: a logical
+// node's expression slice may be the parsed statement's own (lAgg's
+// groupBy is SelectStmt.GroupBy), and the statement cache shares that
+// AST across executions, so folding must never write through it.
+func foldExprs(es []Expr) []Expr {
+	if len(es) == 0 {
+		return es
 	}
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = foldExpr(e)
+	}
+	return out
 }
 
 // foldNode folds every expression the node evaluates.
 func (o *optimizer) foldNode(n logicalNode) {
 	switch t := n.(type) {
 	case *lScan:
-		foldExprs(t.filters)
+		t.filters = foldExprs(t.filters)
 	case *lFilter:
-		foldExprs(t.conjuncts)
+		t.conjuncts = foldExprs(t.conjuncts)
 	case *lProject:
-		foldExprs(t.exprs)
+		t.exprs = foldExprs(t.exprs)
 	case *lJoin:
-		foldExprs(t.leftKeys)
-		foldExprs(t.rightKeys)
+		t.leftKeys = foldExprs(t.leftKeys)
+		t.rightKeys = foldExprs(t.rightKeys)
 		t.residual = foldExpr(t.residual)
 	case *lAgg:
-		foldExprs(t.groupBy)
+		t.groupBy = foldExprs(t.groupBy)
 		for i := range t.aggs {
 			if t.aggs[i].Arg != nil {
 				t.aggs[i].Arg = foldExpr(t.aggs[i].Arg)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -138,6 +139,42 @@ func TestConstantFolding(t *testing.T) {
 	}
 	if _, err := db.Query("SELECT ABS('x') FROM t"); err == nil {
 		t.Fatal("expected ABS('x') to keep erroring after folding")
+	}
+}
+
+// TestConstantFoldingLeavesASTUnchanged is the regression test for
+// folding through the parsed statement: GROUP BY ((t0.s & ~1) | …)
+// reaches the aggregate as the AST's own slice, and folding it in place
+// rewrote the statement to (t0.s & -2), so a second plan of the same
+// *SelectStmt no longer matched its SELECT item to the group key. The
+// statement cache plans one AST many times, on many engines.
+func TestConstantFoldingLeavesASTUnchanged(t *testing.T) {
+	stmt, _, err := ParseStatement(gateStageQuery(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _, _ := ParseStatement(gateStageQuery(true))
+	var want string
+	for run := 0; run < 2; run++ {
+		db := newOptDB(t, Config{Parallelism: 1})
+		setupGateStage(t, db, 64)
+		rs, err := db.runSelect(context.Background(), stmt.(*SelectStmt), nil)
+		if err != nil {
+			t.Fatalf("plan %d of one parsed statement: %v", run+1, err)
+		}
+		rows, err := rs.All()
+		rs.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowsBits(rows); run == 0 {
+			want = got
+		} else if got != want {
+			t.Fatal("second plan of one parsed statement returned different rows")
+		}
+	}
+	if !reflect.DeepEqual(stmt, fresh) {
+		t.Fatal("planning wrote into the parsed statement")
 	}
 }
 

@@ -16,6 +16,8 @@ type parser struct {
 
 // ParseStatement parses a single SQL statement (a trailing semicolon is
 // allowed). It returns the statement and the number of ? placeholders.
+// Every call returns a fresh AST the caller may modify; the engine's
+// own entry points parse through a shared cache instead (stmtcache.go).
 func ParseStatement(src string) (Statement, int, error) {
 	toks, err := lexSQL(src)
 	if err != nil {

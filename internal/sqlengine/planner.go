@@ -442,29 +442,28 @@ func extractEquiKeys(on Expr, left, right planSchema) (lks, rks []Expr, residual
 // SELECT/HAVING/ORDER BY expression with references to the aggNode's
 // synthetic output columns.
 type aggRewriter struct {
-	groupKeys []string // canonical strings of group expressions
-	schema    planSchema
-	aggs      []aggCall
-	aggKeys   []string
+	groupBy []Expr
+	schema  planSchema
+	aggs    []aggCall
+	// aggExprs holds the call behind each entry of aggs, so a repeated
+	// aggregate reuses its column.
+	aggExprs []Expr
 }
 
 func newAggRewriter(groupBy []Expr, schema planSchema) (*aggRewriter, error) {
-	rw := &aggRewriter{schema: schema}
 	for _, g := range groupBy {
 		if exprReferencesAggregate(g) {
 			return nil, fmt.Errorf("sqlengine: aggregates are not allowed in GROUP BY")
 		}
-		rw.groupKeys = append(rw.groupKeys, canonicalExprString(g, schema))
 	}
-	return rw, nil
+	return &aggRewriter{groupBy: groupBy, schema: schema}, nil
 }
 
 // rewrite returns a copy of e with grouped expressions and aggregates
 // replaced by #grp/#agg references.
 func (rw *aggRewriter) rewrite(e Expr) Expr {
-	canon := canonicalExprString(e, rw.schema)
-	for i, k := range rw.groupKeys {
-		if canon == k {
+	for i, g := range rw.groupBy {
+		if sameExpr(e, g, rw.schema) {
 			return &ColumnRef{Table: "#grp", Name: "g" + strconv.Itoa(i)}
 		}
 	}
@@ -477,17 +476,100 @@ func (rw *aggRewriter) rewrite(e Expr) Expr {
 			}
 			arg = fc.Args[0]
 		}
-		key := canon
-		for i, k := range rw.aggKeys {
-			if k == key {
+		for i, prev := range rw.aggExprs {
+			if sameExpr(e, prev, rw.schema) {
 				return &ColumnRef{Table: "#agg", Name: "a" + strconv.Itoa(i)}
 			}
 		}
 		rw.aggs = append(rw.aggs, aggCall{Name: fc.Name, Distinct: fc.Distinct, Arg: arg})
-		rw.aggKeys = append(rw.aggKeys, key)
+		rw.aggExprs = append(rw.aggExprs, e)
 		return &ColumnRef{Table: "#agg", Name: "a" + strconv.Itoa(len(rw.aggs)-1)}
 	}
 	return rebuildExpr(e, rw.rewrite)
+}
+
+// sameExpr reports whether a and b are the same expression over schema
+// — equal canonicalExprString renderings — without rendering either, so
+// comparing a subtree costs no more than walking it: column references
+// match when they resolve to the same slot (or, unresolved, are spelled
+// alike) and literals when they print alike.
+func sameExpr(a, b Expr, schema planSchema) bool {
+	switch x := a.(type) {
+	case *ColumnRef:
+		y, ok := b.(*ColumnRef)
+		if !ok {
+			return false
+		}
+		if strings.EqualFold(x.Table, y.Table) && strings.EqualFold(x.Name, y.Name) {
+			return true
+		}
+		ix, errx := schema.resolveColumn(x.Table, x.Name)
+		iy, erry := schema.resolveColumn(y.Table, y.Name)
+		return errx == nil && erry == nil && ix == iy
+	case *Literal:
+		y, ok := b.(*Literal)
+		return ok && (x.Val == y.Val || x.Deparse() == y.Deparse())
+	case *ParamRef:
+		y, ok := b.(*ParamRef)
+		return ok && x.Index == y.Index
+	case *BinaryExpr:
+		y, ok := b.(*BinaryExpr)
+		return ok && x.Op == y.Op && sameExpr(x.L, y.L, schema) && sameExpr(x.R, y.R, schema)
+	case *UnaryExpr:
+		y, ok := b.(*UnaryExpr)
+		return ok && x.Op == y.Op && sameExpr(x.X, y.X, schema)
+	case *FuncCall:
+		y, ok := b.(*FuncCall)
+		if !ok || x.Name != y.Name || x.Star != y.Star {
+			return false
+		}
+		return x.Star || x.Distinct == y.Distinct && sameExprs(x.Args, y.Args, schema)
+	case *CaseExpr:
+		y, ok := b.(*CaseExpr)
+		if !ok || len(x.Whens) != len(y.Whens) || !sameOptExpr(x.Operand, y.Operand, schema) || !sameOptExpr(x.Else, y.Else, schema) {
+			return false
+		}
+		for i, w := range x.Whens {
+			if !sameExpr(w.When, y.Whens[i].When, schema) || !sameExpr(w.Then, y.Whens[i].Then, schema) {
+				return false
+			}
+		}
+		return true
+	case *IsNullExpr:
+		y, ok := b.(*IsNullExpr)
+		return ok && x.Not == y.Not && sameExpr(x.X, y.X, schema)
+	case *InExpr:
+		y, ok := b.(*InExpr)
+		return ok && x.Not == y.Not && sameExpr(x.X, y.X, schema) && sameExprs(x.List, y.List, schema)
+	case *BetweenExpr:
+		y, ok := b.(*BetweenExpr)
+		return ok && x.Not == y.Not && sameExpr(x.X, y.X, schema) && sameExpr(x.Lo, y.Lo, schema) && sameExpr(x.Hi, y.Hi, schema)
+	case *CastExpr:
+		y, ok := b.(*CastExpr)
+		return ok && x.To == y.To && sameExpr(x.X, y.X, schema)
+	}
+	return false
+}
+
+func sameExprs(a, b []Expr, schema planSchema) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameExpr(a[i], b[i], schema) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameOptExpr is sameExpr for optional operands, which match when both
+// are absent.
+func sameOptExpr(a, b Expr, schema planSchema) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return sameExpr(a, b, schema)
 }
 
 // rebuildExpr maps fn over e's direct children, returning a shallow copy.

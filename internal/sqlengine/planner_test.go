@@ -35,6 +35,25 @@ func TestCanonicalExprStringMatchesQualifiedUnqualified(t *testing.T) {
 	if a == d {
 		t.Fatal("unresolved column matched")
 	}
+
+	// sameExpr, which GROUP BY matching uses, agrees with equality of
+	// the canonical strings on every pair.
+	srcs := []string{
+		"(T0.s & ~1)", "(s & ~1)", "(r & ~1)", "(missing & ~1)", "(MISSING & ~1)",
+		"((t0.s & ~1) | h.in_s)", "((s & -2) | in_s)", "(s & 1.0)", "(s & 1)", "-s", "~s",
+		"SUM((t0.r * t0.r) - (r * r))", "SUM((r * r) - (r * r))", "SUM(DISTINCT r)", "COUNT(*)",
+		"CASE WHEN s > 0 THEN r ELSE 0 END", "CASE s WHEN 0 THEN r END", "CAST(s AS REAL)",
+		"s IS NULL", "s IS NOT NULL", "s IN (1, 2)", "s NOT IN (1, 2)", "s BETWEEN 1 AND 2", "? + s", "'x'",
+	}
+	for _, x := range srcs {
+		for _, y := range srcs {
+			ex, ey := parseExprForTest(t, x), parseExprForTest(t, y)
+			want := canonicalExprString(ex, schema) == canonicalExprString(ey, schema)
+			if got := sameExpr(ex, ey, schema); got != want {
+				t.Errorf("sameExpr(%s, %s) = %v, canonical strings equal = %v", x, y, got, want)
+			}
+		}
+	}
 }
 
 func TestSplitConjuncts(t *testing.T) {

@@ -114,8 +114,8 @@ type storageEnv struct {
 	optimizer bool
 	// kernels enables the compiled gate-stage kernel tier
 	// (Config.Kernels; see kernel.go), and kernelCache holds its
-	// compiled programs (possibly shared across engine instances by the
-	// simulation plan cache).
+	// compiled programs (the process-wide cache unless
+	// Config.KernelCache names another).
 	kernels     bool
 	kernelCache *KernelCache
 	// fusion enables whole-circuit chain fusion on top of the kernel
