@@ -24,14 +24,60 @@ func TestQymeradBinarySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping binary smoke")
 	}
+	base := startQymerad(t, buildQymerad(t), "-workers", "2")
+
+	// POST the GHZ-8 circuit; a direct in-process run of the same
+	// circuit on the SQL backend is the reference.
+	postSmoke(t, base, circuits.GHZ(8))
+
+	// The server's metrics must be live too.
+	metrics := getMetrics(t, base)
+	if metrics.Jobs["done"] != 1 {
+		t.Fatalf("metrics after one request: %+v", metrics)
+	}
+}
+
+// TestQymeradBinarySmokeBudget: a qymerad started with a shared memory
+// budget keeps the kernel tier on. QFT-8 and GHZ-8 served under a
+// 64 MiB budget must be bit-identical to unbudgeted in-process runs,
+// run as kernels with no budget decline, and leave the budget empty.
+func TestQymeradBinarySmokeBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping binary smoke")
+	}
+	base := startQymerad(t, buildQymerad(t), "-workers", "2", "-mem-budget", "67108864")
+	for _, c := range []*quantum.Circuit{circuits.QFT(8), circuits.GHZ(8)} {
+		postSmoke(t, base, c)
+	}
+	metrics := getMetrics(t, base)
+	if metrics.Kernels["executions"] == 0 {
+		t.Fatalf("no kernel ran under the budget: %v", metrics.Kernels)
+	}
+	if n := metrics.Kernels["fallback_budget-limited"]; n != 0 {
+		t.Fatalf("%d budget-limited kernel declines under a 64 MiB budget: %v", n, metrics.Kernels)
+	}
+	if metrics.Budget.UsedBytes != 0 {
+		t.Fatalf("budget still holds %d bytes after every job finished", metrics.Budget.UsedBytes)
+	}
+}
+
+// buildQymerad builds the real qymerad binary into a temp dir.
+func buildQymerad(t *testing.T) string {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "qymerad")
 	build := exec.Command("go", "build", "-o", bin, "qymera/cmd/qymerad")
 	build.Env = os.Environ()
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building qymerad: %v\n%s", err, out)
 	}
+	return bin
+}
 
-	// Pick a free port, then hand it to the server.
+// startQymerad starts bin on a free local port with the extra flags,
+// waits until it is healthy, and kills it when the test ends. Returns
+// the server's base URL.
+func startQymerad(t *testing.T, bin string, flags ...string) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -39,22 +85,25 @@ func TestQymeradBinarySmoke(t *testing.T) {
 	addr := l.Addr().String()
 	l.Close()
 
-	srv := exec.Command(bin, "-addr", addr, "-workers", "2")
+	srv := exec.Command(bin, append([]string{"-addr", addr}, flags...)...)
 	var logs bytes.Buffer
 	srv.Stdout, srv.Stderr = &logs, &logs
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
+	t.Cleanup(func() {
 		srv.Process.Kill()
 		srv.Wait()
-	}()
-
+	})
 	base := "http://" + addr
 	waitHealthy(t, base, &logs)
+	return base
+}
 
-	// POST the GHZ-8 circuit.
-	c := circuits.GHZ(8)
+// postSmoke POSTs c to /v1/simulate and asserts the served amplitudes
+// are bit-identical to a direct in-process sim.SQL run.
+func postSmoke(t *testing.T, base string, c *quantum.Circuit) {
+	t.Helper()
 	body, err := json.Marshal(Request{Circuit: circuitDoc(t, c)})
 	if err != nil {
 		t.Fatal(err)
@@ -64,26 +113,23 @@ func TestQymeradBinarySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("simulate status %d\nserver logs:\n%s", resp.StatusCode, logs.String())
+		t.Fatalf("simulate status %d", resp.StatusCode)
 	}
 	res := decodeBody[ResultJSON](t, resp)
-
-	// Direct in-process run of the same circuit on the SQL backend.
 	want, err := (&sim.SQL{}).Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	statesEqualBits(t, want.State, res.Amplitudes)
+}
 
-	// The server's metrics must be live too.
-	mresp, err := http.Get(base + "/metrics")
+func getMetrics(t *testing.T, base string) MetricsJSON {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics := decodeBody[MetricsJSON](t, mresp)
-	if metrics.Jobs["done"] != 1 {
-		t.Fatalf("metrics after one request: %+v", metrics)
-	}
+	return decodeBody[MetricsJSON](t, resp)
 }
 
 // TestQymeradRestartReplay is the crash-recovery smoke: a real qymerad
@@ -97,12 +143,7 @@ func TestQymeradRestartReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping binary restart replay")
 	}
-	bin := filepath.Join(t.TempDir(), "qymerad")
-	build := exec.Command("go", "build", "-o", bin, "qymera/cmd/qymerad")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building qymerad: %v\n%s", err, out)
-	}
+	bin := buildQymerad(t)
 	dataDir := t.TempDir()
 
 	freePort := func() string {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"qymera/internal/circuits"
@@ -87,5 +89,76 @@ func TestSQLKernelCacheRidesPlanCache(t *testing.T) {
 	}
 	if cache.Kernels() != sqlengine.ProcessKernelCache() || cache.Kernels().Len() == 0 {
 		t.Fatal("the plan cache's kernels are not the process-wide cache")
+	}
+}
+
+// TestKernelsUnderBudget: under a bounded budget the kernel tier stays
+// on — each gate-stage kernel and fused chain reserves its working set
+// and declines to the spilling interpreter only when the budget refuses
+// it. A run that declined nothing more than the unbounded run (whose
+// declines are structural, such as a plain copy statement) executes
+// the unbounded run's serial schedule, so its amplitudes are
+// bit-identical to it; a run that declined more stages still agrees
+// with the state vector. Every run gives all its reservations back.
+func TestKernelsUnderBudget(t *testing.T) {
+	angles := make([]float64, 3*8*2)
+	for i := range angles {
+		angles[i] = 0.37*float64(i) + 0.11
+	}
+	workloads := []struct {
+		name string
+		c    *quantum.Circuit
+	}{
+		{"superpos12", circuits.EqualSuperposition(12)},
+		{"ghz16", circuits.GHZ(16)},
+		{"qft10", circuits.QFT(10)},
+		{"w12", circuits.WState(12)},
+		{"dense10x4", circuits.RandomDense(10, 4, 7)},
+		{"ansatz8x3", circuits.HardwareEfficientAnsatz(8, 3, angles)},
+	}
+	const floor192 = 192<<10 + 192<<10/4 // limit + working floor
+	for _, wl := range workloads {
+		ref, err := (&StateVector{}).Run(wl.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []core.Mode{core.SingleQuery, core.MaterializedChain} {
+			before := sqlengine.KernelCounters()["fallbacks"]
+			unbounded, err := (&SQL{Mode: mode}).Run(wl.c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			structural := sqlengine.KernelCounters()["fallbacks"] - before
+			for _, limit := range []int64{64 << 10, 192 << 10, 1 << 20, 1 << 30} {
+				name := fmt.Sprintf("%s/mode=%d/limit=%d", wl.name, mode, limit)
+				t.Run(name, func(t *testing.T) {
+					budget := sqlengine.NewMemBudget(limit)
+					before := sqlengine.KernelCounters()["fallbacks"]
+					res, err := (&SQL{Mode: mode, Budget: budget, SpillDir: t.TempDir()}).Run(wl.c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					declines := sqlengine.KernelCounters()["fallbacks"] - before - structural
+					if used := budget.Used(); used != 0 {
+						t.Fatalf("budget still holds %d bytes after the run", used)
+					}
+					if declines == 0 {
+						if err := statesBitIdentical(unbounded.State, res.State); err != nil {
+							t.Fatalf("no kernel declined, yet the run differs from the unbounded one: %v", err)
+						}
+					} else if f := ref.State.Fidelity(res.State); math.Abs(f-1) > 1e-9 {
+						t.Fatalf("fidelity with the state vector %.12f after %d declines", f, declines)
+					}
+					if wl.name == "superpos12" && mode == core.SingleQuery && limit == 192<<10 {
+						if declines != 0 {
+							t.Fatalf("H^⊗12 at 192 KiB: %d kernel declines, want 0", declines)
+						}
+						if peak := budget.Peak(); peak > floor192 {
+							t.Fatalf("H^⊗12 at 192 KiB peaked at %d bytes, above limit + working floor %d", peak, floor192)
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -506,7 +506,7 @@ func (cs *ColStore) startSpill() error {
 		return fmt.Errorf("sqlengine: creating spill file: %w", err)
 	}
 	cs.file = f
-	cs.w = bufio.NewWriterSize(f, 1<<16)
+	cs.w = getSpillWriter(f)
 	cs.env.spillFiles.Add(1)
 	if _, err := cs.w.WriteString(colSpillMagic); err != nil {
 		cs.spillErr = fmt.Errorf("sqlengine: writing spill header: %w", err)
@@ -530,6 +530,11 @@ func (cs *ColStore) flushChunk() error {
 	}
 	if cs.rows == 0 {
 		return nil
+	}
+	if cs.w == nil {
+		// Appending after a Freeze (Thaw) resumes the spill file; the
+		// descriptor's offset is still at its end.
+		cs.w = getSpillWriter(cs.file)
 	}
 	n, err := writeChunk(cs.w, cs.cols, cs.rows, cs.env.storageCtrs)
 	if err != nil {
@@ -703,13 +708,17 @@ func (cs *ColStore) Freeze() error {
 	if cs.frozen {
 		return nil
 	}
-	if cs.w != nil {
+	if cs.file != nil {
 		if err := cs.flushChunk(); err != nil {
 			return err
 		}
-		if err := cs.w.Flush(); err != nil {
-			cs.spillErr = fmt.Errorf("sqlengine: flushing spill file: %w", err)
-			return cs.spillErr
+		if cs.w != nil {
+			if err := cs.w.Flush(); err != nil {
+				cs.spillErr = fmt.Errorf("sqlengine: flushing spill file: %w", err)
+				return cs.spillErr
+			}
+			putSpillWriter(cs.w)
+			cs.w = nil
 		}
 	}
 	cs.frozen = true
@@ -735,6 +744,7 @@ func (cs *ColStore) Release() {
 		cs.file.Close()
 		os.Remove(name)
 		cs.file = nil
+		putSpillWriter(cs.w)
 		cs.w = nil
 	}
 }
@@ -844,7 +854,7 @@ func (cs *ColStore) batchScanCols(keep []int) (storeScan, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc.r = bufio.NewReaderSize(io.NewSectionReader(cs.file, 0, info.Size()), 1<<16)
+		sc.r = newSpillReader(cs.file, info.Size())
 		sc.fileLeft = cs.fileRows
 		// The stream is self-describing: a QYC2 magic announces the v2
 		// chunk frame (zone records + length-prefixed data); its absence

@@ -102,6 +102,10 @@ type execCtx struct {
 	// for this statement (nil when the kernel did not run). EXPLAIN
 	// ANALYZE and operator-span attachment both read it.
 	kexec *kernelExecStat
+	// kdecline is the reason of the last run-time kernel decline (a
+	// bind check or a refused budget reservation after the matcher
+	// accepted the plan), "" when none happened.
+	kdecline string
 	// chainExec records a whole-circuit fused chain execution's stats
 	// for this statement (nil when no chain was fused; see
 	// kernel_chain.go).

@@ -115,6 +115,11 @@ func (db *DB) explainAnalyzeSelect(stmtCtx context.Context, sel *SelectStmt, par
 		writeExplainHeader(&b, db.env, ctx, names, "kernel: gate-stage (analyzed)")
 		fmt.Fprintf(&b, "kernel actual: rows_in=%d rows_out=%d morsels=%d runs_skipped=%d in %s\n",
 			k.rowsIn, k.rowsOut, k.morsels, k.runsSkipped, k.wall.Round(time.Microsecond))
+	} else if ctx.kdecline != "" {
+		// The matcher accepted the plan but execution declined it (a
+		// bind check or a refused budget reservation): the interpreter
+		// ran the whole tree.
+		writeExplainHeader(&b, db.env, ctx, names, "kernel: fallback ("+ctx.kdecline+", at run time)")
 	} else {
 		kline, core := kernelExplain(ctx, node)
 		kcore = core
@@ -186,15 +191,13 @@ func writeExplainHeader(b *strings.Builder, env *storageEnv, ctx *execCtx, names
 // kernelExplain reports the kernel tier's structural decision for a
 // plan: the EXPLAIN header line and the matched core node (nil when
 // the matcher declines). A structural dry run only — no counters, no
-// cache, no execution; the data-dependent bind checks (spill state,
-// column vector types) still happen at run time.
+// cache, no execution; the data-dependent checks (spill state, column
+// vector types, morsel mode and the working-set reservation under a
+// bounded budget) still happen at run time.
 func kernelExplain(ctx *execCtx, node planNode) (string, planNode) {
 	env := ctx.env
 	if !env.kernels {
 		return "kernel: off", nil
-	}
-	if env.budget.Limit() > 0 {
-		return "kernel: fallback (" + kfBudgetLimited + ")", nil
 	}
 	if env.rowLayout {
 		return "kernel: fallback (" + kfRowLayout + ")", nil
@@ -204,6 +207,9 @@ func kernelExplain(ctx *execCtx, node planNode) (string, planNode) {
 		// The output-layer kernel picks up translated probability and
 		// marginal aggregations the gate-stage matcher declines.
 		if plan := matchOutputAgg(node); plan != nil {
+			if env.budget.Limit() > 0 {
+				return "kernel: fallback (" + kfBudgetLimited + ")", nil
+			}
 			if cs, ok := plan.scan.store.(*ColStore); ok && !cs.Spilled() {
 				if _, ok := compileOutputRun(env, plan, cs); ok {
 					ann := outputAnnotationScalar

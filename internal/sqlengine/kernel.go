@@ -196,17 +196,20 @@ func (c *KernelCache) store(key string, p *kernelProg) { c.lru.put(key, p, 1) }
 // over the kernel's output store (swapped; the caller releases it if a
 // downstream error strands it); (nil, nil, nil) when the matcher
 // declined and the plan is untouched.
+//
+// Under a bounded budget the kernel reserves its working set
+// (reserveGateKernel) before allocating it and declines to the
+// interpreter, which spills, when the reservation is refused.
 func kernelAttempt(ctx *execCtx, root planNode, collect bool) (tableStore, tableStore, error) {
-	// A bounded budget can reorder execution anywhere (spills, grace
-	// joins, serial fallbacks); the kernel only replicates the unlimited
-	// in-memory schedule, so it steps aside entirely.
-	if ctx.env.budget.Limit() > 0 {
-		kernelFallback(ctx.env, kfBudgetLimited)
-		return nil, nil, nil
-	}
+	ctx.kdecline = ""
 	site, reason := findGateStage(ctx, root)
 	if site == nil {
-		if out, handled, err := outputKernelAttempt(ctx, root, collect, reason); handled {
+		if ctx.env.budget.Limit() > 0 {
+			// The output kernel's working set is not bounded here.
+			if matchOutputAgg(root) != nil {
+				reason = kfBudgetLimited
+			}
+		} else if out, handled, err := outputKernelAttempt(ctx, root, collect, reason); handled {
 			return out, nil, err
 		}
 		kernelFallback(ctx.env, reason)
@@ -214,12 +217,18 @@ func kernelAttempt(ctx *execCtx, root planNode, collect bool) (tableStore, table
 	}
 	bound, reason := bindGateStage(ctx.env, site.kern)
 	if bound == nil {
-		kernelFallback(ctx.env, reason)
+		kernelRuntimeDecline(ctx, reason)
+		return nil, nil, nil
+	}
+	held, ok := reserveGateKernel(ctx.env, bound)
+	if !ok {
+		kernelRuntimeDecline(ctx, kfBudgetLimited)
 		return nil, nil, nil
 	}
 	kernelBump(ctx.env, func(k *kernelCounterSet) *atomic.Int64 { return &k.executions }, 1)
 	start := time.Now()
 	store, err := runGateKernel(ctx, site.kern, bound, collect && site.set == nil, &kAcc{})
+	ctx.env.budget.release(held)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -244,6 +253,37 @@ func kernelAttempt(ctx *execCtx, root planNode, collect bool) (tableStore, table
 		fromKernel: true,
 	})
 	return nil, store, nil
+}
+
+// kernelRuntimeDecline records a decline made after the matcher
+// accepted the plan — a bind check or a refused reservation — which
+// EXPLAIN's structural dry run cannot foresee; EXPLAIN ANALYZE reports
+// it from ctx.kdecline.
+func kernelRuntimeDecline(ctx *execCtx, reason string) {
+	kernelFallback(ctx.env, reason)
+	ctx.kdecline = reason
+}
+
+// reserveGateKernel reserves a bound single-stage kernel's working set
+// under a bounded budget: the accumulator's group vectors and position
+// array plus the emitter batch, sized to the run's group bound. The
+// output store reserves (and spills) per batch on its own. Returns the
+// bytes to release when the run ends, and false when the working set
+// cannot be bounded or the budget refuses it. An unlimited budget takes
+// no reservation.
+func reserveGateKernel(env *storageEnv, bk *boundGate) (int64, bool) {
+	if env.budget.Limit() <= 0 {
+		return 0, true
+	}
+	if !bk.presizeToBound() {
+		return 0, false
+	}
+	var acc kAcc
+	need := acc.footprint(bk) + emitterBytes(bk.groupHint)
+	if !env.budget.tryReserve(need) {
+		return 0, false
+	}
+	return need, true
 }
 
 // kernelExecStat records one fused-loop kernel execution's stats on

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -25,8 +26,9 @@ import (
 // runs all of them in one pass. The amplitudes flow between stages
 // through double-buffered in-memory (key, re, im) triples; only the
 // topmost chain stage's output is materialized into a ColStore. The
-// intermediate stage tables never exist: no storage, no budget
-// reservations, no spill eligibility.
+// intermediate stage tables never exist: no storage, no spill
+// eligibility. Under a bounded budget the run reserves the buffers and
+// the accumulator instead, and declines when they do not fit.
 //
 // Determinism contract (extends kernel.go's): a chainBuf holds exactly
 // the rows, in exactly the order, that the stage's materialized store
@@ -34,12 +36,12 @@ import (
 // applied at emission (kEmitter.add's schedule verbatim). Each stage
 // then runs the same serial-or-morsel accumulation schedule the
 // single-stage kernel would have chosen for a store of that row count
-// (the fused path never spills — fusion declines under any bounded
-// budget — so ColStore.morselCount reduces to the same ceil(rows /
-// morselRows) geometry). Amplitudes are therefore bit-identical to
-// stage-at-a-time execution at every worker count, layout, encoding,
-// and optimizer setting; the differential matrix in
-// kernel_chain_test.go asserts it.
+// (the buffers never spill, so ColStore.morselCount reduces to the same
+// ceil(rows / morselRows) geometry). Amplitudes are therefore
+// bit-identical to unbounded stage-at-a-time execution at every worker
+// count, layout, encoding, optimizer setting, and budget that lets the
+// chain run; the differential matrix in kernel_chain_test.go asserts
+// it.
 
 // cteStubNode stands in for an unmaterialized CTE reference while a
 // chain stage's plan is lowered for compilation only (planner.stubCTE):
@@ -100,6 +102,12 @@ func (b *chainBuf) reset(having bool, eps2 float64, hint int64) {
 	b.minKey, b.maxKey, b.any = 0, 0, false
 }
 
+// footprint is the buffer's size once reset(…, hint) has run (hint 0:
+// its current size).
+func (b *chainBuf) footprint(hint int64) int64 {
+	return ampRowBytes * max(int64(cap(b.keys)), min(hint, maxAccPresize))
+}
+
 // emitAll implements kSink, applying the same pruning HAVING as
 // kEmitter.
 func (b *chainBuf) emitAll(keys []int64, r, i []float64) error {
@@ -141,14 +149,6 @@ func (p *planner) fuseCTEChain(d *cteDef) (bool, error) {
 	if len(chain) < 2 {
 		return false, nil
 	}
-	// A bounded budget can spill and reorder anywhere; the fused pass
-	// only replicates the unlimited in-memory schedule, so it declines
-	// the whole chain (stage-at-a-time kernels decline individually for
-	// the same reason).
-	if env.budget.Limit() > 0 {
-		p.chainFallback(kfChainBudgetLimited)
-		return false, nil
-	}
 	plan, reason := p.compileChain(chain)
 	if plan == nil {
 		p.chainFallback(reason)
@@ -161,6 +161,13 @@ func (p *planner) fuseCTEChain(d *cteDef) (bool, error) {
 	}
 	start := time.Now()
 	store, err := runChainKernel(p.ctx, plan, bound0)
+	if err == errChainBudget {
+		// Nothing escaped: the refusal came before the output store
+		// existed. Stage-at-a-time execution may still run single-stage
+		// kernels, each reserving its own smaller working set.
+		p.chainFallback(kfChainBudgetLimited)
+		return false, nil
+	}
 	if err != nil {
 		return true, err
 	}
@@ -513,31 +520,60 @@ func chainDenseBound(in *chainBuf, prog *kernelProg, gOut []int64) int64 {
 	return hi
 }
 
+// errChainBudget is runChainKernel's sentinel for a refused working-set
+// reservation: fuseCTEChain declines to stage-at-a-time execution.
+var errChainBudget = errors.New("sqlengine: fused chain working set refused by the memory budget")
+
 // runChainKernel executes a bound chain: every stage but the last emits
 // into the next stage's chainBuf; the last materializes through the
 // standard kernel emitter into a fresh store (exactly the store
-// stage-at-a-time execution would have produced for the top CTE). The
+// stage-at-a-time execution would have produced for the top CTE, with
+// statistics, so the stage reading it can prove a dense key bound). The
 // run owns one accumulator and two stage buffers and recycles them
 // across all stages: stage k reads one buffer while emitting into the
 // other, so after the first stages warm them up a stage allocates
 // almost nothing.
+//
+// Under a bounded budget every stage first reserves the growth of the
+// accumulator and buffers its run will allocate (the last stage also
+// its emitter batch); a refusal — or a stage in morsel mode, whose
+// partial tables are not bounded — returns errChainBudget before the
+// output store exists. The reservation is released when the run ends.
 func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate) (tableStore, error) {
 	var (
 		acc  kAcc
 		bufs [2]chainBuf
 		cur  *chainBuf
 	)
+	res := kReserve{budget: ctx.env.budget}
+	defer res.release()
+	bounded := res.budget.Limit() > 0
 	last := len(plan.stages) - 1
 	for i, st := range plan.stages {
 		bk := bound0
 		if i > 0 {
 			bk = bindChainInput(st, cur)
 		}
+		nxt := &bufs[i%2]
+		if bounded {
+			if !bk.presizeToBound() {
+				return nil, errChainBudget
+			}
+			other := &bufs[1-i%2]
+			need := acc.footprint(bk) + other.footprint(0)
+			if i == last {
+				need += nxt.footprint(0) + emitterBytes(bk.groupHint)
+			} else {
+				need += nxt.footprint(bk.groupHint)
+			}
+			if !res.growTo(need) {
+				return nil, errChainBudget
+			}
+		}
 		if i == last {
-			return runGateKernel(ctx, st.kern, bk, false, &acc)
+			return runGateKernel(ctx, st.kern, bk, true, &acc)
 		}
 		prog := st.kern.prog
-		nxt := &bufs[i%2]
 		nxt.reset(prog.having, prog.eps2, bk.groupHint)
 		if err := bk.run(ctx, nxt, &acc); err != nil {
 			return nil, err

@@ -140,41 +140,67 @@ func TestChainFusionDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestChainFusionBudgetDecline: under a bounded memory budget the
-// chain must decline cleanly to stage-at-a-time spilling execution —
-// distinct fallback counter, one count per statement, and results
-// bitwise identical to the unconstrained engine.
+// TestChainFusionBudgetDecline: under a bounded budget the fused chain
+// reserves its buffers and accumulator stage by stage. A budget that
+// cannot hold the last stage's working set refuses it mid-chain: the
+// chain releases everything, counts chain-budget-limited once, and the
+// statement runs stage-at-a-time — still through kernels where their
+// smaller working sets fit (a shorter chain below the refused stage,
+// single stages) — bit-identical to fusion off under the same budget. A budget with room runs the whole chain,
+// bit-identical to the unbounded engine.
 func TestChainFusionBudgetDecline(t *testing.T) {
-	const stages, n = 4, 20000
-	var digests [2]string
-	var rowCounts [2]int
-	for i, fusion := range []string{"off", "on"} {
-		db := newOptDB(t, Config{
-			Parallelism:  4,
-			Fusion:       fusion,
-			MemoryBudget: 256 << 10, // forces spilling stage-at-a-time execution
-			SpillDir:     t.TempDir(),
-		})
-		setupGateStage(t, db, n)
-		rows := queryAll(t, db, chainQuery(stages, false))
-		digests[i], rowCounts[i] = rowsBits(rows), len(rows)
-		kc := db.KernelCounters()
-		if kc["chain_executions"] != 0 {
-			t.Fatalf("chain fused under a bounded budget (fusion=%s, counters: %v)", fusion, kc)
-		}
-		if fusion == "on" {
-			if kc["fallback_chain-budget-limited"] != 1 {
-				t.Fatalf("fallback_chain-budget-limited = %d, want 1 (counters: %v)", kc["fallback_chain-budget-limited"], kc)
+	const stages, n = 4, 300
+	// A refused stage may run on the spilling interpreter, which emits
+	// groups in another order. Every group of this gate sums exactly two
+	// terms onto 0.0, so only the row order can change: ORDER BY pins it.
+	q := chainQuery(stages, false) + " ORDER BY s"
+	unbounded := newOptDB(t, Config{Parallelism: 4})
+	setupGateStage(t, unbounded, n)
+	want := rowsBits(queryAll(t, unbounded, q))
+	for _, tc := range []struct {
+		name  string
+		slack int64
+		fused bool
+	}{
+		{"refused", 45 << 10, false},
+		{"reserved", 256 << 10, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var digests [2]string
+			for i, fusion := range []string{"off", "on"} {
+				db, budget := budgetedGateStageDB(t, Config{Parallelism: 4, Fusion: fusion}, n, tc.slack)
+				setup := budget.Used()
+				digests[i] = rowsBits(queryAll(t, db, q))
+				if used := budget.Used(); used != setup {
+					t.Fatalf("budget holds %d bytes after the query, %d before", used, setup)
+				}
+				kc := db.KernelCounters()
+				if fusion == "off" {
+					if kc["chain_executions"] != 0 || kc["fallback_"+kfChainBudgetLimited] != 0 {
+						t.Fatalf("chain counters moved with fusion off: %v", kc)
+					}
+					continue
+				}
+				if tc.fused {
+					if kc["chain_executions"] != 1 || kc["fallback_"+kfChainBudgetLimited] != 0 {
+						t.Fatalf("chain did not fuse within the budget (counters: %v)", kc)
+					}
+					continue
+				}
+				if kc["fallback_"+kfChainBudgetLimited] != 1 || kc["chain_stages"] >= stages-1 {
+					t.Fatalf("want the full chain refused, counted once (counters: %v)", kc)
+				}
+				if kc["executions"] == 0 {
+					t.Fatalf("stage-at-a-time execution ran no kernel (counters: %v)", kc)
+				}
 			}
-		} else if kc["fallback_chain-budget-limited"] != 0 {
-			t.Fatal("chain fallback counted with fusion off")
-		}
-	}
-	if digests[0] != digests[1] {
-		t.Fatal("budget-declined chain is not bit-identical to the fusion-off spilling engine")
-	}
-	if want := 2 * ((n + 1) / 2); rowCounts[1] != want {
-		t.Fatalf("spilling chain produced %d rows, want %d", rowCounts[1], want)
+			if digests[0] != digests[1] {
+				t.Fatal("budgeted chain is not bit-identical to fusion off under the same budget")
+			}
+			if tc.fused && digests[1] != want {
+				t.Fatal("chain fused under a budget is not bit-identical to the unbounded engine")
+			}
+		})
 	}
 }
 

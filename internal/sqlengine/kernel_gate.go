@@ -56,6 +56,86 @@ type boundGate struct {
 // entries; 1<<22 keys = 16 MB of scratch).
 const denseCap = 1 << 22
 
+// ampRowBytes is the in-memory size of one (key, re, im) triple: one
+// accumulator group, one chainBuf row, one emitter batch row.
+const ampRowBytes = 24
+
+// dense reports whether runSerial accumulates through a dense position
+// array. A dense array costs its whole key range; a few rows spread
+// over a wide range (GHZ: two rows, keys up to 2^n) accumulate hashed
+// instead. Either mode emits groups first-seen.
+func (bk *boundGate) dense() bool {
+	return bk.denseHi >= 0 && bk.denseHi < 8*max(int64(bk.rows), 1024)
+}
+
+// groupBound is an upper bound on a serial run's group count: every
+// input row feeds at most one group per row of its gate bucket, and a
+// dense run's keys all lie in [0, denseHi].
+func (bk *boundGate) groupBound() int64 {
+	widest := 0
+	for _, b := range bk.buckets {
+		widest = max(widest, len(b))
+	}
+	n := int64(bk.rows) * int64(widest)
+	if bk.dense() {
+		n = min(n, bk.denseHi+1)
+	}
+	return n
+}
+
+// presizeToBound readies a run for a bounded budget: the group hint
+// becomes the group bound, so the accumulator, the stage buffers, and
+// the emitter batch are allocated once at a size their reservation
+// covers and never grow past it. Reports false for a run whose working
+// set cannot be bounded up front — a morsel-mode run (its per-morsel
+// partial tables) or one past the pre-size caps.
+func (bk *boundGate) presizeToBound() bool {
+	if bk.morsel {
+		return false
+	}
+	if bk.empty {
+		bk.groupHint = 0
+		return true
+	}
+	n := bk.groupBound()
+	if n > maxAccPresize {
+		return false
+	}
+	bk.groupHint = n
+	return true
+}
+
+// emitterBytes is the footprint of runGateKernel's emitter batch.
+func emitterBytes(groupHint int64) int64 {
+	return ampRowBytes * min(groupHint, batchSize)
+}
+
+// kReserve is a kernel run's reservation against a bounded budget. It
+// only grows — to the largest working set the run has held so far —
+// and is released in one piece when the run ends.
+type kReserve struct {
+	budget *MemBudget
+	held   int64
+}
+
+// growTo raises the reservation to n bytes, reporting false (and
+// reserving nothing more) when the budget refuses.
+func (r *kReserve) growTo(n int64) bool {
+	if n <= r.held {
+		return true
+	}
+	if !r.budget.tryReserve(n - r.held) {
+		return false
+	}
+	r.held = n
+	return true
+}
+
+func (r *kReserve) release() {
+	r.budget.release(r.held)
+	r.held = 0
+}
+
 // bindGateStage binds a compiled program to the scans' current stores,
 // running the data-dependent checks the matcher cannot do statically.
 func bindGateStage(env *storageEnv, k *gateKernel) (*boundGate, string) {
@@ -273,10 +353,7 @@ func (a *kAcc) reset(dense bool, denseHi, hint int64) {
 			a.dpos = make([]int32, denseHi+1)
 		}
 	} else {
-		n := 1024
-		for int64(n) < hint*2 && n < 1<<21 {
-			n <<= 1
-		}
+		n := hashSlots(hint)
 		if len(a.hpos) != n {
 			a.hpos = make([]int32, n)
 		}
@@ -288,6 +365,32 @@ func (a *kAcc) reset(dense bool, denseHi, hint int64) {
 		a.i = make([]float64, 0, c)
 	}
 	a.keys, a.r, a.i = a.keys[:0], a.r[:0], a.i[:0]
+}
+
+// hashSlots is the hashed position table's size for a group hint: at
+// most half full, so a run of hint groups never triggers grow.
+func hashSlots(hint int64) int {
+	n := 1024
+	for int64(n) < hint*2 && n < 1<<21 {
+		n <<= 1
+	}
+	return n
+}
+
+// footprint is the accumulator's size once bk's serial run has reset
+// it (an empty run leaves it untouched): both position arrays — the
+// idle one keeps its allocation — and the group vectors.
+func (a *kAcc) footprint(bk *boundGate) int64 {
+	dpos, hpos, groups := int64(len(a.dpos)), int64(len(a.hpos)), int64(cap(a.keys))
+	if !bk.empty {
+		if bk.dense() {
+			dpos = max(dpos, bk.denseHi+1)
+		} else {
+			hpos = int64(hashSlots(bk.groupHint))
+		}
+		groups = max(groups, min(bk.groupHint, maxAccPresize))
+	}
+	return 4*(dpos+hpos) + ampRowBytes*groups
 }
 
 // slot returns the group index for a key, appending a fresh zeroed
@@ -498,11 +601,7 @@ func (bk *boundGate) run(ctx *execCtx, em kSink, acc *kAcc) error {
 // engine's single-morsel streaming aggregation) and emits groups in
 // first-seen order.
 func (bk *boundGate) runSerial(ctx *execCtx, em kSink, acc *kAcc) error {
-	// A dense position array costs its whole key range; a few rows
-	// spread over a wide range (GHZ: two rows, keys up to 2^n)
-	// accumulate hashed instead. Either mode emits groups first-seen.
-	dense := bk.denseHi >= 0 && bk.denseHi < 8*max(int64(bk.rows), 1024)
-	acc.reset(dense, bk.denseHi, bk.groupHint)
+	acc.reset(bk.dense(), bk.denseHi, bk.groupHint)
 	for lo := 0; lo < bk.rows; lo += morselRows {
 		if err := ctx.cancelled(); err != nil {
 			return err

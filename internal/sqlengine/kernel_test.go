@@ -229,12 +229,6 @@ func TestKernelFallbackReasons(t *testing.T) {
 			reason: "kernel: off",
 		},
 		{
-			name:   "budget-limited",
-			cfg:    Config{Parallelism: 1, MemoryBudget: 1 << 30},
-			query:  gateStageQuery(false),
-			reason: "kernel: fallback (" + kfBudgetLimited + ")",
-		},
-		{
 			name:   "row-layout",
 			cfg:    Config{Parallelism: 1, Layout: "row"},
 			query:  gateStageQuery(false),
@@ -350,6 +344,84 @@ func TestKernelFallbackColumnTypes(t *testing.T) {
 	}
 	if digests[0] != digests[1] {
 		t.Fatal("fallback path output differs from interpreted engine")
+	}
+}
+
+// budgetedGateStageDB opens an engine whose budget holds the
+// setupGateStage tables plus slack bytes (measured on an unbounded
+// probe engine first), and loads the tables into it.
+func budgetedGateStageDB(t *testing.T, cfg Config, n int, slack int64) (*DB, *MemBudget) {
+	t.Helper()
+	probe := NewMemBudget(0)
+	pcfg := cfg
+	pcfg.Budget = probe
+	setupGateStage(t, newOptDB(t, pcfg), n)
+	budget := NewMemBudget(probe.Used() + slack)
+	cfg.Budget, cfg.SpillDir = budget, t.TempDir()
+	db := newOptDB(t, cfg)
+	setupGateStage(t, db, n)
+	return db, budget
+}
+
+// TestKernelFallbackBudget: under a bounded budget the kernel reserves
+// its working set at run time. A budget too small for the accumulator
+// is a run-time (not structural) decline — EXPLAIN still advertises the
+// kernel, EXPLAIN ANALYZE reports the decline, execution counts
+// fallback_budget-limited and stays bit-identical to the interpreter.
+// A budget with room runs the kernel and gives every byte back.
+func TestKernelFallbackBudget(t *testing.T) {
+	const n = 64
+	q := gateStageQuery(false) + " ORDER BY s"
+	for _, tc := range []struct {
+		name  string
+		slack int64
+		runs  bool
+	}{
+		{"refused", 1 << 10, false},
+		{"reserved", 64 << 10, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var digests [2]string
+			for i, kernels := range []string{"off", "on"} {
+				db, budget := budgetedGateStageDB(t, Config{Parallelism: 1, Kernels: kernels}, n, tc.slack)
+				setup := budget.Used()
+				before := db.KernelCounters()
+				digests[i] = rowsBits(queryAll(t, db, q))
+				kc := db.KernelCounters()
+				if used := budget.Used(); used != setup {
+					t.Fatalf("budget holds %d bytes after the query, %d before", used, setup)
+				}
+				if kernels == "off" {
+					continue
+				}
+				declined := kc["fallback_"+kfBudgetLimited] - before["fallback_"+kfBudgetLimited]
+				ran := kc["executions"] - before["executions"]
+				if tc.runs && (ran != 1 || declined != 0) || !tc.runs && (ran != 0 || declined != 1) {
+					t.Fatalf("executions %d, budget-limited fallbacks %d, want run=%v (counters: %v)", ran, declined, tc.runs, kc)
+				}
+				plan, err := db.Explain(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := explainKernelLine(t, plan), "kernel: "+kernelAnnotation; got != want {
+					t.Fatalf("EXPLAIN kernel line = %q, want %q", got, want)
+				}
+				plan, err = db.ExplainAnalyze(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := "kernel: gate-stage (analyzed)"
+				if !tc.runs {
+					want = "kernel: fallback (" + kfBudgetLimited + ", at run time)"
+				}
+				if got := explainKernelLine(t, plan); got != want {
+					t.Fatalf("EXPLAIN ANALYZE kernel line = %q, want %q\n%s", got, want, plan)
+				}
+			}
+			if digests[0] != digests[1] {
+				t.Fatal("budgeted kernel run differs from the interpreted engine")
+			}
+		})
 	}
 }
 

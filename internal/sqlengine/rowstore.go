@@ -82,7 +82,7 @@ func (rs *RowStore) spillBuffered() error {
 			return fmt.Errorf("sqlengine: creating spill file: %w", err)
 		}
 		rs.file = f
-		rs.w = bufio.NewWriterSize(f, 1<<16)
+		rs.w = getSpillWriter(f)
 		rs.env.spillFiles.Add(1)
 	}
 	for _, row := range rs.mem {
@@ -142,6 +142,7 @@ func (rs *RowStore) Freeze() error {
 		if err := rs.w.Flush(); err != nil {
 			return fmt.Errorf("sqlengine: flushing spill file: %w", err)
 		}
+		putSpillWriter(rs.w)
 		rs.w = nil
 	}
 	return nil
@@ -157,7 +158,7 @@ func (rs *RowStore) Thaw() {
 	}
 	rs.frozen = false
 	if rs.file != nil {
-		rs.w = bufio.NewWriterSize(rs.file, 1<<16)
+		rs.w = getSpillWriter(rs.file)
 	}
 }
 
@@ -231,7 +232,7 @@ func (rs *RowStore) Cursor() (rowCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		it.r = bufio.NewReaderSize(io.NewSectionReader(rs.file, 0, info.Size()), 1<<16)
+		it.r = newSpillReader(rs.file, info.Size())
 		it.fileLeft = rs.fileRows
 	}
 	return it, nil
@@ -291,6 +292,8 @@ func (rs *RowStore) Release() {
 		rs.file.Close()
 		os.Remove(name)
 		rs.file = nil
+		putSpillWriter(rs.w)
+		rs.w = nil
 	}
 }
 

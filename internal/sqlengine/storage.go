@@ -1,8 +1,12 @@
 package sqlengine
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math"
+	"os"
+	"sync"
 	"sync/atomic"
 )
 
@@ -232,6 +236,37 @@ type storeScan interface {
 type morselScanner interface {
 	setMorsel(i int)
 	NextBatch() (*rowBatch, error)
+}
+
+// spillBufSize is the buffer size of spill-file writers and the cap on
+// spill-file readers'.
+const spillBufSize = 1 << 16
+
+// spillWriters recycles spill-file writers: a store takes one when it
+// starts (or resumes) writing its spill file and returns it at Freeze
+// or Release, so a run that spills many small stores does not allocate
+// a fresh 64 KiB buffer per file.
+var spillWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, spillBufSize) }}
+
+func getSpillWriter(f io.Writer) *bufio.Writer {
+	w := spillWriters.Get().(*bufio.Writer)
+	w.Reset(f)
+	return w
+}
+
+// putSpillWriter returns a writer to the pool, dropping any unflushed
+// bytes.
+func putSpillWriter(w *bufio.Writer) {
+	if w != nil {
+		w.Reset(nil)
+		spillWriters.Put(w)
+	}
+}
+
+// newSpillReader opens a buffered reader over a spill file's first size
+// bytes, its buffer no larger than the file.
+func newSpillReader(f *os.File, size int64) *bufio.Reader {
+	return bufio.NewReaderSize(io.NewSectionReader(f, 0, size), int(min(size, spillBufSize)))
 }
 
 func releaseStores(stores []tableStore) {
