@@ -35,8 +35,10 @@ type aggNode struct {
 	// groupHint is the cost model's estimated group count, used to
 	// pre-size the aggregation hash tables (0 = no hint). Pre-sizing
 	// never changes results: output order is the first-seen order list,
-	// which is independent of map capacity.
+	// which is independent of map capacity. hintable lets planner.bind
+	// re-size it from the refreshed group estimate.
 	groupHint int64
+	hintable  bool
 	est       *nodeEst
 }
 

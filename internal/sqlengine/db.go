@@ -372,27 +372,32 @@ func (db *DB) runSelect(stmtCtx context.Context, sel *SelectStmt, params []Value
 // the result store: CTAS materialization passes collect=true so the
 // created table starts with exact incremental statistics (see
 // stats.go) — no per-stage ANALYZE rescan needed. Only the final
-// result store collects; intermediate stores (CTE materialization
-// inside buildPlan, join internals) do not.
+// result store collects; intermediate stores (CTE materialization,
+// join internals) do not.
 func (db *DB) runSelectCollect(stmtCtx context.Context, sel *SelectStmt, params []Value, collect bool) (*ResultSet, error) {
 	ctx := db.newExecCtx(stmtCtx, params)
 	// All span calls below are nil no-ops when the statement is
-	// untraced (ctx.span == nil).
+	// untraced (ctx.span == nil). Planning executes nothing, so the
+	// "plan" span holds no kernel or CTE work: all of that runs, and
+	// traces, under "execute".
 	stmt := ctx.span.Child("select")
-	ctx.span = stmt
 	defer stmt.End()
 	plan := stmt.Child("plan")
-	node, names, p, err := db.buildPlan(ctx, sel, false)
+	node, names, p, err := db.buildPlan(ctx, sel)
 	plan.End()
 	if err != nil {
 		return nil, err
 	}
 	defer p.release()
-	if stmt != nil {
+	exec := stmt.Child("execute")
+	defer exec.End()
+	ctx.span = exec
+	if exec != nil {
 		node = instrumentPlan(node, ctx.sampleEvery)
+		p.sampleEvery = ctx.sampleEvery
 	}
 	base := ctx.markSpill()
-	store, err := materializePlanCollect(ctx, node, collect)
+	store, err := p.execute(node, collect)
 	if err != nil {
 		return nil, err
 	}

@@ -98,18 +98,15 @@ type execCtx struct {
 	// stride for the operator timers.
 	span        *obs.Span
 	sampleEvery int
-	// kexec records the compiled gate-stage kernel's execution stats
-	// for this statement (nil when the kernel did not run). EXPLAIN
-	// ANALYZE and operator-span attachment both read it.
-	kexec *kernelExecStat
+	// kexec records the last single-stage (gate-stage or output) kernel
+	// execution of this statement and chainExec the last fused chain
+	// (nil when none ran; see kernel_chain.go). EXPLAIN ANALYZE and
+	// operator-span attachment both read them.
+	kexec, chainExec *kernelRun
 	// kdecline is the reason of the last run-time kernel decline (a
 	// bind check or a refused budget reservation after the matcher
 	// accepted the plan), "" when none happened.
 	kdecline string
-	// chainExec records a whole-circuit fused chain execution's stats
-	// for this statement (nil when no chain was fused; see
-	// kernel_chain.go).
-	chainExec *chainExecStat
 }
 
 // cancelled reports the statement's cancellation state. It is polled at
@@ -549,7 +546,9 @@ func (it *limitIter) Close() { it.child.Close() }
 
 // planChildren returns a physical node's children (the shared walk
 // behind EXPLAIN ANALYZE instrumentation and counter resets; mirrors
-// lchildren for the logical tree). Nodes not listed are leaves.
+// lchildren for the logical tree). Nodes not listed are leaves — a
+// materializeNode too: its subplan runs, and is traced, on its own
+// (planner.materialize).
 func planChildren(node planNode) []planNode {
 	switch n := node.(type) {
 	case *filterNode:
@@ -571,8 +570,6 @@ func planChildren(node planNode) []planNode {
 	case *aliasNode:
 		return []planNode{n.child}
 	case *statNode:
-		return []planNode{n.child}
-	case *cteShowNode:
 		return []planNode{n.child}
 	}
 	return nil

@@ -9,11 +9,11 @@ import (
 )
 
 // Explain returns a rendering of the physical plan for a SELECT
-// statement without executing it. With the optimizer on, the plan shown
-// is the optimized one, annotated with the cost model's estimated rows
-// and cost per operator; CTEs the execution would materialize appear as
-// MaterializeCTE subplans (inlined CTEs appear in place). EXPLAIN
-// itself does no data movement.
+// statement without executing it — the tree execution runs. With the
+// optimizer on, the plan shown is the optimized one, annotated with the
+// cost model's estimated rows and cost per operator; CTEs the execution
+// materializes appear as MaterializeCTE subplans (inlined CTEs appear
+// in place). EXPLAIN itself does no data movement.
 func (db *DB) Explain(sqlText string, params ...Value) (string, error) {
 	stmt, nparams, err := parseCached(stmtCache, sqlText)
 	if err != nil {
@@ -47,11 +47,11 @@ func (db *DB) Explain(sqlText string, params ...Value) (string, error) {
 
 func (db *DB) explainSelect(sel *SelectStmt, params []Value) (string, error) {
 	ctx := db.newExecCtx(context.Background(), params)
-	node, names, p, err := db.buildPlan(ctx, sel, true)
+	node, names, p, err := db.buildPlan(ctx, sel)
 	if err != nil {
 		return "", err
 	}
-	defer p.release()
+	p.bind(node) // nothing is materialized: CTEs report their subplan estimates
 	kline, kcore := kernelExplain(ctx, node)
 	var b strings.Builder
 	writeExplainHeader(&b, db.env, ctx, names, kline)
@@ -91,14 +91,15 @@ func (db *DB) ExplainAnalyze(ctx context.Context, sqlText string, params ...Valu
 
 func (db *DB) explainAnalyzeSelect(stmtCtx context.Context, sel *SelectStmt, params []Value) (string, error) {
 	ctx := db.newExecCtx(stmtCtx, params)
-	start := time.Now() // CTE materialization happens during lowering
-	node, names, p, err := db.buildPlan(ctx, sel, false)
+	start := time.Now()
+	node, names, p, err := db.buildPlan(ctx, sel)
 	if err != nil {
 		return "", err
 	}
 	defer p.release()
 	node = instrumentPlan(node, 1)
-	store, err := materializePlan(ctx, node)
+	p.sampleEvery = 1
+	store, err := p.execute(node, false)
 	if err != nil {
 		return "", err
 	}
@@ -126,7 +127,7 @@ func (db *DB) explainAnalyzeSelect(stmtCtx context.Context, sel *SelectStmt, par
 		writeExplainHeader(&b, db.env, ctx, names, kline)
 	}
 	if ck := ctx.chainExec; ck != nil {
-		// CTE materialization ran the fused chain during lowering.
+		// CTE materialization ran a fused chain.
 		fmt.Fprintf(&b, "kernel chain actual: %s rows_in=%d rows_out=%d in %s\n",
 			chainAnnotation(int(ck.stages)), ck.rowsIn, ck.rowsOut, ck.wall.Round(time.Microsecond))
 	}
@@ -202,7 +203,13 @@ func kernelExplain(ctx *execCtx, node planNode) (string, planNode) {
 	if env.rowLayout {
 		return "kernel: fallback (" + kfRowLayout + ")", nil
 	}
-	core, reason := explainKernelMatch(ctx, node)
+	core, _ := findCore(node)
+	reason := kfNoGateStage
+	if core != nil {
+		if kern, why := compileGateStage(core, env, false); kern == nil {
+			core, reason = nil, why
+		}
+	}
 	if core == nil {
 		// The output-layer kernel picks up translated probability and
 		// marginal aggregations the gate-stage matcher declines.
@@ -222,49 +229,17 @@ func kernelExplain(ctx *execCtx, node planNode) (string, planNode) {
 		}
 		return "kernel: fallback (" + reason + ")", nil
 	}
-	if proj, ok := core.(*projectNode); ok && env.fusion {
-		// The state side may be a chain of gate-stage CTEs the fusion
-		// tier would execute as one multi-stage pass feeding this core.
-		if stages := explainChainStages(env, proj); stages >= 2 {
-			return "kernel: " + chainAnnotation(stages) + " + " + kernelAnnotation, core
+	if m := cteOf(coreStateSide(core)); m != nil && fusionOn(env) {
+		// The state side may top a chain of gate-stage CTEs that
+		// materialization runs as one fused pass feeding this core: the
+		// same walk and compile, structurally.
+		if links := collectCTEChain(m); len(links) >= 2 {
+			if plan, _ := compileChain(env, links, true); plan != nil {
+				return "kernel: " + chainAnnotation(len(links)) + " + " + kernelAnnotation, core
+			}
 		}
 	}
 	return "kernel: " + kernelAnnotation, core
-}
-
-// explainKernelMatch mirrors findGateStage's wrapper walk without
-// mutating the tree or touching the kernel cache and counters.
-func explainKernelMatch(ctx *execCtx, node planNode) (planNode, string) {
-	cur := node
-	for {
-		switch n := cur.(type) {
-		case *statNode:
-			cur = n.child
-		case *projectNode:
-			if agg, _ := coreAggOf(n); agg != nil {
-				kern, reason := compileGateStage(n, ctx.env, false)
-				if kern == nil {
-					return nil, reason
-				}
-				return n, ""
-			}
-			cur = n.child
-		case *sortNode:
-			cur = n.child
-		case *aliasNode:
-			cur = n.child
-		case *filterNode:
-			cur = n.child
-		case *limitNode:
-			cur = n.child
-		case *sliceProjectNode:
-			cur = n.child
-		case *pickNode:
-			cur = n.child
-		default:
-			return nil, kfNoGateStage
-		}
-	}
 }
 
 // storageDesc renders the engine's table storage layout for the EXPLAIN
@@ -399,7 +374,9 @@ func resetPlanStats(node planNode) {
 
 // instrumentPlan wraps every operator with a row counter and sampled
 // batch timer. sampleEvery 1 times every batch (EXPLAIN ANALYZE);
-// larger strides amortize the timer calls for always-on tracing.
+// larger strides amortize the timer calls for always-on tracing. A
+// CTE's subplan is left alone: planner.materialize instruments it if
+// and when it runs.
 func instrumentPlan(node planNode, sampleEvery int) planNode {
 	if sampleEvery < 1 {
 		sampleEvery = 1
@@ -564,7 +541,7 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 	case *aliasNode:
 		line("As %s", n.table)
 		describePlan(b, n.child, depth+1, kcore)
-	case *cteShowNode:
+	case *materializeNode:
 		line("MaterializeCTE %s (refs=%d)", n.name, n.uses)
 		describePlan(b, n.child, depth+1, kcore)
 	default:

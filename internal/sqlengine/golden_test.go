@@ -11,15 +11,11 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden plan snapshots")
 
-// TestGoldenPlans is the plan-regression gate: EXPLAIN output for a
-// fixed schema and query set is pinned under testdata/plans/. An
-// accidental plan change — a rule firing differently, an estimate
-// shifting, a physical choice flipping — fails CI with a readable
-// diff. Regenerate intentionally with:
-//
-//	go test ./internal/sqlengine -run TestGoldenPlans -update
-func TestGoldenPlans(t *testing.T) {
-	db := newOptDB(t, Config{Parallelism: 1}) // pin the header's worker count
+// goldenDB opens the engine and schema the golden plan queries run
+// against.
+func goldenDB(t *testing.T, cfg Config) *DB {
+	t.Helper()
+	db := newOptDB(t, cfg)
 	setup := []string{
 		"CREATE TABLE t0 (s INTEGER, r REAL, i REAL)",
 		"CREATE TABLE h (in_s INTEGER, out_s INTEGER, r REAL, i REAL)",
@@ -43,18 +39,23 @@ func TestGoldenPlans(t *testing.T) {
 	}
 	fillSequence(t, db, "big", 6000)
 
-	cases := []struct {
-		name  string
-		query string
-	}{
-		{"gate_stage", `WITH t1 AS (
+	return db
+}
+
+// goldenCases is the pinned query set: EXPLAIN output for each lives in
+// testdata/plans/<name>.golden.
+var goldenCases = []struct {
+	name  string
+	query string
+}{
+	{"gate_stage", `WITH t1 AS (
 			SELECT ((t0.s & ~1) | h.out_s) AS s,
 			       SUM((t0.r * h.r) - (t0.i * h.i)) AS r,
 			       SUM((t0.r * h.i) + (t0.i * h.r)) AS i
 			FROM t0 JOIN h ON h.in_s = (t0.s & 1)
 			GROUP BY ((t0.s & ~1) | h.out_s)
 		) SELECT s, r, i FROM t1 ORDER BY s`},
-		{"gate_chain", `WITH c1 AS (
+	{"gate_chain", `WITH c1 AS (
 			SELECT ((t0.s & ~1) | h.out_s) AS s,
 			       SUM((t0.r * h.r) - (t0.i * h.i)) AS r,
 			       SUM((t0.r * h.i) + (t0.i * h.r)) AS i
@@ -79,20 +80,30 @@ func TestGoldenPlans(t *testing.T) {
 			FROM c3 JOIN h ON h.in_s = (c3.s & 1)
 			GROUP BY ((c3.s & ~1) | h.out_s)
 		) SELECT s, r, i FROM c4 ORDER BY s`},
-		{"pushdown_join", "SELECT small.name FROM small JOIN big ON big.id = small.id WHERE big.v > 10 AND small.name = 'a'"},
-		{"pruned_scan", "SELECT a FROM wide WHERE a > 1 + 1"},
-		{"cte_inlined", "WITH u AS (SELECT a, b FROM wide WHERE a < 10) SELECT b FROM u WHERE b > 0.5"},
-		{"cte_shared", "WITH u AS (SELECT id FROM small) SELECT x.id FROM u x JOIN u y ON x.id = y.id"},
-		{"build_side_flip", "SELECT small.name, big.v FROM small JOIN big ON big.id = small.id"},
-		{"join_reorder", "SELECT t0.s, big.v, small.id FROM t0 JOIN big ON big.id = t0.s JOIN small ON small.id = t0.s"},
-	}
+	{"pushdown_join", "SELECT small.name FROM small JOIN big ON big.id = small.id WHERE big.v > 10 AND small.name = 'a'"},
+	{"pruned_scan", "SELECT a FROM wide WHERE a > 1 + 1"},
+	{"cte_inlined", "WITH u AS (SELECT a, b FROM wide WHERE a < 10) SELECT b FROM u WHERE b > 0.5"},
+	{"cte_shared", "WITH u AS (SELECT id FROM small) SELECT x.id FROM u x JOIN u y ON x.id = y.id"},
+	{"build_side_flip", "SELECT small.name, big.v FROM small JOIN big ON big.id = small.id"},
+	{"join_reorder", "SELECT t0.s, big.v, small.id FROM t0 JOIN big ON big.id = t0.s JOIN small ON small.id = t0.s"},
+}
+
+// TestGoldenPlans is the plan-regression gate: EXPLAIN output for a
+// fixed schema and query set is pinned under testdata/plans/. An
+// accidental plan change — a rule firing differently, an estimate
+// shifting, a physical choice flipping — fails CI with a readable
+// diff. Regenerate intentionally with:
+//
+//	go test ./internal/sqlengine -run TestGoldenPlans -update
+func TestGoldenPlans(t *testing.T) {
+	db := goldenDB(t, Config{Parallelism: 1}) // pin the header's worker count
 	dir := filepath.Join("testdata", "plans")
 	if *updateGolden {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			plan, err := db.Explain(tc.query)
 			if err != nil {

@@ -31,8 +31,11 @@ type joinNode struct {
 	// grace-partitioned out-of-core join (chosen when the estimated
 	// build side cannot fit the memory budget).
 	strategy joinStrategy
-	// buildHint pre-sizes the build-side hash table (0 = no hint).
+	// buildHint pre-sizes the build-side hash table (0 = no hint);
+	// hintable lets planner.bind re-size it from the build side's
+	// refreshed row count.
 	buildHint int64
+	hintable  bool
 	// flipped marks a build-side swap applied by the optimizer.
 	flipped bool
 	est     *nodeEst

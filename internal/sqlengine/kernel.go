@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Kernel tier: compiled execution of the translated gate-stage shape.
@@ -27,7 +26,10 @@ import (
 // index arithmetic replaces the join (the gate side becomes a tiny
 // bucket table in gate-row order, exactly the hash join's build order),
 // and a pre-sized dense or hashed accumulator replaces the aggregation
-// hash table.
+// hash table. The tier runs at execution time only, wherever a plan is
+// materialized — the statement root and each CTE subplan (planning
+// executes nothing; see planner.go) — and a single stage runs as a
+// chain of one through the fused-chain path (kernel_chain.go).
 //
 // Determinism contract: the kernel reproduces the interpreted engine
 // bit for bit. Group emission order, floating-point evaluation order
@@ -188,7 +190,9 @@ func (c *KernelCache) store(key string, p *kernelProg) { c.lru.put(key, p, 1) }
 // kernelAttempt is the materialization hook (called from
 // materializePlan when Config.Kernels is on): it pattern-matches the
 // plan for the gate-stage core, possibly under order-neutral wrapper
-// operators, and executes the matched core as a compiled kernel.
+// operators, and executes the matched core as a compiled kernel — a
+// chain of one stage, through the same bind → reserve → runChainKernel
+// path a fused chain takes (kernel_chain.go).
 //
 // Returns (result, nil, nil) when the core was the plan root and result
 // is the final store; (nil, swapped, nil) when the core sat under
@@ -197,9 +201,9 @@ func (c *KernelCache) store(key string, p *kernelProg) { c.lru.put(key, p, 1) }
 // downstream error strands it); (nil, nil, nil) when the matcher
 // declined and the plan is untouched.
 //
-// Under a bounded budget the kernel reserves its working set
-// (reserveGateKernel) before allocating it and declines to the
-// interpreter, which spills, when the reservation is refused.
+// Under a bounded budget the kernel reserves its working set before
+// allocating it and declines to the interpreter, which spills, when the
+// reservation is refused.
 func kernelAttempt(ctx *execCtx, root planNode, collect bool) (tableStore, tableStore, error) {
 	ctx.kdecline = ""
 	site, reason := findGateStage(ctx, root)
@@ -220,26 +224,17 @@ func kernelAttempt(ctx *execCtx, root planNode, collect bool) (tableStore, table
 		kernelRuntimeDecline(ctx, reason)
 		return nil, nil, nil
 	}
-	held, ok := reserveGateKernel(ctx.env, bound)
-	if !ok {
+	plan := &chainPlan{stages: []*chainStage{{kern: site.kern}}}
+	run, store, err := runChainKernel(ctx, plan, bound, collect && site.set == nil)
+	if err == errChainBudget {
 		kernelRuntimeDecline(ctx, kfBudgetLimited)
 		return nil, nil, nil
 	}
-	kernelBump(ctx.env, func(k *kernelCounterSet) *atomic.Int64 { return &k.executions }, 1)
-	start := time.Now()
-	store, err := runGateKernel(ctx, site.kern, bound, collect && site.set == nil, &kAcc{})
-	ctx.env.budget.release(held)
 	if err != nil {
 		return nil, nil, err
 	}
-	ctx.kexec = &kernelExecStat{
-		wall:        time.Since(start),
-		rowsIn:      int64(bound.rows),
-		rowsOut:     store.Len(),
-		morsels:     int64((bound.rows + morselRows - 1) / morselRows),
-		runsSkipped: bound.runsSkipped.Load(),
-		cacheHit:    site.kern.cached,
-	}
+	kernelBump(ctx.env, func(k *kernelCounterSet) *atomic.Int64 { return &k.executions }, 1)
+	ctx.kexec = run
 	if site.set == nil {
 		return store, nil, nil
 	}
@@ -262,53 +257,4 @@ func kernelAttempt(ctx *execCtx, root planNode, collect bool) (tableStore, table
 func kernelRuntimeDecline(ctx *execCtx, reason string) {
 	kernelFallback(ctx.env, reason)
 	ctx.kdecline = reason
-}
-
-// reserveGateKernel reserves a bound single-stage kernel's working set
-// under a bounded budget: the accumulator's group vectors and position
-// array plus the emitter batch, sized to the run's group bound. The
-// output store reserves (and spills) per batch on its own. Returns the
-// bytes to release when the run ends, and false when the working set
-// cannot be bounded or the budget refuses it. An unlimited budget takes
-// no reservation.
-func reserveGateKernel(env *storageEnv, bk *boundGate) (int64, bool) {
-	if env.budget.Limit() <= 0 {
-		return 0, true
-	}
-	if !bk.presizeToBound() {
-		return 0, false
-	}
-	var acc kAcc
-	need := acc.footprint(bk) + emitterBytes(bk.groupHint)
-	if !env.budget.tryReserve(need) {
-		return 0, false
-	}
-	return need, true
-}
-
-// kernelExecStat records one fused-loop kernel execution's stats on
-// the execCtx: wall time, state rows in, result rows out, the morsel
-// count of the fused loop's schedule, RLE run segments skipped by the
-// bucket probe, and whether the program came from the kernel cache.
-// EXPLAIN ANALYZE and operator-span attachment (trace_exec.go) read
-// it.
-type kernelExecStat struct {
-	wall        time.Duration
-	rowsIn      int64
-	rowsOut     int64
-	morsels     int64
-	runsSkipped int64
-	cacheHit    bool
-}
-
-// chainExecStat records one whole-circuit fused chain execution's
-// stats on the execCtx (kernel_chain.go): how many consecutive gate
-// stages ran in one pass, the rows into the first stage and out of the
-// last, and the wall time of the whole pass. EXPLAIN ANALYZE and span
-// attachment read it alongside kexec.
-type chainExecStat struct {
-	wall    time.Duration
-	stages  int64
-	rowsIn  int64
-	rowsOut int64
 }

@@ -2,7 +2,6 @@ package sqlengine
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -16,19 +15,20 @@ import (
 // the previous stage's state table — as chained CTEs in single-query
 // mode, or (after core.FusedStatements regroups them) inside one
 // synthesized CREATE TABLE … AS WITH. With the optimizer on, every
-// interior stage CTE stays unmaterialized until its single reference
-// demands it (the reference sits under the next stage's float SUM, so
-// inlining is blocked by the bit-neutrality contract). That demand —
-// planner.materializeCTE — is this tier's hook: instead of
-// materializing the referenced CTE and recursing stage by stage,
-// fuseCTEChain walks the reference chain to the bottom, compiles every
-// stage with the single-stage kernel machinery (kernel_lower.go), and
-// runs all of them in one pass. The amplitudes flow between stages
-// through double-buffered in-memory (key, re, im) triples; only the
-// topmost chain stage's output is materialized into a ColStore. The
-// intermediate stage tables never exist: no storage, no spill
-// eligibility. Under a bounded budget the run reserves the buffers and
-// the accumulator instead, and declines when they do not fit.
+// interior stage CTE lowers to a materializeNode (its single reference
+// sits under the next stage's float SUM, so inlining is blocked by the
+// bit-neutrality contract). Materializing such a node —
+// planner.materialize, after planning is done — is this tier's hook:
+// instead of running the node's subplan and recursing stage by stage,
+// fuseCTEChain walks the reference chain to the bottom through the
+// lowered subplans, compiles every stage with the single-stage kernel
+// machinery (kernel_lower.go), and runs all of them in one pass. The
+// amplitudes flow between stages through double-buffered in-memory
+// (key, re, im) triples; only the topmost chain stage's output is
+// materialized into a ColStore. The intermediate stage tables never
+// exist: no storage, no spill eligibility. Under a bounded budget the
+// run reserves the buffers and the accumulator instead, and declines
+// when they do not fit. EXPLAIN previews the same walk (kernelExplain).
 //
 // Determinism contract (extends kernel.go's): a chainBuf holds exactly
 // the rows, in exactly the order, that the stage's materialized store
@@ -43,20 +43,6 @@ import (
 // chain run; the differential matrix in kernel_chain_test.go asserts
 // it.
 
-// cteStubNode stands in for an unmaterialized CTE reference while a
-// chain stage's plan is lowered for compilation only (planner.stubCTE):
-// it carries the reference's schema and is never opened.
-type cteStubNode struct {
-	name string
-	cols planSchema
-}
-
-func (n *cteStubNode) schema() planSchema { return n.cols }
-
-func (n *cteStubNode) open(*execCtx) (batchIter, error) {
-	return nil, fmt.Errorf("sqlengine: internal: cteStubNode is compile-only")
-}
-
 // chainStage is one compiled-and-gate-bound stage of a fused chain.
 type chainStage struct {
 	kern *gateKernel
@@ -70,7 +56,7 @@ type chainStage struct {
 // chainPlan is a compiled chain, bottom stage first. stages[0] binds
 // its state side to a real store (base table or an already-materialized
 // CTE); every later stage consumes the previous stage's in-memory
-// buffer.
+// buffer. A top-level gate stage runs as a chain of one.
 type chainPlan struct {
 	stages []*chainStage
 }
@@ -134,22 +120,31 @@ func (b *chainBuf) emitAll(keys []int64, r, i []float64) error {
 	return nil
 }
 
-// fuseCTEChain is the materializeCTE hook: when d tops a fusable run of
+// fusionOn reports whether chain fusion may run: it sits on the kernel
+// tier and on the optimizer's CTE handling.
+func fusionOn(env *storageEnv) bool {
+	return env.fusion && env.kernels && env.optimizer
+}
+
+// fuseCTEChain is the materialize hook: when m tops a fusable run of
 // unmaterialized single-use gate-stage CTEs, execute the whole run as
-// one fused pass and install the result as d's store. Returns true when
+// one fused pass and install the result as m's store. Returns true when
 // it did (or failed trying — a real execution error propagates); false
 // declines back to stage-at-a-time materialization, counting the
 // decline reason once per statement under "fallback_chain-*".
-func (p *planner) fuseCTEChain(d *cteDef) (bool, error) {
+func (p *planner) fuseCTEChain(m *materializeNode) (bool, error) {
 	env := p.ctx.env
-	if p.explain || p.stubCTE || !env.fusion || !env.kernels || !env.optimizer {
+	if !fusionOn(env) {
 		return false, nil
 	}
-	chain := collectCTEChain(d)
-	if len(chain) < 2 {
+	links := collectCTEChain(m)
+	if len(links) < 2 {
 		return false, nil
 	}
-	plan, reason := p.compileChain(chain)
+	// The bottom stage reads real stores: bind its hints as
+	// stage-at-a-time execution would.
+	p.bind(links[0].child)
+	plan, reason := compileChain(env, links, false)
 	if plan == nil {
 		p.chainFallback(reason)
 		return false, nil
@@ -159,8 +154,7 @@ func (p *planner) fuseCTEChain(d *cteDef) (bool, error) {
 		p.chainFallback(reason)
 		return false, nil
 	}
-	start := time.Now()
-	store, err := runChainKernel(p.ctx, plan, bound0)
+	run, store, err := runChainKernel(p.ctx, plan, bound0, true)
 	if err == errChainBudget {
 		// Nothing escaped: the refusal came before the output store
 		// existed. Stage-at-a-time execution may still run single-stage
@@ -171,24 +165,17 @@ func (p *planner) fuseCTEChain(d *cteDef) (bool, error) {
 	if err != nil {
 		return true, err
 	}
-	stages := int64(len(plan.stages))
-	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.executions }, stages)
+	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.executions }, run.stages)
 	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainExecutions }, 1)
-	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainStages }, stages)
-	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainElided }, stages-1)
-	wall := time.Since(start)
-	p.ctx.chainExec = &chainExecStat{
-		wall:    wall,
-		stages:  stages,
-		rowsIn:  int64(bound0.rows),
-		rowsOut: store.Len(),
-	}
-	sp := p.ctx.span.CompleteChild("kernel-chain", start, wall)
-	sp.Add("stages", stages)
-	sp.Add("rows_in", int64(bound0.rows))
-	sp.Add("rows_out", store.Len())
+	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainStages }, run.stages)
+	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainElided }, run.stages-1)
+	p.ctx.chainExec = run
+	sp := p.ctx.span.CompleteChild("kernel-chain", run.start, run.wall)
+	sp.Add("stages", run.stages)
+	sp.Add("rows_in", run.rowsIn)
+	sp.Add("rows_out", run.rowsOut)
 	p.cleanup = append(p.cleanup, store)
-	d.store = store
+	m.res.store = store
 	return true, nil
 }
 
@@ -206,96 +193,41 @@ func (p *planner) chainFallback(reason string) {
 	kernelFallback(p.ctx.env, reason)
 }
 
-// collectCTEChain walks the stage chain downward from d: each link is a
-// CTE plan containing exactly one CTE reference, to an unmaterialized,
-// non-inline, single-use definition. Returns the chain bottom-first
-// (the last entry is d).
-func collectCTEChain(d *cteDef) []*cteDef {
-	seen := map[*cteDef]bool{d: true}
-	chain := []*cteDef{d}
-	cur := d
-	for {
-		refs := cteRefsIn(cur.plan)
+// collectCTEChain walks the stage chain downward from m: each link is a
+// CTE subplan reading exactly one other CTE, an unmaterialized
+// single-use definition. Returns the chain bottom-first (the last entry
+// is m).
+func collectCTEChain(m *materializeNode) []*materializeNode {
+	seen := map[*cteResult]bool{m.res: true}
+	chain := []*materializeNode{m}
+	for cur := m; ; {
+		refs := cteRefsIn(cur.child)
 		if len(refs) != 1 {
 			break
 		}
-		prev := refs[0].cte
-		if prev == nil || prev.inline || prev.store != nil || prev.uses != 1 || seen[prev] {
+		prev := refs[0]
+		if prev.res.store != nil || prev.uses != 1 || seen[prev.res] {
 			break
 		}
-		seen[prev] = true
+		seen[prev.res] = true
 		chain = append(chain, prev)
 		cur = prev
 	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
+	slices.Reverse(chain)
 	return chain
 }
 
-// cteRefsIn collects every CTE reference in a logical subtree.
-func cteRefsIn(n logicalNode) []*lCTERef {
-	var out []*lCTERef
-	var walk func(logicalNode)
-	walk = func(n logicalNode) {
-		switch t := n.(type) {
-		case *lCTERef:
-			out = append(out, t)
-		case *lFilter:
-			walk(t.child)
-		case *lProject:
-			walk(t.child)
-		case *lStrip:
-			walk(t.child)
-		case *lPick:
-			walk(t.child)
-		case *lJoin:
-			walk(t.left)
-			walk(t.right)
-		case *lAgg:
-			walk(t.child)
-		case *lSort:
-			walk(t.child)
-		case *lLimit:
-			walk(t.child)
-		case *lAlias:
-			walk(t.child)
-		}
+// cteRefsIn collects the CTE references of one plan, not descending
+// into the referenced CTEs' own subplans.
+func cteRefsIn(n planNode) []*materializeNode {
+	if m, ok := n.(*materializeNode); ok {
+		return []*materializeNode{m}
 	}
-	walk(n)
+	var out []*materializeNode
+	for _, c := range planChildren(n) {
+		out = append(out, cteRefsIn(c)...)
+	}
 	return out
-}
-
-// chainFindCore walks a lowered stage plan through the order-neutral
-// wrappers (the same set findGateStage tolerates) to the gate-stage
-// core projection.
-func chainFindCore(root planNode) (*projectNode, string) {
-	cur := root
-	for {
-		switch n := cur.(type) {
-		case *statNode:
-			cur = n.child
-		case *projectNode:
-			if agg, _ := coreAggOf(n); agg != nil {
-				return n, ""
-			}
-			cur = n.child
-		case *sortNode:
-			cur = n.child
-		case *aliasNode:
-			cur = n.child
-		case *filterNode:
-			cur = n.child
-		case *limitNode:
-			cur = n.child
-		case *sliceProjectNode:
-			cur = n.child
-		case *pickNode:
-			cur = n.child
-		default:
-			return nil, kfChainStageShape
-		}
-	}
 }
 
 // coreStateSide returns the state-side join input of a matched
@@ -312,87 +244,35 @@ func coreStateSide(core *projectNode) planNode {
 	return join.left
 }
 
-// cteShowOf descends the order-neutral wrappers to a CTE display node,
-// or nil when the subtree bottoms out elsewhere (a real table scan).
-func cteShowOf(n planNode) *cteShowNode {
-	for {
-		switch x := n.(type) {
-		case *statNode:
-			n = x.child
-		case *aliasNode:
-			n = x.child
-		case *cteShowNode:
-			return x
-		default:
-			return nil
-		}
-	}
-}
-
-// explainChainStages mirrors the fusion chain walk on EXPLAIN's
-// physical tree (where CTE references appear as cteShowNode subplans):
-// starting from a matched top-level core, it counts the consecutive
-// single-use gate-stage CTE links down to the real state table. The
-// count is the number of stages a fused execution would cover; it is 0
-// when any link breaks the chain (fusion is all-or-nothing).
-func explainChainStages(env *storageEnv, core *projectNode) int {
-	stages := 0
-	cur := coreStateSide(core)
-	for {
-		if cur == nil {
-			return 0
-		}
-		show := cteShowOf(cur)
-		if show == nil {
-			return stages // clean bottom: a real state table
-		}
-		if stages > 0 && show.uses != 1 {
-			return 0 // shared interior CTE: the chain cannot claim it
-		}
-		inner, _ := chainFindCore(show.child)
-		if inner == nil {
-			return 0
-		}
-		kern, _ := compileGateStage(inner, env, false)
-		if kern == nil {
-			return 0
-		}
-		next := coreStateSide(inner)
-		if cteShowOf(next) != nil && !chainStateSlots(kern.prog) {
-			return 0 // interior stage breaks the (s, r, i) slot contract
-		}
-		stages++
-		cur = next
-	}
-}
-
-// compileChain lowers and compiles every stage, bottom first. Each
-// stage's plan is lowered by a throwaway sub-planner in stubCTE mode,
-// which replaces unmaterialized CTE references with schema stubs
-// instead of recursing — lowering one stage therefore costs one stage,
-// not the whole chain below it. The bottom stage compiles through the
-// full single-stage path (its state side is a real store); interior
-// stages compile in chain mode (state side pinned to the (s, r, i)
-// intermediate layout, gate side bound physically).
-func (p *planner) compileChain(chain []*cteDef) (*chainPlan, string) {
-	stages := make([]*chainStage, len(chain))
-	for i, d := range chain {
-		sub := &planner{ctx: p.ctx, db: p.db, stubCTE: true}
-		node, err := sub.lower(d.plan)
-		if err != nil {
-			// Let stage-at-a-time execution rediscover (and report) the
-			// lowering error on the normal path.
+// compileChain compiles every link's stage, bottom first, straight from
+// the lowered subplans. The bottom stage compiles through the full
+// single-stage path (its state side is a real store); interior stages
+// compile in chain mode (state side pinned to the (s, r, i)
+// intermediate layout, gate side bound physically). dry is EXPLAIN's
+// structural preview: no store checks, no cache, no counters — but the
+// bottom must still read a real table, as execution requires.
+func compileChain(env *storageEnv, links []*materializeNode, dry bool) (*chainPlan, string) {
+	stages := make([]*chainStage, len(links))
+	for i, m := range links {
+		core, _ := findCore(m.child)
+		if core == nil {
 			return nil, kfChainStageShape
 		}
-		core, reason := chainFindCore(node)
-		if core == nil {
-			return nil, reason
-		}
 		var kern *gateKernel
-		if i == 0 {
-			kern, reason = compileGateStage(core, p.ctx.env, true)
-		} else {
-			kern, reason = compileChainStage(core, p.ctx.env)
+		var reason string
+		switch {
+		case i == 0:
+			kern, reason = compileGateStage(core, env, !dry)
+			if kern != nil && kern.state == nil {
+				kern, reason = nil, kfScanShape
+			}
+		case dry:
+			kern, reason = compileGateStage(core, env, false)
+			if kern != nil && !chainStateSlots(kern.prog) {
+				kern, reason = nil, kfChainSlots
+			}
+		default:
+			kern, reason = compileChainStage(core, env)
 		}
 		if kern == nil {
 			return nil, reason
@@ -419,11 +299,8 @@ func bindChain(env *storageEnv, plan *chainPlan) (*boundGate, string) {
 	return bound0, ""
 }
 
-// bindChainGate binds an interior stage's gate side: the build-key
-// buckets in gate-row order (the streaming join's insertion order) and
-// the output-index vector for dense bounding.
+// bindChainGate binds an interior stage's gate side.
 func bindChainGate(env *storageEnv, st *chainStage) string {
-	prog := st.kern.prog
 	gate, ok := st.kern.gate.store.(*ColStore)
 	if !ok {
 		return kfRowLayout
@@ -438,24 +315,9 @@ func bindChainGate(env *storageEnv, st *chainStage) string {
 	if gate.rows == 0 {
 		return ""
 	}
-	gIn := kernelIntVec(env, gate, prog.gIn)
-	g0a := kernelFloatVec(env, gate, prog.g0a)
-	g0b := kernelFloatVec(env, gate, prog.g0b)
-	g1a := kernelFloatVec(env, gate, prog.g1a)
-	g1b := kernelFloatVec(env, gate, prog.g1b)
-	var gOut []int64
-	if prog.gOut >= 0 {
-		gOut = kernelIntVec(env, gate, prog.gOut)
-		if gOut == nil {
-			return kfColumnTypes
-		}
-	}
-	if gIn == nil || g0a == nil || g0b == nil || g1a == nil || g1b == nil {
-		return kfColumnTypes
-	}
-	st.buckets = buildGateBuckets(gIn, gOut, g0a, g0b, g1a, g1b, gate.rows)
-	st.gOut = gOut
-	return ""
+	var reason string
+	st.buckets, st.gOut, reason = bindGateSide(env, st.kern.prog, gate)
+	return reason
 }
 
 // bindChainInput binds a stage's state side to the previous stage's
@@ -482,64 +344,52 @@ func bindChainInput(st *chainStage, in *chainBuf) *boundGate {
 	// materialized store of this row count (the fused path never
 	// spills, so morselCount reduces to the plain geometry).
 	bk.morsel = (bk.rows+morselRows-1)/morselRows >= minParallelMorsels
-	if !bk.morsel && prog.gOutFn != nil {
-		bk.denseHi = chainDenseBound(in, prog, st.gOut)
+	if !bk.morsel && prog.gOutFn != nil && in.any && in.minKey >= 0 {
+		// The buffer tracks its own exact key range, standing in for
+		// the statistics a materialized store would carry.
+		bk.denseHi = gateDenseBound(pow2mask(in.maxKey), prog, st.gOut)
 	}
 	return bk
 }
 
-// chainDenseBound is denseBound over an in-memory intermediate: the
-// buffer tracks its own exact key min/max, standing in for the table
-// statistics a materialized store would carry.
-func chainDenseBound(in *chainBuf, prog *kernelProg, gOut []int64) int64 {
-	if !in.any || in.minKey < 0 {
-		return -1
-	}
-	hi := pow2mask(in.maxKey)
-	if hi < 0 {
-		return -1
-	}
-	if gOut == nil {
-		v := prog.gOutFn(0, 0)
-		if v < 0 {
-			return -1
-		}
-		hi |= v
-	} else {
-		for _, out := range gOut {
-			v := prog.gOutFn(0, out)
-			if v < 0 {
-				return -1
-			}
-			hi |= v
-		}
-	}
-	if hi >= denseCap {
-		return -1
-	}
-	return hi
-}
-
 // errChainBudget is runChainKernel's sentinel for a refused working-set
-// reservation: fuseCTEChain declines to stage-at-a-time execution.
+// reservation: the caller declines to the next path down
+// (stage-at-a-time execution, or the interpreter for a single stage).
 var errChainBudget = errors.New("sqlengine: fused chain working set refused by the memory budget")
+
+// kernelRun records one kernel execution on the execCtx — a fused chain
+// (chainExec) or a single gate stage or output aggregation (kexec): its
+// start and wall time, the stages it covered, the rows into the first
+// stage and out of the last, the first stage's morsel count and RLE run
+// segments skipped by the bucket probe, and whether every program came
+// from the kernel cache. EXPLAIN ANALYZE and span attachment read it.
+type kernelRun struct {
+	start       time.Time
+	wall        time.Duration
+	stages      int64
+	rowsIn      int64
+	rowsOut     int64
+	morsels     int64
+	runsSkipped int64
+	cacheHit    bool
+}
 
 // runChainKernel executes a bound chain: every stage but the last emits
 // into the next stage's chainBuf; the last materializes through the
-// standard kernel emitter into a fresh store (exactly the store
-// stage-at-a-time execution would have produced for the top CTE, with
-// statistics, so the stage reading it can prove a dense key bound). The
-// run owns one accumulator and two stage buffers and recycles them
-// across all stages: stage k reads one buffer while emitting into the
-// other, so after the first stages warm them up a stage allocates
-// almost nothing.
+// standard kernel emitter into a fresh store (for a chain top, exactly
+// the store stage-at-a-time execution would have produced for the CTE,
+// with statistics, so the stage reading it can prove a dense key
+// bound). The run owns one accumulator and two stage buffers and
+// recycles them across all stages: stage k reads one buffer while
+// emitting into the other, so after the first stages warm them up a
+// stage allocates almost nothing.
 //
 // Under a bounded budget every stage first reserves the growth of the
 // accumulator and buffers its run will allocate (the last stage also
 // its emitter batch); a refusal — or a stage in morsel mode, whose
 // partial tables are not bounded — returns errChainBudget before the
 // output store exists. The reservation is released when the run ends.
-func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate) (tableStore, error) {
+func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bool) (*kernelRun, tableStore, error) {
 	var (
 		acc  kAcc
 		bufs [2]chainBuf
@@ -548,6 +398,12 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate) (tableStor
 	res := kReserve{budget: ctx.env.budget}
 	defer res.release()
 	bounded := res.budget.Limit() > 0
+	run := &kernelRun{
+		start:   time.Now(),
+		stages:  int64(len(plan.stages)),
+		rowsIn:  int64(bound0.rows),
+		morsels: int64((bound0.rows + morselRows - 1) / morselRows),
+	}
 	last := len(plan.stages) - 1
 	for i, st := range plan.stages {
 		bk := bound0
@@ -557,7 +413,7 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate) (tableStor
 		nxt := &bufs[i%2]
 		if bounded {
 			if !bk.presizeToBound() {
-				return nil, errChainBudget
+				return nil, nil, errChainBudget
 			}
 			other := &bufs[1-i%2]
 			need := acc.footprint(bk) + other.footprint(0)
@@ -567,26 +423,33 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate) (tableStor
 				need += nxt.footprint(bk.groupHint)
 			}
 			if !res.growTo(need) {
-				return nil, errChainBudget
+				return nil, nil, errChainBudget
 			}
 		}
 		if i == last {
-			return runGateKernel(ctx, st.kern, bk, true, &acc)
+			store, err := runGateKernel(ctx, st.kern, bk, collect, &acc)
+			if err != nil {
+				return nil, nil, err
+			}
+			run.wall = time.Since(run.start)
+			run.rowsOut = store.Len()
+			run.runsSkipped = bound0.runsSkipped.Load()
+			run.cacheHit = !slices.ContainsFunc(plan.stages, func(s *chainStage) bool { return !s.kern.cached })
+			return run, store, nil
 		}
 		prog := st.kern.prog
 		nxt.reset(prog.having, prog.eps2, bk.groupHint)
 		if err := bk.run(ctx, nxt, &acc); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cur = nxt
 	}
-	// Unreachable: the loop always returns at i == last.
-	return nil, fmt.Errorf("sqlengine: internal: empty chain plan")
+	return nil, nil, errors.New("sqlengine: internal: empty chain plan")
 }
 
 // kernelIntVec decodes a frozen store's int column into a plain vector
-// (bindGateStage's intVec as a package helper; encoded columns decode
-// into fresh scratch, counted as a kernel encoding bind).
+// (encoded columns decode into fresh scratch, counted as a kernel
+// encoding bind); nil for a missing, nullable or non-integer column.
 func kernelIntVec(env *storageEnv, cs *ColStore, idx int) []int64 {
 	if idx < 0 || idx >= len(cs.cols) {
 		return nil
@@ -620,7 +483,7 @@ func kernelIntVec(env *storageEnv, cs *ColStore, idx int) []int64 {
 }
 
 // kernelFloatVec decodes a frozen store's float column into a plain
-// vector (bindGateStage's floatVec as a package helper).
+// vector (kernelIntVec's float counterpart).
 func kernelFloatVec(env *storageEnv, cs *ColStore, idx int) []float64 {
 	if idx < 0 || idx >= len(cs.cols) {
 		return nil
@@ -643,16 +506,32 @@ func kernelFloatVec(env *storageEnv, cs *ColStore, idx int) []float64 {
 	return nil
 }
 
-// buildGateBuckets builds the gate-side bucket table in gate-row order
-// (the streaming join's insertion order).
-func buildGateBuckets(gIn, gOut []int64, g0a, g0b, g1a, g1b []float64, rows int) map[int64][]kGateRow {
-	buckets := make(map[int64][]kGateRow, rows)
-	for r := 0; r < rows; r++ {
+// bindGateSide binds a program's gate side: the build-key bucket table
+// in gate-row order (the streaming join's insertion order) and the
+// output-index vector for dense bounding.
+func bindGateSide(env *storageEnv, prog *kernelProg, gate *ColStore) (map[int64][]kGateRow, []int64, string) {
+	gIn := kernelIntVec(env, gate, prog.gIn)
+	g0a := kernelFloatVec(env, gate, prog.g0a)
+	g0b := kernelFloatVec(env, gate, prog.g0b)
+	g1a := kernelFloatVec(env, gate, prog.g1a)
+	g1b := kernelFloatVec(env, gate, prog.g1b)
+	var gOut []int64
+	if prog.gOut >= 0 {
+		gOut = kernelIntVec(env, gate, prog.gOut)
+		if gOut == nil {
+			return nil, nil, kfColumnTypes
+		}
+	}
+	if gIn == nil || g0a == nil || g0b == nil || g1a == nil || g1b == nil {
+		return nil, nil, kfColumnTypes
+	}
+	buckets := make(map[int64][]kGateRow, gate.rows)
+	for r := 0; r < gate.rows; r++ {
 		row := kGateRow{g0a: g0a[r], g0b: g0b[r], g1a: g1a[r], g1b: g1b[r]}
 		if gOut != nil {
 			row.out = gOut[r]
 		}
 		buckets[gIn[r]] = append(buckets[gIn[r]], row)
 	}
-	return buckets
+	return buckets, gOut, ""
 }

@@ -135,26 +135,18 @@ func chainRunBytes(t *testing.T, stages int) (uint64, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &logicalBuilder{db: db}
-	root, _, err := b.buildSelect(stmt.(*SelectStmt), nil)
+	ctx := db.newExecCtx(context.Background(), nil)
+	root, _, _, err := db.buildPlan(ctx, stmt.(*SelectStmt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	optimizeLogical(root, b.defs, db.env)
-	// The last CTE inlines into the final SELECT; the chain tops out one
-	// below it.
-	var top *cteDef
-	for _, d := range b.defs {
-		if strings.EqualFold(d.name, fmt.Sprintf("c%d", stages-1)) {
-			top = d
-		}
+	// The last CTE inlines into the final SELECT; the chain tops out at
+	// the one CTE reference it reads.
+	refs := cteRefsIn(root)
+	if len(refs) != 1 {
+		t.Fatalf("plan reads %d CTEs, want the chain top only", len(refs))
 	}
-	if top == nil {
-		t.Fatal("chain top CTE not found")
-	}
-	ctx := db.newExecCtx(context.Background(), nil)
-	p := &planner{ctx: ctx, db: db}
-	plan, reason := p.compileChain(collectCTEChain(top))
+	plan, reason := compileChain(db.env, collectCTEChain(refs[0]), false)
 	if plan == nil {
 		t.Fatalf("chain did not compile: %s", reason)
 	}
@@ -163,7 +155,7 @@ func chainRunBytes(t *testing.T, stages int) (uint64, int) {
 		t.Fatalf("chain did not bind: %s", reason)
 	}
 	run := func() {
-		store, err := runChainKernel(ctx, plan, bound0)
+		_, store, err := runChainKernel(ctx, plan, bound0, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ type boundGate struct {
 	empty     bool
 	// runsSkipped counts RLE run segments whose probe key missed every
 	// bucket — whole segments of zero contribution skipped without
-	// touching the float vectors (kernelExecStat, EXPLAIN ANALYZE).
+	// touching the float vectors (kernelRun, EXPLAIN ANALYZE).
 	runsSkipped atomic.Int64
 }
 
@@ -161,95 +161,27 @@ func bindGateStage(env *storageEnv, k *gateKernel) (*boundGate, string) {
 		bk.empty = true
 		return bk, ""
 	}
-	colAt := func(cs *ColStore, idx int) *column {
-		if idx < 0 || idx >= len(cs.cols) {
-			return nil
-		}
-		return &cs.cols[idx]
-	}
 	// Encoded columns bind too: dictionary and RLE int vectors (and
 	// sparse float vectors) are decoded into fresh scratch once per
 	// bind, so the fused loop keeps its plain-vector inner body — except
 	// the state index column, whose RLE runs the loop iterates directly.
-	intVec := func(cs *ColStore, idx int) []int64 {
-		c := colAt(cs, idx)
-		if c == nil || len(c.nulls) != 0 {
-			return nil
-		}
-		switch c.kind {
-		case colInt:
-			return c.ints
-		case colIntRLE:
-			out := make([]int64, cs.rows)
-			pos := 0
-			for _, r := range c.runs {
-				for ; pos < int(r.end); pos++ {
-					out[pos] = r.v
-				}
-			}
-			env.storageCtrs.bumpKernelEncBind()
-			return out
-		case colIntDict:
-			out := make([]int64, cs.rows)
-			for i, code := range c.codes {
-				out[i] = c.dict[code]
-			}
-			env.storageCtrs.bumpKernelEncBind()
-			return out
-		}
-		return nil
-	}
-	floatVec := func(cs *ColStore, idx int) []float64 {
-		c := colAt(cs, idx)
-		if c == nil || len(c.nulls) != 0 {
-			return nil
-		}
-		switch c.kind {
-		case colFloat:
-			return c.floats
-		case colFloatSparse:
-			out := make([]float64, cs.rows)
-			for i, p := range c.spos {
-				out[p] = c.svals[i]
-			}
-			env.storageCtrs.bumpKernelEncBind()
-			return out
-		}
-		return nil
-	}
-	if c := colAt(state, prog.sCol); c != nil && c.kind == colIntRLE && len(c.nulls) == 0 {
-		bk.sRuns = c.runs
+	if sc := &state.cols[prog.sCol]; sc.kind == colIntRLE && len(sc.nulls) == 0 {
+		bk.sRuns = sc.runs
 		env.storageCtrs.bumpKernelEncBind()
 	} else {
-		bk.sKey = intVec(state, prog.sCol)
+		bk.sKey = kernelIntVec(env, state, prog.sCol)
 	}
-	bk.s0a = floatVec(state, prog.s0a)
-	bk.s0b = floatVec(state, prog.s0b)
-	bk.s1a = floatVec(state, prog.s1a)
-	bk.s1b = floatVec(state, prog.s1b)
-	gIn := intVec(gate, prog.gIn)
-	g0a := floatVec(gate, prog.g0a)
-	g0b := floatVec(gate, prog.g0b)
-	g1a := floatVec(gate, prog.g1a)
-	g1b := floatVec(gate, prog.g1b)
-	var gOut []int64
-	if prog.gOut >= 0 {
-		gOut = intVec(gate, prog.gOut)
-		if gOut == nil {
-			return nil, kfColumnTypes
-		}
-	}
-	if (bk.sKey == nil && bk.sRuns == nil) || bk.s0a == nil || bk.s0b == nil || bk.s1a == nil || bk.s1b == nil ||
-		gIn == nil || g0a == nil || g0b == nil || g1a == nil || g1b == nil {
+	bk.s0a = kernelFloatVec(env, state, prog.s0a)
+	bk.s0b = kernelFloatVec(env, state, prog.s0b)
+	bk.s1a = kernelFloatVec(env, state, prog.s1a)
+	bk.s1b = kernelFloatVec(env, state, prog.s1b)
+	if (bk.sKey == nil && bk.sRuns == nil) || bk.s0a == nil || bk.s0b == nil || bk.s1a == nil || bk.s1b == nil {
 		return nil, kfColumnTypes
 	}
-	bk.buckets = make(map[int64][]kGateRow, gate.rows)
-	for r := 0; r < gate.rows; r++ {
-		row := kGateRow{g0a: g0a[r], g0b: g0b[r], g1a: g1a[r], g1b: g1b[r]}
-		if gOut != nil {
-			row.out = gOut[r]
-		}
-		bk.buckets[gIn[r]] = append(bk.buckets[gIn[r]], row)
+	var gOut []int64
+	var reason string
+	if bk.buckets, gOut, reason = bindGateSide(env, prog, gate); reason != "" {
+		return nil, reason
 	}
 	bk.morsel = state.morselCount() >= minParallelMorsels
 	if !bk.morsel && prog.gOutFn != nil {
@@ -260,10 +192,10 @@ func bindGateStage(env *storageEnv, k *gateKernel) (*boundGate, string) {
 
 // denseBound proves an upper bound on every group key of the
 // mask-merge form (s & mask) | f(out), or returns -1. For s ≥ 0 the
-// masked half is ⊆ the bits of s, so pow2mask(max s) covers it; OR-ing
-// the bits of every gate row's f(out) covers the rest. Requires fresh
-// exact statistics on the state index column (satellite of this tier:
-// CTAS/INSERT..SELECT materialization now collects them incrementally).
+// masked half is ⊆ the bits of s, so pow2mask(max s) covers it
+// (gateDenseBound ORs in the rest). Requires fresh exact statistics on
+// the state index column (CTAS/INSERT..SELECT materialization collects
+// them incrementally).
 func denseBound(state *ColStore, prog *kernelProg, gOut []int64) int64 {
 	ts := storeStats(state)
 	if ts == nil || ts.rows != state.Len() {
@@ -273,24 +205,28 @@ func denseBound(state *ColStore, prog *kernelProg, gOut []int64) int64 {
 	if cs == nil || !cs.intSeen || cs.intMin < 0 || cs.nulls != 0 {
 		return -1
 	}
-	hi := pow2mask(cs.intMax)
+	return gateDenseBound(pow2mask(cs.intMax), prog, gOut)
+}
+
+// gateDenseBound ORs the bits of every gate row's f(out) onto hi, the
+// covering mask of the state keys, giving the dense key bound — or -1
+// when hi is unbounded, an f(out) is negative, or the bound reaches
+// denseCap. The state side's mask comes from table statistics
+// (denseBound) or a fused chain buffer's own key range
+// (bindChainInput).
+func gateDenseBound(hi int64, prog *kernelProg, gOut []int64) int64 {
 	if hi < 0 {
 		return -1
 	}
 	if gOut == nil {
-		v := prog.gOutFn(0, 0)
+		gOut = []int64{0}
+	}
+	for _, out := range gOut {
+		v := prog.gOutFn(0, out)
 		if v < 0 {
 			return -1
 		}
 		hi |= v
-	} else {
-		for _, out := range gOut {
-			v := prog.gOutFn(0, out)
-			if v < 0 {
-				return -1
-			}
-			hi |= v
-		}
 	}
 	if hi >= denseCap {
 		return -1

@@ -88,7 +88,7 @@ type gateKernel struct {
 	gate  *storeScanNode
 	prog  *kernelProg
 	// cached reports that prog came from the kernel cache rather than
-	// a fresh compile (kernelExecStat, trace counters).
+	// a fresh compile (kernelRun, trace counters).
 	cached bool
 }
 
@@ -99,30 +99,41 @@ type gateStageSite struct {
 	set  func(planNode)
 }
 
-// findGateStage walks the plan root through order-neutral wrapper
-// operators (sort, projection, alias, filter, limit — none of them
-// change what the core computes, only how its output is presented)
-// looking for the gate-stage core. It never descends into join or
-// aggregate children: a core below those is not a materialization
-// boundary the kernel may claim.
+// findGateStage matches and compiles the gate-stage core of a plan
+// about to run (findCore finds it).
 func findGateStage(ctx *execCtx, root planNode) (*gateStageSite, string) {
+	core, set := findCore(root)
+	if core == nil {
+		return nil, kfNoGateStage
+	}
+	kern, reason := compileGateStage(core, ctx.env, true)
+	if kern == nil {
+		return nil, reason
+	}
+	return &gateStageSite{kern: kern, set: set}, ""
+}
+
+// findCore is the kernel tier's one wrapper walk — execution, chain
+// fusion and EXPLAIN all locate a gate-stage core through it. It walks
+// a plan root through order-neutral wrapper operators (sort,
+// projection, alias, filter, limit — none of them change what the core
+// computes, only how its output is presented — and the statNode
+// instrumentation of EXPLAIN ANALYZE and traced execution) to the core
+// projection, returning it with the setter that replaces it in its
+// parent (nil when the core is the root). It never descends into join,
+// aggregate or CTE children: a core below those is not a
+// materialization boundary the kernel may claim.
+func findCore(root planNode) (*projectNode, func(planNode)) {
 	cur := root
 	var set func(planNode)
 	for {
 		switch n := cur.(type) {
 		case *statNode:
-			// Instrumented plans (EXPLAIN ANALYZE, traced execution)
-			// interleave counter wrappers; the kernel matches through
-			// them and reports its own stats instead (kernelExecStat).
 			set = func(c planNode) { n.child = c }
 			cur = n.child
 		case *projectNode:
 			if agg, _ := coreAggOf(n); agg != nil {
-				kern, reason := compileGateStage(n, ctx.env, true)
-				if kern == nil {
-					return nil, reason
-				}
-				return &gateStageSite{kern: kern, set: set}, ""
+				return n, set
 			}
 			set = func(c planNode) { n.child = c }
 			cur = n.child
@@ -145,7 +156,7 @@ func findGateStage(ctx *execCtx, root planNode) (*gateStageSite, string) {
 			set = func(c planNode) { n.child = c }
 			cur = n.child
 		default:
-			return nil, kfNoGateStage
+			return nil, nil
 		}
 	}
 }
@@ -179,10 +190,11 @@ func coreAggOf(core *projectNode) (*aggNode, *filterNode) {
 
 // compileGateStage matches the core rooted at a projection known to sit
 // on an aggregate and compiles (or fetches from the kernel cache) its
-// program. With bindPhys=false (EXPLAIN's structural dry run) it stops
-// at the structural match: store layout checks, physical column
-// resolution, the cache, and the counters are all skipped, and the
-// state side may be an unmaterialized CTE reference.
+// program. With bindPhys=false (a structural dry run: EXPLAIN, or an
+// interior chain stage) it stops at the structural match: store layout
+// checks, physical column resolution, the cache, and the counters are
+// all skipped, and the state side may be an unmaterialized CTE
+// reference (the kernel's state scan is then nil).
 func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateKernel, string) {
 	agg, having := coreAggOf(core)
 	if agg == nil {
@@ -237,9 +249,8 @@ func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateK
 		join.residual != nil || join.flipped || join.strategy == joinGrace {
 		return nil, kfJoinShape
 	}
-	stateScan, stateOK := unwrapStat(join.left).(*storeScanNode)
-	gateScan, gateOK := unwrapStat(join.right).(*storeScanNode)
-	if !gateOK || (!stateOK && (bindPhys || !isCTERefChain(join.left))) {
+	stateScan, gateScan := scanOf(join.left), scanOf(join.right)
+	if gateScan == nil || (stateScan == nil && (bindPhys || cteOf(join.left) == nil)) {
 		return nil, kfScanShape
 	}
 	leftSchema := join.left.schema()
@@ -272,34 +283,13 @@ func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateK
 		return &gateKernel{core: core, agg: agg, state: stateScan, gate: gateScan, prog: prog}, ""
 	}
 	// Structural dry run: compile against schema slots only (physical
-	// column maps need the scans, which an EXPLAIN-mode CTE reference
+	// column maps need the scans, which an unmaterialized CTE reference
 	// does not have).
 	prog, reason := compileGateProgram(agg, having, join, nil, nil, joinSchema, nLeft, eps2)
 	if prog == nil {
 		return nil, reason
 	}
 	return &gateKernel{core: core, agg: agg, state: stateScan, gate: gateScan, prog: prog}, ""
-}
-
-// isCTERefChain reports whether a node is a reference to a CTE that is
-// not (yet) materialized: alias wrappers over a cteShowNode (EXPLAIN's
-// display lowering) or over a cteStubNode (chain fusion's
-// stop-at-the-reference lowering, see kernel_chain.go).
-func isCTERefChain(n planNode) bool {
-	for {
-		switch x := n.(type) {
-		case *statNode:
-			n = x.child
-		case *aliasNode:
-			n = x.child
-		case *cteShowNode:
-			return true
-		case *cteStubNode:
-			return true
-		default:
-			return false
-		}
-	}
 }
 
 // chainStateSlots validates the intermediate-layout contract of a chain
@@ -328,8 +318,8 @@ func compileChainStage(core *projectNode, env *storageEnv) (*gateKernel, string)
 	if !ok {
 		return nil, kfChainStageShape
 	}
-	gateScan, ok := unwrapStat(join.right).(*storeScanNode)
-	if !ok {
+	gateScan := scanOf(join.right)
+	if gateScan == nil {
 		return nil, kfChainStageShape
 	}
 	key := "chain|" + gateStageCacheKey(core, agg, having, join, nil, gateScan, len(join.left.schema()), len(gateScan.cols))
@@ -381,7 +371,7 @@ func compileGateProgram(agg *aggNode, having *filterNode, join *joinNode, stateS
 	if !ok {
 		return nil, kfUnsupported
 	}
-	gIn, rerr := gateScan.schemaOrNil(joinSchema, nLeft).resolveColumn(rref.Table, rref.Name)
+	gIn, rerr := joinSchema[nLeft:].resolveColumn(rref.Table, rref.Name)
 	if rerr != nil {
 		return nil, kfUnsupported
 	}
@@ -427,15 +417,6 @@ func compileGateProgram(agg *aggNode, having *filterNode, join *joinNode, stateS
 		prog.g0a, prog.g0b, prog.g1a, prog.g1b = gp(prog.g0a), gp(prog.g0b), gp(prog.g1a), gp(prog.g1b)
 	}
 	return prog, ""
-}
-
-// schemaOrNil returns the gate scan's schema; when the scan is nil
-// (EXPLAIN dry run) the right half of the join schema stands in.
-func (n *storeScanNode) schemaOrNil(joinSchema planSchema, nLeft int) planSchema {
-	if n != nil {
-		return n.cols
-	}
-	return joinSchema[nLeft:]
 }
 
 // scanPhys maps a scan-schema slot to the physical store column.

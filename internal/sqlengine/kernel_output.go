@@ -77,7 +77,7 @@ func outputKernelAttempt(ctx *execCtx, root planNode, collect bool, gateReason s
 	}
 	kernelBump(ctx.env, func(k *kernelCounterSet) *atomic.Int64 { return &k.executions }, 1)
 	kernelBump(ctx.env, func(k *kernelCounterSet) *atomic.Int64 { return &k.outputExecutions }, 1)
-	ctx.kexec = &kernelExecStat{
+	ctx.kexec = &kernelRun{
 		wall:    time.Since(start),
 		rowsIn:  int64(run.rows),
 		rowsOut: store.Len(),
@@ -183,11 +183,9 @@ func matchOutputAgg(root planNode) *outputPlan {
 		out.filter = f
 		child = unwrapStat(f.child)
 	}
-	scan, ok := child.(*storeScanNode)
-	if !ok {
+	if out.scan = scanOf(child); out.scan == nil {
 		return nil
 	}
-	out.scan = scan
 	return out
 }
 

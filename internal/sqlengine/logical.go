@@ -38,8 +38,7 @@ func (e *nodeEst) estimate() *nodeEst { return e }
 
 // cteDef is one WITH entry shared by all references to it. uses counts
 // lCTERef nodes; the optimizer marks single-use CTEs inline (when safe)
-// and never materializes CTEs with zero uses. store caches the
-// materialized result during lowering so multiple references share it.
+// and never materializes CTEs with zero uses.
 type cteDef struct {
 	name string
 	cols []string
@@ -55,9 +54,6 @@ type cteDef struct {
 	// optimizer must not apply them (see the bit-neutrality contract in
 	// optimize.go).
 	sensitiveUse bool
-	// store is the materialized result, filled in at most once during
-	// physical lowering.
-	store tableStore
 }
 
 // lOneRow emits a single empty row (FROM-less SELECT).

@@ -6,26 +6,37 @@ import (
 	"strings"
 )
 
-// planner lowers an optimized logical plan into the physical planNode
-// tree, materializing CTEs on the way:
+// planner turns an optimized logical plan into the physical planNode
+// tree and then runs it. Lowering is pure: it reads no data and
+// executes nothing, and a materialized CTE becomes a materializeNode in
+// the tree, so EXPLAIN prints, chain fusion walks and the executor runs
+// one and the same tree. A statement executes in four steps:
 //
-//   - optimizer on: a CTE is materialized on first reference (dead CTEs
-//     are never executed) unless the optimizer marked it inline, in
-//     which case the reference lowers to the subplan itself.
-//   - optimizer off (eager): every defined CTE is materialized in
-//     definition order before lowering, reproducing the legacy planner.
-//   - EXPLAIN mode: nothing executes; materialized CTEs lower to a
-//     display wrapper around their subplan.
+//  1. lower (buildPlan);
+//  2. materialize the tree's CTEs top-down, on demand (materializeAll):
+//     the topmost unmaterialized node of a fusable run of gate-stage
+//     CTEs claims the whole run as one chain kernel (kernel_chain.go).
+//     With the optimizer off every definition runs, in definition
+//     order, dead ones included (the legacy eager planner);
+//  3. bind every row-count-dependent decision from the now-exact store
+//     sizes (bind);
+//  4. open the root.
+//
+// With the optimizer on, a CTE the optimizer marked inline lowers to
+// its subplan itself, and a dead CTE is never lowered.
 type planner struct {
 	ctx     *execCtx
 	db      *DB
 	cleanup []tableStore // temp stores to release when the statement ends
-	explain bool
-	// stubCTE lowers unmaterialized CTE references to schema-only stubs
-	// instead of materializing them — compile-only mode used by chain
-	// fusion to lower one stage without recursing into the chain below
-	// it (kernel_chain.go).
-	stubCTE bool
+	// results holds each definition's store while lowering, shared by
+	// all of its references so a CTE read twice still materializes once.
+	results map[*cteDef]*cteResult
+	// eager lists every definition in definition order (optimizer off).
+	eager []*materializeNode
+	// sampleEvery, when positive, instruments each CTE subplan right
+	// before it runs (EXPLAIN ANALYZE, traced statements), so a stage a
+	// chain kernel absorbed carries no operator counters.
+	sampleEvery int
 	// chainCounted caps chain-fusion fallback accounting at one decline
 	// per statement (the materialization recursion would otherwise
 	// re-count every suffix of the same chain).
@@ -39,11 +50,11 @@ func (p *planner) release() {
 	p.cleanup = nil
 }
 
-// buildPlan parses nothing: it lowers sel through the logical IR,
-// optionally the optimizer, and the physical planner. The returned
-// planner owns temporary CTE stores and must be released after
-// execution.
-func (db *DB) buildPlan(ctx *execCtx, sel *SelectStmt, explain bool) (planNode, []string, *planner, error) {
+// buildPlan parses nothing and executes nothing (step 1): it lowers sel
+// through the logical IR, optionally the optimizer, and the physical
+// planner. The returned planner runs the plan (execute) and owns the
+// CTE stores that creates, so it must be released after execution.
+func (db *DB) buildPlan(ctx *execCtx, sel *SelectStmt) (planNode, []string, *planner, error) {
 	b := &logicalBuilder{db: db}
 	root, names, err := b.buildSelect(sel, nil)
 	if err != nil {
@@ -52,46 +63,111 @@ func (db *DB) buildPlan(ctx *execCtx, sel *SelectStmt, explain bool) (planNode, 
 	if db.env.optimizer {
 		root = optimizeLogical(root, b.defs, db.env)
 	}
-	p := &planner{ctx: ctx, db: db, explain: explain}
-	if !db.env.optimizer && !explain {
-		// Legacy eager behavior: materialize every WITH entry in
-		// definition order, referenced or not.
+	p := &planner{ctx: ctx, db: db}
+	if !db.env.optimizer {
 		for _, d := range b.defs {
-			if err := p.materializeCTE(d); err != nil {
-				p.release()
+			m, err := p.cteNode(d)
+			if err != nil {
 				return nil, nil, nil, err
 			}
+			p.eager = append(p.eager, m)
 		}
 	}
 	node, err := p.lower(root)
 	if err != nil {
-		p.release()
 		return nil, nil, nil, err
 	}
+	// The physical tree holds nothing of the logical plan: dropping the
+	// last reference keeps every garbage collection during execution
+	// from marking it again.
+	p.results = nil
 	return node, names, p, nil
 }
 
-// materializeCTE executes a CTE's plan into a shared store (once).
-// When d tops a fusable run of gate-stage CTEs, the whole run executes
-// as one fused kernel pass instead (kernel_chain.go).
-func (p *planner) materializeCTE(d *cteDef) error {
-	if d.store != nil {
+// execute runs steps 2-4 for the plan rooted at node and returns its
+// result store.
+func (p *planner) execute(node planNode, collect bool) (tableStore, error) {
+	for _, m := range p.eager {
+		if err := p.materialize(m); err != nil {
+			return nil, err
+		}
+	}
+	if err := p.materializeAll(node); err != nil {
+		return nil, err
+	}
+	p.bind(node)
+	return materializePlanCollect(p.ctx, node, collect)
+}
+
+// materializeAll materializes every CTE node reads, topmost first.
+func (p *planner) materializeAll(node planNode) error {
+	if m, ok := node.(*materializeNode); ok {
+		return p.materialize(m)
+	}
+	for _, c := range planChildren(node) {
+		if err := p.materializeAll(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// materialize runs one CTE into its definition's shared store (once).
+// When m tops a fusable run of gate-stage CTEs, the whole run executes
+// as one fused kernel pass instead (kernel_chain.go). A traced
+// statement records the run as a "cte:<name>" span holding the work
+// beneath it: the fused chain, the CTEs it read, its operators.
+func (p *planner) materialize(m *materializeNode) error {
+	if m.res.store != nil {
 		return nil
 	}
-	if done, err := p.fuseCTEChain(d); done || err != nil {
+	sp := p.ctx.span
+	if outer := sp; outer != nil {
+		sp = outer.Child("cte:" + m.name)
+		p.ctx.span = sp
+		defer func() {
+			p.ctx.span = outer
+			sp.End()
+		}()
+	}
+	if done, err := p.fuseCTEChain(m); done || err != nil {
 		return err
 	}
-	node, err := p.lower(d.plan)
+	if err := p.materializeAll(m.child); err != nil {
+		return err
+	}
+	if p.sampleEvery > 0 {
+		m.child = instrumentPlan(m.child, p.sampleEvery)
+	}
+	p.bind(m.child)
+	store, err := materializePlan(p.ctx, m.child)
 	if err != nil {
 		return err
 	}
-	store, err := materializePlan(p.ctx, node)
-	if err != nil {
-		return err
+	if sp != nil {
+		attachPlanSpans(sp, m.child)
 	}
 	p.cleanup = append(p.cleanup, store)
-	d.store = store
+	m.res.store = store
 	return nil
+}
+
+// cteNode lowers one materialized CTE reference: the definition's
+// subplan under a materializeNode that shares the definition's store.
+func (p *planner) cteNode(d *cteDef) (*materializeNode, error) {
+	child, err := p.lower(d.plan)
+	if err != nil {
+		return nil, err
+	}
+	res := p.results[d]
+	if res == nil {
+		if p.results == nil {
+			p.results = map[*cteDef]*cteResult{}
+		}
+		res = &cteResult{}
+		p.results[d] = res
+	}
+	return &materializeNode{name: d.name, uses: d.uses, child: child, res: res}, nil
 }
 
 // andJoin folds conjuncts back into one AND tree.
@@ -107,10 +183,110 @@ func andJoin(conjuncts []Expr) Expr {
 	return out
 }
 
-// lower converts one logical subtree to physical operators.
+// lower converts one logical subtree to physical operators, carrying
+// the planning-time hints; bind refreshes them before execution.
 func (p *planner) lower(n logicalNode) (planNode, error) {
-	node, _, err := p.lowerEst(n)
-	return node, err
+	switch t := n.(type) {
+	case *lOneRow:
+		return &oneRowNode{}, nil
+
+	case *lScan:
+		scan := &storeScanNode{store: t.meta.store, cols: t.lschema(), keep: t.keep, fullCols: len(t.cols), est: t.est}
+		if p.db.env.encodings {
+			scan.zp = compileZonePred(t.filters, t.lschema(), t.keep)
+		}
+		var node planNode = scan
+		if pred := andJoin(t.filters); pred != nil {
+			node = &filterNode{child: node, pred: pred, pushed: true, est: t.est}
+		}
+		return node, nil
+
+	case *lCTERef:
+		var child planNode
+		var err error
+		if t.cte.inline {
+			child, err = p.lower(t.cte.plan)
+		} else {
+			child, err = p.cteNode(t.cte)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return &aliasNode{child: child, table: t.qual, names: t.cte.cols, est: t.est}, nil
+
+	case *lFilter:
+		child, err := p.lower(t.child)
+		if err != nil {
+			return nil, err
+		}
+		return &filterNode{child: child, pred: andJoin(t.conjuncts), est: t.est}, nil
+
+	case *lProject:
+		child, err := p.lower(t.child)
+		if err != nil {
+			return nil, err
+		}
+		return &projectNode{child: child, exprs: t.exprs, cols: t.cols, est: t.est}, nil
+
+	case *lStrip:
+		child, err := p.lower(t.child)
+		if err != nil {
+			return nil, err
+		}
+		return &sliceProjectNode{child: child, keep: t.keep, est: t.est}, nil
+
+	case *lPick:
+		child, err := p.lower(t.child)
+		if err != nil {
+			return nil, err
+		}
+		return &pickNode{child: child, idxs: t.idxs, cols: t.lschema(), est: t.est}, nil
+
+	case *lJoin:
+		left, err := p.lower(t.left)
+		if err != nil {
+			return nil, err
+		}
+		right, err := p.lower(t.right)
+		if err != nil {
+			return nil, err
+		}
+		return &joinNode{
+			left: left, right: right, joinType: t.joinType,
+			leftKeys: t.leftKeys, rightKeys: t.rightKeys, residual: t.residual,
+			strategy: t.strategy, buildHint: t.buildHint, hintable: t.hintable, flipped: t.flipped,
+			est: t.est,
+		}, nil
+
+	case *lAgg:
+		child, err := p.lower(t.child)
+		if err != nil {
+			return nil, err
+		}
+		return &aggNode{child: child, groupBy: t.groupBy, aggs: t.aggs, groupHint: t.groupHint, hintable: t.hintable, est: t.est}, nil
+
+	case *lSort:
+		child, err := p.lower(t.child)
+		if err != nil {
+			return nil, err
+		}
+		return &sortNode{child: child, keys: t.keys, est: t.est}, nil
+
+	case *lLimit:
+		child, err := p.lower(t.child)
+		if err != nil {
+			return nil, err
+		}
+		return &limitNode{child: child, limit: t.limit, offset: t.offset, est: t.est}, nil
+
+	case *lAlias:
+		child, err := p.lower(t.child)
+		if err != nil {
+			return nil, err
+		}
+		return &aliasNode{child: child, table: t.table, names: t.names, est: t.est}, nil
+	}
+	return nil, fmt.Errorf("sqlengine: internal: cannot lower %T", n)
 }
 
 // scaleEst refreshes a node's planning-time estimate with the
@@ -128,167 +304,110 @@ func scaleEst(est *nodeEst, plannedIn, actualIn float64) float64 {
 	return est.rows / plannedIn * actualIn
 }
 
-// lowerEst lowers one logical subtree and returns its actual-informed
-// row estimate (-1 unknown). CTE materialization happens during
-// lowering, so by the time a consumer of a materialized CTE is lowered
-// its input cardinality is known *exactly* — the hints bound here
-// (hash-table pre-sizing, store capacities, grace choice) therefore use
+// plannedRows is a node's current row estimate (-1 unknown).
+func plannedRows(n planNode) float64 {
+	if est := planEstimateOf(n); est != nil {
+		return est.rows
+	}
+	return -1
+}
+
+// refresh records a refreshed row count on est (when known).
+func refresh(est *nodeEst, rows float64) float64 {
+	if rows >= 0 {
+		est.rows = rows
+	}
+	return rows
+}
+
+// bind is step 3: it re-derives every node's row estimate bottom-up
+// from its inputs' current sizes and re-binds the decisions that depend
+// on them — hash-table pre-sizing and the grace pre-choice here, the
+// output-store hint and the parallel-gather gate when the node opens.
+// A materialized CTE reports its store's exact size, so the hints use
 // real sizes instead of the chain-compounded planning estimates, which
-// decay badly across long translated gate pipelines.
-func (p *planner) lowerEst(n logicalNode) (planNode, float64, error) {
-	switch t := n.(type) {
-	case *lOneRow:
-		return &oneRowNode{}, 1, nil
+// decay badly across long translated gate pipelines; an unmaterialized
+// one (EXPLAIN) reports its subplan's estimate. Each node's planned
+// input is read before its child is refreshed. Returns the node's
+// rows (-1 unknown).
+func (p *planner) bind(node planNode) float64 {
+	budget := p.db.env.budget
+	switch n := node.(type) {
+	case *statNode:
+		return p.bind(n.child)
 
-	case *lScan:
+	case *oneRowNode:
+		return 1
+
+	case *storeScanNode:
+		return plannedRows(n)
+
+	case *filterNode:
+		if n.pushed {
+			return p.bind(n.child) // the scan's own estimate
+		}
+		plannedIn := plannedRows(n.child)
+		return refresh(n.est, scaleEst(n.est, plannedIn, p.bind(n.child)))
+
+	case *projectNode:
+		return refresh(n.est, p.bind(n.child))
+
+	case *sliceProjectNode:
+		return refresh(n.est, p.bind(n.child))
+
+	case *pickNode:
+		return refresh(n.est, p.bind(n.child))
+
+	case *sortNode:
+		return refresh(n.est, p.bind(n.child))
+
+	case *aliasNode:
+		m, isCTE := unwrapStat(n.child).(*materializeNode)
+		switch {
+		case !isCTE:
+			return refresh(n.est, p.bind(n.child))
+		case m.res.store == nil:
+			return p.bind(m.child)
+		case n.est.rows < 0:
+			return -1
+		}
+		n.est.rows = float64(m.res.store.Len()) // exact
+		return n.est.rows
+
+	case *joinNode:
+		plannedL, plannedR := plannedRows(n.left), plannedRows(n.right)
+		lr, rr := p.bind(n.left), p.bind(n.right)
 		rows := float64(-1)
-		if t.est.rows >= 0 {
-			rows = t.est.rows
-		}
-		scan := &storeScanNode{store: t.meta.store, cols: t.lschema(), keep: t.keep, fullCols: len(t.cols), est: t.est}
-		if p.db.env.encodings {
-			scan.zp = compileZonePred(t.filters, t.lschema(), t.keep)
-		}
-		var node planNode = scan
-		if pred := andJoin(t.filters); pred != nil {
-			node = &filterNode{child: node, pred: pred, pushed: true, est: t.est}
-		}
-		return node, rows, nil
-
-	case *lCTERef:
-		if t.cte.inline {
-			child, rows, err := p.lowerEst(t.cte.plan)
-			if err != nil {
-				return nil, -1, err
-			}
-			return &aliasNode{child: child, table: t.qual, names: t.cte.cols, est: t.est}, rows, nil
-		}
-		if p.explain {
-			// Display-only: show the subplan under a materialization
-			// marker instead of executing it.
-			child, rows, err := p.lowerEst(t.cte.plan)
-			if err != nil {
-				return nil, -1, err
-			}
-			show := &cteShowNode{name: t.cte.name, uses: t.cte.uses, child: child}
-			return &aliasNode{child: show, table: t.qual, names: t.cte.cols, est: t.est}, rows, nil
-		}
-		if p.stubCTE && t.cte.store == nil {
-			// Compile-only: stand in for the unmaterialized reference
-			// (chain fusion lowers each stage against its predecessor's
-			// schema, never its data). Materialized CTEs fall through to
-			// the normal store scan so a chain bottom binds real data.
-			stub := &cteStubNode{name: t.cte.name, cols: t.cols}
-			rows := float64(-1)
-			if t.est.rows >= 0 {
-				rows = t.est.rows
-			}
-			return &aliasNode{child: stub, table: t.qual, names: t.cte.cols, est: t.est}, rows, nil
-		}
-		if err := p.materializeCTE(t.cte); err != nil {
-			return nil, -1, err
-		}
-		rows := float64(-1)
-		if t.est.rows >= 0 {
-			rows = float64(t.cte.store.Len()) // exact
-			t.est.rows = rows
-		}
-		return &storeScanNode{store: t.cte.store, cols: t.cols, est: t.est}, rows, nil
-
-	case *lFilter:
-		plannedIn := t.child.estimate().rows // before lowering refreshes it
-		child, inRows, err := p.lowerEst(t.child)
-		if err != nil {
-			return nil, -1, err
-		}
-		rows := scaleEst(t.est, plannedIn, inRows)
-		if rows >= 0 {
-			t.est.rows = rows
-		}
-		return &filterNode{child: child, pred: andJoin(t.conjuncts), est: t.est}, rows, nil
-
-	case *lProject:
-		child, rows, err := p.lowerEst(t.child)
-		if err != nil {
-			return nil, -1, err
-		}
-		if rows >= 0 {
-			t.est.rows = rows
-		}
-		return &projectNode{child: child, exprs: t.exprs, cols: t.cols, est: t.est}, rows, nil
-
-	case *lStrip:
-		child, rows, err := p.lowerEst(t.child)
-		if err != nil {
-			return nil, -1, err
-		}
-		if rows >= 0 {
-			t.est.rows = rows
-		}
-		return &sliceProjectNode{child: child, keep: t.keep, est: t.est}, rows, nil
-
-	case *lPick:
-		child, rows, err := p.lowerEst(t.child)
-		if err != nil {
-			return nil, -1, err
-		}
-		if rows >= 0 {
-			t.est.rows = rows
-		}
-		return &pickNode{child: child, idxs: t.idxs, cols: t.lschema(), est: t.est}, rows, nil
-
-	case *lJoin:
-		plannedL, plannedR := t.left.estimate().rows, t.right.estimate().rows
-		left, lr, err := p.lowerEst(t.left)
-		if err != nil {
-			return nil, -1, err
-		}
-		right, rr, err := p.lowerEst(t.right)
-		if err != nil {
-			return nil, -1, err
-		}
-		rows := float64(-1)
-		if t.est.rows >= 0 && lr >= 0 && rr >= 0 {
-			rows = t.est.rows
+		if n.est.rows >= 0 && lr >= 0 && rr >= 0 {
+			rows = n.est.rows
 			if plannedL > 0 {
 				rows = rows / plannedL * lr
 			}
 			if plannedR > 0 {
 				rows = rows / plannedR * rr
 			}
-			t.est.rows = rows
-		}
-		jn := &joinNode{
-			left: left, right: right, joinType: t.joinType,
-			leftKeys: t.leftKeys, rightKeys: t.rightKeys, residual: t.residual,
-			strategy: t.strategy, buildHint: t.buildHint, flipped: t.flipped,
-			est: t.est,
+			n.est.rows = rows
 		}
 		if rr >= 0 {
-			// Re-bind the build-side decisions to the refreshed size.
-			if t.hintable {
-				jn.buildHint = hintForBudget(rr, p.db.env.budget)
+			if n.hintable {
+				n.buildHint = hintForBudget(rr, budget)
 			}
-			if len(t.leftKeys) > 0 && p.db.env.spillEnabled {
-				if limit := p.db.env.budget.Limit(); limit > 0 {
-					if rr*estRowBytes(len(t.right.lschema())+len(t.rightKeys)) > float64(limit) {
-						jn.strategy = joinGrace
-					} else if t.strategy == joinGrace {
-						jn.strategy = joinAuto
+			if len(n.leftKeys) > 0 && p.db.env.spillEnabled {
+				if limit := budget.Limit(); limit > 0 {
+					if rr*estRowBytes(len(n.right.schema())+len(n.rightKeys)) > float64(limit) {
+						n.strategy = joinGrace
+					} else if n.strategy == joinGrace {
+						n.strategy = joinAuto
 					}
 				}
 			}
 		}
-		return jn, rows, nil
+		return rows
 
-	case *lAgg:
-		plannedIn := t.child.estimate().rows
-		child, inRows, err := p.lowerEst(t.child)
-		if err != nil {
-			return nil, -1, err
-		}
-		rows := scaleEst(t.est, plannedIn, inRows)
-		hint := t.groupHint
+	case *aggNode:
+		plannedIn := plannedRows(n.child)
+		inRows := p.bind(n.child)
+		rows := scaleEst(n.est, plannedIn, inRows)
 		if rows >= 0 {
 			if inRows >= 0 && rows > inRows {
 				rows = inRows
@@ -296,47 +415,24 @@ func (p *planner) lowerEst(n logicalNode) (planNode, float64, error) {
 			if rows < 1 {
 				rows = 1
 			}
-			t.est.rows = rows
-			if t.hintable {
-				hint = hintForBudget(rows, p.db.env.budget)
+			n.est.rows = rows
+			if n.hintable {
+				n.groupHint = hintForBudget(rows, budget)
 			}
 		}
-		return &aggNode{child: child, groupBy: t.groupBy, aggs: t.aggs, groupHint: hint, est: t.est}, rows, nil
+		return rows
 
-	case *lSort:
-		child, rows, err := p.lowerEst(t.child)
-		if err != nil {
-			return nil, -1, err
-		}
+	case *limitNode:
+		rows := p.bind(n.child)
 		if rows >= 0 {
-			t.est.rows = rows
-		}
-		return &sortNode{child: child, keys: t.keys, est: t.est}, rows, nil
-
-	case *lLimit:
-		child, rows, err := p.lowerEst(t.child)
-		if err != nil {
-			return nil, -1, err
-		}
-		if rows >= 0 {
-			if lim, ok := litValue(t.limit); ok && lim.T == TypeInt && float64(lim.I) < rows {
+			if lim, ok := litValue(n.limit); ok && lim.T == TypeInt && float64(lim.I) < rows {
 				rows = float64(lim.I)
 			}
-			t.est.rows = rows
+			n.est.rows = rows
 		}
-		return &limitNode{child: child, limit: t.limit, offset: t.offset, est: t.est}, rows, nil
-
-	case *lAlias:
-		child, rows, err := p.lowerEst(t.child)
-		if err != nil {
-			return nil, -1, err
-		}
-		if rows >= 0 {
-			t.est.rows = rows
-		}
-		return &aliasNode{child: child, table: t.table, names: t.names, est: t.est}, rows, nil
+		return rows
 	}
-	return nil, -1, fmt.Errorf("sqlengine: internal: cannot lower %T", n)
+	return -1
 }
 
 // aliasNode re-qualifies (and optionally renames) its child's columns.
@@ -362,18 +458,75 @@ func (n *aliasNode) schema() planSchema {
 
 func (n *aliasNode) open(ctx *execCtx) (batchIter, error) { return n.child.open(ctx) }
 
-// cteShowNode is an EXPLAIN-only marker for a CTE that execution would
-// materialize (it is never opened).
-type cteShowNode struct {
-	name  string
-	uses  int
-	child planNode
+// cteResult is the store one CTE definition materializes into, shared
+// by every materializeNode that references the definition.
+type cteResult struct {
+	store tableStore
 }
 
-func (n *cteShowNode) schema() planSchema { return n.child.schema() }
+// materializeNode is a reference to a materialized CTE. Execution runs
+// child — the definition's physical subplan — once into the store
+// shared by all of the definition's references (planner.materialize),
+// and the node then scans that store, serially or by morsels.
+type materializeNode struct {
+	name  string
+	uses  int // the definition's reference count
+	child planNode
+	res   *cteResult
+}
 
-func (n *cteShowNode) open(*execCtx) (batchIter, error) {
-	return nil, fmt.Errorf("sqlengine: internal: cteShowNode is explain-only")
+func (n *materializeNode) schema() planSchema { return n.child.schema() }
+
+// scan is the store scan behind the node, nil until it is materialized.
+func (n *materializeNode) scan() *storeScanNode {
+	if n.res.store == nil {
+		return nil
+	}
+	return &storeScanNode{store: n.res.store, cols: n.schema()}
+}
+
+func (n *materializeNode) open(ctx *execCtx) (batchIter, error) {
+	sc := n.scan()
+	if sc == nil {
+		return nil, fmt.Errorf("sqlengine: internal: CTE %s opened before it was materialized", n.name)
+	}
+	return sc.open(ctx)
+}
+
+func (n *materializeNode) openParallel(ctx *execCtx, workers int) ([]morselStream, bool, error) {
+	sc := n.scan()
+	if sc == nil {
+		return nil, false, nil
+	}
+	return sc.openParallel(ctx, workers)
+}
+
+// scanOf returns the store scan a kernel binds for one join input: a
+// base-table scan, or the scan of a materialized CTE reference (with
+// the reference's schema); nil otherwise.
+func scanOf(n planNode) *storeScanNode {
+	if s, ok := unwrapStat(n).(*storeScanNode); ok {
+		return s
+	}
+	if m := cteOf(n); m != nil {
+		if s := m.scan(); s != nil {
+			a := unwrapStat(n).(*aliasNode)
+			s.cols, s.est = a.schema(), a.est
+			return s
+		}
+	}
+	return nil
+}
+
+// cteOf returns the materializeNode behind a CTE reference (an alias
+// over the node), nil when n is something else.
+func cteOf(n planNode) *materializeNode {
+	a, ok := unwrapStat(n).(*aliasNode)
+	if !ok {
+		return nil
+	}
+	m, _ := unwrapStat(a.child).(*materializeNode)
+	return m
 }
 
 // outputName picks the user-visible column name for a select item.

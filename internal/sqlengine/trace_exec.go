@@ -35,8 +35,8 @@ func (ctx *execCtx) markSpill() spillMark {
 }
 
 // finishStatementSpan attaches the executed plan's operator spans,
-// kernel stats, and spill deltas to the statement span. No-op when
-// the statement is untraced.
+// kernel stats, and spill deltas to the statement's execute span.
+// No-op when the statement is untraced.
 func (ctx *execCtx) finishStatementSpan(node planNode, rows int64, base spillMark) {
 	sp := ctx.span
 	if sp == nil {
@@ -144,8 +144,8 @@ func operatorSpanName(node planNode) string {
 		return "limit"
 	case *aliasNode:
 		return "alias:" + n.table
-	case *cteShowNode:
-		return "cte:" + n.name
+	case *materializeNode:
+		return "scan:" + n.name
 	default:
 		return "operator"
 	}
