@@ -240,3 +240,20 @@ func TestChromeTraceFields(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramQuantilesWithinOneBucket: quantiles that land in the
+// same log₂ bucket still order by rank.
+func TestHistogramQuantilesWithinOneBucket(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 100; i++ {
+		// Evenly spread over [1.05 ms, 2.0 ms): one bucket.
+		h.Observe(1050*time.Microsecond + time.Duration(i)*9500*time.Nanosecond)
+	}
+	s := h.Snapshot()
+	if !(s.P50Seconds < s.P95Seconds && s.P95Seconds < s.P99Seconds) {
+		t.Fatalf("p50 %v, p95 %v, p99 %v: want strictly increasing", s.P50Seconds, s.P95Seconds, s.P99Seconds)
+	}
+	if s.P99Seconds > s.MaxSeconds || s.P50Seconds < 0.00105 {
+		t.Fatalf("quantiles %+v outside the observed range", s)
+	}
+}

@@ -148,8 +148,8 @@ func bucketOf(ns int64) int {
 }
 
 // HistogramSnapshot is a histogram's point-in-time summary on the
-// wire. Quantiles are bucket-midpoint estimates clamped to the
-// observed maximum.
+// wire. Quantiles interpolate by rank within their bucket, clamped to
+// the observed maximum.
 type HistogramSnapshot struct {
 	Count      int64   `json:"count"`
 	AvgSeconds float64 `json:"avg_seconds"`
@@ -181,8 +181,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // quantile finds the bucket holding the q-th observation (nearest
-// rank) and returns the bucket range's midpoint in seconds, clamped
-// to the observed max so a sparse top bucket cannot overshoot.
+// rank) and interpolates linearly by rank across the bucket's range
+// [2^(i-1), 2^i) ns, whose top is clamped to the observed maximum: the
+// k-th of c observations in a bucket reads lo + (k/c)·(hi − lo). So
+// quantiles that land in one bucket still differ, and none exceeds the
+// maximum.
 func quantile(counts *[histBuckets]int64, total int64, q, maxSeconds float64) float64 {
 	rank := int64(math.Ceil(q * float64(total)))
 	if rank < 1 {
@@ -195,12 +198,12 @@ func quantile(counts *[histBuckets]int64, total int64, q, maxSeconds float64) fl
 			if i == 0 {
 				return 0
 			}
-			lo := math.Exp2(float64(i - 1)) // bucket i holds [2^(i-1), 2^i) ns
-			mid := lo * 1.5 / 1e9
-			if maxSeconds > 0 && mid > maxSeconds {
-				return maxSeconds
+			lo := math.Exp2(float64(i-1)) / 1e9 // bucket i holds [2^(i-1), 2^i) ns
+			hi := 2 * lo
+			if maxSeconds > 0 && hi > maxSeconds {
+				hi = max(maxSeconds, lo)
 			}
-			return mid
+			return lo + float64(rank-(cum-c))/float64(c)*(hi-lo)
 		}
 	}
 	return maxSeconds

@@ -117,6 +117,10 @@ type Manager struct {
 	admitted    int64
 	queuedTotal int
 
+	// backendFor builds a job's backend: newBackend, or a test's
+	// stand-in.
+	backendFor func(*parsedRequest) (sim.Backend, error)
+
 	// tenants/ring/rrPos are the fair scheduler's per-tenant queues and
 	// round-robin cursor (see scheduler.go).
 	tenants map[string]*tenantState
@@ -152,6 +156,7 @@ func OpenManager(cfg Config) (*Manager, error) {
 	if cfg.PlanCacheSize >= 0 {
 		m.cache = sim.NewPlanCache(cfg.PlanCacheSize)
 	}
+	m.backendFor = m.newBackend
 	m.cond = sync.NewCond(&m.mu)
 	if cfg.DataDir != "" {
 		if err := m.recover(cfg.DataDir); err != nil {
@@ -492,18 +497,30 @@ func (m *Manager) runJob(j *Job) {
 		m.finishJob(j, nil, context.Canceled)
 		return
 	}
-	backend, err := m.newBackend(j.req)
+	res, err := m.runBackend(j)
+	m.finishJob(j, res, err)
+}
+
+// runBackend builds the job's backend and runs its circuit. A panic
+// anywhere below becomes the job's error: the job fails, finishJob
+// releases its admission bytes, and the worker goroutine — and every
+// other tenant's job — carries on.
+func (m *Manager) runBackend(j *Job) (res *sim.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("backend panic: %v", r)
+		}
+	}()
+	backend, err := m.backendFor(j.req)
 	if err != nil {
-		m.finishJob(j, nil, err)
-		return
+		return nil, err
 	}
 	// The run span rides the job context into the backend and engine:
 	// translate/stages/query/emit spans (sim) and per-operator spans
 	// (sqlengine) all hang beneath it. spanRun was created by
 	// dispatchLocked under the manager lock, which this goroutine
 	// acquired since (in worker), so the read is ordered.
-	res, err := backend.RunContext(obs.WithSpan(j.ctx, j.spanRun), j.req.circuit)
-	m.finishJob(j, res, err)
+	return backend.RunContext(obs.WithSpan(j.ctx, j.spanRun), j.req.circuit)
 }
 
 // finishJob records a job's outcome, releases its admission reservation

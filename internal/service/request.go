@@ -139,6 +139,11 @@ func BackendNames() []string {
 	return []string{"sql", "sql-chain", "statevector", "sparse", "mps", "dd"}
 }
 
+// maxQubits is the widest circuit any backend can hold: a basis index
+// must fit a signed 64-bit integer (the SQL backend's INTEGER column
+// and quantum.State alike).
+const maxQubits = 63
+
 func parseRequest(req Request) (*parsedRequest, error) {
 	if len(req.Circuit) == 0 {
 		return nil, fmt.Errorf("request has no circuit")
@@ -146,6 +151,9 @@ func parseRequest(req Request) (*parsedRequest, error) {
 	c, err := circuitio.UnmarshalJSON(req.Circuit)
 	if err != nil {
 		return nil, err
+	}
+	if n := c.NumQubits(); n < 1 || n > maxQubits {
+		return nil, fmt.Errorf("num_qubits %d outside [1, %d]", n, maxQubits)
 	}
 	backend, ok := canonicalBackends[strings.ToLower(req.Backend)]
 	if !ok {

@@ -162,3 +162,22 @@ func TestKernelsUnderBudget(t *testing.T) {
 		}
 	}
 }
+
+// denseQFT12PeakBound caps the budgeted high-water mark of one QFT-12
+// job. The result store and its copy for the caller fit well under it;
+// a final ORDER BY s that buffered the 4,096 result rows boxed would
+// add about 480 KB on top and fail it.
+const denseQFT12PeakBound = 400_000
+
+// TestDenseQFT12PeakBytes: the top-level gate-stage kernel emits its
+// dense result in key order, so the final sort streams the rows instead
+// of buffering them.
+func TestDenseQFT12PeakBytes(t *testing.T) {
+	res, err := (&SQL{}).Run(circuits.QFT(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak := res.Stats.PeakBytes; peak > denseQFT12PeakBound {
+		t.Fatalf("QFT-12 peak = %d B, bound %d B", peak, denseQFT12PeakBound)
+	}
+}

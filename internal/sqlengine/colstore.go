@@ -53,6 +53,43 @@ type ColStore struct {
 	// typed column vectors allocate this capacity up front instead of
 	// growing through append doubling.
 	capHint int
+	// order holds each column's append-time order bit (ascendingInt).
+	order []colOrder
+}
+
+// colOrder is one column's append-time order bit: whether every value
+// appended so far is a non-NULL INTEGER no smaller than the one before
+// it. Appends fold one compare per value into it, as they fold the
+// statistics and zone maps; it survives spilling, freezing and
+// encoding, none of which reorder rows.
+type colOrder struct {
+	last         int64
+	seen, broken bool
+}
+
+func (o *colOrder) observeInt(x int64) {
+	if o.seen && x < o.last {
+		o.broken = true
+	}
+	o.last, o.seen = x, true
+}
+
+func (o *colOrder) observe(v Value) {
+	if o.broken {
+		return
+	}
+	if v.T != TypeInt {
+		o.broken = true
+		return
+	}
+	o.observeInt(v.I)
+}
+
+// ascendingInt reports whether column col holds non-NULL INTEGER values
+// in non-decreasing row order, as proven by the appended rows
+// themselves: a stable sort on it is the identity.
+func (cs *ColStore) ascendingInt(col int) bool {
+	return col >= 0 && col < len(cs.order) && !cs.order[col].broken
 }
 
 // setStatsCollector / statsSnapshot implement statsCollecting.
@@ -458,6 +495,7 @@ func (cs *ColStore) ensureWidth(w int) error {
 	if cs.width < 0 {
 		cs.width = w
 		cs.cols = make([]column, w)
+		cs.order = make([]colOrder, w)
 		for i := range cs.cols {
 			cs.cols[i].hint = cs.capHint
 		}
@@ -574,6 +612,7 @@ func (cs *ColStore) Append(row Row) error {
 	}
 	for i := range cs.cols {
 		cs.cols[i].appendValue(row[i], cs.rows)
+		cs.order[i].observe(row[i])
 	}
 	cs.rows++
 	cs.memBytes += need
@@ -619,6 +658,16 @@ func (cs *ColStore) AppendBatch(b *rowBatch) error {
 	}
 	for i := range cs.cols {
 		cs.cols[i].appendCol(b.cols[i], b.sel, b.n, cs.rows)
+		o := &cs.order[i]
+		if b.sel == nil {
+			for _, v := range b.cols[i][:b.n] {
+				o.observe(v)
+			}
+		} else {
+			for _, p := range b.sel {
+				o.observe(b.cols[i][p])
+			}
+		}
 	}
 	cs.rows += n
 	cs.memBytes += need
@@ -655,6 +704,12 @@ func (cs *ColStore) appendAmps(s []int64, r, i []float64) error {
 	cs.cols[0].appendInts(s, cs.rows)
 	cs.cols[1].appendFloats(r, cs.rows)
 	cs.cols[2].appendFloats(i, cs.rows)
+	if o := &cs.order[0]; !o.broken {
+		for _, x := range s {
+			o.observeInt(x)
+		}
+	}
+	cs.order[1].broken, cs.order[2].broken = true, true
 	cs.rows += n
 	cs.memBytes += need
 	if cs.stats != nil {

@@ -533,7 +533,11 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 			}
 			keys[i] = k.expr.Deparse() + " " + dir
 		}
-		line("Sort %s (external merge when over budget)", strings.Join(keys, ", "))
+		elided := ""
+		if n.elided {
+			elided = " [elided: input already in key order]"
+		}
+		line("Sort %s (external merge when over budget)%s", strings.Join(keys, ", "), elided)
 		describePlan(b, n.child, depth+1, kcore)
 	case *limitNode:
 		line("Limit")

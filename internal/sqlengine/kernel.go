@@ -21,12 +21,16 @@ import (
 // operator dispatch, Value boxing, and generic hash-table probes on
 // every one of the thousands of identical stages a parameter sweep
 // executes. The kernel tier pattern-matches the shape once
-// (kernel_lower.go), compiles it into closures over the typed ColStore
+// (kernel_lower.go), compiles it into a program over the typed ColStore
 // vectors, and runs a single fused loop (kernel_gate.go): direct int64
 // index arithmetic replaces the join (the gate side becomes a tiny
 // bucket table in gate-row order, exactly the hash join's build order),
 // and a pre-sized dense or hashed accumulator replaces the aggregation
-// hash table. The tier runs at execution time only, wherever a plan is
+// hash table. The index arithmetic of the translated bitwise encoding
+// compiles to bit-mask data — shift-mask terms for the probe key, a
+// keep mask plus per-gate-row bits for the group key — so the loop
+// makes no call per operator; other expressions keep compiled
+// closures. The tier runs at execution time only, wherever a plan is
 // materialized — the statement root and each CTE subplan (planning
 // executes nothing; see planner.go) — and a single stage runs as a
 // chain of one through the fused-chain path (kernel_chain.go).
@@ -36,8 +40,13 @@ import (
 // (one rounding per multiply, subtract/add, and accumulate — explicit
 // float64 conversions forbid FMA contraction), the morsel partition
 // and merge schedule of parallel_agg.go, and the HAVING comparison are
-// all replicated exactly. Anything the matcher cannot prove falls back
-// to the batch executor untouched; kernelCounters records why.
+// all replicated exactly. Emission is first-seen, with one exception:
+// a top-level stage under a proven ORDER BY of its group key
+// (sortsByGroupKey) whose run is serial and dense emits in ascending
+// key order, which its sort then finds already satisfied (sort.go) —
+// the sorted result is the same, since group keys are unique. Anything
+// the matcher cannot prove falls back to the batch executor untouched;
+// kernelCounters records why.
 
 // aggPartitionsKernel mirrors parallel_agg.go's partition fanout: the
 // kernel's parallel mode must merge per-morsel partials through the
@@ -224,7 +233,10 @@ func kernelAttempt(ctx *execCtx, root planNode, collect bool) (tableStore, table
 		kernelRuntimeDecline(ctx, reason)
 		return nil, nil, nil
 	}
-	plan := &chainPlan{stages: []*chainStage{{kern: site.kern}}}
+	plan := &chainPlan{
+		stages:   []*chainStage{{kern: site.kern}},
+		keyOrder: site.set != nil && sortsByGroupKey(root, site.kern.core),
+	}
 	run, store, err := runChainKernel(ctx, plan, bound, collect && site.set == nil)
 	if err == errChainBudget {
 		kernelRuntimeDecline(ctx, kfBudgetLimited)
@@ -248,6 +260,23 @@ func kernelAttempt(ctx *execCtx, root planNode, collect bool) (tableStore, table
 		fromKernel: true,
 	})
 	return nil, store, nil
+}
+
+// sortsByGroupKey reports whether root is an ORDER BY of one ASC key
+// that resolves, through column-preserving wrappers only
+// (orderPreservingChild), to column 0 of core: the group key. The
+// sort's order then equals ascending group-key order, so the kernel may
+// emit that order directly and the sort finds its input ordered.
+func sortsByGroupKey(root planNode, core *projectNode) bool {
+	srt, ok := unwrapStat(root).(*sortNode)
+	if !ok {
+		return false
+	}
+	n, col, ok := srt.ascKey()
+	for ok && n != planNode(core) {
+		n, col, ok = orderPreservingChild(n, col)
+	}
+	return ok && col == 0
 }
 
 // kernelRuntimeDecline records a decline made after the matcher

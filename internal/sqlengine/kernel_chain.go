@@ -48,7 +48,7 @@ type chainStage struct {
 	kern *gateKernel
 	// Interior binding (stages after the first): the gate side's bucket
 	// table and output-index vector, bound from the real gate table.
-	buckets  map[int64][]kGateRow
+	buckets  *kBuckets
 	gOut     []int64
 	gateRows int
 }
@@ -59,6 +59,10 @@ type chainStage struct {
 // buffer. A top-level gate stage runs as a chain of one.
 type chainPlan struct {
 	stages []*chainStage
+	// keyOrder makes the last stage emit in key order when it runs
+	// serial and dense (kEmitter); set only for a top-level stage under
+	// ORDER BY its group key (kernelAttempt).
+	keyOrder bool
 }
 
 // chainBuf is the in-memory intermediate between fused stages: the
@@ -94,9 +98,10 @@ func (b *chainBuf) footprint(hint int64) int64 {
 	return ampRowBytes * max(int64(cap(b.keys)), min(hint, maxAccPresize))
 }
 
-// emitAll implements kSink, applying the same pruning HAVING as
-// kEmitter.
-func (b *chainBuf) emitAll(keys []int64, r, i []float64) error {
+// emit implements kSink: first-seen order, with the same pruning
+// HAVING as kEmitter.
+func (b *chainBuf) emit(a *kAcc) error {
+	keys, r, i := a.keys, a.r, a.i
 	// At most len(keys) rows survive: grow once, not per append.
 	b.keys = slices.Grow(b.keys, len(keys))
 	b.re = slices.Grow(b.re, len(keys))
@@ -349,6 +354,7 @@ func bindChainInput(st *chainStage, in *chainBuf) *boundGate {
 		// the statistics a materialized store would carry.
 		bk.denseHi = gateDenseBound(pow2mask(in.maxKey), prog, st.gOut)
 	}
+	bk.presizeDense()
 	return bk
 }
 
@@ -427,7 +433,7 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bo
 			}
 		}
 		if i == last {
-			store, err := runGateKernel(ctx, st.kern, bk, collect, &acc)
+			store, err := runGateKernel(ctx, st.kern, bk, collect, plan.keyOrder, &acc)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -506,10 +512,9 @@ func kernelFloatVec(env *storageEnv, cs *ColStore, idx int) []float64 {
 	return nil
 }
 
-// bindGateSide binds a program's gate side: the build-key bucket table
-// in gate-row order (the streaming join's insertion order) and the
-// output-index vector for dense bounding.
-func bindGateSide(env *storageEnv, prog *kernelProg, gate *ColStore) (map[int64][]kGateRow, []int64, string) {
+// bindGateSide binds a program's gate side: the build-key buckets and
+// the output-index vector for dense bounding.
+func bindGateSide(env *storageEnv, prog *kernelProg, gate *ColStore) (*kBuckets, []int64, string) {
 	gIn := kernelIntVec(env, gate, prog.gIn)
 	g0a := kernelFloatVec(env, gate, prog.g0a)
 	g0b := kernelFloatVec(env, gate, prog.g0b)
@@ -525,13 +530,57 @@ func bindGateSide(env *storageEnv, prog *kernelProg, gate *ColStore) (map[int64]
 	if gIn == nil || g0a == nil || g0b == nil || g1a == nil || g1b == nil {
 		return nil, nil, kfColumnTypes
 	}
-	buckets := make(map[int64][]kGateRow, gate.rows)
-	for r := 0; r < gate.rows; r++ {
-		row := kGateRow{g0a: g0a[r], g0b: g0b[r], g1a: g1a[r], g1b: g1b[r]}
+	row := func(r int) kGateRow {
+		g := kGateRow{g0a: g0a[r], g0b: g0b[r], g1a: g1a[r], g1b: g1b[r]}
 		if gOut != nil {
-			row.out = gOut[r]
+			g.out = gOut[r]
 		}
-		buckets[gIn[r]] = append(buckets[gIn[r]], row)
+		if prog.gOutFn != nil {
+			g.outBits = prog.gOutFn(0, g.out)
+		}
+		return g
 	}
-	return buckets, gOut, ""
+	gIn = gIn[:gate.rows]
+	hiKey := int64(-1)
+	for _, k := range gIn {
+		if k < 0 || k >= flatBuckets {
+			hiKey = flatBuckets
+			break
+		}
+		hiKey = max(hiKey, k)
+	}
+	b := &kBuckets{}
+	if hiKey >= flatBuckets {
+		b.hashed = make(map[int64][]kGateRow, gate.rows)
+		for r, k := range gIn {
+			b.hashed[k] = append(b.hashed[k], row(r))
+		}
+		for _, bucket := range b.hashed {
+			b.widest = max(b.widest, len(bucket))
+		}
+		return b, gOut, ""
+	}
+	// Counting sort by build key, stable in gate-row order: every
+	// bucket is a window of one backing array.
+	start := make([]int, hiKey+2)
+	for _, k := range gIn {
+		start[k+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		b.widest = max(b.widest, start[k])
+		start[k] += start[k-1]
+	}
+	sorted := make([]kGateRow, len(gIn))
+	for r, k := range gIn {
+		sorted[start[k]] = row(r)
+		start[k]++
+	}
+	// start[k] now ends bucket k.
+	b.flat = make([][]kGateRow, hiKey+1)
+	lo := 0
+	for k := range b.flat {
+		b.flat[k] = sorted[lo:start[k]:start[k]]
+		lo = start[k]
+	}
+	return b, gOut, ""
 }

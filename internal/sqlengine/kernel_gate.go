@@ -12,10 +12,38 @@ import (
 
 // kGateRow is one gate-table row in the bucket table: the output-index
 // column plus the four float factors of the two SUM products, gathered
-// once at bind time.
+// once at bind time. outBits is the gate-side half gOutFn(out) of a
+// (s & keep) | f(out) group key, precomputed so the fused loop never
+// evaluates f.
 type kGateRow struct {
-	out                int64
+	out, outBits       int64
 	g0a, g0b, g1a, g1b float64
+}
+
+// flatBuckets bounds the probe keys a flat bucket table indexes
+// directly: every gate table of up to 10 qubits fits.
+const flatBuckets = 1 << 10
+
+// kBuckets replaces the hash join's build table: the gate rows of each
+// build key in gate-table order, exactly the streaming join's insertion
+// order. When every build key lies in [0, flatBuckets) the buckets are
+// a slice indexed by the probe key; otherwise a map.
+type kBuckets struct {
+	flat   [][]kGateRow
+	hashed map[int64][]kGateRow
+	// widest is the largest bucket's row count.
+	widest int
+}
+
+// get returns the gate rows matching probe key k.
+func (b *kBuckets) get(k int64) []kGateRow {
+	if b.hashed != nil {
+		return b.hashed[k]
+	}
+	if uint64(k) < uint64(len(b.flat)) {
+		return b.flat[k]
+	}
+	return nil
 }
 
 // boundGate is a program bound to concrete table vectors for one
@@ -32,9 +60,8 @@ type boundGate struct {
 	sKey               []int64
 	sRuns              []intRun
 	s0a, s0b, s1a, s1b []float64
-	// buckets replaces the hash join: build-key -> gate rows in
-	// gate-table order, exactly the streaming join's insertion order.
-	buckets map[int64][]kGateRow
+	// buckets replaces the hash join.
+	buckets *kBuckets
 	// morsel selects the two-phase partitioned accumulation, mirroring
 	// the engine's own mode choice (the morsel aggregation engages
 	// whenever the state scan splits into two or more morsels,
@@ -72,15 +99,21 @@ func (bk *boundGate) dense() bool {
 // input row feeds at most one group per row of its gate bucket, and a
 // dense run's keys all lie in [0, denseHi].
 func (bk *boundGate) groupBound() int64 {
-	widest := 0
-	for _, b := range bk.buckets {
-		widest = max(widest, len(b))
-	}
-	n := int64(bk.rows) * int64(widest)
+	n := int64(bk.rows) * int64(bk.buckets.widest)
 	if bk.dense() {
 		n = min(n, bk.denseHi+1)
 	}
 	return n
+}
+
+// presizeDense sizes a dense run's group vectors, output batch and
+// next-stage buffer for its proven group bound — the stage's output,
+// not its input row count or an estimate — so a stage that widens the
+// state (H doubles it) never regrows them mid-run.
+func (bk *boundGate) presizeDense() {
+	if bk.dense() {
+		bk.groupHint = bk.groupBound()
+	}
 }
 
 // presizeToBound readies a run for a bounded budget: the group hint
@@ -187,6 +220,7 @@ func bindGateStage(env *storageEnv, k *gateKernel) (*boundGate, string) {
 	if !bk.morsel && prog.gOutFn != nil {
 		bk.denseHi = denseBound(state, prog, gOut)
 	}
+	bk.presizeDense()
 	return bk, ""
 }
 
@@ -259,8 +293,9 @@ type kAcc struct {
 	dense bool
 	// dpos maps key to group index + 1 (dense mode); hpos maps probe
 	// slot to group index + 1 (hashed mode). Both are all-zero between
-	// runs.
+	// runs. hi is the dense run's key bound (every key ≤ hi).
 	dpos, hpos []int32
+	hi         int64
 	mask       uint64
 	keys       []int64
 	r, i       []float64
@@ -283,7 +318,7 @@ func (a *kAcc) reset(dense bool, denseHi, hint int64) {
 	} else {
 		clear(a.hpos)
 	}
-	a.dense = dense
+	a.dense, a.hi = dense, denseHi
 	if dense {
 		if int64(len(a.dpos)) <= denseHi {
 			a.dpos = make([]int32, denseHi+1)
@@ -338,9 +373,14 @@ func (a *kAcc) slot(key int64) int {
 		if p := a.dpos[key]; p != 0 {
 			return int(p) - 1
 		}
-		a.dpos[key] = int32(a.newGroup(key) + 1)
-		return len(a.keys) - 1
+		idx := a.newGroup(key)
+		a.dpos[key] = int32(idx + 1)
+		return idx
 	}
+	return a.hashedSlot(key)
+}
+
+func (a *kAcc) hashedSlot(key int64) int {
 	if uint64(len(a.keys))*4 >= uint64(len(a.hpos))*3 {
 		a.grow()
 	}
@@ -398,29 +438,48 @@ func (bk *boundGate) scanRange(lo, hi int, acc *kAcc) {
 		bk.scanRangeRuns(lo, hi, acc)
 		return
 	}
-	prog := bk.prog
+	prog, in, dense, buckets := bk.prog, bk.prog.in, acc.dense, *bk.buckets
 	for row := lo; row < hi; row++ {
 		s := bk.sKey[row]
-		bucket := bk.buckets[prog.inFn(s, 0)]
+		var probe int64
+		if in != nil {
+			probe = in.eval(s)
+		} else {
+			probe = prog.inFn(s, 0)
+		}
+		bucket := buckets.get(probe)
+		if len(bucket) == 0 {
+			continue
+		}
+		a0, b0, a1, b1 := bk.s0a[row], bk.s0b[row], bk.s1a[row], bk.s1b[row]
 		for bi := range bucket {
 			g := &bucket[bi]
-			idx := acc.slot(prog.outFn(s, g.out))
-			p0 := float64(bk.s0a[row] * g.g0a)
-			p1 := float64(bk.s0b[row] * g.g0b)
-			if prog.sub0 {
-				acc.r[idx] += p0 - p1
-			} else {
-				acc.r[idx] += p0 + p1
+			// acc.slot, with the dense lookup inlined.
+			key := prog.groupKey(s, g)
+			var idx int
+			switch {
+			case !dense:
+				idx = acc.hashedSlot(key)
+			case acc.dpos[key] != 0:
+				idx = int(acc.dpos[key]) - 1
+			default:
+				idx = acc.newGroup(key)
+				acc.dpos[key] = int32(idx + 1)
 			}
-			q0 := float64(bk.s1a[row] * g.g1a)
-			q1 := float64(bk.s1b[row] * g.g1b)
-			if prog.sub1 {
-				acc.i[idx] += q0 - q1
-			} else {
-				acc.i[idx] += q0 + q1
-			}
+			acc.r[idx] = madd(acc.r[idx], a0, g.g0a, b0, g.g0b, prog.sub0)
+			acc.i[idx] = madd(acc.i[idx], a1, g.g1a, b1, g.g1b, prog.sub1)
 		}
 	}
+}
+
+// madd returns sum + (a·b − c·d) when sub, else sum + (a·b + c·d), with
+// one rounding per product, the pair, and the accumulate.
+func madd(sum, a, b, c, d float64, sub bool) float64 {
+	p0, p1 := float64(a*b), float64(c*d)
+	if sub {
+		return sum + (p0 - p1)
+	}
+	return sum + (p0 + p1)
 }
 
 // scanRangeRuns is scanRange over an RLE-encoded state index column:
@@ -445,7 +504,7 @@ func (bk *boundGate) scanRangeRuns(lo, hi int, acc *kAcc) {
 			ri++
 		}
 		s := r.v
-		bucket := bk.buckets[prog.inFn(s, 0)]
+		bucket := bk.buckets.get(prog.probe(s))
 		if len(bucket) == 0 {
 			bk.runsSkipped.Add(1)
 			row = end
@@ -456,26 +515,13 @@ func (bk *boundGate) scanRangeRuns(lo, hi int, acc *kAcc) {
 			slots = make([]int, 0, len(bucket))
 		}
 		for bi := range bucket {
-			slots = append(slots, acc.slot(prog.outFn(s, bucket[bi].out)))
+			slots = append(slots, acc.slot(prog.groupKey(s, &bucket[bi])))
 		}
 		for ; row < end; row++ {
 			for bi := range bucket {
-				g := &bucket[bi]
-				idx := slots[bi]
-				p0 := float64(bk.s0a[row] * g.g0a)
-				p1 := float64(bk.s0b[row] * g.g0b)
-				if prog.sub0 {
-					acc.r[idx] += p0 - p1
-				} else {
-					acc.r[idx] += p0 + p1
-				}
-				q0 := float64(bk.s1a[row] * g.g1a)
-				q1 := float64(bk.s1b[row] * g.g1b)
-				if prog.sub1 {
-					acc.i[idx] += q0 - q1
-				} else {
-					acc.i[idx] += q0 + q1
-				}
+				g, idx := &bucket[bi], slots[bi]
+				acc.r[idx] = madd(acc.r[idx], bk.s0a[row], g.g0a, bk.s0b[row], g.g0b, prog.sub0)
+				acc.i[idx] = madd(acc.i[idx], bk.s1a[row], g.g1a, bk.s1b[row], g.g1b, prog.sub1)
 			}
 		}
 	}
@@ -484,8 +530,10 @@ func (bk *boundGate) scanRangeRuns(lo, hi int, acc *kAcc) {
 // runGateKernel executes a bound kernel and materializes its output
 // store (the exact rows the interpreted core would have produced). A
 // serial run accumulates into acc (reset first), so a caller running
-// several kernels back to back can recycle one accumulator.
-func runGateKernel(ctx *execCtx, k *gateKernel, bk *boundGate, collect bool, acc *kAcc) (tableStore, error) {
+// several kernels back to back can recycle one accumulator. keyOrder
+// emits a dense serial run's groups in ascending key order instead of
+// first-seen (see kEmitter).
+func runGateKernel(ctx *execCtx, k *gateKernel, bk *boundGate, collect, keyOrder bool, acc *kAcc) (tableStore, error) {
 	// The kernel binds only ColStore inputs (bindGateStage), so the
 	// engine runs the columnar layout: its stores are ColStores.
 	out := newColStore(ctx.env)
@@ -495,7 +543,7 @@ func runGateKernel(ctx *execCtx, k *gateKernel, bk *boundGate, collect bool, acc
 	if bk.groupHint > 0 {
 		out.hintRows(bk.groupHint)
 	}
-	em := &kEmitter{out: out, having: bk.prog.having, eps2: bk.prog.eps2}
+	em := &kEmitter{out: out, having: bk.prog.having, eps2: bk.prog.eps2, keyOrder: keyOrder}
 	if c := int(min(bk.groupHint, batchSize)); c > 0 {
 		em.keys, em.r, em.i = make([]int64, 0, c), make([]float64, 0, c), make([]float64, 0, c)
 	}
@@ -513,12 +561,12 @@ func runGateKernel(ctx *execCtx, k *gateKernel, bk *boundGate, collect bool, acc
 	return out, nil
 }
 
-// kSink receives a kernel run's grouped output in emission order. Two
+// kSink receives a kernel run's accumulated groups. Two
 // implementations exist: kEmitter materializes rows into a store
 // (applying the pruning HAVING), and chainBuf (kernel_chain.go) keeps
 // them in memory as the next fused stage's input.
 type kSink interface {
-	emitAll(keys []int64, r, i []float64) error
+	emit(a *kAcc) error
 }
 
 // run executes the bound kernel into em in the mode bindGateStage (or
@@ -534,8 +582,7 @@ func (bk *boundGate) run(ctx *execCtx, em kSink, acc *kAcc) error {
 }
 
 // runSerial accumulates all state rows into one accumulator (the
-// engine's single-morsel streaming aggregation) and emits groups in
-// first-seen order.
+// engine's single-morsel streaming aggregation) and emits its groups.
 func (bk *boundGate) runSerial(ctx *execCtx, em kSink, acc *kAcc) error {
 	acc.reset(bk.dense(), bk.denseHi, bk.groupHint)
 	for lo := 0; lo < bk.rows; lo += morselRows {
@@ -548,7 +595,7 @@ func (bk *boundGate) runSerial(ctx *execCtx, em kSink, acc *kAcc) error {
 		}
 		bk.scanRange(lo, hi, acc)
 	}
-	return em.emitAll(acc.keys, acc.r, acc.i)
+	return em.emit(acc)
 }
 
 // kPartial is one morsel's partial sum for one group.
@@ -667,7 +714,7 @@ func (bk *boundGate) runMorsel(ctx *execCtx, em kSink) error {
 		return firstErr
 	}
 	for p := 0; p < aggPartitionsKernel; p++ {
-		if err := em.emitAll(merged[p].keys, merged[p].r, merged[p].i); err != nil {
+		if err := em.emit(merged[p]); err != nil {
 			return err
 		}
 	}
@@ -688,28 +735,50 @@ func pruned(eps2, r, i float64) bool {
 // (s, r, i) vectors and appends each full batch straight into the
 // output store's typed columns — one budget reservation per batch, the
 // same bytes AppendBatch reserves for the rows boxed.
+//
+// Groups go out first-seen, except with keyOrder on a dense
+// accumulator: the emitter then walks the key positions 0..hi and
+// emits in ascending key order, which the output store's append-time
+// order bit records and a sort on the key then skips (sort.go).
 type kEmitter struct {
-	out    *ColStore
-	having bool
-	eps2   float64
-	keys   []int64
-	r, i   []float64
+	out      *ColStore
+	having   bool
+	eps2     float64
+	keyOrder bool
+	keys     []int64
+	r, i     []float64
 }
 
-func (e *kEmitter) emitAll(keys []int64, r, i []float64) error {
-	for idx, key := range keys {
-		rv, iv := r[idx], i[idx]
-		if e.having && pruned(e.eps2, rv, iv) {
-			continue
-		}
-		e.keys = append(e.keys, key)
-		e.r = append(e.r, rv)
-		e.i = append(e.i, iv)
-		if len(e.keys) >= batchSize {
-			if err := e.flush(); err != nil {
+func (e *kEmitter) emit(a *kAcc) error {
+	if !e.keyOrder || !a.dense {
+		for idx, key := range a.keys {
+			if err := e.add(key, a.r[idx], a.i[idx]); err != nil {
 				return err
 			}
 		}
+		return nil
+	}
+	for key, p := range a.dpos[:a.hi+1] {
+		if p == 0 {
+			continue
+		}
+		if err := e.add(int64(key), a.r[p-1], a.i[p-1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// add emits one group unless the pruning HAVING drops it.
+func (e *kEmitter) add(key int64, r, i float64) error {
+	if e.having && pruned(e.eps2, r, i) {
+		return nil
+	}
+	e.keys = append(e.keys, key)
+	e.r = append(e.r, r)
+	e.i = append(e.i, i)
+	if len(e.keys) >= batchSize {
+		return e.flush()
 	}
 	return nil
 }

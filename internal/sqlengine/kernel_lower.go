@@ -57,6 +57,9 @@ type kernelProg struct {
 	// index; outFn computes the group key (the target amplitude index)
 	// from the state index and the gate's output-index column.
 	inFn, outFn kIntFn
+	// in, when non-nil, is inFn compiled to bit-mask terms (kIdxProg):
+	// the fused loop evaluates it instead of calling the closure tree.
+	in *kIdxProg
 	// sCol is the physical state column holding the amplitude index.
 	sCol int
 	// s0a,s0b / s1a,s1b are the physical state float columns of the two
@@ -74,9 +77,30 @@ type kernelProg struct {
 	having bool
 	eps2   float64
 	// gOutFn, when non-nil, evaluates the gate-side contribution of a
-	// group key of the form (s & mask) | gOutFn(out): the signature a
+	// group key of the form (s & keep) | gOutFn(out): the signature a
 	// dense (array-indexed) accumulator can bound, see bindGateStage.
+	// Binding stores gOutFn(out) in each gate row (kGateRow.outBits), so
+	// the fused loop computes the key as (s & keep) | outBits without
+	// calling outFn.
 	gOutFn kIntFn
+	keep   int64
+}
+
+// probe computes the probe key of state index s.
+func (p *kernelProg) probe(s int64) int64 {
+	if p.in != nil {
+		return p.in.eval(s)
+	}
+	return p.inFn(s, 0)
+}
+
+// groupKey computes the group key of state index s joined with gate
+// row g.
+func (p *kernelProg) groupKey(s int64, g *kGateRow) int64 {
+	if p.gOutFn != nil {
+		return s&p.keep | g.outBits
+	}
+	return p.outFn(s, g.out)
 }
 
 // gateKernel is one matched site: the core plan nodes plus the compiled
@@ -402,7 +426,11 @@ func compileGateProgram(agg *aggNode, having *filterNode, join *joinNode, stateS
 		having: having != nil,
 		eps2:   eps2,
 	}
-	prog.gOutFn = denseGateSpec(agg.groupBy[0], joinSchema, nLeft, prog.sCol)
+	prog.in = compileIdxProg(join.leftKeys[0], func(c *ColumnRef) bool {
+		idx, err := joinSchema.resolveColumn(c.Table, c.Name)
+		return err == nil && idx == prog.sCol
+	})
+	prog.gOutFn, prog.keep = denseGateSpec(agg.groupBy[0], joinSchema, nLeft, prog.sCol)
 	if stateScan != nil {
 		// Map schema slots to physical store columns through the scans'
 		// column-pruning maps.
@@ -652,42 +680,205 @@ func parseKernelHaving(pred Expr, aggSchema planSchema) (float64, bool) {
 }
 
 // denseGateSpec recognizes the canonical mask-merge group key
-// (s & mask) | f(out) — in either operand order — and compiles the
-// gate-side half f. With it, bindGateStage can bound every group key by
-// pow2mask(max s) | OR(f(out)) and use a dense array accumulator: for
-// s ≥ 0, (s & mask) ⊆ the bits of s regardless of the mask's sign
-// (the golden plans carry negative mask literals like s & -2).
-func denseGateSpec(e Expr, joinSchema planSchema, nLeft, sCol int) kIntFn {
+// (s & keep) | f(out) — in either operand order, keep any constant —
+// and returns keep with the compiled gate-side half f. With it,
+// bindGateStage can bound every group key by pow2mask(max s) | OR(f(out))
+// and use a dense array accumulator: for s ≥ 0, (s & keep) ⊆ the bits
+// of s regardless of the mask's sign (the golden plans carry negative
+// mask literals like s & -2).
+func denseGateSpec(e Expr, joinSchema planSchema, nLeft, sCol int) (kIntFn, int64) {
 	or, ok := e.(*BinaryExpr)
 	if !ok || or.Op != "|" {
-		return nil
+		return nil, 0
 	}
-	isMasked := func(x Expr) bool {
+	// masked reports the keep mask of an (s & keep) operand.
+	masked := func(x Expr) (int64, bool) {
 		and, ok := x.(*BinaryExpr)
 		if !ok || and.Op != "&" {
-			return false
+			return 0, false
 		}
-		l, lok := resolveRef(and.L, joinSchema)
-		r, rok := resolveRef(and.R, joinSchema)
-		_, llit := and.L.(*Literal)
-		_, rlit := and.R.(*Literal)
-		return (lok && l == sCol && rlit) || (rok && r == sCol && llit)
+		p := compileIdxProg(and, func(c *ColumnRef) bool {
+			idx, ok := resolveRef(c, joinSchema)
+			return ok && idx == sCol
+		})
+		if p == nil || p.c != 0 || len(p.terms) != 1 || p.terms[0].shr != 0 || p.terms[0].shl != 0 {
+			return 0, false
+		}
+		return p.terms[0].mask, true
 	}
-	var gateSide Expr
-	switch {
-	case isMasked(or.L):
-		gateSide = or.R
-	case isMasked(or.R):
+	keep, ok := masked(or.L)
+	gateSide := or.R
+	if !ok {
+		if keep, ok = masked(or.R); !ok {
+			return nil, 0
+		}
 		gateSide = or.L
-	default:
-		return nil
 	}
 	bind := &kColBinder{schema: joinSchema, nLeft: nLeft, sCol: -1, gCol: -1}
 	fn, err := compileKernelInt(gateSide, bind)
 	if err != nil || bind.sCol >= 0 {
-		return nil // the gate side must not touch the state index
+		return nil, 0 // the gate side must not touch the state index
 	}
-	return fn
+	return fn, keep
+}
+
+// kIdxTerm is one shift-mask term ((s >> shr) & mask) << shl of an
+// index program.
+type kIdxTerm struct {
+	mask     int64
+	shr, shl uint8
+}
+
+// kIdxProg is an integer expression of the state index s compiled to
+// bit-mask form, c | OR_t ((s >> shr_t) & mask_t) << shl_t, so the
+// fused loop evaluates it without a closure call per operator. Terms
+// with equal shifts are merged, so a gather of k qubits has at most k
+// terms.
+type kIdxProg struct {
+	c     int64
+	terms []kIdxTerm
+}
+
+func (p *kIdxProg) eval(s int64) int64 {
+	v := p.c
+	for _, t := range p.terms {
+		v |= ((s >> t.shr) & t.mask) << t.shl
+	}
+	return v
+}
+
+// compileIdxProg compiles e into an index program when it uses only the
+// state index (isS accepts its column references), integer literals,
+// &, | and the shifts << and >> by a constant in [0, 63]; ~ and unary
+// - are admitted on constants. This grammar covers every bitwise form
+// core/mask.go emits. Any other shape — the arithmetic encoding,
+// hand-written SQL — returns nil and keeps compileKernelInt's closure.
+// Each rule is exact on all int64 inputs, negative ones included, under
+// value.go's INTEGER semantics: & with a constant, << and arithmetic >>
+// all distribute over |.
+func compileIdxProg(e Expr, isS func(*ColumnRef) bool) *kIdxProg {
+	switch n := e.(type) {
+	case *Literal:
+		if n.Val.T != TypeInt {
+			return nil
+		}
+		return &kIdxProg{c: n.Val.I}
+	case *ColumnRef:
+		if !isS(n) {
+			return nil
+		}
+		return &kIdxProg{terms: []kIdxTerm{{mask: -1}}}
+	case *UnaryExpr:
+		x := compileIdxProg(n.X, isS)
+		if x == nil || len(x.terms) > 0 {
+			return nil
+		}
+		switch n.Op {
+		case "~":
+			return &kIdxProg{c: ^x.c}
+		case "-":
+			return &kIdxProg{c: -x.c}
+		}
+		return nil
+	case *BinaryExpr:
+		l := compileIdxProg(n.L, isS)
+		if l == nil {
+			return nil
+		}
+		r := compileIdxProg(n.R, isS)
+		if r == nil {
+			return nil
+		}
+		switch n.Op {
+		case "|":
+			out := &kIdxProg{c: l.c | r.c}
+			for _, t := range append(l.terms, r.terms...) {
+				out.add(t)
+			}
+			return out
+		case "&":
+			switch {
+			case len(r.terms) == 0:
+				return l.and(r.c)
+			case len(l.terms) == 0:
+				return r.and(l.c)
+			}
+			return nil
+		case "<<", ">>":
+			if len(r.terms) > 0 || r.c < 0 || r.c > 63 {
+				return nil
+			}
+			if n.Op == "<<" {
+				return l.shiftLeft(uint8(r.c))
+			}
+			return l.shiftRight(uint8(r.c))
+		}
+	}
+	return nil
+}
+
+// add ORs term t into p, merging it into a term with the same shifts.
+// A zero mask contributes nothing and is dropped.
+func (p *kIdxProg) add(t kIdxTerm) {
+	if t.mask == 0 {
+		return
+	}
+	for i := range p.terms {
+		if p.terms[i].shr == t.shr && p.terms[i].shl == t.shl {
+			p.terms[i].mask |= t.mask
+			return
+		}
+	}
+	p.terms = append(p.terms, t)
+}
+
+// and is p & m: bit j of (x << shl) & m is bit j-shl of x & (m >> shl).
+func (p *kIdxProg) and(m int64) *kIdxProg {
+	out := &kIdxProg{c: p.c & m}
+	for _, t := range p.terms {
+		t.mask &= m >> t.shl
+		out.add(t)
+	}
+	return out
+}
+
+// shiftLeft is p << k; a term shifted past bit 63 is zero.
+func (p *kIdxProg) shiftLeft(k uint8) *kIdxProg {
+	out := &kIdxProg{c: p.c << k}
+	for _, t := range p.terms {
+		if int(t.shl)+int(k) <= 63 {
+			t.shl += k
+			out.add(t)
+		}
+	}
+	return out
+}
+
+// shiftRight is p >> k (arithmetic). An unshifted term absorbs k into
+// its right shift (s >> 63 already replicates the sign, so the sum caps
+// at 63) and its mask. A left-shifted term folds only when its mask is
+// non-negative and narrow enough that the left shift lost no bits;
+// otherwise the program declines.
+func (p *kIdxProg) shiftRight(k uint8) *kIdxProg {
+	out := &kIdxProg{c: p.c >> k}
+	for _, t := range p.terms {
+		d := k
+		if t.shl > 0 {
+			if t.mask < 0 || t.mask >= int64(1)<<(63-t.shl) {
+				return nil
+			}
+			if k <= t.shl {
+				t.shl -= k
+				out.add(t)
+				continue
+			}
+			d, t.shl = k-t.shl, 0
+		}
+		t.shr = min(t.shr+d, 63)
+		t.mask >>= d
+		out.add(t)
+	}
+	return out
 }
 
 // gateStageCacheKey canonicalizes everything a compiled program depends

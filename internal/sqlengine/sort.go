@@ -27,10 +27,77 @@ type sortSpec struct {
 // permutes rows, so there is no column locality to preserve) and
 // re-batched through the row adapter — the engine's one remaining
 // row-oriented internal.
+//
+// Elision: a sort on one ASC column first follows it down through
+// column-preserving wrappers (orderPreservingChild); when that reaches
+// a column store whose append-time order bit (ColStore.ascendingInt)
+// proves the column non-decreasing and NULL-free, the stable sort would
+// be the identity, so open streams the child unchanged and buffers
+// nothing. The bit comes from the appended rows, not from any operator
+// — the gate-stage kernel's key-ordered final emission (kernel.go)
+// and a table inserted in key order qualify alike. EXPLAIN ANALYZE
+// marks an elided sort.
 type sortNode struct {
 	child planNode
 	keys  []sortSpec
 	est   *nodeEst
+	// elided records that open streamed the child unchanged because it
+	// was already in key order (EXPLAIN ANALYZE).
+	elided bool
+}
+
+// ascKey resolves a sort on one ASC column to that column of the
+// child's schema; ok is false for any other ORDER BY.
+func (n *sortNode) ascKey() (planNode, int, bool) {
+	if len(n.keys) != 1 || n.keys[0].desc {
+		return nil, 0, false
+	}
+	idx, ok := simpleKeyIdx(n.keys, n.child.schema())
+	if !ok {
+		return nil, 0, false
+	}
+	return n.child, idx[0], true
+}
+
+// orderPreservingChild steps from n to its child when n passes column
+// col through unchanged, row for row and in order — a statNode, an
+// alias, or a projection whose expression at col is a bare column
+// reference — and returns the child and the column's index there.
+func orderPreservingChild(n planNode, col int) (planNode, int, bool) {
+	switch n := n.(type) {
+	case *statNode:
+		return n.child, col, true
+	case *aliasNode:
+		return n.child, col, true
+	case *projectNode:
+		ref, ok := n.exprs[col].(*ColumnRef)
+		if !ok {
+			return nil, 0, false
+		}
+		idx, err := n.child.schema().resolveColumn(ref.Table, ref.Name)
+		if err != nil {
+			return nil, 0, false
+		}
+		return n.child, idx, true
+	}
+	return nil, 0, false
+}
+
+// inputOrdered reports whether the child already streams rows in key
+// order: one ASC key that resolves through column-preserving wrappers
+// to a scan of a column store whose appended values in that column
+// are non-decreasing, NULL-free integers (ColStore.ascendingInt). A
+// stable sort of such input is the identity.
+func (n *sortNode) inputOrdered() bool {
+	cur, col, ok := n.ascKey()
+	for ok {
+		if sc, isScan := cur.(*storeScanNode); isScan {
+			cs, isCol := sc.store.(*ColStore)
+			return isCol && cs.ascendingInt(scanPhys(sc, col))
+		}
+		cur, col, ok = orderPreservingChild(cur, col)
+	}
+	return false
 }
 
 func (n *sortNode) schema() planSchema { return n.child.schema() }
@@ -164,6 +231,9 @@ func sortIntKeys(buf []Row, idx []int, descs []bool) bool {
 }
 
 func (n *sortNode) open(ctx *execCtx) (batchIter, error) {
+	if n.elided = n.inputOrdered(); n.elided {
+		return n.child.open(ctx)
+	}
 	schema := n.child.schema()
 	width := len(schema)
 	descs := make([]bool, len(n.keys))
