@@ -27,6 +27,28 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
+// Connection timeouts of the server NewHTTPServer builds. A client must
+// finish its request headers within readHeaderTimeout, and an idle
+// keep-alive connection is closed after idleTimeout. Bodies and
+// responses are not timed: a synchronous simulation may legitimately
+// run for minutes, and the body size is capped by maxRequestBytes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// NewHTTPServer builds the HTTP server for handler h on addr, with the
+// connection timeouts above, so a client that never finishes its
+// headers cannot hold a connection open forever.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // errorJSON is every non-2xx body.
 type errorJSON struct {
 	Error string `json:"error"`
@@ -268,8 +290,7 @@ type MetricsJSON struct {
 	Kernels map[string]int64 `json:"kernels"`
 
 	// Storage exposes the engine's cumulative sparsity-first storage
-	// counters (process-wide): morsels_skipped, chunks_skipped,
-	// encoded_rle, encoded_dict, encoded_sparse, encoded_chunk_cols,
+	// counters (process-wide): encoded_sparse, encoded_chunk_cols,
 	// decode_fallbacks, and kernel_encoded_binds.
 	Storage map[string]int64 `json:"storage"`
 

@@ -308,3 +308,22 @@ func TestHTTPRequestBodyLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestNewHTTPServerTimeouts: the server qymerad runs bounds how long a
+// client may take to send its headers and how long an idle keep-alive
+// connection stays open, and serves the given handler on the given
+// address.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(func() { s.Close() })
+	hs := NewHTTPServer("127.0.0.1:0", s)
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.IdleTimeout <= 0 || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("IdleTimeout = %v, want %v", hs.IdleTimeout, idleTimeout)
+	}
+	if hs.Addr != "127.0.0.1:0" || hs.Handler != http.Handler(s) {
+		t.Fatalf("server = {Addr: %q, Handler: %T}, want the given address and handler", hs.Addr, hs.Handler)
+	}
+}

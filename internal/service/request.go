@@ -65,8 +65,8 @@ type RequestOptions struct {
 	// bit-identical either way; only throughput changes.
 	ChainFusion string `json:"chain_fusion,omitempty"`
 	// Encodings (sql backends): "on" (default) or "off" — toggles the
-	// engine's sparsity-first storage tier (compressed column encodings
-	// + zone-map skip-scan). Distinct from Encoding, which selects the
+	// engine's sparsity-first storage tier (the sparse form of
+	// mostly-zero REAL columns). Distinct from Encoding, which selects the
 	// circuit translation's amplitude-index encoding. Amplitudes are
 	// bit-identical either way; only throughput and memory change.
 	Encodings string `json:"encodings,omitempty"`

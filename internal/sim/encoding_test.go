@@ -12,10 +12,9 @@ import (
 // storage tier's correctness invariant at the simulation level: the SQL
 // backend produces bitwise-identical amplitudes with encodings on and
 // off, with the kernel tier on and off, at one and at four workers, in
-// both translation modes. Encodings are exact and a zone-skipped morsel
-// is one the pushed filter would have emptied anyway (see
-// internal/sqlengine/encoding.go and zonemap.go), so only the storage
-// footprint and throughput change.
+// both translation modes. The encoding is exact (see
+// internal/sqlengine/encoding.go), so only the storage footprint and
+// throughput change.
 func TestSQLEncodingsBitIdenticalAmplitudes(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -23,11 +22,11 @@ func TestSQLEncodingsBitIdenticalAmplitudes(t *testing.T) {
 		mode core.Mode
 	}{
 		// GHZ keeps 2 nonzeros in a 2^12 space: the sparse regime where
-		// amplitude columns sparse-encode and norm-prune zones skip.
+		// amplitude columns sparse-encode.
 		{"ghz", circuits.GHZ(12), core.SingleQuery},
 		{"qft", circuits.QFT(7), core.SingleQuery},
 		// 2^15 nonzero amplitudes: spans several morsels, so parallel
-		// runs exercise the claim-loop zone skip and encoded kernels.
+		// runs exercise the morsel scan and encoded kernels.
 		{"parity", circuits.ParitySuperposition(15), core.SingleQuery},
 		// Per-gate CTAS materialization: every intermediate state table
 		// freezes (and encodes) before the next stage scans it.
@@ -59,7 +58,7 @@ func TestSQLEncodingsBitIdenticalAmplitudes(t *testing.T) {
 }
 
 // TestSQLEncodingsBitIdenticalUnderBudget pins the invariant on the
-// out-of-core path: with a budget that forces state tables through QYC2
+// out-of-core path: with a budget that forces state tables through
 // spill chunks, encodings on and off still agree bit-for-bit.
 func TestSQLEncodingsBitIdenticalUnderBudget(t *testing.T) {
 	c := circuits.ParitySuperposition(13)

@@ -75,11 +75,10 @@ type SQL struct {
 	// is the translation-level gate-matrix fusion of §3.2.
 	ChainFusion string
 	// Encodings controls the engine's sparsity-first storage tier: ""
-	// or "on" (default) enables compressed column encodings and
-	// zone-map skip-scan, "off" keeps plain typed vectors. Amplitudes
-	// are bitwise independent of the setting — encodings are exact and
-	// a skipped morsel is one the pushed filter would have emptied
-	// anyway (see internal/sqlengine/encoding.go and zonemap.go).
+	// or "on" (default) stores mostly-zero REAL columns in a sparse
+	// form, "off" keeps plain typed vectors. Amplitudes are bitwise
+	// independent of the setting — the encoding is exact (see
+	// internal/sqlengine/encoding.go).
 	Encodings string
 	// Budget, when non-nil, is a pre-built engine memory accountant
 	// that overrides MemoryBudget. Sharing one budget across backends

@@ -2,13 +2,11 @@ package sqlengine
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"sync/atomic"
 )
 
 // ColStore is the native columnar table store: each column is a typed
@@ -60,8 +58,8 @@ type ColStore struct {
 // colOrder is one column's append-time order bit: whether every value
 // appended so far is a non-NULL INTEGER no smaller than the one before
 // it. Appends fold one compare per value into it, as they fold the
-// statistics and zone maps; it survives spilling, freezing and
-// encoding, none of which reorder rows.
+// statistics; it survives spilling, freezing and encoding, none of
+// which reorder rows.
 type colOrder struct {
 	last         int64
 	seen, broken bool
@@ -125,10 +123,8 @@ const (
 	colBool                   // []bool (BOOLEAN)
 	colGeneric                // []Value fallback for mixed-type columns
 
-	// Encoded kinds (encoding.go): exact compressed forms of colInt /
+	// colFloatSparse (encoding.go) is the exact compressed form of
 	// colFloat, selected at Freeze time from the table statistics.
-	colIntRLE      // []intRun run-length runs
-	colIntDict     // dictionary []int64 + per-row uint32 codes
 	colFloatSparse // sorted nonzero positions + values, zeros elided
 )
 
@@ -146,10 +142,6 @@ func (k colKind) String() string {
 		return "bool"
 	case colGeneric:
 		return "values"
-	case colIntRLE:
-		return "int64/rle"
-	case colIntDict:
-		return "int64/dict"
 	case colFloatSparse:
 		return "float64/sparse"
 	}
@@ -170,15 +162,12 @@ type column struct {
 	// hint pre-sizes the typed vector allocation (ColStore.hintRows).
 	hint int
 
-	// Encoded representations (encoding.go). encLen is the encoded row
+	// Sparse representation (encoding.go). encLen is the encoded row
 	// count; encSaved the resident bytes the encoding released back to
 	// the budget (re-reserved on a lazy decode). The null bitmap stays
-	// verbatim — encodings cover the raw value slots only.
-	runs     []intRun  // colIntRLE
-	dict     []int64   // colIntDict values
-	codes    []uint32  // colIntDict per-row codes
-	spos     []int32   // colFloatSparse nonzero positions (ascending)
-	svals    []float64 // colFloatSparse nonzero values
+	// verbatim — the encoding covers the raw value slots only.
+	spos     []int32   // nonzero positions (ascending)
+	svals    []float64 // nonzero values
 	encLen   int
 	encSaved int64
 }
@@ -219,10 +208,6 @@ func (c *column) valueAt(i int) Value {
 			return Value{T: TypeBool, I: 1}
 		}
 		return Value{T: TypeBool}
-	case colIntRLE:
-		return Value{T: TypeInt, I: c.runs[runSearch(c.runs, i)].v}
-	case colIntDict:
-		return Value{T: TypeInt, I: c.dict[c.codes[i]]}
 	case colFloatSparse:
 		if si := sparseSearch(c.spos, i); si < len(c.spos) && int(c.spos[si]) == i {
 			return Value{T: TypeFloat, F: c.svals[si]}
@@ -322,7 +307,7 @@ func (c *column) appendValue(v Value, row int) {
 				continue
 			}
 			return
-		case colIntRLE, colIntDict, colFloatSparse:
+		case colFloatSparse:
 			// Defensive: ColStore.decodeForAppend runs before appends;
 			// a direct append to an encoded column decodes in place.
 			c.decodeEncoded()
@@ -412,34 +397,6 @@ func (c *column) decodeRange(lo, hi int, scratch colVec) (colVec, colVec) {
 				out[j] = Value{T: TypeBool}
 			}
 		}
-	case colIntRLE:
-		// Run walk: binary-search the first run, then advance run ends.
-		ri := runSearch(c.runs, lo)
-		for j := 0; j < n; j++ {
-			row := lo + j
-			for int(c.runs[ri].end) <= row {
-				ri++
-			}
-			if c.nulls != nil && c.isNull(row) {
-				out[j] = Null
-			} else {
-				out[j] = Value{T: TypeInt, I: c.runs[ri].v}
-			}
-		}
-	case colIntDict:
-		if c.nulls == nil {
-			for j, code := range c.codes[lo:hi] {
-				out[j] = Value{T: TypeInt, I: c.dict[code]}
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				if c.isNull(lo + j) {
-					out[j] = Null
-				} else {
-					out[j] = Value{T: TypeInt, I: c.dict[c.codes[lo+j]]}
-				}
-			}
-		}
 	case colFloatSparse:
 		// Zero-fill (+0.0, matching the elided slots bit-for-bit), then
 		// scatter the nonzeros of the range, then the null overlay.
@@ -469,9 +426,6 @@ func (c *column) reset() {
 	c.strs = c.strs[:0]
 	c.bools = c.bools[:0]
 	c.vals = c.vals[:0]
-	c.runs = c.runs[:0]
-	c.dict = c.dict[:0]
-	c.codes = c.codes[:0]
 	c.spos = c.spos[:0]
 	c.svals = c.svals[:0]
 	c.encLen = 0
@@ -546,10 +500,6 @@ func (cs *ColStore) startSpill() error {
 	cs.file = f
 	cs.w = getSpillWriter(f)
 	cs.env.spillFiles.Add(1)
-	if _, err := cs.w.WriteString(colSpillMagic); err != nil {
-		cs.spillErr = fmt.Errorf("sqlengine: writing spill header: %w", err)
-		return cs.spillErr
-	}
 	return cs.flushChunk()
 }
 
@@ -911,30 +861,8 @@ func (cs *ColStore) batchScanCols(keep []int) (storeScan, error) {
 		}
 		sc.r = newSpillReader(cs.file, info.Size())
 		sc.fileLeft = cs.fileRows
-		// The stream is self-describing: a QYC2 magic announces the v2
-		// chunk frame (zone records + length-prefixed data); its absence
-		// means the legacy implicit frame.
-		if hdr, err := sc.r.Peek(len(colSpillMagic)); err == nil && string(hdr) == colSpillMagic {
-			sc.r.Discard(len(colSpillMagic))
-			sc.v2 = true
-		}
 	}
 	return sc, nil
-}
-
-// batchScanZone is batchScanCols plus zone-map skip-scan: morsels (in
-// memory) and chunks (spilled, via the chunk zone records) that zp
-// proves empty are skipped without decoding, counted into skipped and
-// the process-wide storage counters.
-func (cs *ColStore) batchScanZone(keep []int, zp *zonePred, skipped *atomic.Int64) (storeScan, error) {
-	sc, err := cs.batchScanCols(keep)
-	if err != nil {
-		return nil, err
-	}
-	s := sc.(*colScan)
-	s.zp, s.skipped = zp, skipped
-	s.mskip = cs.zoneSkipper(zp)
-	return s, nil
 }
 
 // colScan reads a frozen ColStore batch-at-a-time.
@@ -942,7 +870,6 @@ type colScan struct {
 	cs       *ColStore
 	keep     []int
 	r        *bufio.Reader
-	v2       bool
 	fileLeft int64
 	chunk    []column
 	chunkLen int
@@ -950,14 +877,6 @@ type colScan struct {
 	memPos   int
 	buf      *rowBatch
 	scratch  []colVec
-
-	// Zone-map skip-scan (batchScanZone): zp drives spilled-chunk skips
-	// against the chunk zone records; mskip is the per-morsel decision
-	// for the in-memory rows (nil when unavailable); skipped counts
-	// skipped units for EXPLAIN ANALYZE.
-	zp      *zonePred
-	mskip   func(m int) bool
-	skipped *atomic.Int64
 }
 
 func (s *colScan) NextBatch() (*rowBatch, error) {
@@ -980,22 +899,6 @@ func (s *colScan) NextBatch() (*rowBatch, error) {
 			if s.chunk == nil {
 				s.chunk = make([]column, s.cs.width)
 			}
-			if s.v2 {
-				n, skip, err := readChunkV2(s.r, s.chunk, s.zp)
-				if err != nil {
-					return nil, fmt.Errorf("sqlengine: reading spill file: %w", err)
-				}
-				s.fileLeft -= int64(n)
-				if skip {
-					if s.skipped != nil {
-						s.skipped.Add(1)
-					}
-					s.cs.env.storageCtrs.bumpChunkSkipped()
-					continue
-				}
-				s.chunkLen, s.chunkPos = n, 0
-				continue
-			}
 			n, err := readChunk(s.r, s.chunk)
 			if err != nil {
 				return nil, fmt.Errorf("sqlengine: reading spill file: %w", err)
@@ -1005,21 +908,6 @@ func (s *colScan) NextBatch() (*rowBatch, error) {
 			continue
 		}
 		if s.memPos < s.cs.rows {
-			// Morsel-aligned zone skip of the in-memory rows: valid only
-			// when they start at table row 0 (never-spilled store —
-			// zoneSkipper enforces that).
-			if s.mskip != nil {
-				for s.memPos < s.cs.rows && s.memPos%morselRows == 0 && s.mskip(s.memPos/morselRows) {
-					s.memPos = min(s.memPos+morselRows, s.cs.rows)
-					if s.skipped != nil {
-						s.skipped.Add(1)
-					}
-					s.cs.env.storageCtrs.bumpMorselSkipped()
-				}
-				if s.memPos >= s.cs.rows {
-					return nil, nil
-				}
-			}
 			hi := min(s.memPos+batchSize, s.cs.rows)
 			serveColumns(s.cs.cols, s.keep, s.memPos, hi, s.buf, s.scratch)
 			s.memPos = hi
@@ -1067,229 +955,60 @@ func (c *colCursor) Next() (Row, bool, error) {
 	return row, true, nil
 }
 
-// Columnar chunk encoding for spill files. The stream opens with the
-// colSpillMagic version header ("QYC2"); each v2 chunk is
+// Spill chunk frame. A spill file is a sequence of chunks, each
 //
 //	uvarint rows
-//	uvarint zoneBytes, then per column one zone record:
-//	  flags byte (1 = int bounds, 2 = float bounds, 4 = NaN seen,
-//	  8 = other/mixed), uvarint nulls,
-//	  [varint intMin, varint intMax], [8B fMin bits, 8B fMax bits]
-//	uvarint dataBytes, then per column one column run: kind byte, then
-//	  typed kinds: hasNulls byte (+ null bitmap), packed data
-//	  encoded kinds: hasNulls byte (+ bitmap), the encoded payload
+//	then per column one run: kind byte, then
 //	  generic: per-row tagged values (the row codec's value encoding)
+//	  typed:   hasNulls byte (+ null bitmap), then the values —
+//	           int64 / float64 as raw 8-byte little-endian words,
+//	           strings as uvarint length + bytes, bools as a bitmap,
+//	           float64/sparse as uvarint nonzero count, then per
+//	           nonzero a uvarint position delta and its 8-byte word
 //
-// The zone records let a scan prove a chunk empty under its pushed
-// filter and Discard dataBytes without decoding a row; the explicit
-// kind tags make encoded and plain chunks self-describing. Streams
-// without the magic are the legacy implicit frame (uvarint rows +
-// plain column runs) and still decode. Integers and floats are packed
-// as raw 8-byte little-endian words so float64 bit patterns round-trip
-// exactly.
+// written straight to the pooled spill writer and read back by
+// readChunk. The kind tags make every run self-describing; a float
+// column that is mostly +0.0 is written sparse whether or not it was
+// encoded in memory. Floats travel as bit patterns, so -0.0 and NaN
+// payloads round-trip exactly. Spill files are temp files of the store
+// that reads them, so the frame carries no version header.
 
-// colSpillMagic is the spill stream version header for the v2 chunk
-// frame.
-const colSpillMagic = "QYC2"
-
-// zoneOfColumn computes one chunk column's zone record from its values.
-func zoneOfColumn(c *column, rows int) zoneEntry {
-	var z zoneEntry
-	for i := 0; i < rows; i++ {
-		z.observe(c.valueAt(i))
-	}
-	return z
+// chunkWriter streams one chunk to the spill writer, counting the
+// bytes and keeping the first write error.
+type chunkWriter struct {
+	w   *bufio.Writer
+	n   int
+	err error
+	tmp [binary.MaxVarintLen64]byte
 }
 
-func writeZoneRec(buf *bytes.Buffer, z zoneEntry) {
-	var scratch [binary.MaxVarintLen64]byte
-	var flags byte
-	if z.hasInt {
-		flags |= 1
-	}
-	if z.hasFloat {
-		flags |= 2
-	}
-	if z.hasNaN {
-		flags |= 4
-	}
-	if z.hasOther {
-		flags |= 8
-	}
-	buf.WriteByte(flags)
-	buf.Write(scratch[:binary.PutUvarint(scratch[:], uint64(z.nulls))])
-	if z.hasInt {
-		buf.Write(scratch[:binary.PutVarint(scratch[:], z.intMin)])
-		buf.Write(scratch[:binary.PutVarint(scratch[:], z.intMax)])
-	}
-	if z.hasFloat {
-		var fb [8]byte
-		binary.LittleEndian.PutUint64(fb[:], math.Float64bits(z.fMin))
-		buf.Write(fb[:])
-		binary.LittleEndian.PutUint64(fb[:], math.Float64bits(z.fMax))
-		buf.Write(fb[:])
+func (cw *chunkWriter) write(b []byte) {
+	if cw.err == nil {
+		n, err := cw.w.Write(b)
+		cw.n += n
+		cw.err = err
 	}
 }
 
-func readZoneRec(r *bufio.Reader, rows int) (zoneEntry, error) {
-	z := zoneEntry{rows: int32(rows)}
-	flags, err := r.ReadByte()
-	if err != nil {
-		return z, err
+func (cw *chunkWriter) writeString(s string) {
+	if cw.err == nil {
+		n, err := cw.w.WriteString(s)
+		cw.n += n
+		cw.err = err
 	}
-	z.hasInt, z.hasFloat = flags&1 != 0, flags&2 != 0
-	z.hasNaN, z.hasOther = flags&4 != 0, flags&8 != 0
-	nulls, err := binary.ReadUvarint(r)
-	if err != nil {
-		return z, err
-	}
-	z.nulls = int32(nulls)
-	if z.hasInt {
-		if z.intMin, err = binary.ReadVarint(r); err != nil {
-			return z, err
-		}
-		if z.intMax, err = binary.ReadVarint(r); err != nil {
-			return z, err
-		}
-	}
-	if z.hasFloat {
-		var fb [8]byte
-		if _, err := io.ReadFull(r, fb[:]); err != nil {
-			return z, err
-		}
-		z.fMin = math.Float64frombits(binary.LittleEndian.Uint64(fb[:]))
-		if _, err := io.ReadFull(r, fb[:]); err != nil {
-			return z, err
-		}
-		z.fMax = math.Float64frombits(binary.LittleEndian.Uint64(fb[:]))
-	}
-	return z, nil
 }
 
-// writeChunk writes one v2 chunk: zone records, then the
-// length-prefixed data block of column runs (encoded per column when
-// the chunk-local decision pays off).
-func writeChunk(w *bufio.Writer, cols []column, rows int, ctrs *storageCounterSet) (int, error) {
-	var scratch [binary.MaxVarintLen64]byte
-	total := 0
-	n := binary.PutUvarint(scratch[:], uint64(rows))
-	if _, err := w.Write(scratch[:n]); err != nil {
-		return total, err
-	}
-	total += n
-
-	var zb bytes.Buffer
-	for i := range cols {
-		writeZoneRec(&zb, zoneOfColumn(&cols[i], rows))
-	}
-	n = binary.PutUvarint(scratch[:], uint64(zb.Len()))
-	if _, err := w.Write(scratch[:n]); err != nil {
-		return total, err
-	}
-	total += n
-	if _, err := w.Write(zb.Bytes()); err != nil {
-		return total, err
-	}
-	total += zb.Len()
-
-	var db bytes.Buffer
-	dw := bufio.NewWriter(&db)
-	for i := range cols {
-		if _, err := writeColumnRunV2(dw, &cols[i], rows, ctrs); err != nil {
-			return total, err
-		}
-	}
-	if err := dw.Flush(); err != nil {
-		return total, err
-	}
-	n = binary.PutUvarint(scratch[:], uint64(db.Len()))
-	if _, err := w.Write(scratch[:n]); err != nil {
-		return total, err
-	}
-	total += n
-	if _, err := w.Write(db.Bytes()); err != nil {
-		return total, err
-	}
-	total += db.Len()
-	return total, nil
+func (cw *chunkWriter) writeByte(b byte) {
+	cw.tmp[0] = b
+	cw.write(cw.tmp[:1])
 }
 
-func writeColumnRun(w *bufio.Writer, c *column, rows int) (int, error) {
-	total := 0
-	if err := w.WriteByte(byte(c.kind)); err != nil {
-		return total, err
-	}
-	total++
-	if c.kind == colGeneric {
-		for i := 0; i < rows; i++ {
-			n, err := encodeValue(w, c.vals[i])
-			total += n
-			if err != nil {
-				return total, err
-			}
-		}
-		return total, nil
-	}
-	// Null bitmap.
-	hasNulls := byte(0)
-	if len(c.nulls) > 0 {
-		hasNulls = 1
-	}
-	if err := w.WriteByte(hasNulls); err != nil {
-		return total, err
-	}
-	total++
-	if hasNulls == 1 {
-		n, err := writeBitmap(w, rows, c.isNull)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	var buf [8]byte
-	switch c.kind {
-	case colUnset:
-	case colInt:
-		for _, x := range c.ints[:rows] {
-			binary.LittleEndian.PutUint64(buf[:], uint64(x))
-			if _, err := w.Write(buf[:]); err != nil {
-				return total, err
-			}
-			total += 8
-		}
-	case colFloat:
-		for _, f := range c.floats[:rows] {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			if _, err := w.Write(buf[:]); err != nil {
-				return total, err
-			}
-			total += 8
-		}
-	case colStr:
-		var scratch [binary.MaxVarintLen64]byte
-		for _, s := range c.strs[:rows] {
-			n := binary.PutUvarint(scratch[:], uint64(len(s)))
-			if _, err := w.Write(scratch[:n]); err != nil {
-				return total, err
-			}
-			total += n
-			if _, err := w.WriteString(s); err != nil {
-				return total, err
-			}
-			total += len(s)
-		}
-	case colBool:
-		n, err := writeBitmap(w, rows, func(i int) bool { return c.bools[i] })
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
+func (cw *chunkWriter) uvarint(x uint64) { cw.write(binary.AppendUvarint(cw.tmp[:0], x)) }
 
-func writeBitmap(w *bufio.Writer, rows int, bit func(int) bool) (int, error) {
-	total := 0
+func (cw *chunkWriter) word(x uint64) { cw.write(binary.LittleEndian.AppendUint64(cw.tmp[:0], x)) }
+
+// bitmap writes rows bits, eight to a byte, lowest row first.
+func (cw *chunkWriter) bitmap(rows int, bit func(int) bool) {
 	for i := 0; i < rows; i += 8 {
 		var b byte
 		for j := 0; j < 8 && i+j < rows; j++ {
@@ -1297,12 +1016,110 @@ func writeBitmap(w *bufio.Writer, rows int, bit func(int) bool) (int, error) {
 				b |= 1 << uint(j)
 			}
 		}
-		if err := w.WriteByte(b); err != nil {
-			return total, err
-		}
-		total++
+		cw.writeByte(b)
 	}
-	return total, nil
+}
+
+// writeChunk writes rows rows of cols as one chunk and returns the
+// bytes written.
+func writeChunk(w *bufio.Writer, cols []column, rows int, ctrs *storageCounterSet) (int, error) {
+	cw := &chunkWriter{w: w}
+	cw.uvarint(uint64(rows))
+	for i := range cols {
+		cw.column(&cols[i], rows, ctrs)
+	}
+	return cw.n, cw.err
+}
+
+// column writes one column run, sparse when the column is sparse in
+// memory or mostly +0.0 in this chunk.
+func (cw *chunkWriter) column(c *column, rows int, ctrs *storageCounterSet) {
+	kind := c.kind
+	nnz := len(c.spos)
+	if kind == colFloat {
+		nnz = 0
+		for _, f := range c.floats[:rows] {
+			if math.Float64bits(f) != 0 {
+				nnz++
+			}
+		}
+		if 2*nnz <= rows && 12*nnz < 8*rows {
+			kind = colFloatSparse
+		}
+	}
+	if kind == colFloatSparse {
+		ctrs.bumpEncodedChunkCol()
+	}
+	cw.writeByte(byte(kind))
+	if kind == colGeneric {
+		for _, v := range c.vals[:rows] {
+			if cw.err == nil {
+				var n int
+				n, cw.err = encodeValue(cw.w, v)
+				cw.n += n
+			}
+		}
+		return
+	}
+	if len(c.nulls) > 0 {
+		cw.writeByte(1)
+		cw.bitmap(rows, c.isNull)
+	} else {
+		cw.writeByte(0)
+	}
+	switch kind {
+	case colInt:
+		for _, x := range c.ints[:rows] {
+			cw.word(uint64(x))
+		}
+	case colFloat:
+		for _, f := range c.floats[:rows] {
+			cw.word(math.Float64bits(f))
+		}
+	case colStr:
+		for _, s := range c.strs[:rows] {
+			cw.uvarint(uint64(len(s)))
+			cw.writeString(s)
+		}
+	case colBool:
+		cw.bitmap(rows, func(i int) bool { return c.bools[i] })
+	case colFloatSparse:
+		cw.uvarint(uint64(nnz))
+		prev := -1
+		put := func(pos int, f float64) {
+			cw.uvarint(uint64(pos - prev))
+			cw.word(math.Float64bits(f))
+			prev = pos
+		}
+		if c.kind == colFloatSparse {
+			for i, p := range c.spos {
+				put(int(p), c.svals[i])
+			}
+			return
+		}
+		for i, f := range c.floats[:rows] {
+			if math.Float64bits(f) != 0 {
+				put(i, f)
+			}
+		}
+	}
+}
+
+// readChunk decodes the next chunk into cols (reusing their slices) and
+// returns its row count. Sparse runs decode into the sparse column
+// form, so scans of spilled data read it without expanding it.
+func readChunk(r *bufio.Reader, cols []column) (int, error) {
+	rows64, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, err
+	}
+	rows := int(rows64)
+	for i := range cols {
+		if err := readColumnRun(r, &cols[i], rows); err != nil {
+			return 0, err
+		}
+	}
+	return rows, nil
 }
 
 func readBitmap(r *bufio.Reader, rows int, set func(int)) error {
@@ -1320,250 +1137,17 @@ func readBitmap(r *bufio.Reader, rows int, set func(int)) error {
 	return nil
 }
 
-// writeColumnRunV2 writes one column run of a v2 chunk. Plain int and
-// float columns get a chunk-local cheap encode decision (RLE / sparse);
-// columns already encoded in memory are written in their encoded form
-// directly; everything else uses the plain run format.
-func writeColumnRunV2(w *bufio.Writer, c *column, rows int, ctrs *storageCounterSet) (int, error) {
-	switch c.kind {
-	case colInt:
-		if runs := countIntRuns(c.ints[:rows]); runs*4 <= rows {
-			ctrs.bumpEncodedChunkCol()
-			return writeRLERun(w, c, rows, nil)
-		}
-	case colFloat:
-		nnz := 0
-		for _, f := range c.floats[:rows] {
-			if math.Float64bits(f) != 0 {
-				nnz++
-			}
-		}
-		if 2*nnz <= rows && 12*nnz < 8*rows {
-			ctrs.bumpEncodedChunkCol()
-			return writeSparseRun(w, c, rows, nnz)
-		}
-	case colIntRLE:
-		ctrs.bumpEncodedChunkCol()
-		return writeRLERun(w, c, rows, c.runs)
-	case colIntDict:
-		ctrs.bumpEncodedChunkCol()
-		return writeDictRun(w, c, rows)
-	case colFloatSparse:
-		ctrs.bumpEncodedChunkCol()
-		return writeSparseRun(w, c, rows, len(c.spos))
+func readWord(r *bufio.Reader) (uint64, error) {
+	var buf [8]byte
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
+		return 0, err
 	}
-	return writeColumnRun(w, c, rows)
+	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
-// writeRunHeader writes the shared kind + null-bitmap prefix of a
-// column run.
-func writeRunHeader(w *bufio.Writer, c *column, rows int, kind colKind) (int, error) {
-	total := 0
-	if err := w.WriteByte(byte(kind)); err != nil {
-		return total, err
-	}
-	total++
-	hasNulls := byte(0)
-	if len(c.nulls) > 0 {
-		hasNulls = 1
-	}
-	if err := w.WriteByte(hasNulls); err != nil {
-		return total, err
-	}
-	total++
-	if hasNulls == 1 {
-		n, err := writeBitmap(w, rows, c.isNull)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// writeRLERun writes an RLE column run: uvarint run count, then per run
-// varint value + uvarint length. runs == nil derives the runs from the
-// plain int vector on the fly.
-func writeRLERun(w *bufio.Writer, c *column, rows int, runs []intRun) (int, error) {
-	total, err := writeRunHeader(w, c, rows, colIntRLE)
-	if err != nil {
-		return total, err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v int64, length int) error {
-		n := binary.PutVarint(scratch[:], v)
-		if _, err := w.Write(scratch[:n]); err != nil {
-			return err
-		}
-		total += n
-		n = binary.PutUvarint(scratch[:], uint64(length))
-		_, err := w.Write(scratch[:n])
-		total += n
-		return err
-	}
-	if runs != nil {
-		n := binary.PutUvarint(scratch[:], uint64(len(runs)))
-		if _, err := w.Write(scratch[:n]); err != nil {
-			return total, err
-		}
-		total += n
-		prev := 0
-		for _, r := range runs {
-			if err := put(r.v, int(r.end)-prev); err != nil {
-				return total, err
-			}
-			prev = int(r.end)
-		}
-		return total, nil
-	}
-	xs := c.ints[:rows]
-	nruns := countIntRuns(xs)
-	n := binary.PutUvarint(scratch[:], uint64(nruns))
-	if _, err := w.Write(scratch[:n]); err != nil {
-		return total, err
-	}
-	total += n
-	for i := 0; i < rows; {
-		j := i + 1
-		for j < rows && xs[j] == xs[i] {
-			j++
-		}
-		if err := put(xs[i], j-i); err != nil {
-			return total, err
-		}
-		i = j
-	}
-	return total, nil
-}
-
-// writeDictRun writes a dictionary column run: uvarint dictionary
-// length, the varint dictionary values, then one uvarint code per row.
-func writeDictRun(w *bufio.Writer, c *column, rows int) (int, error) {
-	total, err := writeRunHeader(w, c, rows, colIntDict)
-	if err != nil {
-		return total, err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], uint64(len(c.dict)))
-	if _, err := w.Write(scratch[:n]); err != nil {
-		return total, err
-	}
-	total += n
-	for _, v := range c.dict {
-		n := binary.PutVarint(scratch[:], v)
-		if _, err := w.Write(scratch[:n]); err != nil {
-			return total, err
-		}
-		total += n
-	}
-	for _, code := range c.codes[:rows] {
-		n := binary.PutUvarint(scratch[:], uint64(code))
-		if _, err := w.Write(scratch[:n]); err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// writeSparseRun writes a sparse float run: uvarint nonzero count, the
-// ascending position deltas (prev starts at -1), then the raw float
-// bit patterns.
-func writeSparseRun(w *bufio.Writer, c *column, rows, nnz int) (int, error) {
-	total, err := writeRunHeader(w, c, rows, colFloatSparse)
-	if err != nil {
-		return total, err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], uint64(nnz))
-	if _, err := w.Write(scratch[:n]); err != nil {
-		return total, err
-	}
-	total += n
-	var fb [8]byte
-	writeEntry := func(pos int, prev *int, f float64) error {
-		n := binary.PutUvarint(scratch[:], uint64(pos-*prev))
-		if _, err := w.Write(scratch[:n]); err != nil {
-			return err
-		}
-		total += n
-		*prev = pos
-		binary.LittleEndian.PutUint64(fb[:], math.Float64bits(f))
-		_, err := w.Write(fb[:])
-		total += 8
-		return err
-	}
-	prev := -1
-	if c.kind == colFloatSparse {
-		for i, p := range c.spos {
-			if err := writeEntry(int(p), &prev, c.svals[i]); err != nil {
-				return total, err
-			}
-		}
-		return total, nil
-	}
-	for i, f := range c.floats[:rows] {
-		if math.Float64bits(f) != 0 {
-			if err := writeEntry(i, &prev, f); err != nil {
-				return total, err
-			}
-		}
-	}
-	return total, nil
-}
-
-// readChunkV2 decodes the next v2 chunk into cols. When zp proves the
-// chunk empty from its zone records, the data block is Discarded
-// undecoded and skip is returned true (rows still reports the chunk's
-// row count for stream accounting).
-func readChunkV2(r *bufio.Reader, cols []column, zp *zonePred) (rows int, skip bool, err error) {
-	rows64, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, false, err
-	}
-	rows = int(rows64)
-	zoneBytes, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, false, err
-	}
-	if zp != nil {
-		zones := make([]zoneEntry, len(cols))
-		for i := range cols {
-			if zones[i], err = readZoneRec(r, rows); err != nil {
-				return 0, false, err
-			}
-		}
-		skip = zp.skip(func(col int) *zoneEntry {
-			if col < 0 || col >= len(zones) {
-				return nil
-			}
-			return &zones[col]
-		})
-	} else if _, err := r.Discard(int(zoneBytes)); err != nil {
-		return 0, false, err
-	}
-	dataBytes, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, false, err
-	}
-	if skip {
-		if _, err := r.Discard(int(dataBytes)); err != nil {
-			return 0, false, err
-		}
-		return rows, true, nil
-	}
-	for i := range cols {
-		if err := readColumnRunV2(r, &cols[i], rows); err != nil {
-			return 0, false, err
-		}
-	}
-	return rows, false, nil
-}
-
-// readColumnRunV2 decodes one v2 column run. Encoded kinds are decoded
-// INTO the encoded column representation (not materialized), so the
-// batch views serve spilled data operate-on-encoded too.
-func readColumnRunV2(r *bufio.Reader, c *column, rows int) error {
+// readColumnRun decodes one column run, rejecting unknown kind tags and
+// inconsistent sparse payloads.
+func readColumnRun(r *bufio.Reader, c *column, rows int) error {
 	kb, err := r.ReadByte()
 	if err != nil {
 		return err
@@ -1588,28 +1172,27 @@ func readColumnRunV2(r *bufio.Reader, c *column, rows int) error {
 	if err != nil {
 		return err
 	}
-	c.nulls = c.nulls[:0]
 	if hasNulls == 1 {
 		if err := readBitmap(r, rows, c.setNull); err != nil {
 			return err
 		}
 	}
-	var buf [8]byte
 	switch kind {
-	case colUnset:
 	case colInt:
 		for i := 0; i < rows; i++ {
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
+			x, err := readWord(r)
+			if err != nil {
 				return err
 			}
-			c.ints = append(c.ints, int64(binary.LittleEndian.Uint64(buf[:])))
+			c.ints = append(c.ints, int64(x))
 		}
 	case colFloat:
 		for i := 0; i < rows; i++ {
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
+			x, err := readWord(r)
+			if err != nil {
 				return err
 			}
-			c.floats = append(c.floats, math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
+			c.floats = append(c.floats, math.Float64frombits(x))
 		}
 	case colStr:
 		for i := 0; i < rows; i++ {
@@ -1625,70 +1208,15 @@ func readColumnRunV2(r *bufio.Reader, c *column, rows int) error {
 		}
 	case colBool:
 		c.bools = append(c.bools, make([]bool, rows)...)
-		bools := c.bools[len(c.bools)-rows:]
-		if err := readBitmap(r, rows, func(i int) { bools[i] = true }); err != nil {
+		if err := readBitmap(r, rows, func(i int) { c.bools[i] = true }); err != nil {
 			return err
 		}
-	case colIntRLE:
-		nruns, err := binary.ReadUvarint(r)
-		if err != nil {
-			return err
-		}
-		if int(nruns) > rows {
-			return fmt.Errorf("sqlengine: corrupt spill file: %d RLE runs for %d rows", nruns, rows)
-		}
-		end := 0
-		for i := 0; i < int(nruns); i++ {
-			v, err := binary.ReadVarint(r)
-			if err != nil {
-				return err
-			}
-			length, err := binary.ReadUvarint(r)
-			if err != nil {
-				return err
-			}
-			end += int(length)
-			if end > rows {
-				return fmt.Errorf("sqlengine: corrupt spill file: RLE runs exceed %d rows", rows)
-			}
-			c.runs = append(c.runs, intRun{v: v, end: int32(end)})
-		}
-		if end != rows {
-			return fmt.Errorf("sqlengine: corrupt spill file: RLE runs cover %d of %d rows", end, rows)
-		}
-		c.encLen = rows
-	case colIntDict:
-		dictLen, err := binary.ReadUvarint(r)
-		if err != nil {
-			return err
-		}
-		if int(dictLen) > rows {
-			return fmt.Errorf("sqlengine: corrupt spill file: dictionary of %d for %d rows", dictLen, rows)
-		}
-		for i := 0; i < int(dictLen); i++ {
-			v, err := binary.ReadVarint(r)
-			if err != nil {
-				return err
-			}
-			c.dict = append(c.dict, v)
-		}
-		for i := 0; i < rows; i++ {
-			code, err := binary.ReadUvarint(r)
-			if err != nil {
-				return err
-			}
-			if code >= dictLen {
-				return fmt.Errorf("sqlengine: corrupt spill file: dictionary code %d of %d", code, dictLen)
-			}
-			c.codes = append(c.codes, uint32(code))
-		}
-		c.encLen = rows
 	case colFloatSparse:
 		nnz, err := binary.ReadUvarint(r)
 		if err != nil {
 			return err
 		}
-		if int(nnz) > rows {
+		if nnz > uint64(rows) {
 			return fmt.Errorf("sqlengine: corrupt spill file: %d sparse entries for %d rows", nnz, rows)
 		}
 		prev := -1
@@ -1698,104 +1226,18 @@ func readColumnRunV2(r *bufio.Reader, c *column, rows int) error {
 				return err
 			}
 			pos := prev + int(delta)
-			if delta == 0 || pos >= rows {
+			if delta == 0 || delta > uint64(rows) || pos >= rows {
 				return fmt.Errorf("sqlengine: corrupt spill file: sparse position %d of %d rows", pos, rows)
 			}
 			prev = pos
-			c.spos = append(c.spos, int32(pos))
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
+			x, err := readWord(r)
+			if err != nil {
 				return err
 			}
-			c.svals = append(c.svals, math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
+			c.spos = append(c.spos, int32(pos))
+			c.svals = append(c.svals, math.Float64frombits(x))
 		}
 		c.encLen = rows
-	}
-	return nil
-}
-
-// readChunk decodes the next legacy (pre-QYC2) chunk into cols (reusing
-// their slices) and returns its row count.
-func readChunk(r *bufio.Reader, cols []column) (int, error) {
-	rows64, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, err
-	}
-	rows := int(rows64)
-	for i := range cols {
-		if err := readColumnRun(r, &cols[i], rows); err != nil {
-			return 0, err
-		}
-	}
-	return rows, nil
-}
-
-func readColumnRun(r *bufio.Reader, c *column, rows int) error {
-	kb, err := r.ReadByte()
-	if err != nil {
-		return err
-	}
-	kind := colKind(kb)
-	c.reset()
-	c.kind = kind
-	if kind == colGeneric {
-		c.vals = c.vals[:0]
-		for i := 0; i < rows; i++ {
-			v, err := decodeValue(r)
-			if err != nil {
-				return err
-			}
-			c.vals = append(c.vals, v)
-		}
-		return nil
-	}
-	if kind > colGeneric {
-		return fmt.Errorf("sqlengine: corrupt spill file: column kind %d", kb)
-	}
-	hasNulls, err := r.ReadByte()
-	if err != nil {
-		return err
-	}
-	c.nulls = c.nulls[:0]
-	if hasNulls == 1 {
-		if err := readBitmap(r, rows, c.setNull); err != nil {
-			return err
-		}
-	}
-	var buf [8]byte
-	switch kind {
-	case colUnset:
-	case colInt:
-		for i := 0; i < rows; i++ {
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
-				return err
-			}
-			c.ints = append(c.ints, int64(binary.LittleEndian.Uint64(buf[:])))
-		}
-	case colFloat:
-		for i := 0; i < rows; i++ {
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
-				return err
-			}
-			c.floats = append(c.floats, math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
-		}
-	case colStr:
-		for i := 0; i < rows; i++ {
-			ln, err := binary.ReadUvarint(r)
-			if err != nil {
-				return err
-			}
-			sb := make([]byte, ln)
-			if _, err := io.ReadFull(r, sb); err != nil {
-				return err
-			}
-			c.strs = append(c.strs, string(sb))
-		}
-	case colBool:
-		c.bools = append(c.bools, make([]bool, rows)...)
-		bools := c.bools[len(c.bools)-rows:]
-		if err := readBitmap(r, rows, func(i int) { bools[i] = true }); err != nil {
-			return err
-		}
 	}
 	return nil
 }

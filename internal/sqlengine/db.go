@@ -72,13 +72,11 @@ type Config struct {
 	// kernel_chain.go).
 	Fusion string
 	// Encodings controls the sparsity-first storage tier: "" or "on"
-	// (the default) enables compressed column encodings (RLE /
-	// dictionary / sparse, selected per column from the table statistics
-	// at materialization) and zone-map skip-scan over pushed-down scan
-	// filters; "off" keeps every column a plain typed vector and decodes
-	// every morsel. Simulated amplitudes are bitwise independent of the
-	// setting (see the exactness contract in encoding.go and the
-	// soundness contract in zonemap.go).
+	// (the default) stores REAL columns that are mostly zero in a sparse
+	// form (selected per column from the table statistics at
+	// materialization); "off" keeps every column a plain typed vector.
+	// Simulated amplitudes are bitwise independent of the setting (see
+	// the exactness contract in encoding.go).
 	Encodings string
 	// Tracing controls per-operator span instrumentation: "" or "on"
 	// (the default) instruments statements whose context carries an

@@ -28,8 +28,8 @@ import (
 // gate-stage kernel tier, see kernel.go), fusion ("on"/"off" for
 // whole-circuit chain fusion on top of the kernel tier, see
 // kernel_chain.go), and encodings ("on"/"off" for the sparsity-first
-// storage tier: compressed column encodings and zone-map skip-scan,
-// see encoding.go).
+// storage tier: the sparse form of mostly-zero REAL columns, see
+// encoding.go).
 
 func init() {
 	sql.Register("qymera", &Driver{})

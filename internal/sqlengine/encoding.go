@@ -8,25 +8,21 @@ import (
 
 // Compressed column encodings. At Freeze time (table materialization:
 // base-table first read, CTAS, INSERT … SELECT, gather) a fully
-// in-memory ColStore with exact statistics re-encodes eligible
-// columns:
+// in-memory ColStore with exact statistics re-encodes float64 columns
+// that are mostly zero — the amplitude-column case — as sparse
+// positions + values (colFloatSparse).
 //
-//   - int64 columns with long runs → run-length encoding (colIntRLE)
-//   - int64 columns with few distinct values → dictionary (colIntDict)
-//   - float64 columns that are mostly zero → sparse positions+values
-//     (colFloatSparse) — the amplitude-column case
-//
-// Encodings are exact: they encode the raw value slots (NULL rows hold
-// zero slots, exactly as the plain vectors do; the null bitmap is kept
-// verbatim), floats are selected by BIT pattern (so -0.0 and NaN
-// payloads survive), and every decode reproduces the plain vector
-// bit-for-bit. Scans operate on the encoded form directly
+// The encoding is exact: it encodes the raw value slots (NULL rows
+// hold zero slots, exactly as the plain vector does; the null bitmap
+// is kept verbatim), floats are selected by BIT pattern (so -0.0 and
+// NaN payloads survive), and every decode reproduces the plain vector
+// bit-for-bit. Scans read the sparse form directly
 // (column.decodeRange / valueAt); appends to a thawed store decode
 // lazily first (the transparent fallback, counted in
 // decode_fallbacks). Spill chunks make the same per-column decision
-// chunk-locally (see the QYC2 chunk format in colstore.go).
+// chunk-locally (see the chunk frame in colstore.go).
 //
-// The selection thresholds are deliberately conservative: an encoding
+// The selection threshold is deliberately conservative: the encoding
 // is committed only when it strictly shrinks the resident footprint,
 // and the freed bytes are released back to the memory budget
 // (re-reserved on a lazy decode).
@@ -34,18 +30,6 @@ import (
 // encodeMinRows is the smallest column worth encoding: tiny tables
 // (gate matrices, lookup tables) stay plain.
 const encodeMinRows = batchSize
-
-// dictMaxDistinct caps the dictionary size (and with it the cost of
-// the build probe).
-const dictMaxDistinct = 1 << 15
-
-// intRun is one RLE run: value v repeats up to exclusive cumulative
-// row index end. Runs partition [0, rows); binary search on end gives
-// point access.
-type intRun struct {
-	v   int64
-	end int32
-}
 
 // storageCounterSet is one scope of sparsity-storage counters,
 // mirroring kernelCounterSet (kernel.go). The process-wide aggregate
@@ -58,10 +42,6 @@ type intRun struct {
 // (stores created without an engine in unit tests) records into the
 // aggregate only.
 type storageCounterSet struct {
-	morselsSkipped   atomic.Int64 // zone map proved a morsel empty
-	chunksSkipped    atomic.Int64 // chunk zone header proved a spill chunk empty
-	encodedRLE       atomic.Int64 // columns committed as RLE at Freeze
-	encodedDict      atomic.Int64 // columns committed as dictionary at Freeze
 	encodedSparse    atomic.Int64 // columns committed as sparse at Freeze
 	encodedChunkCols atomic.Int64 // spill-chunk columns written encoded
 	decodeFallbacks  atomic.Int64 // encoded columns decoded for appends
@@ -78,18 +58,6 @@ func (s *storageCounterSet) bump(pick func(*storageCounterSet) *atomic.Int64) {
 	}
 }
 
-func (s *storageCounterSet) bumpMorselSkipped() {
-	s.bump(func(c *storageCounterSet) *atomic.Int64 { return &c.morselsSkipped })
-}
-func (s *storageCounterSet) bumpChunkSkipped() {
-	s.bump(func(c *storageCounterSet) *atomic.Int64 { return &c.chunksSkipped })
-}
-func (s *storageCounterSet) bumpEncodedRLE() {
-	s.bump(func(c *storageCounterSet) *atomic.Int64 { return &c.encodedRLE })
-}
-func (s *storageCounterSet) bumpEncodedDict() {
-	s.bump(func(c *storageCounterSet) *atomic.Int64 { return &c.encodedDict })
-}
 func (s *storageCounterSet) bumpEncodedSparse() {
 	s.bump(func(c *storageCounterSet) *atomic.Int64 { return &c.encodedSparse })
 }
@@ -105,10 +73,6 @@ func (s *storageCounterSet) bumpKernelEncBind() {
 
 func (s *storageCounterSet) snapshot() map[string]int64 {
 	return map[string]int64{
-		"morsels_skipped":      s.morselsSkipped.Load(),
-		"chunks_skipped":       s.chunksSkipped.Load(),
-		"encoded_rle":          s.encodedRLE.Load(),
-		"encoded_dict":         s.encodedDict.Load(),
 		"encoded_sparse":       s.encodedSparse.Load(),
 		"encoded_chunk_cols":   s.encodedChunkCols.Load(),
 		"decode_fallbacks":     s.decodeFallbacks.Load(),
@@ -117,11 +81,10 @@ func (s *storageCounterSet) snapshot() map[string]int64 {
 }
 
 // StorageCounters snapshots the process-wide sparsity-storage counters:
-// morsels_skipped / chunks_skipped (zone-map skip-scan), encoded_rle /
-// encoded_dict / encoded_sparse / encoded_chunk_cols (encoding
-// decisions), decode_fallbacks (transparent decodes), and
-// kernel_encoded_binds (gate-kernel operate-on-encoded bindings). For a
-// single engine's uncontaminated view, use DB.StorageCounters.
+// encoded_sparse / encoded_chunk_cols (encoding decisions),
+// decode_fallbacks (transparent decodes), and kernel_encoded_binds
+// (gate-kernel bindings of sparse columns). For a single engine's
+// uncontaminated view, use DB.StorageCounters.
 func StorageCounters() map[string]int64 {
 	return storageCounters.snapshot()
 }
@@ -129,10 +92,6 @@ func StorageCounters() map[string]int64 {
 // ResetStorageCounters zeroes the process-wide aggregate counters
 // (benchmarks and tests). Per-DB scopes are unaffected.
 func ResetStorageCounters() {
-	storageCounters.morselsSkipped.Store(0)
-	storageCounters.chunksSkipped.Store(0)
-	storageCounters.encodedRLE.Store(0)
-	storageCounters.encodedDict.Store(0)
 	storageCounters.encodedSparse.Store(0)
 	storageCounters.encodedChunkCols.Store(0)
 	storageCounters.decodeFallbacks.Store(0)
@@ -140,145 +99,51 @@ func ResetStorageCounters() {
 }
 
 // encoded reports whether the column currently holds an encoded vector.
-func (c *column) encoded() bool { return c.kind >= colIntRLE }
-
-// countIntRuns counts the RLE runs of xs in one pass.
-func countIntRuns(xs []int64) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	runs := 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] != xs[i-1] {
-			runs++
-		}
-	}
-	return runs
-}
+func (c *column) encoded() bool { return c.kind == colFloatSparse }
 
 // encodeColumn re-encodes one frozen column in place when a strictly
 // smaller representation exists, returning the resident bytes saved
 // (0 means the column stays plain). st pre-filters the candidates from
-// the table statistics; the exact build pass decides.
+// the table statistics; the exact count pass decides.
 func encodeColumn(c *column, st *colStats, rows int, ctrs *storageCounterSet) int64 {
-	switch c.kind {
-	case colInt:
-		xs := c.ints[:rows]
-		if runs := countIntRuns(xs); runs > 0 && runs*4 <= rows {
-			if saved := int64(8*rows) - int64(16*runs); saved > 0 {
-				rl := make([]intRun, 0, runs)
-				for i := 0; i < rows; {
-					j := i + 1
-					for j < rows && xs[j] == xs[i] {
-						j++
-					}
-					rl = append(rl, intRun{v: xs[i], end: int32(j)})
-					i = j
-				}
-				c.kind, c.runs, c.encLen, c.ints = colIntRLE, rl, rows, nil
-				ctrs.bumpEncodedRLE()
-				return saved
-			}
-		}
-		// Dictionary: worth probing only when the sketch says the
-		// domain is small. The build aborts as soon as the dictionary
-		// outgrows profitability.
-		if st == nil || st.distinct() > dictMaxDistinct {
-			return 0
-		}
-		maxDict := rows / 4
-		if maxDict > dictMaxDistinct {
-			maxDict = dictMaxDistinct
-		}
-		if maxDict < 1 {
-			return 0
-		}
-		idx := make(map[int64]uint32, maxDict)
-		codes := make([]uint32, rows)
-		dict := make([]int64, 0, maxDict)
-		for i, x := range xs {
-			code, ok := idx[x]
-			if !ok {
-				if len(dict) >= maxDict {
-					return 0
-				}
-				code = uint32(len(dict))
-				dict = append(dict, x)
-				idx[x] = code
-			}
-			codes[i] = code
-		}
-		saved := int64(8*rows) - int64(4*rows+8*len(dict))
-		if saved <= 0 {
-			return 0
-		}
-		c.kind, c.dict, c.codes, c.encLen, c.ints = colIntDict, dict, codes, rows, nil
-		ctrs.bumpEncodedDict()
-		return saved
-	case colFloat:
-		if st == nil || 2*st.zeros < int64(rows) {
-			return 0
-		}
-		xs := c.floats[:rows]
-		nnz := 0
-		for _, f := range xs {
-			// Bit-pattern test: only +0.0 may be omitted; -0.0 and NaN
-			// payloads must survive the encoding exactly.
-			if math.Float64bits(f) != 0 {
-				nnz++
-			}
-		}
-		saved := int64(8*rows) - int64(12*nnz)
-		if saved <= 0 || 2*nnz > rows {
-			return 0
-		}
-		spos := make([]int32, 0, nnz)
-		svals := make([]float64, 0, nnz)
-		for i, f := range xs {
-			if math.Float64bits(f) != 0 {
-				spos = append(spos, int32(i))
-				svals = append(svals, f)
-			}
-		}
-		c.kind, c.spos, c.svals, c.encLen, c.floats = colFloatSparse, spos, svals, rows, nil
-		ctrs.bumpEncodedSparse()
-		return saved
+	if c.kind != colFloat || st == nil || 2*st.zeros < int64(rows) {
+		return 0
 	}
-	return 0
+	xs := c.floats[:rows]
+	nnz := 0
+	for _, f := range xs {
+		// Bit-pattern test: only +0.0 may be omitted; -0.0 and NaN
+		// payloads must survive the encoding exactly.
+		if math.Float64bits(f) != 0 {
+			nnz++
+		}
+	}
+	saved := int64(8*rows) - int64(12*nnz)
+	if saved <= 0 || 2*nnz > rows {
+		return 0
+	}
+	spos := make([]int32, 0, nnz)
+	svals := make([]float64, 0, nnz)
+	for i, f := range xs {
+		if math.Float64bits(f) != 0 {
+			spos = append(spos, int32(i))
+			svals = append(svals, f)
+		}
+	}
+	c.kind, c.spos, c.svals, c.encLen, c.floats = colFloatSparse, spos, svals, rows, nil
+	ctrs.bumpEncodedSparse()
+	return saved
 }
 
-// decodeEncoded materializes an encoded column back into its plain
-// typed vector (exact). The caller is responsible for budget
-// accounting (ColStore.decodeForAppend re-reserves encSaved).
+// decodeEncoded materializes a sparse column back into its plain float
+// vector (exact). The caller is responsible for budget accounting
+// (ColStore.decodeForAppend re-reserves encSaved).
 func (c *column) decodeEncoded() {
-	switch c.kind {
-	case colIntRLE:
-		ints := make([]int64, c.encLen)
-		pos := 0
-		for _, r := range c.runs {
-			for ; pos < int(r.end); pos++ {
-				ints[pos] = r.v
-			}
-		}
-		c.kind, c.ints, c.runs, c.encLen = colInt, ints, nil, 0
-	case colIntDict:
-		ints := make([]int64, c.encLen)
-		for i, code := range c.codes {
-			ints[i] = c.dict[code]
-		}
-		c.kind, c.ints, c.dict, c.codes, c.encLen = colInt, ints, nil, nil, 0
-	case colFloatSparse:
-		fl := make([]float64, c.encLen)
-		for i, p := range c.spos {
-			fl[p] = c.svals[i]
-		}
-		c.kind, c.floats, c.spos, c.svals, c.encLen = colFloat, fl, nil, nil, 0
+	fl := make([]float64, c.encLen)
+	for i, p := range c.spos {
+		fl[p] = c.svals[i]
 	}
-}
-
-// runSearch returns the index of the run containing row i.
-func runSearch(runs []intRun, i int) int {
-	return sort.Search(len(runs), func(k int) bool { return int(runs[k].end) > i })
+	c.kind, c.floats, c.spos, c.svals, c.encLen = colFloat, fl, nil, nil, 0
 }
 
 // sparseSearch returns the first sparse slot with position >= lo.

@@ -6,17 +6,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
-// Tests for the sparsity-first storage tier: compressed column
-// encodings (RLE / dictionary / sparse floats), zone-map skip-scan, and
-// the QYC2 spill chunk format. The differential tests assert the core
-// guarantee — results are bitwise independent of the encodings setting,
-// across worker counts and the kernel tier.
+// Tests for the sparsity-first storage tier: the sparse float column
+// encoding and the spill chunk frame's column runs. The differential
+// tests assert the core guarantee — results are bitwise independent of
+// the encodings setting, across worker counts and the kernel tier.
 
 // encTestEnv is testEnv with the encodings tier enabled (testEnv leaves
 // it off so unrelated storage tests see plain vectors).
@@ -44,90 +41,6 @@ func collectRows(t *testing.T, cs *ColStore) []Row {
 			return out
 		}
 		out = append(out, cloneRow(row))
-	}
-}
-
-func TestEncodeRLEColumn(t *testing.T) {
-	env := encTestEnv(t, 0)
-	cs := newColStore(env)
-	attachStats(cs)
-	rows := make([]Row, 0, 2048)
-	for k := 0; k < 2048; k++ {
-		row := Row{NewInt(int64(k / 256))}
-		if k%100 == 99 {
-			row = Row{Null}
-		}
-		rows = append(rows, row)
-		if err := cs.Append(cloneRow(row)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fallbacksBefore := StorageCounters()["decode_fallbacks"]
-	if err := cs.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	if kinds := cs.vectorKinds(); kinds[0] != "int64/rle" {
-		t.Fatalf("kinds = %v, want int64/rle", kinds)
-	}
-	got := collectRows(t, cs)
-	if len(got) != len(rows) {
-		t.Fatalf("got %d rows, want %d", len(got), len(rows))
-	}
-	for i := range rows {
-		if got[i][0].T != rows[i][0].T || got[i][0].I != rows[i][0].I {
-			t.Fatalf("row %d = %v, want %v", i, got[i], rows[i])
-		}
-	}
-	// Appending to the thawed store decodes back to the plain vector
-	// (the transparent fallback) and the data survives intact.
-	cs.Thaw()
-	if err := cs.Append(Row{NewInt(42)}); err != nil {
-		t.Fatal(err)
-	}
-	if kinds := cs.vectorKinds(); kinds[0] != "int64" {
-		t.Fatalf("kinds after thaw+append = %v, want int64", kinds)
-	}
-	if d := StorageCounters()["decode_fallbacks"] - fallbacksBefore; d < 1 {
-		t.Fatalf("decode_fallbacks delta = %d, want >= 1", d)
-	}
-	if err := cs.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	got = collectRows(t, cs)
-	if len(got) != len(rows)+1 || got[len(rows)][0].I != 42 {
-		t.Fatalf("rows after thaw+append = %d, tail = %v", len(got), got[len(got)-1])
-	}
-	cs.Release()
-	if env.budget.used.Load() != 0 {
-		t.Fatalf("leaked %d bytes", env.budget.used.Load())
-	}
-}
-
-func TestEncodeDictColumn(t *testing.T) {
-	env := encTestEnv(t, 0)
-	cs := newColStore(env)
-	attachStats(cs)
-	// Values alternate every row (no runs) over a 7-value domain.
-	for k := 0; k < 2048; k++ {
-		if err := cs.Append(Row{NewInt(int64(k % 7))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cs.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	if kinds := cs.vectorKinds(); kinds[0] != "int64/dict" {
-		t.Fatalf("kinds = %v, want int64/dict", kinds)
-	}
-	got := collectRows(t, cs)
-	for i := range got {
-		if got[i][0].I != int64(i%7) {
-			t.Fatalf("row %d = %v, want %d", i, got[i], i%7)
-		}
-	}
-	cs.Release()
-	if env.budget.used.Load() != 0 {
-		t.Fatalf("leaked %d bytes", env.budget.used.Load())
 	}
 }
 
@@ -187,10 +100,73 @@ func TestEncodeSparseFloatColumn(t *testing.T) {
 	}
 }
 
+// TestSparseColumnThawAppendDecodes: a store frozen with a sparse
+// column decodes it back to a plain vector when rows are appended after
+// a Thaw (the transparent fallback, counted in decode_fallbacks), the
+// next Freeze encodes it again, every value survives bit for bit, and
+// the budget ends where it began.
+func TestSparseColumnThawAppendDecodes(t *testing.T) {
+	env := encTestEnv(t, 0)
+	cs := newColStore(env)
+	attachStats(cs)
+	var want []float64
+	appendRow := func(v float64) {
+		want = append(want, v)
+		if err := cs.Append(Row{NewFloat(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 2048; k++ {
+		v := 0.0
+		if k%32 == 0 {
+			v = math.Copysign(float64(k), -1)
+		}
+		appendRow(v)
+	}
+	sparseBefore := StorageCounters()["encoded_sparse"]
+	fallbacksBefore := StorageCounters()["decode_fallbacks"]
+	if err := cs.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if kinds := cs.vectorKinds(); kinds[0] != "float64/sparse" {
+		t.Fatalf("kinds = %v, want float64/sparse", kinds)
+	}
+	if d := StorageCounters()["encoded_sparse"] - sparseBefore; d < 1 {
+		t.Fatalf("encoded_sparse delta = %d, want >= 1", d)
+	}
+	cs.Thaw()
+	appendRow(0.5)
+	if kinds := cs.vectorKinds(); kinds[0] != "float64" {
+		t.Fatalf("kinds after thaw+append = %v, want float64", kinds)
+	}
+	if d := StorageCounters()["decode_fallbacks"] - fallbacksBefore; d < 1 {
+		t.Fatalf("decode_fallbacks delta = %d, want >= 1", d)
+	}
+	if err := cs.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if kinds := cs.vectorKinds(); kinds[0] != "float64/sparse" {
+		t.Fatalf("kinds after the second freeze = %v, want float64/sparse", kinds)
+	}
+	got := collectRows(t, cs)
+	if len(got) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(got), len(want))
+	}
+	for i, row := range got {
+		if row[0].T != TypeFloat || math.Float64bits(row[0].F) != math.Float64bits(want[i]) {
+			t.Fatalf("row %d = %v, want %g", i, row[0], want[i])
+		}
+	}
+	cs.Release()
+	if env.budget.used.Load() != 0 {
+		t.Fatalf("leaked %d bytes", env.budget.used.Load())
+	}
+}
+
 // TestEncodedStoreMatchesPlain is the store-level differential: the
 // same appends into an encodings-on and an encodings-off store must
-// read back bitwise identically, across value shapes that trigger each
-// encoding (and shapes that trigger none).
+// read back bitwise identically, across value shapes that trigger the
+// sparse encoding and shapes that trigger none.
 func TestEncodedStoreMatchesPlain(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -241,76 +217,6 @@ func TestEncodedStoreMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestZoneSkipScanSQL: a pushed range filter over a multi-morsel
-// sequence skips the morsels the zone map proves empty — at one worker
-// (serial memory-tail skip) and four (parallel claim-loop skip) — with
-// bit-identical results.
-func TestZoneSkipScanSQL(t *testing.T) {
-	const n = 3 * morselRows
-	q := fmt.Sprintf("SELECT x FROM t WHERE x >= %d ORDER BY x", n-576)
-	var ref []Row
-	for _, workers := range []int{1, 4} {
-		db := newParallelDB(t, workers, Config{})
-		mustExec(t, db, "CREATE TABLE t (x INTEGER, y INTEGER)")
-		fillSequence(t, db, "t", n)
-		before := StorageCounters()["morsels_skipped"]
-		rows := queryAll(t, db, q)
-		if len(rows) != 576 {
-			t.Fatalf("workers=%d: got %d rows, want 576", workers, len(rows))
-		}
-		if rows[0][0].I != int64(n-576) || rows[575][0].I != int64(n-1) {
-			t.Fatalf("workers=%d: range [%v, %v]", workers, rows[0][0], rows[575][0])
-		}
-		// Morsels 0 and 1 (max x 8191 and 16383) are provably empty.
-		if d := StorageCounters()["morsels_skipped"] - before; d < 2 {
-			t.Fatalf("workers=%d: morsels_skipped delta = %d, want >= 2", workers, d)
-		}
-		if ref == nil {
-			ref = rows
-			continue
-		}
-		requireBitIdentical(t, fmt.Sprintf("workers=%d", workers), ref, rows)
-	}
-}
-
-// TestNormPruneZoneSkip: the paper's amplitude-norm prune shape
-// ((r*r)+(i*i)) > eps skips morsels whose amplitude zone bounds prove
-// the norm below threshold — the sparsity-first fast path for nearly
-// sparse state tables. The amplitude columns sparse-encode too.
-func TestNormPruneZoneSkip(t *testing.T) {
-	const n = 3 * morselRows
-	db := newParallelDB(t, 4, Config{})
-	mustExec(t, db, "CREATE TABLE t (s INTEGER, r REAL, i REAL)")
-	batch := make([]string, 0, 500)
-	for k := 0; k < n; k++ {
-		r, im := 0.0, 0.0
-		if k >= 2*morselRows {
-			r, im = 0.5, 0.25
-		}
-		batch = append(batch, fmt.Sprintf("(%d, %g, %g)", k, r, im))
-		if len(batch) == 500 || k == n-1 {
-			mustExec(t, db, "INSERT INTO t VALUES "+strings.Join(batch, ","))
-			batch = batch[:0]
-		}
-	}
-	skippedBefore := StorageCounters()["morsels_skipped"]
-	sparseBefore := StorageCounters()["encoded_sparse"]
-	rows := queryAll(t, db, "SELECT s FROM t WHERE ((r * r) + (i * i)) > 0.000001 ORDER BY s")
-	if len(rows) != morselRows {
-		t.Fatalf("got %d rows, want %d", len(rows), morselRows)
-	}
-	if rows[0][0].I != int64(2*morselRows) {
-		t.Fatalf("first surviving row = %v, want %d", rows[0][0], 2*morselRows)
-	}
-	if d := StorageCounters()["morsels_skipped"] - skippedBefore; d < 2 {
-		t.Fatalf("morsels_skipped delta = %d, want >= 2", d)
-	}
-	// Both amplitude columns are two-thirds zero → sparse-encoded.
-	if d := StorageCounters()["encoded_sparse"] - sparseBefore; d < 2 {
-		t.Fatalf("encoded_sparse delta = %d, want >= 2", d)
-	}
-}
-
 // TestEncodedQueriesMatchPlain is the SQL-level differential: scans,
 // filters, and aggregates over encodable columns return bit-identical
 // results with encodings on and off, at one and four workers.
@@ -343,10 +249,10 @@ func TestEncodedQueriesMatchPlain(t *testing.T) {
 }
 
 // fillSparseAmplitudeTable builds an amplitude table whose state column
-// RLE-encodes (runs of 8) and whose amplitude columns sparse-encode
+// repeats each index 8 times and whose amplitude columns sparse-encode
 // (real part nonzero every 64th row, imaginary part all zero), plus the
-// Hadamard gate table — the shape that drives the kernel's
-// operate-on-encoded paths.
+// Hadamard gate table — the shape that drives the kernel's sparse
+// column binds.
 func fillSparseAmplitudeTable(t *testing.T, db *DB, rows int) {
 	t.Helper()
 	mustExec(t, db, "CREATE TABLE t (s INTEGER, r REAL, i REAL)")
@@ -369,7 +275,7 @@ func fillSparseAmplitudeTable(t *testing.T, db *DB, rows int) {
 // TestGateStageEncodedBitIdentical: the gate-stage join+aggregate over
 // an encoded amplitude table is bit-identical across encodings on/off ×
 // kernels on/off × workers 1/4, and the kernel actually binds encoded
-// columns (RLE state-index run iteration, sparse amplitude decode).
+// columns (sparse amplitude decode).
 func TestGateStageEncodedBitIdentical(t *testing.T) {
 	q := `SELECT ((t.s & ~1) | h.out_s) AS s,
 	       SUM((t.r * h.r) - (t.i * h.i)) AS r,
@@ -399,206 +305,18 @@ func TestGateStageEncodedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSpillChunkV2EncodedAndSkipped: a spilled store writes the QYC2
-// self-describing stream, encodes compressible chunk columns, and a
-// zone-predicated scan skips provably empty chunks without decoding.
-func TestSpillChunkV2EncodedAndSkipped(t *testing.T) {
-	env := encTestEnv(t, 1) // everything spills
-	cs := newColStore(env)
-	attachStats(cs)
-	const n = 3000
-	for k := 0; k < n; k++ {
-		v := 0.0
-		if k%64 == 0 {
-			v = float64(k)
-		}
-		if err := cs.Append(Row{NewInt(int64(k / 500)), NewFloat(v)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	encBefore := StorageCounters()["encoded_chunk_cols"]
-	if err := cs.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	if !cs.Spilled() {
-		t.Fatal("store did not spill under a 1-byte budget")
-	}
-	// The stream leads with the version magic.
-	var hdr [len(colSpillMagic)]byte
-	if _, err := cs.file.ReadAt(hdr[:], 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(hdr[:]) != colSpillMagic {
-		t.Fatalf("spill header = %q, want %q", hdr, colSpillMagic)
-	}
-	// Compressible chunk columns (int runs, sparse floats) were written
-	// encoded. Freeze wrote the final chunk, so the counter moved.
-	if d := StorageCounters()["encoded_chunk_cols"] - encBefore; d < 1 {
-		t.Fatalf("encoded_chunk_cols delta = %d, want >= 1", d)
-	}
-
-	// A zone predicate no chunk can satisfy (x is 0..5) skips every
-	// chunk without decoding.
-	skippedBefore := StorageCounters()["chunks_skipped"]
-	zp := &zonePred{checks: []zoneCheck{{kind: zcCmp, col: 0, op: ">", lit: NewInt(100)}}}
-	var skipped atomic.Int64
-	sc, err := cs.batchScanZone(nil, zp, &skipped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		b, err := sc.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		for range b.selection() {
-			t.Fatal("zone-skipped scan served rows the predicate excludes")
-		}
-	}
-	if skipped.Load() < 1 {
-		t.Fatal("no chunks skipped")
-	}
-	if d := StorageCounters()["chunks_skipped"] - skippedBefore; d < 1 {
-		t.Fatalf("chunks_skipped delta = %d, want >= 1", d)
-	}
-
-	// An unpredicated scan still round-trips every row exactly.
-	sc, err = cs.batchScan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	for {
-		b, err := sc.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		for _, pos := range b.selection() {
-			k := seen
-			if b.cols[0][pos].I != int64(k/500) {
-				t.Fatalf("row %d int = %v", k, b.cols[0][pos])
-			}
-			want := 0.0
-			if k%64 == 0 {
-				want = float64(k)
-			}
-			if math.Float64bits(b.cols[1][pos].F) != math.Float64bits(want) {
-				t.Fatalf("row %d float = %v, want %g", k, b.cols[1][pos], want)
-			}
-			seen++
-		}
-	}
-	if seen != n {
-		t.Fatalf("scan returned %d rows, want %d", seen, n)
-	}
-	cs.Release()
-}
-
-// TestSpillLegacyStreamReadable: a spill stream without the QYC2 magic
-// is read through the legacy chunk frame, so spill files written by
-// earlier versions stay readable.
-func TestSpillLegacyStreamReadable(t *testing.T) {
-	env := encTestEnv(t, 0)
-	cs := newColStore(env)
-	for k := 0; k < 2000; k++ {
-		if err := cs.Append(Row{NewInt(int64(k)), NewFloat(1.0 / float64(k+1))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Hand-write the in-memory columns as one legacy chunk (uvarint row
-	// count + bare column runs, no magic, no zone records) and swap the
-	// store onto it as if it had spilled under the old format.
-	f, err := os.CreateTemp(env.spillDir, "legacy-*.cols")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := bufio.NewWriter(f)
-	var tmp [binary.MaxVarintLen64]byte
-	if _, err := w.Write(tmp[:binary.PutUvarint(tmp[:], uint64(cs.rows))]); err != nil {
-		t.Fatal(err)
-	}
-	for i := range cs.cols {
-		if _, err := writeColumnRun(w, &cs.cols[i], cs.rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	cs.file = f
-	cs.fileRows = int64(cs.rows)
-	cs.rows = 0
-	for i := range cs.cols {
-		cs.cols[i].reset()
-	}
-	cs.frozen = true
-
-	sc, err := cs.batchScan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.(*colScan).v2 {
-		t.Fatal("legacy stream misdetected as v2")
-	}
-	seen := 0
-	for {
-		b, err := sc.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		for _, pos := range b.selection() {
-			if b.cols[0][pos].I != int64(seen) {
-				t.Fatalf("row %d = %v", seen, b.cols[0][pos])
-			}
-			seen++
-		}
-	}
-	if seen != 2000 {
-		t.Fatalf("legacy scan returned %d rows, want 2000", seen)
-	}
-	cs.Release()
-}
-
-// TestSpillV2CorruptColumnRuns: the v2 column-run decoder rejects
-// unknown kind tags and inconsistent encoded payloads instead of
+// TestSpillV2CorruptColumnRuns: the spill chunk's column-run decoder
+// rejects unknown kind tags and inconsistent sparse payloads instead of
 // mis-decoding them.
 func TestSpillV2CorruptColumnRuns(t *testing.T) {
 	enc := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
-	sv := func(v int64) []byte { return binary.AppendVarint(nil, v) }
 	cases := []struct {
 		name string
 		data []byte
 		want string
 	}{
 		{"unknown kind tag", []byte{99}, "column kind"},
-		{
-			// One run of 10 rows in a 4-row chunk.
-			"rle overflow",
-			enc([]byte{byte(colIntRLE), 0}, uv(1), sv(7), uv(10)),
-			"RLE runs exceed",
-		},
-		{
-			// One run of 2 rows leaves rows 2..3 uncovered.
-			"rle undercoverage",
-			enc([]byte{byte(colIntRLE), 0}, uv(1), sv(7), uv(2)),
-			"RLE runs cover",
-		},
-		{
-			// Code 3 points past the 1-entry dictionary.
-			"dict code out of range",
-			enc([]byte{byte(colIntDict), 0}, uv(1), sv(5), uv(3)),
-			"dictionary code",
-		},
 		{
 			// A zero position delta would repeat or precede the previous
 			// sparse position.
@@ -611,7 +329,7 @@ func TestSpillV2CorruptColumnRuns(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var c column
-			err := readColumnRunV2(bufio.NewReader(bytes.NewReader(tc.data)), &c, 4)
+			err := readColumnRun(bufio.NewReader(bytes.NewReader(tc.data)), &c, 4)
 			if err == nil {
 				t.Fatal("corrupt run decoded without error")
 			}

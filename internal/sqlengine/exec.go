@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"qymera/internal/obs"
 )
@@ -98,7 +97,7 @@ type execCtx struct {
 	// stride for the operator timers.
 	span        *obs.Span
 	sampleEvery int
-	// kexec records the last single-stage (gate-stage or output) kernel
+	// kexec records the last single-stage (gate-stage) kernel
 	// execution of this statement and chainExec the last fused chain
 	// (nil when none ran; see kernel_chain.go). EXPLAIN ANALYZE and
 	// operator-span attachment both read them.
@@ -167,12 +166,6 @@ type storeScanNode struct {
 	fullCols int
 	ownStore bool
 	est      *nodeEst
-	// zp, when non-nil, is the zone predicate compiled from the scan's
-	// pushed-down filter conjuncts (zonemap.go): morsels and spill
-	// chunks it proves empty are skipped without decoding. skipped
-	// counts the skipped units for EXPLAIN ANALYZE.
-	zp      *zonePred
-	skipped atomic.Int64
 	// fromKernel marks the scan the kernel tier swaps in over its
 	// fused-loop result store (EXPLAIN ANALYZE and operator spans
 	// label it as kernel output).
@@ -191,14 +184,6 @@ type prunableStore interface {
 func (n *storeScanNode) open(*execCtx) (batchIter, error) {
 	var sc storeScan
 	var err error
-	if cs, ok := n.store.(*ColStore); ok && n.zp != nil {
-		// Zone-skipping scan (serves the pruned column subset itself).
-		sc, err = cs.batchScanZone(n.keep, n.zp, &n.skipped)
-		if err != nil {
-			return nil, err
-		}
-		return &storeScanIter{scan: sc, store: n.store, own: n.ownStore}, nil
-	}
 	if n.keep != nil {
 		if ps, ok := n.store.(prunableStore); ok {
 			sc, err = ps.batchScanCols(n.keep)

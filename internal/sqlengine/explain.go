@@ -114,8 +114,8 @@ func (db *DB) explainAnalyzeSelect(stmtCtx context.Context, sel *SelectStmt, par
 		// core — rendered below as its output scan — and reports its
 		// own counters from the kernel timer.
 		writeExplainHeader(&b, db.env, ctx, names, "kernel: gate-stage (analyzed)")
-		fmt.Fprintf(&b, "kernel actual: rows_in=%d rows_out=%d morsels=%d runs_skipped=%d in %s\n",
-			k.rowsIn, k.rowsOut, k.morsels, k.runsSkipped, k.wall.Round(time.Microsecond))
+		fmt.Fprintf(&b, "kernel actual: rows_in=%d rows_out=%d morsels=%d in %s\n",
+			k.rowsIn, k.rowsOut, k.morsels, k.wall.Round(time.Microsecond))
 	} else if ctx.kdecline != "" {
 		// The matcher accepted the plan but execution declined it (a
 		// bind check or a refused budget reservation): the interpreter
@@ -211,22 +211,6 @@ func kernelExplain(ctx *execCtx, node planNode) (string, planNode) {
 		}
 	}
 	if core == nil {
-		// The output-layer kernel picks up translated probability and
-		// marginal aggregations the gate-stage matcher declines.
-		if plan := matchOutputAgg(node); plan != nil {
-			if env.budget.Limit() > 0 {
-				return "kernel: fallback (" + kfBudgetLimited + ")", nil
-			}
-			if cs, ok := plan.scan.store.(*ColStore); ok && !cs.Spilled() {
-				if _, ok := compileOutputRun(env, plan, cs); ok {
-					ann := outputAnnotationScalar
-					if plan.grouped {
-						ann = outputAnnotationGroup
-					}
-					return "kernel: " + ann, nil
-				}
-			}
-		}
 		return "kernel: fallback (" + reason + ")", nil
 	}
 	if m := cteOf(coreStateSide(core)); m != nil && fusionOn(env) {
@@ -435,18 +419,11 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 			}
 			pruned = fmt.Sprintf(", pruned=%d->%d cols [%s]", n.fullCols, len(n.keep), strings.Join(names, " "))
 		}
-		zone := ""
-		if n.zp != nil {
-			zone = fmt.Sprintf(", zonemap=%d checks", len(n.zp.checks))
-			if sk := n.skipped.Load(); sk > 0 {
-				zone += fmt.Sprintf(", skipped=%d", sk)
-			}
-		}
 		kout := ""
 		if n.fromKernel {
 			kout = " [kernel output: " + kernelAnnotation + "]"
 		}
-		line("BatchScan %s (rows=%d, cols=%d, batch=%d, layout=%s%s%s)%s", qual, n.store.Len(), len(n.cols), batchSize, scanLayout(n.store), pruned, zone, kout)
+		line("BatchScan %s (rows=%d, cols=%d, batch=%d, layout=%s%s)%s", qual, n.store.Len(), len(n.cols), batchSize, scanLayout(n.store), pruned, kout)
 	case *filterNode:
 		mark := ""
 		if n.pushed {

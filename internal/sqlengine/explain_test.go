@@ -116,7 +116,7 @@ func TestExplainBatchOperators(t *testing.T) {
 		"executor: vectorized (batch=1024, selection vectors)",
 		// Column b is dead: the optimizer prunes the scan to column a and
 		// pushes the filter into it.
-		"BatchScan t (rows=3, cols=1, batch=1024, layout=columnar[int64 float64], pruned=2->1 cols [a], zonemap=1 checks)",
+		"BatchScan t (rows=3, cols=1, batch=1024, layout=columnar[int64 float64], pruned=2->1 cols [a])",
 		"BatchFilter (a > 1) [selection vector] [pushed to scan]",
 		"BatchProject (a * 2)",
 	} {

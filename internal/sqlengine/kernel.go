@@ -71,11 +71,8 @@ type kernelCounterSet struct {
 	chainExecutions atomic.Int64
 	chainStages     atomic.Int64
 	chainElided     atomic.Int64
-	// outputExecutions counts compiled output-layer aggregations
-	// (kernel_output.go); each also counts under executions.
-	outputExecutions atomic.Int64
-	mu               sync.Mutex
-	reasons          map[string]int64
+	mu              sync.Mutex
+	reasons         map[string]int64
 }
 
 func (k *kernelCounterSet) fallback(reason string) {
@@ -90,14 +87,13 @@ func (k *kernelCounterSet) fallback(reason string) {
 
 func (k *kernelCounterSet) snapshot() map[string]int64 {
 	out := map[string]int64{
-		"compiles":          k.compiles.Load(),
-		"cache_hits":        k.cacheHits.Load(),
-		"executions":        k.executions.Load(),
-		"fallbacks":         k.fallbacks.Load(),
-		"chain_executions":  k.chainExecutions.Load(),
-		"chain_stages":      k.chainStages.Load(),
-		"chain_elided":      k.chainElided.Load(),
-		"output_executions": k.outputExecutions.Load(),
+		"compiles":         k.compiles.Load(),
+		"cache_hits":       k.cacheHits.Load(),
+		"executions":       k.executions.Load(),
+		"fallbacks":        k.fallbacks.Load(),
+		"chain_executions": k.chainExecutions.Load(),
+		"chain_stages":     k.chainStages.Load(),
+		"chain_elided":     k.chainElided.Load(),
 	}
 	k.mu.Lock()
 	for r, n := range k.reasons {
@@ -115,7 +111,6 @@ func (k *kernelCounterSet) reset() {
 	k.chainExecutions.Store(0)
 	k.chainStages.Store(0)
 	k.chainElided.Store(0)
-	k.outputExecutions.Store(0)
 	k.mu.Lock()
 	k.reasons = nil
 	k.mu.Unlock()
@@ -217,14 +212,6 @@ func kernelAttempt(ctx *execCtx, root planNode, collect bool) (tableStore, table
 	ctx.kdecline = ""
 	site, reason := findGateStage(ctx, root)
 	if site == nil {
-		if ctx.env.budget.Limit() > 0 {
-			// The output kernel's working set is not bounded here.
-			if matchOutputAgg(root) != nil {
-				reason = kfBudgetLimited
-			}
-		} else if out, handled, err := outputKernelAttempt(ctx, root, collect, reason); handled {
-			return out, nil, err
-		}
 		kernelFallback(ctx.env, reason)
 		return nil, nil, nil
 	}

@@ -364,20 +364,18 @@ func bindChainInput(st *chainStage, in *chainBuf) *boundGate {
 var errChainBudget = errors.New("sqlengine: fused chain working set refused by the memory budget")
 
 // kernelRun records one kernel execution on the execCtx — a fused chain
-// (chainExec) or a single gate stage or output aggregation (kexec): its
-// start and wall time, the stages it covered, the rows into the first
-// stage and out of the last, the first stage's morsel count and RLE run
-// segments skipped by the bucket probe, and whether every program came
+// (chainExec) or a single gate stage (kexec): its start and wall time,
+// the stages it covered, the rows into the first stage and out of the
+// last, the first stage's morsel count, and whether every program came
 // from the kernel cache. EXPLAIN ANALYZE and span attachment read it.
 type kernelRun struct {
-	start       time.Time
-	wall        time.Duration
-	stages      int64
-	rowsIn      int64
-	rowsOut     int64
-	morsels     int64
-	runsSkipped int64
-	cacheHit    bool
+	start    time.Time
+	wall     time.Duration
+	stages   int64
+	rowsIn   int64
+	rowsOut  int64
+	morsels  int64
+	cacheHit bool
 }
 
 // runChainKernel executes a bound chain: every stage but the last emits
@@ -439,7 +437,6 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bo
 			}
 			run.wall = time.Since(run.start)
 			run.rowsOut = store.Len()
-			run.runsSkipped = bound0.runsSkipped.Load()
 			run.cacheHit = !slices.ContainsFunc(plan.stages, func(s *chainStage) bool { return !s.kern.cached })
 			return run, store, nil
 		}
@@ -453,43 +450,23 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bo
 	return nil, nil, errors.New("sqlengine: internal: empty chain plan")
 }
 
-// kernelIntVec decodes a frozen store's int column into a plain vector
-// (encoded columns decode into fresh scratch, counted as a kernel
-// encoding bind); nil for a missing, nullable or non-integer column.
-func kernelIntVec(env *storageEnv, cs *ColStore, idx int) []int64 {
+// kernelIntVec returns a frozen store's int column as a plain vector;
+// nil for a missing, nullable or non-integer column.
+func kernelIntVec(cs *ColStore, idx int) []int64 {
 	if idx < 0 || idx >= len(cs.cols) {
 		return nil
 	}
 	c := &cs.cols[idx]
-	if len(c.nulls) != 0 {
+	if len(c.nulls) != 0 || c.kind != colInt {
 		return nil
 	}
-	switch c.kind {
-	case colInt:
-		return c.ints
-	case colIntRLE:
-		out := make([]int64, cs.rows)
-		pos := 0
-		for _, r := range c.runs {
-			for ; pos < int(r.end); pos++ {
-				out[pos] = r.v
-			}
-		}
-		env.storageCtrs.bumpKernelEncBind()
-		return out
-	case colIntDict:
-		out := make([]int64, cs.rows)
-		for i, code := range c.codes {
-			out[i] = c.dict[code]
-		}
-		env.storageCtrs.bumpKernelEncBind()
-		return out
-	}
-	return nil
+	return c.ints
 }
 
-// kernelFloatVec decodes a frozen store's float column into a plain
-// vector (kernelIntVec's float counterpart).
+// kernelFloatVec returns a frozen store's float column as a plain
+// vector (a sparse column decodes into fresh scratch, counted as a
+// kernel encoding bind); nil for a missing, nullable or non-float
+// column.
 func kernelFloatVec(env *storageEnv, cs *ColStore, idx int) []float64 {
 	if idx < 0 || idx >= len(cs.cols) {
 		return nil
@@ -515,14 +492,14 @@ func kernelFloatVec(env *storageEnv, cs *ColStore, idx int) []float64 {
 // bindGateSide binds a program's gate side: the build-key buckets and
 // the output-index vector for dense bounding.
 func bindGateSide(env *storageEnv, prog *kernelProg, gate *ColStore) (*kBuckets, []int64, string) {
-	gIn := kernelIntVec(env, gate, prog.gIn)
+	gIn := kernelIntVec(gate, prog.gIn)
 	g0a := kernelFloatVec(env, gate, prog.g0a)
 	g0b := kernelFloatVec(env, gate, prog.g0b)
 	g1a := kernelFloatVec(env, gate, prog.g1a)
 	g1b := kernelFloatVec(env, gate, prog.g1b)
 	var gOut []int64
 	if prog.gOut >= 0 {
-		gOut = kernelIntVec(env, gate, prog.gOut)
+		gOut = kernelIntVec(gate, prog.gOut)
 		if gOut == nil {
 			return nil, nil, kfColumnTypes
 		}

@@ -295,8 +295,9 @@ func TestChainExplainAnnotation(t *testing.T) {
 
 // TestOutputKernelBitIdentity drives the three translated output-layer
 // query shapes (norm, qubit probability, marginal distribution) with
-// kernels on and off; results must match bit for bit and the compiled
-// path must actually run.
+// kernels on and off: results must match bit for bit, and no kernel
+// takes them — the interpreter runs them under both settings, from the
+// empty table through the serial and the morsel aggregation paths.
 func TestOutputKernelBitIdentity(t *testing.T) {
 	queries := []struct {
 		name string
@@ -328,47 +329,21 @@ func TestOutputKernelBitIdentity(t *testing.T) {
 						b.WriteString("\n")
 					}
 					digests[i] = b.String()
-					kc := db.KernelCounters()
-					if kernels == "on" && kc["output_executions"] == 0 {
-						t.Fatalf("output kernel did not run (counters: %v)", kc)
-					}
-					if kernels == "off" && kc["output_executions"] != 0 {
-						t.Fatal("output kernel ran with kernels off")
+					if kc := db.KernelCounters(); kc["executions"] != 0 {
+						t.Fatalf("kernels=%s: a kernel ran an output query (counters: %v)", kernels, kc)
 					}
 				}
 				if digests[0] != digests[1] {
-					t.Fatalf("output kernel differs from interpreter:\nkernel:\n%s\ninterp:\n%s", digests[1], digests[0])
+					t.Fatalf("kernels on differs from off:\non:\n%s\noff:\n%s", digests[1], digests[0])
 				}
 			})
 		}
 	}
 }
 
-// TestOutputKernelDeclines: shapes the output kernel must leave to the
-// interpreter (CASE expectation values, AVG, expressions over the
-// aggregate) still produce correct results and never count an output
-// execution.
-func TestOutputKernelDeclines(t *testing.T) {
-	queries := []string{
-		"SELECT SUM(((t0.r * t0.r) + (t0.i * t0.i)) * (CASE WHEN ((t0.s >> 1) & 1) = 0 THEN 1.0 ELSE -1.0 END)) AS ez FROM t0",
-		"SELECT AVG(t0.r) FROM t0",
-		"SELECT SUM(t0.r) + 1.0 FROM t0",
-		"SELECT SUM(t0.s) FROM t0", // integer sum: engine keeps an int accumulator
-		"SELECT (t0.s & 3) AS m, SUM((t0.r * t0.r) + (t0.i * t0.i)) AS p FROM t0 GROUP BY (t0.s & 3) ORDER BY m DESC",
-	}
-	db := newOptDB(t, Config{Parallelism: 4})
-	setupGateStage(t, db, 1000)
-	for _, q := range queries {
-		queryAll(t, db, q)
-	}
-	if kc := db.KernelCounters(); kc["output_executions"] != 0 {
-		t.Fatalf("output kernel handled an unsupported shape (counters: %v)", kc)
-	}
-}
-
-// TestOutputKernelExplainAnnotation: EXPLAIN previews which output
-// queries the compiled output-aggregate kernel will take, mirroring
-// the runtime gates (shape match, in-memory ColStore, compile).
+// TestOutputKernelExplainAnnotation: EXPLAIN reports that the
+// interpreter runs the output-layer queries — a kernel fallback with
+// kernels on, "kernel: off" with kernels off.
 func TestOutputKernelExplainAnnotation(t *testing.T) {
 	db := newOptDB(t, Config{Parallelism: 2})
 	setupGateStage(t, db, 1000)
@@ -376,38 +351,34 @@ func TestOutputKernelExplainAnnotation(t *testing.T) {
 	cases := []struct {
 		name string
 		sql  string
-		want string // "" means no output-kernel annotation
 	}{
-		{"norm", "SELECT SUM((t0.r * t0.r) + (t0.i * t0.i)) AS norm2 FROM t0", outputAnnotationScalar},
-		{"qubitprob", "SELECT COALESCE(SUM((t0.r * t0.r) + (t0.i * t0.i)), 0.0) AS p FROM t0 WHERE ((t0.s >> 2) & 1) = 1", outputAnnotationScalar},
-		{"marginal", "SELECT (t0.s & 3) AS m, SUM((t0.r * t0.r) + (t0.i * t0.i)) AS p FROM t0 GROUP BY (t0.s & 3) ORDER BY m", outputAnnotationGroup},
-		{"avg_declines", "SELECT AVG(t0.r) FROM t0", ""},
-		{"expr_declines", "SELECT SUM(t0.r) + 1.0 FROM t0", ""},
+		{"norm", "SELECT SUM((t0.r * t0.r) + (t0.i * t0.i)) AS norm2 FROM t0"},
+		{"qubitprob", "SELECT COALESCE(SUM((t0.r * t0.r) + (t0.i * t0.i)), 0.0) AS p FROM t0 WHERE ((t0.s >> 2) & 1) = 1"},
+		{"marginal", "SELECT (t0.s & 3) AS m, SUM((t0.r * t0.r) + (t0.i * t0.i)) AS p FROM t0 GROUP BY (t0.s & 3) ORDER BY m"},
+		{"avg_declines", "SELECT AVG(t0.r) FROM t0"},
+		{"expr_declines", "SELECT SUM(t0.r) + 1.0 FROM t0"},
 	}
+	const want = "kernel: fallback ("
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			plan, err := db.Explain(c.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch {
-			case c.want != "" && !strings.Contains(plan, "kernel: "+c.want):
-				t.Fatalf("EXPLAIN missing output-kernel annotation %q:\n%s", c.want, plan)
-			case c.want == "" && strings.Contains(plan, "output-agg"):
-				t.Fatalf("EXPLAIN claims an output kernel for an unsupported shape:\n%s", plan)
+			if !strings.Contains(plan, want) {
+				t.Fatalf("EXPLAIN missing %q:\n%s", want, plan)
 			}
 		})
 	}
 
-	// Kernels off: the annotation must not appear at all.
 	off := newOptDB(t, Config{Parallelism: 2, Kernels: "off"})
 	setupGateStage(t, off, 1000)
 	plan, err := off.Explain(cases[0].sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(plan, "output-agg") {
-		t.Fatalf("EXPLAIN shows an output kernel with kernels off:\n%s", plan)
+	if !strings.Contains(plan, "kernel: off") {
+		t.Fatalf("EXPLAIN with kernels off does not say so:\n%s", plan)
 	}
 }
 

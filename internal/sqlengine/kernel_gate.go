@@ -54,11 +54,8 @@ type boundGate struct {
 	prog *kernelProg
 	rows int
 	// sKey is the state amplitude-index vector; s0a..s1b the state
-	// float vectors of the SUM factors (slices may alias). When the
-	// index column is RLE-encoded, sRuns holds its runs instead and the
-	// fused loop iterates run-at-a-time (sKey stays nil).
+	// float vectors of the SUM factors (slices may alias).
 	sKey               []int64
-	sRuns              []intRun
 	s0a, s0b, s1a, s1b []float64
 	// buckets replaces the hash join.
 	buckets *kBuckets
@@ -73,10 +70,6 @@ type boundGate struct {
 	denseHi   int64
 	groupHint int64
 	empty     bool
-	// runsSkipped counts RLE run segments whose probe key missed every
-	// bucket — whole segments of zero contribution skipped without
-	// touching the float vectors (kernelRun, EXPLAIN ANALYZE).
-	runsSkipped atomic.Int64
 }
 
 // denseCap bounds the dense accumulator's position array (int32
@@ -194,21 +187,14 @@ func bindGateStage(env *storageEnv, k *gateKernel) (*boundGate, string) {
 		bk.empty = true
 		return bk, ""
 	}
-	// Encoded columns bind too: dictionary and RLE int vectors (and
-	// sparse float vectors) are decoded into fresh scratch once per
-	// bind, so the fused loop keeps its plain-vector inner body — except
-	// the state index column, whose RLE runs the loop iterates directly.
-	if sc := &state.cols[prog.sCol]; sc.kind == colIntRLE && len(sc.nulls) == 0 {
-		bk.sRuns = sc.runs
-		env.storageCtrs.bumpKernelEncBind()
-	} else {
-		bk.sKey = kernelIntVec(env, state, prog.sCol)
-	}
+	// Sparse float columns bind too: they decode into fresh scratch once
+	// per bind, so the fused loop keeps its plain-vector inner body.
+	bk.sKey = kernelIntVec(state, prog.sCol)
 	bk.s0a = kernelFloatVec(env, state, prog.s0a)
 	bk.s0b = kernelFloatVec(env, state, prog.s0b)
 	bk.s1a = kernelFloatVec(env, state, prog.s1a)
 	bk.s1b = kernelFloatVec(env, state, prog.s1b)
-	if (bk.sKey == nil && bk.sRuns == nil) || bk.s0a == nil || bk.s0b == nil || bk.s1a == nil || bk.s1b == nil {
+	if bk.sKey == nil || bk.s0a == nil || bk.s0b == nil || bk.s1a == nil || bk.s1b == nil {
 		return nil, kfColumnTypes
 	}
 	var gOut []int64
@@ -434,10 +420,6 @@ func (a *kAcc) grow() {
 // product rounds once (the explicit float64 conversions forbid FMA
 // contraction), the pair combines once, the accumulate rounds once.
 func (bk *boundGate) scanRange(lo, hi int, acc *kAcc) {
-	if bk.sRuns != nil {
-		bk.scanRangeRuns(lo, hi, acc)
-		return
-	}
 	prog, in, dense, buckets := bk.prog, bk.prog.in, acc.dense, *bk.buckets
 	for row := lo; row < hi; row++ {
 		s := bk.sKey[row]
@@ -480,51 +462,6 @@ func madd(sum, a, b, c, d float64, sub bool) float64 {
 		return sum + (p0 - p1)
 	}
 	return sum + (p0 + p1)
-}
-
-// scanRangeRuns is scanRange over an RLE-encoded state index column:
-// the bucket probe and the group-slot resolution hoist out of the row
-// loop, once per run segment instead of once per row. The accumulation
-// schedule is unchanged bit for bit — slots are resolved in bucket
-// order (exactly what the segment's first row would have done; indices
-// stay stable across accumulator growth) and the adds still run
-// row-outer, bucket-inner in ascending row order. Runs whose input
-// index misses every gate bucket skip the whole segment, which is the
-// operate-on-encoded fast path for zero-padded amplitude tables.
-func (bk *boundGate) scanRangeRuns(lo, hi int, acc *kAcc) {
-	prog := bk.prog
-	var idxs [4]int
-	ri := runSearch(bk.sRuns, lo)
-	for row := lo; row < hi; {
-		r := bk.sRuns[ri]
-		end := int(r.end)
-		if end > hi {
-			end = hi
-		} else {
-			ri++
-		}
-		s := r.v
-		bucket := bk.buckets.get(prog.probe(s))
-		if len(bucket) == 0 {
-			bk.runsSkipped.Add(1)
-			row = end
-			continue
-		}
-		slots := idxs[:0]
-		if len(bucket) > len(idxs) {
-			slots = make([]int, 0, len(bucket))
-		}
-		for bi := range bucket {
-			slots = append(slots, acc.slot(prog.groupKey(s, &bucket[bi])))
-		}
-		for ; row < end; row++ {
-			for bi := range bucket {
-				g, idx := &bucket[bi], slots[bi]
-				acc.r[idx] = madd(acc.r[idx], bk.s0a[row], g.g0a, bk.s0b[row], g.g0b, prog.sub0)
-				acc.i[idx] = madd(acc.i[idx], bk.s1a[row], g.g1a, bk.s1b[row], g.g1b, prog.sub1)
-			}
-		}
-	}
 }
 
 // runGateKernel executes a bound kernel and materializes its output

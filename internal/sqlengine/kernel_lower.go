@@ -86,14 +86,6 @@ type kernelProg struct {
 	keep   int64
 }
 
-// probe computes the probe key of state index s.
-func (p *kernelProg) probe(s int64) int64 {
-	if p.in != nil {
-		return p.in.eval(s)
-	}
-	return p.inFn(s, 0)
-}
-
 // groupKey computes the group key of state index s joined with gate
 // row g.
 func (p *kernelProg) groupKey(s int64, g *kGateRow) int64 {

@@ -133,19 +133,6 @@ func (n *storeScanNode) openParallel(ctx *execCtx, workers int) ([]morselStream,
 		return nil, false, nil
 	}
 	d := &morselDispenser{count: count}
-	// Zone-map skip: each worker consults the shared skip decision on
-	// every claim and drops proven-empty morsels without decoding them.
-	// Skipping a morsel is bit-neutral: the pushed filter above the scan
-	// would drop every one of its rows, and the morsel-order merge
-	// contract does not depend on which worker claimed it.
-	var skip func(m int) bool
-	var ctrs *storageCounterSet
-	if cs, ok := n.store.(*ColStore); ok {
-		skip = cs.zoneSkipper(n.zp)
-		if cs.env != nil {
-			ctrs = cs.env.storageCtrs
-		}
-	}
 	streams := make([]morselStream, workers)
 	for i := range streams {
 		var sc morselScanner
@@ -165,7 +152,7 @@ func (n *storeScanNode) openParallel(ctx *execCtx, workers int) ([]morselStream,
 		if err != nil {
 			return nil, false, err
 		}
-		streams[i] = &scanMorselStream{disp: d, scan: sc, skip: skip, skipped: &n.skipped, ctrs: ctrs}
+		streams[i] = &scanMorselStream{disp: d, scan: sc}
 	}
 	return streams, true, nil
 }
@@ -186,36 +173,22 @@ func (s *pickMorselScan) NextBatch() (*rowBatch, error) {
 }
 
 // scanMorselStream drives one worker's store scanner over the morsels
-// it claims from the shared dispenser. skip, when non-nil, is the
-// zone-map decision: claimed morsels it proves empty are dropped
-// without decoding (counted into skipped and the storage counters).
+// it claims from the shared dispenser.
 type scanMorselStream struct {
 	disp    *morselDispenser
 	scan    morselScanner
 	claimed bool
-	skip    func(m int) bool
-	skipped *atomic.Int64
-	ctrs    *storageCounterSet
 }
 
 func (s *scanMorselStream) NextMorsel() (int, bool, error) {
-	for {
-		i, ok := s.disp.claim()
-		if !ok {
-			s.claimed = false
-			return 0, false, nil
-		}
-		if s.skip != nil && s.skip(i) {
-			if s.skipped != nil {
-				s.skipped.Add(1)
-			}
-			s.ctrs.bumpMorselSkipped()
-			continue
-		}
-		s.scan.setMorsel(i)
-		s.claimed = true
-		return i, true, nil
+	i, ok := s.disp.claim()
+	if !ok {
+		s.claimed = false
+		return 0, false, nil
 	}
+	s.scan.setMorsel(i)
+	s.claimed = true
+	return i, true, nil
 }
 
 func (s *scanMorselStream) NextBatch() (*rowBatch, error) {

@@ -191,11 +191,7 @@ func (p *planner) lower(n logicalNode) (planNode, error) {
 		return &oneRowNode{}, nil
 
 	case *lScan:
-		scan := &storeScanNode{store: t.meta.store, cols: t.lschema(), keep: t.keep, fullCols: len(t.cols), est: t.est}
-		if p.db.env.encodings {
-			scan.zp = compileZonePred(t.filters, t.lschema(), t.keep)
-		}
-		var node planNode = scan
+		var node planNode = &storeScanNode{store: t.meta.store, cols: t.lschema(), keep: t.keep, fullCols: len(t.cols), est: t.est}
 		if pred := andJoin(t.filters); pred != nil {
 			node = &filterNode{child: node, pred: pred, pushed: true, est: t.est}
 		}

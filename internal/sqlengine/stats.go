@@ -75,70 +75,6 @@ func valueHash(v Value) uint64 {
 	return 0
 }
 
-// zoneEntry is one column's zone map for one 8192-row morsel: enough
-// metadata to decide — without decoding the morsel — whether a pushed
-// scan filter can possibly match any of its rows. The bounds are
-// conservative by construction: a skip is taken only when the zone
-// *proves* no row qualifies, so skipping is exactly equivalent to the
-// filter dropping every row of the morsel (bit-neutral under the
-// morsel-order merge contract). NaN and mixed/other-typed zones refuse
-// to prove anything (hasNaN/hasOther): the engine's comparison
-// semantics treat NaN as numerically equal and order text above
-// numbers, so only clean int/float zones are usable.
-type zoneEntry struct {
-	rows  int32
-	nulls int32
-	// hasInt/hasFloat report whether any INTEGER/REAL value landed in
-	// this zone; the corresponding min/max bounds are valid only then.
-	hasInt, hasFloat bool
-	hasNaN           bool
-	// hasOther marks text/bool/mixed values, which the zone checks
-	// cannot bound.
-	hasOther       bool
-	intMin, intMax int64
-	fMin, fMax     float64
-}
-
-// observe folds one value into the zone.
-func (z *zoneEntry) observe(v Value) {
-	z.rows++
-	switch v.T {
-	case TypeNull:
-		z.nulls++
-	case TypeInt:
-		if !z.hasInt || v.I < z.intMin {
-			z.intMin = v.I
-		}
-		if !z.hasInt || v.I > z.intMax {
-			z.intMax = v.I
-		}
-		z.hasInt = true
-	case TypeFloat:
-		f := v.F
-		if f != f { // NaN: comparisons cannot be bounded
-			z.hasNaN = true
-			return
-		}
-		if !z.hasFloat || f < z.fMin {
-			z.fMin = f
-		}
-		if !z.hasFloat || f > z.fMax {
-			z.fMax = f
-		}
-		z.hasFloat = true
-	default:
-		z.hasOther = true
-	}
-}
-
-// absMax bounds |v| over the zone's REAL values (0 when none).
-func (z *zoneEntry) absMax() float64 {
-	if !z.hasFloat {
-		return 0
-	}
-	return math.Max(math.Abs(z.fMin), math.Abs(z.fMax))
-}
-
 // colStats accumulates one column's statistics.
 type colStats struct {
 	nulls int64
@@ -151,21 +87,6 @@ type colStats struct {
 	intMin, intMax int64
 	intSeen        bool
 	sketch         distinctSketch
-	// zones is the per-morsel zone map, indexed by rowIndex/morselRows.
-	// Valid for skip decisions only while the collector is exact
-	// (tableStats.rows == store.Len()) and the store's memory rows start
-	// at table row 0 (never spilled) — the skip paths check both.
-	zones []zoneEntry
-}
-
-// observeAt folds one value at absolute table row index row.
-func (c *colStats) observeAt(v Value, row int64) {
-	c.observe(v)
-	zi := int(row / morselRows)
-	for len(c.zones) <= zi {
-		c.zones = append(c.zones, zoneEntry{})
-	}
-	c.zones[zi].observe(v)
 }
 
 func (c *colStats) observe(v Value) {
@@ -212,26 +133,25 @@ type tableStats struct {
 func (ts *tableStats) observeRow(row Row) {
 	ts.ensureWidth(len(row))
 	for i, v := range row {
-		ts.cols[i].observeAt(v, ts.rows)
+		ts.cols[i].observe(v)
 	}
 	ts.rows++
 }
 
 // observeBatch folds every selected row of a batch into the statistics,
-// column at a time. Values are observed with their absolute table row
-// index (append order), which buckets them into per-morsel zones.
+// column at a time.
 func (ts *tableStats) observeBatch(b *rowBatch) {
 	ts.ensureWidth(b.width())
 	for i := range b.cols {
 		col := b.cols[i]
 		cs := &ts.cols[i]
 		if b.sel == nil {
-			for k, v := range col[:b.n] {
-				cs.observeAt(v, ts.rows+int64(k))
+			for _, v := range col[:b.n] {
+				cs.observe(v)
 			}
 		} else {
-			for k, p := range b.sel {
-				cs.observeAt(col[p], ts.rows+int64(k))
+			for _, p := range b.sel {
+				cs.observe(col[p])
 			}
 		}
 	}
@@ -240,32 +160,19 @@ func (ts *tableStats) observeBatch(b *rowBatch) {
 
 // observeAmps is observeBatch for rows given as typed (s, r, i)
 // vectors (ColStore.appendAmps): the same values observed in the same
-// order at the same row indexes.
+// order.
 func (ts *tableStats) observeAmps(s []int64, r, i []float64) {
 	ts.ensureWidth(3)
-	for k, x := range s {
-		ts.cols[0].observeAt(NewInt(x), ts.rows+int64(k))
+	for _, x := range s {
+		ts.cols[0].observe(NewInt(x))
 	}
-	for k, x := range r {
-		ts.cols[1].observeAt(NewFloat(x), ts.rows+int64(k))
+	for _, x := range r {
+		ts.cols[1].observe(NewFloat(x))
 	}
-	for k, x := range i {
-		ts.cols[2].observeAt(NewFloat(x), ts.rows+int64(k))
+	for _, x := range i {
+		ts.cols[2].observe(NewFloat(x))
 	}
 	ts.rows += int64(len(s))
-}
-
-// zone returns column col's zone entry for morsel m, or nil when not
-// collected.
-func (ts *tableStats) zone(col, m int) *zoneEntry {
-	if ts == nil || col < 0 || col >= len(ts.cols) {
-		return nil
-	}
-	zs := ts.cols[col].zones
-	if m < 0 || m >= len(zs) {
-		return nil
-	}
-	return &zs[m]
 }
 
 func (ts *tableStats) ensureWidth(w int) {

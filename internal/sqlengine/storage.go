@@ -130,9 +130,9 @@ type storageEnv struct {
 	// see kernelCounterSet and storageCounterSet).
 	kernelCtrs  *kernelCounterSet
 	storageCtrs *storageCounterSet
-	// encodings enables the sparsity-first storage tier: compressed
-	// column encodings at materialization and zone-map skip-scan
-	// (Config.Encodings; see encoding.go and zonemap.go).
+	// encodings enables the sparsity-first storage tier: the sparse
+	// float encoding at materialization (Config.Encodings; see
+	// encoding.go).
 	encodings bool
 	// tracing enables per-operator span instrumentation for statements
 	// whose context carries an obs span (Config.Tracing; see

@@ -49,9 +49,6 @@ func (ctx *execCtx) finishStatementSpan(node planNode, rows int64, base spillMar
 		ks.Add("rows_in", k.rowsIn)
 		ks.Add("rows_out", k.rowsOut)
 		ks.Add("morsels", k.morsels)
-		if k.runsSkipped > 0 {
-			ks.Add("runs_skipped", k.runsSkipped)
-		}
 		if k.cacheHit {
 			ks.Add("cache_hit", 1)
 		} else {
@@ -100,13 +97,8 @@ func attachPlanSpans(parent *obs.Span, node planNode) {
 	sp.Add("batches", batches)
 	sp.Add("sampled_batches", sampled)
 	sp.Add("sampled_ns", nanos)
-	if ss, ok := child.(*storeScanNode); ok {
-		if sk := ss.skipped.Load(); sk > 0 {
-			sp.Add("morsels_skipped", sk)
-		}
-		if ss.fromKernel {
-			sp.Add("kernel_output", 1)
-		}
+	if ss, ok := child.(*storeScanNode); ok && ss.fromKernel {
+		sp.Add("kernel_output", 1)
 	}
 	for _, c := range planChildren(child) {
 		attachPlanSpans(sp, c)

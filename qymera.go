@@ -153,8 +153,8 @@ type SQLBackendOptions struct {
 	// bit-identical across settings; only throughput changes.
 	ChainFusion string
 	// Encodings controls the engine's sparsity-first storage tier: ""
-	// or "on" (default) enables compressed column encodings (RLE /
-	// dictionary / sparse) and zone-map skip-scan, "off" keeps plain
+	// or "on" (default) stores mostly-zero REAL columns (the amplitude
+	// columns of sparse states) in a sparse form, "off" keeps plain
 	// typed vectors. Amplitudes are bit-identical across settings;
 	// only throughput and memory density change.
 	Encodings string
