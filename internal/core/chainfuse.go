@@ -1,10 +1,5 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Whole-circuit statement fusion for the MaterializedChain mode. The
 // plain Statements() sequence materializes every intermediate quantum
 // state as its own table — one CREATE TABLE ... AS SELECT per stage.
@@ -47,17 +42,15 @@ func chainRuns(steps []Step) [][]Step {
 // fusedRunSQL renders one run of chained stages as a single CTAS.
 func fusedRunSQL(run []Step) string {
 	last := run[len(run)-1]
-	var b strings.Builder
-	fmt.Fprintf(&b, "CREATE TABLE %s AS WITH ", last.Table)
-	for k, st := range run[:len(run)-1] {
-		if k > 0 {
-			b.WriteString(",\n")
-		}
-		fmt.Fprintf(&b, "%s AS (\n%s)", st.Table, indent(st.Body, "  "))
-	}
-	b.WriteString("\n")
-	b.WriteString(last.Body)
-	return b.String()
+	var w sqlWriter
+	w.Grow(len(last.Table) + withSize(run[:len(run)-1]) + len(last.Body) + 24)
+	w.WriteString("CREATE TABLE ")
+	w.WriteString(last.Table)
+	w.WriteString(" AS WITH ")
+	w.writeWith(run[:len(run)-1])
+	w.WriteString("\n")
+	w.WriteString(last.Body)
+	return w.String()
 }
 
 // FusedStatements returns the statement sequence of Statements() with
@@ -65,7 +58,7 @@ func fusedRunSQL(run []Step) string {
 // collapsed into one fused CTAS. In SingleQuery mode (no per-stage
 // statements) it is identical to Statements().
 func (tr *Translation) FusedStatements() []string {
-	out := append([]string{}, tr.Setup...)
+	out := append(make([]string, 0, len(tr.Setup)+len(tr.Steps)), tr.Setup...)
 	for _, run := range chainRuns(tr.Steps) {
 		if len(run) == 1 || run[0].SQL == "" {
 			for _, st := range run {

@@ -1,10 +1,5 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Encoding selects how the translator locates qubits inside the integer
 // state index.
 type Encoding int
@@ -55,31 +50,59 @@ func placeMask(qubits []int) uint64 {
 //	qubit tuple (0,1):      (T1.s & 3)
 //	qubit tuple (1,2):      ((T2.s >> 1) & 3)
 func inputIndexExpr(ref string, qubits []int, enc Encoding) string {
-	k := len(qubits)
 	if enc == EncodingArithmetic {
 		return arithGather(ref, qubits)
 	}
+	var w sqlWriter
+	w.Grow(len(qubits) * (len(ref) + 24))
 	if contiguousAscending(qubits) {
-		mask := (uint64(1) << uint(k)) - 1
+		mask := (uint64(1) << uint(len(qubits))) - 1
 		if qubits[0] == 0 {
-			return fmt.Sprintf("(%s & %d)", ref, mask)
+			w.WriteByte('(')
+			w.WriteString(ref)
+		} else {
+			w.WriteString("((")
+			w.WriteString(ref)
+			w.WriteString(" >> ")
+			w.writeInt(qubits[0])
+			w.WriteByte(')')
 		}
-		return fmt.Sprintf("((%s >> %d) & %d)", ref, qubits[0], mask)
+		w.WriteString(" & ")
+		w.writeUint(mask)
+		w.WriteByte(')')
+		return w.String()
 	}
 	// General gather: local bit j comes from global qubit qubits[j].
-	parts := make([]string, k)
+	w.WriteByte('(')
 	for j, q := range qubits {
-		bit := fmt.Sprintf("((%s >> %d) & 1)", ref, q)
-		if q == 0 {
-			bit = fmt.Sprintf("(%s & 1)", ref)
+		if j > 0 {
+			w.WriteString(" | (")
 		}
-		if j == 0 {
-			parts[j] = bit
-		} else {
-			parts[j] = fmt.Sprintf("(%s << %d)", bit, j)
+		w.writeBit(ref, q)
+		if j > 0 {
+			w.WriteString(" << ")
+			w.writeInt(j)
+			w.WriteByte(')')
 		}
 	}
-	return "(" + strings.Join(parts, " | ") + ")"
+	w.WriteByte(')')
+	return w.String()
+}
+
+// writeBit writes the bitwise extraction of bit q of ref: (ref & 1) for
+// bit 0, ((ref >> q) & 1) otherwise.
+func (w *sqlWriter) writeBit(ref string, q int) {
+	if q == 0 {
+		w.WriteByte('(')
+		w.WriteString(ref)
+	} else {
+		w.WriteString("((")
+		w.WriteString(ref)
+		w.WriteString(" >> ")
+		w.writeInt(q)
+		w.WriteByte(')')
+	}
+	w.WriteString(" & 1)")
 }
 
 // outputIndexExpr renders the SQL expression computing the successor
@@ -94,85 +117,127 @@ func outputIndexExpr(stateRef, gateRef string, qubits []int, enc Encoding) strin
 	if enc == EncodingArithmetic {
 		return arithScatter(stateRef, gateRef, qubits)
 	}
-	pm := placeMask(qubits)
-	cleared := fmt.Sprintf("(%s & ~%d)", stateRef, pm)
-	var scatter string
-	if contiguousAscending(qubits) {
-		if qubits[0] == 0 {
-			scatter = gateRef
-		} else {
-			scatter = fmt.Sprintf("(%s << %d)", gateRef, qubits[0])
-		}
-	} else {
-		parts := make([]string, len(qubits))
+	var w sqlWriter
+	w.Grow(len(stateRef) + len(qubits)*(len(gateRef)+28) + 32)
+	w.WriteString("((")
+	w.WriteString(stateRef)
+	w.WriteString(" & ~")
+	w.writeUint(placeMask(qubits))
+	w.WriteString(") | ")
+	switch {
+	case contiguousAscending(qubits) && qubits[0] == 0:
+		w.WriteString(gateRef)
+	case contiguousAscending(qubits):
+		w.WriteByte('(')
+		w.WriteString(gateRef)
+		w.WriteString(" << ")
+		w.writeInt(qubits[0])
+		w.WriteByte(')')
+	default:
+		w.WriteByte('(')
 		for j, q := range qubits {
-			bit := fmt.Sprintf("((%s >> %d) & 1)", gateRef, j)
-			if j == 0 {
-				bit = fmt.Sprintf("(%s & 1)", gateRef)
+			if j > 0 {
+				w.WriteString(" | ")
 			}
-			if q == 0 {
-				parts[j] = bit
-			} else {
-				parts[j] = fmt.Sprintf("(%s << %d)", bit, q)
+			if q != 0 {
+				w.WriteByte('(')
+			}
+			w.writeBit(gateRef, j)
+			if q != 0 {
+				w.WriteString(" << ")
+				w.writeInt(q)
+				w.WriteByte(')')
 			}
 		}
-		scatter = "(" + strings.Join(parts, " | ") + ")"
+		w.WriteByte(')')
 	}
-	return fmt.Sprintf("(%s | %s)", cleared, scatter)
+	w.WriteByte(')')
+	return w.String()
 }
 
 // arithGather is the arithmetic-only equivalent of inputIndexExpr:
 // bit j of the local index is ((s / 2^q) % 2) * 2^j.
 func arithGather(ref string, qubits []int) string {
+	var w sqlWriter
+	w.Grow(len(qubits) * (len(ref) + 40))
 	if contiguousAscending(qubits) {
-		k := len(qubits)
 		div := uint64(1) << uint(qubits[0])
-		mod := uint64(1) << uint(k)
+		mod := uint64(1) << uint(len(qubits))
 		if div == 1 {
-			return fmt.Sprintf("(%s %% %d)", ref, mod)
-		}
-		return fmt.Sprintf("((%s / %d) %% %d)", ref, div, mod)
-	}
-	parts := make([]string, len(qubits))
-	for j, q := range qubits {
-		div := uint64(1) << uint(q)
-		bit := fmt.Sprintf("((%s / %d) %% 2)", ref, div)
-		if div == 1 {
-			bit = fmt.Sprintf("(%s %% 2)", ref)
-		}
-		if j == 0 {
-			parts[j] = bit
+			w.WriteByte('(')
+			w.WriteString(ref)
 		} else {
-			parts[j] = fmt.Sprintf("(%s * %d)", bit, uint64(1)<<uint(j))
+			w.WriteString("((")
+			w.WriteString(ref)
+			w.WriteString(" / ")
+			w.writeUint(div)
+			w.WriteByte(')')
+		}
+		w.WriteString(" % ")
+		w.writeUint(mod)
+		w.WriteByte(')')
+		return w.String()
+	}
+	w.WriteByte('(')
+	for j, q := range qubits {
+		if j > 0 {
+			w.WriteString(" + (")
+		}
+		w.writeArithBit(ref, uint64(1)<<uint(q))
+		if j > 0 {
+			w.WriteString(" * ")
+			w.writeUint(uint64(1) << uint(j))
+			w.WriteByte(')')
 		}
 	}
-	return "(" + strings.Join(parts, " + ") + ")"
+	w.WriteByte(')')
+	return w.String()
 }
 
 // arithScatter is the arithmetic-only equivalent of outputIndexExpr:
 // subtract each of the gate's bits from the state, then add the scattered
 // out_s bits.
 func arithScatter(stateRef, gateRef string, qubits []int) string {
+	var w sqlWriter
+	w.Grow(len(stateRef) + len(qubits)*(len(stateRef)+len(gateRef)+80) + 16)
 	// cleared = s - Σ_q ((s / 2^q) % 2) * 2^q
-	subs := make([]string, len(qubits))
-	for j, q := range qubits {
+	w.WriteString("((")
+	w.WriteString(stateRef)
+	for _, q := range qubits {
 		div := uint64(1) << uint(q)
-		bit := fmt.Sprintf("((%s / %d) %% 2)", stateRef, div)
-		if div == 1 {
-			bit = fmt.Sprintf("(%s %% 2)", stateRef)
-		}
-		subs[j] = fmt.Sprintf("(%s * %d)", bit, div)
+		w.WriteString(" - (")
+		w.writeArithBit(stateRef, div)
+		w.WriteString(" * ")
+		w.writeUint(div)
+		w.WriteByte(')')
 	}
-	cleared := fmt.Sprintf("(%s - %s)", stateRef, strings.Join(subs, " - "))
-
-	adds := make([]string, len(qubits))
+	w.WriteString(") + ")
 	for j, q := range qubits {
-		divJ := uint64(1) << uint(j)
-		bit := fmt.Sprintf("((%s / %d) %% 2)", gateRef, divJ)
-		if divJ == 1 {
-			bit = fmt.Sprintf("(%s %% 2)", gateRef)
+		if j > 0 {
+			w.WriteString(" + ")
 		}
-		adds[j] = fmt.Sprintf("(%s * %d)", bit, uint64(1)<<uint(q))
+		w.WriteByte('(')
+		w.writeArithBit(gateRef, uint64(1)<<uint(j))
+		w.WriteString(" * ")
+		w.writeUint(uint64(1) << uint(q))
+		w.WriteByte(')')
 	}
-	return fmt.Sprintf("(%s + %s)", cleared, strings.Join(adds, " + "))
+	w.WriteByte(')')
+	return w.String()
+}
+
+// writeArithBit writes the arithmetic extraction of the bit of ref worth
+// div: (ref % 2) for the lowest bit, ((ref / div) % 2) otherwise.
+func (w *sqlWriter) writeArithBit(ref string, div uint64) {
+	if div == 1 {
+		w.WriteByte('(')
+		w.WriteString(ref)
+	} else {
+		w.WriteString("((")
+		w.WriteString(ref)
+		w.WriteString(" / ")
+		w.writeUint(div)
+		w.WriteByte(')')
+	}
+	w.WriteString(" % 2)")
 }

@@ -18,10 +18,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/cmplx"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"qymera/internal/linalg"
 	"qymera/internal/quantum"
@@ -133,12 +135,12 @@ func Translate(c *quantum.Circuit, initial *quantum.State, opts Options) (*Trans
 
 	// Build gate tables, shared across stages with equal labels.
 	names := map[string]string{}
-	used := map[string]bool{}
+	var namer tableNamer
 	for _, g := range fused {
 		if _, ok := names[g.label]; ok {
 			continue
 		}
-		name := sanitizeTableName(g.label, used)
+		name := namer.name(g.label)
 		names[g.label] = name
 		tr.GateTables = append(tr.GateTables, GateTable{
 			Name: name, Label: g.label, Arity: len(g.qubits),
@@ -150,40 +152,32 @@ func Translate(c *quantum.Circuit, initial *quantum.State, opts Options) (*Trans
 
 	// Per-stage queries.
 	prev := opts.StatePrefix + "0"
+	tr.Steps = make([]Step, 0, len(fused))
 	for k, g := range fused {
-		table := fmt.Sprintf("%s%d", opts.StatePrefix, k+1)
+		table := opts.StatePrefix + strconv.Itoa(k+1)
 		gate := names[g.label]
 		body := stageSelect(prev, gate, g.qubits, opts)
 		step := Step{Table: table, Source: prev, GateTable: gate, Qubits: g.qubits, Body: body}
 		if opts.Mode == MaterializedChain {
-			step.SQL = fmt.Sprintf("CREATE TABLE %s AS %s", table, body)
+			step.SQL = "CREATE TABLE " + table + " AS " + body
 		}
 		tr.Steps = append(tr.Steps, step)
 		prev = table
 	}
 	tr.FinalTable = prev
 
-	final := fmt.Sprintf("SELECT s, r, i FROM %s ORDER BY s", tr.FinalTable)
-	switch opts.Mode {
-	case MaterializedChain:
+	final := "SELECT s, r, i FROM " + tr.FinalTable + " ORDER BY s"
+	if opts.Mode == MaterializedChain || len(tr.Steps) == 0 {
 		tr.Query = final
-	default:
-		if len(tr.Steps) == 0 {
-			tr.Query = final
-			break
-		}
-		var b strings.Builder
-		b.WriteString("WITH ")
-		for i, st := range tr.Steps {
-			if i > 0 {
-				b.WriteString(",\n")
-			}
-			fmt.Fprintf(&b, "%s AS (\n%s)", st.Table, indent(st.Body, "  "))
-		}
-		b.WriteString("\n")
-		b.WriteString(final)
-		tr.Query = b.String()
+		return tr, nil
 	}
+	var w sqlWriter
+	w.Grow(withSize(tr.Steps) + len(final))
+	w.WriteString("WITH ")
+	w.writeWith(tr.Steps)
+	w.WriteString("\n")
+	w.WriteString(final)
+	tr.Query = w.String()
 	return tr, nil
 }
 
@@ -217,55 +211,105 @@ func gateTableRows(m *linalg.Matrix) []GateRow {
 // collect statistics at insert. Shared by Translate and Rebind (the
 // rebinding path regenerates only this data section of a cached plan).
 func buildSetup(prefix string, initial *quantum.State, tables []GateTable) []string {
-	var setup []string
+	setup := make([]string, 0, 3+3*len(tables))
 	t0 := prefix + "0"
-	setup = append(setup,
-		fmt.Sprintf("CREATE TABLE %s (s INTEGER, r REAL, i REAL)", t0))
-	var vals []string
-	for _, idx := range initial.Indices() {
-		a := initial.Amplitude(idx)
-		vals = append(vals, fmt.Sprintf("(%d, %s, %s)", idx, formatFloat(real(a)), formatFloat(imag(a))))
-	}
-	if len(vals) > 0 {
-		setup = append(setup, fmt.Sprintf("INSERT INTO %s VALUES %s", t0, strings.Join(vals, ", ")))
+	setup = append(setup, "CREATE TABLE "+t0+" (s INTEGER, r REAL, i REAL)")
+	if idx := initial.Indices(); len(idx) > 0 {
+		var w sqlWriter
+		w.Grow(len(t0) + 20 + len(idx)*rowSize)
+		w.WriteString("INSERT INTO ")
+		w.WriteString(t0)
+		w.WriteString(" VALUES ")
+		for k, i := range idx {
+			if k > 0 {
+				w.WriteString(", ")
+			}
+			a := initial.Amplitude(i)
+			w.WriteByte('(')
+			w.writeUint(i)
+			w.WriteString(", ")
+			w.writeFloat(real(a))
+			w.WriteString(", ")
+			w.writeFloat(imag(a))
+			w.WriteByte(')')
+		}
+		setup = append(setup, w.String())
 	}
 	setup = append(setup, "ANALYZE "+t0)
 	for _, tbl := range tables {
-		setup = append(setup,
-			fmt.Sprintf("CREATE TABLE %s (in_s INTEGER, out_s INTEGER, r REAL, i REAL)", tbl.Name))
-		rows := make([]string, len(tbl.Rows))
-		for i, r := range tbl.Rows {
-			rows[i] = fmt.Sprintf("(%d, %d, %s, %s)", r.InS, r.OutS, formatFloat(r.R), formatFloat(r.I))
-		}
-		if len(rows) > 0 {
-			setup = append(setup,
-				fmt.Sprintf("INSERT INTO %s VALUES %s", tbl.Name, strings.Join(rows, ", ")))
+		setup = append(setup, "CREATE TABLE "+tbl.Name+" (in_s INTEGER, out_s INTEGER, r REAL, i REAL)")
+		if len(tbl.Rows) > 0 {
+			var w sqlWriter
+			w.Grow(len(tbl.Name) + 20 + len(tbl.Rows)*rowSize)
+			w.WriteString("INSERT INTO ")
+			w.WriteString(tbl.Name)
+			w.WriteString(" VALUES ")
+			for k, r := range tbl.Rows {
+				if k > 0 {
+					w.WriteString(", ")
+				}
+				w.WriteByte('(')
+				w.writeUint(r.InS)
+				w.WriteString(", ")
+				w.writeUint(r.OutS)
+				w.WriteString(", ")
+				w.writeFloat(r.R)
+				w.WriteString(", ")
+				w.writeFloat(r.I)
+				w.WriteByte(')')
+			}
+			setup = append(setup, w.String())
 		}
 		setup = append(setup, "ANALYZE "+tbl.Name)
 	}
 	return setup
 }
 
+// rowSize is a generous guess at one rendered VALUES tuple, used to size
+// the INSERT text up front: two small indexes and two round-trip floats
+// of up to 24 bytes each.
+const rowSize = 64
+
 // stageSelect renders one gate application (Fig. 2c query body).
 func stageSelect(prev, gate string, qubits []int, opts Options) string {
 	sRef := prev + ".s"
 	inExpr := inputIndexExpr(sRef, qubits, opts.Encoding)
 	outExpr := outputIndexExpr(sRef, gate+".out_s", qubits, opts.Encoding)
-	sumR := fmt.Sprintf("SUM((%s.r * %s.r) - (%s.i * %s.i))", prev, gate, prev, gate)
-	sumI := fmt.Sprintf("SUM((%s.r * %s.i) + (%s.i * %s.r))", prev, gate, prev, gate)
+	sumR := "SUM((" + prev + ".r * " + gate + ".r) - (" + prev + ".i * " + gate + ".i))"
+	sumI := "SUM((" + prev + ".r * " + gate + ".i) + (" + prev + ".i * " + gate + ".r))"
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "SELECT %s AS s,\n", outExpr)
-	fmt.Fprintf(&b, "       %s AS r,\n", sumR)
-	fmt.Fprintf(&b, "       %s AS i\n", sumI)
-	fmt.Fprintf(&b, "FROM %s JOIN %s ON %s.in_s = %s\n", prev, gate, gate, inExpr)
-	fmt.Fprintf(&b, "GROUP BY %s", outExpr)
+	var w sqlWriter
+	w.Grow(2*len(outExpr) + len(inExpr) + 3*(len(sumR)+len(sumI)) + 2*(len(prev)+len(gate)) + 128)
+	w.WriteString("SELECT ")
+	w.WriteString(outExpr)
+	w.WriteString(" AS s,\n       ")
+	w.WriteString(sumR)
+	w.WriteString(" AS r,\n       ")
+	w.WriteString(sumI)
+	w.WriteString(" AS i\nFROM ")
+	w.WriteString(prev)
+	w.WriteString(" JOIN ")
+	w.WriteString(gate)
+	w.WriteString(" ON ")
+	w.WriteString(gate)
+	w.WriteString(".in_s = ")
+	w.WriteString(inExpr)
+	w.WriteString("\nGROUP BY ")
+	w.WriteString(outExpr)
 	if opts.PruneEps > 0 {
-		eps2 := opts.PruneEps * opts.PruneEps
-		fmt.Fprintf(&b, "\nHAVING ((%s * %s) + (%s * %s)) > %s", sumR, sumR, sumI, sumI, formatFloat(eps2))
+		w.WriteString("\nHAVING ((")
+		w.WriteString(sumR)
+		w.WriteString(" * ")
+		w.WriteString(sumR)
+		w.WriteString(") + (")
+		w.WriteString(sumI)
+		w.WriteString(" * ")
+		w.WriteString(sumI)
+		w.WriteString(")) > ")
+		w.writeFloat(opts.PruneEps * opts.PruneEps)
 	}
-	b.WriteString("\n")
-	return b.String()
+	w.WriteString("\n")
+	return w.String()
 }
 
 // SetupScript joins the setup statements into one executable script.
@@ -277,7 +321,7 @@ func (tr *Translation) SetupScript() string {
 // final Query: setup plus, in MaterializedChain mode, the per-stage CTAS
 // statements.
 func (tr *Translation) Statements() []string {
-	out := append([]string{}, tr.Setup...)
+	out := append(make([]string, 0, len(tr.Setup)+len(tr.Steps)), tr.Setup...)
 	for _, st := range tr.Steps {
 		if st.SQL != "" {
 			out = append(out, st.SQL)
@@ -299,54 +343,131 @@ func (tr *Translation) Script() string {
 	return b.String()
 }
 
-// formatFloat renders a float with round-trip precision, keeping the SQL
-// text exact.
-func formatFloat(f float64) string {
-	s := strconv.FormatFloat(f, 'g', -1, 64)
-	// Ensure REAL affinity survives: "1" stays an integer literal in
-	// SQL, which is fine for the engine's dynamic typing, but keep the
-	// paper's style of writing amplitudes with a decimal point.
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
-	}
-	return s
+// sqlWriter builds SQL text: a strings.Builder plus the number formats
+// the translation emits, written without intermediate strings.
+type sqlWriter struct {
+	strings.Builder
+	num [32]byte
 }
 
-// sanitizeTableName maps a gate label to a unique SQL identifier: plain
-// names pass through (H, CX); parameterized labels like "RZ(0.25)" become
-// RZ_1, RZ_2, ... per distinct parameterization.
-func sanitizeTableName(label string, used map[string]bool) string {
+func (w *sqlWriter) writeInt(v int) { w.Write(strconv.AppendInt(w.num[:0], int64(v), 10)) }
+
+func (w *sqlWriter) writeUint(v uint64) { w.Write(strconv.AppendUint(w.num[:0], v, 10)) }
+
+// writeFloat writes a float with round-trip precision, keeping the SQL
+// text exact. "1" would stay an integer literal in SQL, which is fine
+// for the engine's dynamic typing, but the paper's style writes
+// amplitudes with a decimal point.
+func (w *sqlWriter) writeFloat(f float64) {
+	b := strconv.AppendFloat(w.num[:0], f, 'g', -1, 64)
+	if !bytes.ContainsAny(b, ".eE") {
+		b = append(b, ".0"...)
+	}
+	w.Write(b)
+}
+
+// writeIndented writes s with pad before every line, ending in exactly
+// one newline (trailing newlines of s collapse into it).
+func (w *sqlWriter) writeIndented(s, pad string) {
+	s = strings.TrimRight(s, "\n")
+	for {
+		w.WriteString(pad)
+		i := strings.IndexByte(s, '\n')
+		if i < 0 {
+			w.WriteString(s)
+			w.WriteByte('\n')
+			return
+		}
+		w.WriteString(s[:i+1])
+		s = s[i+1:]
+	}
+}
+
+// writeWith writes steps as the comma-separated CTE list of a WITH
+// clause, each body indented two spaces:
+//
+//	T1 AS (
+//	  <body>
+//	),
+//	T2 AS (...)
+func (w *sqlWriter) writeWith(steps []Step) {
+	for i, st := range steps {
+		if i > 0 {
+			w.WriteString(",\n")
+		}
+		w.WriteString(st.Table)
+		w.WriteString(" AS (\n")
+		w.writeIndented(st.Body, "  ")
+		w.WriteByte(')')
+	}
+}
+
+// withSize is the length writeWith renders for steps, plus slack.
+func withSize(steps []Step) int {
+	n := 16
+	for _, st := range steps {
+		n += len(st.Table) + len(st.Body) + 2*strings.Count(st.Body, "\n") + 12
+	}
+	return n
+}
+
+// tableNamer maps gate labels to unique SQL identifiers: plain names
+// pass through (H, CX); parameterized labels like "RZ(0.25)" become
+// RZ_1, RZ_2, ... per distinct parameterization. The zero value is
+// ready to use.
+type tableNamer struct {
+	used map[string]bool
+	// next is, per sanitized base, the lowest suffix not yet known to
+	// be taken: names are only ever added, so a probe never needs to
+	// revisit a lower one.
+	next map[string]int
+}
+
+func (n *tableNamer) name(label string) string {
+	if n.used == nil {
+		n.used, n.next = map[string]bool{}, map[string]int{}
+	}
 	base := label
 	if i := strings.IndexByte(label, '('); i >= 0 {
 		base = label[:i]
 	}
+	name := sanitizeIdent(base)
+	if base != label || n.used[name] {
+		i := max(n.next[name], 1)
+		for n.used[name+"_"+strconv.Itoa(i)] {
+			i++
+		}
+		n.next[name] = i + 1
+		name = name + "_" + strconv.Itoa(i)
+	}
+	n.used[name] = true
+	return name
+}
+
+// sanitizeIdent replaces every character outside [A-Za-z0-9_] with an
+// underscore; an empty result becomes "G".
+func sanitizeIdent(s string) string {
+	if s == "" {
+		return "G"
+	}
+	clean := true
+	for i := 0; i < len(s) && clean; i++ {
+		clean = isIdentByte(s[i])
+	}
+	if clean {
+		return s
+	}
 	var b strings.Builder
-	for _, r := range base {
-		if r == '_' || (r >= 'A' && r <= 'Z') || (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') {
+	for _, r := range s {
+		if r < utf8.RuneSelf && isIdentByte(byte(r)) {
 			b.WriteRune(r)
 		} else {
 			b.WriteByte('_')
 		}
 	}
-	name := b.String()
-	if name == "" {
-		name = "G"
-	}
-	if base != label || used[name] {
-		i := 1
-		for used[fmt.Sprintf("%s_%d", name, i)] {
-			i++
-		}
-		name = fmt.Sprintf("%s_%d", name, i)
-	}
-	used[name] = true
-	return name
+	return b.String()
 }
 
-func indent(s, pad string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i, l := range lines {
-		lines[i] = pad + l
-	}
-	return strings.Join(lines, "\n") + "\n"
+func isIdentByte(c byte) bool {
+	return c == '_' || (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')
 }

@@ -151,18 +151,18 @@ func TestScriptRendersEverything(t *testing.T) {
 }
 
 func TestSanitizeTableName(t *testing.T) {
-	used := map[string]bool{}
-	if got := sanitizeTableName("CX", used); got != "CX" {
+	var used tableNamer
+	if got := used.name("CX"); got != "CX" {
 		t.Fatalf("CX -> %s", got)
 	}
-	if got := sanitizeTableName("RZ(0.25)", used); got != "RZ_1" {
+	if got := used.name("RZ(0.25)"); got != "RZ_1" {
 		t.Fatalf("RZ(0.25) -> %s", got)
 	}
-	if got := sanitizeTableName("RZ(0.5)", used); got != "RZ_2" {
+	if got := used.name("RZ(0.5)"); got != "RZ_2" {
 		t.Fatalf("RZ(0.5) -> %s", got)
 	}
 	// A second plain CX would collide; it must get a suffix.
-	if got := sanitizeTableName("CX", used); got != "CX_1" {
+	if got := used.name("CX"); got != "CX_1" {
 		t.Fatalf("CX again -> %s", got)
 	}
 }

@@ -48,7 +48,7 @@ type SQL struct {
 	// Layout selects the engine's table storage format: "" or
 	// "columnar" for the typed column-vector store, "row" for the
 	// legacy row-major store. Amplitudes are bitwise independent of the
-	// layout (asserted by differential tests and the benchmark report).
+	// layout (asserted by the differential tests).
 	Layout string
 	// Optimizer controls the engine's cost-based query optimizer: "" or
 	// "on" (default) enables it, "off" uses the legacy direct planner.

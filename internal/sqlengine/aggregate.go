@@ -2,7 +2,6 @@ package sqlengine
 
 import (
 	"fmt"
-	"strconv"
 )
 
 // aggCall describes one aggregate computation extracted from the query.
@@ -40,18 +39,12 @@ type aggNode struct {
 	groupHint int64
 	hintable  bool
 	est       *nodeEst
+	// cols is the output schema, (#grp.g<i>..., #agg.a<i>...), fixed
+	// at lowering.
+	cols planSchema
 }
 
-func (n *aggNode) schema() planSchema {
-	out := make(planSchema, 0, len(n.groupBy)+len(n.aggs))
-	for i := range n.groupBy {
-		out = append(out, planCol{table: "#grp", name: "g" + strconv.Itoa(i)})
-	}
-	for i := range n.aggs {
-		out = append(out, planCol{table: "#agg", name: "a" + strconv.Itoa(i)})
-	}
-	return out
-}
+func (n *aggNode) schema() planSchema { return n.cols }
 
 func (n *aggNode) open(ctx *execCtx) (batchIter, error) {
 	childSchema := n.child.schema()

@@ -51,6 +51,9 @@ type ColStore struct {
 	// typed column vectors allocate this capacity up front instead of
 	// growing through append doubling.
 	capHint int
+	// capExact marks capHint as the exact row count (sizeExact): the
+	// vectors then get no growth slack and no batch-sized floor.
+	capExact bool
 	// order holds each column's append-time order bit (ascendingInt).
 	order []colOrder
 }
@@ -110,6 +113,16 @@ func (cs *ColStore) hintRows(n int64) {
 	}
 }
 
+// sizeExact sizes the typed vectors of a store no row has reached yet
+// to exactly n rows, for a writer that knows its row count up front
+// (INSERT ... VALUES). A store that already has columns keeps its
+// sizing.
+func (cs *ColStore) sizeExact(n int) {
+	if cs.width < 0 {
+		cs.capHint, cs.capExact = n, true
+	}
+}
+
 func newColStore(env *storageEnv) *ColStore { return &ColStore{env: env, width: -1} }
 
 // colKind identifies the physical representation of one column vector.
@@ -159,8 +172,10 @@ type column struct {
 	strs   []string
 	bools  []bool
 	vals   colVec
-	// hint pre-sizes the typed vector allocation (ColStore.hintRows).
-	hint int
+	// hint pre-sizes the typed vector allocation (ColStore.hintRows);
+	// exact makes it the whole capacity (ColStore.sizeExact).
+	hint  int
+	exact bool
 
 	// Sparse representation (encoding.go). encLen is the encoded row
 	// count; encSaved the resident bytes the encoding released back to
@@ -222,6 +237,9 @@ func (c *column) valueAt(i int) Value {
 // zero slots.
 func (c *column) setKind(t Type, row int) {
 	capacity := max(2*row, batchSize, c.hint)
+	if c.exact {
+		capacity = max(row, c.hint)
+	}
 	switch t {
 	case TypeInt:
 		c.kind, c.ints = colInt, make([]int64, row, capacity)
@@ -451,7 +469,7 @@ func (cs *ColStore) ensureWidth(w int) error {
 		cs.cols = make([]column, w)
 		cs.order = make([]colOrder, w)
 		for i := range cs.cols {
-			cs.cols[i].hint = cs.capHint
+			cs.cols[i].hint, cs.cols[i].exact = cs.capHint, cs.capExact
 		}
 		return nil
 	}

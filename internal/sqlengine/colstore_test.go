@@ -336,3 +336,48 @@ func TestColStoreNullRunsPromote(t *testing.T) {
 	}
 	cs.Release()
 }
+
+// TestColStoreInsertValuesSizedToRows: an INSERT ... VALUES into a
+// fresh table sizes every typed vector to exactly its rows, a column
+// whose first rows are NULL included; a later INSERT still appends, and
+// a CTAS store keeps the batch-sized floor.
+func TestColStoreInsertValuesSizedToRows(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, "CREATE TABLE g (in_s INTEGER, out_s INTEGER, r REAL, i REAL, name TEXT, ok BOOLEAN)")
+	mustExec(t, db, "INSERT INTO g VALUES (0, 0, 0.5, NULL, 'a', TRUE), (0, 1, 0.5, 0.25, 'b', FALSE), "+
+		"(1, 0, 0.5, 0.0, 'c', TRUE), (1, 1, -0.5, 1.0, 'd', FALSE)")
+	cs := db.lookupTable("g").store.(*ColStore)
+	caps := func(c *column) int {
+		switch c.kind {
+		case colInt:
+			return cap(c.ints)
+		case colFloat:
+			return cap(c.floats)
+		case colStr:
+			return cap(c.strs)
+		case colBool:
+			return cap(c.bools)
+		}
+		t.Fatalf("column kind %s is not a typed vector", c.kind)
+		return 0
+	}
+	for i := range cs.cols {
+		if got := caps(&cs.cols[i]); got != 4 {
+			t.Errorf("column %d (%s): cap %d after a 4-row INSERT, want 4", i, cs.cols[i].kind, got)
+		}
+	}
+
+	mustExec(t, db, "INSERT INTO g VALUES (2, 3, 0.125, 0.0, 'e', TRUE)")
+	rows := queryAll(t, db, "SELECT in_s, i, name FROM g ORDER BY in_s, out_s")
+	if len(rows) != 5 || rows[4][0].I != 2 || rows[0][1].T != TypeNull || rows[4][2].S != "e" {
+		t.Fatalf("rows after the second INSERT = %v", rows)
+	}
+
+	mustExec(t, db, "CREATE TABLE c AS SELECT in_s, r FROM g")
+	ctas := db.lookupTable("c").store.(*ColStore)
+	for i := range ctas.cols {
+		if got := caps(&ctas.cols[i]); got < batchSize {
+			t.Errorf("CTAS column %d (%s): cap %d, want the %d-row floor", i, ctas.cols[i].kind, got, batchSize)
+		}
+	}
+}

@@ -66,10 +66,11 @@ type Config struct {
 	// fused pass, double-buffering the intermediate amplitudes in
 	// memory and materializing only the final stage's store; "off"
 	// keeps stage-at-a-time execution. Requires Kernels and the
-	// optimizer; it declines (with a distinct fallback counter) under a
-	// bounded memory budget. Simulated amplitudes are bitwise
-	// independent of the setting (see the determinism contract in
-	// kernel_chain.go).
+	// optimizer. Under a bounded memory budget the fused pass reserves
+	// its working set and declines to stage-at-a-time execution (counted
+	// as fallback_chain-budget-limited) only when the budget refuses it.
+	// Simulated amplitudes are bitwise independent of the setting (see
+	// the determinism contract in kernel_chain.go).
 	Fusion string
 	// Encodings controls the sparsity-first storage tier: "" or "on"
 	// (the default) stores REAL columns that are mostly zero in a sparse
@@ -616,6 +617,9 @@ func (db *DB) execInsert(ctx context.Context, s *InsertStmt, params []Value) (in
 
 	cctx := &compileCtx{resolver: planSchema(nil), params: params}
 	meta.store.Thaw()
+	if cs, ok := meta.store.(*ColStore); ok {
+		cs.sizeExact(len(s.Rows))
+	}
 	for _, exprRow := range s.Rows {
 		vals := make([]Value, len(exprRow))
 		for i, e := range exprRow {

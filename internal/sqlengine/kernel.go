@@ -153,8 +153,10 @@ func ResetKernelCounters() {
 }
 
 // KernelCache caches compiled kernel programs keyed by the canonical
-// plan structure (expressions with resolved column slots, scan column
-// maps, HAVING threshold). Programs are store-independent — execution
+// plan structure: appendGateStageKey appends the expressions with
+// resolved column slots, the scan column maps, the schema widths and
+// the HAVING threshold into a pooled buffer, and a warm lookup finds
+// the program without allocating. Programs are store-independent — execution
 // re-binds them to the current table vectors — so a sweep that re-plans
 // the same structural query with different gate numerics compiles once
 // and rebinds thereafter. No engine setting enters a program: the row
@@ -187,7 +189,7 @@ func ProcessKernelCache() *KernelCache { return processKernelCache }
 // Len reports the number of cached programs.
 func (c *KernelCache) Len() int { return c.lru.len() }
 
-func (c *KernelCache) lookup(key string) (*kernelProg, bool) { return c.lru.get(key) }
+func (c *KernelCache) lookup(key []byte) (*kernelProg, bool) { return c.lru.getBytes(key) }
 
 func (c *KernelCache) store(key string, p *kernelProg) { c.lru.put(key, p, 1) }
 

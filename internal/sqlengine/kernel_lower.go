@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -281,9 +282,11 @@ func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateK
 		if _, ok := gateScan.store.(*ColStore); !ok {
 			return nil, kfRowLayout
 		}
-		key := gateStageCacheKey(core, agg, having, join, stateScan.keep, gateScan, nLeft, len(rightSchema))
-		if cache := env.kernelCache; cache != nil {
-			if prog, hit := cache.lookup(key); hit {
+		cache := env.kernelCache
+		var key string
+		if cache != nil {
+			var prog *kernelProg
+			if prog, key = lookupGateProgram(cache, "", agg, having, join, stateScan.keep, gateScan); prog != nil {
 				kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.cacheHits }, 1)
 				return &gateKernel{core: core, agg: agg, state: stateScan, gate: gateScan, prog: prog, cached: true}, ""
 			}
@@ -293,7 +296,7 @@ func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateK
 			return nil, reason
 		}
 		kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.compiles }, 1)
-		if cache := env.kernelCache; cache != nil {
+		if cache != nil {
 			cache.store(key, prog)
 		}
 		return &gateKernel{core: core, agg: agg, state: stateScan, gate: gateScan, prog: prog}, ""
@@ -338,9 +341,11 @@ func compileChainStage(core *projectNode, env *storageEnv) (*gateKernel, string)
 	if gateScan == nil {
 		return nil, kfChainStageShape
 	}
-	key := "chain|" + gateStageCacheKey(core, agg, having, join, nil, gateScan, len(join.left.schema()), len(gateScan.cols))
-	if cache := env.kernelCache; cache != nil {
-		if prog, hit := cache.lookup(key); hit {
+	cache := env.kernelCache
+	var key string
+	if cache != nil {
+		var prog *kernelProg
+		if prog, key = lookupGateProgram(cache, "chain|", agg, having, join, nil, gateScan); prog != nil {
 			kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.cacheHits }, 1)
 			return &gateKernel{core: core, agg: agg, gate: gateScan, prog: prog, cached: true}, ""
 		}
@@ -364,7 +369,7 @@ func compileChainStage(core *projectNode, env *storageEnv) (*gateKernel, string)
 	}
 	prog.g0a, prog.g0b, prog.g1a, prog.g1b = gp(prog.g0a), gp(prog.g0b), gp(prog.g1a), gp(prog.g1b)
 	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.compiles }, 1)
-	if cache := env.kernelCache; cache != nil {
+	if cache != nil {
 		cache.store(key, &prog)
 	}
 	kern.prog = &prog
@@ -873,51 +878,184 @@ func (p *kIdxProg) shiftRight(k uint8) *kIdxProg {
 	return out
 }
 
-// gateStageCacheKey canonicalizes everything a compiled program depends
-// on: the expressions (with resolved slots and literal values), the
-// scans' physical column maps (keepL is the state scan's pruning map,
-// nil for a chain stage whose state side is the fixed in-memory
-// intermediate), and the schema widths.
-func gateStageCacheKey(core *projectNode, agg *aggNode, having *filterNode, join *joinNode, keepL []int, gateScan *storeScanNode, nLeft, nRight int) string {
-	leftSchema := join.left.schema()
-	joinSchema := append(append(planSchema{}, leftSchema...), gateScan.cols...)
-	var b strings.Builder
-	b.WriteString("v1|nl=")
-	b.WriteString(strconv.Itoa(nLeft))
-	b.WriteString("|nr=")
-	b.WriteString(strconv.Itoa(nRight))
-	b.WriteString("|kl=")
-	writeKeep(&b, keepL)
-	b.WriteString("|kr=")
-	writeKeep(&b, gateScan.keep)
-	b.WriteString("|in=")
-	b.WriteString(canonicalExprString(join.leftKeys[0], leftSchema))
-	b.WriteString("|rk=")
-	b.WriteString(canonicalExprString(join.rightKeys[0], gateScan.cols))
-	b.WriteString("|out=")
-	b.WriteString(canonicalExprString(agg.groupBy[0], joinSchema))
-	b.WriteString("|s0=")
-	b.WriteString(canonicalExprString(agg.aggs[0].Arg, joinSchema))
-	b.WriteString("|s1=")
-	b.WriteString(canonicalExprString(agg.aggs[1].Arg, joinSchema))
-	b.WriteString("|hv=")
-	if having != nil {
-		b.WriteString(canonicalExprString(having.pred, agg.schema()))
-	} else {
-		b.WriteString("-")
+// kernelKeyBufs recycles the buffers gate-stage cache keys are
+// appended into, so building and looking up a warm key allocates
+// nothing.
+var kernelKeyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// lookupGateProgram looks a gate stage's compiled program up in cache
+// under prefix + appendGateStageKey. On a hit it returns the program;
+// on a miss it returns the key as a string, for storing the program
+// once compiled.
+func lookupGateProgram(cache *KernelCache, prefix string, agg *aggNode, having *filterNode, join *joinNode, keepL []int, gateScan *storeScanNode) (*kernelProg, string) {
+	bp := kernelKeyBufs.Get().(*[]byte)
+	b := appendGateStageKey(append((*bp)[:0], prefix...), agg, having, join, keepL, gateScan)
+	prog, hit := cache.lookup(b)
+	key := ""
+	if !hit {
+		key = string(b)
 	}
-	return b.String()
+	*bp = b
+	kernelKeyBufs.Put(bp)
+	return prog, key
 }
 
-func writeKeep(b *strings.Builder, keep []int) {
+// appendGateStageKey appends the canonical form of everything a
+// compiled program depends on: the expressions (with resolved slots and
+// literal values), the scans' physical column maps (keepL is the state
+// scan's pruning map, nil for a chain stage whose state side is the
+// fixed in-memory intermediate), and the schema widths. The key is the
+// program's identity: two stages with equal keys compile to the same
+// program.
+func appendGateStageKey(b []byte, agg *aggNode, having *filterNode, join *joinNode, keepL []int, gateScan *storeScanNode) []byte {
+	left := join.left.schema()
+	both := keySchema{left, gateScan.cols}
+	b = append(b, "v1|nl="...)
+	b = strconv.AppendInt(b, int64(len(left)), 10)
+	b = append(b, "|nr="...)
+	b = strconv.AppendInt(b, int64(len(gateScan.cols)), 10)
+	b = append(b, "|kl="...)
+	b = appendKeep(b, keepL)
+	b = append(b, "|kr="...)
+	b = appendKeep(b, gateScan.keep)
+	b = append(b, "|in="...)
+	b = appendCanonicalExpr(b, join.leftKeys[0], keySchema{left: left})
+	b = append(b, "|rk="...)
+	b = appendCanonicalExpr(b, join.rightKeys[0], keySchema{left: gateScan.cols})
+	b = append(b, "|out="...)
+	b = appendCanonicalExpr(b, agg.groupBy[0], both)
+	b = append(b, "|s0="...)
+	b = appendCanonicalExpr(b, agg.aggs[0].Arg, both)
+	b = append(b, "|s1="...)
+	b = appendCanonicalExpr(b, agg.aggs[1].Arg, both)
+	b = append(b, "|hv="...)
+	if having != nil {
+		return appendCanonicalExpr(b, having.pred, keySchema{left: agg.schema()})
+	}
+	return append(b, '-')
+}
+
+func appendKeep(b []byte, keep []int) []byte {
 	if keep == nil {
-		b.WriteString("*")
-		return
+		return append(b, '*')
 	}
 	for i, k := range keep {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.Itoa(k))
+		b = strconv.AppendInt(b, int64(k), 10)
 	}
+	return b
+}
+
+// keySchema is the schema a key expression resolves against: left,
+// then right at offset len(left), as if concatenated — resolved in
+// place, so a join's key needs no copy of the join schema.
+type keySchema struct{ left, right planSchema }
+
+// resolve is planSchema.resolveColumn over the concatenation, without
+// the error: false for an unknown or ambiguous column.
+func (s keySchema) resolve(table, name string) (int, bool) {
+	found, off := -1, 0
+	for _, part := range [2]planSchema{s.left, s.right} {
+		for i, c := range part {
+			if !strings.EqualFold(c.name, name) || (table != "" && !strings.EqualFold(c.table, table)) {
+				continue
+			}
+			if found >= 0 {
+				return 0, false
+			}
+			found = off + i
+		}
+		off += len(part)
+	}
+	return found, found >= 0
+}
+
+// appendCanonicalExpr appends an expression with column references
+// replaced by their resolved slot index, so that "T0.s" and "s" (when
+// unambiguous) render alike.
+func appendCanonicalExpr(b []byte, e Expr, s keySchema) []byte {
+	switch n := e.(type) {
+	case *ColumnRef:
+		if idx, ok := s.resolve(n.Table, n.Name); ok {
+			return strconv.AppendInt(append(b, "#c"...), int64(idx), 10)
+		}
+		return append(append(b, "?unresolved:"...), strings.ToLower(n.Deparse())...)
+	case *BinaryExpr:
+		b = appendCanonicalExpr(append(b, '('), n.L, s)
+		b = append(append(append(b, ' '), n.Op...), ' ')
+		return append(appendCanonicalExpr(b, n.R, s), ')')
+	case *UnaryExpr:
+		b = append(append(append(b, '('), n.Op...), ' ')
+		return append(appendCanonicalExpr(b, n.X, s), ')')
+	case *FuncCall:
+		b = append(b, n.Name...)
+		if n.Star {
+			return append(b, "(*)"...)
+		}
+		b = append(b, '(')
+		if n.Distinct {
+			b = append(b, "DISTINCT "...)
+		}
+		b = appendCanonicalList(b, n.Args, s)
+		return append(b, ')')
+	case *CaseExpr:
+		b = append(b, "CASE"...)
+		if n.Operand != nil {
+			b = appendCanonicalExpr(append(b, ' '), n.Operand, s)
+		}
+		for _, w := range n.Whens {
+			b = appendCanonicalExpr(append(b, " WHEN "...), w.When, s)
+			b = appendCanonicalExpr(append(b, " THEN "...), w.Then, s)
+		}
+		if n.Else != nil {
+			b = appendCanonicalExpr(append(b, " ELSE "...), n.Else, s)
+		}
+		return append(b, " END"...)
+	case *IsNullExpr:
+		b = append(appendCanonicalExpr(b, n.X, s), " IS "...)
+		if n.Not {
+			b = append(b, "NOT "...)
+		}
+		return append(b, "NULL"...)
+	case *InExpr:
+		b = appendCanonicalExpr(b, n.X, s)
+		if n.Not {
+			b = append(b, " NOT"...)
+		}
+		b = appendCanonicalList(append(b, " IN ("...), n.List, s)
+		return append(b, ')')
+	case *BetweenExpr:
+		b = appendCanonicalExpr(b, n.X, s)
+		if n.Not {
+			b = append(b, " NOT"...)
+		}
+		b = appendCanonicalExpr(append(b, " BETWEEN "...), n.Lo, s)
+		return appendCanonicalExpr(append(b, " AND "...), n.Hi, s)
+	case *CastExpr:
+		b = appendCanonicalExpr(append(b, "CAST("...), n.X, s)
+		return append(append(append(b, " AS "...), n.To.String()...), ')')
+	case *Literal:
+		switch n.Val.T {
+		case TypeInt:
+			return strconv.AppendInt(b, n.Val.I, 10)
+		case TypeFloat:
+			return strconv.AppendFloat(b, n.Val.F, 'g', -1, 64)
+		}
+	case *ParamRef:
+		return strconv.AppendInt(append(b, '?'), int64(n.Index), 10)
+	}
+	return append(b, e.Deparse()...)
+}
+
+// appendCanonicalList appends comma-separated canonical expressions.
+func appendCanonicalList(b []byte, list []Expr, s keySchema) []byte {
+	for i, x := range list {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendCanonicalExpr(b, x, s)
+	}
+	return b
 }

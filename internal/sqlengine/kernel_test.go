@@ -184,14 +184,14 @@ func TestKernelCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	a, b := &kernelProg{}, &kernelProg{}
 	c.store("a", a)
 	c.store("b", b)
-	if p, ok := c.lookup("a"); !ok || p != a {
+	if p, ok := c.lookup([]byte("a")); !ok || p != a {
 		t.Fatal("program a missing before overflow")
 	}
 	c.store("c", &kernelProg{})
-	if _, ok := c.lookup("b"); ok {
+	if _, ok := c.lookup([]byte("b")); ok {
 		t.Fatal("the least recently used program b survived the overflow")
 	}
-	if p, ok := c.lookup("a"); !ok || p != a {
+	if p, ok := c.lookup([]byte("a")); !ok || p != a {
 		t.Fatal("the recently used program a was evicted")
 	}
 	if c.Len() != 2 {

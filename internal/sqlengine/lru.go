@@ -31,8 +31,22 @@ func newLRU[V any](limit int) *lruCache[V] {
 func (c *lruCache[V]) get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
+	return c.touch(c.m[key])
+}
+
+// getBytes is get for a key held in a byte slice. The map index
+// converts without allocating, so a hit copies nothing; callers make the
+// string copy put needs only on a miss.
+func (c *lruCache[V]) getBytes(key []byte) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.touch(c.m[string(key)])
+}
+
+// touch marks el most recently used and returns its value; a nil el is
+// a miss. Callers hold c.mu.
+func (c *lruCache[V]) touch(el *list.Element) (V, bool) {
+	if el == nil {
 		var zero V
 		return zero, false
 	}

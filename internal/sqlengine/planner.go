@@ -208,7 +208,7 @@ func (p *planner) lower(n logicalNode) (planNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &aliasNode{child: child, table: t.qual, names: t.cte.cols, est: t.est}, nil
+		return newAliasNode(child, t.qual, t.cte.cols, t.est), nil
 
 	case *lFilter:
 		child, err := p.lower(t.child)
@@ -259,7 +259,7 @@ func (p *planner) lower(n logicalNode) (planNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &aggNode{child: child, groupBy: t.groupBy, aggs: t.aggs, groupHint: t.groupHint, hintable: t.hintable, est: t.est}, nil
+		return &aggNode{child: child, groupBy: t.groupBy, aggs: t.aggs, groupHint: t.groupHint, hintable: t.hintable, est: t.est, cols: t.lschema()}, nil
 
 	case *lSort:
 		child, err := p.lower(t.child)
@@ -280,7 +280,7 @@ func (p *planner) lower(n logicalNode) (planNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &aliasNode{child: child, table: t.table, names: t.names, est: t.est}, nil
+		return newAliasNode(child, t.table, t.names, t.est), nil
 	}
 	return nil, fmt.Errorf("sqlengine: internal: cannot lower %T", n)
 }
@@ -435,22 +435,27 @@ func (p *planner) bind(node planNode) float64 {
 type aliasNode struct {
 	child planNode
 	table string
-	names []string // optional; must match child width when set
 	est   *nodeEst
+	cols  planSchema // computed once by newAliasNode
 }
 
-func (n *aliasNode) schema() planSchema {
-	cs := n.child.schema()
-	out := make(planSchema, len(cs))
+// newAliasNode builds the alias and its schema, which the planner and
+// the kernel-cache key read many times per statement. names is optional
+// and must match the child's width when set.
+func newAliasNode(child planNode, table string, names []string, est *nodeEst) *aliasNode {
+	cs := child.schema()
+	cols := make(planSchema, len(cs))
 	for i, c := range cs {
 		name := c.name
-		if n.names != nil {
-			name = strings.ToLower(n.names[i])
+		if names != nil {
+			name = strings.ToLower(names[i])
 		}
-		out[i] = planCol{table: strings.ToLower(n.table), name: name}
+		cols[i] = planCol{table: strings.ToLower(table), name: name}
 	}
-	return out
+	return &aliasNode{child: child, table: table, est: est, cols: cols}
 }
+
+func (n *aliasNode) schema() planSchema { return n.cols }
 
 func (n *aliasNode) open(ctx *execCtx) (batchIter, error) { return n.child.open(ctx) }
 
@@ -638,7 +643,7 @@ func (rw *aggRewriter) rewrite(e Expr) Expr {
 }
 
 // sameExpr reports whether a and b are the same expression over schema
-// — equal canonicalExprString renderings — without rendering either, so
+// — equal appendCanonicalExpr renderings — without rendering either, so
 // comparing a subtree costs no more than walking it: column references
 // match when they resolve to the same slot (or, unresolved, are spelled
 // alike) and literals when they print alike.
@@ -760,78 +765,4 @@ func rebuildExpr(e Expr, fn func(Expr) Expr) Expr {
 		return &CastExpr{X: fn(n.X), To: n.To}
 	}
 	return e
-}
-
-// canonicalExprString renders an expression with column references
-// replaced by their resolved slot index, so that "T0.s" and "s" (when
-// unambiguous) compare equal for GROUP BY matching.
-func canonicalExprString(e Expr, schema planSchema) string {
-	switch n := e.(type) {
-	case *ColumnRef:
-		if idx, err := schema.resolveColumn(n.Table, n.Name); err == nil {
-			return "#c" + strconv.Itoa(idx)
-		}
-		return "?unresolved:" + strings.ToLower(n.Deparse())
-	case *BinaryExpr:
-		return "(" + canonicalExprString(n.L, schema) + " " + n.Op + " " + canonicalExprString(n.R, schema) + ")"
-	case *UnaryExpr:
-		return "(" + n.Op + " " + canonicalExprString(n.X, schema) + ")"
-	case *FuncCall:
-		parts := make([]string, len(n.Args))
-		for i, a := range n.Args {
-			parts[i] = canonicalExprString(a, schema)
-		}
-		d := ""
-		if n.Distinct {
-			d = "DISTINCT "
-		}
-		if n.Star {
-			return n.Name + "(*)"
-		}
-		return n.Name + "(" + d + strings.Join(parts, ",") + ")"
-	case *CaseExpr:
-		var b strings.Builder
-		b.WriteString("CASE")
-		if n.Operand != nil {
-			b.WriteString(" " + canonicalExprString(n.Operand, schema))
-		}
-		for _, w := range n.Whens {
-			b.WriteString(" WHEN " + canonicalExprString(w.When, schema))
-			b.WriteString(" THEN " + canonicalExprString(w.Then, schema))
-		}
-		if n.Else != nil {
-			b.WriteString(" ELSE " + canonicalExprString(n.Else, schema))
-		}
-		b.WriteString(" END")
-		return b.String()
-	case *IsNullExpr:
-		s := canonicalExprString(n.X, schema) + " IS "
-		if n.Not {
-			s += "NOT "
-		}
-		return s + "NULL"
-	case *InExpr:
-		parts := make([]string, len(n.List))
-		for i, x := range n.List {
-			parts[i] = canonicalExprString(x, schema)
-		}
-		s := canonicalExprString(n.X, schema)
-		if n.Not {
-			s += " NOT"
-		}
-		return s + " IN (" + strings.Join(parts, ",") + ")"
-	case *BetweenExpr:
-		s := canonicalExprString(n.X, schema)
-		if n.Not {
-			s += " NOT"
-		}
-		return s + " BETWEEN " + canonicalExprString(n.Lo, schema) + " AND " + canonicalExprString(n.Hi, schema)
-	case *CastExpr:
-		return "CAST(" + canonicalExprString(n.X, schema) + " AS " + n.To.String() + ")"
-	case *Literal:
-		return e.Deparse()
-	case *ParamRef:
-		return "?" + strconv.Itoa(n.Index)
-	}
-	return e.Deparse()
 }
