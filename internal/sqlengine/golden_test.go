@@ -1,10 +1,13 @@
 package sqlengine
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -43,7 +46,7 @@ func goldenDB(t *testing.T, cfg Config) *DB {
 }
 
 // goldenCases is the pinned query set: EXPLAIN output for each lives in
-// testdata/plans/<name>.golden.
+// testdata/plans/<name>.golden and its answer in <name>.rows.golden.
 var goldenCases = []struct {
 	name  string
 	query string
@@ -92,7 +95,9 @@ var goldenCases = []struct {
 // fixed schema and query set is pinned under testdata/plans/. An
 // accidental plan change — a rule firing differently, an estimate
 // shifting, a physical choice flipping — fails CI with a readable
-// diff. Regenerate intentionally with:
+// diff. Each query's answer is pinned beside its plan, so a plan that
+// changes on purpose must still return the same rows, float bits
+// included. Regenerate intentionally with:
 //
 //	go test ./internal/sqlengine -run TestGoldenPlans -update
 func TestGoldenPlans(t *testing.T) {
@@ -103,26 +108,78 @@ func TestGoldenPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Answers come from a second engine: running a query freezes its
+	// tables, which the scans' layout annotations in EXPLAIN would show.
+	rowsDB := goldenDB(t, Config{Parallelism: 1})
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			plan, err := db.Explain(tc.query)
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(dir, tc.name+".golden")
-			if *updateGolden {
-				if err := os.WriteFile(path, []byte(plan), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden snapshot (run with -update): %v", err)
-			}
-			if plan != string(want) {
-				t.Errorf("plan changed for %s.\n--- want\n%s\n--- got\n%s", tc.name, want, plan)
-			}
+			checkGolden(t, filepath.Join(dir, tc.name+".golden"), "plan", plan)
+			answer := renderGoldenRows(queryAll(t, rowsDB, tc.query), strings.Contains(tc.query, "ORDER BY"))
+			checkGolden(t, filepath.Join(dir, tc.name+".rows.golden"), "answer", answer)
 		})
 	}
+}
+
+// checkGolden compares got with the snapshot at path, or rewrites the
+// snapshot under -update.
+func checkGolden(t *testing.T, path, what, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden snapshot (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s changed for %s.\n--- want\n%s\n--- got\n%s", what, path, want, got)
+	}
+}
+
+// renderGoldenRows renders a result one row per line, with REAL values
+// in their shortest round-tripping form so every float bit is pinned.
+// Rows are sorted unless the query orders them, since an unordered
+// answer may legitimately come back in another order. More than 64
+// rows collapse to the row count and a SHA-256 of the rendering.
+func renderGoldenRows(rows []Row, ordered bool) string {
+	lines := make([]string, len(rows))
+	for i, r := range rows {
+		var b strings.Builder
+		for j, v := range r {
+			if j > 0 {
+				b.WriteByte('|')
+			}
+			switch v.T {
+			case TypeNull:
+				b.WriteString("NULL")
+			case TypeInt:
+				b.WriteString(strconv.FormatInt(v.I, 10))
+			case TypeBool:
+				b.WriteString(strconv.FormatBool(v.I != 0))
+			case TypeFloat:
+				b.WriteString(strconv.FormatFloat(v.F, 'g', -1, 64))
+			default:
+				b.WriteString(strconv.Quote(v.S))
+			}
+		}
+		lines[i] = b.String()
+	}
+	if len(lines) == 0 {
+		return "(no rows)\n"
+	}
+	if !ordered {
+		sort.Strings(lines)
+	}
+	text := strings.Join(lines, "\n") + "\n"
+	if len(rows) > 64 {
+		return fmt.Sprintf("rows: %d\nsha256: %x\n", len(rows), sha256.Sum256([]byte(text)))
+	}
+	return text
 }
