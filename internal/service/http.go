@@ -280,8 +280,8 @@ type MetricsJSON struct {
 
 	// Optimizer exposes the engine's cumulative query-optimizer rule
 	// counters (process-wide, across every engine instance the service
-	// created): plans_optimized, plans_with_stats, and per-rule firing
-	// counts (pushdowns, cte_inlined, build_flips, ...).
+	// created): plans_optimized, plans_with_stats, cte_inlined, cte_dead
+	// and const_folded.
 	Optimizer map[string]int64 `json:"optimizer"`
 
 	// Kernels exposes the engine's cumulative gate-stage kernel-tier

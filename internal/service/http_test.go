@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"qymera/internal/circuits"
 	"qymera/internal/sim"
@@ -306,6 +307,55 @@ func TestHTTPRequestBodyLimit(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Fatalf("%s: normal body: status %d, want %d", path, resp.StatusCode, want)
 		}
+	}
+}
+
+// TestHTTPGateCountLimit: a circuit one gate over maxGates is a 400
+// naming the limit and creates no job, while exactly maxGates gates is
+// admitted and runs.
+func TestHTTPGateCountLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	doc := func(gates int) Request {
+		g := strings.Repeat(`{"name":"X","qubits":[0]},`, gates)
+		return Request{
+			Circuit: json.RawMessage(`{"num_qubits":1,"gates":[` + strings.TrimSuffix(g, ",") + `]}`),
+			Backend: "statevector",
+		}
+	}
+	resp := postJSON(t, ts.URL+"/v1/jobs", doc(maxGates+1))
+	e := decodeBody[errorJSON](t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, fmt.Sprint(maxGates)) {
+		t.Fatalf("status %d, error %q; want 400 naming the %d-gate limit", resp.StatusCode, e.Error, maxGates)
+	}
+	r, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := decodeBody[struct {
+		Jobs []JobJSON `json:"jobs"`
+	}](t, r)
+	if len(list.Jobs) != 0 {
+		t.Fatalf("rejected request created jobs: %+v", list.Jobs)
+	}
+
+	resp = postJSON(t, ts.URL+"/v1/jobs", doc(maxGates))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("%d gates: status %d, want 202", maxGates, resp.StatusCode)
+	}
+	job := decodeBody[JobJSON](t, resp)
+	var final JobJSON
+	for i := 0; i < 1000; i++ {
+		r, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s", ts.URL, job.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final = decodeBody[JobJSON](t, r); JobStatus(final.Status).terminal() {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if final.Status != "done" {
+		t.Fatalf("%d-gate job ended %q: %s", maxGates, final.Status, final.Error)
 	}
 }
 

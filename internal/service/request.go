@@ -51,8 +51,9 @@ type RequestOptions struct {
 	// Layout (sql backends): "columnar" (default) or "row".
 	Layout string `json:"layout,omitempty"`
 	// Optimizer (sql backends): "on" (default) or "off" — toggles the
-	// engine's cost-based query optimizer. Amplitudes are bit-identical
-	// either way; only plan quality changes.
+	// engine's query optimizer (constant folding, CTE inlining, cost
+	// estimates). Amplitudes are bit-identical either way; only the
+	// plan shape changes.
 	Optimizer string `json:"optimizer,omitempty"`
 	// Kernels (sql backends): "on" (default) or "off" — toggles the
 	// engine's compiled gate-stage kernel tier. Amplitudes are
@@ -144,6 +145,12 @@ func BackendNames() []string {
 // and quantum.State alike).
 const maxQubits = 63
 
+// maxGates bounds a circuit's length before it is admitted: translating
+// a million gates would build SQL text hundreds of MB long before any
+// memory budget could see it. Translated workloads run to a few
+// thousand gates (QFT-63 has about 2k).
+const maxGates = 1 << 16
+
 func parseRequest(req Request) (*parsedRequest, error) {
 	if len(req.Circuit) == 0 {
 		return nil, fmt.Errorf("request has no circuit")
@@ -154,6 +161,9 @@ func parseRequest(req Request) (*parsedRequest, error) {
 	}
 	if n := c.NumQubits(); n < 1 || n > maxQubits {
 		return nil, fmt.Errorf("num_qubits %d outside [1, %d]", n, maxQubits)
+	}
+	if n := c.Len(); n > maxGates {
+		return nil, fmt.Errorf("circuit has %d gates, over the limit of %d", n, maxGates)
 	}
 	backend, ok := canonicalBackends[strings.ToLower(req.Backend)]
 	if !ok {

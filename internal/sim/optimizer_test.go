@@ -12,10 +12,10 @@ import (
 // optimizer's correctness invariant at the simulation level: the SQL
 // backend produces bitwise-identical amplitudes with the optimizer on
 // and off, on both storage layouts, at one and at four workers, in both
-// translation modes. The optimizer's order-sensitive rewrites (CTE
-// inlining, build-side flips, join reordering) are guarded away from
-// plans with float accumulation (see internal/sqlengine/optimize.go),
-// so plan quality changes but amplitude bits never do.
+// translation modes. The optimizer's one order-sensitive rewrite, CTE
+// inlining, is guarded away from plans with float accumulation (see
+// internal/sqlengine/optimize.go), so plan shape changes but amplitude
+// bits never do.
 func TestSQLOptimizerBitIdenticalAmplitudes(t *testing.T) {
 	workloads := []struct {
 		name string

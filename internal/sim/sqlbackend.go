@@ -50,11 +50,12 @@ type SQL struct {
 	// legacy row-major store. Amplitudes are bitwise independent of the
 	// layout (asserted by the differential tests).
 	Layout string
-	// Optimizer controls the engine's cost-based query optimizer: "" or
-	// "on" (default) enables it, "off" uses the legacy direct planner.
-	// Amplitudes are bitwise independent of the setting: the optimizer
-	// restricts order-sensitive rewrites to plans without float
-	// accumulation (see internal/sqlengine/optimize.go).
+	// Optimizer controls the engine's query optimizer: "" or "on"
+	// (default) folds constants, inlines single-use CTEs and estimates
+	// costs, "off" uses the legacy direct planner. Amplitudes are
+	// bitwise independent of the setting: the optimizer inlines only
+	// where no float accumulation consumes the CTE (see
+	// internal/sqlengine/optimize.go).
 	Optimizer string
 	// Kernels controls the engine's compiled gate-stage kernel tier: ""
 	// or "on" (default) lowers matching gate-stage plans to a fused

@@ -797,26 +797,16 @@ func (cs *ColStore) morselCount() int {
 }
 
 func (cs *ColStore) morselScanner() (morselScanner, error) {
-	return cs.morselScannerCols(nil)
-}
-
-// morselScannerCols is the pruned variant: only the keep columns are
-// decoded and served (nil = all).
-func (cs *ColStore) morselScannerCols(keep []int) (morselScanner, error) {
 	if err := cs.Freeze(); err != nil {
 		return nil, err
 	}
 	w := len(cs.cols)
-	if keep != nil {
-		w = len(keep)
-	}
-	return &colMorselScan{cs: cs, keep: keep, scratch: make([]colVec, w), buf: &rowBatch{cols: make([]colVec, w)}}, nil
+	return &colMorselScan{cs: cs, scratch: make([]colVec, w), buf: &rowBatch{cols: make([]colVec, w)}}, nil
 }
 
 // colMorselScan serves one morsel at a time as column-slice batches.
 type colMorselScan struct {
 	cs       *ColStore
-	keep     []int
 	pos, end int
 	buf      *rowBatch
 	scratch  []colVec
@@ -832,23 +822,15 @@ func (s *colMorselScan) NextBatch() (*rowBatch, error) {
 		return nil, nil
 	}
 	hi := min(s.pos+batchSize, s.end)
-	serveColumns(s.cs.cols, s.keep, s.pos, hi, s.buf, s.scratch)
+	serveColumns(s.cs.cols, s.pos, hi, s.buf, s.scratch)
 	s.pos = hi
 	return s.buf, nil
 }
 
 // serveColumns exposes rows [lo, hi) of a column set as a batch view.
-// keep, when non-nil, selects (and orders) the served column subset —
-// unkept columns are never decoded.
-func serveColumns(cols []column, keep []int, lo, hi int, buf *rowBatch, scratch []colVec) {
-	if keep == nil {
-		for i := range cols {
-			buf.cols[i], scratch[i] = cols[i].decodeRange(lo, hi, scratch[i])
-		}
-	} else {
-		for i, k := range keep {
-			buf.cols[i], scratch[i] = cols[k].decodeRange(lo, hi, scratch[i])
-		}
+func serveColumns(cols []column, lo, hi int, buf *rowBatch, scratch []colVec) {
+	for i := range cols {
+		buf.cols[i], scratch[i] = cols[i].decodeRange(lo, hi, scratch[i])
 	}
 	buf.n = hi - lo
 	buf.sel = nil
@@ -857,21 +839,13 @@ func serveColumns(cols []column, keep []int, lo, hi int, buf *rowBatch, scratch 
 // batchScan returns a batch reader over all rows: spilled chunks first
 // (decoded chunk by chunk), then the in-memory tail.
 func (cs *ColStore) batchScan() (storeScan, error) {
-	return cs.batchScanCols(nil)
-}
-
-// batchScanCols is the pruned variant: only the keep columns are
-// decoded and served (nil = all). Spilled chunks are still parsed in
-// full — the on-disk format is sequential — but only kept columns are
-// materialized as Values.
-func (cs *ColStore) batchScanCols(keep []int) (storeScan, error) {
 	if err := cs.Freeze(); err != nil {
 		return nil, err
 	}
 	if cs.spillErr != nil {
 		return nil, cs.spillErr
 	}
-	sc := &colScan{cs: cs, keep: keep}
+	sc := &colScan{cs: cs}
 	if cs.file != nil && cs.fileRows > 0 {
 		info, err := cs.file.Stat()
 		if err != nil {
@@ -886,7 +860,6 @@ func (cs *ColStore) batchScanCols(keep []int) (storeScan, error) {
 // colScan reads a frozen ColStore batch-at-a-time.
 type colScan struct {
 	cs       *ColStore
-	keep     []int
 	r        *bufio.Reader
 	fileLeft int64
 	chunk    []column
@@ -900,16 +873,13 @@ type colScan struct {
 func (s *colScan) NextBatch() (*rowBatch, error) {
 	if s.buf == nil {
 		w := len(s.cs.cols)
-		if s.keep != nil {
-			w = len(s.keep)
-		}
 		s.buf = &rowBatch{cols: make([]colVec, w)}
 		s.scratch = make([]colVec, w)
 	}
 	for {
 		if s.chunkPos < s.chunkLen {
 			hi := min(s.chunkPos+batchSize, s.chunkLen)
-			serveColumns(s.chunk, s.keep, s.chunkPos, hi, s.buf, s.scratch)
+			serveColumns(s.chunk, s.chunkPos, hi, s.buf, s.scratch)
 			s.chunkPos = hi
 			return s.buf, nil
 		}
@@ -927,7 +897,7 @@ func (s *colScan) NextBatch() (*rowBatch, error) {
 		}
 		if s.memPos < s.cs.rows {
 			hi := min(s.memPos+batchSize, s.cs.rows)
-			serveColumns(s.cs.cols, s.keep, s.memPos, hi, s.buf, s.scratch)
+			serveColumns(s.cs.cols, s.memPos, hi, s.buf, s.scratch)
 			s.memPos = hi
 			return s.buf, nil
 		}

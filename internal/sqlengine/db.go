@@ -41,12 +41,12 @@ type Config struct {
 	// concurrent queries compete for one global pool; Close does not
 	// reset a shared budget (each store releases its own reservations).
 	Budget *MemBudget
-	// Optimizer controls the cost-based query optimizer: "" or "on"
-	// (the default) enables the logical rewrite rules and cost-based
-	// physical planning (optimize.go); "off" lowers the AST directly,
-	// reproducing the legacy planner. Simulated amplitudes are bitwise
-	// independent of the setting (see the bit-neutrality contract in
-	// optimize.go).
+	// Optimizer controls the query optimizer: "" or "on" (the default)
+	// folds constants, inlines single-use CTEs, skips dead CTEs and
+	// annotates the plan with cost estimates (optimize.go); "off" lowers
+	// the AST directly, reproducing the legacy planner. Simulated
+	// amplitudes are bitwise independent of the setting (see the
+	// bit-neutrality contract in optimize.go).
 	Optimizer string
 	// Kernels controls the compiled kernel tier: "" or "on" (the
 	// default) lowers plans matching the translated gate-stage shape

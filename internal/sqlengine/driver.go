@@ -24,7 +24,8 @@ import (
 // worker count; 0 derives it from GOMAXPROCS), layout ("columnar" —
 // the default typed column-vector store — or "row" for the legacy
 // row-major store kept for differential testing), optimizer ("on"/"off"
-// for the cost-based optimizer), kernels ("on"/"off" for the compiled
+// for constant folding, CTE inlining and cost estimates, see
+// optimize.go), kernels ("on"/"off" for the compiled
 // gate-stage kernel tier, see kernel.go), fusion ("on"/"off" for
 // whole-circuit chain fusion on top of the kernel tier, see
 // kernel_chain.go), and encodings ("on"/"off" for the sparsity-first

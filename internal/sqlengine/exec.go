@@ -153,17 +153,10 @@ func (it *oneRowBatchIter) Close() {}
 
 // storeScanNode scans a table store with a fixed schema. The store is
 // owned elsewhere (a base table or a materialized CTE); ownStore marks
-// stores that must be released when the iterator closes. keep, when
-// non-nil, is the pruned physical column subset the scan serves (the
-// columnar store skips decoding the dropped columns entirely; other
-// stores are wrapped with a zero-copy column pick).
+// stores that must be released when the iterator closes.
 type storeScanNode struct {
-	store tableStore
-	cols  planSchema
-	keep  []int
-	// fullCols is the store's unpruned column count (EXPLAIN's pruning
-	// annotation; the row layout cannot report it itself).
-	fullCols int
+	store    tableStore
+	cols     planSchema
 	ownStore bool
 	est      *nodeEst
 	// fromKernel marks the scan the kernel tier swaps in over its
@@ -174,64 +167,12 @@ type storeScanNode struct {
 
 func (n *storeScanNode) schema() planSchema { return n.cols }
 
-// prunableStore is the optional storage fast path for column-pruned
-// scans (implemented by ColStore: pruned columns are never decoded).
-type prunableStore interface {
-	batchScanCols(keep []int) (storeScan, error)
-	morselScannerCols(keep []int) (morselScanner, error)
-}
-
 func (n *storeScanNode) open(*execCtx) (batchIter, error) {
-	var sc storeScan
-	var err error
-	if n.keep != nil {
-		if ps, ok := n.store.(prunableStore); ok {
-			sc, err = ps.batchScanCols(n.keep)
-		} else {
-			sc, err = n.store.batchScan()
-			if err == nil {
-				sc = newPickScan(sc, n.keep)
-			}
-		}
-	} else {
-		sc, err = n.store.batchScan()
-	}
+	sc, err := n.store.batchScan()
 	if err != nil {
 		return nil, err
 	}
 	return &storeScanIter{scan: sc, store: n.store, own: n.ownStore}, nil
-}
-
-// pickBatch aliases the idxs-selected columns of b into out (zero copy;
-// the shared body of every column-pick adapter). A nil or error input
-// passes through.
-func pickBatch(out, b *rowBatch, idxs []int, err error) (*rowBatch, error) {
-	if err != nil || b == nil {
-		return nil, err
-	}
-	for i, k := range idxs {
-		out.cols[i] = b.cols[k]
-	}
-	out.n = b.n
-	out.sel = b.sel
-	return out, nil
-}
-
-// pickScan serves a column subset of an underlying scan without copying
-// data: the output batch aliases the picked column vectors.
-type pickScan struct {
-	src  storeScan
-	keep []int
-	out  *rowBatch
-}
-
-func newPickScan(src storeScan, keep []int) *pickScan {
-	return &pickScan{src: src, keep: keep, out: &rowBatch{cols: make([]colVec, len(keep))}}
-}
-
-func (s *pickScan) NextBatch() (*rowBatch, error) {
-	b, err := s.src.NextBatch()
-	return pickBatch(s.out, b, s.keep, err)
 }
 
 // storeScanIter adapts a store's batch scan — column slices for the
@@ -265,13 +206,11 @@ func newOwnedStoreIter(store tableStore) (batchIter, error) {
 
 // filterNode drops rows whose predicate is not true. Filtering is a
 // selection-vector rewrite: the child's batch is passed through with a
-// narrowed selection and no data movement. pushed marks a filter the
-// optimizer pushed into its scan (for EXPLAIN).
+// narrowed selection and no data movement.
 type filterNode struct {
-	child  planNode
-	pred   Expr
-	pushed bool
-	est    *nodeEst
+	child planNode
+	pred  Expr
+	est   *nodeEst
 }
 
 func (n *filterNode) schema() planSchema { return n.child.schema() }
@@ -408,39 +347,6 @@ func (it *sliceProjectIter) NextBatch() (*rowBatch, error) {
 
 func (it *sliceProjectIter) Close() { it.child.Close() }
 
-// pickNode projects by column index with zero copying: the output batch
-// aliases the child's column vectors. The optimizer inserts it to
-// restore column order after a build-side flip or join reorder.
-type pickNode struct {
-	child planNode
-	idxs  []int
-	cols  planSchema
-	est   *nodeEst
-}
-
-func (n *pickNode) schema() planSchema { return n.cols }
-
-func (n *pickNode) open(ctx *execCtx) (batchIter, error) {
-	child, err := n.child.open(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &pickIter{child: child, idxs: n.idxs, out: &rowBatch{cols: make([]colVec, len(n.idxs))}}, nil
-}
-
-type pickIter struct {
-	child batchIter
-	idxs  []int
-	out   *rowBatch
-}
-
-func (it *pickIter) NextBatch() (*rowBatch, error) {
-	b, err := it.child.NextBatch()
-	return pickBatch(it.out, b, it.idxs, err)
-}
-
-func (it *pickIter) Close() { it.child.Close() }
-
 // limitNode implements LIMIT/OFFSET with precomputed counts (-1 = none).
 type limitNode struct {
 	child         planNode
@@ -541,8 +447,6 @@ func planChildren(node planNode) []planNode {
 	case *projectNode:
 		return []planNode{n.child}
 	case *sliceProjectNode:
-		return []planNode{n.child}
-	case *pickNode:
 		return []planNode{n.child}
 	case *joinNode:
 		return []planNode{n.left, n.right}

@@ -182,7 +182,7 @@ func writeExplainHeader(b *strings.Builder, env *storageEnv, ctx *execCtx, names
 		batchSize, ctx.workers, morselRows)
 	fmt.Fprintf(b, "storage: %s\n", storageDesc(env))
 	if env.optimizer {
-		fmt.Fprintf(b, "optimizer: on (cost-based: statistics, pushdown, pruning, CTE inlining, join planning)\n")
+		fmt.Fprintf(b, "optimizer: on (constant folding, CTE inlining, estimates)\n")
 	} else {
 		fmt.Fprintf(b, "optimizer: off\n")
 	}
@@ -372,8 +372,6 @@ func instrumentPlan(node planNode, sampleEvery int) planNode {
 		n.child = instrumentPlan(n.child, sampleEvery)
 	case *sliceProjectNode:
 		n.child = instrumentPlan(n.child, sampleEvery)
-	case *pickNode:
-		n.child = instrumentPlan(n.child, sampleEvery)
 	case *joinNode:
 		n.left = instrumentPlan(n.left, sampleEvery)
 		n.right = instrumentPlan(n.right, sampleEvery)
@@ -411,25 +409,13 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 		if len(n.cols) > 0 {
 			qual = n.cols[0].table
 		}
-		pruned := ""
-		if n.keep != nil {
-			names := make([]string, len(n.cols))
-			for i, c := range n.cols {
-				names[i] = c.name
-			}
-			pruned = fmt.Sprintf(", pruned=%d->%d cols [%s]", n.fullCols, len(n.keep), strings.Join(names, " "))
-		}
 		kout := ""
 		if n.fromKernel {
 			kout = " [kernel output: " + kernelAnnotation + "]"
 		}
-		line("BatchScan %s (rows=%d, cols=%d, batch=%d, layout=%s%s)%s", qual, n.store.Len(), len(n.cols), batchSize, scanLayout(n.store), pruned, kout)
+		line("BatchScan %s (rows=%d, cols=%d, batch=%d, layout=%s)%s", qual, n.store.Len(), len(n.cols), batchSize, scanLayout(n.store), kout)
 	case *filterNode:
-		mark := ""
-		if n.pushed {
-			mark = " [pushed to scan]"
-		}
-		line("BatchFilter %s [selection vector]%s", n.pred.Deparse(), mark)
+		line("BatchFilter %s [selection vector]", n.pred.Deparse())
 		describePlan(b, n.child, depth+1, kcore)
 	case *projectNode:
 		exprs := make([]string, len(n.exprs))
@@ -440,9 +426,6 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 		describePlan(b, n.child, depth+1, kcore)
 	case *sliceProjectNode:
 		line("StripHiddenColumns keep=%d", n.keep)
-		describePlan(b, n.child, depth+1, kcore)
-	case *pickNode:
-		line("ReorderColumns keep=%d", len(n.idxs))
 		describePlan(b, n.child, depth+1, kcore)
 	case *joinNode:
 		if len(n.leftKeys) > 0 {
@@ -458,11 +441,7 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 			if n.strategy == joinGrace {
 				mode = " [grace partitioned: build exceeds budget]"
 			}
-			flipped := ""
-			if n.flipped {
-				flipped = " [build side flipped]"
-			}
-			line("HashJoin (%s) on %s%s%s%s", n.joinType, strings.Join(keys, " AND "), residual, mode, flipped)
+			line("HashJoin (%s) on %s%s%s", n.joinType, strings.Join(keys, " AND "), residual, mode)
 		} else {
 			pred := ""
 			if n.residual != nil {

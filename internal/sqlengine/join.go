@@ -14,6 +14,18 @@ const (
 	mapEntryBytes = 64 // estimated per-entry map bookkeeping overhead
 )
 
+// joinStrategy is the physical join execution choice.
+type joinStrategy int
+
+const (
+	// joinAuto: try the in-memory streaming build, degrade dynamically.
+	joinAuto joinStrategy = iota
+	// joinGrace: the bound build side cannot fit the memory budget;
+	// skip the doomed in-memory attempt and go straight to the
+	// grace-partitioned out-of-core join.
+	joinGrace
+)
+
 // joinNode implements INNER, LEFT, and CROSS joins. When equi-key pairs
 // were extracted from the ON clause it runs a hash join that degrades to
 // recursive grace partitioning under memory pressure; otherwise it runs a
@@ -26,19 +38,17 @@ type joinNode struct {
 	leftKeys    []Expr // parallel with rightKeys
 	rightKeys   []Expr
 	residual    Expr // may be nil
-	// strategy is the cost model's execution choice: joinAuto tries the
+	// strategy is planner.bind's execution choice: joinAuto tries the
 	// in-memory streaming build; joinGrace goes straight to the
-	// grace-partitioned out-of-core join (chosen when the estimated
-	// build side cannot fit the memory budget).
+	// grace-partitioned out-of-core join (chosen when the bound build
+	// side cannot fit the memory budget).
 	strategy joinStrategy
 	// buildHint pre-sizes the build-side hash table (0 = no hint);
 	// hintable lets planner.bind re-size it from the build side's
 	// refreshed row count.
 	buildHint int64
 	hintable  bool
-	// flipped marks a build-side swap applied by the optimizer.
-	flipped bool
-	est     *nodeEst
+	est       *nodeEst
 }
 
 func (n *joinNode) schema() planSchema {
@@ -150,7 +160,7 @@ func (j *joinExec) openHashJoin(left, right batchIter, lk, rk []vecExpr) (batchI
 
 // openGraceJoin is the pre-chosen out-of-core path: both sides are
 // materialized as keyed stores and grace-partition joined, skipping the
-// in-memory build attempt the cost model determined could never fit.
+// in-memory build attempt planner.bind determined could never fit.
 func (j *joinExec) openGraceJoin(left, right batchIter, lk, rk []vecExpr) (batchIter, error) {
 	rightStore, err := j.materializeKeyed(right, rk)
 	right.Close()

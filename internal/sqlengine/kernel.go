@@ -154,9 +154,9 @@ func ResetKernelCounters() {
 
 // KernelCache caches compiled kernel programs keyed by the canonical
 // plan structure: appendGateStageKey appends the expressions with
-// resolved column slots, the scan column maps, the schema widths and
-// the HAVING threshold into a pooled buffer, and a warm lookup finds
-// the program without allocating. Programs are store-independent — execution
+// resolved column slots, the schema widths and the HAVING threshold
+// into a pooled buffer, and a warm lookup finds the program without
+// allocating. Programs are store-independent — execution
 // re-binds them to the current table vectors — so a sweep that re-plans
 // the same structural query with different gate numerics compiles once
 // and rebinds thereafter. No engine setting enters a program: the row
@@ -243,7 +243,6 @@ func kernelAttempt(ctx *execCtx, root planNode, collect bool) (tableStore, table
 	site.set(&storeScanNode{
 		store:      store,
 		cols:       core.schema(),
-		fullCols:   len(core.schema()),
 		ownStore:   true,
 		est:        core.est,
 		fromKernel: true,

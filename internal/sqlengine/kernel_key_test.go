@@ -91,7 +91,7 @@ func canonicalExprString(e Expr, schema planSchema) string {
 }
 
 // gateStageCacheKey is the reference rendering of appendGateStageKey.
-func gateStageCacheKey(core *projectNode, agg *aggNode, having *filterNode, join *joinNode, keepL []int, gateScan *storeScanNode, nLeft, nRight int) string {
+func gateStageCacheKey(core *projectNode, agg *aggNode, having *filterNode, join *joinNode, gateScan *storeScanNode, nLeft, nRight int) string {
 	leftSchema := join.left.schema()
 	joinSchema := append(append(planSchema{}, leftSchema...), gateScan.cols...)
 	var b strings.Builder
@@ -99,10 +99,6 @@ func gateStageCacheKey(core *projectNode, agg *aggNode, having *filterNode, join
 	b.WriteString(strconv.Itoa(nLeft))
 	b.WriteString("|nr=")
 	b.WriteString(strconv.Itoa(nRight))
-	b.WriteString("|kl=")
-	writeKeep(&b, keepL)
-	b.WriteString("|kr=")
-	writeKeep(&b, gateScan.keep)
 	b.WriteString("|in=")
 	b.WriteString(canonicalExprString(join.leftKeys[0], leftSchema))
 	b.WriteString("|rk=")
@@ -122,23 +118,10 @@ func gateStageCacheKey(core *projectNode, agg *aggNode, having *filterNode, join
 	return b.String()
 }
 
-func writeKeep(b *strings.Builder, keep []int) {
-	if keep == nil {
-		b.WriteString("*")
-		return
-	}
-	for i, k := range keep {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(k))
-	}
-}
-
 // keyedStage is one gate-stage core of a planned statement, with the
 // operands its cache keys are built from. bottom is set when the stage
-// can also run on its own: its state side is a base table (pruned by
-// keepL) or a CTE, whose materialized store is scanned whole.
+// can also run on its own: its state side is a base table or a CTE,
+// whose materialized store is scanned whole.
 type keyedStage struct {
 	core     *projectNode
 	agg      *aggNode
@@ -146,26 +129,25 @@ type keyedStage struct {
 	join     *joinNode
 	gateScan *storeScanNode
 	bottom   bool
-	keepL    []int
 }
 
 // bottomKey and chainKey are the stage's two cache keys, appended.
 func (s keyedStage) bottomKey() []byte {
-	return appendGateStageKey(nil, s.agg, s.having, s.join, s.keepL, s.gateScan)
+	return appendGateStageKey(nil, s.agg, s.having, s.join, s.gateScan)
 }
 
 func (s keyedStage) chainKey() []byte {
-	return appendGateStageKey([]byte("chain|"), s.agg, s.having, s.join, nil, s.gateScan)
+	return appendGateStageKey([]byte("chain|"), s.agg, s.having, s.join, s.gateScan)
 }
 
 // refBottomKey and refChainKey are the reference renderings, built
 // from the operands exactly as the lowering passed them before.
 func (s keyedStage) refBottomKey() string {
-	return gateStageCacheKey(s.core, s.agg, s.having, s.join, s.keepL, s.gateScan, len(s.join.left.schema()), len(s.gateScan.schema()))
+	return gateStageCacheKey(s.core, s.agg, s.having, s.join, s.gateScan, len(s.join.left.schema()), len(s.gateScan.schema()))
 }
 
 func (s keyedStage) refChainKey() string {
-	return "chain|" + gateStageCacheKey(s.core, s.agg, s.having, s.join, nil, s.gateScan, len(s.join.left.schema()), len(s.gateScan.cols))
+	return "chain|" + gateStageCacheKey(s.core, s.agg, s.having, s.join, s.gateScan, len(s.join.left.schema()), len(s.gateScan.cols))
 }
 
 // plannedStages plans sel on db and returns every gate-stage core in
@@ -194,11 +176,8 @@ func plannedStages(t *testing.T, db *DB, sel *SelectStmt) []keyedStage {
 				if ok && len(join.leftKeys) == 1 && len(agg.groupBy) == 1 && len(agg.aggs) == 2 {
 					if gate := scanOf(join.right); gate != nil {
 						st := keyedStage{core: core, agg: agg, having: having, join: join, gateScan: gate}
-						if s, ok := unwrapStat(join.left).(*storeScanNode); ok {
-							st.bottom, st.keepL = true, s.keep
-						} else {
-							st.bottom = cteOf(join.left) != nil
-						}
+						_, isScan := unwrapStat(join.left).(*storeScanNode)
+						st.bottom = isScan || cteOf(join.left) != nil
 						out = append(out, st)
 					}
 				}
@@ -343,11 +322,11 @@ func TestGateStageKeyLookupAllocs(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(50, func() {
 			for _, st := range stages {
-				if p, _ := lookupGateProgram(cache, "chain|", st.agg, st.having, st.join, nil, st.gateScan); p != prog {
+				if p, _ := lookupGateProgram(cache, "chain|", st.agg, st.having, st.join, st.gateScan); p != prog {
 					t.Fatal("warm chain key missed")
 				}
 				if st.bottom {
-					if p, _ := lookupGateProgram(cache, "", st.agg, st.having, st.join, st.keepL, st.gateScan); p != prog {
+					if p, _ := lookupGateProgram(cache, "", st.agg, st.having, st.join, st.gateScan); p != prog {
 						t.Fatal("warm bottom-stage key missed")
 					}
 				}

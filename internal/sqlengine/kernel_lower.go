@@ -169,9 +169,6 @@ func findCore(root planNode) (*projectNode, func(planNode)) {
 		case *sliceProjectNode:
 			set = func(c planNode) { n.child = c }
 			cur = n.child
-		case *pickNode:
-			set = func(c planNode) { n.child = c }
-			cur = n.child
 		default:
 			return nil, nil
 		}
@@ -209,9 +206,9 @@ func coreAggOf(core *projectNode) (*aggNode, *filterNode) {
 // on an aggregate and compiles (or fetches from the kernel cache) its
 // program. With bindPhys=false (a structural dry run: EXPLAIN, or an
 // interior chain stage) it stops at the structural match: store layout
-// checks, physical column resolution, the cache, and the counters are
-// all skipped, and the state side may be an unmaterialized CTE
-// reference (the kernel's state scan is then nil).
+// checks, the cache, and the counters are all skipped, and the state
+// side may be an unmaterialized CTE reference (the kernel's state scan
+// is then nil).
 func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateKernel, string) {
 	agg, having := coreAggOf(core)
 	if agg == nil {
@@ -256,14 +253,14 @@ func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateK
 		}
 	}
 	// Join: streaming INNER hash join on a single equi-key with no
-	// residual, build side as planned (a flip or grace partitioning
-	// changes the probe schedule the kernel replicates).
+	// residual (grace partitioning changes the probe schedule the
+	// kernel replicates).
 	join, ok := unwrapStat(agg.child).(*joinNode)
 	if !ok {
 		return nil, kfJoinShape
 	}
 	if join.joinType != "INNER" || len(join.leftKeys) != 1 || len(join.rightKeys) != 1 ||
-		join.residual != nil || join.flipped || join.strategy == joinGrace {
+		join.residual != nil || join.strategy == joinGrace {
 		return nil, kfJoinShape
 	}
 	stateScan, gateScan := scanOf(join.left), scanOf(join.right)
@@ -286,12 +283,12 @@ func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateK
 		var key string
 		if cache != nil {
 			var prog *kernelProg
-			if prog, key = lookupGateProgram(cache, "", agg, having, join, stateScan.keep, gateScan); prog != nil {
+			if prog, key = lookupGateProgram(cache, "", agg, having, join, gateScan); prog != nil {
 				kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.cacheHits }, 1)
 				return &gateKernel{core: core, agg: agg, state: stateScan, gate: gateScan, prog: prog, cached: true}, ""
 			}
 		}
-		prog, reason := compileGateProgram(agg, having, join, stateScan, gateScan, joinSchema, nLeft, eps2)
+		prog, reason := compileGateProgram(agg, having, join, joinSchema, nLeft, eps2)
 		if prog == nil {
 			return nil, reason
 		}
@@ -301,10 +298,9 @@ func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateK
 		}
 		return &gateKernel{core: core, agg: agg, state: stateScan, gate: gateScan, prog: prog}, ""
 	}
-	// Structural dry run: compile against schema slots only (physical
-	// column maps need the scans, which an unmaterialized CTE reference
-	// does not have).
-	prog, reason := compileGateProgram(agg, having, join, nil, nil, joinSchema, nLeft, eps2)
+	// Structural dry run: the program is the same; only the store
+	// checks, the cache and the counters are skipped.
+	prog, reason := compileGateProgram(agg, having, join, joinSchema, nLeft, eps2)
 	if prog == nil {
 		return nil, reason
 	}
@@ -345,7 +341,7 @@ func compileChainStage(core *projectNode, env *storageEnv) (*gateKernel, string)
 	var key string
 	if cache != nil {
 		var prog *kernelProg
-		if prog, key = lookupGateProgram(cache, "chain|", agg, having, join, nil, gateScan); prog != nil {
+		if prog, key = lookupGateProgram(cache, "chain|", agg, having, join, gateScan); prog != nil {
 			kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.cacheHits }, 1)
 			return &gateKernel{core: core, agg: agg, gate: gateScan, prog: prog, cached: true}, ""
 		}
@@ -359,27 +355,17 @@ func compileChainStage(core *projectNode, env *storageEnv) (*gateKernel, string)
 	if !chainStateSlots(kern.prog) {
 		return nil, kfChainSlots
 	}
-	// Map the gate side to physical store columns; the state side stays
-	// on the (0,1,2) intermediate layout.
-	prog := *kern.prog
-	gp := func(i int) int { return scanPhys(gateScan, i) }
-	prog.gIn = gp(prog.gIn)
-	if prog.gOut >= 0 {
-		prog.gOut = gp(prog.gOut)
-	}
-	prog.g0a, prog.g0b, prog.g1a, prog.g1b = gp(prog.g0a), gp(prog.g0b), gp(prog.g1a), gp(prog.g1b)
 	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.compiles }, 1)
 	if cache != nil {
-		cache.store(key, &prog)
+		cache.store(key, kern.prog)
 	}
-	kern.prog = &prog
 	kern.gate = gateScan
 	return kern, ""
 }
 
-// compileGateProgram compiles the matched core's expressions. scans may
-// be nil (EXPLAIN dry run): physical slots then stay schema slots.
-func compileGateProgram(agg *aggNode, having *filterNode, join *joinNode, stateScan, gateScan *storeScanNode, joinSchema planSchema, nLeft int, eps2 float64) (*kernelProg, string) {
+// compileGateProgram compiles the matched core's expressions. Slots are
+// schema slots, which are the scanned stores' physical columns.
+func compileGateProgram(agg *aggNode, having *filterNode, join *joinNode, joinSchema planSchema, nLeft int, eps2 float64) (*kernelProg, string) {
 	// The probe key: integer bit arithmetic over exactly one state
 	// column (the amplitude index).
 	inBind := &kColBinder{schema: joinSchema, nLeft: nLeft, sCol: -1, gCol: -1, leftOnly: true}
@@ -428,28 +414,7 @@ func compileGateProgram(agg *aggNode, having *filterNode, join *joinNode, stateS
 		return err == nil && idx == prog.sCol
 	})
 	prog.gOutFn, prog.keep = denseGateSpec(agg.groupBy[0], joinSchema, nLeft, prog.sCol)
-	if stateScan != nil {
-		// Map schema slots to physical store columns through the scans'
-		// column-pruning maps.
-		sp := func(i int) int { return scanPhys(stateScan, i) }
-		gp := func(i int) int { return scanPhys(gateScan, i) }
-		prog.sCol = sp(prog.sCol)
-		prog.s0a, prog.s0b, prog.s1a, prog.s1b = sp(prog.s0a), sp(prog.s0b), sp(prog.s1a), sp(prog.s1b)
-		prog.gIn = gp(prog.gIn)
-		if prog.gOut >= 0 {
-			prog.gOut = gp(prog.gOut)
-		}
-		prog.g0a, prog.g0b, prog.g1a, prog.g1b = gp(prog.g0a), gp(prog.g0b), gp(prog.g1a), gp(prog.g1b)
-	}
 	return prog, ""
-}
-
-// scanPhys maps a scan-schema slot to the physical store column.
-func scanPhys(sc *storeScanNode, idx int) int {
-	if sc.keep != nil {
-		return sc.keep[idx]
-	}
-	return idx
 }
 
 // kColBinder resolves column references while compiling kernel integer
@@ -887,9 +852,9 @@ var kernelKeyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); retur
 // under prefix + appendGateStageKey. On a hit it returns the program;
 // on a miss it returns the key as a string, for storing the program
 // once compiled.
-func lookupGateProgram(cache *KernelCache, prefix string, agg *aggNode, having *filterNode, join *joinNode, keepL []int, gateScan *storeScanNode) (*kernelProg, string) {
+func lookupGateProgram(cache *KernelCache, prefix string, agg *aggNode, having *filterNode, join *joinNode, gateScan *storeScanNode) (*kernelProg, string) {
 	bp := kernelKeyBufs.Get().(*[]byte)
-	b := appendGateStageKey(append((*bp)[:0], prefix...), agg, having, join, keepL, gateScan)
+	b := appendGateStageKey(append((*bp)[:0], prefix...), agg, having, join, gateScan)
 	prog, hit := cache.lookup(b)
 	key := ""
 	if !hit {
@@ -902,22 +867,17 @@ func lookupGateProgram(cache *KernelCache, prefix string, agg *aggNode, having *
 
 // appendGateStageKey appends the canonical form of everything a
 // compiled program depends on: the expressions (with resolved slots and
-// literal values), the scans' physical column maps (keepL is the state
-// scan's pruning map, nil for a chain stage whose state side is the
-// fixed in-memory intermediate), and the schema widths. The key is the
-// program's identity: two stages with equal keys compile to the same
-// program.
-func appendGateStageKey(b []byte, agg *aggNode, having *filterNode, join *joinNode, keepL []int, gateScan *storeScanNode) []byte {
+// literal values) and the schema widths. A scan's schema slots are its
+// store's physical columns, so the slots pin the column layout too. The
+// key is the program's identity: two stages with equal keys compile to
+// the same program.
+func appendGateStageKey(b []byte, agg *aggNode, having *filterNode, join *joinNode, gateScan *storeScanNode) []byte {
 	left := join.left.schema()
 	both := keySchema{left, gateScan.cols}
 	b = append(b, "v1|nl="...)
 	b = strconv.AppendInt(b, int64(len(left)), 10)
 	b = append(b, "|nr="...)
 	b = strconv.AppendInt(b, int64(len(gateScan.cols)), 10)
-	b = append(b, "|kl="...)
-	b = appendKeep(b, keepL)
-	b = append(b, "|kr="...)
-	b = appendKeep(b, gateScan.keep)
 	b = append(b, "|in="...)
 	b = appendCanonicalExpr(b, join.leftKeys[0], keySchema{left: left})
 	b = append(b, "|rk="...)
@@ -933,19 +893,6 @@ func appendGateStageKey(b []byte, agg *aggNode, having *filterNode, join *joinNo
 		return appendCanonicalExpr(b, having.pred, keySchema{left: agg.schema()})
 	}
 	return append(b, '-')
-}
-
-func appendKeep(b []byte, keep []int) []byte {
-	if keep == nil {
-		return append(b, '*')
-	}
-	for i, k := range keep {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(k), 10)
-	}
-	return b
 }
 
 // keySchema is the schema a key expression resolves against: left,

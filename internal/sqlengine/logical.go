@@ -9,7 +9,7 @@ import (
 // Logical plan IR. The planner lowers the AST into this tree first; the
 // rule-driven rewriter (optimize.go) transforms it; and the physical
 // lowering (planner.go) turns it into the executable planNode tree,
-// making the cost-based physical choices on the way. Logical nodes carry
+// carrying the estimates and pre-sizing hints along. Logical nodes carry
 // no execution state — in particular CTEs are *not* materialized while
 // the logical plan is being built or rewritten, which is what allows
 // single-use CTE inlining and dead-CTE elimination.
@@ -47,13 +47,6 @@ type cteDef struct {
 	// inline is set by the optimizer: references lower to the subplan
 	// itself instead of a scan over a materialized store.
 	inline bool
-	// sensitiveUse records that at least one reference sits under an
-	// accumulation-order-sensitive aggregate, so order-changing rewrites
-	// (build-side flips, join reordering) inside this CTE's plan would
-	// change the materialized row order a float SUM consumes — the
-	// optimizer must not apply them (see the bit-neutrality contract in
-	// optimize.go).
-	sensitiveUse bool
 }
 
 // lOneRow emits a single empty row (FROM-less SELECT).
@@ -62,31 +55,17 @@ type lOneRow struct{ est *nodeEst }
 func (n *lOneRow) lschema() planSchema { return nil }
 func (n *lOneRow) estimate() *nodeEst  { return n.est }
 
-// lScan scans a base table. filters holds conjuncts pushed into the
-// scan; keep, when non-nil, lists the column subset the scan must
-// produce (projection pruning — with the columnar store, dropped columns
-// are never decoded).
+// lScan scans a base table.
 type lScan struct {
-	name    string // catalog name
-	qual    string // alias qualifier (lowercase)
-	meta    *TableMeta
-	cols    planSchema // full-width schema
-	filters []Expr
-	keep    []int
-	est     *nodeEst
+	name string // catalog name
+	qual string // alias qualifier (lowercase)
+	meta *TableMeta
+	cols planSchema
+	est  *nodeEst
 }
 
-func (n *lScan) lschema() planSchema {
-	if n.keep == nil {
-		return n.cols
-	}
-	out := make(planSchema, len(n.keep))
-	for i, k := range n.keep {
-		out[i] = n.cols[k]
-	}
-	return out
-}
-func (n *lScan) estimate() *nodeEst { return n.est }
+func (n *lScan) lschema() planSchema { return n.cols }
+func (n *lScan) estimate() *nodeEst  { return n.est }
 
 // lCTERef references a CTE. Lowering either inlines the subplan (alias
 // over cte.plan) or scans the shared materialized store.
@@ -100,12 +79,11 @@ type lCTERef struct {
 func (n *lCTERef) lschema() planSchema { return n.cols }
 func (n *lCTERef) estimate() *nodeEst  { return n.est }
 
-// lFilter drops rows failing any conjunct (the conjuncts are implicitly
-// AND-combined; the rewriter moves them around individually).
+// lFilter drops rows whose predicate is not true (WHERE or HAVING).
 type lFilter struct {
-	child     logicalNode
-	conjuncts []Expr
-	est       *nodeEst
+	child logicalNode
+	pred  Expr
+	est   *nodeEst
 }
 
 func (n *lFilter) lschema() planSchema { return n.child.lschema() }
@@ -132,37 +110,6 @@ type lStrip struct {
 func (n *lStrip) lschema() planSchema { return n.child.lschema()[:n.keep] }
 func (n *lStrip) estimate() *nodeEst  { return n.est }
 
-// lPick projects by column index with zero copying — introduced by the
-// optimizer to restore column order after a build-side flip or join
-// reorder.
-type lPick struct {
-	child logicalNode
-	idxs  []int
-	est   *nodeEst
-}
-
-func (n *lPick) lschema() planSchema {
-	cs := n.child.lschema()
-	out := make(planSchema, len(n.idxs))
-	for i, k := range n.idxs {
-		out[i] = cs[k]
-	}
-	return out
-}
-func (n *lPick) estimate() *nodeEst { return n.est }
-
-// joinStrategy is the physical join execution choice.
-type joinStrategy int
-
-const (
-	// joinAuto: try the in-memory streaming build, degrade dynamically.
-	joinAuto joinStrategy = iota
-	// joinGrace: the cost model determined the build side cannot fit the
-	// memory budget; skip the doomed in-memory attempt and go straight
-	// to the grace-partitioned out-of-core join.
-	joinGrace
-)
-
 // lJoin joins two inputs (INNER/LEFT/CROSS), with equi-key pairs
 // extracted from the ON clause and an optional residual predicate.
 type lJoin struct {
@@ -171,16 +118,12 @@ type lJoin struct {
 	leftKeys    []Expr
 	rightKeys   []Expr
 	residual    Expr
-	strategy    joinStrategy
 	// buildHint pre-sizes the build-side hash table (0 = no hint);
 	// hintable records the chooser's approval (single-column TEXT keys
 	// would waste the pre-sized int64 map — see exprIntLike).
 	buildHint int64
 	hintable  bool
-	// flipped marks a build-side swap applied by the optimizer (for
-	// EXPLAIN).
-	flipped bool
-	est     *nodeEst
+	est       *nodeEst
 }
 
 func (n *lJoin) lschema() planSchema {
@@ -266,8 +209,6 @@ func lchildren(n logicalNode) []logicalNode {
 	case *lProject:
 		return []logicalNode{t.child}
 	case *lStrip:
-		return []logicalNode{t.child}
-	case *lPick:
 		return []logicalNode{t.child}
 	case *lJoin:
 		return []logicalNode{t.left, t.right}
@@ -362,7 +303,7 @@ func (b *logicalBuilder) buildSelect(sel *SelectStmt, scope *lcteScope) (logical
 		if exprReferencesAggregate(sel.Where) {
 			return nil, nil, fmt.Errorf("sqlengine: aggregates are not allowed in WHERE")
 		}
-		base = &lFilter{child: base, conjuncts: []Expr{sel.Where}, est: newNodeEst()}
+		base = &lFilter{child: base, pred: sel.Where, est: newNodeEst()}
 	}
 
 	// Decide whether the query aggregates.
@@ -408,7 +349,7 @@ func (b *logicalBuilder) buildSelect(sel *SelectStmt, scope *lcteScope) (logical
 		}
 		base = &lAgg{child: base, groupBy: sel.GroupBy, aggs: rw.aggs, est: newNodeEst()}
 		if having != nil {
-			base = &lFilter{child: base, conjuncts: []Expr{having}, est: newNodeEst()}
+			base = &lFilter{child: base, pred: having, est: newNodeEst()}
 		}
 	}
 

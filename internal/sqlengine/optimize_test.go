@@ -178,230 +178,8 @@ func TestConstantFoldingLeavesASTUnchanged(t *testing.T) {
 	}
 }
 
-func TestPredicatePushdownThroughJoin(t *testing.T) {
-	db := newTestDB(t)
-	mustExec(t, db, "CREATE TABLE a (x INTEGER, y INTEGER)")
-	mustExec(t, db, "CREATE TABLE b (x INTEGER, z INTEGER)")
-	plan, err := db.Explain("SELECT a.y FROM a JOIN b ON a.x = b.x WHERE a.y > 5 AND b.z < 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	joinIdx := strings.Index(plan, "HashJoin")
-	yIdx := strings.Index(plan, "BatchFilter (a.y > 5)")
-	zIdx := strings.Index(plan, "BatchFilter (b.z < 3)")
-	if joinIdx < 0 || yIdx < 0 || zIdx < 0 {
-		t.Fatalf("plan:\n%s", plan)
-	}
-	if yIdx < joinIdx || zIdx < joinIdx {
-		t.Fatalf("filters not pushed below the join:\n%s", plan)
-	}
-	// Correctness.
-	mustExec(t, db, "INSERT INTO a VALUES (1, 6), (2, 9), (3, 9)")
-	mustExec(t, db, "INSERT INTO b VALUES (1, 1), (2, 5), (3, 2)")
-	rows := queryAll(t, db, "SELECT a.y FROM a JOIN b ON a.x = b.x WHERE a.y > 5 AND b.z < 3 ORDER BY a.y")
-	if len(rows) != 2 || rows[0][0].I != 6 || rows[1][0].I != 9 {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
-// TestPushdownIntoSubquery: the alias boundary of a FROM subquery must
-// not stop pushdown.
-func TestPushdownIntoSubquery(t *testing.T) {
-	db := newTestDB(t)
-	mustExec(t, db, "CREATE TABLE t (a INTEGER, b INTEGER)")
-	fillSequence(t, db, "t", 20)
-	plan, err := db.Explain("SELECT v FROM (SELECT a AS v, b FROM t) s WHERE v > 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The filter lands on the base scan (below the subquery projection),
-	// rewritten to the base column.
-	scanIdx := strings.Index(plan, "BatchScan t")
-	filtIdx := strings.Index(plan, "BatchFilter (a > 10)")
-	if filtIdx < 0 || scanIdx < 0 || filtIdx > scanIdx {
-		t.Fatalf("filter not pushed through subquery projection:\n%s", plan)
-	}
-	rows := queryAll(t, db, "SELECT v FROM (SELECT a AS v, b FROM t) s WHERE v > 10 ORDER BY v")
-	if len(rows) != 9 {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
-func TestProjectionPruning(t *testing.T) {
-	db := newTestDB(t)
-	mustExec(t, db, "CREATE TABLE wide (a INTEGER, b REAL, c TEXT, d INTEGER)")
-	mustExec(t, db, "INSERT INTO wide VALUES (1, 2.0, 'x', 4), (5, 6.0, 'y', 8)")
-	plan, err := db.Explain("SELECT a FROM wide")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "pruned=4->1 cols [a]") {
-		t.Fatalf("scan not pruned:\n%s", plan)
-	}
-	rows := queryAll(t, db, "SELECT a FROM wide ORDER BY a")
-	if len(rows) != 2 || rows[0][0].I != 1 || rows[1][0].I != 5 {
-		t.Fatalf("rows = %v", rows)
-	}
-	// COUNT(*) keeps one column.
-	rows = queryAll(t, db, "SELECT COUNT(*) FROM wide")
-	if rows[0][0].I != 2 {
-		t.Fatalf("count = %v", rows)
-	}
-}
-
-// TestBuildSideFlip: an INNER join written with the large table on the
-// build (right) side gets its build side flipped, with identical
-// results.
-func TestBuildSideFlip(t *testing.T) {
-	run := func(cfg Config) (*DB, string) {
-		db := newOptDB(t, cfg)
-		mustExec(t, db, "CREATE TABLE small (id INTEGER, name TEXT)")
-		mustExec(t, db, "CREATE TABLE big (id INTEGER, v INTEGER)")
-		mustExec(t, db, "INSERT INTO small VALUES (1, 'a'), (2, 'b'), (3, 'c')")
-		fillSequence(t, db, "big", 6000)
-		return db, "SELECT small.name, big.v FROM small JOIN big ON big.id = small.id ORDER BY small.name"
-	}
-	db, q := run(Config{})
-	plan, err := db.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "[build side flipped]") {
-		t.Fatalf("build side not flipped:\n%s", plan)
-	}
-	got := queryAll(t, db, q)
-
-	off, _ := run(Config{Optimizer: "off"})
-	want := queryAll(t, off, q)
-	if len(got) != len(want) {
-		t.Fatalf("flip changed row count: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		for j := range got[i] {
-			if CompareTotal(got[i][j], want[i][j]) != 0 {
-				t.Fatalf("row %d differs: %v vs %v", i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestBuildSideFlipGuardUnderSum: flips change probe order, so they are
-// forbidden under order-sensitive aggregates.
-func TestBuildSideFlipGuardUnderSum(t *testing.T) {
-	db := newTestDB(t)
-	mustExec(t, db, "CREATE TABLE small (id INTEGER)")
-	mustExec(t, db, "CREATE TABLE big (id INTEGER, v INTEGER)")
-	mustExec(t, db, "INSERT INTO small VALUES (1)")
-	fillSequence(t, db, "big", 6000)
-	plan, err := db.Explain("SELECT SUM(big.v) FROM small JOIN big ON big.id = small.id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plan, "[build side flipped]") {
-		t.Fatalf("flip applied under SUM:\n%s", plan)
-	}
-	// COUNT is order-insensitive: the flip is allowed.
-	plan, err = db.Explain("SELECT COUNT(*) FROM small JOIN big ON big.id = small.id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "[build side flipped]") {
-		t.Fatalf("flip not applied under COUNT:\n%s", plan)
-	}
-}
-
-// TestFlipGuardInsideMaterializedCTE: a CTE consumed by a float SUM
-// keeps its materialized row order — order-changing rewrites inside its
-// plan (build-side flips) must be suppressed even though the CTE's own
-// plan has no aggregate, including transitively through CTE-in-CTE
-// references.
-func TestFlipGuardInsideMaterializedCTE(t *testing.T) {
-	db := newTestDB(t)
-	mustExec(t, db, "CREATE TABLE small (id INTEGER)")
-	mustExec(t, db, "CREATE TABLE big (id INTEGER, v INTEGER)")
-	mustExec(t, db, "INSERT INTO small VALUES (1), (2)")
-	fillSequence(t, db, "big", 6000)
-	// u is referenced twice (stays materialized) and feeds a SUM.
-	q := `WITH u AS (SELECT small.id AS id, big.v AS v FROM small JOIN big ON big.id = small.id)
-	      SELECT x.id, SUM(x.v + y.v) FROM u x JOIN u y ON x.id = y.id GROUP BY x.id`
-	plan, err := db.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plan, "[build side flipped]") {
-		t.Fatalf("flip applied inside a SUM-consumed CTE:\n%s", plan)
-	}
-	// Transitive: w references u; the SUM consumes w.
-	q2 := `WITH u AS (SELECT small.id AS id, big.v AS v FROM small JOIN big ON big.id = small.id),
-	       w AS (SELECT id, v FROM u WHERE v >= 0)
-	       SELECT a.id, SUM(a.v) FROM w a JOIN w b ON a.id = b.id GROUP BY a.id`
-	plan, err = db.Explain(q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plan, "[build side flipped]") {
-		t.Fatalf("flip applied transitively inside a SUM-consumed CTE chain:\n%s", plan)
-	}
-	// Without the SUM the same CTE plan is free to flip.
-	q3 := `WITH u AS (SELECT small.id AS id, big.v AS v FROM small JOIN big ON big.id = small.id)
-	       SELECT x.id FROM u x JOIN u y ON x.id = y.id ORDER BY x.id`
-	plan, err = db.Explain(q3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "[build side flipped]") {
-		t.Fatalf("flip suppressed without a sensitive consumer:\n%s", plan)
-	}
-}
-
-// TestJoinReorder: a chain written big-first gets reordered so the
-// selective join applies first, with identical results.
-func TestJoinReorder(t *testing.T) {
-	setup := func(cfg Config) (*DB, string) {
-		db := newOptDB(t, cfg)
-		mustExec(t, db, "CREATE TABLE a (id INTEGER, tag INTEGER)")
-		mustExec(t, db, "CREATE TABLE big (id INTEGER, v INTEGER)")
-		mustExec(t, db, "CREATE TABLE b (id INTEGER)")
-		for i := 0; i < 100; i++ {
-			mustExec(t, db, fmt.Sprintf("INSERT INTO a VALUES (%d, %d)", i, i%7))
-		}
-		fillSequence(t, db, "big", 8000)
-		mustExec(t, db, "INSERT INTO b VALUES (3), (4)")
-		return db, "SELECT a.id, big.v, b.id FROM a JOIN big ON big.id = a.id JOIN b ON b.id = a.id ORDER BY a.id"
-	}
-	db, q := setup(Config{})
-	before := OptimizerCounters()["join_reorders"]
-	plan, err := db.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := OptimizerCounters()["join_reorders"]; after <= before {
-		t.Fatalf("join chain not reordered:\n%s", plan)
-	}
-	// The selective b join now applies first (deepest); the reorder is
-	// wrapped in a column restore, and the big join probes its output
-	// (the build-side flip then also kicks in: a⋈b is far smaller than
-	// big).
-	if !strings.Contains(plan, "ReorderColumns") || !strings.Contains(plan, "on a.id = b.id") {
-		t.Fatalf("selective join not applied first:\n%s", plan)
-	}
-	got := queryAll(t, db, q)
-	off, _ := setup(Config{Optimizer: "off"})
-	want := queryAll(t, off, q)
-	if len(got) != len(want) {
-		t.Fatalf("reorder changed row count: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		for j := range got[i] {
-			if CompareTotal(got[i][j], want[i][j]) != 0 {
-				t.Fatalf("row %d differs: %v vs %v", i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestGracePrechoice: when the estimated build side exceeds the whole
-// budget, the plan goes straight to the grace join.
+// TestGracePrechoice: when the build side exceeds the whole budget,
+// planner.bind sends the join straight to the grace join.
 func TestGracePrechoice(t *testing.T) {
 	db := newOptDB(t, Config{MemoryBudget: 64 * 1024, SpillDir: t.TempDir()})
 	mustExec(t, db, "CREATE TABLE l (x INTEGER, y INTEGER)")
@@ -453,7 +231,7 @@ func TestOptimizerOnOffBitIdentical(t *testing.T) {
 		// Aggregation over expressions, DISTINCT, float sums.
 		"SELECT (s & 7) AS g, SUM(r), COUNT(*), MIN(i), AVG(r) FROM t0 GROUP BY (s & 7) ORDER BY g",
 		"SELECT DISTINCT (s & 3) FROM t0 ORDER BY 1",
-		// Join + WHERE mixture (pushdown, pruning).
+		// Join + WHERE mixture.
 		"SELECT t0.s, h.out_s FROM t0 JOIN h ON h.in_s = (t0.s & 1) WHERE t0.s < 20 AND h.out_s = 1 ORDER BY t0.s, h.out_s",
 		// Subquery with hidden sort keys and limit.
 		"SELECT v FROM (SELECT s AS v, r FROM t0) q WHERE v > 100 ORDER BY r DESC, v LIMIT 37",
@@ -503,9 +281,9 @@ func TestOptimizerOnOffBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOptimizerRandomizedFilterEquivalence cross-checks pushdown and
-// pruning against the unoptimized engine over a grid of generated
-// predicates (property-style).
+// TestOptimizerRandomizedFilterEquivalence cross-checks filters over
+// subqueries, CTEs and joins against the unoptimized engine over a grid
+// of generated predicates (property-style).
 func TestOptimizerRandomizedFilterEquivalence(t *testing.T) {
 	on := newOptDB(t, Config{})
 	off := newOptDB(t, Config{Optimizer: "off"})

@@ -135,41 +135,13 @@ func (n *storeScanNode) openParallel(ctx *execCtx, workers int) ([]morselStream,
 	d := &morselDispenser{count: count}
 	streams := make([]morselStream, workers)
 	for i := range streams {
-		var sc morselScanner
-		var err error
-		if n.keep != nil {
-			if ps, ok := n.store.(prunableStore); ok {
-				sc, err = ps.morselScannerCols(n.keep)
-			} else {
-				sc, err = n.store.morselScanner()
-				if err == nil {
-					sc = &pickMorselScan{src: sc, keep: n.keep, out: &rowBatch{cols: make([]colVec, len(n.keep))}}
-				}
-			}
-		} else {
-			sc, err = n.store.morselScanner()
-		}
+		sc, err := n.store.morselScanner()
 		if err != nil {
 			return nil, false, err
 		}
 		streams[i] = &scanMorselStream{disp: d, scan: sc}
 	}
 	return streams, true, nil
-}
-
-// pickMorselScan serves a column subset of an underlying morsel scanner
-// (zero copy; the generic fallback for non-columnar stores).
-type pickMorselScan struct {
-	src  morselScanner
-	keep []int
-	out  *rowBatch
-}
-
-func (s *pickMorselScan) setMorsel(i int) { s.src.setMorsel(i) }
-
-func (s *pickMorselScan) NextBatch() (*rowBatch, error) {
-	b, err := s.src.NextBatch()
-	return pickBatch(s.out, b, s.keep, err)
 }
 
 // scanMorselStream drives one worker's store scanner over the morsels
@@ -308,34 +280,6 @@ func (n *aliasNode) openParallel(ctx *execCtx, workers int) ([]morselStream, boo
 	return openMorselStreams(n.child, ctx, workers)
 }
 
-// openParallel wraps each child stream with the zero-copy column pick.
-func (n *pickNode) openParallel(ctx *execCtx, workers int) ([]morselStream, bool, error) {
-	children, ok, err := openMorselStreams(n.child, ctx, workers)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	out := make([]morselStream, len(children))
-	for i, c := range children {
-		out[i] = &pickMorselStream{child: c, idxs: n.idxs, out: &rowBatch{cols: make([]colVec, len(n.idxs))}}
-	}
-	return out, true, nil
-}
-
-type pickMorselStream struct {
-	child morselStream
-	idxs  []int
-	out   *rowBatch
-}
-
-func (s *pickMorselStream) NextMorsel() (int, bool, error) { return s.child.NextMorsel() }
-
-func (s *pickMorselStream) NextBatch() (*rowBatch, error) {
-	b, err := s.child.NextBatch()
-	return pickBatch(s.out, b, s.idxs, err)
-}
-
-func (s *pickMorselStream) Close() { s.child.Close() }
-
 // materializePlan executes a plan and materializes its output into a
 // table store. When the plan is morsel-capable and more than one worker
 // is configured, morsels are drained concurrently and their buffered
@@ -418,8 +362,6 @@ func planEstimateOf(node planNode) *nodeEst {
 	case *projectNode:
 		return n.est
 	case *sliceProjectNode:
-		return n.est
-	case *pickNode:
 		return n.est
 	case *joinNode:
 		return n.est

@@ -170,19 +170,6 @@ func (p *planner) cteNode(d *cteDef) (*materializeNode, error) {
 	return &materializeNode{name: d.name, uses: d.uses, child: child, res: res}, nil
 }
 
-// andJoin folds conjuncts back into one AND tree.
-func andJoin(conjuncts []Expr) Expr {
-	var out Expr
-	for _, c := range conjuncts {
-		if out == nil {
-			out = c
-		} else {
-			out = &BinaryExpr{Op: "AND", L: out, R: c}
-		}
-	}
-	return out
-}
-
 // lower converts one logical subtree to physical operators, carrying
 // the planning-time hints; bind refreshes them before execution.
 func (p *planner) lower(n logicalNode) (planNode, error) {
@@ -191,11 +178,7 @@ func (p *planner) lower(n logicalNode) (planNode, error) {
 		return &oneRowNode{}, nil
 
 	case *lScan:
-		var node planNode = &storeScanNode{store: t.meta.store, cols: t.lschema(), keep: t.keep, fullCols: len(t.cols), est: t.est}
-		if pred := andJoin(t.filters); pred != nil {
-			node = &filterNode{child: node, pred: pred, pushed: true, est: t.est}
-		}
-		return node, nil
+		return &storeScanNode{store: t.meta.store, cols: t.cols, est: t.est}, nil
 
 	case *lCTERef:
 		var child planNode
@@ -215,7 +198,7 @@ func (p *planner) lower(n logicalNode) (planNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &filterNode{child: child, pred: andJoin(t.conjuncts), est: t.est}, nil
+		return &filterNode{child: child, pred: t.pred, est: t.est}, nil
 
 	case *lProject:
 		child, err := p.lower(t.child)
@@ -231,13 +214,6 @@ func (p *planner) lower(n logicalNode) (planNode, error) {
 		}
 		return &sliceProjectNode{child: child, keep: t.keep, est: t.est}, nil
 
-	case *lPick:
-		child, err := p.lower(t.child)
-		if err != nil {
-			return nil, err
-		}
-		return &pickNode{child: child, idxs: t.idxs, cols: t.lschema(), est: t.est}, nil
-
 	case *lJoin:
 		left, err := p.lower(t.left)
 		if err != nil {
@@ -250,7 +226,7 @@ func (p *planner) lower(n logicalNode) (planNode, error) {
 		return &joinNode{
 			left: left, right: right, joinType: t.joinType,
 			leftKeys: t.leftKeys, rightKeys: t.rightKeys, residual: t.residual,
-			strategy: t.strategy, buildHint: t.buildHint, hintable: t.hintable, flipped: t.flipped,
+			buildHint: t.buildHint, hintable: t.hintable,
 			est: t.est,
 		}, nil
 
@@ -339,9 +315,6 @@ func (p *planner) bind(node planNode) float64 {
 		return plannedRows(n)
 
 	case *filterNode:
-		if n.pushed {
-			return p.bind(n.child) // the scan's own estimate
-		}
 		plannedIn := plannedRows(n.child)
 		return refresh(n.est, scaleEst(n.est, plannedIn, p.bind(n.child)))
 
@@ -349,9 +322,6 @@ func (p *planner) bind(node planNode) float64 {
 		return refresh(n.est, p.bind(n.child))
 
 	case *sliceProjectNode:
-		return refresh(n.est, p.bind(n.child))
-
-	case *pickNode:
 		return refresh(n.est, p.bind(n.child))
 
 	case *sortNode:

@@ -93,7 +93,7 @@ func (n *sortNode) inputOrdered() bool {
 	for ok {
 		if sc, isScan := cur.(*storeScanNode); isScan {
 			cs, isCol := sc.store.(*ColStore)
-			return isCol && cs.ascendingInt(scanPhys(sc, col))
+			return isCol && cs.ascendingInt(col)
 		}
 		cur, col, ok = orderPreservingChild(cur, col)
 	}

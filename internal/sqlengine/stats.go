@@ -16,9 +16,8 @@ import (
 // whose store predates collection (CREATE TABLE AS SELECT results).
 //
 // The statistics feed the cost model in optimize.go: filter
-// selectivities, join and aggregation cardinalities, and the physical
-// plan choices (hash-join build side and strategy, hash-table
-// pre-sizing, serial-vs-parallel gathering) all derive from them.
+// selectivities, join and aggregation cardinalities, and the hash-table
+// pre-sizing hints derive from them.
 // Statistics after DELETE/UPDATE stay exact because those statements
 // rewrite the table into a fresh store with a fresh collector.
 

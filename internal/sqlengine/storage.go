@@ -114,7 +114,7 @@ type storageEnv struct {
 	// rowLayout selects the legacy row-major RowStore for every table
 	// store the engine creates (Config.Layout = "row").
 	rowLayout bool
-	// optimizer enables the cost-based query optimizer (Config.Optimizer).
+	// optimizer enables the query optimizer (Config.Optimizer).
 	optimizer bool
 	// kernels enables the compiled gate-stage kernel tier
 	// (Config.Kernels; see kernel.go), and kernelCache holds its

@@ -124,8 +124,6 @@ func operatorSpanName(node planNode) string {
 		return "project"
 	case *sliceProjectNode:
 		return "strip"
-	case *pickNode:
-		return "reorder"
 	case *joinNode:
 		return "join"
 	case *aggNode:

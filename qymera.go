@@ -133,10 +133,10 @@ type SQLBackendOptions struct {
 	// for the legacy row-major store. Amplitudes are bit-identical
 	// across layouts; only throughput and memory density change.
 	StorageLayout string
-	// Optimizer controls the engine's cost-based query optimizer: "" or
-	// "on" (default) enables the rewrite rules and cost-based physical
-	// planning, "off" uses the legacy direct planner. Amplitudes are
-	// bit-identical across settings; only plan quality changes.
+	// Optimizer controls the engine's query optimizer: "" or "on"
+	// (default) folds constants, inlines single-use CTEs and estimates
+	// costs, "off" uses the legacy direct planner. Amplitudes are
+	// bit-identical across settings; only the plan shape changes.
 	Optimizer string
 	// Kernels controls the engine's compiled gate-stage kernel tier: ""
 	// or "on" (default) lowers matching gate-stage plans to a single
