@@ -320,3 +320,54 @@ func TestManagerReplayThirdLife(t *testing.T) {
 		m.Close()
 	}
 }
+
+// TestManagerReplayRemovedOptions: a durable log written before the
+// layout, optimizer and encodings options were removed still replays.
+// A job submitted with all three set and running at the crash is
+// re-executed after restart, reaches done, and its amplitudes are
+// bit-identical to a fresh run.
+func TestManagerReplayRemovedOptions(t *testing.T) {
+	dir := t.TempDir()
+	c := circuits.QFT(5)
+	fresh, err := (&sim.SQL{}).Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := json.Marshal(map[string]any{
+		"circuit": circuitDoc(t, c),
+		"backend": "sql",
+		"options": map[string]string{"layout": "row", "optimizer": "off", "encodings": "off"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := openJobLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	for _, rec := range []logRecord{
+		{Type: "submit", JobID: "job-1", Time: now, Request: req},
+		{Type: "start", JobID: "job-1", Time: now},
+	} {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+
+	m, err := OpenManager(Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if rs := m.Replay(); rs.Requeued != 1 || rs.CorruptRecords != 0 {
+		t.Fatalf("replay stats %+v, want one requeued job and no corrupt records", rs)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := m.Wait(ctx, "job-1"); err != nil {
+		t.Fatal(err)
+	}
+	statesEqualBits(t, fresh.State, replayAmplitudes(t, m, "job-1"))
+}

@@ -33,7 +33,9 @@ type Request struct {
 	decodeDur time.Duration
 }
 
-// RequestOptions are the per-request backend knobs.
+// RequestOptions are the per-request backend knobs. Unknown keys are
+// ignored on decode, so requests and job logs that still carry the
+// removed layout, optimizer and encodings options replay unchanged.
 type RequestOptions struct {
 	// Mode (sql backends): "single-query" (default) or
 	// "materialized-chain".
@@ -48,13 +50,6 @@ type RequestOptions struct {
 	// Parallelism (sql backends): per-query morsel workers; overrides
 	// the server default when positive.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Layout (sql backends): "columnar" (default) or "row".
-	Layout string `json:"layout,omitempty"`
-	// Optimizer (sql backends): "on" (default) or "off" — toggles the
-	// engine's query optimizer (constant folding, CTE inlining, cost
-	// estimates). Amplitudes are bit-identical either way; only the
-	// plan shape changes.
-	Optimizer string `json:"optimizer,omitempty"`
 	// Kernels (sql backends): "on" (default) or "off" — toggles the
 	// engine's compiled gate-stage kernel tier. Amplitudes are
 	// bit-identical either way; only throughput changes.
@@ -65,12 +60,6 @@ type RequestOptions struct {
 	// translation's gate-matrix fusion level. Amplitudes are
 	// bit-identical either way; only throughput changes.
 	ChainFusion string `json:"chain_fusion,omitempty"`
-	// Encodings (sql backends): "on" (default) or "off" — toggles the
-	// engine's sparsity-first storage tier (the sparse form of
-	// mostly-zero REAL columns). Distinct from Encoding, which selects the
-	// circuit translation's amplitude-index encoding. Amplitudes are
-	// bit-identical either way; only throughput and memory change.
-	Encodings string `json:"encodings,omitempty"`
 	// MaxBond (mps): bond-dimension cap, 0 = exact.
 	MaxBond int `json:"max_bond,omitempty"`
 	// Trace overrides the server's tracing default for this job: "off"
@@ -220,16 +209,6 @@ func sqlOptions(o RequestOptions) (so sqlPlanOptions, err error) {
 	default:
 		return so, fmt.Errorf("unknown encoding %q (have bitwise, arithmetic)", o.Encoding)
 	}
-	switch strings.ToLower(o.Layout) {
-	case "", "columnar", "row":
-	default:
-		return so, fmt.Errorf("unknown layout %q (have columnar, row)", o.Layout)
-	}
-	switch strings.ToLower(o.Optimizer) {
-	case "", "on", "off":
-	default:
-		return so, fmt.Errorf("unknown optimizer %q (have on, off)", o.Optimizer)
-	}
 	switch strings.ToLower(o.Kernels) {
 	case "", "on", "off":
 	default:
@@ -239,11 +218,6 @@ func sqlOptions(o RequestOptions) (so sqlPlanOptions, err error) {
 	case "", "on", "off":
 	default:
 		return so, fmt.Errorf("unknown chain_fusion %q (have on, off)", o.ChainFusion)
-	}
-	switch strings.ToLower(o.Encodings) {
-	case "", "on", "off":
-	default:
-		return so, fmt.Errorf("unknown encodings %q (have on, off)", o.Encodings)
 	}
 	switch strings.ToLower(o.Trace) {
 	case "", "on", "off", "sampled", "full":
@@ -276,11 +250,8 @@ func (m *Manager) newBackend(p *parsedRequest) (sim.Backend, error) {
 			PruneEps:    p.options.PruneEps,
 			SpillDir:    m.cfg.SpillDir,
 			Parallelism: parallelism,
-			Layout:      strings.ToLower(p.options.Layout),
-			Optimizer:   strings.ToLower(p.options.Optimizer),
 			Kernels:     strings.ToLower(p.options.Kernels),
 			ChainFusion: strings.ToLower(p.options.ChainFusion),
-			Encodings:   strings.ToLower(p.options.Encodings),
 			Budget:      m.budget,
 			Cache:       m.cache,
 		}, nil

@@ -5,6 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"reflect"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -268,7 +273,6 @@ func TestBadRequests(t *testing.T) {
 		{Circuit: json.RawMessage(`{"x"`)}, // invalid JSON
 		{Circuit: circuitDoc(t, circuits.GHZ(3)), Backend: "quantum-annealer"},
 		{Circuit: circuitDoc(t, circuits.GHZ(3)), Options: RequestOptions{Fusion: "maximal"}},
-		{Circuit: circuitDoc(t, circuits.GHZ(3)), Options: RequestOptions{Layout: "paged"}},
 	}
 	for i, req := range cases {
 		if _, err := m.Submit(req); err == nil {
@@ -330,5 +334,40 @@ func TestJobEviction(t *testing.T) {
 	}
 	if _, err := m.Job(last.ID); err != nil && !errors.Is(err, ErrNotFound) {
 		t.Fatal(err)
+	}
+}
+
+// TestServiceDocListsRequestOptions guards docs/SERVICE.md against
+// drift: its `options` list must name exactly the JSON keys of
+// RequestOptions, in either direction.
+func TestServiceDocListsRequestOptions(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/SERVICE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok := strings.Cut(string(doc), "- `options` (all optional):\n")
+	if !ok {
+		t.Fatal("docs/SERVICE.md has no `options` list")
+	}
+	item := regexp.MustCompile("^  - `([a-z_]+)`")
+	var documented []string
+	for _, line := range strings.Split(list, "\n") {
+		if m := item.FindStringSubmatch(line); m != nil {
+			documented = append(documented, m[1])
+		} else if !strings.HasPrefix(line, "    ") {
+			break // the list ends at the first line that is neither an item nor its continuation
+		}
+	}
+	var fields []string
+	rt := reflect.TypeOf(RequestOptions{})
+	for i := 0; i < rt.NumField(); i++ {
+		if name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ","); name != "" && name != "-" {
+			fields = append(fields, name)
+		}
+	}
+	slices.Sort(documented)
+	slices.Sort(fields)
+	if !slices.Equal(documented, fields) {
+		t.Fatalf("docs/SERVICE.md options %v, RequestOptions JSON keys %v", documented, fields)
 	}
 }

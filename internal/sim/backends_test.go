@@ -170,6 +170,16 @@ func TestSQLInitialState(t *testing.T) {
 	}
 }
 
+// TestSQLRejectsRemovedSwitches: the deprecated engine switches fail
+// the run instead of silently simulating on the one remaining engine.
+func TestSQLRejectsRemovedSwitches(t *testing.T) {
+	for _, b := range []*SQL{{Layout: "row"}, {Optimizer: "off"}, {Encodings: "off"}} {
+		if _, err := b.Run(circuits.GHZ(2)); err == nil {
+			t.Errorf("%+v: run succeeded with a removed switch set", *b)
+		}
+	}
+}
+
 func TestSQLStatsPopulated(t *testing.T) {
 	res, err := (&SQL{Mode: core.MaterializedChain}).Run(circuits.GHZ(4))
 	if err != nil {

@@ -11,8 +11,8 @@ import (
 // TestSQLChainFusionBitIdenticalAmplitudes asserts whole-circuit
 // fusion's invariant at the simulation level: the sql-chain backend
 // produces bitwise-identical amplitudes with chain fusion on and off,
-// across layouts, worker counts, and kernels on/off (fusion off when
-// kernels are off — the statements still chain through CTEs and must
+// across worker counts and kernels on/off (fusion off when kernels are
+// off — the statements still chain through CTEs and must
 // stay exact).
 func TestSQLChainFusionBitIdenticalAmplitudes(t *testing.T) {
 	workloads := []struct {
@@ -30,26 +30,23 @@ func TestSQLChainFusionBitIdenticalAmplitudes(t *testing.T) {
 			var ref *quantum.State
 			for _, chain := range []string{"off", "on"} {
 				for _, kernels := range []string{"on", "off"} {
-					for _, layout := range []string{"columnar", "row"} {
-						for _, workers := range []int{1, 4} {
-							b := &SQL{
-								Mode:        core.MaterializedChain,
-								ChainFusion: chain,
-								Kernels:     kernels,
-								Layout:      layout,
-								Parallelism: workers,
-							}
-							res, err := b.Run(wl.c)
-							if err != nil {
-								t.Fatalf("chain=%s kernels=%s layout=%s workers=%d: %v", chain, kernels, layout, workers, err)
-							}
-							if ref == nil {
-								ref = res.State
-								continue
-							}
-							if err := statesBitIdentical(ref, res.State); err != nil {
-								t.Fatalf("chain=%s kernels=%s layout=%s workers=%d: %v", chain, kernels, layout, workers, err)
-							}
+					for _, workers := range []int{1, 4} {
+						b := &SQL{
+							Mode:        core.MaterializedChain,
+							ChainFusion: chain,
+							Kernels:     kernels,
+							Parallelism: workers,
+						}
+						res, err := b.Run(wl.c)
+						if err != nil {
+							t.Fatalf("chain=%s kernels=%s workers=%d: %v", chain, kernels, workers, err)
+						}
+						if ref == nil {
+							ref = res.State
+							continue
+						}
+						if err := statesBitIdentical(ref, res.State); err != nil {
+							t.Fatalf("chain=%s kernels=%s workers=%d: %v", chain, kernels, workers, err)
 						}
 					}
 				}

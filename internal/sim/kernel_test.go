@@ -13,9 +13,8 @@ import (
 
 // TestSQLKernelBitIdenticalAmplitudes asserts the kernel tier's
 // correctness invariant at the simulation level: the SQL backend
-// produces bitwise-identical amplitudes with kernels on and off, on
-// both storage layouts, at one and at four workers, with the optimizer
-// on and off, in both translation modes. The fused loop replays the
+// produces bitwise-identical amplitudes with kernels on and off, at one
+// and at four workers, in both translation modes. The fused loop replays the
 // interpreted engine's accumulation and emission order exactly (see
 // internal/sqlengine/kernel.go), so only throughput changes.
 func TestSQLKernelBitIdenticalAmplitudes(t *testing.T) {
@@ -35,22 +34,18 @@ func TestSQLKernelBitIdenticalAmplitudes(t *testing.T) {
 		t.Run(wl.name, func(t *testing.T) {
 			var ref *quantum.State
 			for _, kernels := range []string{"on", "off"} {
-				for _, layout := range []string{"columnar", "row"} {
-					for _, workers := range []int{1, 4} {
-						for _, optimizer := range []string{"on", "off"} {
-							b := &SQL{Mode: wl.mode, Kernels: kernels, Optimizer: optimizer, Layout: layout, Parallelism: workers}
-							res, err := b.Run(wl.c)
-							if err != nil {
-								t.Fatalf("kernels=%s layout=%s workers=%d optimizer=%s: %v", kernels, layout, workers, optimizer, err)
-							}
-							if ref == nil {
-								ref = res.State
-								continue
-							}
-							if err := statesBitIdentical(ref, res.State); err != nil {
-								t.Fatalf("kernels=%s layout=%s workers=%d optimizer=%s: %v", kernels, layout, workers, optimizer, err)
-							}
-						}
+				for _, workers := range []int{1, 4} {
+					b := &SQL{Mode: wl.mode, Kernels: kernels, Parallelism: workers}
+					res, err := b.Run(wl.c)
+					if err != nil {
+						t.Fatalf("kernels=%s workers=%d: %v", kernels, workers, err)
+					}
+					if ref == nil {
+						ref = res.State
+						continue
+					}
+					if err := statesBitIdentical(ref, res.State); err != nil {
+						t.Fatalf("kernels=%s workers=%d: %v", kernels, workers, err)
 					}
 				}
 			}

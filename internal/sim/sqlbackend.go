@@ -45,17 +45,15 @@ type SQL struct {
 	// derives it from GOMAXPROCS, 1 pins execution to a single worker.
 	// The simulated amplitudes are bitwise independent of the setting.
 	Parallelism int
-	// Layout selects the engine's table storage format: "" or
-	// "columnar" for the typed column-vector store, "row" for the
-	// legacy row-major store. Amplitudes are bitwise independent of the
-	// layout (asserted by the differential tests).
+	// Deprecated: Layout named the removed row-major storage switch.
+	// It stays only because the benchmark harness copies it, goes with
+	// the harness replay, and any non-empty value fails the run
+	// (sqlengine.Open rejects it).
 	Layout string
-	// Optimizer controls the engine's query optimizer: "" or "on"
-	// (default) folds constants, inlines single-use CTEs and estimates
-	// costs, "off" uses the legacy direct planner. Amplitudes are
-	// bitwise independent of the setting: the optimizer inlines only
-	// where no float accumulation consumes the CTE (see
-	// internal/sqlengine/optimize.go).
+	// Deprecated: Optimizer named the removed switch to the unoptimized
+	// planner. It stays only because the benchmark harness copies it,
+	// goes with the harness replay, and any non-empty value fails the
+	// run (sqlengine.Open rejects it).
 	Optimizer string
 	// Kernels controls the engine's compiled gate-stage kernel tier: ""
 	// or "on" (default) lowers matching gate-stage plans to a fused
@@ -75,11 +73,10 @@ type SQL struct {
 	// internal/sqlengine/kernel_chain.go). Distinct from Fusion, which
 	// is the translation-level gate-matrix fusion of §3.2.
 	ChainFusion string
-	// Encodings controls the engine's sparsity-first storage tier: ""
-	// or "on" (default) stores mostly-zero REAL columns in a sparse
-	// form, "off" keeps plain typed vectors. Amplitudes are bitwise
-	// independent of the setting — the encoding is exact (see
-	// internal/sqlengine/encoding.go).
+	// Deprecated: Encodings named the removed switch to plain-only
+	// storage. It stays only because the benchmark harness copies it,
+	// goes with the harness replay, and any non-empty value fails the
+	// run (sqlengine.Open rejects it).
 	Encodings string
 	// Budget, when non-nil, is a pre-built engine memory accountant
 	// that overrides MemoryBudget. Sharing one budget across backends

@@ -1,7 +1,9 @@
 package sqlengine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // aggCall describes one aggregate computation extracted from the query.
@@ -70,11 +72,7 @@ func (n *aggNode) open(ctx *execCtx) (batchIter, error) {
 	exec := newAggExec(ctx, len(n.groupBy), n.aggs)
 	exec.groupHint = n.groupHint
 	out := ctx.env.newStore()
-	if n.groupHint > 0 {
-		if h, ok := out.(rowCapacityHinter); ok {
-			h.hintRows(n.groupHint)
-		}
-	}
+	out.hintRows(n.groupHint)
 	fail := func(err error) (batchIter, error) {
 		out.Release()
 		return nil, err
@@ -155,7 +153,7 @@ func (n *aggNode) open(ctx *execCtx) (batchIter, error) {
 // materializeTuples drains the child, evaluating group keys and
 // aggregate arguments vectorized, and stores one tuple per input row
 // (the legacy path, required for DISTINCT aggregates).
-func (n *aggNode) materializeTuples(ctx *execCtx, child batchIter, groupC []vecExpr, argC []vecExpr) (tableStore, error) {
+func (n *aggNode) materializeTuples(ctx *execCtx, child batchIter, groupC []vecExpr, argC []vecExpr) (*ColStore, error) {
 	input := ctx.env.newStore()
 	nGroup := len(groupC)
 	tupleWidth := nGroup + len(argC)
@@ -424,7 +422,7 @@ func (t *groupTable[G]) put(key Row, g G) {
 // streamAggregate drains child batches into the hash table; on budget
 // overflow it switches to the partial-spill path. rowsSeen reports
 // whether any input row was consumed.
-func (x *aggExec) streamAggregate(child batchIter, groupC, argC []vecExpr, out tableStore) (bool, error) {
+func (x *aggExec) streamAggregate(child batchIter, groupC, argC []vecExpr, out *ColStore) (bool, error) {
 	budget := x.ctx.env.budget
 	table := newGroupTable[*aggGroup](x.nGroup, x.groupHint)
 	var reserved int64
@@ -537,7 +535,7 @@ func (x *aggExec) streamAggregate(child batchIter, groupC, argC []vecExpr, out t
 // dumped as partial tuples (in first-seen order, keeping output
 // deterministic), the rest of the input is converted row-by-row to the
 // same partial form, and the combined store is merge-aggregated.
-func (x *aggExec) spillAndMerge(child batchIter, groupC, argC []vecExpr, dumped []*aggGroup, curSel []int, groupCols, argCols []colVec, out tableStore) error {
+func (x *aggExec) spillAndMerge(child batchIter, groupC, argC []vecExpr, dumped []*aggGroup, curSel []int, groupCols, argCols []colVec, out *ColStore) error {
 	partials := x.ctx.env.newStore()
 	fail := func(err error) error {
 		partials.Release()
@@ -756,7 +754,7 @@ func (a *mergeAlloc) group(keyVals Row) (*mergeGroup, error) {
 
 // mergeStore merge-aggregates a store of partial tuples; under memory
 // pressure it partitions the store by group-key hash and recurses.
-func (x *aggExec) mergeStore(input tableStore, depth int, out tableStore) error {
+func (x *aggExec) mergeStore(input *ColStore, depth int, out *ColStore) error {
 	budget := x.ctx.env.budget
 	table := newGroupTable[*mergeGroup](x.nGroup, x.groupHint)
 	var reserved int64
@@ -860,7 +858,7 @@ func (x *aggExec) mergeStore(input tableStore, depth int, out tableStore) error 
 // aggregateStore hash-aggregates one store of raw tuples (the legacy
 // DISTINCT-capable path); under memory pressure it splits the store into
 // partitions by group-key hash and recurses.
-func (x *aggExec) aggregateStore(input tableStore, depth int, out tableStore) error {
+func (x *aggExec) aggregateStore(input *ColStore, depth int, out *ColStore) error {
 	budget := x.ctx.env.budget
 	table := newGroupTable[*aggGroup](x.nGroup, x.groupHint)
 	var reserved int64
@@ -979,12 +977,12 @@ func (x *aggExec) partitionIndex(tuple Row, depth, fanout int) int {
 // accordingly for the recursive levels (memory has already overflowed
 // here; full-size budget-unaccounted maps per partition would make the
 // pressure worse).
-func (x *aggExec) partitionStore(input tableStore, depth int, out tableStore, recurse func(tableStore, int, tableStore) error) error {
+func (x *aggExec) partitionStore(input *ColStore, depth int, out *ColStore, recurse func(*ColStore, int, *ColStore) error) error {
 	savedHint := x.groupHint
 	x.groupHint = savedHint / defaultFanout
 	defer func() { x.groupHint = savedHint }()
 	fanout := defaultFanout
-	parts := make([]tableStore, fanout)
+	parts := make([]*ColStore, fanout)
 	for i := range parts {
 		parts[i] = x.ctx.env.newStore()
 	}
@@ -1032,4 +1030,53 @@ func (x *aggExec) partitionStore(input tableStore, depth int, out tableStore, re
 		}
 	}
 	return nil
+}
+
+// encodeValueKey produces a canonical byte-string key for grouping and
+// DISTINCT. Numerically equal INTEGER/REAL/BOOLEAN values map to the same
+// key (SQL equality), while remaining distinct from texts.
+func encodeValueKey(v Value) string {
+	switch v.T {
+	case TypeNull:
+		return "\x00"
+	case TypeInt, TypeBool:
+		var buf [1 + binary.MaxVarintLen64]byte
+		buf[0] = 1
+		n := binary.PutVarint(buf[1:], v.I)
+		return string(buf[:1+n])
+	case TypeFloat:
+		// Integral floats share keys with equal ints.
+		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1<<62 {
+			var buf [1 + binary.MaxVarintLen64]byte
+			buf[0] = 1
+			n := binary.PutVarint(buf[1:], int64(v.F))
+			return string(buf[:1+n])
+		}
+		var buf [9]byte
+		buf[0] = 2
+		binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(v.F))
+		return string(buf[:])
+	case TypeText:
+		return "\x03" + v.S
+	}
+	return "\x7f"
+}
+
+// encodeRowKey concatenates value keys with length prefixes so composite
+// keys cannot collide.
+func encodeRowKey(vals []Value) string {
+	total := 0
+	parts := make([]string, len(vals))
+	for i, v := range vals {
+		parts[i] = encodeValueKey(v)
+		total += len(parts[i]) + binary.MaxVarintLen64
+	}
+	buf := make([]byte, 0, total)
+	var scratch [binary.MaxVarintLen64]byte
+	for _, p := range parts {
+		n := binary.PutUvarint(scratch[:], uint64(len(p)))
+		buf = append(buf, scratch[:n]...)
+		buf = append(buf, p...)
+	}
+	return string(buf)
 }

@@ -126,11 +126,11 @@ type batchIter interface {
 // column vectors with no per-row allocation. Callers may reuse the same
 // Row buffer across appendRow calls: values are copied immediately.
 type batchAppender struct {
-	store tableStore
+	store *ColStore
 	buf   *rowBatch
 }
 
-func newBatchAppender(store tableStore, width int) *batchAppender {
+func newBatchAppender(store *ColStore, width int) *batchAppender {
 	return &batchAppender{store: store, buf: newRowBatch(width)}
 }
 

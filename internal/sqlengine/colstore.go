@@ -26,7 +26,7 @@ import (
 // appends accumulate into bounded pending chunks, so out-of-core stores
 // keep the columnar format end-to-end. Values round-trip exactly —
 // types, int64 values, and float64 bit patterns — which keeps simulated
-// amplitudes bitwise identical to the row layout.
+// amplitudes bitwise identical whether or not a store spilled.
 type ColStore struct {
 	env   *storageEnv
 	width int // -1 until the first append fixes the column count
@@ -93,14 +93,6 @@ func (cs *ColStore) ascendingInt(col int) bool {
 	return col >= 0 && col < len(cs.order) && !cs.order[col].broken
 }
 
-// setStatsCollector / statsSnapshot implement statsCollecting.
-func (cs *ColStore) setStatsCollector(ts *tableStats) { cs.stats = ts }
-func (cs *ColStore) statsSnapshot() *tableStats       { return cs.stats }
-
-// frozenState reports whether the store is currently frozen (ANALYZE
-// restores the previous state after its scan).
-func (cs *ColStore) frozenState() bool { return cs.frozen }
-
 // hintRows pre-sizes future typed column allocations for an expected
 // row count (capped; a wrong estimate can waste at most the cap).
 func (cs *ColStore) hintRows(n int64) {
@@ -123,7 +115,8 @@ func (cs *ColStore) sizeExact(n int) {
 	}
 }
 
-func newColStore(env *storageEnv) *ColStore { return &ColStore{env: env, width: -1} }
+// newStore creates an empty table store.
+func (env *storageEnv) newStore() *ColStore { return &ColStore{env: env, width: -1} }
 
 // colKind identifies the physical representation of one column vector.
 type colKind uint8
@@ -772,8 +765,6 @@ func (cs *ColStore) Release() {
 	}
 }
 
-func (cs *ColStore) layout() string { return LayoutColumnar }
-
 // vectorKinds reports the per-column vector type for EXPLAIN.
 func (cs *ColStore) vectorKinds() []string {
 	if cs.width <= 0 {
@@ -796,7 +787,10 @@ func (cs *ColStore) morselCount() int {
 	return (cs.rows + morselRows - 1) / morselRows
 }
 
-func (cs *ColStore) morselScanner() (morselScanner, error) {
+// morselScanner returns a per-worker scanner over individual morsels.
+// Freezes the store; only valid when morselCount() > 0. Scanners of
+// one store may run concurrently; each is single-threaded.
+func (cs *ColStore) morselScanner() (*colMorselScan, error) {
 	if err := cs.Freeze(); err != nil {
 		return nil, err
 	}
@@ -838,7 +832,7 @@ func serveColumns(cols []column, lo, hi int, buf *rowBatch, scratch []colVec) {
 
 // batchScan returns a batch reader over all rows: spilled chunks first
 // (decoded chunk by chunk), then the in-memory tail.
-func (cs *ColStore) batchScan() (storeScan, error) {
+func (cs *ColStore) batchScan() (*colScan, error) {
 	if err := cs.Freeze(); err != nil {
 		return nil, err
 	}
@@ -857,7 +851,9 @@ func (cs *ColStore) batchScan() (storeScan, error) {
 	return sc, nil
 }
 
-// colScan reads a frozen ColStore batch-at-a-time.
+// colScan reads a frozen ColStore batch-at-a-time. The returned batch is
+// owned by the scan and valid only until the next NextBatch call; nil
+// signals the end.
 type colScan struct {
 	cs       *ColStore
 	r        *bufio.Reader
@@ -909,7 +905,7 @@ func (s *colScan) NextBatch() (*rowBatch, error) {
 // data: each Next gathers one fresh Row from the current batch view.
 // This is the engine's single row edge for columnar stores (ResultSet,
 // driver, sort-run merging, grace-partition iteration).
-func (cs *ColStore) Cursor() (rowCursor, error) {
+func (cs *ColStore) Cursor() (*colCursor, error) {
 	sc, err := cs.batchScan()
 	if err != nil {
 		return nil, err
@@ -917,8 +913,10 @@ func (cs *ColStore) Cursor() (rowCursor, error) {
 	return &colCursor{scan: sc, width: max(cs.width, 0)}, nil
 }
 
+// colCursor walks a frozen store row by row. Returned rows are owned by
+// the caller.
 type colCursor struct {
-	scan  storeScan
+	scan  *colScan
 	width int
 	b     *rowBatch
 	pos   int
@@ -1228,4 +1226,115 @@ func readColumnRun(r *bufio.Reader, c *column, rows int) error {
 		c.encLen = rows
 	}
 	return nil
+}
+
+// Per-value codec of the generic (mixed-type) column runs in spill
+// chunks: a kind tag, then the value.
+
+const (
+	encNull  byte = 0
+	encInt   byte = 1
+	encFloat byte = 2
+	encText  byte = 3
+	encBool  byte = 4
+)
+
+// encodeValue writes one tagged value, returning the bytes written.
+func encodeValue(w *bufio.Writer, v Value) (int, error) {
+	var scratch [binary.MaxVarintLen64]byte
+	total := 0
+	if err := w.WriteByte(encTag(v)); err != nil {
+		return total, err
+	}
+	total++
+	switch v.T {
+	case TypeNull:
+	case TypeInt:
+		n := binary.PutVarint(scratch[:], v.I)
+		if _, err := w.Write(scratch[:n]); err != nil {
+			return total, err
+		}
+		total += n
+	case TypeFloat:
+		binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(v.F))
+		if _, err := w.Write(scratch[:8]); err != nil {
+			return total, err
+		}
+		total += 8
+	case TypeText:
+		n := binary.PutUvarint(scratch[:], uint64(len(v.S)))
+		if _, err := w.Write(scratch[:n]); err != nil {
+			return total, err
+		}
+		total += n
+		if _, err := w.WriteString(v.S); err != nil {
+			return total, err
+		}
+		total += len(v.S)
+	case TypeBool:
+		b := byte(0)
+		if v.I != 0 {
+			b = 1
+		}
+		if err := w.WriteByte(b); err != nil {
+			return total, err
+		}
+		total++
+	}
+	return total, nil
+}
+
+func encTag(v Value) byte {
+	switch v.T {
+	case TypeInt:
+		return encInt
+	case TypeFloat:
+		return encFloat
+	case TypeText:
+		return encText
+	case TypeBool:
+		return encBool
+	}
+	return encNull
+}
+
+// decodeValue reads one tagged value.
+func decodeValue(r *bufio.Reader) (Value, error) {
+	tag, err := r.ReadByte()
+	if err != nil {
+		return Null, err
+	}
+	switch tag {
+	case encNull:
+		return Null, nil
+	case encInt:
+		x, err := binary.ReadVarint(r)
+		if err != nil {
+			return Null, err
+		}
+		return NewInt(x), nil
+	case encFloat:
+		var buf [8]byte
+		if _, err := io.ReadFull(r, buf[:]); err != nil {
+			return Null, err
+		}
+		return NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))), nil
+	case encText:
+		ln, err := binary.ReadUvarint(r)
+		if err != nil {
+			return Null, err
+		}
+		buf := make([]byte, ln)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return Null, err
+		}
+		return NewText(string(buf)), nil
+	case encBool:
+		b, err := r.ReadByte()
+		if err != nil {
+			return Null, err
+		}
+		return NewBool(b != 0), nil
+	}
+	return Null, fmt.Errorf("sqlengine: corrupt spill file: tag %d", tag)
 }

@@ -1,14 +1,18 @@
 package sqlengine
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
+	"math"
+	"os"
 	"testing"
 	"testing/quick"
 )
 
 func TestColStoreInMemoryRoundTrip(t *testing.T) {
 	env := testEnv(t, 0)
-	cs := newColStore(env)
+	cs := env.newStore()
 	for i := 0; i < 100; i++ {
 		if err := cs.Append(Row{NewInt(int64(i)), NewText(fmt.Sprint(i))}); err != nil {
 			t.Fatal(err)
@@ -44,7 +48,7 @@ func TestColStoreInMemoryRoundTrip(t *testing.T) {
 
 func TestColStoreAppendBatchRoundTrip(t *testing.T) {
 	env := testEnv(t, 0)
-	cs := newColStore(env)
+	cs := env.newStore()
 	// Three batches with a selection vector on the second.
 	for bi := 0; bi < 3; bi++ {
 		b := newRowBatch(2)
@@ -92,7 +96,7 @@ func TestColStoreAppendBatchRoundTrip(t *testing.T) {
 
 func TestColStoreSpillRoundTrip(t *testing.T) {
 	env := testEnv(t, 1024) // tiny budget forces columnar chunk spilling
-	cs := newColStore(env)
+	cs := env.newStore()
 	const n = 2000
 	for i := 0; i < n; i++ {
 		row := Row{NewInt(int64(i)), NewFloat(float64(i) / 3), NewText("x"), Null, NewBool(i%2 == 0)}
@@ -136,7 +140,7 @@ func TestColStoreSpillRoundTrip(t *testing.T) {
 
 func TestColStoreThawAppends(t *testing.T) {
 	env := testEnv(t, 0)
-	cs := newColStore(env)
+	cs := env.newStore()
 	for i := 0; i < 50; i++ {
 		if err := cs.Append(Row{NewInt(int64(i))}); err != nil {
 			t.Fatal(err)
@@ -178,7 +182,7 @@ func TestColStoreThawAppends(t *testing.T) {
 func TestColStoreMixedTypeColumnDegrades(t *testing.T) {
 	for _, budget := range []int64{0, 1} { // in-memory and all-spilled
 		env := testEnv(t, budget)
-		cs := newColStore(env)
+		cs := env.newStore()
 		rows := []Row{
 			{NewInt(7)},
 			{NewText("seven")},
@@ -217,7 +221,7 @@ func TestColStoreMixedTypeColumnDegrades(t *testing.T) {
 // ranges covering every row exactly once, in order.
 func TestColStoreMorselScan(t *testing.T) {
 	env := testEnv(t, 0)
-	cs := newColStore(env)
+	cs := env.newStore()
 	const n = morselRows*2 + 123
 	b := newRowBatch(1)
 	for i := 0; i < n; i++ {
@@ -270,7 +274,7 @@ func TestColStoreMorselScan(t *testing.T) {
 func TestColStorePropertyRoundTrip(t *testing.T) {
 	env := testEnv(t, 1) // everything spills → full chunk encode/decode
 	f := func(i int64, fl float64, s string, b bool, hasNull bool) bool {
-		cs := newColStore(env)
+		cs := env.newStore()
 		defer cs.Release()
 		row := Row{NewInt(i), NewFloat(fl), NewText(s), NewBool(b)}
 		if hasNull {
@@ -308,7 +312,7 @@ func TestColStorePropertyRoundTrip(t *testing.T) {
 // the earlier rows NULL.
 func TestColStoreNullRunsPromote(t *testing.T) {
 	env := testEnv(t, 0)
-	cs := newColStore(env)
+	cs := env.newStore()
 	for i := 0; i < 70; i++ { // span a bitmap word boundary
 		if err := cs.Append(Row{Null}); err != nil {
 			t.Fatal(err)
@@ -346,7 +350,7 @@ func TestColStoreInsertValuesSizedToRows(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE g (in_s INTEGER, out_s INTEGER, r REAL, i REAL, name TEXT, ok BOOLEAN)")
 	mustExec(t, db, "INSERT INTO g VALUES (0, 0, 0.5, NULL, 'a', TRUE), (0, 1, 0.5, 0.25, 'b', FALSE), "+
 		"(1, 0, 0.5, 0.0, 'c', TRUE), (1, 1, -0.5, 1.0, 'd', FALSE)")
-	cs := db.lookupTable("g").store.(*ColStore)
+	cs := db.lookupTable("g").store
 	caps := func(c *column) int {
 		switch c.kind {
 		case colInt:
@@ -374,10 +378,75 @@ func TestColStoreInsertValuesSizedToRows(t *testing.T) {
 	}
 
 	mustExec(t, db, "CREATE TABLE c AS SELECT in_s, r FROM g")
-	ctas := db.lookupTable("c").store.(*ColStore)
+	ctas := db.lookupTable("c").store
 	for i := range ctas.cols {
 		if got := caps(&ctas.cols[i]); got < batchSize {
 			t.Errorf("CTAS column %d (%s): cap %d, want the %d-row floor", i, ctas.cols[i].kind, got, batchSize)
 		}
+	}
+}
+
+func TestColStoreReleaseFreesBudget(t *testing.T) {
+	for _, budget := range []int64{0, 1} { // in memory; everything spills
+		env := testEnv(t, budget)
+		cs := env.newStore()
+		for i := 0; i < 100; i++ {
+			if err := cs.Append(Row{NewText("some content here")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if budget == 0 && env.budget.used.Load() == 0 {
+			t.Fatal("expected live reservation")
+		}
+		var spill string
+		if budget > 0 {
+			if cs.file == nil {
+				t.Fatal("expected the store to open a spill file")
+			}
+			spill = cs.file.Name()
+		}
+		cs.Release()
+		if env.budget.used.Load() != 0 {
+			t.Fatalf("budget=%d: leaked %d bytes", budget, env.budget.used.Load())
+		}
+		if spill != "" {
+			if _, err := os.Stat(spill); !os.IsNotExist(err) {
+				t.Fatalf("spill file %s survived Release: %v", spill, err)
+			}
+		}
+	}
+}
+
+// TestRowEncodingPropertyRoundTrip checks the per-value codec of generic
+// spill runs (encodeValue/decodeValue): every type round-trips, REAL
+// values bit for bit, and encodeValue reports the bytes it wrote.
+func TestRowEncodingPropertyRoundTrip(t *testing.T) {
+	f := func(i int64, fl float64, bits uint64, s string, b bool) bool {
+		row := Row{NewInt(i), NewFloat(fl), NewFloat(math.Float64frombits(bits)), NewText(s), NewBool(b), Null}
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		written := 0
+		for _, v := range row {
+			n, err := encodeValue(w, v)
+			if err != nil {
+				return false
+			}
+			written += n
+		}
+		if w.Flush() != nil || written != buf.Len() {
+			return false
+		}
+		r := bufio.NewReader(&buf)
+		for _, want := range row {
+			got, err := decodeValue(r)
+			if err != nil || !sameBits(got, want) {
+				return false
+			}
+		}
+		_, err := r.ReadByte()
+		return err != nil // nothing left over
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

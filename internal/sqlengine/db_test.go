@@ -508,3 +508,29 @@ func TestCast(t *testing.T) {
 		t.Fatalf("row = %v", r)
 	}
 }
+
+// TestOpenRejectsRemovedSwitches: the deprecated Config fields of the
+// removed engine switches fail Open with an error naming the field
+// instead of silently running the one remaining engine.
+func TestOpenRejectsRemovedSwitches(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Layout", Config{Layout: "row"}},
+		{"Layout", Config{Layout: "columnar"}},
+		{"Optimizer", Config{Optimizer: "off"}},
+		{"Optimizer", Config{Optimizer: "on"}},
+		{"Encodings", Config{Encodings: "off"}},
+	} {
+		db, err := Open(tc.cfg)
+		if err == nil {
+			db.Close()
+			t.Errorf("Open(%+v) accepted a removed switch", tc.cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), "Config."+tc.field) {
+			t.Errorf("Open(%+v) error %q does not name Config.%s", tc.cfg, err, tc.field)
+		}
+	}
+}

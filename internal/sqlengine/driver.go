@@ -19,18 +19,17 @@ import (
 //
 // Every sql.Conn opened from the same DSN shares one engine instance, so
 // the pooled connections database/sql hands out all see the same tables.
-// Supported DSN parameters: budget (bytes), spilldir (path), nospill
-// (1/true disables out-of-core execution), parallelism (morsel-parallel
-// worker count; 0 derives it from GOMAXPROCS), layout ("columnar" —
-// the default typed column-vector store — or "row" for the legacy
-// row-major store kept for differential testing), optimizer ("on"/"off"
-// for constant folding, CTE inlining and cost estimates, see
-// optimize.go), kernels ("on"/"off" for the compiled
-// gate-stage kernel tier, see kernel.go), fusion ("on"/"off" for
-// whole-circuit chain fusion on top of the kernel tier, see
-// kernel_chain.go), and encodings ("on"/"off" for the sparsity-first
-// storage tier: the sparse form of mostly-zero REAL columns, see
-// encoding.go).
+// The accepted DSN parameters are exactly:
+//
+//	budget       memory budget in bytes (Config.MemoryBudget)
+//	spilldir     spill-file directory (Config.SpillDir)
+//	nospill      1/true disables out-of-core execution
+//	parallelism  morsel-parallel worker count; 0 derives it from GOMAXPROCS
+//	kernels      "on"/"off" for the compiled gate-stage kernel tier (kernel.go)
+//	fusion       "on"/"off" for whole-circuit chain fusion (kernel_chain.go)
+//
+// Any other parameter is an error naming it, so a typo such as
+// "paralellism" fails instead of silently running with the default.
 
 func init() {
 	sql.Register("qymera", &Driver{})
@@ -87,6 +86,13 @@ func parseDSN(dsn string) (Config, error) {
 		return cfg, fmt.Errorf("sqlengine: invalid DSN %q: %w", dsn, err)
 	}
 	q := u.Query()
+	for key := range q {
+		switch key {
+		case "budget", "spilldir", "nospill", "parallelism", "kernels", "fusion":
+		default:
+			return cfg, fmt.Errorf("sqlengine: unknown DSN parameter %q in %q (accepted: budget, spilldir, nospill, parallelism, kernels, fusion)", key, dsn)
+		}
+	}
 	if b := q.Get("budget"); b != "" {
 		n, err := strconv.ParseInt(b, 10, 64)
 		if err != nil {
@@ -105,11 +111,8 @@ func parseDSN(dsn string) (Config, error) {
 		}
 		cfg.Parallelism = n
 	}
-	cfg.Layout = q.Get("layout")
-	cfg.Optimizer = q.Get("optimizer")
 	cfg.Kernels = q.Get("kernels")
 	cfg.Fusion = q.Get("fusion")
-	cfg.Encodings = q.Get("encodings")
 	return cfg, nil
 }
 

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"database/sql"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -135,5 +136,30 @@ func TestDriverDSNOptions(t *testing.T) {
 	}
 	if _, err := parseDSN("mem://x?budget=abc"); err == nil {
 		t.Fatal("expected error for bad budget")
+	}
+}
+
+func TestDriverDSNRejectsUnknownKeys(t *testing.T) {
+	for _, tc := range []struct{ dsn, key string }{
+		{"mem://x?paralellism=4", "paralellism"},
+		{"mem://x?budget=100&layout=row", "layout"},
+		{"mem://x?optimizer=off", "optimizer"},
+		{"mem://x?encodings=off", "encodings"},
+	} {
+		_, err := parseDSN(tc.dsn)
+		if err == nil {
+			t.Errorf("parseDSN(%q) accepted an unknown parameter", tc.dsn)
+			continue
+		}
+		if !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Errorf("parseDSN(%q) error %q does not name %q", tc.dsn, err, tc.key)
+		}
+	}
+	cfg, err := parseDSN("mem://x?budget=1&spilldir=d&nospill=true&parallelism=2&kernels=off&fusion=off")
+	if err != nil {
+		t.Fatalf("every accepted key: %v", err)
+	}
+	if cfg.MemoryBudget != 1 || cfg.SpillDir != "d" || !cfg.DisableSpill || cfg.Parallelism != 2 || cfg.Kernels != "off" || cfg.Fusion != "off" {
+		t.Fatalf("cfg = %+v", cfg)
 	}
 }

@@ -156,7 +156,7 @@ func sparseSearch(spos []int32, lo int) int {
 // saved bytes back to the budget. Idempotent — already-encoded columns
 // are left alone, and re-freezing after thaw+append retries cleanly.
 func (cs *ColStore) encodeColumns() {
-	if !cs.env.encodings || cs.Spilled() || cs.rows < encodeMinRows {
+	if cs.Spilled() || cs.rows < encodeMinRows {
 		return
 	}
 	ts := cs.stats

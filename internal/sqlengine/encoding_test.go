@@ -6,23 +6,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // Tests for the sparsity-first storage tier: the sparse float column
-// encoding and the spill chunk frame's column runs. The differential
-// tests assert the core guarantee — results are bitwise independent of
-// the encodings setting, across worker counts and the kernel tier.
-
-// encTestEnv is testEnv with the encodings tier enabled (testEnv leaves
-// it off so unrelated storage tests see plain vectors).
-func encTestEnv(t *testing.T, budget int64) *storageEnv {
-	t.Helper()
-	env := testEnv(t, budget)
-	env.encodings = true
-	return env
-}
+// encoding and the spill chunk frame's column runs. They assert the
+// core guarantee — a sparse column reads back exactly the values that
+// were appended, bit for bit, through every read path, at every worker
+// count, and through the kernel tier.
 
 // collectRows drains a store through its cursor into cloned rows.
 func collectRows(t *testing.T, cs *ColStore) []Row {
@@ -45,9 +40,9 @@ func collectRows(t *testing.T, cs *ColStore) []Row {
 }
 
 func TestEncodeSparseFloatColumn(t *testing.T) {
-	env := encTestEnv(t, 0)
-	cs := newColStore(env)
-	attachStats(cs)
+	env := testEnv(t, 0)
+	cs := env.newStore()
+	cs.stats = &tableStats{}
 	const n = 2048
 	want := make([]float64, n) // bit patterns; row 99 is NULL
 	for k := 0; k < n; k++ {
@@ -106,9 +101,9 @@ func TestEncodeSparseFloatColumn(t *testing.T) {
 // next Freeze encodes it again, every value survives bit for bit, and
 // the budget ends where it began.
 func TestSparseColumnThawAppendDecodes(t *testing.T) {
-	env := encTestEnv(t, 0)
-	cs := newColStore(env)
-	attachStats(cs)
+	env := testEnv(t, 0)
+	cs := env.newStore()
+	cs.stats = &tableStats{}
 	var want []float64
 	appendRow := func(v float64) {
 		want = append(want, v)
@@ -163,89 +158,125 @@ func TestSparseColumnThawAppendDecodes(t *testing.T) {
 	}
 }
 
-// TestEncodedStoreMatchesPlain is the store-level differential: the
-// same appends into an encodings-on and an encodings-off store must
-// read back bitwise identically, across value shapes that trigger the
-// sparse encoding and shapes that trigger none.
+// TestEncodedStoreMatchesPlain is the sparse encoding's property test:
+// seeded random mostly-zero REAL columns, salted with chunkTestFloats
+// (signed zero, NaN payloads, infinities, a subnormal), freeze into the sparse form and read back as exactly the appended
+// plain values (math.Float64bits) through Cursor, batchScan and
+// morselScanner at 1 and 4 workers. The nulls case interleaves NULL
+// rows, whose zero slots the encoding must keep apart from the values.
 func TestEncodedStoreMatchesPlain(t *testing.T) {
-	shapes := []struct {
-		name string
-		val  func(k int) Row
-	}{
-		{"runs", func(k int) Row { return Row{NewInt(int64(k / 300)), NewFloat(float64(k))} }},
-		{"dict", func(k int) Row { return Row{NewInt(int64(k % 13)), NewFloat(0)} }},
-		{"sparse", func(k int) Row {
-			v := 0.0
-			if k%40 == 0 {
-				v = -1.5 / float64(k+2)
-			}
-			return Row{NewInt(int64(k)), NewFloat(v)}
-		}},
-		{"incompressible", func(k int) Row { return Row{NewInt(int64(k * 2654435761)), NewFloat(1 / float64(k+1))} }},
-		{"nulls", func(k int) Row {
-			if k%17 == 0 {
-				return Row{Null, Null}
-			}
-			return Row{NewInt(int64(k / 100)), NewFloat(0)}
-		}},
-	}
-	for _, shape := range shapes {
-		t.Run(shape.name, func(t *testing.T) {
-			plainEnv, encEnv := testEnv(t, 0), encTestEnv(t, 0)
-			plain, enc := newColStore(plainEnv), newColStore(encEnv)
-			attachStats(plain)
-			attachStats(enc)
-			for k := 0; k < 3000; k++ {
-				row := shape.val(k)
-				if err := plain.Append(cloneRow(row)); err != nil {
+	for _, tc := range []struct {
+		name  string
+		nulls bool
+	}{{"sparse", false}, {"nulls", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(33))
+			for trial := 0; trial < 3; trial++ {
+				n := encodeMinRows + rng.Intn(3*morselRows)
+				want := make([]Row, n)
+				for k := range want {
+					v := NewFloat(0)
+					switch p := rng.Float64(); {
+					case tc.nulls && p < 0.05:
+						v = Null
+					case p < 0.10:
+						v = NewFloat(chunkTestFloats[rng.Intn(len(chunkTestFloats))])
+					case p < 0.15:
+						v = NewFloat(rng.NormFloat64())
+					}
+					want[k] = Row{NewInt(int64(k)), v}
+				}
+				env := testEnv(t, 0)
+				cs := env.newStore()
+				cs.stats = &tableStats{}
+				for _, row := range want {
+					if err := cs.Append(cloneRow(row)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := cs.Freeze(); err != nil {
 					t.Fatal(err)
 				}
-				if err := enc.Append(cloneRow(row)); err != nil {
+				if kinds := cs.vectorKinds(); kinds[1] != "float64/sparse" {
+					t.Fatalf("trial %d: kinds = %v, want a float64/sparse value column", trial, kinds)
+				}
+				name := fmt.Sprintf("trial %d", trial)
+				requireBitIdentical(t, name+" Cursor", want, collectRows(t, cs))
+				sc, err := cs.batchScan()
+				if err != nil {
 					t.Fatal(err)
 				}
+				scanned, err := drainScan(sc.NextBatch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, name+" batchScan", want, scanned)
+				for _, workers := range []int{1, 4} {
+					requireBitIdentical(t, fmt.Sprintf("%s morselScanner workers=%d", name, workers), want, morselRowsParallel(t, cs, workers))
+				}
+				cs.Release()
+				if env.budget.used.Load() != 0 {
+					t.Fatalf("trial %d: leaked %d bytes", trial, env.budget.used.Load())
+				}
 			}
-			if err := plain.Freeze(); err != nil {
-				t.Fatal(err)
-			}
-			if err := enc.Freeze(); err != nil {
-				t.Fatal(err)
-			}
-			requireBitIdentical(t, shape.name, collectRows(t, plain), collectRows(t, enc))
-			plain.Release()
-			enc.Release()
 		})
 	}
 }
 
-// TestEncodedQueriesMatchPlain is the SQL-level differential: scans,
-// filters, and aggregates over encodable columns return bit-identical
-// results with encodings on and off, at one and four workers.
-func TestEncodedQueriesMatchPlain(t *testing.T) {
-	const n = 3 * morselRows
-	queries := []string{
-		"SELECT x, y FROM t ORDER BY x",
-		"SELECT y, COUNT(*), SUM(x) FROM t GROUP BY y ORDER BY y",
-		"SELECT x FROM t WHERE x >= 12000 AND y = 3 ORDER BY x",
-	}
-	type cfg struct {
-		encodings string
-		workers   int
-	}
-	var dbs []*DB
-	var names []string
-	for _, c := range []cfg{{"off", 1}, {"on", 1}, {"off", 4}, {"on", 4}} {
-		db := newParallelDB(t, c.workers, Config{Encodings: c.encodings})
-		mustExec(t, db, "CREATE TABLE t (x INTEGER, y INTEGER)")
-		fillSequence(t, db, "t", n)
-		dbs = append(dbs, db)
-		names = append(names, fmt.Sprintf("encodings=%s workers=%d", c.encodings, c.workers))
-	}
-	for _, q := range queries {
-		ref := queryAll(t, dbs[0], q)
-		for i := 1; i < len(dbs); i++ {
-			requireBitIdentical(t, names[i]+" "+q, ref, queryAll(t, dbs[i], q))
+// drainScan gathers every selected row of a batch stream into fresh rows.
+func drainScan(next func() (*rowBatch, error)) ([]Row, error) {
+	var out []Row
+	for {
+		b, err := next()
+		if err != nil || b == nil {
+			return out, err
+		}
+		for _, pos := range b.selection() {
+			out = append(out, b.materializeRow(pos))
 		}
 	}
+}
+
+// morselRowsParallel reads a frozen store with one morselScanner per
+// worker, the workers claiming morsels from a shared counter, and
+// reassembles the rows in morsel order.
+func morselRowsParallel(t *testing.T, cs *ColStore, workers int) []Row {
+	t.Helper()
+	parts := make([][]Row, cs.morselCount())
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		sc, err := cs.morselScanner()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(parts) {
+					return
+				}
+				sc.setMorsel(i)
+				if parts[i], errs[w] = drainScan(sc.NextBatch); errs[w] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	var out []Row
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // fillSparseAmplitudeTable builds an amplitude table whose state column
@@ -273,9 +304,9 @@ func fillSparseAmplitudeTable(t *testing.T, db *DB, rows int) {
 }
 
 // TestGateStageEncodedBitIdentical: the gate-stage join+aggregate over
-// an encoded amplitude table is bit-identical across encodings on/off ×
-// kernels on/off × workers 1/4, and the kernel actually binds encoded
-// columns (sparse amplitude decode).
+// an encoded amplitude table is bit-identical across kernels on/off ×
+// workers 1/4, and the kernel actually binds encoded columns (sparse
+// amplitude decode).
 func TestGateStageEncodedBitIdentical(t *testing.T) {
 	q := `SELECT ((t.s & ~1) | h.out_s) AS s,
 	       SUM((t.r * h.r) - (t.i * h.i)) AS r,
@@ -285,19 +316,17 @@ func TestGateStageEncodedBitIdentical(t *testing.T) {
 	ORDER BY s`
 	bindsBefore := StorageCounters()["kernel_encoded_binds"]
 	var ref []Row
-	for _, encodings := range []string{"off", "on"} {
-		for _, kernels := range []string{"on", "off"} {
-			for _, workers := range []int{1, 4} {
-				db := newParallelDB(t, workers, Config{Encodings: encodings, Kernels: kernels})
-				fillSparseAmplitudeTable(t, db, testRows)
-				rows := queryAll(t, db, q)
-				name := fmt.Sprintf("encodings=%s kernels=%s workers=%d", encodings, kernels, workers)
-				if ref == nil {
-					ref = rows
-					continue
-				}
-				requireBitIdentical(t, name, ref, rows)
+	for _, kernels := range []string{"on", "off"} {
+		for _, workers := range []int{1, 4} {
+			db := newParallelDB(t, workers, Config{Kernels: kernels})
+			fillSparseAmplitudeTable(t, db, testRows)
+			rows := queryAll(t, db, q)
+			name := fmt.Sprintf("kernels=%s workers=%d", kernels, workers)
+			if ref == nil {
+				ref = rows
+				continue
 			}
+			requireBitIdentical(t, name, ref, rows)
 		}
 	}
 	if d := StorageCounters()["kernel_encoded_binds"] - bindsBefore; d < 1 {

@@ -155,7 +155,7 @@ func (it *oneRowBatchIter) Close() {}
 // owned elsewhere (a base table or a materialized CTE); ownStore marks
 // stores that must be released when the iterator closes.
 type storeScanNode struct {
-	store    tableStore
+	store    *ColStore
 	cols     planSchema
 	ownStore bool
 	est      *nodeEst
@@ -175,12 +175,11 @@ func (n *storeScanNode) open(*execCtx) (batchIter, error) {
 	return &storeScanIter{scan: sc, store: n.store, own: n.ownStore}, nil
 }
 
-// storeScanIter adapts a store's batch scan — column slices for the
-// columnar layout, transposed rows for the legacy row layout — to the
+// storeScanIter adapts a store's batch scan (column slices) to the
 // batchIter contract, releasing owned stores on Close.
 type storeScanIter struct {
-	scan  storeScan
-	store tableStore
+	scan  *colScan
+	store *ColStore
 	own   bool
 }
 
@@ -195,7 +194,7 @@ func (s *storeScanIter) Close() {
 
 // newOwnedStoreIter wraps a result store in a batch iterator that
 // releases it on Close.
-func newOwnedStoreIter(store tableStore) (batchIter, error) {
+func newOwnedStoreIter(store *ColStore) (batchIter, error) {
 	sc, err := store.batchScan()
 	if err != nil {
 		store.Release()
@@ -464,35 +463,24 @@ func planChildren(node planNode) []planNode {
 	return nil
 }
 
-// rowCapacityHinter is the optional storage interface for cost-model
-// capacity hints (ColStore pre-sizes its typed vectors).
-type rowCapacityHinter interface {
-	hintRows(int64)
-}
-
-// materialize drains a batch iterator into a fresh store in the
-// engine's configured layout. With the columnar layout this is the
+// materialize drains a batch iterator into a fresh store, the
 // batch-in, column-vectors-out boundary: no per-row materialization.
 // hint, when positive, is the cost model's estimated result size and
 // pre-sizes the store's column vectors. Cancellation is checked once
 // per drained batch.
-func materialize(ctx *execCtx, it batchIter, hint int64) (tableStore, error) {
+func materialize(ctx *execCtx, it batchIter, hint int64) (*ColStore, error) {
 	return materializeCollect(ctx, it, hint, false)
 }
 
 // materializeCollect optionally attaches a statistics collector to the
 // result store before draining (CTAS materialization: the created
 // table then has exact statistics without an ANALYZE rescan).
-func materializeCollect(ctx *execCtx, it batchIter, hint int64, collect bool) (tableStore, error) {
+func materializeCollect(ctx *execCtx, it batchIter, hint int64, collect bool) (*ColStore, error) {
 	store := ctx.env.newStore()
 	if collect {
-		attachStats(store)
+		store.stats = &tableStats{}
 	}
-	if hint > 0 {
-		if h, ok := store.(rowCapacityHinter); ok {
-			h.hintRows(hint)
-		}
-	}
+	store.hintRows(hint)
 	for {
 		if err := ctx.cancelled(); err != nil {
 			store.Release()

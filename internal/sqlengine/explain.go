@@ -9,9 +9,9 @@ import (
 )
 
 // Explain returns a rendering of the physical plan for a SELECT
-// statement without executing it — the tree execution runs. With the
-// optimizer on, the plan shown is the optimized one, annotated with the
-// cost model's estimated rows and cost per operator; CTEs the execution
+// statement without executing it — the tree execution runs. The plan
+// shown is the optimized one, annotated with the cost model's
+// estimated rows and cost per operator; CTEs the execution
 // materializes appear as MaterializeCTE subplans (inlined CTEs appear
 // in place). EXPLAIN itself does no data movement.
 func (db *DB) Explain(sqlText string, params ...Value) (string, error) {
@@ -54,7 +54,7 @@ func (db *DB) explainSelect(sel *SelectStmt, params []Value) (string, error) {
 	p.bind(node) // nothing is materialized: CTEs report their subplan estimates
 	kline, kcore := kernelExplain(ctx, node)
 	var b strings.Builder
-	writeExplainHeader(&b, db.env, ctx, names, kline)
+	writeExplainHeader(&b, ctx, names, kline)
 	describePlan(&b, node, 0, kcore)
 	return b.String(), nil
 }
@@ -113,18 +113,18 @@ func (db *DB) explainAnalyzeSelect(stmtCtx context.Context, sel *SelectStmt, par
 		// through statNodes): the fused loop replaced the gate-stage
 		// core — rendered below as its output scan — and reports its
 		// own counters from the kernel timer.
-		writeExplainHeader(&b, db.env, ctx, names, "kernel: gate-stage (analyzed)")
+		writeExplainHeader(&b, ctx, names, "kernel: gate-stage (analyzed)")
 		fmt.Fprintf(&b, "kernel actual: rows_in=%d rows_out=%d morsels=%d in %s\n",
 			k.rowsIn, k.rowsOut, k.morsels, k.wall.Round(time.Microsecond))
 	} else if ctx.kdecline != "" {
 		// The matcher accepted the plan but execution declined it (a
 		// bind check or a refused budget reservation): the interpreter
 		// ran the whole tree.
-		writeExplainHeader(&b, db.env, ctx, names, "kernel: fallback ("+ctx.kdecline+", at run time)")
+		writeExplainHeader(&b, ctx, names, "kernel: fallback ("+ctx.kdecline+", at run time)")
 	} else {
 		kline, core := kernelExplain(ctx, node)
 		kcore = core
-		writeExplainHeader(&b, db.env, ctx, names, kline)
+		writeExplainHeader(&b, ctx, names, kline)
 	}
 	if ck := ctx.chainExec; ck != nil {
 		// CTE materialization ran a fused chain.
@@ -176,16 +176,12 @@ func (db *DB) runExplainStmt(ctx context.Context, s *ExplainStmt, params []Value
 	return &ResultSet{Columns: []string{"plan"}, store: store}, nil
 }
 
-func writeExplainHeader(b *strings.Builder, env *storageEnv, ctx *execCtx, names []string, kernelLine string) {
+func writeExplainHeader(b *strings.Builder, ctx *execCtx, names []string, kernelLine string) {
 	fmt.Fprintf(b, "output: %s\n", strings.Join(names, ", "))
 	fmt.Fprintf(b, "executor: vectorized (batch=%d, selection vectors), morsel-parallel (workers=%d, morsel=%d rows)\n",
 		batchSize, ctx.workers, morselRows)
-	fmt.Fprintf(b, "storage: %s\n", storageDesc(env))
-	if env.optimizer {
-		fmt.Fprintf(b, "optimizer: on (constant folding, CTE inlining, estimates)\n")
-	} else {
-		fmt.Fprintf(b, "optimizer: off\n")
-	}
+	fmt.Fprintf(b, "storage: columnar (typed column vectors + null bitmaps, spill=column chunks, encodings=on)\n")
+	fmt.Fprintf(b, "optimizer: on (constant folding, CTE inlining, estimates)\n")
 	fmt.Fprintf(b, "%s\n", kernelLine)
 }
 
@@ -199,9 +195,6 @@ func kernelExplain(ctx *execCtx, node planNode) (string, planNode) {
 	env := ctx.env
 	if !env.kernels {
 		return "kernel: off", nil
-	}
-	if env.rowLayout {
-		return "kernel: fallback (" + kfRowLayout + ")", nil
 	}
 	core, _ := findCore(node)
 	reason := kfNoGateStage
@@ -226,31 +219,18 @@ func kernelExplain(ctx *execCtx, node planNode) (string, planNode) {
 	return "kernel: " + kernelAnnotation, core
 }
 
-// storageDesc renders the engine's table storage layout for the EXPLAIN
-// header.
-func storageDesc(env *storageEnv) string {
-	if env.rowLayout {
-		return "row (legacy []Row layout)"
-	}
-	enc := "encodings=on"
-	if !env.encodings {
-		enc = "encodings=off"
-	}
-	return "columnar (typed column vectors + null bitmaps, spill=column chunks, " + enc + ")"
-}
-
-// scanLayout renders one scanned store's layout — for the columnar
-// store, the vector type of every column.
-func scanLayout(store tableStore) string {
+// scanLayout renders one scanned store's layout: the vector type of
+// every column.
+func scanLayout(store *ColStore) string {
 	kinds := store.vectorKinds()
 	if kinds == nil {
-		return store.layout()
+		return "columnar"
 	}
-	return store.layout() + "[" + strings.Join(kinds, " ") + "]"
+	return "columnar[" + strings.Join(kinds, " ") + "]"
 }
 
 // estSuffix renders the cost model's annotation for one operator line
-// (empty when the optimizer is off).
+// (empty when the node carries no estimate).
 func estSuffix(est *nodeEst) string {
 	if est == nil || est.rows < 0 {
 		return ""

@@ -125,9 +125,8 @@ func TestExplainBatchOperators(t *testing.T) {
 }
 
 // TestExplainStorageLayout pins the storage annotations: the header
-// names the configured layout and every base-table scan reports its
-// physical format — for the columnar store, the vector type of each
-// column.
+// names the columnar store and every base-table scan reports the vector
+// type of each column.
 func TestExplainStorageLayout(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "CREATE TABLE t (s INTEGER, r REAL, name TEXT, ok BOOLEAN)")
@@ -155,23 +154,6 @@ func TestExplainStorageLayout(t *testing.T) {
 	}
 	if !strings.Contains(plan, "layout=columnar[values]") {
 		t.Fatalf("plan missing generic-vector annotation:\n%s", plan)
-	}
-
-	// The legacy row layout is reported as such, with no vector kinds.
-	rowDB, err := Open(Config{Layout: LayoutRow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rowDB.Close()
-	mustExec(t, rowDB, "CREATE TABLE t (s INTEGER)")
-	plan, err = rowDB.Explain("SELECT s FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{"storage: row (legacy []Row layout)", "layout=row)"} {
-		if !strings.Contains(plan, frag) {
-			t.Fatalf("plan missing %q:\n%s", frag, plan)
-		}
 	}
 }
 

@@ -192,7 +192,7 @@ func (j *joinExec) openGraceJoin(left, right batchIter, lk, rk []vecExpr) (batch
 // returned budget reservation. On budget overflow all reservations are
 // released and every right row (the ones already tabled plus the rest of
 // the stream) is returned as a keyed store for grace partitioning.
-func (j *joinExec) buildRight(right batchIter, rk []vecExpr) (*buildTable, int64, tableStore, error) {
+func (j *joinExec) buildRight(right batchIter, rk []vecExpr) (*buildTable, int64, *ColStore, error) {
 	budget := j.ctx.env.budget
 	build := newBuildTable(j.nkeys, j.buildHint)
 	var reserved int64
@@ -265,7 +265,7 @@ func (j *joinExec) buildRight(right batchIter, rk []vecExpr) (*buildTable, int64
 	// store; map order is irrelevant because downstream access is always
 	// per-key.
 	store := j.ctx.env.newStore()
-	fail := func(err error) (*buildTable, int64, tableStore, error) {
+	fail := func(err error) (*buildTable, int64, *ColStore, error) {
 		store.Release()
 		return nil, 0, nil, err
 	}
@@ -659,7 +659,7 @@ type joinExec struct {
 
 // materializeKeyed stores each input row as [key values..., original
 // row...]. Key expressions are evaluated batch-at-a-time.
-func (j *joinExec) materializeKeyed(it batchIter, keys []vecExpr) (tableStore, error) {
+func (j *joinExec) materializeKeyed(it batchIter, keys []vecExpr) (*ColStore, error) {
 	store := j.ctx.env.newStore()
 	nk := len(keys)
 	keyCols := make([]colVec, nk)
@@ -814,7 +814,7 @@ func (t *buildTable) hasValidKey(keyed Row) bool {
 // joinStores joins two keyed stores, appending combined rows to out. It
 // builds a hash table on the right input; on memory pressure it
 // partitions both sides and recurses.
-func (j *joinExec) joinStores(leftStore, rightStore tableStore, depth int, out tableStore) error {
+func (j *joinExec) joinStores(leftStore, rightStore *ColStore, depth int, out *ColStore) error {
 	budget := j.ctx.env.budget
 	build := newBuildTable(j.nkeys, 0)
 	var reserved int64
@@ -951,7 +951,7 @@ func nullExtend(left Row, rightWidth int) Row {
 
 // partitionAndRecurse splits both keyed stores into fanout partitions by
 // key hash (salted per depth) and joins matching pairs.
-func (j *joinExec) partitionAndRecurse(leftStore, rightStore tableStore, depth int, out tableStore) error {
+func (j *joinExec) partitionAndRecurse(leftStore, rightStore *ColStore, depth int, out *ColStore) error {
 	fanout := defaultFanout
 	lparts, err := j.partition(leftStore, fanout, depth, true)
 	if err != nil {
@@ -987,8 +987,8 @@ func (j *joinExec) partitionIndex(keyed Row, depth, fanout int) int {
 // partition distributes keyed rows by hash. keepNullKeys controls whether
 // rows with NULL keys are kept (needed on the left side of LEFT joins so
 // they can be null-extended) — they land in partition 0.
-func (j *joinExec) partition(store tableStore, fanout, depth int, keepNullKeys bool) ([]tableStore, error) {
-	parts := make([]tableStore, fanout)
+func (j *joinExec) partition(store *ColStore, fanout, depth int, keepNullKeys bool) ([]*ColStore, error) {
+	parts := make([]*ColStore, fanout)
 	for i := range parts {
 		parts[i] = j.ctx.env.newStore()
 	}
@@ -1066,7 +1066,7 @@ func mix64(x uint64, depth int) uint64 {
 
 // nestedLoop joins without equi keys: the right side is materialized and
 // rescanned per left batch row.
-func (j *joinExec) nestedLoop(left, right batchIter) (tableStore, error) {
+func (j *joinExec) nestedLoop(left, right batchIter) (*ColStore, error) {
 	rightStore, err := materialize(j.ctx, right, 0)
 	if err != nil {
 		return nil, err
@@ -1074,7 +1074,7 @@ func (j *joinExec) nestedLoop(left, right batchIter) (tableStore, error) {
 	defer rightStore.Release()
 
 	out := j.ctx.env.newStore()
-	fail := func(err error) (tableStore, error) {
+	fail := func(err error) (*ColStore, error) {
 		out.Release()
 		return nil, err
 	}

@@ -159,10 +159,9 @@ func ResetKernelCounters() {
 // allocating. Programs are store-independent — execution
 // re-binds them to the current table vectors — so a sweep that re-plans
 // the same structural query with different gate numerics compiles once
-// and rebinds thereafter. No engine setting enters a program: the row
-// layout declines before lowering (kfRowLayout), and encodings and the
-// worker count are read from the bound stores and the execution context
-// at run time, so one cache serves engines of any configuration. Every
+// and rebinds thereafter. No engine setting enters a program: encodings
+// and the worker count are read from the bound stores and the execution
+// context at run time, so one cache serves engines of any configuration. Every
 // engine opened without Config.KernelCache shares ProcessKernelCache.
 type KernelCache struct {
 	lru *lruCache[*kernelProg]
@@ -210,7 +209,7 @@ func (c *KernelCache) store(key string, p *kernelProg) { c.lru.put(key, p, 1) }
 // Under a bounded budget the kernel reserves its working set before
 // allocating it and declines to the interpreter, which spills, when the
 // reservation is refused.
-func kernelAttempt(ctx *execCtx, root planNode, collect bool) (tableStore, tableStore, error) {
+func kernelAttempt(ctx *execCtx, root planNode, collect bool) (*ColStore, *ColStore, error) {
 	ctx.kdecline = ""
 	site, reason := findGateStage(ctx, root)
 	if site == nil {

@@ -14,10 +14,10 @@ import (
 // A translated circuit is a chain of gate stages, each reading exactly
 // the previous stage's state table — as chained CTEs in single-query
 // mode, or (after core.FusedStatements regroups them) inside one
-// synthesized CREATE TABLE … AS WITH. With the optimizer on, every
-// interior stage CTE lowers to a materializeNode (its single reference
-// sits under the next stage's float SUM, so inlining is blocked by the
-// bit-neutrality contract). Materializing such a node —
+// synthesized CREATE TABLE … AS WITH. Every interior stage CTE lowers
+// to a materializeNode (its single reference sits under the next
+// stage's float SUM, so inlining is blocked by the bit-neutrality
+// contract). Materializing such a node —
 // planner.materialize, after planning is done — is this tier's hook:
 // instead of running the node's subplan and recursing stage by stage,
 // fuseCTEChain walks the reference chain to the bottom through the
@@ -39,9 +39,8 @@ import (
 // (the buffers never spill, so ColStore.morselCount reduces to the same
 // ceil(rows / morselRows) geometry). Amplitudes are therefore
 // bit-identical to unbounded stage-at-a-time execution at every worker
-// count, layout, encoding, optimizer setting, and budget that lets the
-// chain run; the differential matrix in kernel_chain_test.go asserts
-// it.
+// count, encoding, and budget that lets the chain run; the
+// differential matrix in kernel_chain_test.go asserts it.
 
 // chainStage is one compiled-and-gate-bound stage of a fused chain.
 type chainStage struct {
@@ -126,9 +125,9 @@ func (b *chainBuf) emit(a *kAcc) error {
 }
 
 // fusionOn reports whether chain fusion may run: it sits on the kernel
-// tier and on the optimizer's CTE handling.
+// tier.
 func fusionOn(env *storageEnv) bool {
-	return env.fusion && env.kernels && env.optimizer
+	return env.fusion && env.kernels
 }
 
 // fuseCTEChain is the materialize hook: when m tops a fusable run of
@@ -306,10 +305,7 @@ func bindChain(env *storageEnv, plan *chainPlan) (*boundGate, string) {
 
 // bindChainGate binds an interior stage's gate side.
 func bindChainGate(env *storageEnv, st *chainStage) string {
-	gate, ok := st.kern.gate.store.(*ColStore)
-	if !ok {
-		return kfRowLayout
-	}
+	gate := st.kern.gate.store
 	if err := gate.Freeze(); err != nil {
 		return kfSpilled
 	}
@@ -393,7 +389,7 @@ type kernelRun struct {
 // its emitter batch); a refusal — or a stage in morsel mode, whose
 // partial tables are not bounded — returns errChainBudget before the
 // output store exists. The reservation is released when the run ends.
-func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bool) (*kernelRun, tableStore, error) {
+func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bool) (*kernelRun, *ColStore, error) {
 	var (
 		acc  kAcc
 		bufs [2]chainBuf

@@ -94,47 +94,36 @@ func TestChainFusionEngages(t *testing.T) {
 }
 
 // TestChainFusionDifferentialMatrix is the S3 bit-identity gate:
-// fusion on/off crossed with worker count, storage layout, compressed
-// encodings, sampled tracing, and HAVING pruning. Every cell must be
-// bitwise identical to its fusion-off twin, including row order. The
-// row layout and tracing cells also verify a clean decline (fusion
-// requires the columnar kernel tier).
+// fusion on/off crossed with worker count, sampled tracing, and HAVING
+// pruning. Every cell must be bitwise identical to its fusion-off twin,
+// including row order. The cell names keep the "columnar" and "enc=on"
+// labels: every cell runs the columnar store with its sparse encoding.
 func TestChainFusionDifferentialMatrix(t *testing.T) {
 	const stages = 3
 	for _, n := range []int{300, 20000} {
-		for _, layout := range []string{"columnar", "row"} {
-			for _, workers := range []int{1, 4} {
-				for _, enc := range []string{"on", "off"} {
-					for _, having := range []bool{false, true} {
-						name := fmt.Sprintf("n=%d/%s/w=%d/enc=%s/having=%v", n, layout, workers, enc, having)
-						t.Run(name, func(t *testing.T) {
-							var digests [2]string
-							for i, fusion := range []string{"off", "on"} {
-								db := newOptDB(t, Config{
-									Layout:      layout,
-									Parallelism: workers,
-									Encodings:   enc,
-									Tracing:     "on",
-									Fusion:      fusion,
-								})
-								setupGateStage(t, db, n)
-								rows := queryAll(t, db, chainQuery(stages, having))
-								digests[i] = rowsBits(rows)
-								kc := db.KernelCounters()
-								ran := kc["chain_executions"]
-								if fusion == "on" && layout == "columnar" && ran != 1 {
-									t.Fatalf("chain fusion did not engage on the columnar path (counters: %v)", kc)
-								}
-								if (fusion == "off" || layout == "row") && ran != 0 {
-									t.Fatalf("chain fusion engaged unexpectedly (fusion=%s layout=%s)", fusion, layout)
-								}
-							}
-							if digests[0] != digests[1] {
-								t.Fatal("fused chain is not bit-identical to stage-at-a-time execution")
-							}
-						})
+		for _, workers := range []int{1, 4} {
+			for _, having := range []bool{false, true} {
+				name := fmt.Sprintf("n=%d/columnar/w=%d/enc=on/having=%v", n, workers, having)
+				t.Run(name, func(t *testing.T) {
+					var digests [2]string
+					for i, fusion := range []string{"off", "on"} {
+						db := newOptDB(t, Config{Parallelism: workers, Tracing: "on", Fusion: fusion})
+						setupGateStage(t, db, n)
+						rows := queryAll(t, db, chainQuery(stages, having))
+						digests[i] = rowsBits(rows)
+						kc := db.KernelCounters()
+						ran := kc["chain_executions"]
+						if fusion == "on" && ran != 1 {
+							t.Fatalf("chain fusion did not engage (counters: %v)", kc)
+						}
+						if fusion == "off" && ran != 0 {
+							t.Fatal("chain fusion engaged with fusion=off")
+						}
 					}
-				}
+					if digests[0] != digests[1] {
+						t.Fatal("fused chain is not bit-identical to stage-at-a-time execution")
+					}
+				})
 			}
 		}
 	}

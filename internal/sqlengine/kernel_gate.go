@@ -166,11 +166,7 @@ func (r *kReserve) release() {
 // running the data-dependent checks the matcher cannot do statically.
 func bindGateStage(env *storageEnv, k *gateKernel) (*boundGate, string) {
 	prog := k.prog
-	state, ok := k.state.store.(*ColStore)
-	gate, ok2 := k.gate.store.(*ColStore)
-	if !ok || !ok2 {
-		return nil, kfRowLayout
-	}
+	state, gate := k.state.store, k.gate.store
 	if err := state.Freeze(); err != nil {
 		return nil, kfSpilled
 	}
@@ -217,7 +213,7 @@ func bindGateStage(env *storageEnv, k *gateKernel) (*boundGate, string) {
 // the state index column (CTAS/INSERT..SELECT materialization collects
 // them incrementally).
 func denseBound(state *ColStore, prog *kernelProg, gOut []int64) int64 {
-	ts := storeStats(state)
+	ts := state.stats
 	if ts == nil || ts.rows != state.Len() {
 		return -1
 	}
@@ -470,12 +466,10 @@ func madd(sum, a, b, c, d float64, sub bool) float64 {
 // several kernels back to back can recycle one accumulator. keyOrder
 // emits a dense serial run's groups in ascending key order instead of
 // first-seen (see kEmitter).
-func runGateKernel(ctx *execCtx, k *gateKernel, bk *boundGate, collect, keyOrder bool, acc *kAcc) (tableStore, error) {
-	// The kernel binds only ColStore inputs (bindGateStage), so the
-	// engine runs the columnar layout: its stores are ColStores.
-	out := newColStore(ctx.env)
+func runGateKernel(ctx *execCtx, k *gateKernel, bk *boundGate, collect, keyOrder bool, acc *kAcc) (*ColStore, error) {
+	out := ctx.env.newStore()
 	if collect {
-		attachStats(out)
+		out.stats = &tableStats{}
 	}
 	if bk.groupHint > 0 {
 		out.hintRows(bk.groupHint)

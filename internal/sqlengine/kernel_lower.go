@@ -23,7 +23,6 @@ const (
 	kfHavingShape   = "having-shape"
 	kfJoinShape     = "join-shape"
 	kfScanShape     = "scan-shape"
-	kfRowLayout     = "row-layout"
 	kfSpilled       = "spilled"
 	kfColumnTypes   = "column-types"
 	kfUnsupported   = "unsupported-expr"
@@ -205,10 +204,9 @@ func coreAggOf(core *projectNode) (*aggNode, *filterNode) {
 // compileGateStage matches the core rooted at a projection known to sit
 // on an aggregate and compiles (or fetches from the kernel cache) its
 // program. With bindPhys=false (a structural dry run: EXPLAIN, or an
-// interior chain stage) it stops at the structural match: store layout
-// checks, the cache, and the counters are all skipped, and the state
-// side may be an unmaterialized CTE reference (the kernel's state scan
-// is then nil).
+// interior chain stage) it stops at the structural match: the cache and
+// the counters are skipped, and the state side may be an
+// unmaterialized CTE reference (the kernel's state scan is then nil).
 func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateKernel, string) {
 	agg, having := coreAggOf(core)
 	if agg == nil {
@@ -273,12 +271,6 @@ func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateK
 	nLeft := len(leftSchema)
 
 	if bindPhys {
-		if _, ok := stateScan.store.(*ColStore); !ok {
-			return nil, kfRowLayout
-		}
-		if _, ok := gateScan.store.(*ColStore); !ok {
-			return nil, kfRowLayout
-		}
 		cache := env.kernelCache
 		var key string
 		if cache != nil {

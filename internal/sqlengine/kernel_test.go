@@ -72,47 +72,39 @@ func rowsBits(rows []Row) string {
 }
 
 // TestKernelDifferentialMatrix is the bit-identity gate: kernel on vs
-// off across storage layouts, worker counts, optimizer settings, both
-// engine aggregation modes (serial under 8192 state rows, morsel
-// parallel above), and HAVING pruning on/off. Every cell must agree
-// with its kernels-off twin bit for bit, including row order.
+// off across worker counts, both engine aggregation modes (serial under
+// 8192 state rows, morsel parallel above), and HAVING pruning on/off.
+// Every cell must agree with its kernels-off twin bit for bit,
+// including row order. The cell names keep the "columnar" and "opt=on"
+// labels: every cell runs the columnar store with the optimizer.
 func TestKernelDifferentialMatrix(t *testing.T) {
 	for _, n := range []int{300, 20000} { // serial vs morsel-parallel agg
-		for _, layout := range []string{"columnar", "row"} {
-			for _, workers := range []int{1, 4} {
-				for _, opt := range []string{"on", "off"} {
-					for _, having := range []bool{false, true} {
-						name := fmt.Sprintf("n=%d/%s/w=%d/opt=%s/having=%v", n, layout, workers, opt, having)
-						t.Run(name, func(t *testing.T) {
-							var digests [2]string
-							for i, kernels := range []string{"off", "on"} {
-								db := newOptDB(t, Config{
-									Layout:      layout,
-									Parallelism: workers,
-									Optimizer:   opt,
-									Kernels:     kernels,
-								})
-								setupGateStage(t, db, n)
-								before := KernelCounters()["executions"]
-								rows := queryAll(t, db, gateStageQuery(having))
-								if want := 2 * ((n + 1) / 2); !having && len(rows) != want {
-									t.Fatalf("got %d rows, want %d", len(rows), want)
-								}
-								ran := KernelCounters()["executions"] - before
-								if kernels == "on" && layout == "columnar" && ran == 0 {
-									t.Fatal("kernel did not execute on the columnar fast path")
-								}
-								if (kernels == "off" || layout == "row") && ran != 0 {
-									t.Fatalf("kernel executed unexpectedly (kernels=%s layout=%s)", kernels, layout)
-								}
-								digests[i] = rowsBits(rows)
-							}
-							if digests[0] != digests[1] {
-								t.Fatal("kernel output is not bit-identical to the interpreted engine")
-							}
-						})
+		for _, workers := range []int{1, 4} {
+			for _, having := range []bool{false, true} {
+				name := fmt.Sprintf("n=%d/columnar/w=%d/opt=on/having=%v", n, workers, having)
+				t.Run(name, func(t *testing.T) {
+					var digests [2]string
+					for i, kernels := range []string{"off", "on"} {
+						db := newOptDB(t, Config{Parallelism: workers, Kernels: kernels})
+						setupGateStage(t, db, n)
+						before := KernelCounters()["executions"]
+						rows := queryAll(t, db, gateStageQuery(having))
+						if want := 2 * ((n + 1) / 2); !having && len(rows) != want {
+							t.Fatalf("got %d rows, want %d", len(rows), want)
+						}
+						ran := KernelCounters()["executions"] - before
+						if kernels == "on" && ran == 0 {
+							t.Fatal("kernel did not execute on the columnar fast path")
+						}
+						if kernels == "off" && ran != 0 {
+							t.Fatal("kernel executed with kernels=off")
+						}
+						digests[i] = rowsBits(rows)
 					}
-				}
+					if digests[0] != digests[1] {
+						t.Fatal("kernel output is not bit-identical to the interpreted engine")
+					}
+				})
 			}
 		}
 	}
@@ -227,12 +219,6 @@ func TestKernelFallbackReasons(t *testing.T) {
 			cfg:    Config{Parallelism: 1, Kernels: "off"},
 			query:  gateStageQuery(false),
 			reason: "kernel: off",
-		},
-		{
-			name:   "row-layout",
-			cfg:    Config{Parallelism: 1, Layout: "row"},
-			query:  gateStageQuery(false),
-			reason: "kernel: fallback (" + kfRowLayout + ")",
 		},
 		{
 			name:   "no-gate-stage",
@@ -462,7 +448,7 @@ func TestKernelCTASCollectsStats(t *testing.T) {
 	if ran := KernelCounters()["executions"] - before; ran != 1 {
 		t.Fatalf("CTAS did not run the kernel (%d executions)", ran)
 	}
-	ts := storeStats(db.lookupTable("t1").store)
+	ts := db.lookupTable("t1").store.stats
 	if ts == nil || ts.rows != 64 {
 		t.Fatalf("stats after kernel CTAS: %+v", ts)
 	}

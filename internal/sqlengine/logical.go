@@ -16,8 +16,7 @@ import (
 //
 // Every logical node exposes its output schema (identical to the schema
 // of the physical operator it lowers to) plus a cardinality estimate
-// filled in by the cost model: estRows < 0 means "not estimated"
-// (optimizer off).
+// filled in by the cost model: estRows < 0 means "not estimated".
 type logicalNode interface {
 	lschema() planSchema
 	// estimate returns the node's cost annotations (shared *nodeEst so
@@ -246,8 +245,7 @@ func (s *lcteScope) lookup(name string) *cteDef {
 type logicalBuilder struct {
 	db *DB
 	// defs collects every CTE definition in the statement, in definition
-	// order (outermost first), for eager materialization when the
-	// optimizer is off.
+	// order (outermost first), for the optimizer's CTE passes.
 	defs []*cteDef
 }
 

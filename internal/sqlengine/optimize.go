@@ -16,8 +16,8 @@ import (
 //     store sizes before execution
 //
 // Bit-neutrality contract. Simulated amplitudes must be bitwise
-// identical with the optimizer on and off, so every rewrite is
-// classified by whether it can perturb floating-point accumulation
+// identical to those of the plan as written (every CTE materialized,
+// no expression folded), so every rewrite is classified by whether it can perturb floating-point accumulation
 // order. The engine's aggregation runs the morsel-parallel schedule at
 // every worker count, merging per-morsel partial sums in morsel order;
 // morsel boundaries are a pure function of the aggregation input's
@@ -31,7 +31,7 @@ import (
 //     ancestor aggregation uses an accumulation-order-sensitive
 //     aggregate (SUM/TOTAL/AVG); COUNT/MIN/MAX and DISTINCT are
 //     insensitive. The translated gate queries aggregate amplitudes
-//     with SUM, so their per-stage plans keep the exact unoptimized
+//     with SUM, so their per-stage plans keep the exact as-written
 //     execution schedule by construction.
 
 // optimizer counters, exposed through OptimizerCounters() and the
@@ -278,7 +278,7 @@ func (o *optimizer) colStatsFor(n logicalNode, table, name string) (*colStats, i
 		if err != nil {
 			return nil, 0
 		}
-		ts := storeStats(t.meta.store)
+		ts := t.meta.store.stats
 		if ts == nil {
 			return nil, 0
 		}
@@ -536,7 +536,7 @@ func (o *optimizer) estimateNode(n logicalNode) float64 {
 		rows, cost = 1, 1
 	case *lScan:
 		base := float64(t.meta.store.Len())
-		if storeStats(t.meta.store) != nil {
+		if t.meta.store.stats != nil {
 			o.sawStats = true
 		}
 		rows, cost = base, base

@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -92,8 +91,8 @@ func TestCTEUnderSumNotInlined(t *testing.T) {
 	}
 }
 
-// TestDeadCTEEliminated: an unreferenced CTE must never execute with the
-// optimizer on (the legacy planner materialized it eagerly).
+// TestDeadCTEEliminated: an unreferenced CTE must never execute: this
+// one would fail on SUM over text if it ran.
 func TestDeadCTEEliminated(t *testing.T) {
 	script := []string{
 		"CREATE TABLE t (a INTEGER)",
@@ -107,15 +106,10 @@ func TestDeadCTEEliminated(t *testing.T) {
 		mustExec(t, on, s)
 	}
 	if _, err := on.Query(q); err != nil {
-		t.Fatalf("optimizer on: dead CTE executed: %v", err)
+		t.Fatalf("dead CTE executed: %v", err)
 	}
-
-	off := newOptDB(t, Config{Optimizer: "off"})
-	for _, s := range script {
-		mustExec(t, off, s)
-	}
-	if _, err := off.Query(q); err == nil {
-		t.Fatal("optimizer off: expected the legacy planner to eagerly run the dead CTE and fail on SUM over text")
+	if _, err := on.Query("WITH dead AS (SELECT SUM(c) AS x FROM u) SELECT x FROM dead"); err == nil {
+		t.Fatal("the CTE, once referenced, should fail on SUM over text")
 	}
 }
 
@@ -199,130 +193,86 @@ func TestGracePrechoice(t *testing.T) {
 	}
 }
 
-// TestOptimizerOnOffBitIdentical runs a battery of queries — the
-// translated gate-stage chain, CTEs, joins, aggregation, sorting — with
-// the optimizer on and off, on both storage layouts at workers 1 and 4,
-// and requires bitwise-identical results: same types, same int64
-// values, same float64 bit patterns, same row order.
-func TestOptimizerOnOffBitIdentical(t *testing.T) {
-	setup := []string{
-		"CREATE TABLE t0 (s INTEGER, r REAL, i REAL)",
-		"CREATE TABLE h (in_s INTEGER, out_s INTEGER, r REAL, i REAL)",
-		"INSERT INTO h VALUES (0,0,0.7071067811865476,0),(0,1,0.7071067811865476,0),(1,0,0.7071067811865476,0),(1,1,-0.7071067811865476,0)",
+// TestOptimizerRandomizedFilterEquivalence cross-checks filters over
+// subqueries, CTEs and joins against answers computed in Go from the
+// inserted rows, with SQL three-valued logic (a comparison with NULL is
+// never true), over a grid of generated predicates (property-style).
+func TestOptimizerRandomizedFilterEquivalence(t *testing.T) {
+	db := newOptDB(t, Config{})
+	mustExec(t, db, "CREATE TABLE t (a INTEGER, b INTEGER)")
+	fillSequence(t, db, "t", 500)
+	mustExec(t, db, "INSERT INTO t VALUES (NULL, 1), (1, NULL)")
+
+	type row struct{ a, b Value }
+	var table []row
+	for i := int64(0); i < 500; i++ {
+		table = append(table, row{NewInt(i), NewInt(i % 97)})
 	}
-	var seed []string
-	for k := 0; k < 3000; k++ {
-		seed = append(seed, fmt.Sprintf("(%d, %g, %g)", k, 1.0/3000.0, float64(k)*1e-7))
+	table = append(table, row{Null, NewInt(1)}, row{NewInt(1), Null})
+	// holds is the WHERE verdict of "v op c": NULL compares unknown,
+	// which filters the row out like false.
+	holds := func(v Value, op string, c int64) bool {
+		if v.T == TypeNull {
+			return false
+		}
+		switch op {
+		case "<":
+			return v.I < c
+		case "<=":
+			return v.I <= c
+		case ">":
+			return v.I > c
+		case ">=":
+			return v.I >= c
+		case "=":
+			return v.I == c
+		case "!=":
+			return v.I != c
+		}
+		t.Fatalf("unknown operator %q", op)
+		return false
 	}
-	queries := []string{
-		// One translated gate stage (join + float SUM + HAVING prune).
-		`WITH t1 AS (
-			SELECT ((t0.s & ~1) | h.out_s) AS s,
-			       SUM((t0.r * h.r) - (t0.i * h.i)) AS r,
-			       SUM((t0.r * h.i) + (t0.i * h.r)) AS i
-			FROM t0 JOIN h ON h.in_s = (t0.s & 1)
-			GROUP BY ((t0.s & ~1) | h.out_s)
-			HAVING ((SUM((t0.r * h.r) - (t0.i * h.i)) * SUM((t0.r * h.r) - (t0.i * h.i))) + (SUM((t0.r * h.i) + (t0.i * h.r)) * SUM((t0.r * h.i) + (t0.i * h.r)))) > 1e-20
-		) SELECT s, r, i FROM t1 ORDER BY s`,
-		// Chained single-use CTEs with filters and projections.
-		`WITH u AS (SELECT s, r FROM t0 WHERE s < 1000),
-		      v AS (SELECT s * 2 AS d, r FROM u WHERE s > 10)
-		 SELECT d, r FROM v WHERE d < 500 ORDER BY d`,
-		// Aggregation over expressions, DISTINCT, float sums.
-		"SELECT (s & 7) AS g, SUM(r), COUNT(*), MIN(i), AVG(r) FROM t0 GROUP BY (s & 7) ORDER BY g",
-		"SELECT DISTINCT (s & 3) FROM t0 ORDER BY 1",
-		// Join + WHERE mixture.
-		"SELECT t0.s, h.out_s FROM t0 JOIN h ON h.in_s = (t0.s & 1) WHERE t0.s < 20 AND h.out_s = 1 ORDER BY t0.s, h.out_s",
-		// Subquery with hidden sort keys and limit.
-		"SELECT v FROM (SELECT s AS v, r FROM t0) q WHERE v > 100 ORDER BY r DESC, v LIMIT 37",
+	sortRows := func(rows []Row) {
+		sort.Slice(rows, func(i, j int) bool { return CompareTotal(rows[i][0], rows[j][0]) < 0 })
 	}
 
-	type key struct {
-		optimizer, layout string
-		workers           int
-	}
-	results := map[key]map[int][]Row{}
-	for _, opt := range []string{"on", "off"} {
-		for _, layout := range []string{LayoutColumnar, LayoutRow} {
-			for _, workers := range []int{1, 4} {
-				db := newOptDB(t, Config{Optimizer: opt, Layout: layout, Parallelism: workers})
-				for _, s := range setup {
-					mustExec(t, db, s)
+	for _, op := range []string{"<", "<=", ">", ">=", "=", "!="} {
+		for _, c := range []int64{-1, 0, 48, 96, 499, 1000} {
+			var sub, cte, join []Row
+			for _, r := range table {
+				if holds(r.b, op, c) {
+					sub = append(sub, Row{r.a})
 				}
-				for i := 0; i < len(seed); i += 500 {
-					end := min(i+500, len(seed))
-					mustExec(t, db, "INSERT INTO t0 VALUES "+strings.Join(seed[i:end], ","))
+				if holds(r.a, op, c) {
+					cte = append(cte, Row{r.b})
 				}
-				byQuery := map[int][]Row{}
-				for qi, q := range queries {
-					byQuery[qi] = queryAll(t, db, q)
+				if r.a.T == TypeNull || !holds(r.b, op, c) {
+					continue
 				}
-				results[key{opt, layout, workers}] = byQuery
-			}
-		}
-	}
-	ref := results[key{"off", LayoutColumnar, 1}]
-	for k, byQuery := range results {
-		for qi := range queries {
-			got, want := byQuery[qi], ref[qi]
-			if len(got) != len(want) {
-				t.Fatalf("%v query %d: %d rows vs %d", k, qi, len(got), len(want))
-			}
-			for i := range got {
-				for j := range got[i] {
-					a, b := want[i][j], got[i][j]
-					if a.T != b.T || a.I != b.I || math.Float64bits(a.F) != math.Float64bits(b.F) || a.S != b.S {
-						t.Fatalf("%v query %d row %d col %d: %v vs %v (bits %x vs %x)",
-							k, qi, i, j, a, b, math.Float64bits(a.F), math.Float64bits(b.F))
+				for _, r2 := range table { // t1.a = t2.a: NULL never matches
+					if r2.a.T != TypeNull && r2.a.I == r.a.I {
+						join = append(join, Row{r.a})
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestOptimizerRandomizedFilterEquivalence cross-checks filters over
-// subqueries, CTEs and joins against the unoptimized engine over a grid
-// of generated predicates (property-style).
-func TestOptimizerRandomizedFilterEquivalence(t *testing.T) {
-	on := newOptDB(t, Config{})
-	off := newOptDB(t, Config{Optimizer: "off"})
-	for _, db := range []*DB{on, off} {
-		mustExec(t, db, "CREATE TABLE t (a INTEGER, b INTEGER)")
-		fillSequence(t, db, "t", 500)
-		mustExec(t, db, "INSERT INTO t VALUES (NULL, 1), (1, NULL)")
-	}
-	ops := []string{"<", "<=", ">", ">=", "=", "!="}
-	for _, op := range ops {
-		for _, c := range []int{-1, 0, 48, 96, 499, 1000} {
-			for _, shape := range []string{
-				"SELECT a FROM (SELECT a, b FROM t WHERE b %s %d) s ORDER BY a",
-				"WITH u AS (SELECT a, b FROM t) SELECT b FROM u WHERE a %s %d ORDER BY b",
-				"SELECT t1.a FROM t t1 JOIN t t2 ON t1.a = t2.a WHERE t1.b %s %d ORDER BY t1.a",
+			for _, tc := range []struct {
+				shape string
+				want  []Row
+			}{
+				{"SELECT a FROM (SELECT a, b FROM t WHERE b %s %d) s ORDER BY a", sub},
+				{"WITH u AS (SELECT a, b FROM t) SELECT b FROM u WHERE a %s %d ORDER BY b", cte},
+				{"SELECT t1.a FROM t t1 JOIN t t2 ON t1.a = t2.a WHERE t1.b %s %d ORDER BY t1.a", join},
 			} {
-				q := fmt.Sprintf(shape, op, c)
-				got := queryAll(t, on, q)
-				want := queryAll(t, off, q)
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d rows vs %d", q, len(got), len(want))
-				}
-				sortRows := func(rows []Row) {
-					sort.Slice(rows, func(i, j int) bool {
-						for c := range rows[i] {
-							if d := CompareTotal(rows[i][c], rows[j][c]); d != 0 {
-								return d < 0
-							}
-						}
-						return false
-					})
+				q := fmt.Sprintf(tc.shape, op, c)
+				got := queryAll(t, db, q)
+				if len(got) != len(tc.want) {
+					t.Fatalf("%s: %d rows, want %d", q, len(got), len(tc.want))
 				}
 				sortRows(got)
-				sortRows(want)
+				sortRows(tc.want)
 				for i := range got {
-					for j := range got[i] {
-						if CompareTotal(got[i][j], want[i][j]) != 0 {
-							t.Fatalf("%s: row %d: %v vs %v", q, i, got[i], want[i])
-						}
+					if len(got[i]) != 1 || CompareTotal(got[i][0], tc.want[i][0]) != 0 {
+						t.Fatalf("%s: row %d: %v, want %v", q, i, got[i], tc.want[i])
 					}
 				}
 			}

@@ -8,9 +8,8 @@ import (
 )
 
 // Morsel-driven parallel execution. A parallel-capable pipeline splits
-// its base scan into fixed-size morsels (contiguous row ranges — with
-// the columnar layout, column-slice ranges — of the backing table
-// store); worker goroutines claim morsels from a shared
+// its base scan into fixed-size morsels (contiguous row ranges, served
+// as column slices, of the backing table store); worker goroutines claim morsels from a shared
 // atomic dispenser and run the whole pipeline — scan, filters,
 // projections, hash-join probes — over each claimed morsel with
 // worker-private compiled expressions and scratch batches. Blocking
@@ -119,8 +118,8 @@ func (d *morselDispenser) claim() (int, bool) {
 // openParallel splits the scan into morsels. Only fully in-memory
 // frozen stores are morselized (morselCount reports 0 for spilled
 // stores, whose chunks are a sequential stream that cannot be
-// range-partitioned). With the columnar layout a morsel claim is a
-// column-slice range — no row gathering.
+// range-partitioned). A morsel claim is a column-slice range — no row
+// gathering.
 func (n *storeScanNode) openParallel(ctx *execCtx, workers int) ([]morselStream, bool, error) {
 	if n.ownStore {
 		return nil, false, nil
@@ -148,7 +147,7 @@ func (n *storeScanNode) openParallel(ctx *execCtx, workers int) ([]morselStream,
 // it claims from the shared dispenser.
 type scanMorselStream struct {
 	disp    *morselDispenser
-	scan    morselScanner
+	scan    *colMorselScan
 	claimed bool
 }
 
@@ -286,7 +285,7 @@ func (n *aliasNode) openParallel(ctx *execCtx, workers int) ([]morselStream, boo
 // batches appended in morsel order — the output row sequence is
 // identical to the serial scan order. On memory pressure the parallel
 // gather aborts and the serial (spilling) path re-runs the plan.
-func materializePlan(ctx *execCtx, node planNode) (tableStore, error) {
+func materializePlan(ctx *execCtx, node planNode) (*ColStore, error) {
 	return materializePlanCollect(ctx, node, false)
 }
 
@@ -295,8 +294,8 @@ func materializePlan(ctx *execCtx, node planNode) (tableStore, error) {
 // compiled kernel, either entirely or as a swapped-in subtree; see
 // kernel.go) and optional statistics collection on the result store
 // (CTAS materialization).
-func materializePlanCollect(ctx *execCtx, node planNode, collect bool) (tableStore, error) {
-	var kstore tableStore
+func materializePlanCollect(ctx *execCtx, node planNode, collect bool) (*ColStore, error) {
+	var kstore *ColStore
 	if ctx.env.kernels {
 		result, swapped, err := kernelAttempt(ctx, node, collect)
 		if err != nil {
@@ -317,7 +316,7 @@ func materializePlanCollect(ctx *execCtx, node planNode, collect bool) (tableSto
 	return store, err
 }
 
-func materializePlanExec(ctx *execCtx, node planNode, collect bool) (tableStore, error) {
+func materializePlanExec(ctx *execCtx, node planNode, collect bool) (*ColStore, error) {
 	var hint int64
 	if est := planEstimateOf(node); est != nil && est.rows > 0 {
 		// Budget-clamped like the hash-table hints: a misestimate must
@@ -352,7 +351,7 @@ func materializePlanExec(ctx *execCtx, node planNode, collect bool) (tableStore,
 }
 
 // planEstimateOf reads the cost model's annotation off a physical node
-// (nil when the optimizer is off).
+// (nil when the node carries none).
 func planEstimateOf(node planNode) *nodeEst {
 	switch n := node.(type) {
 	case *storeScanNode:
@@ -449,7 +448,7 @@ func compactBatch(b *rowBatch) *rowBatch {
 // appends — no per-row materialization). The first failed reservation
 // aborts the gather (errParallelFallback) — large results belong to the
 // serial spilling path.
-func gatherMorsels(ctx *execCtx, streams []morselStream, hint int64, collect bool) (tableStore, error) {
+func gatherMorsels(ctx *execCtx, streams []morselStream, hint int64, collect bool) (*ColStore, error) {
 	budget := ctx.env.budget
 	var (
 		wg       sync.WaitGroup
@@ -527,13 +526,9 @@ func gatherMorsels(ctx *execCtx, streams []morselStream, hint int64, collect boo
 	sort.Slice(bufs, func(i, j int) bool { return bufs[i].idx < bufs[j].idx })
 	store := ctx.env.newStore()
 	if collect {
-		attachStats(store)
+		store.stats = &tableStats{}
 	}
-	if hint > 0 {
-		if h, ok := store.(rowCapacityHinter); ok {
-			h.hintRows(hint)
-		}
-	}
+	store.hintRows(hint)
 	for k, mb := range bufs {
 		// Hand the accounting to the store: release the gather
 		// reservation, then AppendBatch re-reserves (or spills).

@@ -38,7 +38,7 @@ type morselPartials struct {
 // errParallelFallback (with all reservations released and all streams
 // closed) when the budget does not fit the partial tables; the caller
 // then re-runs the serial streaming path, which knows how to spill.
-func (x *aggExec) morselAggregate(n *aggNode, streams []morselStream, out tableStore) (bool, error) {
+func (x *aggExec) morselAggregate(n *aggNode, streams []morselStream, out *ColStore) (bool, error) {
 	ctx := x.ctx
 	childSchema := n.child.schema()
 	budget := ctx.env.budget

@@ -15,24 +15,20 @@ import (
 //  1. lower (buildPlan);
 //  2. materialize the tree's CTEs top-down, on demand (materializeAll):
 //     the topmost unmaterialized node of a fusable run of gate-stage
-//     CTEs claims the whole run as one chain kernel (kernel_chain.go).
-//     With the optimizer off every definition runs, in definition
-//     order, dead ones included (the legacy eager planner);
+//     CTEs claims the whole run as one chain kernel (kernel_chain.go);
 //  3. bind every row-count-dependent decision from the now-exact store
 //     sizes (bind);
 //  4. open the root.
 //
-// With the optimizer on, a CTE the optimizer marked inline lowers to
-// its subplan itself, and a dead CTE is never lowered.
+// A CTE the optimizer marked inline lowers to its subplan itself, and a
+// dead CTE is never lowered.
 type planner struct {
 	ctx     *execCtx
 	db      *DB
-	cleanup []tableStore // temp stores to release when the statement ends
+	cleanup []*ColStore // temp stores to release when the statement ends
 	// results holds each definition's store while lowering, shared by
 	// all of its references so a CTE read twice still materializes once.
 	results map[*cteDef]*cteResult
-	// eager lists every definition in definition order (optimizer off).
-	eager []*materializeNode
 	// sampleEvery, when positive, instruments each CTE subplan right
 	// before it runs (EXPLAIN ANALYZE, traced statements), so a stage a
 	// chain kernel absorbed carries no operator counters.
@@ -51,28 +47,17 @@ func (p *planner) release() {
 }
 
 // buildPlan parses nothing and executes nothing (step 1): it lowers sel
-// through the logical IR, optionally the optimizer, and the physical
-// planner. The returned planner runs the plan (execute) and owns the
-// CTE stores that creates, so it must be released after execution.
+// through the logical IR, the optimizer, and the physical planner. The
+// returned planner runs the plan (execute) and owns the CTE stores that
+// creates, so it must be released after execution.
 func (db *DB) buildPlan(ctx *execCtx, sel *SelectStmt) (planNode, []string, *planner, error) {
 	b := &logicalBuilder{db: db}
 	root, names, err := b.buildSelect(sel, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if db.env.optimizer {
-		root = optimizeLogical(root, b.defs, db.env)
-	}
+	root = optimizeLogical(root, b.defs, db.env)
 	p := &planner{ctx: ctx, db: db}
-	if !db.env.optimizer {
-		for _, d := range b.defs {
-			m, err := p.cteNode(d)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			p.eager = append(p.eager, m)
-		}
-	}
 	node, err := p.lower(root)
 	if err != nil {
 		return nil, nil, nil, err
@@ -86,12 +71,7 @@ func (db *DB) buildPlan(ctx *execCtx, sel *SelectStmt) (planNode, []string, *pla
 
 // execute runs steps 2-4 for the plan rooted at node and returns its
 // result store.
-func (p *planner) execute(node planNode, collect bool) (tableStore, error) {
-	for _, m := range p.eager {
-		if err := p.materialize(m); err != nil {
-			return nil, err
-		}
-	}
+func (p *planner) execute(node planNode, collect bool) (*ColStore, error) {
 	if err := p.materializeAll(node); err != nil {
 		return nil, err
 	}
@@ -265,7 +245,7 @@ func (p *planner) lower(n logicalNode) (planNode, error) {
 // actual-informed row count of its input: planned output / planned
 // input gives the node's selectivity (or fan-out) ratio, which is then
 // applied to the refreshed input cardinality. Returns -1 when either
-// side is unknown (optimizer off).
+// side is unknown.
 func scaleEst(est *nodeEst, plannedIn, actualIn float64) float64 {
 	if est == nil || est.rows < 0 || actualIn < 0 {
 		return -1
@@ -432,7 +412,7 @@ func (n *aliasNode) open(ctx *execCtx) (batchIter, error) { return n.child.open(
 // cteResult is the store one CTE definition materializes into, shared
 // by every materializeNode that references the definition.
 type cteResult struct {
-	store tableStore
+	store *ColStore
 }
 
 // materializeNode is a reference to a materialized CTE. Execution runs

@@ -15,9 +15,8 @@ type sortSpec struct {
 
 // sortNode sorts its input. It consumes batches and accumulates rows in
 // memory under the budget; on overflow it writes sorted runs to
-// spillable stores — column runs under the default columnar layout —
-// and merges them with a loser-tree style heap (external merge sort).
-// When every key is a bare column reference — the common case after
+// spillable stores (column runs) and merges them with a loser-tree
+// style heap (external merge sort). When every key is a bare column reference — the common case after
 // projection — rows are buffered as-is and compared by column index;
 // otherwise the keys are evaluated vectorized and prepended to each
 // buffered row. On the bare-column path, a buffer whose key values are
@@ -92,8 +91,7 @@ func (n *sortNode) inputOrdered() bool {
 	cur, col, ok := n.ascKey()
 	for ok {
 		if sc, isScan := cur.(*storeScanNode); isScan {
-			cs, isCol := sc.store.(*ColStore)
-			return isCol && cs.ascendingInt(col)
+			return sc.store.ascendingInt(col)
 		}
 		cur, col, ok = orderPreservingChild(cur, col)
 	}
@@ -271,7 +269,7 @@ func (n *sortNode) open(ctx *execCtx) (batchIter, error) {
 
 	var buf []Row // each row is [keys..., original...] (keys empty on the fast path)
 	var bufBytes int64
-	var runs []tableStore
+	var runs []*ColStore
 	failAll := func(err error) (batchIter, error) {
 		budget.release(bufBytes)
 		releaseStores(runs)
@@ -403,13 +401,13 @@ func (it *sortedBufIter) Close() {
 type mergeIter struct {
 	nk   int
 	cmp  rowCmp
-	runs []tableStore
+	runs []*ColStore
 	heap mergeHeap
 }
 
 type mergeEntry struct {
 	row Row
-	src rowCursor
+	src *colCursor
 	seq int // run index; breaks ties to keep the merge stable
 }
 

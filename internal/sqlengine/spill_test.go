@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"testing"
@@ -402,90 +401,6 @@ func TestColumnarEarlyCloseReleasesColumnReservations(t *testing.T) {
 	rs.Close() // idempotent
 	if got := db.env.budget.used.Load(); got != baseline {
 		t.Fatalf("budget after early close = %d, want baseline %d", got, baseline)
-	}
-}
-
-// layoutDBs opens one engine per storage layout with otherwise
-// identical configuration.
-func layoutDBs(t *testing.T, cfg Config) map[string]*DB {
-	t.Helper()
-	out := map[string]*DB{}
-	for _, layout := range []string{LayoutColumnar, LayoutRow} {
-		c := cfg
-		c.Layout = layout
-		db, err := Open(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		out[layout] = db
-	}
-	return out
-}
-
-// TestLayoutDifferentialBitIdentical runs the translated gate-stage
-// workload — inserts, per-gate CTAS chain, joins, aggregation, ORDER BY
-// — on the columnar and the row layout at workers=1 and workers=4, and
-// requires bitwise-identical results everywhere: same types, same int64
-// values, same float64 bit patterns, same row order.
-func TestLayoutDifferentialBitIdentical(t *testing.T) {
-	script := []string{
-		"CREATE TABLE t0 (s INTEGER, r REAL, i REAL)",
-		"CREATE TABLE h (in_s INTEGER, out_s INTEGER, r REAL, i REAL)",
-		"INSERT INTO h VALUES (0,0,0.7071067811865476,0),(0,1,0.7071067811865476,0),(1,0,0.7071067811865476,0),(1,1,-0.7071067811865476,0)",
-	}
-	gate := `CREATE TABLE %s AS
-		SELECT ((t.s & ~%d) | (h.out_s << %d)) AS s,
-		       SUM((t.r * h.r) - (t.i * h.i)) AS r,
-		       SUM((t.r * h.i) + (t.i * h.r)) AS i
-		FROM %s t JOIN h ON h.in_s = ((t.s >> %d) & 1)
-		GROUP BY ((t.s & ~%d) | (h.out_s << %d))`
-	final := "SELECT s, r, i FROM t3 ORDER BY s"
-
-	type key struct {
-		layout  string
-		workers int
-	}
-	results := map[key][]Row{}
-	for _, workers := range []int{1, 4} {
-		for layout, db := range layoutDBs(t, Config{Parallelism: workers}) {
-			for _, stmt := range script {
-				mustExec(t, db, stmt)
-			}
-			// Seed a 4096-row superposition.
-			batch := make([]string, 0, 512)
-			for k := 0; k < 4096; k++ {
-				batch = append(batch, fmt.Sprintf("(%d, %g, %g)", k, 1.0/4096.0, float64(k)*1e-7))
-				if len(batch) == 512 {
-					mustExec(t, db, "INSERT INTO t0 VALUES "+strings.Join(batch, ","))
-					batch = batch[:0]
-				}
-			}
-			for g := 0; g < 3; g++ {
-				bit := 1 << g
-				mustExec(t, db, fmt.Sprintf(gate, fmt.Sprintf("t%d", g+1), bit, g, fmt.Sprintf("t%d", g), g, bit, g))
-			}
-			results[key{layout, workers}] = queryAll(t, db, final)
-		}
-	}
-
-	ref := results[key{LayoutColumnar, 1}]
-	if len(ref) == 0 {
-		t.Fatal("no reference rows")
-	}
-	for k, rows := range results {
-		if len(rows) != len(ref) {
-			t.Fatalf("%v: %d rows vs %d", k, len(rows), len(ref))
-		}
-		for i := range rows {
-			for j := range rows[i] {
-				a, b := ref[i][j], rows[i][j]
-				if a.T != b.T || a.I != b.I || math.Float64bits(a.F) != math.Float64bits(b.F) || a.S != b.S {
-					t.Fatalf("%v: row %d col %d: %v vs %v (bits %x vs %x)",
-						k, i, j, a, b, math.Float64bits(a.F), math.Float64bits(b.F))
-				}
-			}
-		}
 	}
 }
 

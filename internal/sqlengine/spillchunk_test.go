@@ -95,22 +95,22 @@ func sameBits(a, b Value) bool {
 // FuzzSpillChunkRoundTrip writes random chunks with writeChunk and reads
 // them back with readChunk: every value, NULL and REAL bit pattern must
 // survive, the writer must report the bytes it wrote, and the all-zero
-// REAL column must travel in the sparse form. encodings selects whether
-// the store sparse-encodes its columns in memory before the write.
+// REAL column must travel in the sparse form. Stores of at least
+// encodeMinRows rows sparse-encode their columns in memory before the
+// write; smaller ones reach writeChunk as plain vectors.
 func FuzzSpillChunkRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint16(0), false)
-	f.Add(int64(2), uint16(1), true)
-	f.Add(int64(3), uint16(7), false)
-	f.Add(int64(4), uint16(1500), true)
-	f.Add(int64(5), uint16(1500), false)
-	f.Add(int64(6), uint16(4097), true)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, encodings bool) {
+	f.Add(int64(1), uint16(0))
+	f.Add(int64(2), uint16(1))
+	f.Add(int64(3), uint16(7))
+	f.Add(int64(4), uint16(1500))
+	f.Add(int64(5), uint16(1500))
+	f.Add(int64(6), uint16(4097))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
 		rows := int(n) % 5000
 		rng := rand.New(rand.NewSource(seed))
 		env := testEnv(t, 0)
-		env.encodings = encodings
-		cs := newColStore(env)
-		attachStats(cs)
+		cs := env.newStore()
+		cs.stats = &tableStats{}
 		want := make([]Row, rows)
 		for k := range want {
 			want[k] = chunkTestRow(rng)
@@ -173,9 +173,8 @@ func FuzzSpillChunkRoundTrip(f *testing.F) {
 func TestSpillMultiChunkScanInOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	env := testEnv(t, 4<<10)
-	env.encodings = true
-	cs := newColStore(env)
-	attachStats(cs)
+	cs := env.newStore()
+	cs.stats = &tableStats{}
 	var want []Row
 	appendRows := func(n int) {
 		for k := 0; k < n; k++ {

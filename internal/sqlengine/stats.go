@@ -8,7 +8,7 @@ import (
 
 // Table statistics. Every base-table store carries an optional
 // *tableStats collector that the storage layer updates incrementally at
-// append time (ColStore.Append/AppendBatch, RowStore.Append): row count,
+// append time (ColStore.Append/AppendBatch): row count,
 // per-column null count, integer min/max, a zero count on numeric
 // columns (the sparsity signal of the amplitude columns in translated
 // gate queries), and a cheap probabilistic distinct estimate. ANALYZE
@@ -204,34 +204,6 @@ func (c *colStats) zeroFraction(rows int64) float64 {
 	return float64(c.zeros) / float64(rows)
 }
 
-// statsCollecting is the optional storage interface for incremental
-// statistics: both ColStore and RowStore implement it. setStatsCollector
-// attaches (or detaches, with nil) the collector updated on every
-// append; statsSnapshot returns the current collector.
-type statsCollecting interface {
-	setStatsCollector(*tableStats)
-	statsSnapshot() *tableStats
-}
-
-// storeStats returns the statistics collected on a store, or nil.
-func storeStats(store tableStore) *tableStats {
-	if sc, ok := store.(statsCollecting); ok {
-		return sc.statsSnapshot()
-	}
-	return nil
-}
-
-// attachStats attaches a fresh statistics collector to a store (no-op
-// for stores that cannot collect).
-func attachStats(store tableStore) *tableStats {
-	if sc, ok := store.(statsCollecting); ok {
-		ts := &tableStats{}
-		sc.setStatsCollector(ts)
-		return ts
-	}
-	return nil
-}
-
 // AnalyzeStmt is ANALYZE <table>: recompute the table's statistics from
 // a full scan and attach them to the store for the planner.
 type AnalyzeStmt struct {
@@ -250,23 +222,16 @@ func (db *DB) execAnalyze(s *AnalyzeStmt) (int64, error) {
 	if meta == nil {
 		return 0, fmt.Errorf("sqlengine: no such table: %s", s.Table)
 	}
-	sc, ok := meta.store.(statsCollecting)
-	if !ok {
-		return meta.store.Len(), nil
-	}
 	// Incrementally collected statistics are exact by construction (a
 	// collector attached at CREATE observes every append, and
 	// DELETE/UPDATE rewrites re-collect); skip the rescan then.
 	// core.Translate emits ANALYZE after its setup inserts, so this
 	// keeps repeated translations and cached-plan rebinds cheap.
-	if cur := sc.statsSnapshot(); cur != nil && cur.rows == meta.store.Len() {
+	if cur := meta.store.stats; cur != nil && cur.rows == meta.store.Len() {
 		return cur.rows, nil
 	}
 	ts := &tableStats{}
-	frozen := true
-	if f, isFreezable := meta.store.(interface{ frozenState() bool }); isFreezable {
-		frozen = f.frozenState()
-	}
+	frozen := meta.store.frozen
 	restore := func() {
 		if !frozen {
 			meta.store.Thaw()
@@ -289,6 +254,6 @@ func (db *DB) execAnalyze(s *AnalyzeStmt) (int64, error) {
 		ts.observeBatch(b)
 	}
 	restore()
-	sc.setStatsCollector(ts)
+	meta.store.stats = ts
 	return ts.rows, nil
 }

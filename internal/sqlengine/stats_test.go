@@ -14,7 +14,7 @@ func TestStatsIncrementalAtAppend(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "CREATE TABLE t (s INTEGER, r REAL, name TEXT)")
 	mustExec(t, db, "INSERT INTO t VALUES (5, 0.0, 'a'), (7, 1.5, 'b'), (-3, 0.0, NULL), (7, 2.5, 'a')")
-	ts := storeStats(db.lookupTable("t").store)
+	ts := db.lookupTable("t").store.stats
 	if ts == nil {
 		t.Fatal("no statistics collected")
 	}
@@ -48,7 +48,7 @@ func TestStatsSurviveDeleteUpdate(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE t (a INTEGER, b INTEGER)")
 	fillSequence(t, db, "t", 100)
 	mustExec(t, db, "DELETE FROM t WHERE a >= 50")
-	ts := storeStats(db.lookupTable("t").store)
+	ts := db.lookupTable("t").store.stats
 	if ts == nil || ts.rows != 50 {
 		t.Fatalf("stats after DELETE: %+v", ts)
 	}
@@ -56,7 +56,7 @@ func TestStatsSurviveDeleteUpdate(t *testing.T) {
 		t.Fatalf("intMax after DELETE = %d, want 49", c.intMax)
 	}
 	mustExec(t, db, "UPDATE t SET a = a + 1000 WHERE a < 10")
-	ts = storeStats(db.lookupTable("t").store)
+	ts = db.lookupTable("t").store.stats
 	if c := ts.col(0); c.intMax != 1009 || c.intMin != 10 {
 		t.Fatalf("min/max after UPDATE = [%d, %d], want [10, 1009]", c.intMin, c.intMax)
 	}
@@ -70,7 +70,7 @@ func TestAnalyzeStatement(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE src (a INTEGER, b REAL)")
 	fillSequence(t, db, "src", 200)
 	mustExec(t, db, "CREATE TABLE derived AS SELECT a * 2 AS a2, b FROM src")
-	ts := storeStats(db.lookupTable("derived").store)
+	ts := db.lookupTable("derived").store.stats
 	if ts == nil || ts.rows != 200 {
 		t.Fatalf("stats after CTAS: %+v", ts)
 	}
@@ -83,7 +83,7 @@ func TestAnalyzeStatement(t *testing.T) {
 	}
 	// The analyzed table keeps collecting on later appends.
 	mustExec(t, db, "INSERT INTO derived VALUES (1000, 0.0)")
-	ts = storeStats(db.lookupTable("derived").store)
+	ts = db.lookupTable("derived").store.stats
 	if ts.rows != 201 || ts.col(0).intMax != 1000 {
 		t.Fatalf("stats not incremental after ANALYZE: %+v", ts)
 	}

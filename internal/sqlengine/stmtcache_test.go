@@ -72,15 +72,9 @@ func TestStmtCacheASTsStayUnchanged(t *testing.T) {
 	}
 	onOff := []string{"on", "off"}
 	var switches []Config
-	for _, opt := range onOff {
-		for _, kern := range onOff {
-			for _, fusion := range onOff {
-				for _, enc := range onOff {
-					for _, layout := range []string{LayoutColumnar, LayoutRow} {
-						switches = append(switches, Config{Parallelism: 2, Optimizer: opt, Kernels: kern, Fusion: fusion, Encodings: enc, Layout: layout})
-					}
-				}
-			}
+	for _, kern := range onOff {
+		for _, fusion := range onOff {
+			switches = append(switches, Config{Parallelism: 2, Kernels: kern, Fusion: fusion})
 		}
 	}
 	// The spilling run: 2^10 amplitudes against a 16 KiB budget.

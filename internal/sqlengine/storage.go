@@ -10,24 +10,14 @@ import (
 	"sync/atomic"
 )
 
-// Storage layer contract. Tables, materialized results, sort runs, and
-// grace partitions are all tableStores: append-then-read sequences of
-// rows with a bounded in-memory representation that spills to disk when
-// the engine-wide budget is exceeded.
-//
-// Two layouts implement the contract. The default ColStore
-// (colstore.go) keeps typed column vectors — int64 / float64 / string /
-// bool with null bitmaps — appends whole batches without per-row
-// materialization, and serves scans as column slices. The legacy
-// RowStore (rowstore.go) keeps []Row and survives as the alternate
-// layout for differential testing (Config.Layout = "row"): every query
-// must produce bitwise-identical results on both.
-
-// Layout names accepted by Config.Layout and the DSN "layout" param.
-const (
-	LayoutColumnar = "columnar"
-	LayoutRow      = "row"
-)
+// Storage layer. Tables, materialized results, sort runs, and grace
+// partitions are all ColStores (colstore.go): append-then-read
+// sequences of rows kept as typed column vectors — int64 / float64 /
+// string / bool with null bitmaps — with a bounded in-memory
+// representation that spills column chunks to disk when the
+// engine-wide budget is exceeded. A store is write-only until Freeze
+// and read-only afterwards (Thaw reopens it for appending); Release
+// frees every budget reservation and spill file even mid-read.
 
 // MemBudget is the engine-wide memory accountant. Operators and table
 // stores reserve estimated bytes before buffering rows in memory; when a
@@ -111,11 +101,6 @@ type storageEnv struct {
 	budget       *MemBudget
 	spillDir     string
 	spillEnabled bool
-	// rowLayout selects the legacy row-major RowStore for every table
-	// store the engine creates (Config.Layout = "row").
-	rowLayout bool
-	// optimizer enables the query optimizer (Config.Optimizer).
-	optimizer bool
 	// kernels enables the compiled gate-stage kernel tier
 	// (Config.Kernels; see kernel.go), and kernelCache holds its
 	// compiled programs (the process-wide cache unless
@@ -130,10 +115,6 @@ type storageEnv struct {
 	// see kernelCounterSet and storageCounterSet).
 	kernelCtrs  *kernelCounterSet
 	storageCtrs *storageCounterSet
-	// encodings enables the sparsity-first storage tier: the sparse
-	// float encoding at materialization (Config.Encodings; see
-	// encoding.go).
-	encodings bool
 	// tracing enables per-operator span instrumentation for statements
 	// whose context carries an obs span (Config.Tracing; see
 	// trace_exec.go).
@@ -152,91 +133,10 @@ type storageEnv struct {
 	spillFiles   atomic.Int64
 }
 
-// newStore creates a table store in the engine's configured layout.
-func (env *storageEnv) newStore() tableStore {
-	if env.rowLayout {
-		return newRowStore(env)
-	}
-	return newColStore(env)
-}
-
-// layoutName reports the configured layout for EXPLAIN.
-func (env *storageEnv) layoutName() string {
-	if env.rowLayout {
-		return LayoutRow
-	}
-	return LayoutColumnar
-}
-
 // ErrBudget is returned when memory is exhausted and spilling is off.
 // Every path that reports it returns it as is or wraps it with %w, so
 // callers detect it with errors.Is.
 var ErrBudget = fmt.Errorf("sqlengine: memory budget exceeded and spilling is disabled")
-
-// tableStore is the storage contract shared by the columnar ColStore and
-// the legacy row-major RowStore. A store is write-only until Freeze and
-// read-only afterwards (Thaw reopens it for appending); Release must
-// free every budget reservation and spill file even mid-read.
-type tableStore interface {
-	// Append adds one row; the store takes ownership of the slice.
-	Append(Row) error
-	// AppendBatch appends every selected row of a batch. The columnar
-	// store copies column vectors directly; the row store gathers (its
-	// documented layout cost).
-	AppendBatch(*rowBatch) error
-	Len() int64
-	Spilled() bool
-	Freeze() error
-	Thaw()
-	Release()
-
-	// layout and vectorKinds describe the physical format for EXPLAIN:
-	// the layout name and, for the columnar store, the per-column vector
-	// type (nil for the row layout or an empty store).
-	layout() string
-	vectorKinds() []string
-
-	// Cursor returns a row-at-a-time reader — the one gather adapter at
-	// the engine's row-oriented edges (ResultSet, database/sql driver,
-	// external sort-run merging, grace-partition iteration). Freezes the
-	// store; multiple concurrent cursors are allowed once frozen.
-	Cursor() (rowCursor, error)
-	// batchScan returns a batch-at-a-time reader over all rows (spilled
-	// prefix first, then the in-memory tail). Freezes the store.
-	batchScan() (storeScan, error)
-
-	// morselCount is the number of fixed-size morsels the store splits
-	// into for parallel scans, or 0 when the store cannot be morselized
-	// (spilled to disk). Boundaries depend only on the data, never on
-	// the worker count.
-	morselCount() int
-	// morselScanner returns a per-worker scanner over individual
-	// morsels. Freezes the store; only valid when morselCount() > 0.
-	morselScanner() (morselScanner, error)
-}
-
-// rowCursor walks a frozen store row by row. Returned rows are owned by
-// the caller (the columnar cursor gathers fresh rows; the row store
-// returns its stored slices, which callers treat as read-only or clone).
-type rowCursor interface {
-	Next() (Row, bool, error)
-}
-
-// storeScan reads a frozen store batch-at-a-time. The returned batch is
-// owned by the scan and valid only until the next NextBatch call; nil
-// signals the end.
-type storeScan interface {
-	NextBatch() (*rowBatch, error)
-}
-
-// morselScanner reads one claimed morsel at a time: setMorsel positions
-// the scanner, NextBatch drains the morsel in batches (nil at morsel
-// end). Each scanner is single-threaded; different scanners of the same
-// store may run concurrently.
-type morselScanner interface {
-	setMorsel(i int)
-	NextBatch() (*rowBatch, error)
-}
 
 // spillBufSize is the buffer size of spill-file writers and the cap on
 // spill-file readers'.
@@ -269,7 +169,7 @@ func newSpillReader(f *os.File, size int64) *bufio.Reader {
 	return bufio.NewReaderSize(io.NewSectionReader(f, 0, size), int(min(size, spillBufSize)))
 }
 
-func releaseStores(stores []tableStore) {
+func releaseStores(stores []*ColStore) {
 	for _, s := range stores {
 		if s != nil {
 			s.Release()

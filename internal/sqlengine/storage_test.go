@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 )
 
 func testEnv(t *testing.T, budget int64) *storageEnv {
@@ -16,9 +15,35 @@ func testEnv(t *testing.T, budget int64) *storageEnv {
 	}
 }
 
+func TestMemBudgetAccounting(t *testing.T) {
+	b := newMemBudget(1000)
+	if !b.tryReserve(600) {
+		t.Fatal("first reserve should fit")
+	}
+	if b.tryReserve(600) {
+		t.Fatal("second reserve must exceed")
+	}
+	b.release(600)
+	if !b.tryReserve(900) {
+		t.Fatal("after release it fits")
+	}
+	if b.peak.Load() != 900 {
+		t.Fatalf("peak = %d", b.peak.Load())
+	}
+	// Unlimited budget always succeeds.
+	u := newMemBudget(0)
+	if !u.tryReserve(1 << 40) {
+		t.Fatal("unlimited budget refused")
+	}
+}
+
+// The TestRowStore tests drive the store through its row-at-a-time
+// interface (Append, Cursor, Freeze, Thaw), the one the executor's
+// row operators use.
+
 func TestRowStoreInMemoryRoundTrip(t *testing.T) {
 	env := testEnv(t, 0)
-	rs := newRowStore(env)
+	rs := env.newStore()
 	for i := 0; i < 100; i++ {
 		if err := rs.Append(Row{NewInt(int64(i)), NewText(fmt.Sprint(i))}); err != nil {
 			t.Fatal(err)
@@ -48,7 +73,7 @@ func TestRowStoreInMemoryRoundTrip(t *testing.T) {
 
 func TestRowStoreSpillRoundTrip(t *testing.T) {
 	env := testEnv(t, 1024) // tiny budget forces spilling
-	rs := newRowStore(env)
+	rs := env.newStore()
 	const n = 2000
 	for i := 0; i < n; i++ {
 		row := Row{NewInt(int64(i)), NewFloat(float64(i) / 3), NewText("x"), Null, NewBool(i%2 == 0)}
@@ -84,9 +109,11 @@ func TestRowStoreSpillRoundTrip(t *testing.T) {
 	rs.Release()
 }
 
+// TestRowStoreThawAppends appends to a frozen store after Thaw, under a
+// tight budget, and reads back every row.
 func TestRowStoreThawAppends(t *testing.T) {
 	env := testEnv(t, 512)
-	rs := newRowStore(env)
+	rs := env.newStore()
 	for i := 0; i < 50; i++ {
 		if err := rs.Append(Row{NewInt(int64(i))}); err != nil {
 			t.Fatal(err)
@@ -120,79 +147,4 @@ func TestRowStoreThawAppends(t *testing.T) {
 		t.Fatalf("count = %d", count)
 	}
 	rs.Release()
-}
-
-func TestRowEncodingPropertyRoundTrip(t *testing.T) {
-	env := testEnv(t, 1) // everything spills → full encode/decode path
-	f := func(i int64, fl float64, s string, b bool, hasNull bool) bool {
-		rs := newRowStore(env)
-		defer rs.Release()
-		row := Row{NewInt(i), NewFloat(fl), NewText(s), NewBool(b)}
-		if hasNull {
-			row = append(row, Null)
-		}
-		if err := rs.Append(cloneRow(row)); err != nil {
-			return false
-		}
-		it, err := rs.Cursor()
-		if err != nil {
-			return false
-		}
-		got, ok, err := it.Next()
-		if err != nil || !ok || len(got) != len(row) {
-			return false
-		}
-		for j := range row {
-			if got[j].T != row[j].T {
-				return false
-			}
-			// NaN != NaN: compare bit patterns via String.
-			if got[j].String() != row[j].String() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMemBudgetAccounting(t *testing.T) {
-	b := newMemBudget(1000)
-	if !b.tryReserve(600) {
-		t.Fatal("first reserve should fit")
-	}
-	if b.tryReserve(600) {
-		t.Fatal("second reserve must exceed")
-	}
-	b.release(600)
-	if !b.tryReserve(900) {
-		t.Fatal("after release it fits")
-	}
-	if b.peak.Load() != 900 {
-		t.Fatalf("peak = %d", b.peak.Load())
-	}
-	// Unlimited budget always succeeds.
-	u := newMemBudget(0)
-	if !u.tryReserve(1 << 40) {
-		t.Fatal("unlimited budget refused")
-	}
-}
-
-func TestRowStoreReleaseFreesBudget(t *testing.T) {
-	env := testEnv(t, 0)
-	rs := newRowStore(env)
-	for i := 0; i < 100; i++ {
-		if err := rs.Append(Row{NewText("some content here")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if env.budget.used.Load() == 0 {
-		t.Fatal("expected live reservation")
-	}
-	rs.Release()
-	if env.budget.used.Load() != 0 {
-		t.Fatalf("leaked %d bytes", env.budget.used.Load())
-	}
 }

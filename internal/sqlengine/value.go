@@ -14,9 +14,8 @@
 // evalvec.go), and tables are stored as typed column vectors — int64 /
 // float64 / string / bool with null bitmaps — that CREATE TABLE AS and
 // INSERT … SELECT append batch-at-a-time and scans serve as column
-// slices (see colstore.go; the legacy row layout survives behind
-// Config.Layout for differential testing). A thin cursor at the row
-// edges keeps row-oriented surfaces (database/sql driver, ResultSet)
+// slices (see colstore.go), the one storage type. A thin cursor at the
+// row edges keeps row-oriented surfaces (database/sql driver, ResultSet)
 // composing with the columnar tree. Pipelines over in-memory tables
 // split their base scan into fixed row-range morsels claimed by
 // Config.Parallelism worker goroutines (see parallel.go): filters and
@@ -24,7 +23,7 @@
 // build table concurrently, and hash aggregation merges per-morsel
 // partial tables in morsel order (see parallel_agg.go), so results —
 // including floating-point rounding — are bitwise independent of the
-// worker count and the storage layout. Workers reserve from the shared
+// worker count. Workers reserve from the shared
 // memory budget; under pressure a parallel operator falls back to the
 // serial spilling path, which writes columnar chunk runs to disk.
 //

@@ -128,16 +128,6 @@ type SQLBackendOptions struct {
 	// GOMAXPROCS, 1 = single worker). Amplitudes are bit-identical
 	// across settings; only throughput changes.
 	Parallelism int
-	// StorageLayout selects the engine's table storage format: "" or
-	// "columnar" for the typed column-vector store (the default), "row"
-	// for the legacy row-major store. Amplitudes are bit-identical
-	// across layouts; only throughput and memory density change.
-	StorageLayout string
-	// Optimizer controls the engine's query optimizer: "" or "on"
-	// (default) folds constants, inlines single-use CTEs and estimates
-	// costs, "off" uses the legacy direct planner. Amplitudes are
-	// bit-identical across settings; only the plan shape changes.
-	Optimizer string
 	// Kernels controls the engine's compiled gate-stage kernel tier: ""
 	// or "on" (default) lowers matching gate-stage plans to a single
 	// fused typed loop, "off" always runs the interpreted batch
@@ -152,12 +142,6 @@ type SQLBackendOptions struct {
 	// translation's gate-matrix fusion level. Amplitudes are
 	// bit-identical across settings; only throughput changes.
 	ChainFusion string
-	// Encodings controls the engine's sparsity-first storage tier: ""
-	// or "on" (default) stores mostly-zero REAL columns (the amplitude
-	// columns of sparse states) in a sparse form, "off" keeps plain
-	// typed vectors. Amplitudes are bit-identical across settings;
-	// only throughput and memory density change.
-	Encodings string
 	// PlanCache, when non-nil, caches circuit→SQL translations across
 	// Run calls: exact repeats skip translation entirely, parameter
 	// sweeps reuse the SQL text and rebind only the numeric gate data.
@@ -182,11 +166,8 @@ func NewSQLBackend(opts ...SQLBackendOptions) Backend {
 		SpillDir:     o.SpillDir,
 		DisableSpill: o.DisableSpill,
 		Parallelism:  o.Parallelism,
-		Layout:       o.StorageLayout,
-		Optimizer:    o.Optimizer,
 		Kernels:      o.Kernels,
 		ChainFusion:  o.ChainFusion,
-		Encodings:    o.Encodings,
 		Cache:        o.PlanCache,
 		Initial:      o.Initial,
 	}
