@@ -13,12 +13,12 @@ package core
 //	<stage 3 over T2>
 //
 // Only the run's final state becomes a table; the interior state
-// tables are never created. An engine with whole-circuit kernel fusion
-// (sqlengine Config.Fusion) executes the CTE chain as one multi-stage
-// fused pass with the intermediate amplitudes double-buffered in
-// memory; any other engine still runs the statement correctly, CTE by
-// CTE. The per-stage SQL text is unchanged, so amplitudes are bitwise
-// identical to the unfused statement sequence either way.
+// tables are never created. The embedded engine executes the CTE chain
+// as one multi-stage fused pass with the intermediate amplitudes
+// double-buffered in memory (sqlengine kernel_chain.go); any other
+// engine still runs the statement correctly, CTE by CTE. The per-stage
+// SQL text is unchanged, so amplitudes are bitwise identical to the
+// unfused statement sequence either way.
 
 // chainRuns splits the translation's steps into maximal runs of
 // consecutive chained stages: within a run, each step's Source is the

@@ -145,6 +145,9 @@ func NewManager(cfg Config) *Manager {
 // (done jobs keep their results) and jobs that were queued or running
 // when the previous process died are re-enqueued for re-execution.
 func OpenManager(cfg Config) (*Manager, error) {
+	if _, err := traceSampling(cfg.Tracing); err != nil {
+		return nil, fmt.Errorf("service: Config.Tracing: %w", err)
+	}
 	cfg = cfg.withDefaults()
 	m := &Manager{
 		cfg:     cfg,
@@ -340,23 +343,36 @@ func (m *Manager) QueueDepth() int {
 	return m.queuedTotal
 }
 
+// traceSampling maps a tracing mode name (Config.Tracing or
+// options.trace, case-insensitive) to the trace's sampling stride:
+// "full" times every operator batch, "", "on" or "sampled" time one
+// batch in obs.SampleDefault, and "off" returns 0 (no trace). Any other
+// name is an error naming it.
+func traceSampling(mode string) (int, error) {
+	switch strings.ToLower(mode) {
+	case "", "on", "sampled":
+		return obs.SampleDefault, nil
+	case "full":
+		return obs.SampleFull, nil
+	case "off":
+		return 0, nil
+	}
+	return 0, fmt.Errorf("unknown trace mode %q (have on, off, sampled, full)", mode)
+}
+
 // newJobTrace builds a job's trace per the server default
 // (Config.Tracing) and the request's per-job override
-// (options.trace): "off" disables tracing, "full" times every
-// operator batch, anything else samples (obs.SampleDefault).
+// (options.trace); both were validated by traceSampling before.
 func (m *Manager) newJobTrace(id string, p *parsedRequest) *obs.Trace {
 	mode := m.cfg.Tracing
 	if p != nil && p.options.Trace != "" {
 		mode = p.options.Trace
 	}
-	switch strings.ToLower(mode) {
-	case "off":
+	every, _ := traceSampling(mode)
+	if every == 0 {
 		return nil
-	case "full":
-		return obs.NewTrace(id, obs.SampleFull)
-	default:
-		return obs.NewTrace(id, obs.SampleDefault)
 	}
+	return obs.NewTrace(id, every)
 }
 
 // Submit validates and enqueues a request, returning the queued job.

@@ -322,10 +322,10 @@ func TestManagerReplayThirdLife(t *testing.T) {
 }
 
 // TestManagerReplayRemovedOptions: a durable log written before the
-// layout, optimizer and encodings options were removed still replays.
-// A job submitted with all three set and running at the crash is
-// re-executed after restart, reaches done, and its amplitudes are
-// bit-identical to a fresh run.
+// layout, optimizer, encodings, kernels and chain_fusion options were
+// removed still replays. A job submitted with all five set and running
+// at the crash is re-executed after restart, reaches done, and its
+// amplitudes are bit-identical to a fresh run.
 func TestManagerReplayRemovedOptions(t *testing.T) {
 	dir := t.TempDir()
 	c := circuits.QFT(5)
@@ -336,7 +336,10 @@ func TestManagerReplayRemovedOptions(t *testing.T) {
 	req, err := json.Marshal(map[string]any{
 		"circuit": circuitDoc(t, c),
 		"backend": "sql",
-		"options": map[string]string{"layout": "row", "optimizer": "off", "encodings": "off"},
+		"options": map[string]string{
+			"layout": "row", "optimizer": "off", "encodings": "off",
+			"kernels": "off", "chain_fusion": "off",
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,8 @@ type Request struct {
 
 // RequestOptions are the per-request backend knobs. Unknown keys are
 // ignored on decode, so requests and job logs that still carry the
-// removed layout, optimizer and encodings options replay unchanged.
+// removed layout, optimizer, encodings, kernels and chain_fusion
+// options replay unchanged.
 type RequestOptions struct {
 	// Mode (sql backends): "single-query" (default) or
 	// "materialized-chain".
@@ -50,16 +51,6 @@ type RequestOptions struct {
 	// Parallelism (sql backends): per-query morsel workers; overrides
 	// the server default when positive.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Kernels (sql backends): "on" (default) or "off" — toggles the
-	// engine's compiled gate-stage kernel tier. Amplitudes are
-	// bit-identical either way; only throughput changes.
-	Kernels string `json:"kernels,omitempty"`
-	// ChainFusion (sql backends): "on" (default) or "off" — toggles
-	// whole-circuit chain fusion (fused CTAS statements + multi-stage
-	// chain kernels). Distinct from Fusion, which selects the
-	// translation's gate-matrix fusion level. Amplitudes are
-	// bit-identical either way; only throughput changes.
-	ChainFusion string `json:"chain_fusion,omitempty"`
 	// MaxBond (mps): bond-dimension cap, 0 = exact.
 	MaxBond int `json:"max_bond,omitempty"`
 	// Trace overrides the server's tracing default for this job: "off"
@@ -209,20 +200,8 @@ func sqlOptions(o RequestOptions) (so sqlPlanOptions, err error) {
 	default:
 		return so, fmt.Errorf("unknown encoding %q (have bitwise, arithmetic)", o.Encoding)
 	}
-	switch strings.ToLower(o.Kernels) {
-	case "", "on", "off":
-	default:
-		return so, fmt.Errorf("unknown kernels %q (have on, off)", o.Kernels)
-	}
-	switch strings.ToLower(o.ChainFusion) {
-	case "", "on", "off":
-	default:
-		return so, fmt.Errorf("unknown chain_fusion %q (have on, off)", o.ChainFusion)
-	}
-	switch strings.ToLower(o.Trace) {
-	case "", "on", "off", "sampled", "full":
-	default:
-		return so, fmt.Errorf("unknown trace %q (have on, off, sampled, full)", o.Trace)
+	if _, err := traceSampling(o.Trace); err != nil {
+		return so, err
 	}
 	return so, nil
 }
@@ -250,8 +229,6 @@ func (m *Manager) newBackend(p *parsedRequest) (sim.Backend, error) {
 			PruneEps:    p.options.PruneEps,
 			SpillDir:    m.cfg.SpillDir,
 			Parallelism: parallelism,
-			Kernels:     strings.ToLower(p.options.Kernels),
-			ChainFusion: strings.ToLower(p.options.ChainFusion),
 			Budget:      m.budget,
 			Cache:       m.cache,
 		}, nil

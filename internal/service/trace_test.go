@@ -189,6 +189,36 @@ func TestTraceShapeDeterministic(t *testing.T) {
 	}
 }
 
+// TestTracingModeValidated: the server-wide tracing mode and the
+// per-request options.trace accept the same names, and an unknown one
+// fails instead of quietly sampling: OpenManager with an error naming
+// the bad value, Submit with a rejected request.
+func TestTracingModeValidated(t *testing.T) {
+	for _, mode := range []string{"", "on", "sampled", "full", "FULL", "off"} {
+		m, err := OpenManager(Config{Workers: 1, Tracing: mode})
+		if err != nil {
+			t.Fatalf("tracing %q: %v", mode, err)
+		}
+		if _, err := m.Submit(Request{Circuit: circuitDoc(t, circuits.GHZ(2)), Options: RequestOptions{Trace: mode}}); err != nil {
+			t.Errorf("options.trace %q: %v", mode, err)
+		}
+		m.Close()
+	}
+	for _, mode := range []string{"ful", "sample", "none"} {
+		if m, err := OpenManager(Config{Workers: 1, Tracing: mode}); err == nil {
+			m.Close()
+			t.Errorf("OpenManager accepted tracing %q", mode)
+		} else if !strings.Contains(err.Error(), `"`+mode+`"`) {
+			t.Errorf("tracing %q: error %q does not name the value", mode, err)
+		}
+	}
+	m := NewManager(Config{Workers: 1})
+	defer m.Close()
+	if _, err := m.Submit(Request{Circuit: circuitDoc(t, circuits.GHZ(2)), Options: RequestOptions{Trace: "ful"}}); err == nil {
+		t.Error("Submit accepted options.trace \"ful\"")
+	}
+}
+
 // TestTraceBitIdenticalAmplitudes asserts tracing never perturbs
 // results: amplitudes are bitwise identical with tracing off, sampled,
 // and full.

@@ -173,7 +173,10 @@ func TestSQLInitialState(t *testing.T) {
 // TestSQLRejectsRemovedSwitches: the deprecated engine switches fail
 // the run instead of silently simulating on the one remaining engine.
 func TestSQLRejectsRemovedSwitches(t *testing.T) {
-	for _, b := range []*SQL{{Layout: "row"}, {Optimizer: "off"}, {Encodings: "off"}} {
+	for _, b := range []*SQL{
+		{Layout: "row"}, {Optimizer: "off"}, {Encodings: "off"},
+		{Kernels: "off"}, {ChainFusion: "off"}, {Tracing: "off"},
+	} {
 		if _, err := b.Run(circuits.GHZ(2)); err == nil {
 			t.Errorf("%+v: run succeeded with a removed switch set", *b)
 		}

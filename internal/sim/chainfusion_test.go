@@ -1,19 +1,22 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"qymera/internal/circuits"
 	"qymera/internal/core"
+	"qymera/internal/obs"
 	"qymera/internal/quantum"
+	"qymera/internal/sqlengine"
 )
 
 // TestSQLChainFusionBitIdenticalAmplitudes asserts whole-circuit
-// fusion's invariant at the simulation level: the sql-chain backend
-// produces bitwise-identical amplitudes with chain fusion on and off,
-// across worker counts and kernels on/off (fusion off when kernels are
-// off — the statements still chain through CTEs and must
-// stay exact).
+// fusion's invariant at the simulation level: the sql-chain backend,
+// which runs the fused statement list, produces amplitudes
+// bitwise-identical to the unfused statement list (tr.Statements())
+// run one statement at a time on a fresh engine, at one and at four
+// workers, from a context with and without a trace span.
 func TestSQLChainFusionBitIdenticalAmplitudes(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -27,31 +30,60 @@ func TestSQLChainFusionBitIdenticalAmplitudes(t *testing.T) {
 	}
 	for _, wl := range workloads {
 		t.Run(wl.name, func(t *testing.T) {
-			var ref *quantum.State
-			for _, chain := range []string{"off", "on"} {
-				for _, kernels := range []string{"on", "off"} {
-					for _, workers := range []int{1, 4} {
-						b := &SQL{
-							Mode:        core.MaterializedChain,
-							ChainFusion: chain,
-							Kernels:     kernels,
-							Parallelism: workers,
-						}
-						res, err := b.Run(wl.c)
-						if err != nil {
-							t.Fatalf("chain=%s kernels=%s workers=%d: %v", chain, kernels, workers, err)
-						}
-						if ref == nil {
-							ref = res.State
-							continue
-						}
-						if err := statesBitIdentical(ref, res.State); err != nil {
-							t.Fatalf("chain=%s kernels=%s workers=%d: %v", chain, kernels, workers, err)
-						}
+			ref := unfusedState(t, wl.c)
+			for _, workers := range []int{1, 4} {
+				for _, traced := range []bool{false, true} {
+					ctx := context.Background()
+					if traced {
+						ctx = obs.WithSpan(ctx, obs.NewTrace("job", obs.SampleDefault).Root())
+					}
+					res, err := (&SQL{Mode: core.MaterializedChain, Parallelism: workers}).RunContext(ctx, wl.c)
+					if err != nil {
+						t.Fatalf("workers=%d traced=%v: %v", workers, traced, err)
+					}
+					if err := statesBitIdentical(ref, res.State); err != nil {
+						t.Fatalf("workers=%d traced=%v: %v", workers, traced, err)
 					}
 				}
 			}
 		})
+	}
+}
+
+// unfusedState runs c's MaterializedChain translation as the unfused
+// statement list, one CREATE TABLE AS per stage, on a fresh engine and
+// returns the state its final query reads.
+func unfusedState(t *testing.T, c *quantum.Circuit) *quantum.State {
+	t.Helper()
+	tr, err := core.Translate(c, nil, core.Options{Mode: core.MaterializedChain, PruneEps: pruneEpsDefault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := sqlengine.Open(sqlengine.Config{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, stmt := range tr.Statements() {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs, err := db.Query(tr.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	state := quantum.NewState(c.NumQubits())
+	for {
+		row, ok, err := rs.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return state
+		}
+		state.Set(uint64(row[0].I), complex(row[1].F, row[2].F))
 	}
 }
 
@@ -61,13 +93,12 @@ func TestSQLChainFusionBitIdenticalAmplitudes(t *testing.T) {
 // to bit identity.
 func TestSQLChainFusionSpillDecline(t *testing.T) {
 	c := circuits.ParitySuperposition(14)
-	ref, err := (&SQL{Mode: core.MaterializedChain, ChainFusion: "on", Parallelism: 4}).Run(c)
+	ref, err := (&SQL{Mode: core.MaterializedChain, Parallelism: 4}).Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := (&SQL{
 		Mode:         core.MaterializedChain,
-		ChainFusion:  "on",
 		Parallelism:  4,
 		MemoryBudget: 1 << 20,
 		SpillDir:     t.TempDir(),

@@ -11,48 +11,6 @@ import (
 	"qymera/internal/sqlengine"
 )
 
-// TestSQLKernelBitIdenticalAmplitudes asserts the kernel tier's
-// correctness invariant at the simulation level: the SQL backend
-// produces bitwise-identical amplitudes with kernels on and off, at one
-// and at four workers, in both translation modes. The fused loop replays the
-// interpreted engine's accumulation and emission order exactly (see
-// internal/sqlengine/kernel.go), so only throughput changes.
-func TestSQLKernelBitIdenticalAmplitudes(t *testing.T) {
-	workloads := []struct {
-		name string
-		c    *quantum.Circuit
-		mode core.Mode
-	}{
-		{"ghz", circuits.GHZ(12), core.SingleQuery},
-		{"qft", circuits.QFT(7), core.SingleQuery},
-		// 2^15 nonzero amplitudes: spans several morsels, so the
-		// parallel runs exercise the kernel's two-phase morsel path.
-		{"parity", circuits.ParitySuperposition(15), core.SingleQuery},
-		{"qft-chain", circuits.QFT(6), core.MaterializedChain},
-	}
-	for _, wl := range workloads {
-		t.Run(wl.name, func(t *testing.T) {
-			var ref *quantum.State
-			for _, kernels := range []string{"on", "off"} {
-				for _, workers := range []int{1, 4} {
-					b := &SQL{Mode: wl.mode, Kernels: kernels, Parallelism: workers}
-					res, err := b.Run(wl.c)
-					if err != nil {
-						t.Fatalf("kernels=%s workers=%d: %v", kernels, workers, err)
-					}
-					if ref == nil {
-						ref = res.State
-						continue
-					}
-					if err := statesBitIdentical(ref, res.State); err != nil {
-						t.Fatalf("kernels=%s workers=%d: %v", kernels, workers, err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestSQLKernelCacheRidesPlanCache: compiled kernels are shared per
 // process, so once a parameter sweep's first point has lowered each
 // gate-stage shape, later points — on a backend with a PlanCache and on

@@ -55,23 +55,17 @@ type SQL struct {
 	// goes with the harness replay, and any non-empty value fails the
 	// run (sqlengine.Open rejects it).
 	Optimizer string
-	// Kernels controls the engine's compiled gate-stage kernel tier: ""
-	// or "on" (default) lowers matching gate-stage plans to a fused
-	// typed loop, "off" always runs the interpreted batch executor.
-	// Amplitudes are bitwise independent of the setting — the kernel
-	// replays the interpreted engine's accumulation order exactly (see
-	// internal/sqlengine/kernel.go).
+	// Deprecated: Kernels named the removed switch to the interpreted
+	// executor. It stays only because the benchmark harness copies it,
+	// goes with the harness replay, and any non-empty value fails the
+	// run (sqlengine.Open rejects it).
 	Kernels string
-	// ChainFusion controls whole-circuit fusion: "" or "on" (default)
-	// collapses every run of two or more consecutive gate-stage CTAS
-	// statements into one WITH-chained CTAS
-	// (core.Translation.FusedStatements) and enables the engine's
-	// multi-stage fused kernel execution, which double-buffers the
-	// interior stage amplitudes in memory instead of materializing
-	// them; "off" keeps stage-at-a-time statements and execution.
-	// Amplitudes are bitwise independent of the setting (see
-	// internal/sqlengine/kernel_chain.go). Distinct from Fusion, which
-	// is the translation-level gate-matrix fusion of §3.2.
+	// Deprecated: ChainFusion named the removed switch to
+	// stage-at-a-time statements; runs of consecutive gate stages always
+	// execute as one fused CTAS (core.Translation.FusedStatements). It
+	// stays only because the benchmark harness copies it, goes with the
+	// harness replay, and any non-empty value fails the run
+	// (sqlengine.Open rejects it).
 	ChainFusion string
 	// Deprecated: Encodings named the removed switch to plain-only
 	// storage. It stays only because the benchmark harness copies it,
@@ -94,10 +88,10 @@ type SQL struct {
 	// engine below caches parsed statements and compiled kernels per
 	// process, with or without a Cache.
 	Cache *PlanCache
-	// Tracing controls the engine's per-operator span instrumentation
-	// ("" or "on" enables it for contexts carrying an obs span, "off"
-	// disables it; see sqlengine.Config.Tracing). Amplitudes are
-	// bitwise independent of the setting.
+	// Deprecated: Tracing named the removed switch to ignore obs spans;
+	// a context carrying a span is always traced. It stays only because
+	// the benchmark harness copies it, goes with the harness replay, and
+	// any non-empty value fails the run (sqlengine.Open rejects it).
 	Tracing string
 	// Initial overrides the |0...0⟩ initial state.
 	Initial *quantum.State
@@ -175,10 +169,7 @@ func (b *SQL) RunContext(ctx context.Context, c *quantum.Circuit) (*Result, erro
 	defer db.Close()
 
 	var maxRows int64
-	stmts := tr.Statements()
-	if b.ChainFusion != "off" {
-		stmts = tr.FusedStatements()
-	}
+	stmts := tr.FusedStatements()
 	ssp := sp.Child("stages")
 	ssp.Add("statements", int64(len(stmts)))
 	stageCtx := obs.WithSpan(ctx, ssp)
@@ -241,16 +232,9 @@ func (b *SQL) RunContext(ctx context.Context, c *quantum.Circuit) (*Result, erro
 			FinalNonzeros:       state.Len(),
 			MaxIntermediateSize: maxRows,
 			SpilledRows:         st.SpilledRows,
-			Extra:               fmt.Sprintf("stages=%d fusion=%s chainfusion=%s encoding=%s", tr.StageCount, b.Fusion, chainFusionName(b.ChainFusion), b.Encoding),
+			Extra:               fmt.Sprintf("stages=%d fusion=%s encoding=%s", tr.StageCount, b.Fusion, b.Encoding),
 		},
 	}, nil
-}
-
-func chainFusionName(v string) string {
-	if v == "off" {
-		return "off"
-	}
-	return "on"
 }
 
 // wrapBudget maps the engine's budget error onto the shared sentinel so

@@ -46,29 +46,24 @@ type Config struct {
 	// because the benchmark harness copies it field by field, and goes
 	// with the harness replay. Open rejects any non-empty value.
 	Optimizer string
-	// Kernels controls the compiled kernel tier: "" or "on" (the
-	// default) lowers plans matching the translated gate-stage shape
-	// into fused, monomorphized loops over the typed column vectors;
-	// "off" always runs the batch interpreter. Simulated amplitudes are
-	// bitwise independent of the setting (see the determinism contract
-	// in kernel.go).
+	// Deprecated: Kernels named the removed switch to the interpreted
+	// executor; plans matching the translated gate-stage shape always
+	// run as compiled kernels (kernel.go), and the interpreter runs only
+	// what they decline. It stays only because the benchmark harness
+	// copies it field by field, and goes with the harness replay. Open
+	// rejects any non-empty value.
 	Kernels string
 	// KernelCache, when non-nil, is the compiled-program cache of the
 	// kernel tier. Nil uses ProcessKernelCache, which every such engine
 	// in the process shares, so each stage shape compiles once per
 	// process. Set it only to isolate an engine's programs.
 	KernelCache *KernelCache
-	// Fusion controls whole-circuit chain fusion on top of the kernel
-	// tier: "" or "on" (the default) detects runs of consecutive
-	// translated gate-stage CTEs and executes them as one multi-stage
-	// fused pass, double-buffering the intermediate amplitudes in
-	// memory and materializing only the final stage's store; "off"
-	// keeps stage-at-a-time execution. Requires Kernels. Under a
-	// bounded memory budget the fused pass reserves its working set and
-	// declines to stage-at-a-time execution (counted as
-	// fallback_chain-budget-limited) only when the budget refuses it.
-	// Simulated amplitudes are bitwise independent of the setting (see
-	// the determinism contract in kernel_chain.go).
+	// Deprecated: Fusion named the removed switch to stage-at-a-time
+	// execution; runs of translated gate-stage CTEs always execute as
+	// one fused chain unless the budget refuses it (kernel_chain.go).
+	// It stays only because the benchmark harness copies it field by
+	// field, and goes with the harness replay. Open rejects any
+	// non-empty value.
 	Fusion string
 	// Deprecated: Encodings named the removed switch to plain-only
 	// storage; mostly-zero REAL columns are always stored sparse
@@ -76,12 +71,12 @@ type Config struct {
 	// it field by field, and goes with the harness replay. Open rejects
 	// any non-empty value.
 	Encodings string
-	// Tracing controls per-operator span instrumentation: "" or "on"
-	// (the default) instruments statements whose context carries an
-	// obs span (untraced statements pay one nil check), "off" ignores
-	// spans entirely, with zero obs code active.
-	// Amplitudes are bitwise independent of the setting: instrumentation
-	// only reads batches as they stream by (see trace_exec.go).
+	// Deprecated: Tracing named the removed switch to ignore obs spans;
+	// a statement whose context carries a span is always instrumented,
+	// and an untraced context turns instrumentation off
+	// (trace_exec.go). It stays only because the benchmark harness
+	// copies it field by field, and goes with the harness replay. Open
+	// rejects any non-empty value.
 	Tracing string
 }
 
@@ -135,38 +130,15 @@ func Open(cfg Config) (*DB, error) {
 	}
 	for _, removed := range [...]struct{ name, value string }{
 		{"Layout", cfg.Layout}, {"Optimizer", cfg.Optimizer}, {"Encodings", cfg.Encodings},
+		{"Kernels", cfg.Kernels}, {"Fusion", cfg.Fusion}, {"Tracing", cfg.Tracing},
 	} {
 		if removed.value != "" {
 			return nil, fmt.Errorf("sqlengine: Config.%s was removed (got %q); leave it empty", removed.name, removed.value)
 		}
 	}
-	kernels := true
-	switch cfg.Kernels {
-	case "", "on":
-	case "off":
-		kernels = false
-	default:
-		return nil, fmt.Errorf("sqlengine: unknown kernels setting %q (want \"on\" or \"off\")", cfg.Kernels)
-	}
 	kernelCache := cfg.KernelCache
 	if kernelCache == nil {
 		kernelCache = processKernelCache
-	}
-	fusion := true
-	switch cfg.Fusion {
-	case "", "on":
-	case "off":
-		fusion = false
-	default:
-		return nil, fmt.Errorf("sqlengine: unknown fusion setting %q (want \"on\" or \"off\")", cfg.Fusion)
-	}
-	tracing := true
-	switch cfg.Tracing {
-	case "", "on":
-	case "off":
-		tracing = false
-	default:
-		return nil, fmt.Errorf("sqlengine: unknown tracing setting %q (want \"on\" or \"off\")", cfg.Tracing)
 	}
 	env := &storageEnv{
 		budget:       budget,
@@ -174,10 +146,8 @@ func Open(cfg Config) (*DB, error) {
 		spillEnabled: !cfg.DisableSpill,
 		workingFloor: floor,
 		workers:      workers,
-		kernels:      kernels,
+		kernels:      true,
 		kernelCache:  kernelCache,
-		fusion:       fusion,
-		tracing:      tracing,
 		kernelCtrs:   &kernelCounterSet{},
 		storageCtrs:  &storageCounterSet{},
 	}
@@ -331,11 +301,9 @@ func (db *DB) QueryContext(ctx context.Context, sqlText string, params ...Value)
 // nil check here and nothing downstream.
 func (db *DB) newExecCtx(ctx context.Context, params []Value) *execCtx {
 	ec := &execCtx{env: db.env, params: params, workers: db.env.workers, ctx: ctx}
-	if db.env.tracing {
-		if sp := obs.SpanFromContext(ctx); sp != nil {
-			ec.span = sp
-			ec.sampleEvery = sp.SampleEvery()
-		}
+	if sp := obs.SpanFromContext(ctx); sp != nil {
+		ec.span = sp
+		ec.sampleEvery = sp.SampleEvery()
 	}
 	return ec
 }

@@ -522,6 +522,12 @@ func TestOpenRejectsRemovedSwitches(t *testing.T) {
 		{"Optimizer", Config{Optimizer: "off"}},
 		{"Optimizer", Config{Optimizer: "on"}},
 		{"Encodings", Config{Encodings: "off"}},
+		{"Kernels", Config{Kernels: "off"}},
+		{"Kernels", Config{Kernels: "on"}},
+		{"Fusion", Config{Fusion: "off"}},
+		{"Fusion", Config{Fusion: "on"}},
+		{"Tracing", Config{Tracing: "off"}},
+		{"Tracing", Config{Tracing: "on"}},
 	} {
 		db, err := Open(tc.cfg)
 		if err == nil {

@@ -25,8 +25,6 @@ import (
 //	spilldir     spill-file directory (Config.SpillDir)
 //	nospill      1/true disables out-of-core execution
 //	parallelism  morsel-parallel worker count; 0 derives it from GOMAXPROCS
-//	kernels      "on"/"off" for the compiled gate-stage kernel tier (kernel.go)
-//	fusion       "on"/"off" for whole-circuit chain fusion (kernel_chain.go)
 //
 // Any other parameter is an error naming it, so a typo such as
 // "paralellism" fails instead of silently running with the default.
@@ -88,9 +86,9 @@ func parseDSN(dsn string) (Config, error) {
 	q := u.Query()
 	for key := range q {
 		switch key {
-		case "budget", "spilldir", "nospill", "parallelism", "kernels", "fusion":
+		case "budget", "spilldir", "nospill", "parallelism":
 		default:
-			return cfg, fmt.Errorf("sqlengine: unknown DSN parameter %q in %q (accepted: budget, spilldir, nospill, parallelism, kernels, fusion)", key, dsn)
+			return cfg, fmt.Errorf("sqlengine: unknown DSN parameter %q in %q (accepted: budget, spilldir, nospill, parallelism)", key, dsn)
 		}
 	}
 	if b := q.Get("budget"); b != "" {
@@ -111,8 +109,6 @@ func parseDSN(dsn string) (Config, error) {
 		}
 		cfg.Parallelism = n
 	}
-	cfg.Kernels = q.Get("kernels")
-	cfg.Fusion = q.Get("fusion")
 	return cfg, nil
 }
 

@@ -145,6 +145,8 @@ func TestDriverDSNRejectsUnknownKeys(t *testing.T) {
 		{"mem://x?budget=100&layout=row", "layout"},
 		{"mem://x?optimizer=off", "optimizer"},
 		{"mem://x?encodings=off", "encodings"},
+		{"mem://x?kernels=off", "kernels"},
+		{"mem://x?parallelism=2&fusion=off", "fusion"},
 	} {
 		_, err := parseDSN(tc.dsn)
 		if err == nil {
@@ -155,11 +157,11 @@ func TestDriverDSNRejectsUnknownKeys(t *testing.T) {
 			t.Errorf("parseDSN(%q) error %q does not name %q", tc.dsn, err, tc.key)
 		}
 	}
-	cfg, err := parseDSN("mem://x?budget=1&spilldir=d&nospill=true&parallelism=2&kernels=off&fusion=off")
+	cfg, err := parseDSN("mem://x?budget=1&spilldir=d&nospill=true&parallelism=2")
 	if err != nil {
 		t.Fatalf("every accepted key: %v", err)
 	}
-	if cfg.MemoryBudget != 1 || cfg.SpillDir != "d" || !cfg.DisableSpill || cfg.Parallelism != 2 || cfg.Kernels != "off" || cfg.Fusion != "off" {
+	if cfg.MemoryBudget != 1 || cfg.SpillDir != "d" || !cfg.DisableSpill || cfg.Parallelism != 2 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 }

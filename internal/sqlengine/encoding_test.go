@@ -316,12 +316,12 @@ func TestGateStageEncodedBitIdentical(t *testing.T) {
 	ORDER BY s`
 	bindsBefore := StorageCounters()["kernel_encoded_binds"]
 	var ref []Row
-	for _, kernels := range []string{"on", "off"} {
+	for _, kernels := range []bool{true, false} {
 		for _, workers := range []int{1, 4} {
-			db := newParallelDB(t, workers, Config{Kernels: kernels})
+			db := withKernels(newParallelDB(t, workers, Config{}), kernels)
 			fillSparseAmplitudeTable(t, db, testRows)
 			rows := queryAll(t, db, q)
-			name := fmt.Sprintf("kernels=%s workers=%d", kernels, workers)
+			name := fmt.Sprintf("kernels=%v workers=%d", kernels, workers)
 			if ref == nil {
 				ref = rows
 				continue

@@ -206,7 +206,7 @@ func kernelExplain(ctx *execCtx, node planNode) (string, planNode) {
 	if core == nil {
 		return "kernel: fallback (" + reason + ")", nil
 	}
-	if m := cteOf(coreStateSide(core)); m != nil && fusionOn(env) {
+	if m := cteOf(coreStateSide(core)); m != nil {
 		// The state side may top a chain of gate-stage CTEs that
 		// materialization runs as one fused pass feeding this core: the
 		// same walk and compile, structurally.

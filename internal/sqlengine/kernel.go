@@ -193,7 +193,7 @@ func (c *KernelCache) lookup(key []byte) (*kernelProg, bool) { return c.lru.getB
 func (c *KernelCache) store(key string, p *kernelProg) { c.lru.put(key, p, 1) }
 
 // kernelAttempt is the materialization hook (called from
-// materializePlan when Config.Kernels is on): it pattern-matches the
+// materializePlan on every plan): it pattern-matches the
 // plan for the gate-stage core, possibly under order-neutral wrapper
 // operators, and executes the matched core as a compiled kernel — a
 // chain of one stage, through the same bind → reserve → runChainKernel

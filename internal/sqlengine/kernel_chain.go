@@ -124,12 +124,6 @@ func (b *chainBuf) emit(a *kAcc) error {
 	return nil
 }
 
-// fusionOn reports whether chain fusion may run: it sits on the kernel
-// tier.
-func fusionOn(env *storageEnv) bool {
-	return env.fusion && env.kernels
-}
-
 // fuseCTEChain is the materialize hook: when m tops a fusable run of
 // unmaterialized single-use gate-stage CTEs, execute the whole run as
 // one fused pass and install the result as m's store. Returns true when
@@ -138,7 +132,7 @@ func fusionOn(env *storageEnv) bool {
 // decline reason once per statement under "fallback_chain-*".
 func (p *planner) fuseCTEChain(m *materializeNode) (bool, error) {
 	env := p.ctx.env
-	if !fusionOn(env) {
+	if !env.kernels {
 		return false, nil
 	}
 	links := collectCTEChain(m)

@@ -96,21 +96,27 @@ func TestChainRecyclingBitIdentity(t *testing.T) {
 	wantRows := map[int]int{64: 512, 16384: 65536}
 	for _, n := range []int{64, 16384} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			var digests [2]string
-			var counts [2]int
-			for i, fusion := range []string{"off", "on"} {
-				db := newOptDB(t, Config{Parallelism: 2, Fusion: fusion})
-				setupPairedState(t, db, n)
-				rows := queryAll(t, db, q)
-				digests[i], counts[i] = rowsBits(rows), len(rows)
-				if kc := db.KernelCounters(); fusion == "on" && kc["chain_stages"] != int64(len(qubits)-1) {
-					t.Fatalf("chain_stages = %d, want %d (counters: %v)", kc["chain_stages"], len(qubits)-1, kc)
-				}
+			// Stage-at-a-time reference: one CREATE TABLE AS per stage.
+			ref := newOptDB(t, Config{Parallelism: 2})
+			setupPairedState(t, ref, n)
+			src := "t0"
+			for k, qubit := range qubits {
+				dst := fmt.Sprintf("c%d", k+1)
+				mustExec(t, ref, "CREATE TABLE "+dst+" AS "+chainGateStage(src, gates[k], qubit, having[k]))
+				src = dst
 			}
-			if want := wantRows[n]; counts[1] != want {
-				t.Fatalf("fused chain produced %d rows, want %d", counts[1], want)
+			unfused := rowsBits(queryAll(t, ref, "SELECT s, r, i FROM "+src))
+
+			db := newOptDB(t, Config{Parallelism: 2})
+			setupPairedState(t, db, n)
+			rows := queryAll(t, db, q)
+			if kc := db.KernelCounters(); kc["chain_stages"] != int64(len(qubits)-1) {
+				t.Fatalf("chain_stages = %d, want %d (counters: %v)", kc["chain_stages"], len(qubits)-1, kc)
 			}
-			if digests[0] != digests[1] {
+			if want := wantRows[n]; len(rows) != want {
+				t.Fatalf("fused chain produced %d rows, want %d", len(rows), want)
+			}
+			if rowsBits(rows) != unfused {
 				t.Fatal("recycled chain is not bit-identical to stage-at-a-time execution")
 			}
 		})

@@ -1,17 +1,22 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"qymera/internal/obs"
 )
 
 // Whole-circuit chain fusion tests. The contract is the kernel tier's,
 // extended across stages: a fused K-stage chain must produce exactly
-// the store the interpreted (or single-stage-kernel) engine produces
-// by materializing every intermediate — same float64 bits, same row
-// order — while provably never materializing the interior stages.
+// the store stage-at-a-time execution produces by materializing every
+// intermediate — same float64 bits, same row order — while provably
+// never materializing the interior stages. The stage-at-a-time
+// reference is the unfused statement list: one CREATE TABLE AS per
+// stage (stageAtATime).
 
 // chainStageBody renders one translated gate-stage SELECT reading
 // state from src (a table or an earlier CTE).
@@ -46,6 +51,21 @@ func chainQuery(stages int, having bool) string {
 	return b.String()
 }
 
+// stageAtATime runs chainQuery(stages, having) as the unfused
+// statement list does: one CREATE TABLE AS per stage, so every
+// intermediate is materialized and no statement holds a chain to fuse.
+// It returns the query reading the last stage's table.
+func stageAtATime(t *testing.T, db *DB, stages int, having bool) string {
+	t.Helper()
+	src := "t0"
+	for k := 1; k <= stages; k++ {
+		dst := fmt.Sprintf("c%d", k)
+		mustExec(t, db, "CREATE TABLE "+dst+" AS "+chainStageBody(src, having))
+		src = dst
+	}
+	return "SELECT s, r, i FROM " + src
+}
+
 // TestChainFusionEngages is the smoke gate: the fused path must
 // actually run (chain counters move) and agree bit for bit with the
 // stage-at-a-time engine, in both aggregation regimes.
@@ -59,45 +79,43 @@ func TestChainFusionEngages(t *testing.T) {
 	const stages = 4
 	for _, n := range []int{300, 20000} { // serial vs morsel-parallel interior stages
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			var digests [2]string
-			for i, fusion := range []string{"off", "on"} {
-				db := newOptDB(t, Config{Parallelism: 4, Fusion: fusion})
-				setupGateStage(t, db, n)
-				rows := queryAll(t, db, chainQuery(stages, false))
-				if len(rows) == 0 {
-					t.Fatal("chain produced no rows")
-				}
-				digests[i] = rowsBits(rows)
-				kc := db.KernelCounters()
-				if fusion == "on" {
-					if kc["chain_executions"] != 1 {
-						t.Fatalf("chain_executions = %d, want 1 (counters: %v)", kc["chain_executions"], kc)
-					}
-					if kc["chain_stages"] != stages-1 {
-						t.Fatalf("chain_stages = %d, want %d", kc["chain_stages"], stages-1)
-					}
-					if kc["chain_elided"] != stages-2 {
-						t.Fatalf("chain_elided = %d, want %d", kc["chain_elided"], stages-2)
-					}
-					if kc["executions"] != stages {
-						t.Fatalf("executions = %d, want %d (chain + top-level kernel)", kc["executions"], stages)
-					}
-				} else if kc["chain_executions"] != 0 {
-					t.Fatalf("fusion off but chain_executions = %d", kc["chain_executions"])
-				}
+			ref := newOptDB(t, Config{Parallelism: 4})
+			setupGateStage(t, ref, n)
+			want := rowsBits(queryAll(t, ref, stageAtATime(t, ref, stages, false)))
+
+			db := newOptDB(t, Config{Parallelism: 4})
+			setupGateStage(t, db, n)
+			rows := queryAll(t, db, chainQuery(stages, false))
+			if len(rows) == 0 {
+				t.Fatal("chain produced no rows")
 			}
-			if digests[0] != digests[1] {
+			kc := db.KernelCounters()
+			if kc["chain_executions"] != 1 {
+				t.Fatalf("chain_executions = %d, want 1 (counters: %v)", kc["chain_executions"], kc)
+			}
+			if kc["chain_stages"] != stages-1 {
+				t.Fatalf("chain_stages = %d, want %d", kc["chain_stages"], stages-1)
+			}
+			if kc["chain_elided"] != stages-2 {
+				t.Fatalf("chain_elided = %d, want %d", kc["chain_elided"], stages-2)
+			}
+			if kc["executions"] != stages {
+				t.Fatalf("executions = %d, want %d (chain + top-level kernel)", kc["executions"], stages)
+			}
+			if rowsBits(rows) != want {
 				t.Fatal("fused chain is not bit-identical to stage-at-a-time execution")
 			}
 		})
 	}
 }
 
-// TestChainFusionDifferentialMatrix is the S3 bit-identity gate:
-// fusion on/off crossed with worker count, sampled tracing, and HAVING
-// pruning. Every cell must be bitwise identical to its fusion-off twin,
-// including row order. The cell names keep the "columnar" and "enc=on"
-// labels: every cell runs the columnar store with its sparse encoding.
+// TestChainFusionDifferentialMatrix is the S3 bit-identity gate: the
+// fused chain against stage-at-a-time execution, crossed with worker
+// count and HAVING pruning, run from a context with and without a
+// sampled trace span. Every cell must be bitwise identical to its
+// stage-at-a-time twin, including row order. The cell names keep the
+// "columnar" and "enc=on" labels: every cell runs the columnar store
+// with its sparse encoding.
 func TestChainFusionDifferentialMatrix(t *testing.T) {
 	const stages = 3
 	for _, n := range []int{300, 20000} {
@@ -105,23 +123,35 @@ func TestChainFusionDifferentialMatrix(t *testing.T) {
 			for _, having := range []bool{false, true} {
 				name := fmt.Sprintf("n=%d/columnar/w=%d/enc=on/having=%v", n, workers, having)
 				t.Run(name, func(t *testing.T) {
-					var digests [2]string
-					for i, fusion := range []string{"off", "on"} {
-						db := newOptDB(t, Config{Parallelism: workers, Tracing: "on", Fusion: fusion})
+					ref := newOptDB(t, Config{Parallelism: workers})
+					setupGateStage(t, ref, n)
+					want := rowsBits(queryAll(t, ref, stageAtATime(t, ref, stages, having)))
+					for _, traced := range []bool{false, true} {
+						db := newOptDB(t, Config{Parallelism: workers})
 						setupGateStage(t, db, n)
-						rows := queryAll(t, db, chainQuery(stages, having))
-						digests[i] = rowsBits(rows)
-						kc := db.KernelCounters()
-						ran := kc["chain_executions"]
-						if fusion == "on" && ran != 1 {
-							t.Fatalf("chain fusion did not engage (counters: %v)", kc)
+						ctx := context.Background()
+						tr := obs.NewTrace("chain", obs.SampleDefault)
+						if traced {
+							ctx = obs.WithSpan(ctx, tr.Root())
 						}
-						if fusion == "off" && ran != 0 {
-							t.Fatal("chain fusion engaged with fusion=off")
+						rs, err := db.QueryContext(ctx, chainQuery(stages, having))
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-					if digests[0] != digests[1] {
-						t.Fatal("fused chain is not bit-identical to stage-at-a-time execution")
+						rows, err := rs.All()
+						rs.Close()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if kc := db.KernelCounters(); kc["chain_executions"] != 1 {
+							t.Fatalf("traced=%v: chain fusion did not engage (counters: %v)", traced, kc)
+						}
+						if traced != (len(tr.Snapshot().Children) > 0) {
+							t.Fatalf("traced=%v: trace shape %s", traced, tr.Snapshot().Shape())
+						}
+						if rowsBits(rows) != want {
+							t.Fatalf("traced=%v: fused chain is not bit-identical to stage-at-a-time execution", traced)
+						}
 					}
 				})
 			}
@@ -135,7 +165,8 @@ func TestChainFusionDifferentialMatrix(t *testing.T) {
 // chain releases everything, counts chain-budget-limited once, and the
 // statement runs stage-at-a-time — still through kernels where their
 // smaller working sets fit (a shorter chain below the refused stage,
-// single stages) — bit-identical to fusion off under the same budget. A budget with room runs the whole chain,
+// single stages) — bit-identical to stage-at-a-time execution under
+// the same budget. A budget with room runs the whole chain,
 // bit-identical to the unbounded engine.
 func TestChainFusionBudgetDecline(t *testing.T) {
 	const stages, n = 4, 300
@@ -155,27 +186,21 @@ func TestChainFusionBudgetDecline(t *testing.T) {
 		{"reserved", 256 << 10, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var digests [2]string
-			for i, fusion := range []string{"off", "on"} {
-				db, budget := budgetedGateStageDB(t, Config{Parallelism: 4, Fusion: fusion}, n, tc.slack)
-				setup := budget.Used()
-				digests[i] = rowsBits(queryAll(t, db, q))
-				if used := budget.Used(); used != setup {
-					t.Fatalf("budget holds %d bytes after the query, %d before", used, setup)
+			ref, _ := budgetedGateStageDB(t, Config{Parallelism: 4}, n, tc.slack)
+			unfused := rowsBits(queryAll(t, ref, stageAtATime(t, ref, stages, false)+" ORDER BY s"))
+
+			db, budget := budgetedGateStageDB(t, Config{Parallelism: 4}, n, tc.slack)
+			setup := budget.Used()
+			got := rowsBits(queryAll(t, db, q))
+			if used := budget.Used(); used != setup {
+				t.Fatalf("budget holds %d bytes after the query, %d before", used, setup)
+			}
+			kc := db.KernelCounters()
+			if tc.fused {
+				if kc["chain_executions"] != 1 || kc["fallback_"+kfChainBudgetLimited] != 0 {
+					t.Fatalf("chain did not fuse within the budget (counters: %v)", kc)
 				}
-				kc := db.KernelCounters()
-				if fusion == "off" {
-					if kc["chain_executions"] != 0 || kc["fallback_"+kfChainBudgetLimited] != 0 {
-						t.Fatalf("chain counters moved with fusion off: %v", kc)
-					}
-					continue
-				}
-				if tc.fused {
-					if kc["chain_executions"] != 1 || kc["fallback_"+kfChainBudgetLimited] != 0 {
-						t.Fatalf("chain did not fuse within the budget (counters: %v)", kc)
-					}
-					continue
-				}
+			} else {
 				if kc["fallback_"+kfChainBudgetLimited] != 1 || kc["chain_stages"] >= stages-1 {
 					t.Fatalf("want the full chain refused, counted once (counters: %v)", kc)
 				}
@@ -183,10 +208,10 @@ func TestChainFusionBudgetDecline(t *testing.T) {
 					t.Fatalf("stage-at-a-time execution ran no kernel (counters: %v)", kc)
 				}
 			}
-			if digests[0] != digests[1] {
-				t.Fatal("budgeted chain is not bit-identical to fusion off under the same budget")
+			if got != unfused {
+				t.Fatal("budgeted chain is not bit-identical to stage-at-a-time execution under the same budget")
 			}
-			if tc.fused && digests[1] != want {
+			if tc.fused && got != want {
 				t.Fatal("chain fused under a budget is not bit-identical to the unbounded engine")
 			}
 		})
@@ -194,24 +219,27 @@ func TestChainFusionBudgetDecline(t *testing.T) {
 }
 
 // TestChainFusionElidesIntermediates proves the interior stages never
-// touch storage: with fusion on, the budget high-water mark of a deep
-// chain stays far below the stage-at-a-time run, which must hold every
-// intermediate stage store live until the statement ends.
+// touch storage: the budget high-water mark of a fused deep chain stays
+// far below the stage-at-a-time run, which holds every intermediate
+// stage store.
 func TestChainFusionElidesIntermediates(t *testing.T) {
 	const stages, n = 6, 20000
-	peak := func(fusion string) int64 {
+	peak := func(fused bool) int64 {
 		budget := NewMemBudget(0) // unlimited, but still tracks the high-water mark
-		db := newOptDB(t, Config{Parallelism: 4, Fusion: fusion, Budget: budget})
+		db := newOptDB(t, Config{Parallelism: 4, Budget: budget})
 		setupGateStage(t, db, n)
 		base := budget.Peak() // t0 + gate table
+		if !fused {
+			mustExec(t, db, "CREATE TABLE final AS "+stageAtATime(t, db, stages, false))
+			return budget.Peak() - base
+		}
 		mustExec(t, db, "CREATE TABLE final AS "+chainQuery(stages, false))
-		kc := db.KernelCounters()
-		if fusion == "on" && kc["chain_elided"] != stages-2 {
+		if kc := db.KernelCounters(); kc["chain_elided"] != stages-2 {
 			t.Fatalf("chain_elided = %d, want %d", kc["chain_elided"], stages-2)
 		}
 		return budget.Peak() - base
 	}
-	fused, unfused := peak("on"), peak("off")
+	fused, unfused := peak(true), peak(false)
 	if fused >= unfused {
 		t.Fatalf("fused peak %d >= stage-at-a-time peak %d: intermediates were materialized", fused, unfused)
 	}
@@ -222,25 +250,26 @@ func TestChainFusionElidesIntermediates(t *testing.T) {
 	}
 }
 
-// TestChainFusionPartialChain: a WITH list where only a suffix links
-// into a chain (the first CTE is referenced twice) must fuse what it
-// can — or decline entirely — and stay bit-identical either way.
+// TestChainFusionSharedCTEUnfused: a WITH list where only a suffix
+// links into a chain (the first CTE is referenced twice) must fuse what
+// it can — or decline entirely — and stay bit-identical to
+// stage-at-a-time execution either way.
 func TestChainFusionSharedCTEUnfused(t *testing.T) {
 	const n = 1000
+	const join = " c2.s AS s, c2.r AS r, c2.i AS i FROM c2 JOIN c1 ON c1.s = c2.s"
 	q := `WITH c1 AS (
 ` + chainStageBody("t0", false) + `
 ), c2 AS (
 ` + chainStageBody("c1", false) + `
 )
-SELECT c2.s AS s, c2.r AS r, c2.i AS i FROM c2 JOIN c1 ON c1.s = c2.s`
-	var digests [2]string
-	for i, fusion := range []string{"off", "on"} {
-		db := newOptDB(t, Config{Parallelism: 4, Fusion: fusion})
-		setupGateStage(t, db, n)
-		digests[i] = rowsBits(queryAll(t, db, q))
-	}
-	if digests[0] != digests[1] {
-		t.Fatal("shared-CTE plan differs between fusion on and off")
+SELECT` + join
+	ref := newOptDB(t, Config{Parallelism: 4})
+	setupGateStage(t, ref, n)
+	stageAtATime(t, ref, 2, false)
+	db := newOptDB(t, Config{Parallelism: 4})
+	setupGateStage(t, db, n)
+	if rowsBits(queryAll(t, db, q)) != rowsBits(queryAll(t, ref, "SELECT"+join)) {
+		t.Fatal("shared-CTE plan differs from stage-at-a-time execution")
 	}
 }
 
@@ -270,15 +299,14 @@ func TestChainExplainAnnotation(t *testing.T) {
 		t.Fatalf("EXPLAIN ANALYZE missing chain actuals:\n%s", text.String())
 	}
 
-	// Fusion off: the same plan previews as a plain gate stage.
-	off := newOptDB(t, Config{Parallelism: 2, Fusion: "off"})
-	setupGateStage(t, off, 1000)
-	plan, err = off.Explain(q)
+	// Two stages leave one CTE below the top-level kernel: too short to
+	// chain, the plan previews as a plain gate stage.
+	plan, err = db.Explain(chainQuery(2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(plan, "gate-chain") {
-		t.Fatalf("EXPLAIN shows a chain with fusion off:\n%s", plan)
+	if strings.Contains(plan, "gate-chain") || !strings.Contains(plan, "kernel: "+kernelAnnotation) {
+		t.Fatalf("EXPLAIN of a two-stage query is not a plain gate stage:\n%s", plan)
 	}
 }
 
@@ -302,8 +330,8 @@ func TestOutputKernelBitIdentity(t *testing.T) {
 		for _, q := range queries {
 			t.Run(fmt.Sprintf("n=%d/%s", n, q.name), func(t *testing.T) {
 				var digests [2]string
-				for i, kernels := range []string{"off", "on"} {
-					db := newOptDB(t, Config{Parallelism: 4, Kernels: kernels})
+				for i, kernels := range []bool{false, true} {
+					db := withKernels(newOptDB(t, Config{Parallelism: 4}), kernels)
 					setupGateStage(t, db, n)
 					rows := queryAll(t, db, q.sql)
 					var b strings.Builder
@@ -319,7 +347,7 @@ func TestOutputKernelBitIdentity(t *testing.T) {
 					}
 					digests[i] = b.String()
 					if kc := db.KernelCounters(); kc["executions"] != 0 {
-						t.Fatalf("kernels=%s: a kernel ran an output query (counters: %v)", kernels, kc)
+						t.Fatalf("kernels=%v: a kernel ran an output query (counters: %v)", kernels, kc)
 					}
 				}
 				if digests[0] != digests[1] {
@@ -360,7 +388,7 @@ func TestOutputKernelExplainAnnotation(t *testing.T) {
 		})
 	}
 
-	off := newOptDB(t, Config{Parallelism: 2, Kernels: "off"})
+	off := withKernels(newOptDB(t, Config{Parallelism: 2}), false)
 	setupGateStage(t, off, 1000)
 	plan, err := off.Explain(cases[0].sql)
 	if err != nil {

@@ -256,15 +256,15 @@ func TestKernelBucketLayouts(t *testing.T) {
 FROM t0 JOIN g ON g.in_s = ` + tc.probe + `
 GROUP BY ((t0.s & ~1) | g.out_s)`
 			var digests [2]string
-			for i, kernels := range []string{"off", "on"} {
-				db := newOptDB(t, Config{Parallelism: 1, Kernels: kernels})
+			for i, kernels := range []bool{false, true} {
+				db := withKernels(newOptDB(t, Config{Parallelism: 1}), kernels)
 				mustExec(t, db, "CREATE TABLE t0 (s INTEGER, r REAL, i REAL)")
 				mustExec(t, db, "INSERT INTO t0 VALUES "+strings.Join(kernelStateRows(4096), ","))
 				mustExec(t, db, "CREATE TABLE g (in_s INTEGER, out_s INTEGER, r REAL, i REAL)")
 				mustExec(t, db, "INSERT INTO g VALUES "+tc.gate)
 				before := db.KernelCounters()["executions"]
 				rows := queryAll(t, db, q)
-				if ran := db.KernelCounters()["executions"] - before; kernels == "on" && ran != 1 {
+				if ran := db.KernelCounters()["executions"] - before; kernels && ran != 1 {
 					t.Fatalf("kernel executions = %d, want 1", ran)
 				}
 				if len(rows) == 0 {

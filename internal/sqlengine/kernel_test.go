@@ -6,6 +6,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"qymera/internal/circuits"
+	"qymera/internal/core"
+	"qymera/internal/quantum"
 )
 
 // The kernel tier's contract is bitwise identity: for every
@@ -63,6 +67,16 @@ GROUP BY ((t0.s & ~1) | h.out_s)`
 // rowsBits digests result rows down to their exact bit patterns, so
 // two digests are equal iff the results are bitwise identical in the
 // same order.
+// withKernels sets db's kernel hook. With it off every plan runs on
+// the batch interpreter, and chain fusion (which sits on the kernel
+// tier) never engages: the bit-identity reference the kernel tests
+// compare against. Open always turns kernels on; only tests turn them
+// off.
+func withKernels(db *DB, on bool) *DB {
+	db.env.kernels = on
+	return db
+}
+
 func rowsBits(rows []Row) string {
 	var b strings.Builder
 	for _, r := range rows {
@@ -84,8 +98,8 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 				name := fmt.Sprintf("n=%d/columnar/w=%d/opt=on/having=%v", n, workers, having)
 				t.Run(name, func(t *testing.T) {
 					var digests [2]string
-					for i, kernels := range []string{"off", "on"} {
-						db := newOptDB(t, Config{Parallelism: workers, Kernels: kernels})
+					for i, kernels := range []bool{false, true} {
+						db := withKernels(newOptDB(t, Config{Parallelism: workers}), kernels)
 						setupGateStage(t, db, n)
 						before := KernelCounters()["executions"]
 						rows := queryAll(t, db, gateStageQuery(having))
@@ -93,11 +107,11 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 							t.Fatalf("got %d rows, want %d", len(rows), want)
 						}
 						ran := KernelCounters()["executions"] - before
-						if kernels == "on" && ran == 0 {
+						if kernels && ran == 0 {
 							t.Fatal("kernel did not execute on the columnar fast path")
 						}
-						if kernels == "off" && ran != 0 {
-							t.Fatal("kernel executed with kernels=off")
+						if !kernels && ran != 0 {
+							t.Fatal("kernel executed with kernels off")
 						}
 						digests[i] = rowsBits(rows)
 					}
@@ -110,14 +124,52 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 	}
 }
 
+// TestKernelWholeCircuitBitIdentical asserts the kernel tier's
+// invariant over whole translated circuits: each program (the fused
+// statement list the SQL backend runs, then its final query) yields
+// bitwise-identical amplitudes with the kernel hook on and off, at one
+// and at four workers, in both translation modes.
+func TestKernelWholeCircuitBitIdentical(t *testing.T) {
+	for _, wl := range []struct {
+		name string
+		c    *quantum.Circuit
+		mode core.Mode
+	}{
+		{"ghz", circuits.GHZ(12), core.SingleQuery},
+		{"qft", circuits.QFT(7), core.SingleQuery},
+		// 2^15 nonzero amplitudes: spans several morsels, so the
+		// parallel runs exercise the kernel's two-phase morsel path.
+		{"parity", circuits.ParitySuperposition(15), core.SingleQuery},
+		{"qft-chain", circuits.QFT(6), core.MaterializedChain},
+	} {
+		t.Run(wl.name, func(t *testing.T) {
+			p := translateProgram(t, wl.c, wl.mode, true)
+			var ref string
+			for _, kernels := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					got, _, err := p.run(Config{Parallelism: workers}, kernels)
+					if err != nil {
+						t.Fatalf("kernels=%v workers=%d: %v", kernels, workers, err)
+					}
+					if ref == "" {
+						ref = got
+					} else if got != ref {
+						t.Fatalf("kernels=%v workers=%d: amplitudes differ from the interpreter at one worker", kernels, workers)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestKernelPreservesEmissionOrder runs without ORDER BY: the kernel
 // must replay the interpreted engine's group emission order exactly,
 // not just its values.
 func TestKernelPreservesEmissionOrder(t *testing.T) {
 	for _, n := range []int{1000, 20000} {
 		var digests [2]string
-		for i, kernels := range []string{"off", "on"} {
-			db := newOptDB(t, Config{Parallelism: 4, Kernels: kernels})
+		for i, kernels := range []bool{false, true} {
+			db := withKernels(newOptDB(t, Config{Parallelism: 4}), kernels)
 			setupGateStage(t, db, n)
 			digests[i] = rowsBits(queryAll(t, db, gateStageQuery(false)))
 		}
@@ -210,53 +262,47 @@ func TestKernelFallbackReasons(t *testing.T) {
 	sum := "SUM((t0.r * h.r) - (t0.i * h.i))"
 	cases := []struct {
 		name   string
-		cfg    Config
+		off    bool // run with the kernel hook off
 		query  string
 		reason string
 	}{
 		{
 			name:   "disabled",
-			cfg:    Config{Parallelism: 1, Kernels: "off"},
+			off:    true,
 			query:  gateStageQuery(false),
 			reason: "kernel: off",
 		},
 		{
 			name:   "no-gate-stage",
-			cfg:    Config{Parallelism: 1},
 			query:  "SELECT s, r, i FROM t0",
 			reason: "kernel: fallback (" + kfNoGateStage + ")",
 		},
 		{
 			name: "project-shape",
-			cfg:  Config{Parallelism: 1},
 			query: `SELECT ((t0.s & ~1) | h.out_s) AS s, ` + sum + ` AS r
 FROM t0 JOIN h ON h.in_s = (t0.s & 1) GROUP BY ((t0.s & ~1) | h.out_s)`,
 			reason: "kernel: fallback (" + kfProjectShape + ")",
 		},
 		{
 			name: "agg-shape",
-			cfg:  Config{Parallelism: 1},
 			query: `SELECT ((t0.s & ~1) | h.out_s) AS s, ` + sum + ` AS r, AVG(t0.i) AS i
 FROM t0 JOIN h ON h.in_s = (t0.s & 1) GROUP BY ((t0.s & ~1) | h.out_s)`,
 			reason: "kernel: fallback (" + kfAggShape + ")",
 		},
 		{
 			name: "distinct-agg",
-			cfg:  Config{Parallelism: 1},
 			query: `SELECT ((t0.s & ~1) | h.out_s) AS s, ` + sum + ` AS r, SUM(DISTINCT t0.i) AS i
 FROM t0 JOIN h ON h.in_s = (t0.s & 1) GROUP BY ((t0.s & ~1) | h.out_s)`,
 			reason: "kernel: fallback (" + kfDistinctAgg + ")",
 		},
 		{
 			name: "having-shape",
-			cfg:  Config{Parallelism: 1},
 			query: gateStageQuery(false) + `
 HAVING ` + sum + ` > 0.5`,
 			reason: "kernel: fallback (" + kfHavingShape + ")",
 		},
 		{
 			name: "join-shape",
-			cfg:  Config{Parallelism: 1},
 			query: `SELECT ((t0.s & ~1) | h.out_s) AS s,
        SUM((t0.r * h.r) - (t0.i * h.i)) AS r,
        SUM((t0.r * h.i) + (t0.i * h.r)) AS i
@@ -266,7 +312,6 @@ GROUP BY ((t0.s & ~1) | h.out_s)`,
 		},
 		{
 			name: "scan-shape",
-			cfg:  Config{Parallelism: 1},
 			query: `SELECT ((u.s & ~1) | h.out_s) AS s,
        SUM((u.r * h.r) - (u.i * h.i)) AS r,
        SUM((u.r * h.i) + (u.i * h.r)) AS i
@@ -276,7 +321,6 @@ GROUP BY ((u.s & ~1) | h.out_s)`,
 		},
 		{
 			name: "unsupported-expr",
-			cfg:  Config{Parallelism: 1},
 			query: `SELECT ((t0.s & ~1) | h.out_s) AS s,
        SUM((t0.r * h.r) - (t0.i * h.i)) AS r,
        SUM((t0.r * h.i) + (t0.i * h.r)) AS i
@@ -287,7 +331,7 @@ GROUP BY ((t0.s & ~1) | h.out_s)`,
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			db := newOptDB(t, tc.cfg)
+			db := withKernels(newOptDB(t, Config{Parallelism: 1}), !tc.off)
 			setupGateStage(t, db, 64)
 			plan, err := db.Explain(tc.query)
 			if err != nil {
@@ -315,13 +359,13 @@ GROUP BY ((t0.s & ~1) | h.out_s)`,
 // advertises the kernel but execution falls back and stays correct.
 func TestKernelFallbackColumnTypes(t *testing.T) {
 	var digests [2]string
-	for i, kernels := range []string{"off", "on"} {
-		db := newOptDB(t, Config{Parallelism: 1, Kernels: kernels})
+	for i, kernels := range []bool{false, true} {
+		db := withKernels(newOptDB(t, Config{Parallelism: 1}), kernels)
 		setupGateStage(t, db, 64)
 		mustExec(t, db, "INSERT INTO t0 VALUES (64, NULL, 0.5)")
 		before := KernelCounters()["fallback_"+kfColumnTypes]
 		rows := queryAll(t, db, gateStageQuery(false)+" ORDER BY s")
-		if kernels == "on" {
+		if kernels {
 			if got := KernelCounters()["fallback_"+kfColumnTypes] - before; got != 1 {
 				t.Fatalf("column-types fallback counter = %d, want 1", got)
 			}
@@ -368,8 +412,9 @@ func TestKernelFallbackBudget(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var digests [2]string
-			for i, kernels := range []string{"off", "on"} {
-				db, budget := budgetedGateStageDB(t, Config{Parallelism: 1, Kernels: kernels}, n, tc.slack)
+			for i, kernels := range []bool{false, true} {
+				db, budget := budgetedGateStageDB(t, Config{Parallelism: 1}, n, tc.slack)
+				withKernels(db, kernels)
 				setup := budget.Used()
 				before := db.KernelCounters()
 				digests[i] = rowsBits(queryAll(t, db, q))
@@ -377,7 +422,7 @@ func TestKernelFallbackBudget(t *testing.T) {
 				if used := budget.Used(); used != setup {
 					t.Fatalf("budget holds %d bytes after the query, %d before", used, setup)
 				}
-				if kernels == "off" {
+				if !kernels {
 					continue
 				}
 				declined := kc["fallback_"+kfBudgetLimited] - before["fallback_"+kfBudgetLimited]

@@ -112,7 +112,7 @@ func TestExplainAnalyzeShowsTheTreeThatRuns(t *testing.T) {
 			queries[tc.name] = tc.query
 		}
 	}
-	off := goldenDB(t, Config{Parallelism: 1, Kernels: "off"})
+	off := withKernels(goldenDB(t, Config{Parallelism: 1}), false)
 	for name, q := range queries {
 		t.Run(name, func(t *testing.T) {
 			// Analyze first: execution freezes (and encodes) the tables,
@@ -156,11 +156,12 @@ func TestExplainAnalyzeShowsTheTreeThatRuns(t *testing.T) {
 // planning ends, under "execute" — and the CTE references appear as
 // cte:<name> operator spans under "execute": with fusion on only the
 // chain top (its subplan ran inside the kernel), with fusion off every
-// stage, each nested in the stage that reads it.
+// stage, each nested in the stage that reads it. The fusion=off cell
+// runs the interpreter, which never fuses.
 func TestTraceSeparatesPlanFromExecution(t *testing.T) {
 	for _, fusion := range []string{"on", "off"} {
 		t.Run("fusion="+fusion, func(t *testing.T) {
-			db := newOptDB(t, Config{Parallelism: 2, Fusion: fusion})
+			db := withKernels(newOptDB(t, Config{Parallelism: 2}), fusion == "on")
 			setupGateStage(t, db, 1000)
 			tr := obs.NewTrace("job", obs.SampleFull)
 			rs, err := db.QueryContext(obs.WithSpan(context.Background(), tr.Root()), chainQuery(4, false))
@@ -236,8 +237,9 @@ func TestKernelDisableSpillTightBudget(t *testing.T) {
 		{"chain/n=64", chainQuery(4, false), 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(kernels string, slack int64) (string, int64, error) {
-				db, _ := budgetedGateStageDB(t, Config{Parallelism: 1, Kernels: kernels, DisableSpill: true}, tc.n, slack)
+			run := func(kernels bool, slack int64) (string, int64, error) {
+				db, _ := budgetedGateStageDB(t, Config{Parallelism: 1, DisableSpill: true}, tc.n, slack)
+				withKernels(db, kernels)
 				rs, err := db.Query(tc.q)
 				if err != nil {
 					return "", 0, err
@@ -247,13 +249,13 @@ func TestKernelDisableSpillTightBudget(t *testing.T) {
 				return rowsBits(rows), db.KernelCounters()["executions"], err
 			}
 			lo, hi := int64(0), int64(1<<20)
-			want, _, err := run("off", hi)
+			want, _, err := run(false, hi)
 			if err != nil {
 				t.Fatalf("interpreter fails with %d bytes of slack: %v", hi, err)
 			}
 			for hi-lo > 1<<10 {
 				mid := (lo + hi) / 2
-				if _, _, err := run("off", mid); err == nil {
+				if _, _, err := run(false, mid); err == nil {
 					hi = mid
 				} else if errors.Is(err, ErrBudget) {
 					lo = mid
@@ -261,7 +263,7 @@ func TestKernelDisableSpillTightBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, ran, err := run("on", hi)
+			got, ran, err := run(true, hi)
 			if err != nil {
 				t.Fatalf("kernels fail where the interpreter completes (slack %d): %v", hi, err)
 			}

@@ -20,9 +20,9 @@ const sortElidedMark = "[elided: input already in key order]"
 
 // openProgram runs a translated program's set-up statements on a fresh
 // engine and returns it, ready for the final query.
-func openProgram(t *testing.T, p cachedProgram, cfg Config) *DB {
+func openProgram(t *testing.T, p cachedProgram, cfg Config, kernels bool) *DB {
 	t.Helper()
-	db := newOptDB(t, cfg)
+	db := withKernels(newOptDB(t, cfg), kernels)
 	for _, s := range p.stmts {
 		mustExec(t, db, s)
 	}
@@ -55,23 +55,23 @@ func TestSortElidedOverKeyOrderedKernel(t *testing.T) {
 	const budget = 160 << 10
 	for _, bounded := range []bool{false, true} {
 		var digests [2]string
-		for i, kernels := range []string{"off", "on"} {
-			cfg := Config{Kernels: kernels}
+		for i, kernels := range []bool{false, true} {
+			var cfg Config
 			if bounded {
 				cfg.MemoryBudget, cfg.SpillDir = budget, t.TempDir()
 			}
-			db := openProgram(t, p, cfg)
+			db := openProgram(t, p, cfg, kernels)
 			spilled := db.Stats().SpilledRows
 			digests[i] = rowsBits(queryAll(t, db, p.query))
 			sortSpilled := db.Stats().SpilledRows > spilled
 			elided := analyzeSort(t, db, p.query)
-			if elided != (kernels == "on") {
-				t.Fatalf("bounded=%v kernels=%s: sort elided = %v", bounded, kernels, elided)
+			if elided != kernels {
+				t.Fatalf("bounded=%v kernels=%v: sort elided = %v", bounded, kernels, elided)
 			}
-			if bounded && kernels == "off" && !sortSpilled {
+			if bounded && !kernels && !sortSpilled {
 				t.Fatalf("the budget is too loose to make the interpreted sort spill")
 			}
-			if bounded && kernels == "on" && sortSpilled {
+			if bounded && kernels && sortSpilled {
 				t.Fatalf("the kernel run spilled %d rows", db.Stats().SpilledRows-spilled)
 			}
 			plan, err := db.Explain(p.query)
@@ -111,18 +111,18 @@ func TestSortStillRuns(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var digests [2]string
-			for i, kernels := range []string{"off", "on"} {
-				cfg := Config{Parallelism: 2, Kernels: kernels}
+			for i, kernels := range []bool{false, true} {
+				cfg := Config{Parallelism: 2}
 				var db *DB
 				if tc.setup != nil {
-					db = newOptDB(t, cfg)
+					db = withKernels(newOptDB(t, cfg), kernels)
 					tc.setup(t, db)
 				} else {
-					db = openProgram(t, tc.prog, cfg)
+					db = openProgram(t, tc.prog, cfg, kernels)
 				}
 				digests[i] = rowsBits(queryAll(t, db, tc.query))
 				if analyzeSort(t, db, tc.query) {
-					t.Fatalf("kernels=%s: sort elided", kernels)
+					t.Fatalf("kernels=%v: sort elided", kernels)
 				}
 			}
 			if digests[0] != digests[1] {

@@ -34,14 +34,15 @@ func translateProgram(t *testing.T, c *quantum.Circuit, mode core.Mode, chainFus
 	return cachedProgram{name: c.Name(), stmts: stmts, query: tr.Query}
 }
 
-// run executes the program on a fresh engine and digests the
-// amplitudes.
-func (p cachedProgram) run(cfg Config) (string, Stats, error) {
+// run executes the program on a fresh engine, with its kernel hook set
+// to kernels, and digests the amplitudes.
+func (p cachedProgram) run(cfg Config, kernels bool) (string, Stats, error) {
 	db, err := Open(cfg)
 	if err != nil {
 		return "", Stats{}, err
 	}
 	defer db.Close()
+	withKernels(db, kernels)
 	for _, s := range p.stmts {
 		if _, err := db.ExecContext(context.Background(), s); err != nil {
 			return "", Stats{}, fmt.Errorf("%s: %w", p.name, err)
@@ -61,8 +62,9 @@ func (p cachedProgram) run(cfg Config) (string, Stats, error) {
 
 // TestStmtCacheASTsStayUnchanged is the guard on the statement cache's
 // contract: executing a statement never writes to its parsed AST. Every
-// translated program runs in both translation modes under every
-// combination of the engine switches and once under a spilling budget;
+// translated program runs in both translation modes, as the fused and
+// the unfused statement list, with the kernel hook on and off, and once
+// under a spilling budget;
 // after each run, the cached AST of every statement it executed must
 // deep-equal a fresh parse of the same text.
 func TestStmtCacheASTsStayUnchanged(t *testing.T) {
@@ -70,18 +72,21 @@ func TestStmtCacheASTsStayUnchanged(t *testing.T) {
 	for i := range theta {
 		theta[i] = 0.3 + 0.17*float64(i)
 	}
-	onOff := []string{"on", "off"}
-	var switches []Config
-	for _, kern := range onOff {
-		for _, fusion := range onOff {
-			switches = append(switches, Config{Parallelism: 2, Kernels: kern, Fusion: fusion})
+	type variant struct {
+		cfg            Config
+		kernels, fused bool
+	}
+	var switches []variant
+	for _, kernels := range []bool{true, false} {
+		for _, fused := range []bool{true, false} {
+			switches = append(switches, variant{Config{Parallelism: 2}, kernels, fused})
 		}
 	}
 	// The spilling run: 2^10 amplitudes against a 16 KiB budget.
-	spill := []Config{{Parallelism: 2, MemoryBudget: 16 << 10, SpillDir: t.TempDir()}}
+	spill := []variant{{Config{Parallelism: 2, MemoryBudget: 16 << 10, SpillDir: t.TempDir()}, true, true}}
 	runs := []struct {
-		c    *quantum.Circuit
-		cfgs []Config
+		c        *quantum.Circuit
+		variants []variant
 	}{
 		{circuits.GHZ(6), switches},
 		{circuits.QFT(5), switches},
@@ -94,19 +99,19 @@ func TestStmtCacheASTsStayUnchanged(t *testing.T) {
 	fresh := map[string]Statement{} // ParseStatement of each text, made once
 	for _, r := range runs {
 		for _, mode := range []core.Mode{core.SingleQuery, core.MaterializedChain} {
-			for _, cfg := range r.cfgs {
-				p := translateProgram(t, r.c, mode, cfg.Fusion != "off")
-				_, st, err := p.run(cfg)
+			for _, v := range r.variants {
+				p := translateProgram(t, r.c, mode, v.fused)
+				_, st, err := p.run(v.cfg, v.kernels)
 				if err != nil {
-					t.Fatalf("mode=%v %+v: %v", mode, cfg, err)
+					t.Fatalf("mode=%v %+v: %v", mode, v, err)
 				}
-				if cfg.MemoryBudget > 0 && st.SpilledRows == 0 {
+				if v.cfg.MemoryBudget > 0 && st.SpilledRows == 0 {
 					t.Fatalf("%s mode=%v: the budgeted run did not spill", p.name, mode)
 				}
 				for _, src := range append(p.stmts, p.query) {
 					cached, ok := stmtCache.get(src)
 					if !ok {
-						t.Fatalf("%s mode=%v %+v: statement not cached:\n%s", p.name, mode, cfg, src)
+						t.Fatalf("%s mode=%v %+v: statement not cached:\n%s", p.name, mode, v, src)
 					}
 					want, ok := fresh[src]
 					if !ok {
@@ -117,7 +122,7 @@ func TestStmtCacheASTsStayUnchanged(t *testing.T) {
 						fresh[src] = want
 					}
 					if !reflect.DeepEqual(cached.stmt, want) {
-						t.Fatalf("%s mode=%v %+v: executing wrote into the cached AST of:\n%s", p.name, mode, cfg, src)
+						t.Fatalf("%s mode=%v %+v: executing wrote into the cached AST of:\n%s", p.name, mode, v, src)
 					}
 				}
 			}
@@ -139,7 +144,7 @@ func TestStmtCacheConcurrentPrograms(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 3 && errs[w] == nil; rep++ {
-				got[w], _, errs[w] = p.run(Config{Parallelism: 2})
+				got[w], _, errs[w] = p.run(Config{Parallelism: 2}, true)
 			}
 		}()
 	}

@@ -101,24 +101,19 @@ type storageEnv struct {
 	budget       *MemBudget
 	spillDir     string
 	spillEnabled bool
-	// kernels enables the compiled gate-stage kernel tier
-	// (Config.Kernels; see kernel.go), and kernelCache holds its
+	// kernels enables the compiled gate-stage kernel tier and the
+	// chain fusion built on it (see kernel.go, kernel_chain.go). Open
+	// always sets it; only tests clear it, to run the interpreter as
+	// the kernels' bit-identity reference. kernelCache holds the
 	// compiled programs (the process-wide cache unless
 	// Config.KernelCache names another).
 	kernels     bool
 	kernelCache *KernelCache
-	// fusion enables whole-circuit chain fusion on top of the kernel
-	// tier (Config.Fusion; see kernel_chain.go).
-	fusion bool
 	// kernelCtrs / storageCtrs are this engine instance's own counter
 	// scopes (every increment also feeds the process-wide aggregates;
 	// see kernelCounterSet and storageCounterSet).
 	kernelCtrs  *kernelCounterSet
 	storageCtrs *storageCounterSet
-	// tracing enables per-operator span instrumentation for statements
-	// whose context carries an obs span (Config.Tracing; see
-	// trace_exec.go).
-	tracing bool
 	// workers is the engine's morsel-parallel worker count (>= 1).
 	workers int
 	// workingFloor is the number of bytes a blocking operator (hash

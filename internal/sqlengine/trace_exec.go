@@ -7,8 +7,7 @@ import (
 )
 
 // Tracing integration for statement execution. A statement whose
-// context carries an obs span (and whose engine has Config.Tracing on)
-// is instrumented with statNode wrappers — the same wrappers EXPLAIN
+// context carries an obs span is instrumented with statNode wrappers — the same wrappers EXPLAIN
 // ANALYZE uses, with a sampling stride taken from the trace so timing
 // stays off the parallel hot path — and after execution the counters
 // are attached to the span tree as one child span per operator. The

@@ -128,20 +128,6 @@ type SQLBackendOptions struct {
 	// GOMAXPROCS, 1 = single worker). Amplitudes are bit-identical
 	// across settings; only throughput changes.
 	Parallelism int
-	// Kernels controls the engine's compiled gate-stage kernel tier: ""
-	// or "on" (default) lowers matching gate-stage plans to a single
-	// fused typed loop, "off" always runs the interpreted batch
-	// executor. Amplitudes are bit-identical across settings; only
-	// throughput changes.
-	Kernels string
-	// ChainFusion controls whole-circuit chain fusion: "" or "on"
-	// (default) collapses runs of consecutive gate stages into fused
-	// CTAS statements and executes them as multi-stage chain kernels
-	// without materializing the intermediate amplitude tables, "off"
-	// keeps stage-at-a-time execution. Distinct from Fusion, the
-	// translation's gate-matrix fusion level. Amplitudes are
-	// bit-identical across settings; only throughput changes.
-	ChainFusion string
 	// PlanCache, when non-nil, caches circuit→SQL translations across
 	// Run calls: exact repeats skip translation entirely, parameter
 	// sweeps reuse the SQL text and rebind only the numeric gate data.
@@ -166,8 +152,6 @@ func NewSQLBackend(opts ...SQLBackendOptions) Backend {
 		SpillDir:     o.SpillDir,
 		DisableSpill: o.DisableSpill,
 		Parallelism:  o.Parallelism,
-		Kernels:      o.Kernels,
-		ChainFusion:  o.ChainFusion,
 		Cache:        o.PlanCache,
 		Initial:      o.Initial,
 	}
@@ -188,7 +172,9 @@ func NewPlanCache(capacity int) *PlanCache { return sim.NewPlanCache(capacity) }
 // KernelCounters snapshots the engine's cumulative gate-stage
 // kernel-tier counters (process-wide, across every engine instance):
 // compiles, cache_hits, executions, fallbacks, and per-reason
-// fallback_<reason> counts. See SQLBackendOptions.Kernels.
+// fallback_<reason> counts. Plans matching the translated gate-stage
+// shape always run as compiled kernels; a fallback is a plan the
+// interpreter ran instead.
 func KernelCounters() map[string]int64 { return sqlengine.KernelCounters() }
 
 // Simulation service (the system tier served by cmd/qymerad).
