@@ -56,7 +56,6 @@ func main() {
 	queue := flag.Int("queue", 64, "job queue depth; submissions beyond it get HTTP 429")
 	memBudget := flag.Int64("mem-budget", 0, "shared engine memory budget in bytes across all jobs (0 = unlimited)")
 	planCache := flag.Int("plan-cache", 0, "plan cache capacity in translations (0 = default, negative disables)")
-	parallelism := flag.Int("parallelism", 0, "per-query morsel-parallel workers (0 = GOMAXPROCS)")
 	spillDir := flag.String("spill-dir", "", "directory for out-of-core spill files (empty = OS temp)")
 	retain := flag.Int("retain-jobs", 256, "finished jobs kept queryable")
 	dataDir := flag.String("data-dir", "", "directory for the persistent job log; replayed on restart (empty = no durability)")
@@ -73,7 +72,6 @@ func main() {
 		QueueDepth:       *queue,
 		MemoryBudget:     *memBudget,
 		PlanCacheSize:    *planCache,
-		Parallelism:      *parallelism,
 		SpillDir:         *spillDir,
 		RetainJobs:       *retain,
 		DataDir:          *dataDir,

@@ -322,10 +322,10 @@ func TestManagerReplayThirdLife(t *testing.T) {
 }
 
 // TestManagerReplayRemovedOptions: a durable log written before the
-// layout, optimizer, encodings, kernels and chain_fusion options were
-// removed still replays. A job submitted with all five set and running
-// at the crash is re-executed after restart, reaches done, and its
-// amplitudes are bit-identical to a fresh run.
+// layout, optimizer, encodings, kernels, chain_fusion and parallelism
+// options were removed still replays. A job submitted with all six set
+// and running at the crash is re-executed after restart, reaches done,
+// and its amplitudes are bit-identical to a fresh run.
 func TestManagerReplayRemovedOptions(t *testing.T) {
 	dir := t.TempDir()
 	c := circuits.QFT(5)
@@ -336,9 +336,9 @@ func TestManagerReplayRemovedOptions(t *testing.T) {
 	req, err := json.Marshal(map[string]any{
 		"circuit": circuitDoc(t, c),
 		"backend": "sql",
-		"options": map[string]string{
+		"options": map[string]any{
 			"layout": "row", "optimizer": "off", "encodings": "off",
-			"kernels": "off", "chain_fusion": "off",
+			"kernels": "off", "chain_fusion": "off", "parallelism": 4,
 		},
 	})
 	if err != nil {

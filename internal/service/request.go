@@ -35,8 +35,8 @@ type Request struct {
 
 // RequestOptions are the per-request backend knobs. Unknown keys are
 // ignored on decode, so requests and job logs that still carry the
-// removed layout, optimizer, encodings, kernels and chain_fusion
-// options replay unchanged.
+// removed layout, optimizer, encodings, kernels, chain_fusion and
+// parallelism options replay unchanged.
 type RequestOptions struct {
 	// Mode (sql backends): "single-query" (default) or
 	// "materialized-chain".
@@ -48,9 +48,6 @@ type RequestOptions struct {
 	// PruneEps: amplitude pruning threshold (0 = backend default,
 	// negative disables pruning).
 	PruneEps float64 `json:"prune_eps,omitempty"`
-	// Parallelism (sql backends): per-query morsel workers; overrides
-	// the server default when positive.
-	Parallelism int `json:"parallelism,omitempty"`
 	// MaxBond (mps): bond-dimension cap, 0 = exact.
 	MaxBond int `json:"max_bond,omitempty"`
 	// Trace overrides the server's tracing default for this job: "off"
@@ -218,19 +215,14 @@ func (m *Manager) newBackend(p *parsedRequest) (sim.Backend, error) {
 		if p.backend == "sql-chain" {
 			so.mode = core.MaterializedChain
 		}
-		parallelism := m.cfg.Parallelism
-		if p.options.Parallelism > 0 {
-			parallelism = p.options.Parallelism
-		}
 		return &sim.SQL{
-			Mode:        so.mode,
-			Fusion:      so.fusion,
-			Encoding:    so.encoding,
-			PruneEps:    p.options.PruneEps,
-			SpillDir:    m.cfg.SpillDir,
-			Parallelism: parallelism,
-			Budget:      m.budget,
-			Cache:       m.cache,
+			Mode:     so.mode,
+			Fusion:   so.fusion,
+			Encoding: so.encoding,
+			PruneEps: p.options.PruneEps,
+			SpillDir: m.cfg.SpillDir,
+			Budget:   m.budget,
+			Cache:    m.cache,
 		}, nil
 	case "statevector":
 		return &sim.StateVector{}, nil

@@ -55,9 +55,6 @@ type Config struct {
 	// PlanCacheSize is the LRU capacity of the shared plan cache
 	// (default sim.DefaultPlanCacheSize; negative disables caching).
 	PlanCacheSize int
-	// Parallelism is the per-query morsel-parallel worker count handed
-	// to the SQL engine (0 = GOMAXPROCS).
-	Parallelism int
 	// SpillDir hosts the engine's out-of-core temp files ("" = OS temp
 	// dir).
 	SpillDir string

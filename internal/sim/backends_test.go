@@ -176,6 +176,7 @@ func TestSQLRejectsRemovedSwitches(t *testing.T) {
 	for _, b := range []*SQL{
 		{Layout: "row"}, {Optimizer: "off"}, {Encodings: "off"},
 		{Kernels: "off"}, {ChainFusion: "off"}, {Tracing: "off"},
+		{Parallelism: 2},
 	} {
 		if _, err := b.Run(circuits.GHZ(2)); err == nil {
 			t.Errorf("%+v: run succeeded with a removed switch set", *b)

@@ -13,17 +13,18 @@ import (
 )
 
 // TestSQLBackendCancelReleasesEverything is the service tier's core
-// safety property: cancelling an in-flight SQL-backend simulation stops
-// it within one batch/morsel boundary of engine work and leaks neither
-// goroutines nor memBudget reservations — at one worker and at four.
+// safety property: cancelling in-flight SQL-backend simulations stops
+// them within one batch of engine work and leaks neither goroutines nor
+// memBudget reservations — for one job, and for four jobs sharing one
+// backend and budget as qymerad's workers do.
 func TestSQLBackendCancelReleasesEverything(t *testing.T) {
-	// 2^16 nonzero amplitudes: each gate stage spans many batches and
-	// multiple morsels, so cancellation lands mid-query.
+	// 2^16 nonzero amplitudes: each gate stage spans many batches, so
+	// cancellation lands mid-query.
 	circuit := circuits.ParitySuperposition(16)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			budget := sqlengine.NewMemBudget(0)
-			b := &SQL{Parallelism: workers, Budget: budget}
+			b := &SQL{Budget: budget}
 
 			// Uncancelled baseline so the cancelled attempt provably
 			// stops early.
@@ -38,29 +39,37 @@ func TestSQLBackendCancelReleasesEverything(t *testing.T) {
 
 			goroutines := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan error, 1)
-			go func() {
-				_, err := b.RunContext(ctx, circuit)
-				done <- err
-			}()
+			errs := make(chan error, workers)
+			for range workers {
+				go func() {
+					_, err := b.RunContext(ctx, circuit)
+					errs <- err
+				}()
+			}
 			time.Sleep(full / 8)
 			cancel()
-			var err error
-			select {
-			case err = <-done:
-			case <-time.After(30 * time.Second):
-				t.Fatal("cancelled simulation did not return")
-			}
-			if err == nil {
-				t.Skip("simulation finished before cancellation landed")
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("want context.Canceled, got %v", err)
+			cancelled := 0
+			for range workers {
+				var err error
+				select {
+				case err = <-errs:
+				case <-time.After(30 * time.Second):
+					t.Fatal("cancelled simulation did not return")
+				}
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatalf("want context.Canceled (or success), got %v", err)
+				}
+				if err != nil {
+					cancelled++
+				}
 			}
 			if used := budget.Used(); used != 0 {
-				t.Fatalf("cancelled run leaked %d budget bytes", used)
+				t.Fatalf("cancelled runs leaked %d budget bytes", used)
 			}
 			waitForGoroutineBaseline(t, goroutines)
+			if cancelled == 0 {
+				t.Skip("every simulation finished before cancellation landed")
+			}
 		})
 	}
 }
@@ -82,7 +91,7 @@ func TestAllBackendsHonourCancellation(t *testing.T) {
 }
 
 // waitForGoroutineBaseline retries until the goroutine count returns to
-// the baseline (goleak-style: cancellation unwinds workers
+// the baseline (goleak-style: the cancelled run's goroutine exits
 // asynchronously, so poll with a deadline).
 func waitForGoroutineBaseline(t *testing.T, baseline int) {
 	t.Helper()

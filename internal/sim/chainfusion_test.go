@@ -15,8 +15,8 @@ import (
 // fusion's invariant at the simulation level: the sql-chain backend,
 // which runs the fused statement list, produces amplitudes
 // bitwise-identical to the unfused statement list (tr.Statements())
-// run one statement at a time on a fresh engine, at one and at four
-// workers, from a context with and without a trace span.
+// run one statement at a time on a fresh engine, from a context with
+// and without a trace span.
 func TestSQLChainFusionBitIdenticalAmplitudes(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -25,25 +25,23 @@ func TestSQLChainFusionBitIdenticalAmplitudes(t *testing.T) {
 		{"ghz", circuits.GHZ(10)},
 		{"qft", circuits.QFT(6)},
 		// 2^14 nonzero amplitudes: interior chain stages span several
-		// morsels, exercising the fused two-phase morsel path.
+		// cancellation strides of the fused loop.
 		{"parity", circuits.ParitySuperposition(14)},
 	}
 	for _, wl := range workloads {
 		t.Run(wl.name, func(t *testing.T) {
 			ref := unfusedState(t, wl.c)
-			for _, workers := range []int{1, 4} {
-				for _, traced := range []bool{false, true} {
-					ctx := context.Background()
-					if traced {
-						ctx = obs.WithSpan(ctx, obs.NewTrace("job", obs.SampleDefault).Root())
-					}
-					res, err := (&SQL{Mode: core.MaterializedChain, Parallelism: workers}).RunContext(ctx, wl.c)
-					if err != nil {
-						t.Fatalf("workers=%d traced=%v: %v", workers, traced, err)
-					}
-					if err := statesBitIdentical(ref, res.State); err != nil {
-						t.Fatalf("workers=%d traced=%v: %v", workers, traced, err)
-					}
+			for _, traced := range []bool{false, true} {
+				ctx := context.Background()
+				if traced {
+					ctx = obs.WithSpan(ctx, obs.NewTrace("job", obs.SampleDefault).Root())
+				}
+				res, err := (&SQL{Mode: core.MaterializedChain}).RunContext(ctx, wl.c)
+				if err != nil {
+					t.Fatalf("traced=%v: %v", traced, err)
+				}
+				if err := statesBitIdentical(ref, res.State); err != nil {
+					t.Fatalf("traced=%v: %v", traced, err)
 				}
 			}
 		})
@@ -59,7 +57,7 @@ func unfusedState(t *testing.T, c *quantum.Circuit) *quantum.State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := sqlengine.Open(sqlengine.Config{Parallelism: 1})
+	db, err := sqlengine.Open(sqlengine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +91,12 @@ func unfusedState(t *testing.T, c *quantum.Circuit) *quantum.State {
 // to bit identity.
 func TestSQLChainFusionSpillDecline(t *testing.T) {
 	c := circuits.ParitySuperposition(14)
-	ref, err := (&SQL{Mode: core.MaterializedChain, Parallelism: 4}).Run(c)
+	ref, err := (&SQL{Mode: core.MaterializedChain}).Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := (&SQL{
 		Mode:         core.MaterializedChain,
-		Parallelism:  4,
 		MemoryBudget: 1 << 20,
 		SpillDir:     t.TempDir(),
 	}).Run(c)

@@ -27,11 +27,11 @@ func TestSQLKernelCacheRidesPlanCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sweep(&SQL{Cache: cache, Parallelism: 1}, 0)
+	sweep(&SQL{Cache: cache}, 0)
 	sqlengine.ResetKernelCounters()
 	for point := 1; point < 4; point++ {
-		sweep(&SQL{Cache: cache, Parallelism: 1}, point)
-		sweep(&SQL{Parallelism: 1}, point)
+		sweep(&SQL{Cache: cache}, point)
+		sweep(&SQL{}, point)
 	}
 	kc := sqlengine.KernelCounters()
 	if kc["executions"] == 0 {

@@ -35,7 +35,7 @@ func BenchmarkSQLRepeatJobGHZ16(b *testing.B) { benchRepeatJob(b, circuits.GHZ(1
 // 83 fused chain stages are 84 cache hits and no compile.
 func TestSQLRepeatJobCompilesNothing(t *testing.T) {
 	c := circuits.QFT(12)
-	backend := &SQL{Parallelism: 1}
+	backend := &SQL{}
 	if _, err := backend.Run(c); err != nil {
 		t.Fatal(err)
 	}

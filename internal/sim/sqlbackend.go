@@ -18,11 +18,11 @@ import (
 // group-by over the nonzero-amplitude table, the engine's optimizer and
 // operators do the rest, and the buffer manager spills to disk for
 // out-of-core simulation (§3.3). The engine executes vectorized (batches
-// of ~1024 rows with selection vectors, streaming hash join/aggregate)
-// and morsel-parallel: gate-stage joins and aggregations split the
-// nonzero-amplitude table into fixed morsels processed by Parallelism
-// worker goroutines. Morsel boundaries and merge order depend only on
-// the data, so amplitudes are bit-identical across worker counts.
+// of ~1024 rows with selection vectors, streaming hash join/aggregate,
+// compiled gate-stage kernels) on the calling goroutine, adding each
+// stage's rows in one order, so amplitudes are bit-identical on every
+// machine. Concurrent simulations run on separate goroutines, one
+// engine each.
 type SQL struct {
 	// Mode selects one WITH-chained query or per-gate materialized
 	// tables (inspectable intermediate states).
@@ -41,9 +41,10 @@ type SQL struct {
 	MemoryBudget int64
 	SpillDir     string
 	DisableSpill bool
-	// Parallelism is the engine's morsel-parallel worker count; zero
-	// derives it from GOMAXPROCS, 1 pins execution to a single worker.
-	// The simulated amplitudes are bitwise independent of the setting.
+	// Deprecated: Parallelism named the removed morsel-parallel worker
+	// count. It stays only because the benchmark harness copies it,
+	// goes with the harness replay, and any non-zero value fails the
+	// run (sqlengine.Open rejects it).
 	Parallelism int
 	// Deprecated: Layout named the removed row-major storage switch.
 	// It stays only because the benchmark harness copies it, goes with

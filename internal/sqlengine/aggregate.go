@@ -50,25 +50,6 @@ func (n *aggNode) schema() planSchema { return n.cols }
 
 func (n *aggNode) open(ctx *execCtx) (batchIter, error) {
 	childSchema := n.child.schema()
-	// compile builds the group-key and aggregate-argument evaluators.
-	// Deferred to the path that runs: the morsel path compiles
-	// worker-private copies instead (and surfaces the same errors).
-	compile := func() (groupC, argC []vecExpr, err error) {
-		if groupC, err = ctx.compileVecAll(n.groupBy, childSchema); err != nil {
-			return nil, nil, err
-		}
-		argC = make([]vecExpr, len(n.aggs))
-		for i, a := range n.aggs {
-			if a.Arg == nil {
-				continue
-			}
-			if argC[i], err = ctx.compileVec(a.Arg, childSchema); err != nil {
-				return nil, nil, err
-			}
-		}
-		return groupC, argC, nil
-	}
-
 	exec := newAggExec(ctx, len(n.groupBy), n.aggs)
 	exec.groupHint = n.groupHint
 	out := ctx.env.newStore()
@@ -78,55 +59,41 @@ func (n *aggNode) open(ctx *execCtx) (batchIter, error) {
 		return nil, err
 	}
 
-	var rowsSeen bool
-	done := false
-	if exec.streamable() {
-		// The morsel path engages whenever the child pipeline can be
-		// morselized — for any worker count, including 1 — so the
-		// floating-point merge order and output order depend only on the
-		// data, never on the Parallelism setting (see parallel_agg.go).
-		streams, ok, perr := openMorselStreams(n.child, ctx, aggWorkers(ctx))
-		if perr != nil {
-			return fail(perr)
+	groupC, err := ctx.compileVecAll(n.groupBy, childSchema)
+	if err != nil {
+		return fail(err)
+	}
+	argC := make([]vecExpr, len(n.aggs))
+	for i, a := range n.aggs {
+		if a.Arg == nil {
+			continue
 		}
-		if ok {
-			rowsSeen, perr = exec.morselAggregate(n, streams, out)
-			if perr == nil {
-				done = true
-			} else if perr != errParallelFallback {
-				return fail(perr)
-			}
-			// errParallelFallback: reservations are released and streams
-			// closed; re-run below on a fresh serial child, which spills.
+		if argC[i], err = ctx.compileVec(a.Arg, childSchema); err != nil {
+			return fail(err)
 		}
 	}
-	if !done {
-		groupC, argC, err := compile()
+	child, err := n.child.open(ctx)
+	if err != nil {
+		return fail(err)
+	}
+	var rowsSeen bool
+	if exec.streamable() {
+		rowsSeen, err = exec.streamAggregate(child, groupC, argC, out)
+		child.Close()
 		if err != nil {
 			return fail(err)
 		}
-		child, err := n.child.open(ctx)
+	} else {
+		input, merr := n.materializeTuples(ctx, child, groupC, argC)
+		child.Close()
+		if merr != nil {
+			return fail(merr)
+		}
+		rowsSeen = input.Len() > 0
+		err = exec.aggregateStore(input, 0, out)
+		input.Release()
 		if err != nil {
 			return fail(err)
-		}
-		if exec.streamable() {
-			rowsSeen, err = exec.streamAggregate(child, groupC, argC, out)
-			child.Close()
-			if err != nil {
-				return fail(err)
-			}
-		} else {
-			input, merr := n.materializeTuples(ctx, child, groupC, argC)
-			child.Close()
-			if merr != nil {
-				return fail(merr)
-			}
-			rowsSeen = input.Len() > 0
-			err = exec.aggregateStore(input, 0, out)
-			input.Release()
-			if err != nil {
-				return fail(err)
-			}
 		}
 	}
 
@@ -306,8 +273,7 @@ func slabCarve[T any](chunk *[]T, n int) []T {
 // accumulators — cutting the half-dozen allocations per group of the
 // naive path to amortized chunk allocations. One amplitude is one group
 // in the translated gate query, so this is directly on the per-gate
-// hot path. Not safe for concurrent use; parallel aggregation gives
-// each worker its own allocator.
+// hot path. Not safe for concurrent use.
 type aggAlloc struct {
 	aggs       []aggCall
 	groupChunk []aggGroup
@@ -703,8 +669,7 @@ type mergeGroup struct {
 
 // mergeAlloc slab-allocates merge-phase state — mergeGroup structs, acc
 // slices, and the concrete accumulators — mirroring aggAlloc for the
-// spill merge and for phase 2 of the parallel aggregation. Not safe for
-// concurrent use.
+// spill merge. Not safe for concurrent use.
 type mergeAlloc struct {
 	aggs        []aggCall
 	groupChunk  []mergeGroup

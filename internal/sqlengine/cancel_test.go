@@ -6,15 +6,16 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
 // cancelTestDB builds a nonzero-amplitude table of the given size plus a
 // Hadamard-style gate table — the shape of one translated gate stage.
-func cancelTestDB(t *testing.T, rows, workers int, budget *MemBudget) *DB {
+func cancelTestDB(t *testing.T, rows int, budget *MemBudget) *DB {
 	t.Helper()
-	db, err := Open(Config{Parallelism: workers, Budget: budget})
+	db, err := Open(Config{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,20 +52,24 @@ GROUP BY ((t.s & ~1) | h.out_s)`
 
 // TestQueryContextPreCancelled asserts that an already-cancelled context
 // aborts the statement before (or during) its first batch and leaves no
-// budget reservation behind.
+// budget reservation behind — for one caller and for four callers
+// querying the same database at once, the shape of a multi-worker
+// service sharing one budget.
 func TestQueryContextPreCancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			budget := NewMemBudget(0)
-			db := cancelTestDB(t, 4096, workers, budget)
+			db := cancelTestDB(t, 4096, budget)
 			defer db.Close()
 			freezeTables(t, db, "t", "h")
 			base := budget.Used() // table storage stays reserved
 
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := db.QueryContext(ctx, cancelGateSQL); !errors.Is(err, context.Canceled) {
-				t.Fatalf("want context.Canceled, got %v", err)
+			for w, err := range queryConcurrently(db, ctx, workers) {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("caller %d: want context.Canceled, got %v", w, err)
+				}
 			}
 			if got := budget.Used(); got != base {
 				t.Fatalf("budget leaked after cancel: used %d, want %d", got, base)
@@ -73,48 +78,72 @@ func TestQueryContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestQueryContextCancelMidQuery cancels a long gate-stage query while
-// it runs: the statement must return an error wrapping context.Canceled
-// well before the query would finish, release every reservation, and
-// leave no worker goroutines behind.
+// TestQueryContextCancelMidQuery cancels long gate-stage queries while
+// they run, from one caller and from four callers sharing the database:
+// each statement must return an error wrapping context.Canceled well
+// before it would finish, release every reservation, and leave no
+// goroutine behind.
 func TestQueryContextCancelMidQuery(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			budget := NewMemBudget(0)
-			db := cancelTestDB(t, 1<<17, workers, budget)
+			db := cancelTestDB(t, 1<<17, budget)
 			defer db.Close()
 			freezeTables(t, db, "t", "h")
 			base := budget.Used()
 			before := runtime.NumGoroutine()
 
 			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan error, 1)
-			go func() {
-				_, err := db.QueryContext(ctx, cancelGateSQL)
-				done <- err
-			}()
+			done := make(chan []error, 1)
+			go func() { done <- queryConcurrently(db, ctx, workers) }()
 			time.Sleep(2 * time.Millisecond)
 			cancel()
-			var err error
+			var errs []error
 			select {
-			case err = <-done:
+			case errs = <-done:
 			case <-time.After(10 * time.Second):
-				t.Fatal("cancelled query did not return within 10s")
+				t.Fatal("cancelled queries did not return within 10s")
 			}
-			// The query may legitimately have finished before the cancel
+			// A query may legitimately have finished before the cancel
 			// landed; only a cancelled run must report it.
-			if err != nil && !errors.Is(err, context.Canceled) {
-				t.Fatalf("want context.Canceled (or success), got %v", err)
-			}
-			if err == nil {
-				t.Skip("query finished before cancellation landed")
+			cancelled := 0
+			for w, err := range errs {
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatalf("caller %d: want context.Canceled (or success), got %v", w, err)
+				}
+				if err != nil {
+					cancelled++
+				}
 			}
 			if got := budget.Used(); got != base {
 				t.Fatalf("budget leaked after cancel: used %d, want %d", got, base)
 			}
 			waitForGoroutines(t, before)
+			if cancelled == 0 {
+				t.Skip("every query finished before cancellation landed")
+			}
 		})
 	}
+}
+
+// queryConcurrently runs cancelGateSQL on db from the given number of
+// goroutines at once and returns each caller's error.
+func queryConcurrently(db *DB, ctx context.Context, workers int) []error {
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rs, err := db.QueryContext(ctx, cancelGateSQL)
+			if err == nil {
+				rs.Close()
+			}
+			errs[w] = err
+		}()
+	}
+	wg.Wait()
+	return errs
 }
 
 // TestExecScriptContextCancel asserts scripts stop between statements.

@@ -14,9 +14,8 @@ import (
 // back to a generic []Value vector for columns that mix types (the
 // engine is dynamically typed). CREATE TABLE AS and INSERT … SELECT
 // append batch-at-a-time straight into the column vectors — no per-row
-// Row materialization and one budget reservation per batch — and scans,
-// including the fixed-size morsel claims of the parallel executor, are
-// column-slice ranges: generic columns are exposed to rowBatch views
+// Row materialization and one budget reservation per batch — and scans
+// are column-slice ranges: generic columns are exposed to rowBatch views
 // zero-copy, typed columns through tight per-kind decode loops into
 // per-scanner scratch vectors.
 //
@@ -775,50 +774,6 @@ func (cs *ColStore) vectorKinds() []string {
 		out[i] = cs.cols[i].kind.String()
 	}
 	return out
-}
-
-// morselCount splits a fully in-memory frozen store into fixed-size
-// morsels; a spilled store reports 0 (its chunks are a sequential
-// stream that cannot be range-partitioned).
-func (cs *ColStore) morselCount() int {
-	if cs.Spilled() {
-		return 0
-	}
-	return (cs.rows + morselRows - 1) / morselRows
-}
-
-// morselScanner returns a per-worker scanner over individual morsels.
-// Freezes the store; only valid when morselCount() > 0. Scanners of
-// one store may run concurrently; each is single-threaded.
-func (cs *ColStore) morselScanner() (*colMorselScan, error) {
-	if err := cs.Freeze(); err != nil {
-		return nil, err
-	}
-	w := len(cs.cols)
-	return &colMorselScan{cs: cs, scratch: make([]colVec, w), buf: &rowBatch{cols: make([]colVec, w)}}, nil
-}
-
-// colMorselScan serves one morsel at a time as column-slice batches.
-type colMorselScan struct {
-	cs       *ColStore
-	pos, end int
-	buf      *rowBatch
-	scratch  []colVec
-}
-
-func (s *colMorselScan) setMorsel(i int) {
-	s.pos = i * morselRows
-	s.end = min(s.pos+morselRows, s.cs.rows)
-}
-
-func (s *colMorselScan) NextBatch() (*rowBatch, error) {
-	if s.pos >= s.end {
-		return nil, nil
-	}
-	hi := min(s.pos+batchSize, s.end)
-	serveColumns(s.cs.cols, s.pos, hi, s.buf, s.scratch)
-	s.pos = hi
-	return s.buf, nil
 }
 
 // serveColumns exposes rows [lo, hi) of a column set as a batch view.

@@ -217,57 +217,6 @@ func TestColStoreMixedTypeColumnDegrades(t *testing.T) {
 	}
 }
 
-// TestColStoreMorselScan checks that morsel claims are column-slice
-// ranges covering every row exactly once, in order.
-func TestColStoreMorselScan(t *testing.T) {
-	env := testEnv(t, 0)
-	cs := env.newStore()
-	const n = morselRows*2 + 123
-	b := newRowBatch(1)
-	for i := 0; i < n; i++ {
-		b.appendRow(Row{NewInt(int64(i))})
-		if b.full() {
-			if err := cs.AppendBatch(b); err != nil {
-				t.Fatal(err)
-			}
-			b.reset()
-		}
-	}
-	if err := cs.AppendBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := cs.morselCount(); got != 3 {
-		t.Fatalf("morselCount = %d", got)
-	}
-	sc, err := cs.morselScanner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := int64(0)
-	for m := 0; m < 3; m++ {
-		sc.setMorsel(m)
-		for {
-			batch, err := sc.NextBatch()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if batch == nil {
-				break
-			}
-			for _, pos := range batch.selection() {
-				if batch.cols[0][pos].I != next {
-					t.Fatalf("morsel %d: got %d want %d", m, batch.cols[0][pos].I, next)
-				}
-				next++
-			}
-		}
-	}
-	if next != n {
-		t.Fatalf("scanned %d rows, want %d", next, n)
-	}
-	cs.Release()
-}
-
 // TestColStorePropertyRoundTrip pushes random values through the
 // all-spilled columnar chunk codec and demands exact round-trips (type
 // tags and float bit patterns included).

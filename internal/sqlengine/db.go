@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -23,12 +22,11 @@ type Config struct {
 	// DisableSpill turns off out-of-core execution; statements that
 	// exceed the budget fail with a budget error instead of spilling.
 	DisableSpill bool
-	// Parallelism is the number of worker goroutines for morsel-driven
-	// parallel execution (scans, filters, projections, hash-join probe,
-	// hash aggregation). Zero or negative derives the count from
-	// GOMAXPROCS; 1 pins execution to a single worker. Results are
-	// bitwise independent of the setting: morsel boundaries and merge
-	// order are fixed by the data, not by the scheduling.
+	// Deprecated: Parallelism named the removed morsel-parallel worker
+	// count; every statement runs on the calling goroutine in one
+	// accumulation order. It stays only because the benchmark harness
+	// copies it field by field, and goes with the harness replay. Open
+	// rejects any non-zero value.
 	Parallelism int
 	// Deprecated: Layout named the removed row-major storage switch;
 	// every table is columnar (colstore.go). It stays only because the
@@ -124,9 +122,8 @@ func Open(cfg Config) (*DB, error) {
 			floor = 8 * 1024
 		}
 	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if cfg.Parallelism != 0 {
+		return nil, fmt.Errorf("sqlengine: Config.Parallelism was removed (got %d); leave it zero", cfg.Parallelism)
 	}
 	for _, removed := range [...]struct{ name, value string }{
 		{"Layout", cfg.Layout}, {"Optimizer", cfg.Optimizer}, {"Encodings", cfg.Encodings},
@@ -145,7 +142,6 @@ func Open(cfg Config) (*DB, error) {
 		spillDir:     cfg.SpillDir,
 		spillEnabled: !cfg.DisableSpill,
 		workingFloor: floor,
-		workers:      workers,
 		kernels:      true,
 		kernelCache:  kernelCache,
 		kernelCtrs:   &kernelCounterSet{},
@@ -269,7 +265,7 @@ func (db *DB) Query(sqlText string, params ...Value) (*ResultSet, error) {
 }
 
 // QueryContext is Query with cancellation: when ctx is cancelled the
-// statement aborts at the next batch/morsel boundary, releases every
+// statement aborts at the next batch boundary, releases every
 // budget reservation and spill file, and returns an error wrapping
 // ctx.Err().
 func (db *DB) QueryContext(ctx context.Context, sqlText string, params ...Value) (*ResultSet, error) {
@@ -300,7 +296,7 @@ func (db *DB) QueryContext(ctx context.Context, sqlText string, params ...Value)
 // instrumentation for the statement; an untraced context costs one
 // nil check here and nothing downstream.
 func (db *DB) newExecCtx(ctx context.Context, params []Value) *execCtx {
-	ec := &execCtx{env: db.env, params: params, workers: db.env.workers, ctx: ctx}
+	ec := &execCtx{env: db.env, params: params, ctx: ctx}
 	if sp := obs.SpanFromContext(ctx); sp != nil {
 		ec.span = sp
 		ec.sampleEvery = sp.SampleEvery()

@@ -528,6 +528,7 @@ func TestOpenRejectsRemovedSwitches(t *testing.T) {
 		{"Fusion", Config{Fusion: "on"}},
 		{"Tracing", Config{Tracing: "off"}},
 		{"Tracing", Config{Tracing: "on"}},
+		{"Parallelism", Config{Parallelism: 2}},
 	} {
 		db, err := Open(tc.cfg)
 		if err == nil {

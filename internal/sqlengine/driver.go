@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -21,13 +20,14 @@ import (
 // the pooled connections database/sql hands out all see the same tables.
 // The accepted DSN parameters are exactly:
 //
-//	budget       memory budget in bytes (Config.MemoryBudget)
-//	spilldir     spill-file directory (Config.SpillDir)
-//	nospill      1/true disables out-of-core execution
-//	parallelism  morsel-parallel worker count; 0 derives it from GOMAXPROCS
+//	budget    memory budget in bytes (Config.MemoryBudget)
+//	spilldir  spill-file directory (Config.SpillDir)
+//	nospill   a boolean (strconv.ParseBool); true disables out-of-core
+//	          execution (Config.DisableSpill)
 //
-// Any other parameter is an error naming it, so a typo such as
-// "paralellism" fails instead of silently running with the default.
+// Any other parameter, or a nospill value that is not a boolean, is an
+// error naming it, so a typo such as "nospil" or "nospill=yes" fails
+// instead of silently running with the default.
 
 func init() {
 	sql.Register("qymera", &Driver{})
@@ -86,9 +86,9 @@ func parseDSN(dsn string) (Config, error) {
 	q := u.Query()
 	for key := range q {
 		switch key {
-		case "budget", "spilldir", "nospill", "parallelism":
+		case "budget", "spilldir", "nospill":
 		default:
-			return cfg, fmt.Errorf("sqlengine: unknown DSN parameter %q in %q (accepted: budget, spilldir, nospill, parallelism)", key, dsn)
+			return cfg, fmt.Errorf("sqlengine: unknown DSN parameter %q in %q (accepted: budget, spilldir, nospill)", key, dsn)
 		}
 	}
 	if b := q.Get("budget"); b != "" {
@@ -99,15 +99,12 @@ func parseDSN(dsn string) (Config, error) {
 		cfg.MemoryBudget = n
 	}
 	cfg.SpillDir = q.Get("spilldir")
-	if v := q.Get("nospill"); v == "1" || strings.EqualFold(v, "true") {
-		cfg.DisableSpill = true
-	}
-	if p := q.Get("parallelism"); p != "" {
-		n, err := strconv.Atoi(p)
+	if v := q.Get("nospill"); v != "" {
+		off, err := strconv.ParseBool(v)
 		if err != nil {
-			return cfg, fmt.Errorf("sqlengine: invalid parallelism %q", p)
+			return cfg, fmt.Errorf("sqlengine: invalid nospill %q (want a boolean such as 1, 0, true or false)", v)
 		}
-		cfg.Parallelism = n
+		cfg.DisableSpill = off
 	}
 	return cfg, nil
 }

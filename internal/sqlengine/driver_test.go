@@ -137,6 +137,18 @@ func TestDriverDSNOptions(t *testing.T) {
 	if _, err := parseDSN("mem://x?budget=abc"); err == nil {
 		t.Fatal("expected error for bad budget")
 	}
+	for v, off := range map[string]bool{"1": true, "true": true, "0": false, "false": false} {
+		cfg, err := parseDSN("mem://x?nospill=" + v)
+		if err != nil {
+			t.Fatalf("nospill=%s: %v", v, err)
+		}
+		if cfg.DisableSpill != off {
+			t.Fatalf("nospill=%s: DisableSpill = %v, want %v", v, cfg.DisableSpill, off)
+		}
+	}
+	if _, err := parseDSN("mem://x?nospill=yes"); err == nil || !strings.Contains(err.Error(), `"yes"`) {
+		t.Fatalf("nospill=yes: err = %v, want an error naming the value", err)
+	}
 }
 
 func TestDriverDSNRejectsUnknownKeys(t *testing.T) {
@@ -146,7 +158,7 @@ func TestDriverDSNRejectsUnknownKeys(t *testing.T) {
 		{"mem://x?optimizer=off", "optimizer"},
 		{"mem://x?encodings=off", "encodings"},
 		{"mem://x?kernels=off", "kernels"},
-		{"mem://x?parallelism=2&fusion=off", "fusion"},
+		{"mem://x?budget=2&fusion=off", "fusion"},
 	} {
 		_, err := parseDSN(tc.dsn)
 		if err == nil {
@@ -157,11 +169,34 @@ func TestDriverDSNRejectsUnknownKeys(t *testing.T) {
 			t.Errorf("parseDSN(%q) error %q does not name %q", tc.dsn, err, tc.key)
 		}
 	}
-	cfg, err := parseDSN("mem://x?budget=1&spilldir=d&nospill=true&parallelism=2")
+	cfg, err := parseDSN("mem://x?budget=1&spilldir=d&nospill=true")
 	if err != nil {
 		t.Fatalf("every accepted key: %v", err)
 	}
-	if cfg.MemoryBudget != 1 || cfg.SpillDir != "d" || !cfg.DisableSpill || cfg.Parallelism != 2 {
+	if cfg.MemoryBudget != 1 || cfg.SpillDir != "d" || !cfg.DisableSpill {
 		t.Fatalf("cfg = %+v", cfg)
+	}
+}
+
+// TestParallelismDSN: a query runs on one goroutine, so the DSN has no
+// parallelism key any more — any value is rejected as unknown rather
+// than silently ignored, and the deprecated Config.Parallelism is
+// refused by Open unless it is zero.
+func TestParallelismDSN(t *testing.T) {
+	for _, v := range []string{"1", "3", "abc"} {
+		dsn := "mem://pardsn?parallelism=" + v
+		_, err := parseDSN(dsn)
+		if err == nil || !strings.Contains(err.Error(), `"parallelism"`) {
+			t.Errorf("parseDSN(%q) = %v, want an error naming \"parallelism\"", dsn, err)
+		}
+	}
+	db, err := Open(Config{Parallelism: 0})
+	if err != nil {
+		t.Fatalf("Open with zero Parallelism: %v", err)
+	}
+	db.Close()
+	if db, err := Open(Config{Parallelism: 3}); err == nil {
+		db.Close()
+		t.Fatal("Open accepted Parallelism = 3")
 	}
 }

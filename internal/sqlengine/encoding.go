@@ -89,15 +89,6 @@ func StorageCounters() map[string]int64 {
 	return storageCounters.snapshot()
 }
 
-// ResetStorageCounters zeroes the process-wide aggregate counters
-// (benchmarks and tests). Per-DB scopes are unaffected.
-func ResetStorageCounters() {
-	storageCounters.encodedSparse.Store(0)
-	storageCounters.encodedChunkCols.Store(0)
-	storageCounters.decodeFallbacks.Store(0)
-	storageCounters.kernelEncBinds.Store(0)
-}
-
 // encoded reports whether the column currently holds an encoded vector.
 func (c *column) encoded() bool { return c.kind == colFloatSparse }
 

@@ -8,16 +8,14 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
 // Tests for the sparsity-first storage tier: the sparse float column
 // encoding and the spill chunk frame's column runs. They assert the
 // core guarantee — a sparse column reads back exactly the values that
-// were appended, bit for bit, through every read path, at every worker
-// count, and through the kernel tier.
+// were appended, bit for bit, through every read path and through the
+// kernel tier.
 
 // collectRows drains a store through its cursor into cloned rows.
 func collectRows(t *testing.T, cs *ColStore) []Row {
@@ -161,8 +159,8 @@ func TestSparseColumnThawAppendDecodes(t *testing.T) {
 // TestEncodedStoreMatchesPlain is the sparse encoding's property test:
 // seeded random mostly-zero REAL columns, salted with chunkTestFloats
 // (signed zero, NaN payloads, infinities, a subnormal), freeze into the sparse form and read back as exactly the appended
-// plain values (math.Float64bits) through Cursor, batchScan and
-// morselScanner at 1 and 4 workers. The nulls case interleaves NULL
+// plain values (math.Float64bits) through Cursor and batchScan. The
+// nulls case interleaves NULL
 // rows, whose zero slots the encoding must keep apart from the values.
 func TestEncodedStoreMatchesPlain(t *testing.T) {
 	for _, tc := range []struct {
@@ -211,9 +209,6 @@ func TestEncodedStoreMatchesPlain(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireBitIdentical(t, name+" batchScan", want, scanned)
-				for _, workers := range []int{1, 4} {
-					requireBitIdentical(t, fmt.Sprintf("%s morselScanner workers=%d", name, workers), want, morselRowsParallel(t, cs, workers))
-				}
 				cs.Release()
 				if env.budget.used.Load() != 0 {
 					t.Fatalf("trial %d: leaked %d bytes", trial, env.budget.used.Load())
@@ -235,48 +230,6 @@ func drainScan(next func() (*rowBatch, error)) ([]Row, error) {
 			out = append(out, b.materializeRow(pos))
 		}
 	}
-}
-
-// morselRowsParallel reads a frozen store with one morselScanner per
-// worker, the workers claiming morsels from a shared counter, and
-// reassembles the rows in morsel order.
-func morselRowsParallel(t *testing.T, cs *ColStore, workers int) []Row {
-	t.Helper()
-	parts := make([][]Row, cs.morselCount())
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		sc, err := cs.morselScanner()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(parts) {
-					return
-				}
-				sc.setMorsel(i)
-				if parts[i], errs[w] = drainScan(sc.NextBatch); errs[w] != nil {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	var out []Row
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
 }
 
 // fillSparseAmplitudeTable builds an amplitude table whose state column
@@ -304,9 +257,9 @@ func fillSparseAmplitudeTable(t *testing.T, db *DB, rows int) {
 }
 
 // TestGateStageEncodedBitIdentical: the gate-stage join+aggregate over
-// an encoded amplitude table is bit-identical across kernels on/off ×
-// workers 1/4, and the kernel actually binds encoded columns (sparse
-// amplitude decode).
+// an encoded amplitude table is bit-identical across kernels on/off,
+// and the kernel actually binds encoded columns (sparse amplitude
+// decode).
 func TestGateStageEncodedBitIdentical(t *testing.T) {
 	q := `SELECT ((t.s & ~1) | h.out_s) AS s,
 	       SUM((t.r * h.r) - (t.i * h.i)) AS r,
@@ -317,17 +270,14 @@ func TestGateStageEncodedBitIdentical(t *testing.T) {
 	bindsBefore := StorageCounters()["kernel_encoded_binds"]
 	var ref []Row
 	for _, kernels := range []bool{true, false} {
-		for _, workers := range []int{1, 4} {
-			db := withKernels(newParallelDB(t, workers, Config{}), kernels)
-			fillSparseAmplitudeTable(t, db, testRows)
-			rows := queryAll(t, db, q)
-			name := fmt.Sprintf("kernels=%v workers=%d", kernels, workers)
-			if ref == nil {
-				ref = rows
-				continue
-			}
-			requireBitIdentical(t, name, ref, rows)
+		db := withKernels(newOptDB(t, Config{}), kernels)
+		fillSparseAmplitudeTable(t, db, testRows)
+		rows := queryAll(t, db, q)
+		if ref == nil {
+			ref = rows
+			continue
 		}
+		requireBitIdentical(t, fmt.Sprintf("kernels=%v", kernels), ref, rows)
 	}
 	if d := StorageCounters()["kernel_encoded_binds"] - bindsBefore; d < 1 {
 		t.Fatalf("kernel_encoded_binds delta = %d, want >= 1", d)

@@ -156,9 +156,9 @@ func TestEngineMicroWorkloads(t *testing.T) {
 }
 
 // gateStageAllocBound caps the heap allocations of one 16,384-row
-// gate-stage query at one worker: 1.2x the ~1,160 measured when the
-// bound was set, so an allocation regression fails here instead of
-// surfacing as GC time end to end.
+// gate-stage query: 1.2x the ~1,160 measured when the bound was set,
+// so an allocation regression fails here instead of surfacing as GC
+// time end to end.
 const gateStageAllocBound = 1390
 
 // TestGateStageQueryAllocs is the allocation regression gate for the
@@ -179,7 +179,7 @@ func TestGateStageQueryAllocs(t *testing.T) {
 			rs.Close()
 		})
 	}
-	if got := allocs(Config{Parallelism: 1}); got > gateStageAllocBound {
+	if got := allocs(Config{}); got > gateStageAllocBound {
 		t.Errorf("%.0f allocs/op, bound %d", got, gateStageAllocBound)
 	}
 }

@@ -82,14 +82,12 @@ type planNode interface {
 type execCtx struct {
 	env    *storageEnv
 	params []Value
-	// workers is the morsel-parallel worker count for this statement
-	// (>= 1; 1 means the morsel schedule runs serially).
-	workers int
 	// ctx is the statement's cancellation context (nil means
-	// non-cancellable). Operators poll cancelled() at batch and morsel
-	// boundaries, so a cancelled statement stops within one batch of
-	// work and unwinds through the normal error paths, which release
-	// every budget reservation and spill file.
+	// non-cancellable). Operators poll cancelled() once per batch (a
+	// fused kernel loop once per morselRows rows), so a cancelled
+	// statement stops within one batch of work and unwinds through the
+	// normal error paths, which release every budget reservation and
+	// spill file.
 	ctx context.Context
 	// span is the tracing span carried on ctx (nil when untraced); the
 	// statement attaches per-operator child spans to it after execution
@@ -109,7 +107,7 @@ type execCtx struct {
 }
 
 // cancelled reports the statement's cancellation state. It is polled at
-// batch/morsel boundaries (~1k rows of work), never per row.
+// batch boundaries (~1k rows of work), never per row.
 func (ctx *execCtx) cancelled() error {
 	if ctx.ctx == nil {
 		return nil
@@ -459,6 +457,83 @@ func planChildren(node planNode) []planNode {
 		return []planNode{n.child}
 	case *statNode:
 		return []planNode{n.child}
+	}
+	return nil
+}
+
+// materializePlan executes a plan and materializes its output into a
+// table store.
+func materializePlan(ctx *execCtx, node planNode) (*ColStore, error) {
+	return materializePlanCollect(ctx, node, false)
+}
+
+// materializePlanCollect is materializePlan with two extensions: the
+// kernel-tier hook (a plan matching the gate-stage shape runs as a
+// compiled kernel, either entirely or as a swapped-in subtree; see
+// kernel.go) and optional statistics collection on the result store
+// (CTAS materialization).
+func materializePlanCollect(ctx *execCtx, node planNode, collect bool) (*ColStore, error) {
+	var kstore *ColStore
+	if ctx.env.kernels {
+		result, swapped, err := kernelAttempt(ctx, node, collect)
+		if err != nil {
+			return nil, err
+		}
+		if result != nil {
+			return result, nil
+		}
+		kstore = swapped
+	}
+	store, err := materializePlanExec(ctx, node, collect)
+	if err != nil && kstore != nil {
+		// The swapped-in kernel store is normally released by its scan
+		// iterator; an error before that scan opened would strand it.
+		// Release is idempotent, so releasing again here is safe.
+		kstore.Release()
+	}
+	return store, err
+}
+
+func materializePlanExec(ctx *execCtx, node planNode, collect bool) (*ColStore, error) {
+	var hint int64
+	if est := planEstimateOf(node); est != nil && est.rows > 0 {
+		// Budget-clamped like the hash-table hints: a misestimate must
+		// not pre-allocate column capacity beyond a small budget.
+		hint = hintForBudget(est.rows, ctx.env.budget)
+	}
+	it, err := node.open(ctx)
+	if err != nil {
+		return nil, err
+	}
+	store, err := materializeCollect(ctx, it, hint, collect)
+	it.Close()
+	return store, err
+}
+
+// planEstimateOf reads the cost model's annotation off a physical node
+// (nil when the node carries none).
+func planEstimateOf(node planNode) *nodeEst {
+	switch n := node.(type) {
+	case *storeScanNode:
+		return n.est
+	case *filterNode:
+		return n.est
+	case *projectNode:
+		return n.est
+	case *sliceProjectNode:
+		return n.est
+	case *joinNode:
+		return n.est
+	case *aggNode:
+		return n.est
+	case *sortNode:
+		return n.est
+	case *limitNode:
+		return n.est
+	case *aliasNode:
+		return n.est
+	case *statNode:
+		return planEstimateOf(n.child)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -54,7 +53,7 @@ func (db *DB) explainSelect(sel *SelectStmt, params []Value) (string, error) {
 	p.bind(node) // nothing is materialized: CTEs report their subplan estimates
 	kline, kcore := kernelExplain(ctx, node)
 	var b strings.Builder
-	writeExplainHeader(&b, ctx, names, kline)
+	writeExplainHeader(&b, names, kline)
 	describePlan(&b, node, 0, kcore)
 	return b.String(), nil
 }
@@ -113,18 +112,18 @@ func (db *DB) explainAnalyzeSelect(stmtCtx context.Context, sel *SelectStmt, par
 		// through statNodes): the fused loop replaced the gate-stage
 		// core — rendered below as its output scan — and reports its
 		// own counters from the kernel timer.
-		writeExplainHeader(&b, ctx, names, "kernel: gate-stage (analyzed)")
-		fmt.Fprintf(&b, "kernel actual: rows_in=%d rows_out=%d morsels=%d in %s\n",
-			k.rowsIn, k.rowsOut, k.morsels, k.wall.Round(time.Microsecond))
+		writeExplainHeader(&b, names, "kernel: gate-stage (analyzed)")
+		fmt.Fprintf(&b, "kernel actual: rows_in=%d rows_out=%d in %s\n",
+			k.rowsIn, k.rowsOut, k.wall.Round(time.Microsecond))
 	} else if ctx.kdecline != "" {
 		// The matcher accepted the plan but execution declined it (a
 		// bind check or a refused budget reservation): the interpreter
 		// ran the whole tree.
-		writeExplainHeader(&b, ctx, names, "kernel: fallback ("+ctx.kdecline+", at run time)")
+		writeExplainHeader(&b, names, "kernel: fallback ("+ctx.kdecline+", at run time)")
 	} else {
 		kline, core := kernelExplain(ctx, node)
 		kcore = core
-		writeExplainHeader(&b, ctx, names, kline)
+		writeExplainHeader(&b, names, kline)
 	}
 	if ck := ctx.chainExec; ck != nil {
 		// CTE materialization ran a fused chain.
@@ -176,10 +175,9 @@ func (db *DB) runExplainStmt(ctx context.Context, s *ExplainStmt, params []Value
 	return &ResultSet{Columns: []string{"plan"}, store: store}, nil
 }
 
-func writeExplainHeader(b *strings.Builder, ctx *execCtx, names []string, kernelLine string) {
+func writeExplainHeader(b *strings.Builder, names []string, kernelLine string) {
 	fmt.Fprintf(b, "output: %s\n", strings.Join(names, ", "))
-	fmt.Fprintf(b, "executor: vectorized (batch=%d, selection vectors), morsel-parallel (workers=%d, morsel=%d rows)\n",
-		batchSize, ctx.workers, morselRows)
+	fmt.Fprintf(b, "executor: vectorized (batch=%d, selection vectors), serial\n", batchSize)
 	fmt.Fprintf(b, "storage: columnar (typed column vectors + null bitmaps, spill=column chunks, encodings=on)\n")
 	fmt.Fprintf(b, "optimizer: on (constant folding, CTE inlining, estimates)\n")
 	fmt.Fprintf(b, "%s\n", kernelLine)
@@ -189,7 +187,7 @@ func writeExplainHeader(b *strings.Builder, ctx *execCtx, names []string, kernel
 // plan: the EXPLAIN header line and the matched core node (nil when
 // the matcher declines). A structural dry run only — no counters, no
 // cache, no execution; the data-dependent checks (spill state, column
-// vector types, morsel mode and the working-set reservation under a
+// vector types and the working-set reservation under a
 // bounded budget) still happen at run time.
 func kernelExplain(ctx *execCtx, node planNode) (string, planNode) {
 	env := ctx.env
@@ -240,23 +238,21 @@ func estSuffix(est *nodeEst) string {
 
 // statNode wraps a physical operator, counting the rows it emits and —
 // on a sampled subset of batches — the time spent in its NextBatch.
-// All counters are atomic (morsel streams count concurrently), and the
-// wrapper is transparent to morsel-parallel execution AND to the
-// kernel matcher (findGateStage walks through it), so the instrumented
-// plan runs the same schedule as the uninstrumented one. EXPLAIN
-// ANALYZE instruments with sampleEvery=1 (every batch timed); traced
-// normal execution uses the trace's stride so timing never serializes
-// the parallel path.
+// The wrapper is transparent to the kernel matcher (findGateStage
+// walks through it), so the instrumented plan runs the same schedule
+// as the uninstrumented one. EXPLAIN ANALYZE instruments with
+// sampleEvery=1 (every batch timed); traced normal execution uses the
+// trace's stride so the timer calls stay a small share of the work.
 type statNode struct {
 	child  planNode
-	actual atomic.Int64
+	actual int64
 	// batches counts NextBatch calls; sampled counts the timed ones;
 	// nanos accumulates the timed durations. Operator-span attachment
 	// estimates total operator time as nanos·batches/sampled
 	// (trace_exec.go).
-	batches     atomic.Int64
-	sampled     atomic.Int64
-	nanos       atomic.Int64
+	batches     int64
+	sampled     int64
+	nanos       int64
 	sampleEvery int
 }
 
@@ -265,19 +261,20 @@ func (n *statNode) schema() planSchema { return n.child.schema() }
 // nextThrough pulls one batch from child, counting rows always and
 // timing every sampleEvery-th call.
 func (n *statNode) nextThrough(child interface{ NextBatch() (*rowBatch, error) }) (*rowBatch, error) {
-	if (n.batches.Add(1)-1)%int64(n.sampleEvery) == 0 {
+	n.batches++
+	if (n.batches-1)%int64(n.sampleEvery) == 0 {
 		start := time.Now()
 		b, err := child.NextBatch()
-		n.nanos.Add(time.Since(start).Nanoseconds())
-		n.sampled.Add(1)
+		n.nanos += time.Since(start).Nanoseconds()
+		n.sampled++
 		if err == nil && b != nil {
-			n.actual.Add(int64(b.rows()))
+			n.actual += int64(b.rows())
 		}
 		return b, err
 	}
 	b, err := child.NextBatch()
 	if err == nil && b != nil {
-		n.actual.Add(int64(b.rows()))
+		n.actual += int64(b.rows())
 	}
 	return b, err
 }
@@ -290,18 +287,6 @@ func (n *statNode) open(ctx *execCtx) (batchIter, error) {
 	return &statIter{child: it, n: n}, nil
 }
 
-func (n *statNode) openParallel(ctx *execCtx, workers int) ([]morselStream, bool, error) {
-	streams, ok, err := openMorselStreams(n.child, ctx, workers)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	out := make([]morselStream, len(streams))
-	for i, s := range streams {
-		out[i] = &statMorselStream{child: s, n: n}
-	}
-	return out, true, nil
-}
-
 type statIter struct {
 	child batchIter
 	n     *statNode
@@ -310,31 +295,6 @@ type statIter struct {
 func (it *statIter) NextBatch() (*rowBatch, error) { return it.n.nextThrough(it.child) }
 
 func (it *statIter) Close() { it.child.Close() }
-
-type statMorselStream struct {
-	child morselStream
-	n     *statNode
-}
-
-func (s *statMorselStream) NextMorsel() (int, bool, error) { return s.child.NextMorsel() }
-
-func (s *statMorselStream) NextBatch() (*rowBatch, error) { return s.n.nextThrough(s.child) }
-
-func (s *statMorselStream) Close() { s.child.Close() }
-
-// resetPlanStats zeroes every statNode counter in the tree (the
-// parallel gather's serial fallback re-runs the plan from scratch).
-func resetPlanStats(node planNode) {
-	if sn, ok := node.(*statNode); ok {
-		sn.actual.Store(0)
-		sn.batches.Store(0)
-		sn.sampled.Store(0)
-		sn.nanos.Store(0)
-	}
-	for _, c := range planChildren(node) {
-		resetPlanStats(c)
-	}
-}
 
 // instrumentPlan wraps every operator with a row counter and sampled
 // batch timer. sampleEvery 1 times every batch (EXPLAIN ANALYZE);
@@ -371,7 +331,7 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 	pad := strings.Repeat("  ", depth)
 	actual := ""
 	if sn, ok := node.(*statNode); ok {
-		actual = fmt.Sprintf(" actual_rows=%d", sn.actual.Load())
+		actual = fmt.Sprintf(" actual_rows=%d", sn.actual)
 		node = sn.child
 	}
 	kmark := ""

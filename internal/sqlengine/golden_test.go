@@ -101,7 +101,7 @@ var goldenCases = []struct {
 //
 //	go test ./internal/sqlengine -run TestGoldenPlans -update
 func TestGoldenPlans(t *testing.T) {
-	db := goldenDB(t, Config{Parallelism: 1}) // pin the header's worker count
+	db := goldenDB(t, Config{})
 	dir := filepath.Join("testdata", "plans")
 	if *updateGolden {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -110,7 +110,7 @@ func TestGoldenPlans(t *testing.T) {
 	}
 	// Answers come from a second engine: running a query freezes its
 	// tables, which the scans' layout annotations in EXPLAIN would show.
-	rowsDB := goldenDB(t, Config{Parallelism: 1})
+	rowsDB := goldenDB(t, Config{})
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			plan, err := db.Explain(tc.query)

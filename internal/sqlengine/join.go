@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync/atomic"
 )
 
 // Limits for recursive grace partitioning.
@@ -431,219 +430,6 @@ func (it *hashProbeIter) Close() {
 	it.j.ctx.env.budget.release(it.reserved)
 	it.build = nil
 	it.left.Close()
-}
-
-// openParallel morselizes the probe side of an in-memory hash join: the
-// build table is constructed once (serially — it is normally the small
-// gate table) and shared read-only by per-worker probe streams over the
-// left child's morsels. Falls back to the serial path when the probe
-// side cannot be morselized or the build overflows the budget (the
-// grace-partitioned join is inherently blocking and stays serial).
-func (n *joinNode) openParallel(ctx *execCtx, workers int) ([]morselStream, bool, error) {
-	if len(n.leftKeys) == 0 || n.strategy == joinGrace {
-		return nil, false, nil
-	}
-	leftStreams, ok, err := openMorselStreams(n.left, ctx, workers)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	ls, rs := n.left.schema(), n.right.schema()
-	exec := &joinExec{
-		ctx:        ctx,
-		joinType:   n.joinType,
-		nkeys:      len(n.leftKeys),
-		leftWidth:  len(ls),
-		rightWidth: len(rs),
-		buildHint:  n.buildHint,
-	}
-	rk, err := ctx.compileVecAll(n.rightKeys, rs)
-	if err != nil {
-		closeStreams(leftStreams)
-		return nil, false, err
-	}
-	rightIter, err := n.right.open(ctx)
-	if err != nil {
-		closeStreams(leftStreams)
-		return nil, false, err
-	}
-	build, reserved, rightStore, err := exec.buildRight(rightIter, rk)
-	rightIter.Close()
-	if err != nil {
-		closeStreams(leftStreams)
-		return nil, false, err
-	}
-	if rightStore != nil {
-		// Build side overflowed: hand everything back and let the caller
-		// re-run the serial grace-partitioned join.
-		rightStore.Release()
-		closeStreams(leftStreams)
-		return nil, false, nil
-	}
-	shared := &sharedBuild{build: build, reserved: reserved, env: ctx.env}
-	shared.refs.Store(int32(len(leftStreams)))
-	out := make([]morselStream, len(leftStreams))
-	failStreams := func(err error) ([]morselStream, bool, error) {
-		closeStreams(out)
-		for i := range out {
-			if out[i] == nil {
-				shared.release()
-				leftStreams[i].Close()
-			}
-		}
-		return nil, false, err
-	}
-	for i, c := range leftStreams {
-		lk, err := ctx.compileVecAll(n.leftKeys, ls)
-		if err != nil {
-			return failStreams(err)
-		}
-		var residual compiledExpr
-		if n.residual != nil {
-			if residual, err = ctx.compile(n.residual, n.schema()); err != nil {
-				return failStreams(err)
-			}
-		}
-		out[i] = &probeMorselStream{
-			child:    c,
-			shared:   shared,
-			exec:     exec,
-			lk:       lk,
-			residual: residual,
-			out:      newRowBatch(exec.leftWidth + exec.rightWidth),
-			combined: make(Row, exec.leftWidth+exec.rightWidth),
-			keyBuf:   make(Row, exec.nkeys),
-		}
-	}
-	return out, true, nil
-}
-
-// sharedBuild refcounts a hash-join build table shared by concurrent
-// probe streams; the budget reservation is released when the last
-// stream closes.
-type sharedBuild struct {
-	build    *buildTable
-	reserved int64
-	env      *storageEnv
-	refs     atomic.Int32
-}
-
-func (s *sharedBuild) release() {
-	if s.refs.Add(-1) == 0 {
-		s.env.budget.release(s.reserved)
-		s.build = nil
-	}
-}
-
-// probeMorselStream streams one worker's share of probe morsels through
-// the shared build table. The emit logic mirrors hashProbeIter,
-// resuming mid-row so no output batch exceeds batchSize.
-type probeMorselStream struct {
-	child    morselStream
-	shared   *sharedBuild
-	exec     *joinExec
-	lk       []vecExpr
-	residual compiledExpr
-	out      *rowBatch
-	combined Row
-	keyBuf   Row
-
-	cur      *rowBatch
-	sel      []int
-	selPos   int
-	keyCols  []colVec
-	inRow    bool
-	matches  []Row
-	matchPos int
-	matched  bool
-	closed   bool
-}
-
-func (s *probeMorselStream) NextMorsel() (int, bool, error) {
-	s.cur, s.sel, s.selPos = nil, nil, 0
-	s.inRow, s.matches, s.matchPos = false, nil, 0
-	return s.child.NextMorsel()
-}
-
-func (s *probeMorselStream) NextBatch() (*rowBatch, error) {
-	j := s.exec
-	lw := j.leftWidth
-	s.out.reset()
-	for {
-		if s.cur == nil {
-			b, err := s.child.NextBatch()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			if s.keyCols == nil {
-				s.keyCols = make([]colVec, j.nkeys)
-			}
-			sel := b.selection()
-			for i, k := range s.lk {
-				col, err := k(b, sel)
-				if err != nil {
-					return nil, err
-				}
-				s.keyCols[i] = col
-			}
-			s.cur, s.sel, s.selPos = b, sel, 0
-		}
-		for s.selPos < len(s.sel) {
-			pos := s.sel[s.selPos]
-			if !s.inRow {
-				s.cur.gather(pos, s.combined[:lw])
-				for i := 0; i < j.nkeys; i++ {
-					s.keyBuf[i] = s.keyCols[i][pos]
-				}
-				s.matches = s.shared.build.lookup(s.keyBuf, j)
-				s.matchPos, s.matched, s.inRow = 0, false, true
-			}
-			for s.matchPos < len(s.matches) {
-				rightKeyed := s.matches[s.matchPos]
-				s.matchPos++
-				copy(s.combined[lw:], rightKeyed[j.nkeys:])
-				pass, err := passesResidual(s.residual, s.combined)
-				if err != nil {
-					return nil, err
-				}
-				if !pass {
-					continue
-				}
-				s.matched = true
-				s.out.appendRow(s.combined)
-				if s.out.full() {
-					return s.out, nil
-				}
-			}
-			if !s.matched && j.joinType == "LEFT" {
-				for i := lw; i < len(s.combined); i++ {
-					s.combined[i] = Null
-				}
-				s.out.appendRow(s.combined)
-			}
-			s.inRow = false
-			s.selPos++
-			if s.out.full() {
-				return s.out, nil
-			}
-		}
-		s.cur = nil
-	}
-	if s.out.n == 0 {
-		return nil, nil
-	}
-	return s.out, nil
-}
-
-func (s *probeMorselStream) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.shared.release()
-	s.child.Close()
 }
 
 type joinExec struct {

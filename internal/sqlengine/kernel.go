@@ -38,20 +38,17 @@ import (
 // Determinism contract: the kernel reproduces the interpreted engine
 // bit for bit. Group emission order, floating-point evaluation order
 // (one rounding per multiply, subtract/add, and accumulate — explicit
-// float64 conversions forbid FMA contraction), the morsel partition
-// and merge schedule of parallel_agg.go, and the HAVING comparison are
-// all replicated exactly. Emission is first-seen, with one exception:
-// a top-level stage under a proven ORDER BY of its group key
-// (sortsByGroupKey) whose run is serial and dense emits in ascending
-// key order, which its sort then finds already satisfied (sort.go) —
-// the sorted result is the same, since group keys are unique. Anything
-// the matcher cannot prove falls back to the batch executor untouched;
-// kernelCounters records why.
-
-// aggPartitionsKernel mirrors parallel_agg.go's partition fanout: the
-// kernel's parallel mode must merge per-morsel partials through the
-// same partition-major schedule to emit groups in the same order.
-const aggPartitionsKernel = aggPartitions
+// float64 conversions forbid FMA contraction), the accumulation order
+// and the HAVING comparison are all replicated exactly. Both run on the
+// statement's goroutine and add every state row, in row order, into one
+// accumulator — the order of the interpreter's streaming aggregation —
+// so no result depends on the machine's core count. Emission is
+// first-seen, with one exception: a top-level stage under a proven
+// ORDER BY of its group key (sortsByGroupKey) whose run is dense emits
+// in ascending key order, which its sort then finds already satisfied
+// (sort.go) — the sorted result is the same, since group keys are
+// unique. Anything the matcher cannot prove falls back to the batch
+// executor untouched; kernelCounters records why.
 
 // kernelCounterSet is one scope of kernel-tier counters. Two scopes
 // exist: the process-wide aggregate (kernelCounters, what /metrics and
@@ -160,8 +157,8 @@ func ResetKernelCounters() {
 // re-binds them to the current table vectors — so a sweep that re-plans
 // the same structural query with different gate numerics compiles once
 // and rebinds thereafter. No engine setting enters a program: encodings
-// and the worker count are read from the bound stores and the execution
-// context at run time, so one cache serves engines of any configuration. Every
+// are read from the bound stores at run time, so one cache serves
+// engines of any configuration. Every
 // engine opened without Config.KernelCache shares ProcessKernelCache.
 type KernelCache struct {
 	lru *lruCache[*kernelProg]

@@ -34,13 +34,11 @@ import (
 // the rows, in exactly the order, that the stage's materialized store
 // would hold — the kernel's emission order with the pruning HAVING
 // applied at emission (kEmitter.add's schedule verbatim). Each stage
-// then runs the same serial-or-morsel accumulation schedule the
-// single-stage kernel would have chosen for a store of that row count
-// (the buffers never spill, so ColStore.morselCount reduces to the same
-// ceil(rows / morselRows) geometry). Amplitudes are therefore
-// bit-identical to unbounded stage-at-a-time execution at every worker
-// count, encoding, and budget that lets the chain run; the
-// differential matrix in kernel_chain_test.go asserts it.
+// then runs the same accumulation the single-stage kernel runs over a
+// store holding those rows. Amplitudes are therefore bit-identical to
+// unbounded stage-at-a-time execution at every encoding and budget
+// that lets the chain run; the differential matrix in
+// kernel_chain_test.go asserts it.
 
 // chainStage is one compiled-and-gate-bound stage of a fused chain.
 type chainStage struct {
@@ -58,8 +56,8 @@ type chainStage struct {
 // buffer. A top-level gate stage runs as a chain of one.
 type chainPlan struct {
 	stages []*chainStage
-	// keyOrder makes the last stage emit in key order when it runs
-	// serial and dense (kEmitter); set only for a top-level stage under
+	// keyOrder makes the last stage emit in key order when its run is
+	// dense (kEmitter); set only for a top-level stage under
 	// ORDER BY its group key (kernelAttempt).
 	keyOrder bool
 }
@@ -335,11 +333,7 @@ func bindChainInput(st *chainStage, in *chainBuf) *boundGate {
 	bk.s0a, bk.s0b = pick(prog.s0a), pick(prog.s0b)
 	bk.s1a, bk.s1b = pick(prog.s1a), pick(prog.s1b)
 	bk.buckets = st.buckets
-	// The same mode the single-stage kernel would choose for a
-	// materialized store of this row count (the fused path never
-	// spills, so morselCount reduces to the plain geometry).
-	bk.morsel = (bk.rows+morselRows-1)/morselRows >= minParallelMorsels
-	if !bk.morsel && prog.gOutFn != nil && in.any && in.minKey >= 0 {
+	if prog.gOutFn != nil && in.any && in.minKey >= 0 {
 		// The buffer tracks its own exact key range, standing in for
 		// the statistics a materialized store would carry.
 		bk.denseHi = gateDenseBound(pow2mask(in.maxKey), prog, st.gOut)
@@ -356,7 +350,7 @@ var errChainBudget = errors.New("sqlengine: fused chain working set refused by t
 // kernelRun records one kernel execution on the execCtx — a fused chain
 // (chainExec) or a single gate stage (kexec): its start and wall time,
 // the stages it covered, the rows into the first stage and out of the
-// last, the first stage's morsel count, and whether every program came
+// last, and whether every program came
 // from the kernel cache. EXPLAIN ANALYZE and span attachment read it.
 type kernelRun struct {
 	start    time.Time
@@ -364,7 +358,6 @@ type kernelRun struct {
 	stages   int64
 	rowsIn   int64
 	rowsOut  int64
-	morsels  int64
 	cacheHit bool
 }
 
@@ -380,8 +373,7 @@ type kernelRun struct {
 //
 // Under a bounded budget every stage first reserves the growth of the
 // accumulator and buffers its run will allocate (the last stage also
-// its emitter batch); a refusal — or a stage in morsel mode, whose
-// partial tables are not bounded — returns errChainBudget before the
+// its emitter batch); a refusal returns errChainBudget before the
 // output store exists. The reservation is released when the run ends.
 func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bool) (*kernelRun, *ColStore, error) {
 	var (
@@ -393,10 +385,9 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bo
 	defer res.release()
 	bounded := res.budget.Limit() > 0
 	run := &kernelRun{
-		start:   time.Now(),
-		stages:  int64(len(plan.stages)),
-		rowsIn:  int64(bound0.rows),
-		morsels: int64((bound0.rows + morselRows - 1) / morselRows),
+		start:  time.Now(),
+		stages: int64(len(plan.stages)),
+		rowsIn: int64(bound0.rows),
 	}
 	last := len(plan.stages) - 1
 	for i, st := range plan.stages {

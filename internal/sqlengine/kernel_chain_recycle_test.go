@@ -82,12 +82,11 @@ func setupPairedState(t *testing.T, db *DB, n int) {
 func TestChainRecyclingBitIdentity(t *testing.T) {
 	// Stage 3 is an exact Hadamard on qubit 0 under HAVING: it prunes
 	// the odd half and the smallest amplitudes (64 rows become 27,
-	// 16384 become 6729). With 64 rows every stage is serial: stage 4 (qubit
-	// 12) grows the dense key range from 2^6 to 2^13, stage 6 (qubit 16)
-	// spreads too few rows over too wide a range and turns hashed, and
-	// stage 7 (qubit 23) pushes keys past denseCap. With 16384 rows the
-	// first three stages run morsel-parallel, stages 4-6 serial (dense,
-	// then hashed at qubit 16), the rest morsel-parallel again.
+	// 16384 become 6729). With 64 rows, stage 4 (qubit 12) grows the
+	// dense key range from 2^6 to 2^13, stage 6 (qubit 16) spreads too
+	// few rows over too wide a range and turns hashed, and stage 7
+	// (qubit 23) pushes keys past denseCap. With 16384 rows the states
+	// span several cancellation strides (morselRows).
 	qubits := []int{1, 3, 0, 12, 2, 16, 23, 1, 0, 4}
 	gates := []string{"h", "h", "hd", "h", "h", "h", "h", "h", "h", "h"}
 	having := []bool{false, false, true, false, false, false, false, false, false, false}
@@ -97,7 +96,7 @@ func TestChainRecyclingBitIdentity(t *testing.T) {
 	for _, n := range []int{64, 16384} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			// Stage-at-a-time reference: one CREATE TABLE AS per stage.
-			ref := newOptDB(t, Config{Parallelism: 2})
+			ref := newOptDB(t, Config{})
 			setupPairedState(t, ref, n)
 			src := "t0"
 			for k, qubit := range qubits {
@@ -107,7 +106,7 @@ func TestChainRecyclingBitIdentity(t *testing.T) {
 			}
 			unfused := rowsBits(queryAll(t, ref, "SELECT s, r, i FROM "+src))
 
-			db := newOptDB(t, Config{Parallelism: 2})
+			db := newOptDB(t, Config{})
 			setupPairedState(t, db, n)
 			rows := queryAll(t, db, q)
 			if kc := db.KernelCounters(); kc["chain_stages"] != int64(len(qubits)-1) {
@@ -129,7 +128,7 @@ func TestChainRecyclingBitIdentity(t *testing.T) {
 // happen before the measurement.
 func chainRunBytes(t *testing.T, stages int) (uint64, int) {
 	t.Helper()
-	db := newOptDB(t, Config{Parallelism: 1})
+	db := newOptDB(t, Config{})
 	setupGateStage(t, db, 4096)
 	qubits := make([]int, stages)
 	gates := make([]string, stages)

@@ -77,13 +77,13 @@ func stageAtATime(t *testing.T, db *DB, stages int, having bool) string {
 // K, the chain counters cover K-1.
 func TestChainFusionEngages(t *testing.T) {
 	const stages = 4
-	for _, n := range []int{300, 20000} { // serial vs morsel-parallel interior stages
+	for _, n := range []int{300, 20000} { // within one cancellation stride, and three
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			ref := newOptDB(t, Config{Parallelism: 4})
+			ref := newOptDB(t, Config{})
 			setupGateStage(t, ref, n)
 			want := rowsBits(queryAll(t, ref, stageAtATime(t, ref, stages, false)))
 
-			db := newOptDB(t, Config{Parallelism: 4})
+			db := newOptDB(t, Config{})
 			setupGateStage(t, db, n)
 			rows := queryAll(t, db, chainQuery(stages, false))
 			if len(rows) == 0 {
@@ -110,51 +110,49 @@ func TestChainFusionEngages(t *testing.T) {
 }
 
 // TestChainFusionDifferentialMatrix is the S3 bit-identity gate: the
-// fused chain against stage-at-a-time execution, crossed with worker
-// count and HAVING pruning, run from a context with and without a
+// fused chain against stage-at-a-time execution, crossed with state
+// size and HAVING pruning, run from a context with and without a
 // sampled trace span. Every cell must be bitwise identical to its
 // stage-at-a-time twin, including row order. The cell names keep the
-// "columnar" and "enc=on" labels: every cell runs the columnar store
-// with its sparse encoding.
+// "columnar", "w=1" and "enc=on" labels: every cell runs the columnar
+// store with its sparse encoding on one goroutine.
 func TestChainFusionDifferentialMatrix(t *testing.T) {
 	const stages = 3
 	for _, n := range []int{300, 20000} {
-		for _, workers := range []int{1, 4} {
-			for _, having := range []bool{false, true} {
-				name := fmt.Sprintf("n=%d/columnar/w=%d/enc=on/having=%v", n, workers, having)
-				t.Run(name, func(t *testing.T) {
-					ref := newOptDB(t, Config{Parallelism: workers})
-					setupGateStage(t, ref, n)
-					want := rowsBits(queryAll(t, ref, stageAtATime(t, ref, stages, having)))
-					for _, traced := range []bool{false, true} {
-						db := newOptDB(t, Config{Parallelism: workers})
-						setupGateStage(t, db, n)
-						ctx := context.Background()
-						tr := obs.NewTrace("chain", obs.SampleDefault)
-						if traced {
-							ctx = obs.WithSpan(ctx, tr.Root())
-						}
-						rs, err := db.QueryContext(ctx, chainQuery(stages, having))
-						if err != nil {
-							t.Fatal(err)
-						}
-						rows, err := rs.All()
-						rs.Close()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if kc := db.KernelCounters(); kc["chain_executions"] != 1 {
-							t.Fatalf("traced=%v: chain fusion did not engage (counters: %v)", traced, kc)
-						}
-						if traced != (len(tr.Snapshot().Children) > 0) {
-							t.Fatalf("traced=%v: trace shape %s", traced, tr.Snapshot().Shape())
-						}
-						if rowsBits(rows) != want {
-							t.Fatalf("traced=%v: fused chain is not bit-identical to stage-at-a-time execution", traced)
-						}
+		for _, having := range []bool{false, true} {
+			name := fmt.Sprintf("n=%d/columnar/w=1/enc=on/having=%v", n, having)
+			t.Run(name, func(t *testing.T) {
+				ref := newOptDB(t, Config{})
+				setupGateStage(t, ref, n)
+				want := rowsBits(queryAll(t, ref, stageAtATime(t, ref, stages, having)))
+				for _, traced := range []bool{false, true} {
+					db := newOptDB(t, Config{})
+					setupGateStage(t, db, n)
+					ctx := context.Background()
+					tr := obs.NewTrace("chain", obs.SampleDefault)
+					if traced {
+						ctx = obs.WithSpan(ctx, tr.Root())
 					}
-				})
-			}
+					rs, err := db.QueryContext(ctx, chainQuery(stages, having))
+					if err != nil {
+						t.Fatal(err)
+					}
+					rows, err := rs.All()
+					rs.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if kc := db.KernelCounters(); kc["chain_executions"] != 1 {
+						t.Fatalf("traced=%v: chain fusion did not engage (counters: %v)", traced, kc)
+					}
+					if traced != (len(tr.Snapshot().Children) > 0) {
+						t.Fatalf("traced=%v: trace shape %s", traced, tr.Snapshot().Shape())
+					}
+					if rowsBits(rows) != want {
+						t.Fatalf("traced=%v: fused chain is not bit-identical to stage-at-a-time execution", traced)
+					}
+				}
+			})
 		}
 	}
 }
@@ -174,7 +172,7 @@ func TestChainFusionBudgetDecline(t *testing.T) {
 	// groups in another order. Every group of this gate sums exactly two
 	// terms onto 0.0, so only the row order can change: ORDER BY pins it.
 	q := chainQuery(stages, false) + " ORDER BY s"
-	unbounded := newOptDB(t, Config{Parallelism: 4})
+	unbounded := newOptDB(t, Config{})
 	setupGateStage(t, unbounded, n)
 	want := rowsBits(queryAll(t, unbounded, q))
 	for _, tc := range []struct {
@@ -186,10 +184,10 @@ func TestChainFusionBudgetDecline(t *testing.T) {
 		{"reserved", 256 << 10, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, _ := budgetedGateStageDB(t, Config{Parallelism: 4}, n, tc.slack)
+			ref, _ := budgetedGateStageDB(t, Config{}, n, tc.slack)
 			unfused := rowsBits(queryAll(t, ref, stageAtATime(t, ref, stages, false)+" ORDER BY s"))
 
-			db, budget := budgetedGateStageDB(t, Config{Parallelism: 4}, n, tc.slack)
+			db, budget := budgetedGateStageDB(t, Config{}, n, tc.slack)
 			setup := budget.Used()
 			got := rowsBits(queryAll(t, db, q))
 			if used := budget.Used(); used != setup {
@@ -226,7 +224,7 @@ func TestChainFusionElidesIntermediates(t *testing.T) {
 	const stages, n = 6, 20000
 	peak := func(fused bool) int64 {
 		budget := NewMemBudget(0) // unlimited, but still tracks the high-water mark
-		db := newOptDB(t, Config{Parallelism: 4, Budget: budget})
+		db := newOptDB(t, Config{Budget: budget})
 		setupGateStage(t, db, n)
 		base := budget.Peak() // t0 + gate table
 		if !fused {
@@ -263,10 +261,10 @@ func TestChainFusionSharedCTEUnfused(t *testing.T) {
 ` + chainStageBody("c1", false) + `
 )
 SELECT` + join
-	ref := newOptDB(t, Config{Parallelism: 4})
+	ref := newOptDB(t, Config{})
 	setupGateStage(t, ref, n)
 	stageAtATime(t, ref, 2, false)
-	db := newOptDB(t, Config{Parallelism: 4})
+	db := newOptDB(t, Config{})
 	setupGateStage(t, db, n)
 	if rowsBits(queryAll(t, db, q)) != rowsBits(queryAll(t, ref, "SELECT"+join)) {
 		t.Fatal("shared-CTE plan differs from stage-at-a-time execution")
@@ -277,7 +275,7 @@ SELECT` + join
 // tier would run, and EXPLAIN ANALYZE reports the fused execution's
 // actual stage and row counts.
 func TestChainExplainAnnotation(t *testing.T) {
-	db := newOptDB(t, Config{Parallelism: 2})
+	db := newOptDB(t, Config{})
 	setupGateStage(t, db, 1000)
 	q := chainQuery(4, false) // normalizes to a 3-stage chain + top-level kernel
 
@@ -314,7 +312,7 @@ func TestChainExplainAnnotation(t *testing.T) {
 // query shapes (norm, qubit probability, marginal distribution) with
 // kernels on and off: results must match bit for bit, and no kernel
 // takes them — the interpreter runs them under both settings, from the
-// empty table through the serial and the morsel aggregation paths.
+// empty table to one spanning three cancellation strides.
 func TestOutputKernelBitIdentity(t *testing.T) {
 	queries := []struct {
 		name string
@@ -326,12 +324,12 @@ func TestOutputKernelBitIdentity(t *testing.T) {
 		{"marginal", "SELECT ((((t0.s >> 1) & 1) << 1) | ((t0.s >> 3) & 1)) AS m, SUM((t0.r * t0.r) + (t0.i * t0.i)) AS p FROM t0 GROUP BY ((((t0.s >> 1) & 1) << 1) | ((t0.s >> 3) & 1)) ORDER BY m"},
 		{"marginal_noorder", "SELECT (t0.s & 3) AS m, SUM((t0.r * t0.r) + (t0.i * t0.i)) AS p FROM t0 GROUP BY (t0.s & 3)"},
 	}
-	for _, n := range []int{0, 300, 20000} { // empty (COALESCE default), serial, morsel
+	for _, n := range []int{0, 300, 20000} { // empty (COALESCE default), small, large
 		for _, q := range queries {
 			t.Run(fmt.Sprintf("n=%d/%s", n, q.name), func(t *testing.T) {
 				var digests [2]string
 				for i, kernels := range []bool{false, true} {
-					db := withKernels(newOptDB(t, Config{Parallelism: 4}), kernels)
+					db := withKernels(newOptDB(t, Config{}), kernels)
 					setupGateStage(t, db, n)
 					rows := queryAll(t, db, q.sql)
 					var b strings.Builder
@@ -362,7 +360,7 @@ func TestOutputKernelBitIdentity(t *testing.T) {
 // interpreter runs the output-layer queries — a kernel fallback with
 // kernels on, "kernel: off" with kernels off.
 func TestOutputKernelExplainAnnotation(t *testing.T) {
-	db := newOptDB(t, Config{Parallelism: 2})
+	db := newOptDB(t, Config{})
 	setupGateStage(t, db, 1000)
 
 	cases := []struct {
@@ -388,7 +386,7 @@ func TestOutputKernelExplainAnnotation(t *testing.T) {
 		})
 	}
 
-	off := withKernels(newOptDB(t, Config{Parallelism: 2}), false)
+	off := withKernels(newOptDB(t, Config{}), false)
 	setupGateStage(t, off, 1000)
 	plan, err := off.Explain(cases[0].sql)
 	if err != nil {
@@ -404,8 +402,8 @@ func TestOutputKernelExplainAnnotation(t *testing.T) {
 // invisible in the other's per-DB counters while the process-wide
 // aggregate still sees everything.
 func TestCounterScopePerDB(t *testing.T) {
-	active := newOptDB(t, Config{Parallelism: 2})
-	idle := newOptDB(t, Config{Parallelism: 2})
+	active := newOptDB(t, Config{})
+	idle := newOptDB(t, Config{})
 	setupGateStage(t, active, 1000)
 
 	globalBefore := KernelCounters()["executions"]

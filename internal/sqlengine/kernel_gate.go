@@ -1,10 +1,5 @@
 package sqlengine
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Execution of a compiled gate-stage kernel: bind the program to the
 // current ColStore vectors, then run one fused
 // scan⋈join⋈agg⋈project loop (see the determinism contract in
@@ -59,14 +54,9 @@ type boundGate struct {
 	s0a, s0b, s1a, s1b []float64
 	// buckets replaces the hash join.
 	buckets *kBuckets
-	// morsel selects the two-phase partitioned accumulation, mirroring
-	// the engine's own mode choice (the morsel aggregation engages
-	// whenever the state scan splits into two or more morsels,
-	// regardless of the worker count).
-	morsel bool
 	// denseHi, when >= 0, is a proven upper bound on every group key:
-	// the serial path then may use a dense array accumulator instead of
-	// a hash table (runSerial).
+	// the run then may use a dense array accumulator instead of a hash
+	// table.
 	denseHi   int64
 	groupHint int64
 	empty     bool
@@ -80,7 +70,7 @@ const denseCap = 1 << 22
 // accumulator group, one chainBuf row, one emitter batch row.
 const ampRowBytes = 24
 
-// dense reports whether runSerial accumulates through a dense position
+// dense reports whether run accumulates through a dense position
 // array. A dense array costs its whole key range; a few rows spread
 // over a wide range (GHZ: two rows, keys up to 2^n) accumulate hashed
 // instead. Either mode emits groups first-seen.
@@ -88,7 +78,7 @@ func (bk *boundGate) dense() bool {
 	return bk.denseHi >= 0 && bk.denseHi < 8*max(int64(bk.rows), 1024)
 }
 
-// groupBound is an upper bound on a serial run's group count: every
+// groupBound is an upper bound on a run's group count: every
 // input row feeds at most one group per row of its gate bucket, and a
 // dense run's keys all lie in [0, denseHi].
 func (bk *boundGate) groupBound() int64 {
@@ -113,12 +103,8 @@ func (bk *boundGate) presizeDense() {
 // becomes the group bound, so the accumulator, the stage buffers, and
 // the emitter batch are allocated once at a size their reservation
 // covers and never grow past it. Reports false for a run whose working
-// set cannot be bounded up front — a morsel-mode run (its per-morsel
-// partial tables) or one past the pre-size caps.
+// set cannot be bounded up front: one past the pre-size caps.
 func (bk *boundGate) presizeToBound() bool {
-	if bk.morsel {
-		return false
-	}
 	if bk.empty {
 		bk.groupHint = 0
 		return true
@@ -198,8 +184,7 @@ func bindGateStage(env *storageEnv, k *gateKernel) (*boundGate, string) {
 	if bk.buckets, gOut, reason = bindGateSide(env, prog, gate); reason != "" {
 		return nil, reason
 	}
-	bk.morsel = state.morselCount() >= minParallelMorsels
-	if !bk.morsel && prog.gOutFn != nil {
+	if prog.gOutFn != nil {
 		bk.denseHi = denseBound(state, prog, gOut)
 	}
 	bk.presizeDense()
@@ -268,7 +253,7 @@ func pow2mask(x int64) int64 {
 // kAcc is the kernel's group accumulator: group keys and the two sums
 // in first-seen order (the engine's emission order), indexed either
 // densely by key or through an open-addressed int64 hash. One kAcc is
-// recycled across runs (a fused chain's stages, a worker's morsels):
+// recycled across runs (a fused chain's stages):
 // reset clears only what the previous run touched and keeps every
 // array's capacity.
 type kAcc struct {
@@ -330,7 +315,7 @@ func hashSlots(hint int64) int {
 	return n
 }
 
-// footprint is the accumulator's size once bk's serial run has reset
+// footprint is the accumulator's size once bk's run has reset
 // it (an empty run leaves it untouched): both position arrays — the
 // idle one keeps its allocation — and the group vectors.
 func (a *kAcc) footprint(bk *boundGate) int64 {
@@ -346,22 +331,10 @@ func (a *kAcc) footprint(bk *boundGate) int64 {
 	return 4*(dpos+hpos) + ampRowBytes*groups
 }
 
-// slot returns the group index for a key, appending a fresh zeroed
-// group on first sight. Accumulation always starts from 0.0: sumAgg
-// seeds its float accumulator with float64(0) before the first add, in
-// both the streaming and the merge phase.
-func (a *kAcc) slot(key int64) int {
-	if a.dense {
-		if p := a.dpos[key]; p != 0 {
-			return int(p) - 1
-		}
-		idx := a.newGroup(key)
-		a.dpos[key] = int32(idx + 1)
-		return idx
-	}
-	return a.hashedSlot(key)
-}
-
+// hashedSlot returns the group index for a key in hashed mode,
+// appending a fresh zeroed group on first sight. Accumulation always
+// starts from 0.0: sumAgg seeds its float accumulator with float64(0)
+// before the first add.
 func (a *kAcc) hashedSlot(key int64) int {
 	if uint64(len(a.keys))*4 >= uint64(len(a.hpos))*3 {
 		a.grow()
@@ -432,7 +405,7 @@ func (bk *boundGate) scanRange(lo, hi int, acc *kAcc) {
 		a0, b0, a1, b1 := bk.s0a[row], bk.s0b[row], bk.s1a[row], bk.s1b[row]
 		for bi := range bucket {
 			g := &bucket[bi]
-			// acc.slot, with the dense lookup inlined.
+			// The group's slot: the dense lookup inline, else hashed.
 			key := prog.groupKey(s, g)
 			var idx int
 			switch {
@@ -462,9 +435,9 @@ func madd(sum, a, b, c, d float64, sub bool) float64 {
 
 // runGateKernel executes a bound kernel and materializes its output
 // store (the exact rows the interpreted core would have produced). A
-// serial run accumulates into acc (reset first), so a caller running
+// run accumulates into acc (reset first), so a caller running
 // several kernels back to back can recycle one accumulator. keyOrder
-// emits a dense serial run's groups in ascending key order instead of
+// emits a dense run's groups in ascending key order instead of
 // first-seen (see kEmitter).
 func runGateKernel(ctx *execCtx, k *gateKernel, bk *boundGate, collect, keyOrder bool, acc *kAcc) (*ColStore, error) {
 	out := ctx.env.newStore()
@@ -500,156 +473,25 @@ type kSink interface {
 	emit(a *kAcc) error
 }
 
-// run executes the bound kernel into em in the mode bindGateStage (or
-// bindChainInput) chose; acc is the serial mode's recycled accumulator.
-func (bk *boundGate) run(ctx *execCtx, em kSink, acc *kAcc) error {
-	switch {
-	case bk.empty:
-		return nil
-	case bk.morsel:
-		return bk.runMorsel(ctx, em)
-	}
-	return bk.runSerial(ctx, em, acc)
-}
+// morselRows is the fused loop's cancellation-poll stride: run
+// checks the statement context once per this many state rows.
+const morselRows = 8 * batchSize
 
-// runSerial accumulates all state rows into one accumulator (the
-// engine's single-morsel streaming aggregation) and emits its groups.
-func (bk *boundGate) runSerial(ctx *execCtx, em kSink, acc *kAcc) error {
+// run executes the bound kernel into em, accumulating into acc: every
+// state row in order, into one accumulator — the order the engine's
+// streaming aggregation adds the same rows — then emits its groups.
+func (bk *boundGate) run(ctx *execCtx, em kSink, acc *kAcc) error {
+	if bk.empty {
+		return nil
+	}
 	acc.reset(bk.dense(), bk.denseHi, bk.groupHint)
 	for lo := 0; lo < bk.rows; lo += morselRows {
 		if err := ctx.cancelled(); err != nil {
 			return err
 		}
-		hi := lo + morselRows
-		if hi > bk.rows {
-			hi = bk.rows
-		}
-		bk.scanRange(lo, hi, acc)
+		bk.scanRange(lo, min(lo+morselRows, bk.rows), acc)
 	}
 	return em.emit(acc)
-}
-
-// kPartial is one morsel's partial sum for one group.
-type kPartial struct {
-	key  int64
-	r, i float64
-}
-
-// runMorsel is the deterministic two-phase parallel accumulation,
-// replicating parallel_agg.go's schedule bit for bit: phase 1
-// accumulates each morsel independently and distributes its groups
-// into aggPartitions hash partitions preserving first-seen order;
-// phase 2 merges every partition across morsels in ascending morsel
-// order, re-accumulating partials from a fresh 0.0; emission is
-// partition-major. The schedule depends only on the data and the fixed
-// morsel geometry — never on the worker count.
-func (bk *boundGate) runMorsel(ctx *execCtx, em kSink) error {
-	nm := (bk.rows + morselRows - 1) / morselRows
-	parts := make([][aggPartitionsKernel][]kPartial, nm)
-	workers := ctx.workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > nm {
-		workers = nm
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		abort    atomic.Bool
-		next     atomic.Int64
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		abort.Store(true)
-	}
-	hint := bk.groupHint
-	if hint > morselRows {
-		hint = morselRows
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var acc kAcc // recycled across this worker's morsels
-			for !abort.Load() {
-				m := int(next.Add(1)) - 1
-				if m >= nm {
-					return
-				}
-				if err := ctx.cancelled(); err != nil {
-					fail(err)
-					return
-				}
-				acc.reset(false, -1, hint)
-				lo := m * morselRows
-				hi := lo + morselRows
-				if hi > bk.rows {
-					hi = bk.rows
-				}
-				bk.scanRange(lo, hi, &acc)
-				for idx, key := range acc.keys {
-					p := hashPartitionInt(key, 0, aggPartitionsKernel)
-					parts[m][p] = append(parts[m][p], kPartial{key: key, r: acc.r[idx], i: acc.i[idx]})
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	merged := make([]*kAcc, aggPartitionsKernel)
-	var pnext atomic.Int64
-	pworkers := ctx.workers
-	if pworkers < 1 {
-		pworkers = 1
-	}
-	if pworkers > aggPartitionsKernel {
-		pworkers = aggPartitionsKernel
-	}
-	phint := bk.groupHint / aggPartitionsKernel
-	for w := 0; w < pworkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !abort.Load() {
-				p := int(pnext.Add(1)) - 1
-				if p >= aggPartitionsKernel {
-					return
-				}
-				if err := ctx.cancelled(); err != nil {
-					fail(err)
-					return
-				}
-				acc := &kAcc{}
-				acc.reset(false, -1, phint)
-				for m := 0; m < nm; m++ {
-					for _, pt := range parts[m][p] {
-						idx := acc.slot(pt.key)
-						acc.r[idx] += pt.r
-						acc.i[idx] += pt.i
-					}
-				}
-				merged[p] = acc
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	for p := 0; p < aggPartitionsKernel; p++ {
-		if err := em.emit(merged[p]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // pruned is the pruning HAVING exactly as the interpreted filter

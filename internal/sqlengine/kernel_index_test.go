@@ -257,7 +257,7 @@ FROM t0 JOIN g ON g.in_s = ` + tc.probe + `
 GROUP BY ((t0.s & ~1) | g.out_s)`
 			var digests [2]string
 			for i, kernels := range []bool{false, true} {
-				db := withKernels(newOptDB(t, Config{Parallelism: 1}), kernels)
+				db := withKernels(newOptDB(t, Config{}), kernels)
 				mustExec(t, db, "CREATE TABLE t0 (s INTEGER, r REAL, i REAL)")
 				mustExec(t, db, "INSERT INTO t0 VALUES "+strings.Join(kernelStateRows(4096), ","))
 				mustExec(t, db, "CREATE TABLE g (in_s INTEGER, out_s INTEGER, r REAL, i REAL)")

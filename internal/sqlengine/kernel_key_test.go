@@ -231,7 +231,7 @@ func TestGateStageKeyMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					cache := NewKernelCache(0)
-					db := newOptDB(t, Config{Parallelism: 1, KernelCache: cache})
+					db := newOptDB(t, Config{KernelCache: cache})
 					ref := map[string]bool{}
 					var stages, bottoms int
 					check := func(sel *SelectStmt) {
@@ -300,7 +300,7 @@ func TestGateStageKeyLookupAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db := newOptDB(t, Config{Parallelism: 1})
+		db := newOptDB(t, Config{})
 		for _, s := range tr.Setup {
 			mustExec(t, db, s)
 		}

@@ -86,40 +86,38 @@ func rowsBits(rows []Row) string {
 }
 
 // TestKernelDifferentialMatrix is the bit-identity gate: kernel on vs
-// off across worker counts, both engine aggregation modes (serial under
-// 8192 state rows, morsel parallel above), and HAVING pruning on/off.
-// Every cell must agree with its kernels-off twin bit for bit,
-// including row order. The cell names keep the "columnar" and "opt=on"
-// labels: every cell runs the columnar store with the optimizer.
+// off over a state within one cancellation stride and one spanning
+// three (morselRows), and HAVING pruning on/off. Every cell must agree
+// with its kernels-off twin bit for bit, including row order. The cell
+// names keep the "columnar", "w=1" and "opt=on" labels: every cell
+// runs the columnar store on one goroutine with the optimizer.
 func TestKernelDifferentialMatrix(t *testing.T) {
-	for _, n := range []int{300, 20000} { // serial vs morsel-parallel agg
-		for _, workers := range []int{1, 4} {
-			for _, having := range []bool{false, true} {
-				name := fmt.Sprintf("n=%d/columnar/w=%d/opt=on/having=%v", n, workers, having)
-				t.Run(name, func(t *testing.T) {
-					var digests [2]string
-					for i, kernels := range []bool{false, true} {
-						db := withKernels(newOptDB(t, Config{Parallelism: workers}), kernels)
-						setupGateStage(t, db, n)
-						before := KernelCounters()["executions"]
-						rows := queryAll(t, db, gateStageQuery(having))
-						if want := 2 * ((n + 1) / 2); !having && len(rows) != want {
-							t.Fatalf("got %d rows, want %d", len(rows), want)
-						}
-						ran := KernelCounters()["executions"] - before
-						if kernels && ran == 0 {
-							t.Fatal("kernel did not execute on the columnar fast path")
-						}
-						if !kernels && ran != 0 {
-							t.Fatal("kernel executed with kernels off")
-						}
-						digests[i] = rowsBits(rows)
+	for _, n := range []int{300, 20000} {
+		for _, having := range []bool{false, true} {
+			name := fmt.Sprintf("n=%d/columnar/w=1/opt=on/having=%v", n, having)
+			t.Run(name, func(t *testing.T) {
+				var digests [2]string
+				for i, kernels := range []bool{false, true} {
+					db := withKernels(newOptDB(t, Config{}), kernels)
+					setupGateStage(t, db, n)
+					before := KernelCounters()["executions"]
+					rows := queryAll(t, db, gateStageQuery(having))
+					if want := 2 * ((n + 1) / 2); !having && len(rows) != want {
+						t.Fatalf("got %d rows, want %d", len(rows), want)
 					}
-					if digests[0] != digests[1] {
-						t.Fatal("kernel output is not bit-identical to the interpreted engine")
+					ran := KernelCounters()["executions"] - before
+					if kernels && ran == 0 {
+						t.Fatal("kernel did not execute on the columnar fast path")
 					}
-				})
-			}
+					if !kernels && ran != 0 {
+						t.Fatal("kernel executed with kernels off")
+					}
+					digests[i] = rowsBits(rows)
+				}
+				if digests[0] != digests[1] {
+					t.Fatal("kernel output is not bit-identical to the interpreted engine")
+				}
+			})
 		}
 	}
 }
@@ -127,8 +125,8 @@ func TestKernelDifferentialMatrix(t *testing.T) {
 // TestKernelWholeCircuitBitIdentical asserts the kernel tier's
 // invariant over whole translated circuits: each program (the fused
 // statement list the SQL backend runs, then its final query) yields
-// bitwise-identical amplitudes with the kernel hook on and off, at one
-// and at four workers, in both translation modes.
+// bitwise-identical amplitudes with the kernel hook on and off, in
+// both translation modes.
 func TestKernelWholeCircuitBitIdentical(t *testing.T) {
 	for _, wl := range []struct {
 		name string
@@ -137,25 +135,24 @@ func TestKernelWholeCircuitBitIdentical(t *testing.T) {
 	}{
 		{"ghz", circuits.GHZ(12), core.SingleQuery},
 		{"qft", circuits.QFT(7), core.SingleQuery},
-		// 2^15 nonzero amplitudes: spans several morsels, so the
-		// parallel runs exercise the kernel's two-phase morsel path.
+		// 2^15 nonzero amplitudes, and a dense 2^14-row QFT: states
+		// spanning several cancellation strides (morselRows).
 		{"parity", circuits.ParitySuperposition(15), core.SingleQuery},
+		{"qft14", circuits.QFT(14), core.SingleQuery},
 		{"qft-chain", circuits.QFT(6), core.MaterializedChain},
 	} {
 		t.Run(wl.name, func(t *testing.T) {
 			p := translateProgram(t, wl.c, wl.mode, true)
 			var ref string
 			for _, kernels := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					got, _, err := p.run(Config{Parallelism: workers}, kernels)
-					if err != nil {
-						t.Fatalf("kernels=%v workers=%d: %v", kernels, workers, err)
-					}
-					if ref == "" {
-						ref = got
-					} else if got != ref {
-						t.Fatalf("kernels=%v workers=%d: amplitudes differ from the interpreter at one worker", kernels, workers)
-					}
+				got, _, err := p.run(Config{}, kernels)
+				if err != nil {
+					t.Fatalf("kernels=%v: %v", kernels, err)
+				}
+				if ref == "" {
+					ref = got
+				} else if got != ref {
+					t.Fatal("amplitudes with kernels differ from the interpreter")
 				}
 			}
 		})
@@ -169,7 +166,7 @@ func TestKernelPreservesEmissionOrder(t *testing.T) {
 	for _, n := range []int{1000, 20000} {
 		var digests [2]string
 		for i, kernels := range []bool{false, true} {
-			db := withKernels(newOptDB(t, Config{Parallelism: 4}), kernels)
+			db := withKernels(newOptDB(t, Config{}), kernels)
 			setupGateStage(t, db, n)
 			digests[i] = rowsBits(queryAll(t, db, gateStageQuery(false)))
 		}
@@ -182,7 +179,7 @@ func TestKernelPreservesEmissionOrder(t *testing.T) {
 // TestKernelExplainAnnotation: a matching plan is annotated in EXPLAIN
 // at both the header and the fused core node.
 func TestKernelExplainAnnotation(t *testing.T) {
-	db := newOptDB(t, Config{Parallelism: 1})
+	db := newOptDB(t, Config{})
 	setupGateStage(t, db, 64)
 	plan, err := db.Explain(gateStageQuery(true))
 	if err != nil {
@@ -203,7 +200,7 @@ func TestKernelCacheReuse(t *testing.T) {
 	shared := NewKernelCache(8)
 	ResetKernelCounters()
 	for run := 0; run < 2; run++ {
-		db := newOptDB(t, Config{Parallelism: 1, KernelCache: shared})
+		db := newOptDB(t, Config{KernelCache: shared})
 		setupGateStage(t, db, 64)
 		for i := 0; i < 3; i++ {
 			queryAll(t, db, gateStageQuery(false))
@@ -331,7 +328,7 @@ GROUP BY ((t0.s & ~1) | h.out_s)`,
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			db := withKernels(newOptDB(t, Config{Parallelism: 1}), !tc.off)
+			db := withKernels(newOptDB(t, Config{}), !tc.off)
 			setupGateStage(t, db, 64)
 			plan, err := db.Explain(tc.query)
 			if err != nil {
@@ -360,7 +357,7 @@ GROUP BY ((t0.s & ~1) | h.out_s)`,
 func TestKernelFallbackColumnTypes(t *testing.T) {
 	var digests [2]string
 	for i, kernels := range []bool{false, true} {
-		db := withKernels(newOptDB(t, Config{Parallelism: 1}), kernels)
+		db := withKernels(newOptDB(t, Config{}), kernels)
 		setupGateStage(t, db, 64)
 		mustExec(t, db, "INSERT INTO t0 VALUES (64, NULL, 0.5)")
 		before := KernelCounters()["fallback_"+kfColumnTypes]
@@ -413,7 +410,7 @@ func TestKernelFallbackBudget(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var digests [2]string
 			for i, kernels := range []bool{false, true} {
-				db, budget := budgetedGateStageDB(t, Config{Parallelism: 1}, n, tc.slack)
+				db, budget := budgetedGateStageDB(t, Config{}, n, tc.slack)
 				withKernels(db, kernels)
 				setup := budget.Used()
 				before := db.KernelCounters()
@@ -459,9 +456,9 @@ func TestKernelFallbackBudget(t *testing.T) {
 // TestKernelExplainAnalyze: EXPLAIN ANALYZE no longer declines the
 // kernel — the matcher walks through the instrumentation wrappers, the
 // fused loop runs, and the header reports the kernel's own stats
-// (rows in/out, morsels, wall time) instead of silently falling back.
+// (rows in/out, wall time) instead of silently falling back.
 func TestKernelExplainAnalyze(t *testing.T) {
-	db := newOptDB(t, Config{Parallelism: 1})
+	db := newOptDB(t, Config{})
 	setupGateStage(t, db, 64)
 	before := KernelCounters()["executions"]
 	plan, err := db.ExplainAnalyze(context.Background(), gateStageQuery(false))
@@ -486,7 +483,7 @@ func TestKernelExplainAnalyze(t *testing.T) {
 // same statistics collector as the interpreted path, so CTAS over a
 // gate stage yields fresh stats without ANALYZE.
 func TestKernelCTASCollectsStats(t *testing.T) {
-	db := newOptDB(t, Config{Parallelism: 1})
+	db := newOptDB(t, Config{})
 	setupGateStage(t, db, 64)
 	before := KernelCounters()["executions"]
 	mustExec(t, db, "CREATE TABLE t1 AS "+gateStageQuery(false))

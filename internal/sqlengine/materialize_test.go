@@ -35,7 +35,7 @@ func cteNodes(n planNode) []*materializeNode {
 func TestPlanningExecutesNothing(t *testing.T) {
 	const stages = 4
 	budget := NewMemBudget(0) // unlimited, but tracks every reservation
-	db := newOptDB(t, Config{Parallelism: 2, Budget: budget})
+	db := newOptDB(t, Config{Budget: budget})
 	setupGateStage(t, db, 1000)
 	stmt, _, err := ParseStatement(chainQuery(stages, false))
 	if err != nil {
@@ -112,7 +112,7 @@ func TestExplainAnalyzeShowsTheTreeThatRuns(t *testing.T) {
 			queries[tc.name] = tc.query
 		}
 	}
-	off := withKernels(goldenDB(t, Config{Parallelism: 1}), false)
+	off := withKernels(goldenDB(t, Config{}), false)
 	for name, q := range queries {
 		t.Run(name, func(t *testing.T) {
 			// Analyze first: execution freezes (and encodes) the tables,
@@ -141,7 +141,7 @@ func TestExplainAnalyzeShowsTheTreeThatRuns(t *testing.T) {
 			}
 		})
 	}
-	on := goldenDB(t, Config{Parallelism: 1})
+	on := goldenDB(t, Config{})
 	analyzed, err := on.ExplainAnalyze(context.Background(), queries["gate_chain"])
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestExplainAnalyzeShowsTheTreeThatRuns(t *testing.T) {
 func TestTraceSeparatesPlanFromExecution(t *testing.T) {
 	for _, fusion := range []string{"on", "off"} {
 		t.Run("fusion="+fusion, func(t *testing.T) {
-			db := withKernels(newOptDB(t, Config{Parallelism: 2}), fusion == "on")
+			db := withKernels(newOptDB(t, Config{}), fusion == "on")
 			setupGateStage(t, db, 1000)
 			tr := obs.NewTrace("job", obs.SampleFull)
 			rs, err := db.QueryContext(obs.WithSpan(context.Background(), tr.Root()), chainQuery(4, false))
@@ -238,7 +238,7 @@ func TestKernelDisableSpillTightBudget(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(kernels bool, slack int64) (string, int64, error) {
-				db, _ := budgetedGateStageDB(t, Config{Parallelism: 1, DisableSpill: true}, tc.n, slack)
+				db, _ := budgetedGateStageDB(t, Config{DisableSpill: true}, tc.n, slack)
 				withKernels(db, kernels)
 				rs, err := db.Query(tc.q)
 				if err != nil {

@@ -18,16 +18,14 @@ import (
 // Bit-neutrality contract. Simulated amplitudes must be bitwise
 // identical to those of the plan as written (every CTE materialized,
 // no expression folded), so every rewrite is classified by whether it can perturb floating-point accumulation
-// order. The engine's aggregation runs the morsel-parallel schedule at
-// every worker count, merging per-morsel partial sums in morsel order;
-// morsel boundaries are a pure function of the aggregation input's
-// *base store*. Therefore:
+// order. The engine's aggregation adds its input rows one at a time,
+// in arrival order, into one accumulator per group. Therefore:
 //
-//   - Always safe: constant folding (same evaluation code), pre-sizing
-//     hints, and the serial-vs-parallel gather gate (per-morsel gather
-//     order equals serial order).
-//   - Order-sensitive: CTE inlining (changes the base store the
-//     consumer's aggregation morselizes over). It applies only when no
+//   - Always safe: constant folding (same evaluation code) and
+//     pre-sizing hints.
+//   - Order-sensitive: CTE inlining (the consumer's aggregation reads
+//     the CTE's subplan instead of its materialized store, and the rule
+//     does not prove the arrival order unchanged). It applies only when no
 //     ancestor aggregation uses an accumulation-order-sensitive
 //     aggregate (SUM/TOTAL/AVG); COUNT/MIN/MAX and DISTINCT are
 //     insensitive. The translated gate queries aggregate amplitudes
@@ -121,9 +119,9 @@ func optimizeLogical(root logicalNode, defs []*cteDef, env *storageEnv) logicalN
 // --- Phase 1: CTE inlining -------------------------------------------
 
 // sensitiveAggs reports whether an aggregation's accumulation depends on
-// input order or morsel boundaries: SUM/TOTAL/AVG accumulate floats in
-// order; COUNT/MIN/MAX are associative-commutative and DISTINCT
-// (aggs == nil) preserves first-seen order regardless of boundaries.
+// input order: SUM/TOTAL/AVG accumulate floats in order; COUNT/MIN/MAX
+// are associative-commutative and DISTINCT (aggs == nil) keeps
+// first-seen order.
 func sensitiveAggs(aggs []aggCall) bool {
 	for _, a := range aggs {
 		switch a.Name {

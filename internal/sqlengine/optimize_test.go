@@ -66,10 +66,9 @@ func TestMultiUseCTEStaysMaterialized(t *testing.T) {
 	}
 }
 
-// TestCTEUnderSumNotInlined: inlining would change the base store the
-// consumer's aggregation morselizes over, perturbing float summation
-// grouping — the optimizer must keep SUM consumers on the materialized
-// path.
+// TestCTEUnderSumNotInlined: the optimizer does not prove that
+// inlining keeps the order rows reach a SUM consumer, so it must keep
+// SUM consumers on the materialized path.
 func TestCTEUnderSumNotInlined(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "CREATE TABLE t (a INTEGER, b REAL)")
@@ -150,7 +149,7 @@ func TestConstantFoldingLeavesASTUnchanged(t *testing.T) {
 	fresh, _, _ := ParseStatement(gateStageQuery(true))
 	var want string
 	for run := 0; run < 2; run++ {
-		db := newOptDB(t, Config{Parallelism: 1})
+		db := newOptDB(t, Config{})
 		setupGateStage(t, db, 64)
 		rs, err := db.runSelect(context.Background(), stmt.(*SelectStmt), nil)
 		if err != nil {

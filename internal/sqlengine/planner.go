@@ -275,7 +275,7 @@ func refresh(est *nodeEst, rows float64) float64 {
 // bind is step 3: it re-derives every node's row estimate bottom-up
 // from its inputs' current sizes and re-binds the decisions that depend
 // on them — hash-table pre-sizing and the grace pre-choice here, the
-// output-store hint and the parallel-gather gate when the node opens.
+// output-store hint when the node opens.
 // A materialized CTE reports its store's exact size, so the hints use
 // real sizes instead of the chain-compounded planning estimates, which
 // decay badly across long translated gate pipelines; an unmaterialized
@@ -418,7 +418,7 @@ type cteResult struct {
 // materializeNode is a reference to a materialized CTE. Execution runs
 // child — the definition's physical subplan — once into the store
 // shared by all of the definition's references (planner.materialize),
-// and the node then scans that store, serially or by morsels.
+// and the node then scans that store.
 type materializeNode struct {
 	name  string
 	uses  int // the definition's reference count
@@ -442,14 +442,6 @@ func (n *materializeNode) open(ctx *execCtx) (batchIter, error) {
 		return nil, fmt.Errorf("sqlengine: internal: CTE %s opened before it was materialized", n.name)
 	}
 	return sc.open(ctx)
-}
-
-func (n *materializeNode) openParallel(ctx *execCtx, workers int) ([]morselStream, bool, error) {
-	sc := n.scan()
-	if sc == nil {
-		return nil, false, nil
-	}
-	return sc.openParallel(ctx, workers)
 }
 
 // scanOf returns the store scan a kernel binds for one join input: a

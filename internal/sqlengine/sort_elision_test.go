@@ -49,7 +49,7 @@ func analyzeSort(t *testing.T, db *DB, q string) bool {
 // bit, unbudgeted and under a budget that makes a buffered sort of the
 // 1,024 result rows spill. The budget leaves the kernel room to run
 // dense: far below it the kernel declines to the interpreter, whose
-// sort runs.
+// sort runs. A 20,000-row gate stage elides its sort the same way.
 func TestSortElidedOverKeyOrderedKernel(t *testing.T) {
 	p := translateProgram(t, circuits.QFT(10), core.SingleQuery, true)
 	const budget = 160 << 10
@@ -86,6 +86,21 @@ func TestSortElidedOverKeyOrderedKernel(t *testing.T) {
 			t.Fatalf("bounded=%v: kernel rows differ from the interpreted engine", bounded)
 		}
 	}
+	// A 20,000-row gate stage spans three cancellation strides; its
+	// dense run emits in key order all the same.
+	q := gateStageQuery(false) + " ORDER BY s"
+	var digests [2]string
+	for i, kernels := range []bool{false, true} {
+		db := withKernels(newOptDB(t, Config{}), kernels)
+		setupGateStage(t, db, 20000)
+		digests[i] = rowsBits(queryAll(t, db, q))
+		if elided := analyzeSort(t, db, q); elided != kernels {
+			t.Fatalf("20000 rows, kernels=%v: sort elided = %v", kernels, elided)
+		}
+	}
+	if digests[0] != digests[1] {
+		t.Fatal("20000 rows: kernel rows differ from the interpreted engine")
+	}
 }
 
 // TestSortStillRuns: every ORDER BY the kernel does not emit in key
@@ -106,19 +121,20 @@ func TestSortStillRuns(t *testing.T) {
 		{name: "desc", prog: qft, query: strings.Replace(qft.query, "ORDER BY s", "ORDER BY s DESC", 1)},
 		{name: "non-key column", prog: qft, query: strings.Replace(qft.query, "ORDER BY s", "ORDER BY r", 1)},
 		{name: "hashed accumulator", prog: ghz, query: ghz.query},
+		// A 20,000-row stage spans three morsels (the cancel-poll
+		// stride); key order across them must not pass for DESC.
 		{name: "morsel mode", setup: func(t *testing.T, db *DB) { setupGateStage(t, db, 20000) },
-			query: gateStageQuery(false) + " ORDER BY s"},
+			query: gateStageQuery(false) + " ORDER BY s DESC"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var digests [2]string
 			for i, kernels := range []bool{false, true} {
-				cfg := Config{Parallelism: 2}
 				var db *DB
 				if tc.setup != nil {
-					db = withKernels(newOptDB(t, cfg), kernels)
+					db = withKernels(newOptDB(t, Config{}), kernels)
 					tc.setup(t, db)
 				} else {
-					db = openProgram(t, tc.prog, cfg, kernels)
+					db = openProgram(t, tc.prog, Config{}, kernels)
 				}
 				digests[i] = rowsBits(queryAll(t, db, tc.query))
 				if analyzeSort(t, db, tc.query) {

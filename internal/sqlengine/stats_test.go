@@ -130,7 +130,7 @@ func TestDistinctSketchAccuracy(t *testing.T) {
 // gate table's key distinct count (fanout), mirroring the paper's
 // T ⋈ G cardinality |T| * |G| / distinct(in_s).
 func TestStatsDriveJoinEstimate(t *testing.T) {
-	db := newOptDB(t, Config{Parallelism: 1})
+	db := newOptDB(t, Config{})
 	mustExec(t, db, "CREATE TABLE t0 (s INTEGER, r REAL, i REAL)")
 	mustExec(t, db, "CREATE TABLE h (in_s INTEGER, out_s INTEGER, r REAL, i REAL)")
 	mustExec(t, db, "INSERT INTO h VALUES (0,0,0.7,0),(0,1,0.7,0),(1,0,0.7,0),(1,1,-0.7,0)")

@@ -79,11 +79,11 @@ func TestStmtCacheASTsStayUnchanged(t *testing.T) {
 	var switches []variant
 	for _, kernels := range []bool{true, false} {
 		for _, fused := range []bool{true, false} {
-			switches = append(switches, variant{Config{Parallelism: 2}, kernels, fused})
+			switches = append(switches, variant{Config{}, kernels, fused})
 		}
 	}
 	// The spilling run: 2^10 amplitudes against a 16 KiB budget.
-	spill := []variant{{Config{Parallelism: 2, MemoryBudget: 16 << 10, SpillDir: t.TempDir()}, true, true}}
+	spill := []variant{{Config{MemoryBudget: 16 << 10, SpillDir: t.TempDir()}, true, true}}
 	runs := []struct {
 		c        *quantum.Circuit
 		variants []variant
@@ -144,7 +144,7 @@ func TestStmtCacheConcurrentPrograms(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 3 && errs[w] == nil; rep++ {
-				got[w], _, errs[w] = p.run(Config{Parallelism: 2}, true)
+				got[w], _, errs[w] = p.run(Config{}, true)
 			}
 		}()
 	}

@@ -114,8 +114,6 @@ type storageEnv struct {
 	// see kernelCounterSet and storageCounterSet).
 	kernelCtrs  *kernelCounterSet
 	storageCtrs *storageCounterSet
-	// workers is the engine's morsel-parallel worker count (>= 1).
-	workers int
 	// workingFloor is the number of bytes a blocking operator (hash
 	// join build, hash aggregation, sort buffer) may force-reserve even
 	// when the budget is exhausted by table storage. Without it, grace

@@ -9,10 +9,10 @@ import (
 // Tracing integration for statement execution. A statement whose
 // context carries an obs span is instrumented with statNode wrappers — the same wrappers EXPLAIN
 // ANALYZE uses, with a sampling stride taken from the trace so timing
-// stays off the parallel hot path — and after execution the counters
+// stays a small share of the work — and after execution the counters
 // are attached to the span tree as one child span per operator. The
 // span tree is therefore structural (shaped by the plan), never
-// per-morsel: worker counts change timings but not the tree.
+// per-batch: the data changes timings but not the tree.
 
 // spillMark snapshots the engine's cumulative spill counters so a
 // traced statement can attribute the delta to its own span. The
@@ -47,7 +47,6 @@ func (ctx *execCtx) finishStatementSpan(node planNode, rows int64, base spillMar
 		ks.SetDuration(k.wall)
 		ks.Add("rows_in", k.rowsIn)
 		ks.Add("rows_out", k.rowsOut)
-		ks.Add("morsels", k.morsels)
 		if k.cacheHit {
 			ks.Add("cache_hit", 1)
 		} else {
@@ -84,15 +83,15 @@ func attachPlanSpans(parent *obs.Span, node planNode) {
 	}
 	child := sn.child
 	sp := parent.Child(operatorSpanName(child))
-	batches := sn.batches.Load()
-	sampled := sn.sampled.Load()
-	nanos := sn.nanos.Load()
+	batches := sn.batches
+	sampled := sn.sampled
+	nanos := sn.nanos
 	est := nanos
 	if sampled > 0 && batches > sampled {
 		est = nanos * batches / sampled
 	}
 	sp.SetDuration(time.Duration(est))
-	sp.Add("rows", sn.actual.Load())
+	sp.Add("rows", sn.actual)
 	sp.Add("batches", batches)
 	sp.Add("sampled_batches", sampled)
 	sp.Add("sampled_ns", nanos)
@@ -105,7 +104,7 @@ func attachPlanSpans(parent *obs.Span, node planNode) {
 }
 
 // operatorSpanName names one operator's span. Names depend only on the
-// plan shape (never on workers or data), keeping the span tree
+// plan shape (never on the data), keeping the span tree
 // deterministic for a fixed job.
 func operatorSpanName(node planNode) string {
 	switch n := node.(type) {

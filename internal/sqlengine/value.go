@@ -7,8 +7,7 @@
 // buffer-managed storage that spills to disk — using only the Go
 // standard library.
 //
-// Execution is batch-at-a-time and morsel-parallel over natively
-// columnar table storage: operators exchange column-major batches of
+// Execution is batch-at-a-time over natively columnar table storage: operators exchange column-major batches of
 // ~1024 rows with selection vectors (see batch.go), expressions are
 // compiled to loops over batches with integer/float fast paths (see
 // evalvec.go), and tables are stored as typed column vectors — int64 /
@@ -16,16 +15,11 @@
 // INSERT … SELECT append batch-at-a-time and scans serve as column
 // slices (see colstore.go), the one storage type. A thin cursor at the
 // row edges keeps row-oriented surfaces (database/sql driver, ResultSet)
-// composing with the columnar tree. Pipelines over in-memory tables
-// split their base scan into fixed row-range morsels claimed by
-// Config.Parallelism worker goroutines (see parallel.go): filters and
-// projections run embarrassingly parallel, hash joins probe a shared
-// build table concurrently, and hash aggregation merges per-morsel
-// partial tables in morsel order (see parallel_agg.go), so results —
-// including floating-point rounding — are bitwise independent of the
-// worker count. Workers reserve from the shared
-// memory budget; under pressure a parallel operator falls back to the
-// serial spilling path, which writes columnar chunk runs to disk.
+// composing with the columnar tree. A statement runs on its caller's
+// goroutine and aggregates its rows in one order, so results —
+// including floating-point rounding — do not depend on the machine's
+// core count. Operators reserve from the shared memory budget and,
+// under pressure, spill columnar chunk runs to disk.
 //
 // The engine implements the SQL subset that RDBMS-based quantum circuit
 // simulation requires (and a bit more): CREATE/DROP TABLE, INSERT,

@@ -11,12 +11,12 @@
 //     paper): state tables T(s, r, i), gate tables G(in_s, out_s, r, i),
 //     and one join+group-by query per gate;
 //   - Backends execute circuits: the RDBMS backend (NewSQLBackend) runs
-//     the translation on an embedded relational engine — a vectorized,
-//     morsel-parallel batch executor (column-major batches of ~1024 rows
-//     with selection vectors, streaming hash join and hash aggregation,
-//     out-of-core spilling; SQLBackendOptions.Parallelism workers claim
-//     fixed row-range morsels, so gate stages use every core while
-//     amplitudes stay bit-identical across worker counts) — alongside
+//     the translation on an embedded relational engine — a vectorized
+//     batch executor (column-major batches of ~1024 rows with selection
+//     vectors, streaming hash join and hash aggregation, compiled
+//     gate-stage kernels, out-of-core spilling) that runs each query on
+//     one goroutine in one accumulation order, so amplitudes do not
+//     depend on the machine's core count — alongside
 //     state-vector, sparse, matrix-product-state, and decision-diagram
 //     simulators for comparison;
 //   - cmd/qybench regenerates the paper's experiments as tables, and
@@ -124,10 +124,6 @@ type SQLBackendOptions struct {
 	SpillDir string
 	// DisableSpill makes budget overruns fail instead of spilling.
 	DisableSpill bool
-	// Parallelism is the engine's morsel-parallel worker count (0 =
-	// GOMAXPROCS, 1 = single worker). Amplitudes are bit-identical
-	// across settings; only throughput changes.
-	Parallelism int
 	// PlanCache, when non-nil, caches circuit→SQL translations across
 	// Run calls: exact repeats skip translation entirely, parameter
 	// sweeps reuse the SQL text and rebind only the numeric gate data.
@@ -151,7 +147,6 @@ func NewSQLBackend(opts ...SQLBackendOptions) Backend {
 		MemoryBudget: o.MemoryBudget,
 		SpillDir:     o.SpillDir,
 		DisableSpill: o.DisableSpill,
-		Parallelism:  o.Parallelism,
 		Cache:        o.PlanCache,
 		Initial:      o.Initial,
 	}
