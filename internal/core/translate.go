@@ -204,11 +204,10 @@ func gateTableRows(m *linalg.Matrix) []GateRow {
 // buildSetup renders the DDL+DML prologue: the initial state table plus
 // one table per distinct gate, each followed by an ANALYZE statement.
 // The ANALYZE statements are the translation's sparsity hints: they
-// guarantee the engine has row counts, in_s/out_s distinct estimates
-// (the gate's fan-out, which drives the join cardinality of every
-// stage), and zero counts on the amplitude columns (the signal behind
-// planned zero-amplitude pruning) even on engines whose stores did not
-// collect statistics at insert. Shared by Translate and Rebind (the
+// guarantee the engine has row counts, the index columns' integer
+// min/max (which bound the state's key range), and zero counts on the
+// amplitude columns (the sparsity signal) even on engines whose stores
+// did not collect statistics at insert. Shared by Translate and Rebind (the
 // rebinding path regenerates only this data section of a cached plan).
 func buildSetup(prefix string, initial *quantum.State, tables []GateTable) []string {
 	setup := make([]string, 0, 3+3*len(tables))

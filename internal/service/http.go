@@ -280,8 +280,7 @@ type MetricsJSON struct {
 
 	// Optimizer exposes the engine's cumulative query-optimizer rule
 	// counters (process-wide, across every engine instance the service
-	// created): plans_optimized, plans_with_stats, cte_inlined, cte_dead
-	// and const_folded.
+	// created): plans_optimized, cte_inlined, cte_dead and const_folded.
 	Optimizer map[string]int64 `json:"optimizer"`
 
 	// Kernels exposes the engine's cumulative gate-stage kernel-tier

@@ -61,7 +61,7 @@ type Backend interface {
 	// RunContext is Run with cancellation: when ctx is cancelled the
 	// simulation aborts early — the in-memory backends between gates,
 	// the SQL backend additionally inside a gate stage at the engine's
-	// batch/morsel boundaries — releasing all resources, and returns an
+	// batch boundaries — releasing all resources, and returns an
 	// error wrapping ctx.Err(). Run is RunContext with a background
 	// context.
 	RunContext(ctx context.Context, c *quantum.Circuit) (*Result, error)

@@ -123,8 +123,8 @@ func (b *SQL) translate(c *quantum.Circuit, opts core.Options) (*core.Translatio
 }
 
 // RunContext implements Backend. Cancellation reaches into the engine:
-// an in-flight gate-stage query aborts at the next batch/morsel
-// boundary, releasing all budget reservations and worker goroutines.
+// an in-flight gate-stage query aborts at the next batch boundary,
+// releasing all budget reservations.
 func (b *SQL) RunContext(ctx context.Context, c *quantum.Circuit) (*Result, error) {
 	start := time.Now()
 	eps := b.PruneEps

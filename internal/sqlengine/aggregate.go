@@ -33,14 +33,6 @@ type aggNode struct {
 	child   planNode
 	groupBy []Expr
 	aggs    []aggCall
-	// groupHint is the cost model's estimated group count, used to
-	// pre-size the aggregation hash tables (0 = no hint). Pre-sizing
-	// never changes results: output order is the first-seen order list,
-	// which is independent of map capacity. hintable lets planner.bind
-	// re-size it from the refreshed group estimate.
-	groupHint int64
-	hintable  bool
-	est       *nodeEst
 	// cols is the output schema, (#grp.g<i>..., #agg.a<i>...), fixed
 	// at lowering.
 	cols planSchema
@@ -51,9 +43,7 @@ func (n *aggNode) schema() planSchema { return n.cols }
 func (n *aggNode) open(ctx *execCtx) (batchIter, error) {
 	childSchema := n.child.schema()
 	exec := newAggExec(ctx, len(n.groupBy), n.aggs)
-	exec.groupHint = n.groupHint
 	out := ctx.env.newStore()
-	out.hintRows(n.groupHint)
 	fail := func(err error) (batchIter, error) {
 		out.Release()
 		return nil, err
@@ -201,8 +191,6 @@ type aggExec struct {
 	// slot offsets within the partial section of a tuple.
 	partOffs  []int
 	partTotal int
-	// groupHint pre-sizes the hash tables (0 = no hint).
-	groupHint int64
 }
 
 func newAggExec(ctx *execCtx, nGroup int, aggs []aggCall) *aggExec {
@@ -339,25 +327,9 @@ type groupTable[G any] struct {
 	order  []G
 }
 
-// newGroupTable allocates the aggregation hash table. hint, when
-// positive, pre-sizes the map (and the first-seen order list) so large
-// aggregations skip incremental rehash growth.
-func newGroupTable[G any](nGroup int, hint int64) *groupTable[G] {
-	t := &groupTable[G]{useInt: nGroup == 1}
-	if hint > 0 {
-		if t.useInt {
-			t.ints = make(map[int64]G, hint)
-			t.strs = make(map[string]G)
-		} else {
-			t.ints = make(map[int64]G)
-			t.strs = make(map[string]G, hint)
-		}
-		t.order = make([]G, 0, hint)
-		return t
-	}
-	t.ints = make(map[int64]G)
-	t.strs = make(map[string]G)
-	return t
+// newGroupTable allocates an empty aggregation hash table.
+func newGroupTable[G any](nGroup int) *groupTable[G] {
+	return &groupTable[G]{useInt: nGroup == 1, ints: map[int64]G{}, strs: map[string]G{}}
 }
 
 // get looks up the group for a key (the first nGroup values of key).
@@ -390,7 +362,7 @@ func (t *groupTable[G]) put(key Row, g G) {
 // whether any input row was consumed.
 func (x *aggExec) streamAggregate(child batchIter, groupC, argC []vecExpr, out *ColStore) (bool, error) {
 	budget := x.ctx.env.budget
-	table := newGroupTable[*aggGroup](x.nGroup, x.groupHint)
+	table := newGroupTable[*aggGroup](x.nGroup)
 	var reserved int64
 	releaseAll := func() {
 		budget.release(reserved)
@@ -721,7 +693,7 @@ func (a *mergeAlloc) group(keyVals Row) (*mergeGroup, error) {
 // pressure it partitions the store by group-key hash and recurses.
 func (x *aggExec) mergeStore(input *ColStore, depth int, out *ColStore) error {
 	budget := x.ctx.env.budget
-	table := newGroupTable[*mergeGroup](x.nGroup, x.groupHint)
+	table := newGroupTable[*mergeGroup](x.nGroup)
 	var reserved int64
 	releaseAll := func() {
 		budget.release(reserved)
@@ -825,7 +797,7 @@ func (x *aggExec) mergeStore(input *ColStore, depth int, out *ColStore) error {
 // partitions by group-key hash and recurses.
 func (x *aggExec) aggregateStore(input *ColStore, depth int, out *ColStore) error {
 	budget := x.ctx.env.budget
-	table := newGroupTable[*aggGroup](x.nGroup, x.groupHint)
+	table := newGroupTable[*aggGroup](x.nGroup)
 	var reserved int64
 	releaseAll := func() {
 		budget.release(reserved)
@@ -937,15 +909,8 @@ func (x *aggExec) partitionIndex(tuple Row, depth, fanout int) int {
 }
 
 // partitionStore splits a tuple store into fanout hash partitions and
-// applies recurse to each non-empty one at depth+1. Each partition
-// holds ~1/fanout of the groups, so the pre-sizing hint is scaled down
-// accordingly for the recursive levels (memory has already overflowed
-// here; full-size budget-unaccounted maps per partition would make the
-// pressure worse).
+// applies recurse to each non-empty one at depth+1.
 func (x *aggExec) partitionStore(input *ColStore, depth int, out *ColStore, recurse func(*ColStore, int, *ColStore) error) error {
-	savedHint := x.groupHint
-	x.groupHint = savedHint / defaultFanout
-	defer func() { x.groupHint = savedHint }()
 	fanout := defaultFanout
 	parts := make([]*ColStore, fanout)
 	for i := range parts {

@@ -52,9 +52,9 @@ type UpdateStmt struct {
 	Where Expr
 }
 
-// ExplainStmt is EXPLAIN [ANALYZE] select: render the physical plan
-// (with cost estimates), executing the query and annotating actual row
-// counts when Analyze is set.
+// ExplainStmt is EXPLAIN [ANALYZE] select: render the physical plan,
+// executing the query and annotating actual row counts when Analyze is
+// set.
 type ExplainStmt struct {
 	Analyze bool
 	Select  *SelectStmt

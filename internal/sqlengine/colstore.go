@@ -46,7 +46,8 @@ type ColStore struct {
 	// stats, when non-nil, is updated incrementally on every append
 	// (base tables; see stats.go).
 	stats *tableStats
-	// capHint is the expected total row count (cost-model estimate);
+	// capHint is the expected total row count (hintRows) or the exact
+	// one (sizeExact);
 	// typed column vectors allocate this capacity up front instead of
 	// growing through append doubling.
 	capHint int
@@ -93,7 +94,7 @@ func (cs *ColStore) ascendingInt(col int) bool {
 }
 
 // hintRows pre-sizes future typed column allocations for an expected
-// row count (capped; a wrong estimate can waste at most the cap).
+// row count (capped; a loose bound can waste at most the cap).
 func (cs *ColStore) hintRows(n int64) {
 	const maxHint = 1 << 20
 	if n > maxHint {

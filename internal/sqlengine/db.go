@@ -113,7 +113,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 	budget := cfg.Budget
 	if budget == nil {
-		budget = newMemBudget(cfg.MemoryBudget)
+		budget = NewMemBudget(cfg.MemoryBudget)
 	}
 	var floor int64
 	if budget.limit > 0 {

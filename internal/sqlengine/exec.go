@@ -156,7 +156,6 @@ type storeScanNode struct {
 	store    *ColStore
 	cols     planSchema
 	ownStore bool
-	est      *nodeEst
 	// fromKernel marks the scan the kernel tier swaps in over its
 	// fused-loop result store (EXPLAIN ANALYZE and operator spans
 	// label it as kernel output).
@@ -207,7 +206,6 @@ func newOwnedStoreIter(store *ColStore) (batchIter, error) {
 type filterNode struct {
 	child planNode
 	pred  Expr
-	est   *nodeEst
 }
 
 func (n *filterNode) schema() planSchema { return n.child.schema() }
@@ -264,7 +262,6 @@ type projectNode struct {
 	child planNode
 	exprs []Expr
 	cols  planSchema
-	est   *nodeEst
 }
 
 func (n *projectNode) schema() planSchema { return n.cols }
@@ -312,7 +309,6 @@ func (it *projectIter) Close() { it.child.Close() }
 type sliceProjectNode struct {
 	child planNode
 	keep  int // keep columns [0, keep)
-	est   *nodeEst
 }
 
 func (n *sliceProjectNode) schema() planSchema { return n.child.schema()[:n.keep] }
@@ -348,7 +344,6 @@ func (it *sliceProjectIter) Close() { it.child.Close() }
 type limitNode struct {
 	child         planNode
 	limit, offset Expr
-	est           *nodeEst
 }
 
 func (n *limitNode) schema() planSchema { return n.child.schema() }
@@ -495,12 +490,7 @@ func materializePlanCollect(ctx *execCtx, node planNode, collect bool) (*ColStor
 }
 
 func materializePlanExec(ctx *execCtx, node planNode, collect bool) (*ColStore, error) {
-	var hint int64
-	if est := planEstimateOf(node); est != nil && est.rows > 0 {
-		// Budget-clamped like the hash-table hints: a misestimate must
-		// not pre-allocate column capacity beyond a small budget.
-		hint = hintForBudget(est.rows, ctx.env.budget)
-	}
+	hint := hintForBudget(knownRows(node), ctx.env.budget)
 	it, err := node.open(ctx)
 	if err != nil {
 		return nil, err
@@ -510,46 +500,34 @@ func materializePlanExec(ctx *execCtx, node planNode, collect bool) (*ColStore, 
 	return store, err
 }
 
-// planEstimateOf reads the cost model's annotation off a physical node
-// (nil when the node carries none).
-func planEstimateOf(node planNode) *nodeEst {
-	switch n := node.(type) {
-	case *storeScanNode:
-		return n.est
-	case *filterNode:
-		return n.est
-	case *projectNode:
-		return n.est
-	case *sliceProjectNode:
-		return n.est
-	case *joinNode:
-		return n.est
-	case *aggNode:
-		return n.est
-	case *sortNode:
-		return n.est
-	case *limitNode:
-		return n.est
-	case *aliasNode:
-		return n.est
-	case *statNode:
-		return planEstimateOf(n.child)
+// hintCap bounds a store pre-size hint; a larger result grows its
+// vectors by doubling past it.
+const hintCap = 1 << 18
+
+// hintForBudget clamps a known row count into a store pre-size hint,
+// bounded by the memory budget so a large result cannot claim column
+// capacity beyond a small budget up front. rows < 0 (unknown) gives no
+// hint.
+func hintForBudget(rows int64, budget *MemBudget) int64 {
+	h := min(rows, hintCap)
+	if limit := budget.Limit(); limit > 0 && h > limit/64 {
+		h = limit / 64
 	}
-	return nil
+	return max(h, 0)
 }
 
 // materialize drains a batch iterator into a fresh store, the
 // batch-in, column-vectors-out boundary: no per-row materialization.
-// hint, when positive, is the cost model's estimated result size and
-// pre-sizes the store's column vectors. Cancellation is checked once
-// per drained batch.
-func materialize(ctx *execCtx, it batchIter, hint int64) (*ColStore, error) {
-	return materializeCollect(ctx, it, hint, false)
+// Cancellation is checked once per drained batch.
+func materialize(ctx *execCtx, it batchIter) (*ColStore, error) {
+	return materializeCollect(ctx, it, 0, false)
 }
 
 // materializeCollect optionally attaches a statistics collector to the
 // result store before draining (CTAS materialization: the created
-// table then has exact statistics without an ANALYZE rescan).
+// table then has exact statistics without an ANALYZE rescan). hint,
+// when positive, is the result's row count (knownRows) and pre-sizes
+// the store's column vectors.
 func materializeCollect(ctx *execCtx, it batchIter, hint int64, collect bool) (*ColStore, error) {
 	store := ctx.env.newStore()
 	if collect {

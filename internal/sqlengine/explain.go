@@ -9,10 +9,9 @@ import (
 
 // Explain returns a rendering of the physical plan for a SELECT
 // statement without executing it — the tree execution runs. The plan
-// shown is the optimized one, annotated with the cost model's
-// estimated rows and cost per operator; CTEs the execution
-// materializes appear as MaterializeCTE subplans (inlined CTEs appear
-// in place). EXPLAIN itself does no data movement.
+// shown is the optimized one; CTEs the execution materializes appear as
+// MaterializeCTE subplans (inlined CTEs appear in place). EXPLAIN itself
+// does no data movement.
 func (db *DB) Explain(sqlText string, params ...Value) (string, error) {
 	stmt, nparams, err := parseCached(stmtCache, sqlText)
 	if err != nil {
@@ -50,7 +49,7 @@ func (db *DB) explainSelect(sel *SelectStmt, params []Value) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	p.bind(node) // nothing is materialized: CTEs report their subplan estimates
+	p.bind(node) // nothing is materialized: only base-table sizes are known
 	kline, kcore := kernelExplain(ctx, node)
 	var b strings.Builder
 	writeExplainHeader(&b, names, kline)
@@ -59,9 +58,8 @@ func (db *DB) explainSelect(sel *SelectStmt, params []Value) (string, error) {
 }
 
 // ExplainAnalyze executes the SELECT and renders the physical plan with
-// both the cost model's estimates and the actual rows each operator
-// produced, plus total wall time (planning and CTE materialization
-// included).
+// the actual rows each operator produced, plus total wall time
+// (planning and CTE materialization included).
 func (db *DB) ExplainAnalyze(ctx context.Context, sqlText string, params ...Value) (string, error) {
 	stmt, nparams, err := parseCached(stmtCache, sqlText)
 	if err != nil {
@@ -179,7 +177,7 @@ func writeExplainHeader(b *strings.Builder, names []string, kernelLine string) {
 	fmt.Fprintf(b, "output: %s\n", strings.Join(names, ", "))
 	fmt.Fprintf(b, "executor: vectorized (batch=%d, selection vectors), serial\n", batchSize)
 	fmt.Fprintf(b, "storage: columnar (typed column vectors + null bitmaps, spill=column chunks, encodings=on)\n")
-	fmt.Fprintf(b, "optimizer: on (constant folding, CTE inlining, estimates)\n")
+	fmt.Fprintf(b, "optimizer: on (constant folding, CTE inlining)\n")
 	fmt.Fprintf(b, "%s\n", kernelLine)
 }
 
@@ -225,15 +223,6 @@ func scanLayout(store *ColStore) string {
 		return "columnar"
 	}
 	return "columnar[" + strings.Join(kinds, " ") + "]"
-}
-
-// estSuffix renders the cost model's annotation for one operator line
-// (empty when the node carries no estimate).
-func estSuffix(est *nodeEst) string {
-	if est == nil || est.rows < 0 {
-		return ""
-	}
-	return fmt.Sprintf(" (est_rows=%.4g cost=%.4g)", est.rows, est.cost)
 }
 
 // statNode wraps a physical operator, counting the rows it emits and —
@@ -339,7 +328,7 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 		kmark = " [kernel=" + kernelAnnotation + "]"
 	}
 	line := func(format string, args ...any) {
-		fmt.Fprintf(b, "%s%s%s%s%s\n", pad, fmt.Sprintf(format, args...), estSuffix(planEstimateOf(node)), kmark, actual)
+		fmt.Fprintf(b, "%s%s%s%s\n", pad, fmt.Sprintf(format, args...), kmark, actual)
 	}
 	switch n := node.(type) {
 	case *oneRowNode:

@@ -42,12 +42,6 @@ type joinNode struct {
 	// grace-partitioned out-of-core join (chosen when the bound build
 	// side cannot fit the memory budget).
 	strategy joinStrategy
-	// buildHint pre-sizes the build-side hash table (0 = no hint);
-	// hintable lets planner.bind re-size it from the build side's
-	// refreshed row count.
-	buildHint int64
-	hintable  bool
-	est       *nodeEst
 }
 
 func (n *joinNode) schema() planSchema {
@@ -86,7 +80,6 @@ func (n *joinNode) open(ctx *execCtx) (batchIter, error) {
 		residual:   residual,
 		leftWidth:  len(ls),
 		rightWidth: len(rs),
-		buildHint:  n.buildHint,
 	}
 
 	if len(n.leftKeys) > 0 {
@@ -193,7 +186,7 @@ func (j *joinExec) openGraceJoin(left, right batchIter, lk, rk []vecExpr) (batch
 // the stream) is returned as a keyed store for grace partitioning.
 func (j *joinExec) buildRight(right batchIter, rk []vecExpr) (*buildTable, int64, *ColStore, error) {
 	budget := j.ctx.env.budget
-	build := newBuildTable(j.nkeys, j.buildHint)
+	build := newBuildTable(j.nkeys)
 	var reserved int64
 	keyCols := make([]colVec, j.nkeys)
 	overflow := false
@@ -439,8 +432,6 @@ type joinExec struct {
 	nkeys      int
 	leftWidth  int
 	rightWidth int
-	// buildHint pre-sizes the in-memory build table (0 = no hint).
-	buildHint int64
 }
 
 // materializeKeyed stores each input row as [key values..., original
@@ -532,19 +523,9 @@ type buildTable struct {
 	strs  map[string][]Row
 }
 
-// newBuildTable allocates the build hash table. hint, when positive, is
-// the cost model's estimated build cardinality and pre-sizes the map so
-// large builds skip the incremental rehash-and-copy growth steps.
-func newBuildTable(nkeys int, hint int64) *buildTable {
-	ih, sh := 0, 0
-	if hint > 0 {
-		if nkeys == 1 {
-			ih = int(hint)
-		} else {
-			sh = int(hint)
-		}
-	}
-	return &buildTable{nkeys: nkeys, ints: make(map[int64][]Row, ih), strs: make(map[string][]Row, sh)}
+// newBuildTable allocates an empty build hash table.
+func newBuildTable(nkeys int) *buildTable {
+	return &buildTable{nkeys: nkeys, ints: map[int64][]Row{}, strs: map[string][]Row{}}
 }
 
 // insert files the keyed row under its join key; ok=false means a NULL
@@ -602,7 +583,7 @@ func (t *buildTable) hasValidKey(keyed Row) bool {
 // partitions both sides and recurses.
 func (j *joinExec) joinStores(leftStore, rightStore *ColStore, depth int, out *ColStore) error {
 	budget := j.ctx.env.budget
-	build := newBuildTable(j.nkeys, 0)
+	build := newBuildTable(j.nkeys)
 	var reserved int64
 	releaseAll := func() {
 		budget.release(reserved)
@@ -853,7 +834,7 @@ func mix64(x uint64, depth int) uint64 {
 // nestedLoop joins without equi keys: the right side is materialized and
 // rescanned per left batch row.
 func (j *joinExec) nestedLoop(left, right batchIter) (*ColStore, error) {
-	rightStore, err := materialize(j.ctx, right, 0)
+	rightStore, err := materialize(j.ctx, right)
 	if err != nil {
 		return nil, err
 	}

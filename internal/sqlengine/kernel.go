@@ -240,7 +240,6 @@ func kernelAttempt(ctx *execCtx, root planNode, collect bool) (*ColStore, *ColSt
 		store:      store,
 		cols:       core.schema(),
 		ownStore:   true,
-		est:        core.est,
 		fromKernel: true,
 	})
 	return nil, store, nil

@@ -137,8 +137,8 @@ func (p *planner) fuseCTEChain(m *materializeNode) (bool, error) {
 	if len(links) < 2 {
 		return false, nil
 	}
-	// The bottom stage reads real stores: bind its hints as
-	// stage-at-a-time execution would.
+	// The bottom stage reads real stores: bind its join strategy as
+	// stage-at-a-time execution would (a grace join declines the kernel).
 	p.bind(links[0].child)
 	plan, reason := compileChain(env, links, false)
 	if plan == nil {

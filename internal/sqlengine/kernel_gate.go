@@ -91,8 +91,8 @@ func (bk *boundGate) groupBound() int64 {
 
 // presizeDense sizes a dense run's group vectors, output batch and
 // next-stage buffer for its proven group bound — the stage's output,
-// not its input row count or an estimate — so a stage that widens the
-// state (H doubles it) never regrows them mid-run.
+// not its input row count — so a stage that widens the state (H
+// doubles it) never regrows them mid-run.
 func (bk *boundGate) presizeDense() {
 	if bk.dense() {
 		bk.groupHint = bk.groupBound()
@@ -162,7 +162,7 @@ func bindGateStage(env *storageEnv, k *gateKernel) (*boundGate, string) {
 	if state.Spilled() || gate.Spilled() {
 		return nil, kfSpilled
 	}
-	bk := &boundGate{prog: prog, rows: state.rows, groupHint: k.agg.groupHint, denseHi: -1}
+	bk := &boundGate{prog: prog, rows: state.rows, groupHint: int64(state.rows), denseHi: -1}
 	if state.rows == 0 || gate.rows == 0 {
 		// A grouped aggregation of an empty join emits no rows; nothing
 		// to check or bind.
@@ -268,8 +268,8 @@ type kAcc struct {
 	r, i       []float64
 }
 
-// maxAccPresize caps the group vectors' up-front capacity (a wrong
-// estimate can waste at most this many groups).
+// maxAccPresize caps the group vectors' up-front capacity (a loose
+// group bound can waste at most this many groups).
 const maxAccPresize = 1 << 20
 
 // reset readies the accumulator for a run. The previous run's position

@@ -14,7 +14,6 @@ import (
 // Matcher decline reasons. Every reason is observable through
 // KernelCounters() ("fallback_<reason>") and the EXPLAIN header.
 const (
-	kfDisabled      = "disabled"
 	kfBudgetLimited = "budget-limited"
 	kfNoGateStage   = "no-gate-stage"
 	kfProjectShape  = "project-shape"

@@ -8,32 +8,17 @@ import (
 
 // Logical plan IR. The planner lowers the AST into this tree first; the
 // rule-driven rewriter (optimize.go) transforms it; and the physical
-// lowering (planner.go) turns it into the executable planNode tree,
-// carrying the estimates and pre-sizing hints along. Logical nodes carry
-// no execution state — in particular CTEs are *not* materialized while
-// the logical plan is being built or rewritten, which is what allows
-// single-use CTE inlining and dead-CTE elimination.
+// lowering (planner.go) turns it into the executable planNode tree.
+// Logical nodes carry no execution state — in particular CTEs are *not*
+// materialized while the logical plan is being built or rewritten,
+// which is what allows single-use CTE inlining and dead-CTE
+// elimination.
 //
-// Every logical node exposes its output schema (identical to the schema
-// of the physical operator it lowers to) plus a cardinality estimate
-// filled in by the cost model: estRows < 0 means "not estimated".
+// Every logical node exposes its output schema, identical to the schema
+// of the physical operator it lowers to.
 type logicalNode interface {
 	lschema() planSchema
-	// estimate returns the node's cost annotations (shared *nodeEst so
-	// the rewriter can fill them in place).
-	estimate() *nodeEst
 }
-
-// nodeEst is the cost model's per-node annotation, embedded in both
-// logical and physical nodes. rows < 0 means not estimated.
-type nodeEst struct {
-	rows float64
-	cost float64
-}
-
-func newNodeEst() *nodeEst { return &nodeEst{rows: -1} }
-
-func (e *nodeEst) estimate() *nodeEst { return e }
 
 // cteDef is one WITH entry shared by all references to it. uses counts
 // lCTERef nodes; the optimizer marks single-use CTEs inline (when safe)
@@ -49,10 +34,9 @@ type cteDef struct {
 }
 
 // lOneRow emits a single empty row (FROM-less SELECT).
-type lOneRow struct{ est *nodeEst }
+type lOneRow struct{}
 
 func (n *lOneRow) lschema() planSchema { return nil }
-func (n *lOneRow) estimate() *nodeEst  { return n.est }
 
 // lScan scans a base table.
 type lScan struct {
@@ -60,11 +44,9 @@ type lScan struct {
 	qual string // alias qualifier (lowercase)
 	meta *TableMeta
 	cols planSchema
-	est  *nodeEst
 }
 
 func (n *lScan) lschema() planSchema { return n.cols }
-func (n *lScan) estimate() *nodeEst  { return n.est }
 
 // lCTERef references a CTE. Lowering either inlines the subplan (alias
 // over cte.plan) or scans the shared materialized store.
@@ -72,42 +54,34 @@ type lCTERef struct {
 	cte  *cteDef
 	qual string
 	cols planSchema
-	est  *nodeEst
 }
 
 func (n *lCTERef) lschema() planSchema { return n.cols }
-func (n *lCTERef) estimate() *nodeEst  { return n.est }
 
 // lFilter drops rows whose predicate is not true (WHERE or HAVING).
 type lFilter struct {
 	child logicalNode
 	pred  Expr
-	est   *nodeEst
 }
 
 func (n *lFilter) lschema() planSchema { return n.child.lschema() }
-func (n *lFilter) estimate() *nodeEst  { return n.est }
 
 // lProject computes output expressions.
 type lProject struct {
 	child logicalNode
 	exprs []Expr
 	cols  planSchema
-	est   *nodeEst
 }
 
 func (n *lProject) lschema() planSchema { return n.cols }
-func (n *lProject) estimate() *nodeEst  { return n.est }
 
 // lStrip keeps the first keep output columns (drops hidden sort keys).
 type lStrip struct {
 	child logicalNode
 	keep  int
-	est   *nodeEst
 }
 
 func (n *lStrip) lschema() planSchema { return n.child.lschema()[:n.keep] }
-func (n *lStrip) estimate() *nodeEst  { return n.est }
 
 // lJoin joins two inputs (INNER/LEFT/CROSS), with equi-key pairs
 // extracted from the ON clause and an optional residual predicate.
@@ -117,12 +91,6 @@ type lJoin struct {
 	leftKeys    []Expr
 	rightKeys   []Expr
 	residual    Expr
-	// buildHint pre-sizes the build-side hash table (0 = no hint);
-	// hintable records the chooser's approval (single-column TEXT keys
-	// would waste the pre-sized int64 map — see exprIntLike).
-	buildHint int64
-	hintable  bool
-	est       *nodeEst
 }
 
 func (n *lJoin) lschema() planSchema {
@@ -132,18 +100,12 @@ func (n *lJoin) lschema() planSchema {
 	out = append(out, rs...)
 	return out
 }
-func (n *lJoin) estimate() *nodeEst { return n.est }
 
 // lAgg groups and aggregates; aggs == nil is DISTINCT.
 type lAgg struct {
 	child   logicalNode
 	groupBy []Expr
 	aggs    []aggCall
-	// groupHint pre-sizes the aggregation hash table (0 = no hint);
-	// hintable records the chooser's approval (see lJoin.hintable).
-	groupHint int64
-	hintable  bool
-	est       *nodeEst
 }
 
 func (n *lAgg) lschema() planSchema {
@@ -156,34 +118,28 @@ func (n *lAgg) lschema() planSchema {
 	}
 	return out
 }
-func (n *lAgg) estimate() *nodeEst { return n.est }
 
 // lSort orders rows.
 type lSort struct {
 	child logicalNode
 	keys  []sortSpec
-	est   *nodeEst
 }
 
 func (n *lSort) lschema() planSchema { return n.child.lschema() }
-func (n *lSort) estimate() *nodeEst  { return n.est }
 
 // lLimit applies LIMIT/OFFSET.
 type lLimit struct {
 	child         logicalNode
 	limit, offset Expr
-	est           *nodeEst
 }
 
 func (n *lLimit) lschema() planSchema { return n.child.lschema() }
-func (n *lLimit) estimate() *nodeEst  { return n.est }
 
 // lAlias re-qualifies (and optionally renames) its child's columns.
 type lAlias struct {
 	child logicalNode
 	table string
 	names []string
-	est   *nodeEst
 }
 
 func (n *lAlias) lschema() planSchema {
@@ -198,7 +154,6 @@ func (n *lAlias) lschema() planSchema {
 	}
 	return out
 }
-func (n *lAlias) estimate() *nodeEst { return n.est }
 
 // lchildren returns a node's logical children (for generic walks).
 func lchildren(n logicalNode) []logicalNode {
@@ -276,7 +231,7 @@ func (b *logicalBuilder) buildSelect(sel *SelectStmt, scope *lcteScope) (logical
 	// FROM and JOINs.
 	var base logicalNode
 	if sel.From == nil {
-		base = &lOneRow{est: newNodeEst()}
+		base = &lOneRow{}
 	} else {
 		var err error
 		base, err = b.buildTableRef(sel.From, scope)
@@ -289,7 +244,7 @@ func (b *logicalBuilder) buildSelect(sel *SelectStmt, scope *lcteScope) (logical
 		if err != nil {
 			return nil, nil, err
 		}
-		jn := &lJoin{left: base, right: right, joinType: join.Type, est: newNodeEst()}
+		jn := &lJoin{left: base, right: right, joinType: join.Type}
 		if join.On != nil {
 			lks, rks, residual := extractEquiKeys(join.On, base.lschema(), right.lschema())
 			jn.leftKeys, jn.rightKeys, jn.residual = lks, rks, residual
@@ -301,7 +256,7 @@ func (b *logicalBuilder) buildSelect(sel *SelectStmt, scope *lcteScope) (logical
 		if exprReferencesAggregate(sel.Where) {
 			return nil, nil, fmt.Errorf("sqlengine: aggregates are not allowed in WHERE")
 		}
-		base = &lFilter{child: base, pred: sel.Where, est: newNodeEst()}
+		base = &lFilter{child: base, pred: sel.Where}
 	}
 
 	// Decide whether the query aggregates.
@@ -345,9 +300,9 @@ func (b *logicalBuilder) buildSelect(sel *SelectStmt, scope *lcteScope) (logical
 				orderExprs[i] = rw.rewrite(e)
 			}
 		}
-		base = &lAgg{child: base, groupBy: sel.GroupBy, aggs: rw.aggs, est: newNodeEst()}
+		base = &lAgg{child: base, groupBy: sel.GroupBy, aggs: rw.aggs}
 		if having != nil {
-			base = &lFilter{child: base, pred: having, est: newNodeEst()}
+			base = &lFilter{child: base, pred: having}
 		}
 	}
 
@@ -419,7 +374,7 @@ func (b *logicalBuilder) buildSelect(sel *SelectStmt, scope *lcteScope) (logical
 	for i := range hiddenExprs {
 		projSchema = append(projSchema, planCol{table: "#hidden", name: "k" + strconv.Itoa(i)})
 	}
-	var node logicalNode = &lProject{child: base, exprs: allExprs, cols: projSchema, est: newNodeEst()}
+	var node logicalNode = &lProject{child: base, exprs: allExprs, cols: projSchema}
 
 	// DISTINCT: group by every output column (hidden keys are forbidden
 	// above, so the projection width equals the output width).
@@ -428,8 +383,8 @@ func (b *logicalBuilder) buildSelect(sel *SelectStmt, scope *lcteScope) (logical
 		for i, c := range projSchema[:len(outNames)] {
 			gb[i] = &ColumnRef{Table: c.table, Name: c.name}
 		}
-		node = &lAgg{child: node, groupBy: gb, aggs: nil, est: newNodeEst()}
-		node = &lAlias{child: node, table: "", names: outNames, est: newNodeEst()}
+		node = &lAgg{child: node, groupBy: gb, aggs: nil}
+		node = &lAlias{child: node, table: "", names: outNames}
 	}
 
 	// Sort.
@@ -448,15 +403,15 @@ func (b *logicalBuilder) buildSelect(sel *SelectStmt, scope *lcteScope) (logical
 				specs[i] = sortSpec{expr: &ColumnRef{Table: c.table, Name: c.name}, desc: k.desc}
 			}
 		}
-		node = &lSort{child: node, keys: specs, est: newNodeEst()}
+		node = &lSort{child: node, keys: specs}
 	}
 
 	if sel.Limit != nil || sel.Offset != nil {
-		node = &lLimit{child: node, limit: sel.Limit, offset: sel.Offset, est: newNodeEst()}
+		node = &lLimit{child: node, limit: sel.Limit, offset: sel.Offset}
 	}
 
 	if len(hiddenExprs) > 0 {
-		node = &lStrip{child: node, keep: len(outNames), est: newNodeEst()}
+		node = &lStrip{child: node, keep: len(outNames)}
 	}
 	return node, outNames, nil
 }
@@ -474,7 +429,7 @@ func (b *logicalBuilder) buildTableRef(ref TableRef, scope *lcteScope) (logicalN
 			for i, c := range def.cols {
 				cols[i] = planCol{table: strings.ToLower(qual), name: strings.ToLower(c)}
 			}
-			return &lCTERef{cte: def, qual: strings.ToLower(qual), cols: cols, est: newNodeEst()}, nil
+			return &lCTERef{cte: def, qual: strings.ToLower(qual), cols: cols}, nil
 		}
 		meta := b.db.lookupTable(r.Name)
 		if meta == nil {
@@ -484,14 +439,14 @@ func (b *logicalBuilder) buildTableRef(ref TableRef, scope *lcteScope) (logicalN
 		for i, c := range meta.Cols {
 			cols[i] = planCol{table: strings.ToLower(qual), name: strings.ToLower(c.Name)}
 		}
-		return &lScan{name: r.Name, qual: strings.ToLower(qual), meta: meta, cols: cols, est: newNodeEst()}, nil
+		return &lScan{name: r.Name, qual: strings.ToLower(qual), meta: meta, cols: cols}, nil
 
 	case *SubqueryRef:
 		node, names, err := b.buildSelect(r.Select, scope)
 		if err != nil {
 			return nil, err
 		}
-		return &lAlias{child: node, table: r.Alias, names: names, est: newNodeEst()}, nil
+		return &lAlias{child: node, table: r.Alias, names: names}, nil
 	}
 	return nil, fmt.Errorf("sqlengine: unsupported table reference %T", ref)
 }

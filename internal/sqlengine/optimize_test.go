@@ -316,7 +316,7 @@ func TestExplainStatementSQL(t *testing.T) {
 	for _, r := range rows {
 		text += r[0].S + "\n"
 	}
-	if !strings.Contains(text, "BatchScan t") || !strings.Contains(text, "est_rows=") {
+	if !strings.Contains(text, "BatchScan t") || !strings.Contains(text, "BatchFilter (a > 1)") {
 		t.Fatalf("plan:\n%s", text)
 	}
 	rs2, err := db.Query("EXPLAIN ANALYZE SELECT a FROM t WHERE a > 1")
@@ -331,20 +331,5 @@ func TestExplainStatementSQL(t *testing.T) {
 	}
 	if !strings.Contains(text, "actual_rows=1") {
 		t.Fatalf("analyze plan:\n%s", text)
-	}
-}
-
-// TestEstimatesInExplain: cardinality estimates derive from statistics.
-func TestEstimatesInExplain(t *testing.T) {
-	db := newTestDB(t)
-	mustExec(t, db, "CREATE TABLE t (a INTEGER, b INTEGER)")
-	fillSequence(t, db, "t", 1000)
-	plan, err := db.Explain("SELECT a FROM t WHERE a < 100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a is uniform over [0,999]: the range estimate must land near 100.
-	if !strings.Contains(plan, "est_rows=100 ") && !strings.Contains(plan, "est_rows=100)") {
-		t.Fatalf("range selectivity not derived from min/max stats:\n%s", plan)
 	}
 }

@@ -16,8 +16,8 @@ import (
 //  2. materialize the tree's CTEs top-down, on demand (materializeAll):
 //     the topmost unmaterialized node of a fusable run of gate-stage
 //     CTEs claims the whole run as one chain kernel (kernel_chain.go);
-//  3. bind every row-count-dependent decision from the now-exact store
-//     sizes (bind);
+//  3. bind the one row-count-dependent decision, the grace-join
+//     pre-choice, from the now-exact store sizes (bind);
 //  4. open the root.
 //
 // A CTE the optimizer marked inline lowers to its subplan itself, and a
@@ -56,7 +56,7 @@ func (db *DB) buildPlan(ctx *execCtx, sel *SelectStmt) (planNode, []string, *pla
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	root = optimizeLogical(root, b.defs, db.env)
+	root = optimizeLogical(root, b.defs)
 	p := &planner{ctx: ctx, db: db}
 	node, err := p.lower(root)
 	if err != nil {
@@ -150,15 +150,14 @@ func (p *planner) cteNode(d *cteDef) (*materializeNode, error) {
 	return &materializeNode{name: d.name, uses: d.uses, child: child, res: res}, nil
 }
 
-// lower converts one logical subtree to physical operators, carrying
-// the planning-time hints; bind refreshes them before execution.
+// lower converts one logical subtree to physical operators.
 func (p *planner) lower(n logicalNode) (planNode, error) {
 	switch t := n.(type) {
 	case *lOneRow:
 		return &oneRowNode{}, nil
 
 	case *lScan:
-		return &storeScanNode{store: t.meta.store, cols: t.cols, est: t.est}, nil
+		return &storeScanNode{store: t.meta.store, cols: t.cols}, nil
 
 	case *lCTERef:
 		var child planNode
@@ -171,28 +170,28 @@ func (p *planner) lower(n logicalNode) (planNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newAliasNode(child, t.qual, t.cte.cols, t.est), nil
+		return newAliasNode(child, t.qual, t.cte.cols), nil
 
 	case *lFilter:
 		child, err := p.lower(t.child)
 		if err != nil {
 			return nil, err
 		}
-		return &filterNode{child: child, pred: t.pred, est: t.est}, nil
+		return &filterNode{child: child, pred: t.pred}, nil
 
 	case *lProject:
 		child, err := p.lower(t.child)
 		if err != nil {
 			return nil, err
 		}
-		return &projectNode{child: child, exprs: t.exprs, cols: t.cols, est: t.est}, nil
+		return &projectNode{child: child, exprs: t.exprs, cols: t.cols}, nil
 
 	case *lStrip:
 		child, err := p.lower(t.child)
 		if err != nil {
 			return nil, err
 		}
-		return &sliceProjectNode{child: child, keep: t.keep, est: t.est}, nil
+		return &sliceProjectNode{child: child, keep: t.keep}, nil
 
 	case *lJoin:
 		left, err := p.lower(t.left)
@@ -206,8 +205,6 @@ func (p *planner) lower(n logicalNode) (planNode, error) {
 		return &joinNode{
 			left: left, right: right, joinType: t.joinType,
 			leftKeys: t.leftKeys, rightKeys: t.rightKeys, residual: t.residual,
-			buildHint: t.buildHint, hintable: t.hintable,
-			est: t.est,
 		}, nil
 
 	case *lAgg:
@@ -215,168 +212,98 @@ func (p *planner) lower(n logicalNode) (planNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &aggNode{child: child, groupBy: t.groupBy, aggs: t.aggs, groupHint: t.groupHint, hintable: t.hintable, est: t.est, cols: t.lschema()}, nil
+		return &aggNode{child: child, groupBy: t.groupBy, aggs: t.aggs, cols: t.lschema()}, nil
 
 	case *lSort:
 		child, err := p.lower(t.child)
 		if err != nil {
 			return nil, err
 		}
-		return &sortNode{child: child, keys: t.keys, est: t.est}, nil
+		return &sortNode{child: child, keys: t.keys}, nil
 
 	case *lLimit:
 		child, err := p.lower(t.child)
 		if err != nil {
 			return nil, err
 		}
-		return &limitNode{child: child, limit: t.limit, offset: t.offset, est: t.est}, nil
+		return &limitNode{child: child, limit: t.limit, offset: t.offset}, nil
 
 	case *lAlias:
 		child, err := p.lower(t.child)
 		if err != nil {
 			return nil, err
 		}
-		return newAliasNode(child, t.table, t.names, t.est), nil
+		return newAliasNode(child, t.table, t.names), nil
 	}
 	return nil, fmt.Errorf("sqlengine: internal: cannot lower %T", n)
 }
 
-// scaleEst refreshes a node's planning-time estimate with the
-// actual-informed row count of its input: planned output / planned
-// input gives the node's selectivity (or fan-out) ratio, which is then
-// applied to the refreshed input cardinality. Returns -1 when either
-// side is unknown.
-func scaleEst(est *nodeEst, plannedIn, actualIn float64) float64 {
-	if est == nil || est.rows < 0 || actualIn < 0 {
-		return -1
-	}
-	if plannedIn <= 0 {
-		return est.rows
-	}
-	return est.rows / plannedIn * actualIn
-}
-
-// plannedRows is a node's current row estimate (-1 unknown).
-func plannedRows(n planNode) float64 {
-	if est := planEstimateOf(n); est != nil {
-		return est.rows
-	}
-	return -1
-}
-
-// refresh records a refreshed row count on est (when known).
-func refresh(est *nodeEst, rows float64) float64 {
-	if rows >= 0 {
-		est.rows = rows
-	}
-	return rows
-}
-
-// bind is step 3: it re-derives every node's row estimate bottom-up
-// from its inputs' current sizes and re-binds the decisions that depend
-// on them — hash-table pre-sizing and the grace pre-choice here, the
-// output-store hint when the node opens.
-// A materialized CTE reports its store's exact size, so the hints use
-// real sizes instead of the chain-compounded planning estimates, which
-// decay badly across long translated gate pipelines; an unmaterialized
-// one (EXPLAIN) reports its subplan's estimate. Each node's planned
-// input is read before its child is refreshed. Returns the node's
-// rows (-1 unknown).
-func (p *planner) bind(node planNode) float64 {
-	budget := p.db.env.budget
+// bind is step 3: it walks the tree choosing each equi-join's strategy
+// from the exact size of its build side. With spilling on and a
+// bounded budget, a build side known to outgrow the whole budget goes
+// straight to the grace-partitioned join instead of filling the
+// in-memory table first. A materialized CTE's subplan has already run
+// and is skipped; an unmaterialized one (EXPLAIN) is walked.
+func (p *planner) bind(node planNode) {
 	switch n := node.(type) {
-	case *statNode:
-		return p.bind(n.child)
+	case *aliasNode:
+		if m, ok := unwrapStat(n.child).(*materializeNode); ok {
+			if m.res.store == nil {
+				p.bind(m.child)
+			}
+			return
+		}
+	case *joinNode:
+		if limit := p.db.env.budget.Limit(); limit > 0 && p.db.env.spillEnabled && len(n.leftKeys) > 0 {
+			n.strategy = joinAuto
+			if rr := knownRows(n.right); rr >= 0 && rr*estRowBytes(len(n.right.schema())+len(n.rightKeys)) > limit {
+				n.strategy = joinGrace
+			}
+		}
+	}
+	for _, c := range planChildren(node) {
+		p.bind(c)
+	}
+}
 
+// estRowBytes approximates the in-memory bytes of one row of a schema.
+func estRowBytes(width int) int64 { return int64(48*width + 24) }
+
+// knownRows is the number of rows node produces when the engine knows
+// it without running node, or -1: exact for a store scan and a
+// materialized CTE, passed through the row-preserving operators, the
+// minimum under a literal LIMIT without OFFSET, and unknown for filter,
+// join and aggregate outputs.
+func knownRows(node planNode) int64 {
+	switch n := node.(type) {
 	case *oneRowNode:
 		return 1
-
 	case *storeScanNode:
-		return plannedRows(n)
-
-	case *filterNode:
-		plannedIn := plannedRows(n.child)
-		return refresh(n.est, scaleEst(n.est, plannedIn, p.bind(n.child)))
-
+		return n.store.Len()
+	case *materializeNode:
+		if n.res.store != nil {
+			return n.res.store.Len()
+		}
+	case *statNode:
+		return knownRows(n.child)
 	case *projectNode:
-		return refresh(n.est, p.bind(n.child))
-
+		return knownRows(n.child)
 	case *sliceProjectNode:
-		return refresh(n.est, p.bind(n.child))
-
-	case *sortNode:
-		return refresh(n.est, p.bind(n.child))
-
+		return knownRows(n.child)
 	case *aliasNode:
-		m, isCTE := unwrapStat(n.child).(*materializeNode)
-		switch {
-		case !isCTE:
-			return refresh(n.est, p.bind(n.child))
-		case m.res.store == nil:
-			return p.bind(m.child)
-		case n.est.rows < 0:
+		return knownRows(n.child)
+	case *sortNode:
+		return knownRows(n.child)
+	case *limitNode:
+		lim, ok := n.limit.(*Literal)
+		if !ok || lim.Val.T != TypeInt || n.offset != nil {
 			return -1
 		}
-		n.est.rows = float64(m.res.store.Len()) // exact
-		return n.est.rows
-
-	case *joinNode:
-		plannedL, plannedR := plannedRows(n.left), plannedRows(n.right)
-		lr, rr := p.bind(n.left), p.bind(n.right)
-		rows := float64(-1)
-		if n.est.rows >= 0 && lr >= 0 && rr >= 0 {
-			rows = n.est.rows
-			if plannedL > 0 {
-				rows = rows / plannedL * lr
-			}
-			if plannedR > 0 {
-				rows = rows / plannedR * rr
-			}
-			n.est.rows = rows
+		rows := knownRows(n.child)
+		if rows < 0 || lim.Val.I < 0 { // a negative LIMIT is no limit
+			return rows
 		}
-		if rr >= 0 {
-			if n.hintable {
-				n.buildHint = hintForBudget(rr, budget)
-			}
-			if len(n.leftKeys) > 0 && p.db.env.spillEnabled {
-				if limit := budget.Limit(); limit > 0 {
-					if rr*estRowBytes(len(n.right.schema())+len(n.rightKeys)) > float64(limit) {
-						n.strategy = joinGrace
-					} else if n.strategy == joinGrace {
-						n.strategy = joinAuto
-					}
-				}
-			}
-		}
-		return rows
-
-	case *aggNode:
-		plannedIn := plannedRows(n.child)
-		inRows := p.bind(n.child)
-		rows := scaleEst(n.est, plannedIn, inRows)
-		if rows >= 0 {
-			if inRows >= 0 && rows > inRows {
-				rows = inRows
-			}
-			if rows < 1 {
-				rows = 1
-			}
-			n.est.rows = rows
-			if n.hintable {
-				n.groupHint = hintForBudget(rows, budget)
-			}
-		}
-		return rows
-
-	case *limitNode:
-		rows := p.bind(n.child)
-		if rows >= 0 {
-			if lim, ok := litValue(n.limit); ok && lim.T == TypeInt && float64(lim.I) < rows {
-				rows = float64(lim.I)
-			}
-			n.est.rows = rows
-		}
-		return rows
+		return min(rows, lim.Val.I)
 	}
 	return -1
 }
@@ -385,14 +312,13 @@ func (p *planner) bind(node planNode) float64 {
 type aliasNode struct {
 	child planNode
 	table string
-	est   *nodeEst
 	cols  planSchema // computed once by newAliasNode
 }
 
 // newAliasNode builds the alias and its schema, which the planner and
 // the kernel-cache key read many times per statement. names is optional
 // and must match the child's width when set.
-func newAliasNode(child planNode, table string, names []string, est *nodeEst) *aliasNode {
+func newAliasNode(child planNode, table string, names []string) *aliasNode {
 	cs := child.schema()
 	cols := make(planSchema, len(cs))
 	for i, c := range cs {
@@ -402,7 +328,7 @@ func newAliasNode(child planNode, table string, names []string, est *nodeEst) *a
 		}
 		cols[i] = planCol{table: strings.ToLower(table), name: name}
 	}
-	return &aliasNode{child: child, table: table, est: est, cols: cols}
+	return &aliasNode{child: child, table: table, cols: cols}
 }
 
 func (n *aliasNode) schema() planSchema { return n.cols }
@@ -453,8 +379,7 @@ func scanOf(n planNode) *storeScanNode {
 	}
 	if m := cteOf(n); m != nil {
 		if s := m.scan(); s != nil {
-			a := unwrapStat(n).(*aliasNode)
-			s.cols, s.est = a.schema(), a.est
+			s.cols = unwrapStat(n).(*aliasNode).schema()
 			return s
 		}
 	}

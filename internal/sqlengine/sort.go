@@ -39,7 +39,6 @@ type sortSpec struct {
 type sortNode struct {
 	child planNode
 	keys  []sortSpec
-	est   *nodeEst
 	// elided records that open streamed the child unchanged because it
 	// was already in key order (EXPLAIN ANALYZE).
 	elided bool

@@ -103,6 +103,43 @@ func TestSortElidedOverKeyOrderedKernel(t *testing.T) {
 	}
 }
 
+// TestFinalResultSizedExactly: the final ORDER BY s of QFT-12 reads
+// rows whose count the engine knows before it runs the query (knownRows
+// through the sort down to the kernel's output store), so the result's
+// typed vectors are allocated once at exactly its 4,096 rows and never
+// regrow.
+func TestFinalResultSizedExactly(t *testing.T) {
+	p := translateProgram(t, circuits.QFT(12), core.SingleQuery, true)
+	db := openProgram(t, p, Config{}, true)
+	rs, err := db.Query(p.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	if n := rs.store.Len(); n != 4096 {
+		t.Fatalf("result rows = %d, want 4096", n)
+	}
+	plain := 0
+	for i, c := range rs.store.cols {
+		var capacity int
+		switch c.kind {
+		case colInt:
+			capacity = cap(c.ints)
+		case colFloat:
+			capacity = cap(c.floats)
+		default:
+			continue // an encoded float column keeps no plain vector
+		}
+		plain++
+		if capacity != 4096 {
+			t.Errorf("column %s: capacity %d, want exactly 4096", rs.Columns[i], capacity)
+		}
+	}
+	if plain == 0 {
+		t.Fatal("no plain typed column to check")
+	}
+}
+
 // TestSortStillRuns: every ORDER BY the kernel does not emit in key
 // order keeps its sort, and the rows stay bit-identical to the
 // interpreted engine.

@@ -1,78 +1,23 @@
 package sqlengine
 
-import (
-	"fmt"
-	"hash/fnv"
-	"math"
-)
+import "fmt"
 
 // Table statistics. Every base-table store carries an optional
 // *tableStats collector that the storage layer updates incrementally at
-// append time (ColStore.Append/AppendBatch): row count,
-// per-column null count, integer min/max, a zero count on numeric
-// columns (the sparsity signal of the amplitude columns in translated
-// gate queries), and a cheap probabilistic distinct estimate. ANALYZE
-// <table> rebuilds the same statistics from a full scan, for tables
-// whose store predates collection (CREATE TABLE AS SELECT results).
+// append time (ColStore.Append/AppendBatch): row count, per-column null
+// count, integer min/max, and a zero count on numeric columns (the
+// sparsity signal of the amplitude columns in translated gate queries).
+// ANALYZE <table> rebuilds the same statistics from a full scan, for
+// tables whose store predates collection (CREATE TABLE AS SELECT
+// results).
 //
-// The statistics feed the cost model in optimize.go: filter
-// selectivities, join and aggregation cardinalities, and the hash-table
-// pre-sizing hints derive from them.
-// Statistics after DELETE/UPDATE stay exact because those statements
-// rewrite the table into a fresh store with a fresh collector.
-
-// distinctBits is the size of the distinct-count bitmap. Linear
-// (probabilistic) counting over 4096 bits estimates distinct counts with
-// a few percent error up to ~10k distinct values and degrades gracefully
-// to a saturating lower bound beyond — plenty for selectivity
-// estimation, at 512 bytes per column.
-const distinctBits = 4096
-
-// distinctSketch is a linear probabilistic counting bitmap.
-type distinctSketch struct {
-	bits [distinctBits / 64]uint64
-	set  int
-}
-
-func (s *distinctSketch) add(h uint64) {
-	i := h % distinctBits
-	w, b := i>>6, uint64(1)<<(i&63)
-	if s.bits[w]&b == 0 {
-		s.bits[w] |= b
-		s.set++
-	}
-}
-
-// estimate returns the estimated number of distinct values observed.
-func (s *distinctSketch) estimate() float64 {
-	m := float64(distinctBits)
-	unset := m - float64(s.set)
-	if unset < 1 {
-		// Saturated: every slot hit. The true count is at least ~m ln m.
-		return m * math.Log(m)
-	}
-	return m * math.Log(m/unset)
-}
-
-// valueHash hashes a value for distinct counting. Values that compare
-// SQL-equal must collide: integer-valued floats hash like the integer
-// (mirroring intKey), booleans like 0/1.
-func valueHash(v Value) uint64 {
-	switch v.T {
-	case TypeInt, TypeBool:
-		return mix64(uint64(v.I), 0)
-	case TypeFloat:
-		if ik, ok := intKey(v); ok {
-			return mix64(uint64(ik), 0)
-		}
-		return mix64(math.Float64bits(v.F), 1)
-	case TypeText:
-		h := fnv.New64a()
-		h.Write([]byte(v.S))
-		return h.Sum64()
-	}
-	return 0
-}
+// Two readers use them, and both need exact values: the kernel's dense
+// key bound (denseBound in kernel_gate.go) reads the state index
+// column's min, max and null count, and the sparse float encoding
+// (encodeColumns in encoding.go) reads the zero count. No plan is chosen
+// from them. Statistics after DELETE/UPDATE stay exact because
+// those statements rewrite the table into a fresh store with a fresh
+// collector.
 
 // colStats accumulates one column's statistics.
 type colStats struct {
@@ -85,14 +30,12 @@ type colStats struct {
 	// any were observed).
 	intMin, intMax int64
 	intSeen        bool
-	sketch         distinctSketch
 }
 
 func (c *colStats) observe(v Value) {
 	switch v.T {
 	case TypeNull:
 		c.nulls++
-		return
 	case TypeInt:
 		if !c.intSeen || v.I < c.intMin {
 			c.intMin = v.I
@@ -109,16 +52,6 @@ func (c *colStats) observe(v Value) {
 			c.zeros++
 		}
 	}
-	c.sketch.add(valueHash(v))
-}
-
-// distinct returns the column's estimated distinct count, at least 1.
-func (c *colStats) distinct() float64 {
-	d := c.sketch.estimate()
-	if d < 1 {
-		return 1
-	}
-	return d
 }
 
 // tableStats is one table's statistics collector and snapshot. Appends
@@ -186,22 +119,6 @@ func (ts *tableStats) col(i int) *colStats {
 		return nil
 	}
 	return &ts.cols[i]
-}
-
-// nullFraction and zeroFraction report per-column fractions of the
-// table's rows (0 when no rows were observed).
-func (c *colStats) nullFraction(rows int64) float64 {
-	if rows <= 0 {
-		return 0
-	}
-	return float64(c.nulls) / float64(rows)
-}
-
-func (c *colStats) zeroFraction(rows int64) float64 {
-	if rows <= 0 {
-		return 0
-	}
-	return float64(c.zeros) / float64(rows)
 }
 
 // AnalyzeStmt is ANALYZE <table>: recompute the table's statistics from

@@ -39,8 +39,6 @@ type MemBudget struct {
 // engine instances via Config.Budget.
 func NewMemBudget(limit int64) *MemBudget { return &MemBudget{limit: limit} }
 
-func newMemBudget(limit int64) *MemBudget { return NewMemBudget(limit) }
-
 // Limit returns the configured cap in bytes (<= 0 means unlimited).
 func (b *MemBudget) Limit() int64 { return b.limit }
 

@@ -8,7 +8,7 @@ import (
 func testEnv(t *testing.T, budget int64) *storageEnv {
 	t.Helper()
 	return &storageEnv{
-		budget:       newMemBudget(budget),
+		budget:       NewMemBudget(budget),
 		spillDir:     t.TempDir(),
 		spillEnabled: true,
 		workingFloor: 8 << 10,
@@ -16,7 +16,7 @@ func testEnv(t *testing.T, budget int64) *storageEnv {
 }
 
 func TestMemBudgetAccounting(t *testing.T) {
-	b := newMemBudget(1000)
+	b := NewMemBudget(1000)
 	if !b.tryReserve(600) {
 		t.Fatal("first reserve should fit")
 	}
@@ -31,7 +31,7 @@ func TestMemBudgetAccounting(t *testing.T) {
 		t.Fatalf("peak = %d", b.peak.Load())
 	}
 	// Unlimited budget always succeeds.
-	u := newMemBudget(0)
+	u := NewMemBudget(0)
 	if !u.tryReserve(1 << 40) {
 		t.Fatal("unlimited budget refused")
 	}
