@@ -72,16 +72,3 @@ func (tr *Translation) FusedStatements() []string {
 	}
 	return out
 }
-
-// FusedStageRuns reports the sizes of the chained-stage runs
-// FusedStatements would fuse (runs of length one are stage-at-a-time
-// either way). Useful for benchmarks and diagnostics.
-func (tr *Translation) FusedStageRuns() []int {
-	var out []int
-	for _, run := range chainRuns(tr.Steps) {
-		if len(run) > 1 && run[0].SQL != "" {
-			out = append(out, len(run))
-		}
-	}
-	return out
-}

@@ -38,9 +38,6 @@ func TestFusedStatementsShape(t *testing.T) {
 			t.Fatalf("stage %s missing from the WITH chain:\n%s", st.Table, last)
 		}
 	}
-	if runs := tr.FusedStageRuns(); len(runs) != 1 || runs[0] != len(tr.Steps) {
-		t.Fatalf("FusedStageRuns = %v, want [%d]", runs, len(tr.Steps))
-	}
 }
 
 // TestFusedStatementsSingleQueryUnchanged: SingleQuery mode has no
@@ -58,9 +55,6 @@ func TestFusedStatementsSingleQueryUnchanged(t *testing.T) {
 		if plain[i] != fused[i] {
 			t.Fatalf("statement %d differs:\n%s\nvs\n%s", i, plain[i], fused[i])
 		}
-	}
-	if runs := tr.FusedStageRuns(); len(runs) != 0 {
-		t.Fatalf("FusedStageRuns = %v, want none in SingleQuery mode", runs)
 	}
 }
 

@@ -11,10 +11,9 @@
 //     method, so call sites never branch on "is tracing enabled" — the
 //     disabled path costs one nil check per call;
 //   - the span tree is structural, not temporal, on the hot path:
-//     per-operator work is accumulated into atomic counters by the
-//     executor (sampled on the morsel-parallel path) and attached to
-//     spans once per statement, so tracing never serializes parallel
-//     workers behind a shared lock.
+//     per-operator work is accumulated into counters by the executor
+//     (timing a sampled subset of batches) and attached to spans once
+//     per statement, so tracing takes no lock per batch.
 //
 // A Trace travels on a context.Context (WithSpan / SpanFromContext),
 // riding the plumbing that already carries cancellation through the
@@ -30,7 +29,7 @@ import (
 
 // Sampling rates for the two tracing modes. Full tracing times every
 // batch; sampled tracing times one batch in SampleEvery, which keeps
-// the traced parallel path within noise of the untraced one.
+// a traced statement within noise of an untraced one.
 const (
 	SampleFull    = 1
 	SampleDefault = 8

@@ -667,8 +667,8 @@ func (m *Manager) JobTrace(id string) (obs.SpanJSON, JobStatus, bool) {
 // Cancel requests cancellation: a queued job is removed from its
 // tenant's queue and finishes as cancelled without ever occupying a
 // worker or an admission reservation; a running job's engine work stops
-// at the next batch/morsel boundary. Cancelling a finished job is a
-// no-op.
+// at its next cancellation poll (once per batch). Cancelling a finished
+// job is a no-op.
 func (m *Manager) Cancel(id string) error {
 	m.mu.Lock()
 	j, ok := m.jobs[id]

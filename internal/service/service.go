@@ -12,8 +12,8 @@
 //     budget (every per-request engine instance reserves from one
 //     *sqlengine.MemBudget), a persistent job log replayed on restart
 //     (joblog.go), and engine-level cancellation: cancelling a job
-//     aborts its in-flight gate-stage query at the next batch/morsel
-//     boundary, releasing all reservations and worker goroutines;
+//     aborts its in-flight gate-stage query at its next cancellation
+//     poll (once per batch), releasing all its reservations;
 //
 //   - a plan cache — an LRU over translated SQL programs keyed by
 //     circuit fingerprints (sim.PlanCache), shared by every request, so

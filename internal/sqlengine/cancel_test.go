@@ -78,11 +78,24 @@ func TestQueryContextPreCancelled(t *testing.T) {
 	}
 }
 
+// cancelAtFirstPoll is a context that turns cancelled the first time
+// anything asks for its error: the engine's first cancellation poll,
+// once the statement runs, so cancellation lands mid-query on every run
+// instead of racing a timer.
+type cancelAtFirstPoll struct {
+	context.Context
+	cancel context.CancelFunc
+}
+
+func (c cancelAtFirstPoll) Err() error {
+	c.cancel()
+	return c.Context.Err()
+}
+
 // TestQueryContextCancelMidQuery cancels long gate-stage queries while
 // they run, from one caller and from four callers sharing the database:
-// each statement must return an error wrapping context.Canceled well
-// before it would finish, release every reservation, and leave no
-// goroutine behind.
+// each statement must return an error wrapping context.Canceled,
+// release every reservation, and leave no goroutine behind.
 func TestQueryContextCancelMidQuery(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -93,35 +106,26 @@ func TestQueryContextCancelMidQuery(t *testing.T) {
 			base := budget.Used()
 			before := runtime.NumGoroutine()
 
-			ctx, cancel := context.WithCancel(context.Background())
+			parent, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ctx := cancelAtFirstPoll{Context: parent, cancel: cancel}
 			done := make(chan []error, 1)
 			go func() { done <- queryConcurrently(db, ctx, workers) }()
-			time.Sleep(2 * time.Millisecond)
-			cancel()
 			var errs []error
 			select {
 			case errs = <-done:
 			case <-time.After(10 * time.Second):
 				t.Fatal("cancelled queries did not return within 10s")
 			}
-			// A query may legitimately have finished before the cancel
-			// landed; only a cancelled run must report it.
-			cancelled := 0
 			for w, err := range errs {
-				if err != nil && !errors.Is(err, context.Canceled) {
-					t.Fatalf("caller %d: want context.Canceled (or success), got %v", w, err)
-				}
-				if err != nil {
-					cancelled++
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("caller %d: want context.Canceled, got %v", w, err)
 				}
 			}
 			if got := budget.Used(); got != base {
 				t.Fatalf("budget leaked after cancel: used %d, want %d", got, base)
 			}
 			waitForGoroutines(t, before)
-			if cancelled == 0 {
-				t.Skip("every query finished before cancellation landed")
-			}
 		})
 	}
 }

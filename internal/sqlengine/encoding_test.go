@@ -170,7 +170,7 @@ func TestEncodedStoreMatchesPlain(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(33))
 			for trial := 0; trial < 3; trial++ {
-				n := encodeMinRows + rng.Intn(3*morselRows)
+				n := encodeMinRows + rng.Intn(3*cancelPollRows)
 				want := make([]Row, n)
 				for k := range want {
 					v := NewFloat(0)

@@ -84,7 +84,7 @@ type execCtx struct {
 	params []Value
 	// ctx is the statement's cancellation context (nil means
 	// non-cancellable). Operators poll cancelled() once per batch (a
-	// fused kernel loop once per morselRows rows), so a cancelled
+	// fused kernel loop once per cancelPollRows rows), so a cancelled
 	// statement stops within one batch of work and unwinds through the
 	// normal error paths, which release every budget reservation and
 	// spill file.
@@ -95,11 +95,9 @@ type execCtx struct {
 	// stride for the operator timers.
 	span        *obs.Span
 	sampleEvery int
-	// kexec records the last single-stage (gate-stage) kernel
-	// execution of this statement and chainExec the last fused chain
-	// (nil when none ran; see kernel_chain.go). EXPLAIN ANALYZE and
-	// operator-span attachment both read them.
-	kexec, chainExec *kernelRun
+	// krun records the statement's last kernel run (nil when none ran;
+	// see kernel_chain.go) for EXPLAIN ANALYZE.
+	krun *kernelRun
 	// kdecline is the reason of the last run-time kernel decline (a
 	// bind check or a refused budget reservation after the matcher
 	// accepted the plan), "" when none happened.
@@ -156,10 +154,10 @@ type storeScanNode struct {
 	store    *ColStore
 	cols     planSchema
 	ownStore bool
-	// fromKernel marks the scan the kernel tier swaps in over its
-	// fused-loop result store (EXPLAIN ANALYZE and operator spans
-	// label it as kernel output).
-	fromKernel bool
+	// kernel is the annotation of the kernel run whose output store the
+	// kernel tier swapped this scan in over ("" for any other scan);
+	// EXPLAIN ANALYZE and operator spans label the scan with it.
+	kernel string
 }
 
 func (n *storeScanNode) schema() planSchema { return n.cols }
@@ -456,40 +454,10 @@ func planChildren(node planNode) []planNode {
 	return nil
 }
 
-// materializePlan executes a plan and materializes its output into a
-// table store.
-func materializePlan(ctx *execCtx, node planNode) (*ColStore, error) {
-	return materializePlanCollect(ctx, node, false)
-}
-
-// materializePlanCollect is materializePlan with two extensions: the
-// kernel-tier hook (a plan matching the gate-stage shape runs as a
-// compiled kernel, either entirely or as a swapped-in subtree; see
-// kernel.go) and optional statistics collection on the result store
+// materializePlan runs a plan on the interpreter and materializes its
+// output into a table store, optionally collecting statistics on it
 // (CTAS materialization).
-func materializePlanCollect(ctx *execCtx, node planNode, collect bool) (*ColStore, error) {
-	var kstore *ColStore
-	if ctx.env.kernels {
-		result, swapped, err := kernelAttempt(ctx, node, collect)
-		if err != nil {
-			return nil, err
-		}
-		if result != nil {
-			return result, nil
-		}
-		kstore = swapped
-	}
-	store, err := materializePlanExec(ctx, node, collect)
-	if err != nil && kstore != nil {
-		// The swapped-in kernel store is normally released by its scan
-		// iterator; an error before that scan opened would strand it.
-		// Release is idempotent, so releasing again here is safe.
-		kstore.Release()
-	}
-	return store, err
-}
-
-func materializePlanExec(ctx *execCtx, node planNode, collect bool) (*ColStore, error) {
+func materializePlan(ctx *execCtx, node planNode, collect bool) (*ColStore, error) {
 	hint := hintForBudget(knownRows(node), ctx.env.budget)
 	it, err := node.open(ctx)
 	if err != nil {

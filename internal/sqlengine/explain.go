@@ -50,10 +50,10 @@ func (db *DB) explainSelect(sel *SelectStmt, params []Value) (string, error) {
 		return "", err
 	}
 	p.bind(node) // nothing is materialized: only base-table sizes are known
-	kline, kcore := kernelExplain(ctx, node)
+	kline, kplan := kernelExplain(ctx, node)
 	var b strings.Builder
 	writeExplainHeader(&b, names, kline)
-	describePlan(&b, node, 0, kcore)
+	describePlan(&b, node, 0, kplan)
 	return b.String(), nil
 }
 
@@ -104,32 +104,27 @@ func (db *DB) explainAnalyzeSelect(stmtCtx context.Context, sel *SelectStmt, par
 	total := store.Len()
 	store.Release()
 	var b strings.Builder
-	var kcore planNode
-	if k := ctx.kexec; k != nil {
-		// The kernel tier ran under instrumentation (the matcher walks
-		// through statNodes): the fused loop replaced the gate-stage
-		// core — rendered below as its output scan — and reports its
-		// own counters from the kernel timer.
-		writeExplainHeader(&b, names, "kernel: gate-stage (analyzed)")
-		fmt.Fprintf(&b, "kernel actual: rows_in=%d rows_out=%d in %s\n",
-			k.rowsIn, k.rowsOut, k.wall.Round(time.Microsecond))
-	} else if ctx.kdecline != "" {
-		// The matcher accepted the plan but execution declined it (a
+	kline, kplan := kernelExplain(ctx, node)
+	k := ctx.krun
+	switch {
+	case k != nil && k.plan == node:
+		// The kernel tier ran the root (the matcher walks through the
+		// instrumentation's statNodes): the chain replaced the
+		// gate-stage core — rendered below as its output scan.
+		kline, kplan = "kernel: "+chainAnnotation(int(k.stages))+" (analyzed)", nil
+	case kplan != nil && ctx.kdecline != "":
+		// The matcher accepted the root but execution declined it (a
 		// bind check or a refused budget reservation): the interpreter
-		// ran the whole tree.
-		writeExplainHeader(&b, names, "kernel: fallback ("+ctx.kdecline+", at run time)")
-	} else {
-		kline, core := kernelExplain(ctx, node)
-		kcore = core
-		writeExplainHeader(&b, names, kline)
+		// ran it.
+		kline, kplan = "kernel: fallback ("+ctx.kdecline+", at run time)", nil
 	}
-	if ck := ctx.chainExec; ck != nil {
-		// CTE materialization ran a fused chain.
-		fmt.Fprintf(&b, "kernel chain actual: %s rows_in=%d rows_out=%d in %s\n",
-			chainAnnotation(int(ck.stages)), ck.rowsIn, ck.rowsOut, ck.wall.Round(time.Microsecond))
+	writeExplainHeader(&b, names, kline)
+	if k != nil {
+		fmt.Fprintf(&b, "kernel actual: %s rows_in=%d rows_out=%d in %s\n",
+			chainAnnotation(int(k.stages)), k.rowsIn, k.rowsOut, k.wall.Round(time.Microsecond))
 	}
 	fmt.Fprintf(&b, "actual: %d rows in %s\n", total, elapsed.Round(time.Microsecond))
-	describePlan(&b, node, 0, kcore)
+	describePlan(&b, node, 0, kplan)
 	return b.String(), nil
 }
 
@@ -182,37 +177,20 @@ func writeExplainHeader(b *strings.Builder, names []string, kernelLine string) {
 }
 
 // kernelExplain reports the kernel tier's structural decision for a
-// plan: the EXPLAIN header line and the matched core node (nil when
-// the matcher declines). A structural dry run only — no counters, no
+// plan: the EXPLAIN header line and the matched chain (nil when the
+// matcher declines). It is compileChain's dry run — no counters, no
 // cache, no execution; the data-dependent checks (spill state, column
-// vector types and the working-set reservation under a
-// bounded budget) still happen at run time.
-func kernelExplain(ctx *execCtx, node planNode) (string, planNode) {
-	env := ctx.env
-	if !env.kernels {
+// vector types and the working-set reservation under a bounded budget)
+// still happen at run time.
+func kernelExplain(ctx *execCtx, node planNode) (string, *chainPlan) {
+	if !ctx.env.kernels {
 		return "kernel: off", nil
 	}
-	core, _ := findCore(node)
-	reason := kfNoGateStage
-	if core != nil {
-		if kern, why := compileGateStage(core, env, false); kern == nil {
-			core, reason = nil, why
-		}
-	}
-	if core == nil {
+	plan, reason := compileChain(ctx.env, node, true)
+	if plan == nil {
 		return "kernel: fallback (" + reason + ")", nil
 	}
-	if m := cteOf(coreStateSide(core)); m != nil {
-		// The state side may top a chain of gate-stage CTEs that
-		// materialization runs as one fused pass feeding this core: the
-		// same walk and compile, structurally.
-		if links := collectCTEChain(m); len(links) >= 2 {
-			if plan, _ := compileChain(env, links, true); plan != nil {
-				return "kernel: " + chainAnnotation(len(links)) + " + " + kernelAnnotation, core
-			}
-		}
-	}
-	return "kernel: " + kernelAnnotation, core
+	return "kernel: " + chainAnnotation(len(plan.stages)), plan
 }
 
 // scanLayout renders one scanned store's layout: the vector type of
@@ -227,8 +205,8 @@ func scanLayout(store *ColStore) string {
 
 // statNode wraps a physical operator, counting the rows it emits and —
 // on a sampled subset of batches — the time spent in its NextBatch.
-// The wrapper is transparent to the kernel matcher (findGateStage
-// walks through it), so the instrumented plan runs the same schedule
+// The wrapper is transparent to the kernel matcher (findCore walks
+// through it), so the instrumented plan runs the same schedule
 // as the uninstrumented one. EXPLAIN ANALYZE instruments with
 // sampleEvery=1 (every batch timed); traced normal execution uses the
 // trace's stride so the timer calls stay a small share of the work.
@@ -316,7 +294,9 @@ func instrumentPlan(node planNode, sampleEvery int) planNode {
 	return &statNode{child: node, sampleEvery: sampleEvery}
 }
 
-func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) {
+// describePlan renders node's subtree, marking the top core of kplan
+// (the chain EXPLAIN previews; nil for none).
+func describePlan(b *strings.Builder, node planNode, depth int, kplan *chainPlan) {
 	pad := strings.Repeat("  ", depth)
 	actual := ""
 	if sn, ok := node.(*statNode); ok {
@@ -324,8 +304,8 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 		node = sn.child
 	}
 	kmark := ""
-	if kcore != nil && node == kcore {
-		kmark = " [kernel=" + kernelAnnotation + "]"
+	if kplan != nil && node == planNode(kplan.top().core) {
+		kmark = " [kernel=" + chainAnnotation(len(kplan.stages)) + "]"
 	}
 	line := func(format string, args ...any) {
 		fmt.Fprintf(b, "%s%s%s%s\n", pad, fmt.Sprintf(format, args...), kmark, actual)
@@ -339,23 +319,23 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 			qual = n.cols[0].table
 		}
 		kout := ""
-		if n.fromKernel {
-			kout = " [kernel output: " + kernelAnnotation + "]"
+		if n.kernel != "" {
+			kout = " [kernel output: " + n.kernel + "]"
 		}
 		line("BatchScan %s (rows=%d, cols=%d, batch=%d, layout=%s)%s", qual, n.store.Len(), len(n.cols), batchSize, scanLayout(n.store), kout)
 	case *filterNode:
 		line("BatchFilter %s [selection vector]", n.pred.Deparse())
-		describePlan(b, n.child, depth+1, kcore)
+		describePlan(b, n.child, depth+1, kplan)
 	case *projectNode:
 		exprs := make([]string, len(n.exprs))
 		for i, e := range n.exprs {
 			exprs[i] = e.Deparse()
 		}
 		line("BatchProject %s", strings.Join(exprs, ", "))
-		describePlan(b, n.child, depth+1, kcore)
+		describePlan(b, n.child, depth+1, kplan)
 	case *sliceProjectNode:
 		line("StripHiddenColumns keep=%d", n.keep)
-		describePlan(b, n.child, depth+1, kcore)
+		describePlan(b, n.child, depth+1, kplan)
 	case *joinNode:
 		if len(n.leftKeys) > 0 {
 			keys := make([]string, len(n.leftKeys))
@@ -378,8 +358,8 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 			}
 			line("NestedLoopJoin (%s)%s", n.joinType, pred)
 		}
-		describePlan(b, n.left, depth+1, kcore)
-		describePlan(b, n.right, depth+1, kcore)
+		describePlan(b, n.left, depth+1, kplan)
+		describePlan(b, n.right, depth+1, kplan)
 	case *aggNode:
 		keys := make([]string, len(n.groupBy))
 		for i, g := range n.groupBy {
@@ -408,7 +388,7 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 			mode = " [materialized]"
 		}
 		line("%s keys=[%s] aggs=[%s]%s", label, strings.Join(keys, ", "), strings.Join(aggs, ", "), mode)
-		describePlan(b, n.child, depth+1, kcore)
+		describePlan(b, n.child, depth+1, kplan)
 	case *sortNode:
 		keys := make([]string, len(n.keys))
 		for i, k := range n.keys {
@@ -423,16 +403,16 @@ func describePlan(b *strings.Builder, node planNode, depth int, kcore planNode) 
 			elided = " [elided: input already in key order]"
 		}
 		line("Sort %s (external merge when over budget)%s", strings.Join(keys, ", "), elided)
-		describePlan(b, n.child, depth+1, kcore)
+		describePlan(b, n.child, depth+1, kplan)
 	case *limitNode:
 		line("Limit")
-		describePlan(b, n.child, depth+1, kcore)
+		describePlan(b, n.child, depth+1, kplan)
 	case *aliasNode:
 		line("As %s", n.table)
-		describePlan(b, n.child, depth+1, kcore)
+		describePlan(b, n.child, depth+1, kplan)
 	case *materializeNode:
 		line("MaterializeCTE %s (refs=%d)", n.name, n.uses)
-		describePlan(b, n.child, depth+1, kcore)
+		describePlan(b, n.child, depth+1, kplan)
 	default:
 		line("%T", node)
 	}

@@ -30,10 +30,12 @@ import (
 // compiles to bit-mask data — shift-mask terms for the probe key, a
 // keep mask plus per-gate-row bits for the group key — so the loop
 // makes no call per operator; other expressions keep compiled
-// closures. The tier runs at execution time only, wherever a plan is
-// materialized — the statement root and each CTE subplan (planning
-// executes nothing; see planner.go) — and a single stage runs as a
-// chain of one through the fused-chain path (kernel_chain.go).
+// closures. The tier runs at execution time only, through one entry
+// point (planner.runKernel) called on every plan the planner runs — the
+// statement root and each CTE subplan (planning executes nothing; see
+// planner.go) — which runs the plan's core and the gate-stage CTEs
+// below it as one chain (kernel_chain.go); a lone stage is a chain of
+// one.
 //
 // Determinism contract: the kernel reproduces the interpreted engine
 // bit for bit. Group emission order, floating-point evaluation order
@@ -43,7 +45,7 @@ import (
 // statement's goroutine and add every state row, in row order, into one
 // accumulator — the order of the interpreter's streaming aggregation —
 // so no result depends on the machine's core count. Emission is
-// first-seen, with one exception: a top-level stage under a proven
+// first-seen, with one exception: a chain's top stage under a proven
 // ORDER BY of its group key (sortsByGroupKey) whose run is dense emits
 // in ascending key order, which its sort then finds already satisfied
 // (sort.go) — the sorted result is the same, since group keys are
@@ -189,60 +191,96 @@ func (c *KernelCache) lookup(key []byte) (*kernelProg, bool) { return c.lru.getB
 
 func (c *KernelCache) store(key string, p *kernelProg) { c.lru.put(key, p, 1) }
 
-// kernelAttempt is the materialization hook (called from
-// materializePlan on every plan): it pattern-matches the
-// plan for the gate-stage core, possibly under order-neutral wrapper
-// operators, and executes the matched core as a compiled kernel — a
-// chain of one stage, through the same bind → reserve → runChainKernel
-// path a fused chain takes (kernel_chain.go).
+// runKernel is the kernel tier's one entry point, called on every plan
+// the planner runs before the CTEs the plan reads are materialized. It
+// matches the plan's gate-stage core together with the gate-stage CTEs
+// below it (compileChain), materializes what the chain's bottom stage
+// reads, and runs every stage as one chain (runChainKernel).
 //
 // Returns (result, nil, nil) when the core was the plan root and result
 // is the final store; (nil, swapped, nil) when the core sat under
 // wrappers — the core subtree has been replaced in the tree by a scan
 // over the kernel's output store (swapped; the caller releases it if a
-// downstream error strands it); (nil, nil, nil) when the matcher
+// downstream error strands it); (nil, nil, nil) when the kernel tier
 // declined and the plan is untouched.
 //
-// Under a bounded budget the kernel reserves its working set before
-// allocating it and declines to the interpreter, which spills, when the
-// reservation is refused.
-func kernelAttempt(ctx *execCtx, root planNode, collect bool) (*ColStore, *ColStore, error) {
-	ctx.kdecline = ""
-	site, reason := findGateStage(ctx, root)
-	if site == nil {
-		kernelFallback(ctx.env, reason)
+// Under a bounded budget the run reserves its working set stage by
+// stage. When the budget refuses, a longer chain falls back to shorter
+// ones: the top stage's input CTE materializes through its own chain,
+// and the top stage retries as a chain of one; a refused chain of one
+// declines to the interpreter, which spills.
+func (p *planner) runKernel(root planNode, collect bool) (*ColStore, *ColStore, error) {
+	ctx, env := p.ctx, p.ctx.env
+	if !env.kernels {
 		return nil, nil, nil
 	}
-	bound, reason := bindGateStage(ctx.env, site.kern)
-	if bound == nil {
-		kernelRuntimeDecline(ctx, reason)
-		return nil, nil, nil
+	// The join strategies decide what the matcher accepts: bind them as
+	// the interpreter would (a grace join declines the kernel).
+	p.bind(root)
+	for {
+		plan, reason := compileChain(env, root, false)
+		if plan == nil {
+			kernelFallback(env, reason)
+			return nil, nil, nil
+		}
+		if err := p.materializeAll(plan.stages[0].kern.join.left); err != nil {
+			return nil, nil, err
+		}
+		bound, reason := bindChain(env, plan)
+		if bound == nil {
+			kernelRuntimeDecline(ctx, reason)
+			return nil, nil, nil
+		}
+		top := plan.top()
+		plan.keyOrder = plan.set != nil && sortsByGroupKey(root, top.core)
+		run, store, err := runChainKernel(ctx, plan, bound, collect && plan.set == nil)
+		if err == errChainBudget {
+			kernelRuntimeDecline(ctx, kfBudgetLimited)
+			if len(plan.stages) == 1 {
+				return nil, nil, nil
+			}
+			if err := p.materialize(cteOf(top.join.left)); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		run.plan = root
+		p.recordKernelRun(run)
+		if plan.set == nil {
+			return store, nil, nil
+		}
+		plan.set(&storeScanNode{
+			store:    store,
+			cols:     top.core.schema(),
+			ownStore: true,
+			kernel:   chainAnnotation(int(run.stages)),
+		})
+		return nil, store, nil
 	}
-	plan := &chainPlan{
-		stages:   []*chainStage{{kern: site.kern}},
-		keyOrder: site.set != nil && sortsByGroupKey(root, site.kern.core),
+}
+
+// recordKernelRun counts one kernel run and records it on the
+// statement: the counters, a "kernel-chain" span, and ctx.krun for
+// EXPLAIN ANALYZE.
+func (p *planner) recordKernelRun(run *kernelRun) {
+	env := p.ctx.env
+	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.executions }, run.stages)
+	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainExecutions }, 1)
+	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainStages }, run.stages)
+	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainElided }, run.stages-1)
+	p.ctx.krun = run
+	sp := p.ctx.span.CompleteChild("kernel-chain", run.start, run.wall)
+	sp.Add("stages", run.stages)
+	sp.Add("rows_in", run.rowsIn)
+	sp.Add("rows_out", run.rowsOut)
+	if run.cacheHit {
+		sp.Add("cache_hit", 1)
+	} else {
+		sp.Add("compiled", 1)
 	}
-	run, store, err := runChainKernel(ctx, plan, bound, collect && site.set == nil)
-	if err == errChainBudget {
-		kernelRuntimeDecline(ctx, kfBudgetLimited)
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	kernelBump(ctx.env, func(k *kernelCounterSet) *atomic.Int64 { return &k.executions }, 1)
-	ctx.kexec = run
-	if site.set == nil {
-		return store, nil, nil
-	}
-	core := site.kern.core
-	site.set(&storeScanNode{
-		store:      store,
-		cols:       core.schema(),
-		ownStore:   true,
-		fromKernel: true,
-	})
-	return nil, store, nil
 }
 
 // sortsByGroupKey reports whether root is an ORDER BY of one ASC key

@@ -3,13 +3,11 @@ package sqlengine
 import (
 	"errors"
 	"slices"
-	"strings"
-	"sync/atomic"
 	"time"
 )
 
-// Whole-circuit chain fusion: multi-stage fused execution without
-// intermediate materialization.
+// Chain execution: every kernel run is a chain of gate stages run in
+// one pass, without intermediate materialization.
 //
 // A translated circuit is a chain of gate stages, each reading exactly
 // the previous stage's state table — as chained CTEs in single-query
@@ -17,30 +15,30 @@ import (
 // synthesized CREATE TABLE … AS WITH. Every interior stage CTE lowers
 // to a materializeNode (its single reference sits under the next
 // stage's float SUM, so inlining is blocked by the bit-neutrality
-// contract). Materializing such a node —
-// planner.materialize, after planning is done — is this tier's hook:
-// instead of running the node's subplan and recursing stage by stage,
-// fuseCTEChain walks the reference chain to the bottom through the
-// lowered subplans, compiles every stage with the single-stage kernel
-// machinery (kernel_lower.go), and runs all of them in one pass. The
-// amplitudes flow between stages through double-buffered in-memory
-// (key, re, im) triples; only the topmost chain stage's output is
-// materialized into a ColStore. The intermediate stage tables never
-// exist: no storage, no spill eligibility. Under a bounded budget the
-// run reserves the buffers and the accumulator instead, and declines
-// when they do not fit. EXPLAIN previews the same walk (kernelExplain).
+// contract). The kernel tier's one entry point (planner.runKernel,
+// kernel.go) gets each plan before the CTEs it reads are materialized:
+// compileChain matches the plan's gate-stage core, walks down the
+// single-use gate-stage CTEs its state side reads, and compiles every
+// stage (kernel_lower.go); runChainKernel runs all of them in one pass.
+// The amplitudes flow between stages through double-buffered in-memory
+// (key, re, im) triples; only the top stage's output is materialized
+// into a ColStore. The interior stage tables never exist: no storage,
+// no spill eligibility. A lone stage is a chain of one. Under a bounded
+// budget the run reserves the buffers and the accumulator instead, and
+// declines when they do not fit. EXPLAIN previews the same match
+// (kernelExplain).
 //
 // Determinism contract (extends kernel.go's): a chainBuf holds exactly
 // the rows, in exactly the order, that the stage's materialized store
 // would hold — the kernel's emission order with the pruning HAVING
 // applied at emission (kEmitter.add's schedule verbatim). Each stage
-// then runs the same accumulation the single-stage kernel runs over a
-// store holding those rows. Amplitudes are therefore bit-identical to
-// unbounded stage-at-a-time execution at every encoding and budget
-// that lets the chain run; the differential matrix in
-// kernel_chain_test.go asserts it.
+// then runs the same accumulation a chain of one runs over a store
+// holding those rows. Amplitudes are therefore bit-identical to
+// stage-at-a-time execution (one CREATE TABLE AS per stage) at every
+// encoding and budget that lets the chain run; the differential matrix
+// in kernel_chain_test.go asserts it.
 
-// chainStage is one compiled-and-gate-bound stage of a fused chain.
+// chainStage is one compiled-and-gate-bound stage of a chain.
 type chainStage struct {
 	kern *gateKernel
 	// Interior binding (stages after the first): the gate side's bucket
@@ -53,14 +51,20 @@ type chainStage struct {
 // chainPlan is a compiled chain, bottom stage first. stages[0] binds
 // its state side to a real store (base table or an already-materialized
 // CTE); every later stage consumes the previous stage's in-memory
-// buffer. A top-level gate stage runs as a chain of one.
+// buffer, and the last stage is the plan's core.
 type chainPlan struct {
 	stages []*chainStage
+	// set replaces the core in its parent (nil when the core is the
+	// plan root; see findCore).
+	set func(planNode)
 	// keyOrder makes the last stage emit in key order when its run is
-	// dense (kEmitter); set only for a top-level stage under
-	// ORDER BY its group key (kernelAttempt).
+	// dense (kEmitter); set only for a core under ORDER BY its group
+	// key (sortsByGroupKey).
 	keyOrder bool
 }
+
+// top is the chain's last stage: the plan's core.
+func (c *chainPlan) top() *gateKernel { return c.stages[len(c.stages)-1].kern }
 
 // chainBuf is the in-memory intermediate between fused stages: the
 // exact post-HAVING rows, in the exact order, the stage's materialized
@@ -122,160 +126,42 @@ func (b *chainBuf) emit(a *kAcc) error {
 	return nil
 }
 
-// fuseCTEChain is the materialize hook: when m tops a fusable run of
-// unmaterialized single-use gate-stage CTEs, execute the whole run as
-// one fused pass and install the result as m's store. Returns true when
-// it did (or failed trying — a real execution error propagates); false
-// declines back to stage-at-a-time materialization, counting the
-// decline reason once per statement under "fallback_chain-*".
-func (p *planner) fuseCTEChain(m *materializeNode) (bool, error) {
-	env := p.ctx.env
-	if !env.kernels {
-		return false, nil
+// compileChain is the kernel tier's matcher. It finds the gate-stage
+// core of a plan (findCore) and compiles it, then walks down the CTEs
+// the stages read on their state side: a single-use, unmaterialized CTE
+// whose subplan is a gate-stage core joins the chain below the stage
+// reading it. The walk stops at the first CTE that does not — that CTE,
+// or the base table, is the bottom stage's input — and at a stage whose
+// state slots cannot read the in-memory (s, r, i) layout. dry is
+// EXPLAIN's structural preview: no cache, no counters.
+func compileChain(env *storageEnv, root planNode, dry bool) (*chainPlan, string) {
+	core, set := findCore(root)
+	if core == nil {
+		return nil, kfNoGateStage
 	}
-	links := collectCTEChain(m)
-	if len(links) < 2 {
-		return false, nil
+	above, reason := compileGateStage(core, env, dry)
+	if above == nil {
+		return nil, reason
 	}
-	// The bottom stage reads real stores: bind its join strategy as
-	// stage-at-a-time execution would (a grace join declines the kernel).
-	p.bind(links[0].child)
-	plan, reason := compileChain(env, links, false)
-	if plan == nil {
-		p.chainFallback(reason)
-		return false, nil
-	}
-	bound0, reason := bindChain(env, plan)
-	if bound0 == nil {
-		p.chainFallback(reason)
-		return false, nil
-	}
-	run, store, err := runChainKernel(p.ctx, plan, bound0, true)
-	if err == errChainBudget {
-		// Nothing escaped: the refusal came before the output store
-		// existed. Stage-at-a-time execution may still run single-stage
-		// kernels, each reserving its own smaller working set.
-		p.chainFallback(kfChainBudgetLimited)
-		return false, nil
-	}
-	if err != nil {
-		return true, err
-	}
-	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.executions }, run.stages)
-	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainExecutions }, 1)
-	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainStages }, run.stages)
-	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainElided }, run.stages-1)
-	p.ctx.chainExec = run
-	sp := p.ctx.span.CompleteChild("kernel-chain", run.start, run.wall)
-	sp.Add("stages", run.stages)
-	sp.Add("rows_in", run.rowsIn)
-	sp.Add("rows_out", run.rowsOut)
-	p.cleanup = append(p.cleanup, store)
-	m.res.store = store
-	return true, nil
-}
-
-// chainFallback records one chain decline, at most once per statement
-// (the demand-driven materialization recursion would otherwise count
-// every suffix of the same chain).
-func (p *planner) chainFallback(reason string) {
-	if p.chainCounted {
-		return
-	}
-	p.chainCounted = true
-	if !strings.HasPrefix(reason, "chain-") {
-		reason = "chain-" + reason
-	}
-	kernelFallback(p.ctx.env, reason)
-}
-
-// collectCTEChain walks the stage chain downward from m: each link is a
-// CTE subplan reading exactly one other CTE, an unmaterialized
-// single-use definition. Returns the chain bottom-first (the last entry
-// is m).
-func collectCTEChain(m *materializeNode) []*materializeNode {
-	seen := map[*cteResult]bool{m.res: true}
-	chain := []*materializeNode{m}
-	for cur := m; ; {
-		refs := cteRefsIn(cur.child)
-		if len(refs) != 1 {
+	plan := &chainPlan{stages: []*chainStage{{kern: above}}, set: set}
+	for chainStateSlots(above.prog) {
+		m := cteOf(above.join.left)
+		if m == nil || m.res.store != nil || m.uses != 1 {
 			break
 		}
-		prev := refs[0]
-		if prev.res.store != nil || prev.uses != 1 || seen[prev.res] {
-			break
-		}
-		seen[prev.res] = true
-		chain = append(chain, prev)
-		cur = prev
-	}
-	slices.Reverse(chain)
-	return chain
-}
-
-// cteRefsIn collects the CTE references of one plan, not descending
-// into the referenced CTEs' own subplans.
-func cteRefsIn(n planNode) []*materializeNode {
-	if m, ok := n.(*materializeNode); ok {
-		return []*materializeNode{m}
-	}
-	var out []*materializeNode
-	for _, c := range planChildren(n) {
-		out = append(out, cteRefsIn(c)...)
-	}
-	return out
-}
-
-// coreStateSide returns the state-side join input of a matched
-// gate-stage core projection.
-func coreStateSide(core *projectNode) planNode {
-	agg, _ := coreAggOf(core)
-	if agg == nil {
-		return nil
-	}
-	join, ok := unwrapStat(agg.child).(*joinNode)
-	if !ok {
-		return nil
-	}
-	return join.left
-}
-
-// compileChain compiles every link's stage, bottom first, straight from
-// the lowered subplans. The bottom stage compiles through the full
-// single-stage path (its state side is a real store); interior stages
-// compile in chain mode (state side pinned to the (s, r, i)
-// intermediate layout, gate side bound physically). dry is EXPLAIN's
-// structural preview: no store checks, no cache, no counters — but the
-// bottom must still read a real table, as execution requires.
-func compileChain(env *storageEnv, links []*materializeNode, dry bool) (*chainPlan, string) {
-	stages := make([]*chainStage, len(links))
-	for i, m := range links {
-		core, _ := findCore(m.child)
+		core, _ := unwrapStat(m.child).(*projectNode)
 		if core == nil {
-			return nil, kfChainStageShape
+			break
 		}
-		var kern *gateKernel
-		var reason string
-		switch {
-		case i == 0:
-			kern, reason = compileGateStage(core, env, !dry)
-			if kern != nil && kern.state == nil {
-				kern, reason = nil, kfScanShape
-			}
-		case dry:
-			kern, reason = compileGateStage(core, env, false)
-			if kern != nil && !chainStateSlots(kern.prog) {
-				kern, reason = nil, kfChainSlots
-			}
-		default:
-			kern, reason = compileChainStage(core, env)
+		below, _ := compileGateStage(core, env, dry)
+		if below == nil {
+			break
 		}
-		if kern == nil {
-			return nil, reason
-		}
-		stages[i] = &chainStage{kern: kern}
+		plan.stages = append(plan.stages, &chainStage{kern: below})
+		above = below
 	}
-	return &chainPlan{stages: stages}, ""
+	slices.Reverse(plan.stages)
+	return plan, ""
 }
 
 // bindChain binds every stage to the current data — the bottom stage
@@ -343,16 +229,16 @@ func bindChainInput(st *chainStage, in *chainBuf) *boundGate {
 }
 
 // errChainBudget is runChainKernel's sentinel for a refused working-set
-// reservation: the caller declines to the next path down
-// (stage-at-a-time execution, or the interpreter for a single stage).
-var errChainBudget = errors.New("sqlengine: fused chain working set refused by the memory budget")
+// reservation: the caller falls back to a shorter chain, or to the
+// interpreter for a chain of one.
+var errChainBudget = errors.New("sqlengine: kernel chain working set refused by the memory budget")
 
-// kernelRun records one kernel execution on the execCtx — a fused chain
-// (chainExec) or a single gate stage (kexec): its start and wall time,
-// the stages it covered, the rows into the first stage and out of the
-// last, and whether every program came
-// from the kernel cache. EXPLAIN ANALYZE and span attachment read it.
+// kernelRun records one kernel run on the execCtx: the plan it ran for,
+// its start and wall time, the stages it covered, the rows into the
+// first stage and out of the last, and whether every program came from
+// the kernel cache. EXPLAIN ANALYZE reads it.
 type kernelRun struct {
+	plan     planNode
 	start    time.Time
 	wall     time.Duration
 	stages   int64
@@ -363,18 +249,20 @@ type kernelRun struct {
 
 // runChainKernel executes a bound chain: every stage but the last emits
 // into the next stage's chainBuf; the last materializes through the
-// standard kernel emitter into a fresh store (for a chain top, exactly
-// the store stage-at-a-time execution would have produced for the CTE,
-// with statistics, so the stage reading it can prove a dense key
-// bound). The run owns one accumulator and two stage buffers and
+// standard kernel emitter into a fresh store (with statistics when
+// collect is set, as a CTAS result or a CTE that a later chain reads
+// needs them). The run owns one accumulator and two stage buffers and
 // recycles them across all stages: stage k reads one buffer while
 // emitting into the other, so after the first stages warm them up a
-// stage allocates almost nothing.
+// stage allocates almost nothing. The last stage drops the idle buffer
+// before it runs.
 //
-// Under a bounded budget every stage first reserves the growth of the
-// accumulator and buffers its run will allocate (the last stage also
-// its emitter batch); a refusal returns errChainBudget before the
-// output store exists. The reservation is released when the run ends.
+// Under a bounded budget every stage first reserves its working set:
+// the accumulator, its input buffer, and its output — the next buffer,
+// or for the last stage the emitter batch (the output store reserves
+// its own rows). The idle buffer is neither kept nor reserved for the
+// last stage. A refusal returns errChainBudget before the output store
+// exists. The reservation is released when the run ends.
 func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bool) (*kernelRun, *ColStore, error) {
 	var (
 		acc  kAcc
@@ -396,18 +284,23 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bo
 			bk = bindChainInput(st, cur)
 		}
 		nxt := &bufs[i%2]
+		if i == last {
+			*nxt = chainBuf{}
+		}
 		if bounded {
 			if !bk.presizeToBound() {
 				return nil, nil, errChainBudget
 			}
-			other := &bufs[1-i%2]
-			need := acc.footprint(bk) + other.footprint(0)
+			need := acc.footprint(bk)
+			if cur != nil {
+				need += cur.footprint(0)
+			}
 			if i == last {
-				need += nxt.footprint(0) + emitterBytes(bk.groupHint)
+				need += emitterBytes(bk.groupHint)
 			} else {
 				need += nxt.footprint(bk.groupHint)
 			}
-			if !res.growTo(need) {
+			if !res.resize(need) {
 				return nil, nil, errChainBudget
 			}
 		}

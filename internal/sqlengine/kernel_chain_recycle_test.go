@@ -86,7 +86,7 @@ func TestChainRecyclingBitIdentity(t *testing.T) {
 	// dense key range from 2^6 to 2^13, stage 6 (qubit 16) spreads too
 	// few rows over too wide a range and turns hashed, and stage 7
 	// (qubit 23) pushes keys past denseCap. With 16384 rows the states
-	// span several cancellation strides (morselRows).
+	// span several cancellation strides (cancelPollRows).
 	qubits := []int{1, 3, 0, 12, 2, 16, 23, 1, 0, 4}
 	gates := []string{"h", "h", "hd", "h", "h", "h", "h", "h", "h", "h"}
 	having := []bool{false, false, true, false, false, false, false, false, false, false}
@@ -109,8 +109,8 @@ func TestChainRecyclingBitIdentity(t *testing.T) {
 			db := newOptDB(t, Config{})
 			setupPairedState(t, db, n)
 			rows := queryAll(t, db, q)
-			if kc := db.KernelCounters(); kc["chain_stages"] != int64(len(qubits)-1) {
-				t.Fatalf("chain_stages = %d, want %d (counters: %v)", kc["chain_stages"], len(qubits)-1, kc)
+			if kc := db.KernelCounters(); kc["chain_stages"] != int64(len(qubits)) {
+				t.Fatalf("chain_stages = %d, want %d (counters: %v)", kc["chain_stages"], len(qubits), kc)
 			}
 			if want := wantRows[n]; len(rows) != want {
 				t.Fatalf("fused chain produced %d rows, want %d", len(rows), want)
@@ -145,15 +145,14 @@ func chainRunBytes(t *testing.T, stages int) (uint64, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The last CTE inlines into the final SELECT; the chain tops out at
-	// the one CTE reference it reads.
-	refs := cteRefsIn(root)
-	if len(refs) != 1 {
-		t.Fatalf("plan reads %d CTEs, want the chain top only", len(refs))
-	}
-	plan, reason := compileChain(db.env, collectCTEChain(refs[0]), false)
+	// The last CTE inlines into the final SELECT, whose core tops the
+	// chain.
+	plan, reason := compileChain(db.env, root, false)
 	if plan == nil {
 		t.Fatalf("chain did not compile: %s", reason)
+	}
+	if len(plan.stages) != stages {
+		t.Fatalf("chain compiled %d stages, want %d", len(plan.stages), stages)
 	}
 	bound0, reason := bindChain(db.env, plan)
 	if bound0 == nil {

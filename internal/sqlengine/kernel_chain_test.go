@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"qymera/internal/circuits"
+	"qymera/internal/core"
 	"qymera/internal/obs"
 )
 
@@ -71,10 +73,9 @@ func stageAtATime(t *testing.T, db *DB, stages int, having bool) string {
 // stage-at-a-time engine, in both aggregation regimes.
 //
 // Counter accounting: the optimizer inlines the last CTE into the
-// trivial final SELECT (a non-sensitive single-use reference), so a
-// K-stage chain normalizes to K-1 fused CTE stages plus one top-level
-// single-stage kernel over the chain's output — executions counts all
-// K, the chain counters cover K-1.
+// trivial final SELECT (a non-sensitive single-use reference), whose
+// core tops the chain: one kernel run covers all K stages and elides
+// the K-1 tables below the top.
 func TestChainFusionEngages(t *testing.T) {
 	const stages = 4
 	for _, n := range []int{300, 20000} { // within one cancellation stride, and three
@@ -93,17 +94,53 @@ func TestChainFusionEngages(t *testing.T) {
 			if kc["chain_executions"] != 1 {
 				t.Fatalf("chain_executions = %d, want 1 (counters: %v)", kc["chain_executions"], kc)
 			}
-			if kc["chain_stages"] != stages-1 {
-				t.Fatalf("chain_stages = %d, want %d", kc["chain_stages"], stages-1)
+			if kc["chain_stages"] != stages {
+				t.Fatalf("chain_stages = %d, want %d", kc["chain_stages"], stages)
 			}
-			if kc["chain_elided"] != stages-2 {
-				t.Fatalf("chain_elided = %d, want %d", kc["chain_elided"], stages-2)
+			if kc["chain_elided"] != stages-1 {
+				t.Fatalf("chain_elided = %d, want %d", kc["chain_elided"], stages-1)
 			}
 			if kc["executions"] != stages {
-				t.Fatalf("executions = %d, want %d (chain + top-level kernel)", kc["executions"], stages)
+				t.Fatalf("executions = %d, want %d", kc["executions"], stages)
 			}
 			if rowsBits(rows) != want {
 				t.Fatal("fused chain is not bit-identical to stage-at-a-time execution")
+			}
+		})
+	}
+}
+
+// TestFinalStageJoinsChain: a translated circuit's final stage runs
+// inside the chain, so one kernel run covers every stage — in
+// single-query mode, where the final SELECT's core tops the chain, and
+// as a materialized-chain CTAS, whose root tops it — and the amplitudes
+// are bit-identical to the stage statements run one CTAS at a time on
+// the interpreter.
+func TestFinalStageJoinsChain(t *testing.T) {
+	c := circuits.QFT(12)
+	ref := translateProgram(t, c, core.MaterializedChain, false)
+	want, _, err := ref.run(Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []core.Mode{core.SingleQuery, core.MaterializedChain} {
+		t.Run(mode.String(), func(t *testing.T) {
+			tr, err := core.Translate(c, nil, core.Options{Mode: mode, PruneEps: 1e-12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := newOptDB(t, Config{})
+			for _, s := range tr.FusedStatements() {
+				mustExec(t, db, s)
+			}
+			rows := queryAll(t, db, tr.Query)
+			kc := db.KernelCounters()
+			n := int64(tr.StageCount)
+			if kc["chain_executions"] != 1 || kc["chain_stages"] != n || kc["executions"] != n || kc["chain_elided"] != n-1 {
+				t.Fatalf("want one kernel run over all %d stages (counters: %v)", n, kc)
+			}
+			if rowsBits(rows) != want {
+				t.Fatal("chain is not bit-identical to one CTAS per stage")
 			}
 		})
 	}
@@ -157,13 +194,13 @@ func TestChainFusionDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestChainFusionBudgetDecline: under a bounded budget the fused chain
+// TestChainFusionBudgetDecline: under a bounded budget the chain
 // reserves its buffers and accumulator stage by stage. A budget that
-// cannot hold the last stage's working set refuses it mid-chain: the
-// chain releases everything, counts chain-budget-limited once, and the
-// statement runs stage-at-a-time — still through kernels where their
+// cannot hold a later stage's working set refuses it mid-chain: the
+// chain releases everything, counts budget-limited, and the statement
+// falls back to shorter chains — still through kernels where their
 // smaller working sets fit (a shorter chain below the refused stage,
-// single stages) — bit-identical to stage-at-a-time execution under
+// chains of one) — bit-identical to stage-at-a-time execution under
 // the same budget. A budget with room runs the whole chain,
 // bit-identical to the unbounded engine.
 func TestChainFusionBudgetDecline(t *testing.T) {
@@ -180,7 +217,7 @@ func TestChainFusionBudgetDecline(t *testing.T) {
 		slack int64
 		fused bool
 	}{
-		{"refused", 45 << 10, false},
+		{"refused", 32 << 10, false},
 		{"reserved", 256 << 10, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -195,12 +232,12 @@ func TestChainFusionBudgetDecline(t *testing.T) {
 			}
 			kc := db.KernelCounters()
 			if tc.fused {
-				if kc["chain_executions"] != 1 || kc["fallback_"+kfChainBudgetLimited] != 0 {
+				if kc["chain_executions"] != 1 || kc["chain_stages"] != stages || kc["fallback_"+kfBudgetLimited] != 0 {
 					t.Fatalf("chain did not fuse within the budget (counters: %v)", kc)
 				}
 			} else {
-				if kc["fallback_"+kfChainBudgetLimited] != 1 || kc["chain_stages"] >= stages-1 {
-					t.Fatalf("want the full chain refused, counted once (counters: %v)", kc)
+				if kc["fallback_"+kfBudgetLimited] == 0 || kc["chain_stages"] >= stages {
+					t.Fatalf("want the full chain refused and counted (counters: %v)", kc)
 				}
 				if kc["executions"] == 0 {
 					t.Fatalf("stage-at-a-time execution ran no kernel (counters: %v)", kc)
@@ -232,8 +269,8 @@ func TestChainFusionElidesIntermediates(t *testing.T) {
 			return budget.Peak() - base
 		}
 		mustExec(t, db, "CREATE TABLE final AS "+chainQuery(stages, false))
-		if kc := db.KernelCounters(); kc["chain_elided"] != stages-2 {
-			t.Fatalf("chain_elided = %d, want %d", kc["chain_elided"], stages-2)
+		if kc := db.KernelCounters(); kc["chain_elided"] != stages-1 {
+			t.Fatalf("chain_elided = %d, want %d", kc["chain_elided"], stages-1)
 		}
 		return budget.Peak() - base
 	}
@@ -271,19 +308,40 @@ SELECT` + join
 	}
 }
 
-// TestChainExplainAnnotation: EXPLAIN previews the chain the fusion
-// tier would run, and EXPLAIN ANALYZE reports the fused execution's
-// actual stage and row counts.
+// TestChainStopsAtWrappedCTE: a CTE whose subplan wraps its gate-stage
+// core (here in ORDER BY … LIMIT) cannot feed the stage above it in
+// memory — the chain would drop the wrapper — so the chain stops above
+// it, and the result matches the interpreter's bit for bit.
+func TestChainStopsAtWrappedCTE(t *testing.T) {
+	q := "WITH c1 AS (\n" + chainStageBody("t0", false) + "\nORDER BY s LIMIT 5\n), c2 AS (\n" +
+		chainStageBody("c1", false) + "\n), c3 AS (\n" + chainStageBody("c2", false) + "\n)\nSELECT s, r, i FROM c3 ORDER BY s"
+	var digests [2]string
+	for i, kernels := range []bool{false, true} {
+		db := withKernels(newOptDB(t, Config{}), kernels)
+		setupGateStage(t, db, 300)
+		digests[i] = rowsBits(queryAll(t, db, q))
+		if kc := db.KernelCounters(); kernels && kc["chain_stages"] != 3 {
+			t.Fatalf("want c2 and c3 chained and c1 run alone (counters: %v)", kc)
+		}
+	}
+	if digests[0] != digests[1] {
+		t.Fatal("chain over a wrapped CTE differs from the interpreter")
+	}
+}
+
+// TestChainExplainAnnotation: EXPLAIN previews the chain the kernel
+// tier would run — one annotation, on the header and on the top core —
+// and EXPLAIN ANALYZE reports the run's actual stage and row counts.
 func TestChainExplainAnnotation(t *testing.T) {
 	db := newOptDB(t, Config{})
 	setupGateStage(t, db, 1000)
-	q := chainQuery(4, false) // normalizes to a 3-stage chain + top-level kernel
+	q := chainQuery(4, false)
 
 	plan, err := db.Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "kernel: "+chainAnnotation(3)+" + "+kernelAnnotation) {
+	if !strings.Contains(plan, "kernel: "+chainAnnotation(4)+"\n") || strings.Count(plan, "[kernel="+chainAnnotation(4)+"]") != 1 {
 		t.Fatalf("EXPLAIN missing chain annotation:\n%s", plan)
 	}
 
@@ -293,18 +351,17 @@ func TestChainExplainAnnotation(t *testing.T) {
 		text.WriteString(r[0].String())
 		text.WriteString("\n")
 	}
-	if !strings.Contains(text.String(), "kernel chain actual: "+chainAnnotation(3)) {
+	if !strings.Contains(text.String(), "kernel: "+chainAnnotation(4)+" (analyzed)\nkernel actual: "+chainAnnotation(4)) {
 		t.Fatalf("EXPLAIN ANALYZE missing chain actuals:\n%s", text.String())
 	}
 
-	// Two stages leave one CTE below the top-level kernel: too short to
-	// chain, the plan previews as a plain gate stage.
-	plan, err = db.Explain(chainQuery(2, false))
+	// A lone stage is a chain of one.
+	plan, err = db.Explain(gateStageQuery(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(plan, "gate-chain") || !strings.Contains(plan, "kernel: "+kernelAnnotation) {
-		t.Fatalf("EXPLAIN of a two-stage query is not a plain gate stage:\n%s", plan)
+	if !strings.Contains(plan, "kernel: "+chainAnnotation(1)+"\n") {
+		t.Fatalf("EXPLAIN of a one-stage query is not a chain of one:\n%s", plan)
 	}
 }
 

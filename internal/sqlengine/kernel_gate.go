@@ -122,18 +122,21 @@ func emitterBytes(groupHint int64) int64 {
 	return ampRowBytes * min(groupHint, batchSize)
 }
 
-// kReserve is a kernel run's reservation against a bounded budget. It
-// only grows — to the largest working set the run has held so far —
-// and is released in one piece when the run ends.
+// kReserve is a kernel run's reservation against a bounded budget: the
+// working set of the stage running now, released in one piece when the
+// run ends.
 type kReserve struct {
 	budget *MemBudget
 	held   int64
 }
 
-// growTo raises the reservation to n bytes, reporting false (and
+// resize sets the reservation to n bytes: a smaller n gives the surplus
+// back, a larger one reserves the growth, reporting false (and
 // reserving nothing more) when the budget refuses.
-func (r *kReserve) growTo(n int64) bool {
+func (r *kReserve) resize(n int64) bool {
 	if n <= r.held {
+		r.budget.release(r.held - n)
+		r.held = n
 		return true
 	}
 	if !r.budget.tryReserve(n - r.held) {
@@ -148,11 +151,16 @@ func (r *kReserve) release() {
 	r.held = 0
 }
 
-// bindGateStage binds a compiled program to the scans' current stores,
-// running the data-dependent checks the matcher cannot do statically.
+// bindGateStage binds a chain's bottom stage to the current stores of
+// its scans, running the data-dependent checks the matcher cannot do
+// statically.
 func bindGateStage(env *storageEnv, k *gateKernel) (*boundGate, string) {
+	scan := scanOf(k.join.left)
+	if scan == nil {
+		return nil, kfScanShape
+	}
 	prog := k.prog
-	state, gate := k.state.store, k.gate.store
+	state, gate := scan.store, k.gate.store
 	if err := state.Freeze(); err != nil {
 		return nil, kfSpilled
 	}
@@ -473,9 +481,9 @@ type kSink interface {
 	emit(a *kAcc) error
 }
 
-// morselRows is the fused loop's cancellation-poll stride: run
+// cancelPollRows is the fused loop's cancellation-poll stride: run
 // checks the statement context once per this many state rows.
-const morselRows = 8 * batchSize
+const cancelPollRows = 8 * batchSize
 
 // run executes the bound kernel into em, accumulating into acc: every
 // state row in order, into one accumulator — the order the engine's
@@ -485,11 +493,11 @@ func (bk *boundGate) run(ctx *execCtx, em kSink, acc *kAcc) error {
 		return nil
 	}
 	acc.reset(bk.dense(), bk.denseHi, bk.groupHint)
-	for lo := 0; lo < bk.rows; lo += morselRows {
+	for lo := 0; lo < bk.rows; lo += cancelPollRows {
 		if err := ctx.cancelled(); err != nil {
 			return err
 		}
-		bk.scanRange(lo, min(lo+morselRows, bk.rows), acc)
+		bk.scanRange(lo, min(lo+cancelPollRows, bk.rows), acc)
 	}
 	return em.emit(acc)
 }

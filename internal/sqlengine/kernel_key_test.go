@@ -119,35 +119,23 @@ func gateStageCacheKey(core *projectNode, agg *aggNode, having *filterNode, join
 }
 
 // keyedStage is one gate-stage core of a planned statement, with the
-// operands its cache keys are built from. bottom is set when the stage
-// can also run on its own: its state side is a base table or a CTE,
-// whose materialized store is scanned whole.
+// operands its cache key is built from.
 type keyedStage struct {
 	core     *projectNode
 	agg      *aggNode
 	having   *filterNode
 	join     *joinNode
 	gateScan *storeScanNode
-	bottom   bool
 }
 
-// bottomKey and chainKey are the stage's two cache keys, appended.
-func (s keyedStage) bottomKey() []byte {
+// key is the stage's cache key, appended; refKey is the reference
+// rendering, built from the same operands.
+func (s keyedStage) key() []byte {
 	return appendGateStageKey(nil, s.agg, s.having, s.join, s.gateScan)
 }
 
-func (s keyedStage) chainKey() []byte {
-	return appendGateStageKey([]byte("chain|"), s.agg, s.having, s.join, s.gateScan)
-}
-
-// refBottomKey and refChainKey are the reference renderings, built
-// from the operands exactly as the lowering passed them before.
-func (s keyedStage) refBottomKey() string {
-	return gateStageCacheKey(s.core, s.agg, s.having, s.join, s.gateScan, len(s.join.left.schema()), len(s.gateScan.schema()))
-}
-
-func (s keyedStage) refChainKey() string {
-	return "chain|" + gateStageCacheKey(s.core, s.agg, s.having, s.join, s.gateScan, len(s.join.left.schema()), len(s.gateScan.cols))
+func (s keyedStage) refKey() string {
+	return gateStageCacheKey(s.core, s.agg, s.having, s.join, s.gateScan, len(s.join.left.schema()), len(s.gateScan.cols))
 }
 
 // plannedStages plans sel on db and returns every gate-stage core in
@@ -175,10 +163,7 @@ func plannedStages(t *testing.T, db *DB, sel *SelectStmt) []keyedStage {
 				join, ok := unwrapStat(agg.child).(*joinNode)
 				if ok && len(join.leftKeys) == 1 && len(agg.groupBy) == 1 && len(agg.aggs) == 2 {
 					if gate := scanOf(join.right); gate != nil {
-						st := keyedStage{core: core, agg: agg, having: having, join: join, gateScan: gate}
-						_, isScan := unwrapStat(join.left).(*storeScanNode)
-						st.bottom = isScan || cteOf(join.left) != nil
-						out = append(out, st)
+						out = append(out, keyedStage{core: core, agg: agg, having: having, join: join, gateScan: gate})
 					}
 				}
 			}
@@ -214,9 +199,8 @@ func keyCircuits() []struct {
 
 // TestGateStageKeyMatchesReference: for every gate stage of QFT-12,
 // GHZ-16, HEA(10,4) and H^⊗12, in both translation modes and with
-// pruning on and off, the appended bottom-stage and chain keys are
-// byte-equal to the reference rendering; and a real run stores only
-// keys the reference produces.
+// pruning on and off, the appended key is byte-equal to the reference
+// rendering; and a real run stores only keys the reference produces.
 func TestGateStageKeyMatchesReference(t *testing.T) {
 	for _, tc := range keyCircuits() {
 		for _, mode := range []core.Mode{core.SingleQuery, core.MaterializedChain} {
@@ -233,22 +217,13 @@ func TestGateStageKeyMatchesReference(t *testing.T) {
 					cache := NewKernelCache(0)
 					db := newOptDB(t, Config{KernelCache: cache})
 					ref := map[string]bool{}
-					var stages, bottoms int
+					var stages int
 					check := func(sel *SelectStmt) {
 						for _, st := range plannedStages(t, db, sel) {
 							stages++
-							got, want := st.chainKey(), st.refChainKey()
+							got, want := st.key(), st.refKey()
 							if string(got) != want {
-								t.Fatalf("chain key differs:\n got %s\nwant %s", got, want)
-							}
-							ref[want] = true
-							if !st.bottom {
-								continue
-							}
-							bottoms++
-							got, want = st.bottomKey(), st.refBottomKey()
-							if string(got) != want {
-								t.Fatalf("bottom-stage key differs:\n got %s\nwant %s", got, want)
+								t.Fatalf("key differs:\n got %s\nwant %s", got, want)
 							}
 							ref[want] = true
 						}
@@ -270,8 +245,8 @@ func TestGateStageKeyMatchesReference(t *testing.T) {
 					check(stmt.(*SelectStmt))
 					queryAll(t, db, tr.Query)
 
-					if stages < tr.StageCount || bottoms == 0 {
-						t.Fatalf("checked %d stages (%d bottom), want at least %d and one bottom", stages, bottoms, tr.StageCount)
+					if stages < tr.StageCount {
+						t.Fatalf("checked %d stages, want at least %d", stages, tr.StageCount)
 					}
 					cache.lru.mu.Lock()
 					defer cache.lru.mu.Unlock()
@@ -290,7 +265,7 @@ func TestGateStageKeyMatchesReference(t *testing.T) {
 }
 
 // TestGateStageKeyLookupAllocs: building and looking up a warm key,
-// bottom-stage or chain, pruned or not, allocates nothing.
+// pruned or not, allocates nothing.
 func TestGateStageKeyLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under -race")
@@ -315,20 +290,12 @@ func TestGateStageKeyLookupAllocs(t *testing.T) {
 		cache := NewKernelCache(0)
 		prog := &kernelProg{}
 		for _, st := range stages {
-			cache.store(string(st.chainKey()), prog)
-			if st.bottom {
-				cache.store(string(st.bottomKey()), prog)
-			}
+			cache.store(string(st.key()), prog)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
 			for _, st := range stages {
-				if p, _ := lookupGateProgram(cache, "chain|", st.agg, st.having, st.join, st.gateScan); p != prog {
-					t.Fatal("warm chain key missed")
-				}
-				if st.bottom {
-					if p, _ := lookupGateProgram(cache, "", st.agg, st.having, st.join, st.gateScan); p != prog {
-						t.Fatal("warm bottom-stage key missed")
-					}
+				if p, _ := lookupGateProgram(cache, st.agg, st.having, st.join, st.gateScan); p != prog {
+					t.Fatal("warm key missed")
 				}
 			}
 		})

@@ -25,21 +25,9 @@ const (
 	kfSpilled       = "spilled"
 	kfColumnTypes   = "column-types"
 	kfUnsupported   = "unsupported-expr"
-
-	// Whole-circuit chain fusion decline reasons (kernel_chain.go). A
-	// chain decline is not a statement-level fallback — the statement
-	// still runs stage-at-a-time, each stage through the single-stage
-	// kernel — but it is counted distinctly so a sweep that silently
-	// lost fusion is visible in /metrics.
-	kfChainBudgetLimited = "chain-budget-limited"
-	kfChainStageShape    = "chain-stage-shape"
-	kfChainSlots         = "chain-slots"
-	kfChainBind          = "chain-bind"
 )
 
-const kernelAnnotation = "gate-stage(fused: scan⋈join⋈agg⋈project)"
-
-// chainAnnotation renders the EXPLAIN marker for a fused K-stage chain.
+// chainAnnotation renders the EXPLAIN marker of a K-stage kernel run.
 func chainAnnotation(stages int) string {
 	return fmt.Sprintf("gate-chain(stages=%d)", stages)
 }
@@ -94,42 +82,23 @@ func (p *kernelProg) groupKey(s int64, g *kGateRow) int64 {
 	return p.outFn(s, g.out)
 }
 
-// gateKernel is one matched site: the core plan nodes plus the compiled
-// program.
+// gateKernel is one matched stage: the core plan nodes plus the
+// compiled program. The state side (join.left) is bound at run time:
+// the bottom stage of a chain scans its store, every later stage reads
+// the stage below it in memory.
 type gateKernel struct {
-	core  *projectNode
-	agg   *aggNode
-	state *storeScanNode
-	gate  *storeScanNode
-	prog  *kernelProg
+	core *projectNode
+	agg  *aggNode
+	join *joinNode
+	gate *storeScanNode
+	prog *kernelProg
 	// cached reports that prog came from the kernel cache rather than
 	// a fresh compile (kernelRun, trace counters).
 	cached bool
 }
 
-// gateStageSite locates the matched core inside the plan: set replaces
-// the core subtree in its parent (nil when the core is the plan root).
-type gateStageSite struct {
-	kern *gateKernel
-	set  func(planNode)
-}
-
-// findGateStage matches and compiles the gate-stage core of a plan
-// about to run (findCore finds it).
-func findGateStage(ctx *execCtx, root planNode) (*gateStageSite, string) {
-	core, set := findCore(root)
-	if core == nil {
-		return nil, kfNoGateStage
-	}
-	kern, reason := compileGateStage(core, ctx.env, true)
-	if kern == nil {
-		return nil, reason
-	}
-	return &gateStageSite{kern: kern, set: set}, ""
-}
-
-// findCore is the kernel tier's one wrapper walk — execution, chain
-// fusion and EXPLAIN all locate a gate-stage core through it. It walks
+// findCore is the kernel tier's one wrapper walk — execution and
+// EXPLAIN both locate a gate-stage core through it (compileChain). It walks
 // a plan root through order-neutral wrapper operators (sort,
 // projection, alias, filter, limit — none of them change what the core
 // computes, only how its output is presented — and the statNode
@@ -200,13 +169,12 @@ func coreAggOf(core *projectNode) (*aggNode, *filterNode) {
 	return nil, nil
 }
 
-// compileGateStage matches the core rooted at a projection known to sit
-// on an aggregate and compiles (or fetches from the kernel cache) its
-// program. With bindPhys=false (a structural dry run: EXPLAIN, or an
-// interior chain stage) it stops at the structural match: the cache and
-// the counters are skipped, and the state side may be an
-// unmaterialized CTE reference (the kernel's state scan is then nil).
-func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateKernel, string) {
+// compileGateStage matches the core rooted at a projection and compiles
+// (or fetches from the kernel cache) its program. The state side may be
+// a store scan or a CTE reference, materialized or not: binding decides
+// how the stage reads it. dry is EXPLAIN's structural preview, which
+// skips the cache and the counters.
+func compileGateStage(core *projectNode, env *storageEnv, dry bool) (*gateKernel, string) {
 	agg, having := coreAggOf(core)
 	if agg == nil {
 		return nil, kfNoGateStage
@@ -260,42 +228,38 @@ func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateK
 		join.residual != nil || join.strategy == joinGrace {
 		return nil, kfJoinShape
 	}
-	stateScan, gateScan := scanOf(join.left), scanOf(join.right)
-	if gateScan == nil || (stateScan == nil && (bindPhys || cteOf(join.left) == nil)) {
+	gateScan := scanOf(join.right)
+	_, stateScan := unwrapStat(join.left).(*storeScanNode)
+	if gateScan == nil || (!stateScan && cteOf(join.left) == nil) {
 		return nil, kfScanShape
 	}
-	leftSchema := join.left.schema()
-	rightSchema := gateScan.schema()
-	joinSchema := append(append(planSchema{}, leftSchema...), rightSchema...)
-	nLeft := len(leftSchema)
-
-	if bindPhys {
-		cache := env.kernelCache
-		var key string
-		if cache != nil {
-			var prog *kernelProg
-			if prog, key = lookupGateProgram(cache, "", agg, having, join, gateScan); prog != nil {
-				kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.cacheHits }, 1)
-				return &gateKernel{core: core, agg: agg, state: stateScan, gate: gateScan, prog: prog, cached: true}, ""
-			}
-		}
-		prog, reason := compileGateProgram(agg, having, join, joinSchema, nLeft, eps2)
-		if prog == nil {
-			return nil, reason
-		}
-		kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.compiles }, 1)
-		if cache != nil {
-			cache.store(key, prog)
-		}
-		return &gateKernel{core: core, agg: agg, state: stateScan, gate: gateScan, prog: prog}, ""
+	kern := &gateKernel{core: core, agg: agg, join: join, gate: gateScan}
+	var cache *KernelCache
+	if !dry {
+		cache = env.kernelCache
 	}
-	// Structural dry run: the program is the same; only the store
-	// checks, the cache and the counters are skipped.
-	prog, reason := compileGateProgram(agg, having, join, joinSchema, nLeft, eps2)
+	var key string
+	if cache != nil {
+		if kern.prog, key = lookupGateProgram(cache, agg, having, join, gateScan); kern.prog != nil {
+			kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.cacheHits }, 1)
+			kern.cached = true
+			return kern, ""
+		}
+	}
+	leftSchema := join.left.schema()
+	joinSchema := append(append(planSchema{}, leftSchema...), gateScan.schema()...)
+	prog, reason := compileGateProgram(agg, having, join, joinSchema, len(leftSchema), eps2)
 	if prog == nil {
 		return nil, reason
 	}
-	return &gateKernel{core: core, agg: agg, state: stateScan, gate: gateScan, prog: prog}, ""
+	if !dry {
+		kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.compiles }, 1)
+	}
+	if cache != nil {
+		cache.store(key, prog)
+	}
+	kern.prog = prog
+	return kern, ""
 }
 
 // chainStateSlots validates the intermediate-layout contract of a chain
@@ -306,52 +270,6 @@ func compileGateStage(core *projectNode, env *storageEnv, bindPhys bool) (*gateK
 func chainStateSlots(prog *kernelProg) bool {
 	f := func(s int) bool { return s == 1 || s == 2 }
 	return prog.sCol == 0 && f(prog.s0a) && f(prog.s0b) && f(prog.s1a) && f(prog.s1b)
-}
-
-// compileChainStage compiles one interior stage of a fused chain (or
-// fetches it from the kernel cache): the full structural gate-stage
-// match, with the state side left as logical slots into the fixed
-// (s, r, i) in-memory intermediate and only the gate side — a real
-// base table — bound to physical store columns. Chain programs share
-// the kernel cache under a "chain|"-prefixed key, so a sweep compiles
-// each stage shape once and rebinds thereafter.
-func compileChainStage(core *projectNode, env *storageEnv) (*gateKernel, string) {
-	agg, having := coreAggOf(core)
-	if agg == nil {
-		return nil, kfChainStageShape
-	}
-	join, ok := unwrapStat(agg.child).(*joinNode)
-	if !ok {
-		return nil, kfChainStageShape
-	}
-	gateScan := scanOf(join.right)
-	if gateScan == nil {
-		return nil, kfChainStageShape
-	}
-	cache := env.kernelCache
-	var key string
-	if cache != nil {
-		var prog *kernelProg
-		if prog, key = lookupGateProgram(cache, "chain|", agg, having, join, gateScan); prog != nil {
-			kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.cacheHits }, 1)
-			return &gateKernel{core: core, agg: agg, gate: gateScan, prog: prog, cached: true}, ""
-		}
-	}
-	// Structural dry run: the matcher tolerates the unmaterialized CTE
-	// reference on the state side and compiles against schema slots.
-	kern, reason := compileGateStage(core, env, false)
-	if kern == nil {
-		return nil, reason
-	}
-	if !chainStateSlots(kern.prog) {
-		return nil, kfChainSlots
-	}
-	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.compiles }, 1)
-	if cache != nil {
-		cache.store(key, kern.prog)
-	}
-	kern.gate = gateScan
-	return kern, ""
 }
 
 // compileGateProgram compiles the matched core's expressions. Slots are
@@ -840,12 +758,12 @@ func (p *kIdxProg) shiftRight(k uint8) *kIdxProg {
 var kernelKeyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // lookupGateProgram looks a gate stage's compiled program up in cache
-// under prefix + appendGateStageKey. On a hit it returns the program;
-// on a miss it returns the key as a string, for storing the program
-// once compiled.
-func lookupGateProgram(cache *KernelCache, prefix string, agg *aggNode, having *filterNode, join *joinNode, gateScan *storeScanNode) (*kernelProg, string) {
+// under appendGateStageKey. On a hit it returns the program; on a miss
+// it returns the key as a string, for storing the program once
+// compiled.
+func lookupGateProgram(cache *KernelCache, agg *aggNode, having *filterNode, join *joinNode, gateScan *storeScanNode) (*kernelProg, string) {
 	bp := kernelKeyBufs.Get().(*[]byte)
-	b := appendGateStageKey(append((*bp)[:0], prefix...), agg, having, join, gateScan)
+	b := appendGateStageKey((*bp)[:0], agg, having, join, gateScan)
 	prog, hit := cache.lookup(b)
 	key := ""
 	if !hit {

@@ -87,7 +87,7 @@ func rowsBits(rows []Row) string {
 
 // TestKernelDifferentialMatrix is the bit-identity gate: kernel on vs
 // off over a state within one cancellation stride and one spanning
-// three (morselRows), and HAVING pruning on/off. Every cell must agree
+// three (cancelPollRows), and HAVING pruning on/off. Every cell must agree
 // with its kernels-off twin bit for bit, including row order. The cell
 // names keep the "columnar", "w=1" and "opt=on" labels: every cell
 // runs the columnar store on one goroutine with the optimizer.
@@ -136,7 +136,7 @@ func TestKernelWholeCircuitBitIdentical(t *testing.T) {
 		{"ghz", circuits.GHZ(12), core.SingleQuery},
 		{"qft", circuits.QFT(7), core.SingleQuery},
 		// 2^15 nonzero amplitudes, and a dense 2^14-row QFT: states
-		// spanning several cancellation strides (morselRows).
+		// spanning several cancellation strides (cancelPollRows).
 		{"parity", circuits.ParitySuperposition(15), core.SingleQuery},
 		{"qft14", circuits.QFT(14), core.SingleQuery},
 		{"qft-chain", circuits.QFT(6), core.MaterializedChain},
@@ -185,10 +185,10 @@ func TestKernelExplainAnnotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "kernel: "+kernelAnnotation) {
+	if !strings.Contains(plan, "kernel: "+chainAnnotation(1)) {
 		t.Fatalf("header missing kernel line:\n%s", plan)
 	}
-	if !strings.Contains(plan, "[kernel="+kernelAnnotation+"]") {
+	if !strings.Contains(plan, "[kernel="+chainAnnotation(1)+"]") {
 		t.Fatalf("core node missing kernel annotation:\n%s", plan)
 	}
 }
@@ -431,14 +431,14 @@ func TestKernelFallbackBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := explainKernelLine(t, plan), "kernel: "+kernelAnnotation; got != want {
+				if got, want := explainKernelLine(t, plan), "kernel: "+chainAnnotation(1); got != want {
 					t.Fatalf("EXPLAIN kernel line = %q, want %q", got, want)
 				}
 				plan, err = db.ExplainAnalyze(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := "kernel: gate-stage (analyzed)"
+				want := "kernel: " + chainAnnotation(1) + " (analyzed)"
 				if !tc.runs {
 					want = "kernel: fallback (" + kfBudgetLimited + ", at run time)"
 				}
@@ -465,16 +465,16 @@ func TestKernelExplainAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := explainKernelLine(t, plan), "kernel: gate-stage (analyzed)"; got != want {
+	if got, want := explainKernelLine(t, plan), "kernel: "+chainAnnotation(1)+" (analyzed)"; got != want {
 		t.Fatalf("kernel line = %q, want %q\n%s", got, want, plan)
 	}
 	if ran := KernelCounters()["executions"] - before; ran != 1 {
 		t.Fatalf("EXPLAIN ANALYZE ran %d kernel executions, want 1", ran)
 	}
-	if !strings.Contains(plan, "kernel actual: rows_in=64 ") {
+	if !strings.Contains(plan, "kernel actual: "+chainAnnotation(1)+" rows_in=64 ") {
 		t.Fatalf("missing kernel actual stats line:\n%s", plan)
 	}
-	if !strings.Contains(plan, "[kernel output: "+kernelAnnotation+"]") {
+	if !strings.Contains(plan, "[kernel output: "+chainAnnotation(1)+"]") {
 		t.Fatalf("kernel output scan not marked in plan:\n%s", plan)
 	}
 }

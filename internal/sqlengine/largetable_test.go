@@ -10,7 +10,7 @@ import (
 )
 
 // Tests over a table that spans several batches and several fused-loop
-// cancellation strides (morselRows), with an uneven tail. Every
+// cancellation strides (cancelPollRows), with an uneven tail. Every
 // statement runs on one goroutine in one accumulation order, so the
 // expected results are computed in Go, taken from the interpreter, or
 // taken from an unbounded run.
@@ -54,7 +54,7 @@ func requireBitIdentical(t *testing.T, name string, a, b []Row) {
 }
 
 // testRows spans three cancellation strides, the last one partial.
-const testRows = 2*morselRows + 1531
+const testRows = 2*cancelPollRows + 1531
 
 // ampR is the r column fillAmplitudeTable stores for row k.
 func ampR(k int) float64 { return 1.0 / float64(k+1) }

@@ -30,8 +30,7 @@ func cteNodes(n planNode) []*materializeNode {
 // TestPlanningExecutesNothing plans a 4-CTE gate chain through
 // buildPlan without opening it: no kernel ran or compiled, no CTE store
 // exists, and the budget holds exactly what it held before. Executing
-// the same plan afterwards runs today's chain: K-1 fused stages plus
-// the top-level stage.
+// the same plan afterwards runs all K stages as one chain.
 func TestPlanningExecutesNothing(t *testing.T) {
 	const stages = 4
 	budget := NewMemBudget(0) // unlimited, but tracks every reservation
@@ -73,9 +72,9 @@ func TestPlanningExecutesNothing(t *testing.T) {
 	}
 	store.Release()
 	kc = db.KernelCounters()
-	if kc["chain_executions"] != 1 || kc["chain_stages"] != stages-1 || kc["executions"] != stages {
+	if kc["chain_executions"] != 1 || kc["chain_stages"] != stages || kc["executions"] != stages {
 		t.Fatalf("execution ran chain_executions=%d chain_stages=%d executions=%d, want 1, %d, %d",
-			kc["chain_executions"], kc["chain_stages"], kc["executions"], stages-1, stages)
+			kc["chain_executions"], kc["chain_stages"], kc["executions"], stages, stages)
 	}
 }
 
@@ -101,7 +100,7 @@ func operatorLines(plan string) []string {
 // included, so with the kernel tier off the two agree line for line
 // once the estimate and actual-row annotations are stripped — and the
 // CTE subplans that ran carry actual row counts. With kernels on, the
-// fused chain still reports its own actuals.
+// chain reports its own actuals.
 func TestExplainAnalyzeShowsTheTreeThatRuns(t *testing.T) {
 	queries := map[string]string{}
 	for _, tc := range goldenCases {
@@ -143,18 +142,18 @@ func TestExplainAnalyzeShowsTheTreeThatRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(analyzed, "kernel chain actual: "+chainAnnotation(3)) {
+	if !strings.Contains(analyzed, "kernel actual: "+chainAnnotation(4)) {
 		t.Fatalf("EXPLAIN ANALYZE lost the fused chain's actuals:\n%s", analyzed)
 	}
 }
 
 // TestTraceSeparatesPlanFromExecution: a traced chained query records
 // no kernel work under its "plan" span — the chain kernel runs after
-// planning ends, under "execute" — and the CTE references appear as
-// cte:<name> operator spans under "execute": with fusion on only the
-// chain top (its subplan ran inside the kernel), with fusion off every
-// stage, each nested in the stage that reads it. The fusion=off cell
-// runs the interpreter, which never fuses.
+// planning ends, under "execute". With fusion on, one kernel-chain span
+// covers every stage and no CTE is materialized; with fusion off the
+// CTE references appear as cte:<name> spans under "execute", each
+// nested in the stage that reads it. The fusion=off cell runs the
+// interpreter, which never fuses.
 func TestTraceSeparatesPlanFromExecution(t *testing.T) {
 	for _, fusion := range []string{"on", "off"} {
 		t.Run("fusion="+fusion, func(t *testing.T) {
@@ -200,7 +199,7 @@ func TestTraceSeparatesPlanFromExecution(t *testing.T) {
 					ctes[sp.Name] = true
 				}
 			})
-			wantChains, want := 1, map[string]bool{"cte:c3": true}
+			wantChains, want := 1, map[string]bool{}
 			if fusion == "off" {
 				wantChains, want = 0, map[string]bool{"cte:c1": true, "cte:c2": true, "cte:c3": true}
 			}

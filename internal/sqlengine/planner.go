@@ -9,15 +9,17 @@ import (
 // planner turns an optimized logical plan into the physical planNode
 // tree and then runs it. Lowering is pure: it reads no data and
 // executes nothing, and a materialized CTE becomes a materializeNode in
-// the tree, so EXPLAIN prints, chain fusion walks and the executor runs
-// one and the same tree. A statement executes in four steps:
+// the tree, so EXPLAIN prints, the kernel tier matches and the executor
+// runs one and the same tree. A statement executes in four steps:
 //
 //  1. lower (buildPlan);
-//  2. materialize the tree's CTEs top-down, on demand (materializeAll):
-//     the topmost unmaterialized node of a fusable run of gate-stage
-//     CTEs claims the whole run as one chain kernel (kernel_chain.go);
-//  3. bind the one row-count-dependent decision, the grace-join
-//     pre-choice, from the now-exact store sizes (bind);
+//  2. offer the root to the kernel tier (runKernel, kernel.go), which
+//     runs its gate-stage core and the gate-stage CTEs below it as one
+//     chain;
+//  3. otherwise materialize the tree's CTEs top-down, on demand
+//     (materializeAll) — each CTE subplan is offered to the kernel tier
+//     the same way — and bind the one row-count-dependent decision,
+//     the grace-join pre-choice, from the now-exact store sizes (bind);
 //  4. open the root.
 //
 // A CTE the optimizer marked inline lowers to its subplan itself, and a
@@ -29,14 +31,10 @@ type planner struct {
 	// results holds each definition's store while lowering, shared by
 	// all of its references so a CTE read twice still materializes once.
 	results map[*cteDef]*cteResult
-	// sampleEvery, when positive, instruments each CTE subplan right
-	// before it runs (EXPLAIN ANALYZE, traced statements), so a stage a
-	// chain kernel absorbed carries no operator counters.
+	// sampleEvery, when positive, instruments each CTE subplan the
+	// interpreter runs (EXPLAIN ANALYZE, traced statements), so a stage
+	// a kernel ran carries no operator counters.
 	sampleEvery int
-	// chainCounted caps chain-fusion fallback accounting at one decline
-	// per statement (the materialization recursion would otherwise
-	// re-count every suffix of the same chain).
-	chainCounted bool
 }
 
 func (p *planner) release() {
@@ -72,11 +70,28 @@ func (db *DB) buildPlan(ctx *execCtx, sel *SelectStmt) (planNode, []string, *pla
 // execute runs steps 2-4 for the plan rooted at node and returns its
 // result store.
 func (p *planner) execute(node planNode, collect bool) (*ColStore, error) {
-	if err := p.materializeAll(node); err != nil {
-		return nil, err
+	store, swapped, err := p.runKernel(node, collect)
+	if err != nil || store != nil {
+		return store, err
 	}
-	p.bind(node)
-	return materializePlanCollect(p.ctx, node, collect)
+	return p.interpret(node, collect, swapped)
+}
+
+// interpret materializes the CTEs node reads and runs node on the
+// interpreter. swapped is the kernel store a scan in node reads (or
+// nil): released here if an error strands it before that scan opens
+// (Release is idempotent).
+func (p *planner) interpret(node planNode, collect bool, swapped *ColStore) (*ColStore, error) {
+	err := p.materializeAll(node)
+	var store *ColStore
+	if err == nil {
+		p.bind(node)
+		store, err = materializePlan(p.ctx, node, collect)
+	}
+	if err != nil && swapped != nil {
+		swapped.Release()
+	}
+	return store, err
 }
 
 // materializeAll materializes every CTE node reads, topmost first.
@@ -92,11 +107,10 @@ func (p *planner) materializeAll(node planNode) error {
 	return nil
 }
 
-// materialize runs one CTE into its definition's shared store (once).
-// When m tops a fusable run of gate-stage CTEs, the whole run executes
-// as one fused kernel pass instead (kernel_chain.go). A traced
-// statement records the run as a "cte:<name>" span holding the work
-// beneath it: the fused chain, the CTEs it read, its operators.
+// materialize runs one CTE into its definition's shared store (once),
+// offering its subplan to the kernel tier first. A traced statement
+// records the run as a "cte:<name>" span holding the work beneath it:
+// the kernel chain, the CTEs it read, its operators.
 func (p *planner) materialize(m *materializeNode) error {
 	if m.res.store != nil {
 		return nil
@@ -110,22 +124,22 @@ func (p *planner) materialize(m *materializeNode) error {
 			sp.End()
 		}()
 	}
-	if done, err := p.fuseCTEChain(m); done || err != nil {
-		return err
-	}
-	if err := p.materializeAll(m.child); err != nil {
-		return err
-	}
-	if p.sampleEvery > 0 {
-		m.child = instrumentPlan(m.child, p.sampleEvery)
-	}
-	p.bind(m.child)
-	store, err := materializePlan(p.ctx, m.child)
+	// A kernel store carries statistics: a chain reading it may prove
+	// a dense key bound from them.
+	store, swapped, err := p.runKernel(m.child, true)
 	if err != nil {
 		return err
 	}
-	if sp != nil {
-		attachPlanSpans(sp, m.child)
+	if store == nil {
+		if p.sampleEvery > 0 {
+			m.child = instrumentPlan(m.child, p.sampleEvery)
+		}
+		if store, err = p.interpret(m.child, false, swapped); err != nil {
+			return err
+		}
+		if sp != nil {
+			attachPlanSpans(sp, m.child)
+		}
 	}
 	p.cleanup = append(p.cleanup, store)
 	m.res.store = store

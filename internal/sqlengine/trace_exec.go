@@ -33,26 +33,16 @@ func (ctx *execCtx) markSpill() spillMark {
 	}
 }
 
-// finishStatementSpan attaches the executed plan's operator spans,
-// kernel stats, and spill deltas to the statement's execute span.
-// No-op when the statement is untraced.
+// finishStatementSpan attaches the executed plan's operator spans and
+// spill deltas to the statement's execute span (a kernel run records
+// its own "kernel-chain" span as it ends). No-op when the statement is
+// untraced.
 func (ctx *execCtx) finishStatementSpan(node planNode, rows int64, base spillMark) {
 	sp := ctx.span
 	if sp == nil {
 		return
 	}
 	sp.Add("rows", rows)
-	if k := ctx.kexec; k != nil {
-		ks := sp.Child("kernel")
-		ks.SetDuration(k.wall)
-		ks.Add("rows_in", k.rowsIn)
-		ks.Add("rows_out", k.rowsOut)
-		if k.cacheHit {
-			ks.Add("cache_hit", 1)
-		} else {
-			ks.Add("compiled", 1)
-		}
-	}
 	attachPlanSpans(sp, node)
 	if d := ctx.env.spilledRows.Load() - base.rows; d > 0 {
 		sp.Add("spilled_rows", d)
@@ -95,7 +85,7 @@ func attachPlanSpans(parent *obs.Span, node planNode) {
 	sp.Add("batches", batches)
 	sp.Add("sampled_batches", sampled)
 	sp.Add("sampled_ns", nanos)
-	if ss, ok := child.(*storeScanNode); ok && ss.fromKernel {
+	if ss, ok := child.(*storeScanNode); ok && ss.kernel != "" {
 		sp.Add("kernel_output", 1)
 	}
 	for _, c := range planChildren(child) {
