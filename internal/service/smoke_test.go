@@ -30,10 +30,15 @@ func TestQymeradBinarySmoke(t *testing.T) {
 	// circuit on the SQL backend is the reference.
 	postSmoke(t, base, circuits.GHZ(8))
 
-	// The server's metrics must be live too.
+	// The server's metrics must be live too. GHZ-8's first CX runs over
+	// the kernel chain's key-indexed state vector, then leaves it with
+	// the two keys {0, 3}: one cube stage.
 	metrics := getMetrics(t, base)
 	if metrics.Jobs["done"] != 1 {
 		t.Fatalf("metrics after one request: %+v", metrics)
+	}
+	if n, ok := metrics.Kernels["cube_stages"]; !ok || n != 1 {
+		t.Fatalf("kernels.cube_stages = %d (present %v), want 1: %v", n, ok, metrics.Kernels)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"qymera/internal/circuits"
@@ -29,6 +30,31 @@ func benchRepeatJob(b *testing.B, c *quantum.Circuit) {
 func BenchmarkSQLRepeatJobQFT12(b *testing.B) { benchRepeatJob(b, circuits.QFT(12)) }
 
 func BenchmarkSQLRepeatJobGHZ16(b *testing.B) { benchRepeatJob(b, circuits.GHZ(16)) }
+
+// BenchmarkSQLSweepJobHEA10x4 times a parameter-sweep job: HEA(10,4)
+// with fresh angles per job on one backend, so every job is a
+// structural plan-cache hit that rebinds new gate tables.
+func BenchmarkSQLSweepJobHEA10x4(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	theta := make([]float64, 4*10*2)
+	job := func() *quantum.Circuit {
+		for i := range theta {
+			theta[i] = rng.Float64() * 6.28
+		}
+		return circuits.HardwareEfficientAnsatz(10, 4, theta)
+	}
+	backend := &SQL{}
+	if _, err := backend.Run(job()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := backend.Run(job()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // TestSQLRepeatJobCompilesNothing: a repeated QFT-12 job finds every
 // gate-stage program in the kernel cache. Its single-stage bottom and

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"qymera/internal/circuits"
 )
 
 // cancelTestDB builds a nonzero-amplitude table of the given size plus a
@@ -66,7 +68,7 @@ func TestQueryContextPreCancelled(t *testing.T) {
 
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			for w, err := range queryConcurrently(db, ctx, workers) {
+			for w, err := range queryConcurrently(db, ctx, cancelGateSQL, workers) {
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("caller %d: want context.Canceled, got %v", w, err)
 				}
@@ -92,10 +94,34 @@ func (c cancelAtFirstPoll) Err() error {
 	return c.Context.Err()
 }
 
+// cancelInCube is a context that turns cancelled at the first
+// cancellation poll made from the cube loop ((*cube).step), so the
+// cancellation lands while a chain stage runs over the cube.
+type cancelInCube struct {
+	context.Context
+	cancel context.CancelFunc
+}
+
+func (c cancelInCube) Err() error {
+	pc := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for more := true; more; {
+		var f runtime.Frame
+		f, more = frames.Next()
+		if strings.Contains(f.Function, ".(*cube).step") {
+			c.cancel()
+			break
+		}
+	}
+	return c.Context.Err()
+}
+
 // TestQueryContextCancelMidQuery cancels long gate-stage queries while
 // they run, from one caller and from four callers sharing the database:
 // each statement must return an error wrapping context.Canceled,
-// release every reservation, and leave no goroutine behind.
+// release every reservation, and leave no goroutine behind. The cube
+// cases cancel QFT-14 under ORDER BY s from inside the cube loop, which
+// runs all of its stages above the first few.
 func TestQueryContextCancelMidQuery(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -103,43 +129,73 @@ func TestQueryContextCancelMidQuery(t *testing.T) {
 			db := cancelTestDB(t, 1<<17, budget)
 			defer db.Close()
 			freezeTables(t, db, "t", "h")
-			base := budget.Used()
-			before := runtime.NumGoroutine()
-
-			parent, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			ctx := cancelAtFirstPoll{Context: parent, cancel: cancel}
-			done := make(chan []error, 1)
-			go func() { done <- queryConcurrently(db, ctx, workers) }()
-			var errs []error
-			select {
-			case errs = <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatal("cancelled queries did not return within 10s")
+			cancelMidQuery(t, db, budget, cancelGateSQL, workers, func(ctx context.Context, cancel context.CancelFunc) context.Context {
+				return cancelAtFirstPoll{Context: ctx, cancel: cancel}
+			})
+		})
+	}
+	qft := cubeProgram(t, circuits.QFT(14), 1e-12)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("cube/workers=%d", workers), func(t *testing.T) {
+			budget := NewMemBudget(0)
+			db, err := Open(Config{Budget: budget})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for w, err := range errs {
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("caller %d: want context.Canceled, got %v", w, err)
-				}
+			defer db.Close()
+			for _, s := range qft.stmts {
+				mustExec(t, db, s)
 			}
-			if got := budget.Used(); got != base {
-				t.Fatalf("budget leaked after cancel: used %d, want %d", got, base)
-			}
-			waitForGoroutines(t, before)
+			// A first run freezes every table: the budget's base then
+			// holds table storage only.
+			queryAll(t, db, qft.query)
+			cancelMidQuery(t, db, budget, qft.query, workers, func(ctx context.Context, cancel context.CancelFunc) context.Context {
+				return cancelInCube{Context: ctx, cancel: cancel}
+			})
 		})
 	}
 }
 
-// queryConcurrently runs cancelGateSQL on db from the given number of
-// goroutines at once and returns each caller's error.
-func queryConcurrently(db *DB, ctx context.Context, workers int) []error {
+// cancelMidQuery runs q from workers callers at once under the context
+// wrap makes, which must cancel every statement mid-run, and checks the
+// aftermath: every caller sees context.Canceled, the budget is back at
+// its base, and no goroutine is left behind.
+func cancelMidQuery(t *testing.T, db *DB, budget *MemBudget, q string, workers int, wrap func(context.Context, context.CancelFunc) context.Context) {
+	t.Helper()
+	base := budget.Used()
+	before := runtime.NumGoroutine()
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := wrap(parent, cancel)
+	done := make(chan []error, 1)
+	go func() { done <- queryConcurrently(db, ctx, q, workers) }()
+	var errs []error
+	select {
+	case errs = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled queries did not return within 10s")
+	}
+	for w, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("caller %d: want context.Canceled, got %v", w, err)
+		}
+	}
+	if got := budget.Used(); got != base {
+		t.Fatalf("budget leaked after cancel: used %d, want %d", got, base)
+	}
+	waitForGoroutines(t, before)
+}
+
+// queryConcurrently runs q on db from the given number of goroutines
+// at once and returns each caller's error.
+func queryConcurrently(db *DB, ctx context.Context, q string, workers int) []error {
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rs, err := db.QueryContext(ctx, cancelGateSQL)
+			rs, err := db.QueryContext(ctx, q)
 			if err == nil {
 				rs.Close()
 			}

@@ -157,7 +157,12 @@ type storeScanNode struct {
 	// kernel is the annotation of the kernel run whose output store the
 	// kernel tier swapped this scan in over ("" for any other scan);
 	// EXPLAIN ANALYZE and operator spans label the scan with it.
-	kernel string
+	// kernelRows and kernelLayout record that store's row count and
+	// layout at the swap: the scan releases the store when its iterator
+	// closes, before EXPLAIN ANALYZE renders the tree.
+	kernel       string
+	kernelRows   int64
+	kernelLayout string
 }
 
 func (n *storeScanNode) schema() planSchema { return n.cols }

@@ -120,8 +120,8 @@ func (db *DB) explainAnalyzeSelect(stmtCtx context.Context, sel *SelectStmt, par
 	}
 	writeExplainHeader(&b, names, kline)
 	if k != nil {
-		fmt.Fprintf(&b, "kernel actual: %s rows_in=%d rows_out=%d in %s\n",
-			chainAnnotation(int(k.stages)), k.rowsIn, k.rowsOut, k.wall.Round(time.Microsecond))
+		fmt.Fprintf(&b, "kernel actual: %s rows_in=%d rows_out=%d cube_stages=%d in %s\n",
+			chainAnnotation(int(k.stages)), k.rowsIn, k.rowsOut, k.cubeStages, k.wall.Round(time.Microsecond))
 	}
 	fmt.Fprintf(&b, "actual: %d rows in %s\n", total, elapsed.Round(time.Microsecond))
 	describePlan(&b, node, 0, kplan)
@@ -318,11 +318,11 @@ func describePlan(b *strings.Builder, node planNode, depth int, kplan *chainPlan
 		if len(n.cols) > 0 {
 			qual = n.cols[0].table
 		}
-		kout := ""
-		if n.kernel != "" {
-			kout = " [kernel output: " + n.kernel + "]"
+		rows, layout, kout := n.kernelRows, n.kernelLayout, " [kernel output: "+n.kernel+"]"
+		if n.kernel == "" {
+			rows, layout, kout = n.store.Len(), scanLayout(n.store), ""
 		}
-		line("BatchScan %s (rows=%d, cols=%d, batch=%d, layout=%s)%s", qual, n.store.Len(), len(n.cols), batchSize, scanLayout(n.store), kout)
+		line("BatchScan %s (rows=%d, cols=%d, batch=%d, layout=%s)%s", qual, rows, len(n.cols), batchSize, layout, kout)
 	case *filterNode:
 		line("BatchFilter %s [selection vector]", n.pred.Deparse())
 		describePlan(b, n.child, depth+1, kplan)

@@ -49,8 +49,13 @@ import (
 // ORDER BY of its group key (sortsByGroupKey) whose run is dense emits
 // in ascending key order, which its sort then finds already satisfied
 // (sort.go) — the sorted result is the same, since group keys are
-// unique. Anything the matcher cannot prove falls back to the batch
-// executor untouched; kernelCounters records why.
+// unique. Under that same ORDER BY, the chain's last stages may run
+// over a key-indexed state vector (the cube, kernel_cube.go), which
+// adds in its own order rather than row order; it takes only stages
+// whose output slots receive at most two adds, where (0+a)+b and
+// (0+b)+a are the same bits, so every amplitude still matches.
+// Anything the matcher cannot prove falls back to the batch executor
+// untouched; kernelCounters records why.
 
 // kernelCounterSet is one scope of kernel-tier counters. Two scopes
 // exist: the process-wide aggregate (kernelCounters, what /metrics and
@@ -70,8 +75,11 @@ type kernelCounterSet struct {
 	chainExecutions atomic.Int64
 	chainStages     atomic.Int64
 	chainElided     atomic.Int64
-	mu              sync.Mutex
-	reasons         map[string]int64
+	// cubeStages counts the stages run over a key-indexed state vector
+	// (kernel_cube.go).
+	cubeStages atomic.Int64
+	mu         sync.Mutex
+	reasons    map[string]int64
 }
 
 func (k *kernelCounterSet) fallback(reason string) {
@@ -93,6 +101,7 @@ func (k *kernelCounterSet) snapshot() map[string]int64 {
 		"chain_executions": k.chainExecutions.Load(),
 		"chain_stages":     k.chainStages.Load(),
 		"chain_elided":     k.chainElided.Load(),
+		"cube_stages":      k.cubeStages.Load(),
 	}
 	k.mu.Lock()
 	for r, n := range k.reasons {
@@ -110,6 +119,7 @@ func (k *kernelCounterSet) reset() {
 	k.chainExecutions.Store(0)
 	k.chainStages.Store(0)
 	k.chainElided.Store(0)
+	k.cubeStages.Store(0)
 	k.mu.Lock()
 	k.reasons = nil
 	k.mu.Unlock()
@@ -138,9 +148,9 @@ func kernelBump(env *storageEnv, pick func(*kernelCounterSet) *atomic.Int64, n i
 // KernelCounters snapshots the cumulative kernel-tier counters
 // (monotonic across all engine instances in the process): compiles,
 // cache_hits, executions, fallbacks, the chain_* whole-circuit fusion
-// counters, and one "fallback_<reason>" entry per observed decline
-// reason. For a single engine's uncontaminated view, use
-// DB.KernelCounters.
+// counters, cube_stages (stages run over a key-indexed state vector),
+// and one "fallback_<reason>" entry per observed decline reason. For a
+// single engine's uncontaminated view, use DB.KernelCounters.
 func KernelCounters() map[string]int64 {
 	return kernelCounters.snapshot()
 }
@@ -253,27 +263,32 @@ func (p *planner) runKernel(root planNode, collect bool) (*ColStore, *ColStore, 
 			return store, nil, nil
 		}
 		plan.set(&storeScanNode{
-			store:    store,
-			cols:     top.core.schema(),
-			ownStore: true,
-			kernel:   chainAnnotation(int(run.stages)),
+			store:        store,
+			cols:         top.core.schema(),
+			ownStore:     true,
+			kernel:       chainAnnotation(int(run.stages)),
+			kernelRows:   store.Len(),
+			kernelLayout: scanLayout(store),
 		})
 		return nil, store, nil
 	}
 }
 
 // recordKernelRun counts one kernel run and records it on the
-// statement: the counters, a "kernel-chain" span, and ctx.krun for
-// EXPLAIN ANALYZE.
+// statement: the counters, a "kernel-chain" span (stages, cube_stages,
+// rows_in, rows_out, cache_hit or compiled), and ctx.krun for EXPLAIN
+// ANALYZE.
 func (p *planner) recordKernelRun(run *kernelRun) {
 	env := p.ctx.env
 	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.executions }, run.stages)
 	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainExecutions }, 1)
 	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainStages }, run.stages)
 	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.chainElided }, run.stages-1)
+	kernelBump(env, func(k *kernelCounterSet) *atomic.Int64 { return &k.cubeStages }, run.cubeStages)
 	p.ctx.krun = run
 	sp := p.ctx.span.CompleteChild("kernel-chain", run.start, run.wall)
 	sp.Add("stages", run.stages)
+	sp.Add("cube_stages", run.cubeStages)
 	sp.Add("rows_in", run.rowsIn)
 	sp.Add("rows_out", run.rowsOut)
 	if run.cacheHit {

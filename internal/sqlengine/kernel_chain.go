@@ -36,7 +36,12 @@ import (
 // holding those rows. Amplitudes are therefore bit-identical to
 // stage-at-a-time execution (one CREATE TABLE AS per stage) at every
 // encoding and budget that lets the chain run; the differential matrix
-// in kernel_chain_test.go asserts it.
+// in kernel_chain_test.go asserts it. One exception keeps the bits but
+// not the interior order: under a key-ordered top (ORDER BY s), the
+// chain's suffix of fan-in ≤ 2 stages may run over the cube
+// (kernel_cube.go), adding in its own order. With at most two adds per
+// slot the add order cannot change a bit, and the sorted result has no
+// order of its own to keep.
 
 // chainStage is one compiled-and-gate-bound stage of a chain.
 type chainStage struct {
@@ -46,6 +51,9 @@ type chainStage struct {
 	buckets  *kBuckets
 	gOut     []int64
 	gateRows int
+	// outMask is the OR of the output bits the stage's gate rows reach,
+	// set by cosetExact (kernel_cube.go).
+	outMask int64
 }
 
 // chainPlan is a compiled chain, bottom stage first. stages[0] binds
@@ -76,7 +84,10 @@ type chainBuf struct {
 	keys           []int64
 	re, im         []float64
 	minKey, maxKey int64
-	any            bool
+	// or is the OR of every key: the keys are a full sub-cube when
+	// there are 2^popcount(or) of them (kernel_cube.go).
+	or  int64
+	any bool
 }
 
 // reset readies a recycled buffer to receive a stage's output: empty,
@@ -90,7 +101,7 @@ func (b *chainBuf) reset(having bool, eps2 float64, hint int64) {
 		b.im = make([]float64, 0, c)
 	}
 	b.keys, b.re, b.im = b.keys[:0], b.re[:0], b.im[:0]
-	b.minKey, b.maxKey, b.any = 0, 0, false
+	b.minKey, b.maxKey, b.or, b.any = 0, 0, 0, false
 }
 
 // footprint is the buffer's size once reset(…, hint) has run (hint 0:
@@ -112,18 +123,24 @@ func (b *chainBuf) emit(a *kAcc) error {
 		if b.having && pruned(b.eps2, rv, iv) {
 			continue
 		}
-		b.keys = append(b.keys, key)
-		b.re = append(b.re, rv)
-		b.im = append(b.im, iv)
-		if !b.any || key < b.minKey {
-			b.minKey = key
-		}
-		if !b.any || key > b.maxKey {
-			b.maxKey = key
-		}
-		b.any = true
+		b.add(key, rv, iv)
 	}
 	return nil
+}
+
+// add appends one row.
+func (b *chainBuf) add(key int64, r, i float64) {
+	b.keys = append(b.keys, key)
+	b.re = append(b.re, r)
+	b.im = append(b.im, i)
+	if !b.any || key < b.minKey {
+		b.minKey = key
+	}
+	if !b.any || key > b.maxKey {
+		b.maxKey = key
+	}
+	b.or |= key
+	b.any = true
 }
 
 // compileChain is the kernel tier's matcher. It finds the gate-stage
@@ -245,6 +262,9 @@ type kernelRun struct {
 	rowsIn   int64
 	rowsOut  int64
 	cacheHit bool
+	// cubeStages counts the stages that ran over the cube
+	// (kernel_cube.go).
+	cubeStages int64
 }
 
 // runChainKernel executes a bound chain: every stage but the last emits
@@ -255,7 +275,9 @@ type kernelRun struct {
 // recycles them across all stages: stage k reads one buffer while
 // emitting into the other, so after the first stages warm them up a
 // stage allocates almost nothing. The last stage drops the idle buffer
-// before it runs.
+// before it runs. A key-ordered chain runs its cube suffix (cubeFrom)
+// over a key-indexed state vector instead whenever the state is a full
+// sub-cube (kernel_cube.go).
 //
 // Under a bounded budget every stage first reserves its working set:
 // the accumulator, its input buffer, and its output — the next buffer,
@@ -268,6 +290,7 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bo
 		acc  kAcc
 		bufs [2]chainBuf
 		cur  *chainBuf
+		cb   cube
 	)
 	res := kReserve{budget: ctx.env.budget}
 	defer res.release()
@@ -277,13 +300,56 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bo
 		stages: int64(len(plan.stages)),
 		rowsIn: int64(bound0.rows),
 	}
+	finish := func(store *ColStore) (*kernelRun, *ColStore, error) {
+		run.wall = time.Since(run.start)
+		run.rowsOut = store.Len()
+		run.cacheHit = !slices.ContainsFunc(plan.stages, func(s *chainStage) bool { return !s.kern.cached })
+		return run, store, nil
+	}
 	last := len(plan.stages) - 1
+	from := cubeFrom(plan, bounded)
 	for i, st := range plan.stages {
+		prog := st.kern.prog
+		nxt := &bufs[i%2]
+		if i >= from && !cb.live {
+			cb.load(st, cur)
+		}
+		if cb.live {
+			mout, ok := cb.fit(st, cb.m)
+			if ok {
+				run.cubeStages++
+				if i == last {
+					store, err := emitStore(ctx, prog, cubeRows(mout), collect, plan.keyOrder, func(em *kEmitter) error {
+						return cb.emit(ctx, st, mout, em)
+					})
+					if err != nil {
+						return nil, nil, err
+					}
+					return finish(store)
+				}
+				n, err := cb.step(ctx, st, mout)
+				if err != nil {
+					return nil, nil, err
+				}
+				if !cb.live {
+					nxt.reset(prog.having, prog.eps2, n)
+					cb.drain(mout, true, prog.eps2, nxt)
+					cur = nxt
+				}
+				continue
+			}
+			// The stage's key range outgrows the cube: the state goes on
+			// to the bucketed loop, through the buffer this stage does not
+			// write.
+			cur = &bufs[(i+1)%2]
+			cur.reset(false, 0, cubeRows(cb.m))
+			cb.drain(cb.m, false, 0, cur)
+			cb.live = false
+		}
 		bk := bound0
 		if i > 0 {
 			bk = bindChainInput(st, cur)
 		}
-		nxt := &bufs[i%2]
 		if i == last {
 			*nxt = chainBuf{}
 		}
@@ -305,16 +371,14 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bo
 			}
 		}
 		if i == last {
-			store, err := runGateKernel(ctx, st.kern, bk, collect, plan.keyOrder, &acc)
+			store, err := emitStore(ctx, prog, bk.groupHint, collect, plan.keyOrder, func(em *kEmitter) error {
+				return bk.run(ctx, em, &acc)
+			})
 			if err != nil {
 				return nil, nil, err
 			}
-			run.wall = time.Since(run.start)
-			run.rowsOut = store.Len()
-			run.cacheHit = !slices.ContainsFunc(plan.stages, func(s *chainStage) bool { return !s.kern.cached })
-			return run, store, nil
+			return finish(store)
 		}
-		prog := st.kern.prog
 		nxt.reset(prog.having, prog.eps2, bk.groupHint)
 		if err := bk.run(ctx, nxt, &acc); err != nil {
 			return nil, nil, err

@@ -117,7 +117,7 @@ func (bk *boundGate) presizeToBound() bool {
 	return true
 }
 
-// emitterBytes is the footprint of runGateKernel's emitter batch.
+// emitterBytes is the footprint of emitStore's emitter batch.
 func emitterBytes(groupHint int64) int64 {
 	return ampRowBytes * min(groupHint, batchSize)
 }
@@ -441,25 +441,24 @@ func madd(sum, a, b, c, d float64, sub bool) float64 {
 	return sum + (p0 + p1)
 }
 
-// runGateKernel executes a bound kernel and materializes its output
-// store (the exact rows the interpreted core would have produced). A
-// run accumulates into acc (reset first), so a caller running
-// several kernels back to back can recycle one accumulator. keyOrder
-// emits a dense run's groups in ascending key order instead of
-// first-seen (see kEmitter).
-func runGateKernel(ctx *execCtx, k *gateKernel, bk *boundGate, collect, keyOrder bool, acc *kAcc) (*ColStore, error) {
+// emitStore materializes a kernel run's output store (the exact rows
+// the interpreted core would have produced): fill sends the rows to an
+// emitter over a fresh store pre-sized for hint rows, with statistics
+// when collect is set. keyOrder makes a dense bucketed run emit in
+// ascending key order instead of first-seen (see kEmitter).
+func emitStore(ctx *execCtx, prog *kernelProg, hint int64, collect, keyOrder bool, fill func(*kEmitter) error) (*ColStore, error) {
 	out := ctx.env.newStore()
 	if collect {
 		out.stats = &tableStats{}
 	}
-	if bk.groupHint > 0 {
-		out.hintRows(bk.groupHint)
+	if hint > 0 {
+		out.hintRows(hint)
 	}
-	em := &kEmitter{out: out, having: bk.prog.having, eps2: bk.prog.eps2, keyOrder: keyOrder}
-	if c := int(min(bk.groupHint, batchSize)); c > 0 {
+	em := &kEmitter{out: out, having: prog.having, eps2: prog.eps2, keyOrder: keyOrder}
+	if c := int(min(hint, batchSize)); c > 0 {
 		em.keys, em.r, em.i = make([]int64, 0, c), make([]float64, 0, c), make([]float64, 0, c)
 	}
-	err := bk.run(ctx, em, acc)
+	err := fill(em)
 	if err == nil {
 		err = em.flush()
 	}

@@ -145,6 +145,11 @@ func TestExplainAnalyzeShowsTheTreeThatRuns(t *testing.T) {
 	if !strings.Contains(analyzed, "kernel actual: "+chainAnnotation(4)) {
 		t.Fatalf("EXPLAIN ANALYZE lost the fused chain's actuals:\n%s", analyzed)
 	}
+	// The scan the kernel swapped in shows its output store as it was
+	// when the chain finished, though the scan has released it since.
+	if !strings.Contains(analyzed, "(rows=4096, cols=3, batch=1024, layout=columnar[int64 float64 float64]) [kernel output: "+chainAnnotation(4)+"]") {
+		t.Fatalf("EXPLAIN ANALYZE lost the kernel output's rows or layout:\n%s", analyzed)
+	}
 }
 
 // TestTraceSeparatesPlanFromExecution: a traced chained query records
