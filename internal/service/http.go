@@ -288,11 +288,6 @@ type MetricsJSON struct {
 	// fallbacks, and per-reason fallback_<reason> counts.
 	Kernels map[string]int64 `json:"kernels"`
 
-	// Storage exposes the engine's cumulative sparsity-first storage
-	// counters (process-wide): encoded_sparse, encoded_chunk_cols,
-	// decode_fallbacks, and kernel_encoded_binds.
-	Storage map[string]int64 `json:"storage"`
-
 	Backends map[string]BackendLatency `json:"backends"`
 
 	// Phases holds latency histograms per job phase: queue, run, total
@@ -345,7 +340,6 @@ func (s *Server) Metrics() MetricsJSON {
 		PlanCacheShards: m.PlanCacheShardStats(),
 		Optimizer:       sqlengine.OptimizerCounters(),
 		Kernels:         sqlengine.KernelCounters(),
-		Storage:         sqlengine.StorageCounters(),
 		Backends:        backends,
 		Phases:          phases,
 		Tenants:         map[string]TenantMetrics{},

@@ -9,12 +9,11 @@ import (
 	"qymera/internal/sqlengine"
 )
 
-// benchRepeatJob times one repeated circuit on a default SQL backend,
-// the shape of a job a service sees again and again: after the first
-// run every statement is parsed and every kernel compiled, so the loop
+// benchRepeatJob times one repeated circuit on one SQL backend, the
+// shape of a job a service sees again and again: after the first run
+// every statement is parsed and every kernel compiled, so the loop
 // measures what a warm job still pays, allocations included.
-func benchRepeatJob(b *testing.B, c *quantum.Circuit) {
-	backend := &SQL{}
+func benchRepeatJob(b *testing.B, backend *SQL, c *quantum.Circuit) {
 	if _, err := backend.Run(c); err != nil {
 		b.Fatal(err)
 	}
@@ -27,9 +26,16 @@ func benchRepeatJob(b *testing.B, c *quantum.Circuit) {
 	}
 }
 
-func BenchmarkSQLRepeatJobQFT12(b *testing.B) { benchRepeatJob(b, circuits.QFT(12)) }
+func BenchmarkSQLRepeatJobQFT12(b *testing.B) { benchRepeatJob(b, &SQL{}, circuits.QFT(12)) }
 
-func BenchmarkSQLRepeatJobGHZ16(b *testing.B) { benchRepeatJob(b, circuits.GHZ(16)) }
+func BenchmarkSQLRepeatJobGHZ16(b *testing.B) { benchRepeatJob(b, &SQL{}, circuits.GHZ(16)) }
+
+// BenchmarkSQLRepeatJobSuperpos12Spill repeats H on 12 qubits under a
+// 192 KiB budget, a quarter of the unbounded peak: every job spills its
+// stage results to column chunks and reads them back.
+func BenchmarkSQLRepeatJobSuperpos12Spill(b *testing.B) {
+	benchRepeatJob(b, &SQL{MemoryBudget: 192 << 10}, circuits.EqualSuperposition(12))
+}
 
 // BenchmarkSQLSweepJobHEA10x4 times a parameter-sweep job: HEA(10,4)
 // with fresh angles per job on one backend, so every job is a

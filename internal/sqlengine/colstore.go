@@ -61,8 +61,8 @@ type ColStore struct {
 // colOrder is one column's append-time order bit: whether every value
 // appended so far is a non-NULL INTEGER no smaller than the one before
 // it. Appends fold one compare per value into it, as they fold the
-// statistics; it survives spilling, freezing and encoding, none of
-// which reorder rows.
+// statistics; it survives spilling and freezing, neither of which
+// reorders rows.
 type colOrder struct {
 	last         int64
 	seen, broken bool
@@ -128,10 +128,6 @@ const (
 	colStr                    // []string (TEXT)
 	colBool                   // []bool (BOOLEAN)
 	colGeneric                // []Value fallback for mixed-type columns
-
-	// colFloatSparse (encoding.go) is the exact compressed form of
-	// colFloat, selected at Freeze time from the table statistics.
-	colFloatSparse // sorted nonzero positions + values, zeros elided
 )
 
 func (k colKind) String() string {
@@ -148,8 +144,6 @@ func (k colKind) String() string {
 		return "bool"
 	case colGeneric:
 		return "values"
-	case colFloatSparse:
-		return "float64/sparse"
 	}
 	return fmt.Sprintf("colKind(%d)", uint8(k))
 }
@@ -169,15 +163,6 @@ type column struct {
 	// exact makes it the whole capacity (ColStore.sizeExact).
 	hint  int
 	exact bool
-
-	// Sparse representation (encoding.go). encLen is the encoded row
-	// count; encSaved the resident bytes the encoding released back to
-	// the budget (re-reserved on a lazy decode). The null bitmap stays
-	// verbatim — the encoding covers the raw value slots only.
-	spos     []int32   // nonzero positions (ascending)
-	svals    []float64 // nonzero values
-	encLen   int
-	encSaved int64
 }
 
 func (c *column) setNull(row int) {
@@ -216,11 +201,6 @@ func (c *column) valueAt(i int) Value {
 			return Value{T: TypeBool, I: 1}
 		}
 		return Value{T: TypeBool}
-	case colFloatSparse:
-		if si := sparseSearch(c.spos, i); si < len(c.spos) && int(c.spos[si]) == i {
-			return Value{T: TypeFloat, F: c.svals[si]}
-		}
-		return Value{T: TypeFloat}
 	}
 	return Null
 }
@@ -318,11 +298,6 @@ func (c *column) appendValue(v Value, row int) {
 				continue
 			}
 			return
-		case colFloatSparse:
-			// Defensive: ColStore.decodeForAppend runs before appends;
-			// a direct append to an encoded column decodes in place.
-			c.decodeEncoded()
-			continue
 		}
 	}
 }
@@ -408,22 +383,6 @@ func (c *column) decodeRange(lo, hi int, scratch colVec) (colVec, colVec) {
 				out[j] = Value{T: TypeBool}
 			}
 		}
-	case colFloatSparse:
-		// Zero-fill (+0.0, matching the elided slots bit-for-bit), then
-		// scatter the nonzeros of the range, then the null overlay.
-		for j := range out {
-			out[j] = Value{T: TypeFloat}
-		}
-		for si := sparseSearch(c.spos, lo); si < len(c.spos) && int(c.spos[si]) < hi; si++ {
-			out[int(c.spos[si])-lo] = Value{T: TypeFloat, F: c.svals[si]}
-		}
-		if c.nulls != nil {
-			for j := 0; j < n; j++ {
-				if c.isNull(lo + j) {
-					out[j] = Null
-				}
-			}
-		}
 	}
 	return out, scratch
 }
@@ -437,9 +396,6 @@ func (c *column) reset() {
 	c.strs = c.strs[:0]
 	c.bools = c.bools[:0]
 	c.vals = c.vals[:0]
-	c.spos = c.spos[:0]
-	c.svals = c.svals[:0]
-	c.encLen = 0
 }
 
 // colValueBytes estimates the columnar in-memory footprint of one value:
@@ -535,7 +491,7 @@ func (cs *ColStore) flushChunk() error {
 		// descriptor's offset is still at its end.
 		cs.w = getSpillWriter(cs.file)
 	}
-	n, err := writeChunk(cs.w, cs.cols, cs.rows, cs.env.storageCtrs)
+	n, err := writeChunk(cs.w, cs.cols, cs.rows)
 	if err != nil {
 		cs.spillErr = fmt.Errorf("sqlengine: writing spill chunk: %w", err)
 		return cs.spillErr
@@ -560,7 +516,6 @@ func (cs *ColStore) Append(row Row) error {
 	if cs.spillErr != nil {
 		return cs.spillErr
 	}
-	cs.decodeForAppend()
 	if err := cs.ensureWidth(len(row)); err != nil {
 		return err
 	}
@@ -593,7 +548,6 @@ func (cs *ColStore) AppendBatch(b *rowBatch) error {
 	if cs.spillErr != nil {
 		return cs.spillErr
 	}
-	cs.decodeForAppend()
 	if err := cs.ensureWidth(b.width()); err != nil {
 		return err
 	}
@@ -650,7 +604,6 @@ func (cs *ColStore) appendAmps(s []int64, r, i []float64) error {
 	if cs.spillErr != nil {
 		return cs.spillErr
 	}
-	cs.decodeForAppend()
 	if err := cs.ensureWidth(3); err != nil {
 		return err
 	}
@@ -738,7 +691,6 @@ func (cs *ColStore) Freeze() error {
 		}
 	}
 	cs.frozen = true
-	cs.encodeColumns()
 	return nil
 }
 
@@ -904,15 +856,12 @@ func (c *colCursor) Next() (Row, bool, error) {
 //	  generic: per-row tagged values (the row codec's value encoding)
 //	  typed:   hasNulls byte (+ null bitmap), then the values —
 //	           int64 / float64 as raw 8-byte little-endian words,
-//	           strings as uvarint length + bytes, bools as a bitmap,
-//	           float64/sparse as uvarint nonzero count, then per
-//	           nonzero a uvarint position delta and its 8-byte word
+//	           strings as uvarint length + bytes, bools as a bitmap
 //
 // written straight to the pooled spill writer and read back by
-// readChunk. The kind tags make every run self-describing; a float
-// column that is mostly +0.0 is written sparse whether or not it was
-// encoded in memory. Floats travel as bit patterns, so -0.0 and NaN
-// payloads round-trip exactly. Spill files are temp files of the store
+// readChunk. The kind tags make every run self-describing. Floats
+// travel as bit patterns, so -0.0 and NaN payloads round-trip
+// exactly. Spill files are temp files of the store
 // that reads them, so the frame carries no version header.
 
 // chunkWriter streams one chunk to the spill writer, counting the
@@ -964,36 +913,19 @@ func (cw *chunkWriter) bitmap(rows int, bit func(int) bool) {
 
 // writeChunk writes rows rows of cols as one chunk and returns the
 // bytes written.
-func writeChunk(w *bufio.Writer, cols []column, rows int, ctrs *storageCounterSet) (int, error) {
+func writeChunk(w *bufio.Writer, cols []column, rows int) (int, error) {
 	cw := &chunkWriter{w: w}
 	cw.uvarint(uint64(rows))
 	for i := range cols {
-		cw.column(&cols[i], rows, ctrs)
+		cw.column(&cols[i], rows)
 	}
 	return cw.n, cw.err
 }
 
-// column writes one column run, sparse when the column is sparse in
-// memory or mostly +0.0 in this chunk.
-func (cw *chunkWriter) column(c *column, rows int, ctrs *storageCounterSet) {
-	kind := c.kind
-	nnz := len(c.spos)
-	if kind == colFloat {
-		nnz = 0
-		for _, f := range c.floats[:rows] {
-			if math.Float64bits(f) != 0 {
-				nnz++
-			}
-		}
-		if 2*nnz <= rows && 12*nnz < 8*rows {
-			kind = colFloatSparse
-		}
-	}
-	if kind == colFloatSparse {
-		ctrs.bumpEncodedChunkCol()
-	}
-	cw.writeByte(byte(kind))
-	if kind == colGeneric {
+// column writes one column run.
+func (cw *chunkWriter) column(c *column, rows int) {
+	cw.writeByte(byte(c.kind))
+	if c.kind == colGeneric {
 		for _, v := range c.vals[:rows] {
 			if cw.err == nil {
 				var n int
@@ -1009,7 +941,7 @@ func (cw *chunkWriter) column(c *column, rows int, ctrs *storageCounterSet) {
 	} else {
 		cw.writeByte(0)
 	}
-	switch kind {
+	switch c.kind {
 	case colInt:
 		for _, x := range c.ints[:rows] {
 			cw.word(uint64(x))
@@ -1025,31 +957,11 @@ func (cw *chunkWriter) column(c *column, rows int, ctrs *storageCounterSet) {
 		}
 	case colBool:
 		cw.bitmap(rows, func(i int) bool { return c.bools[i] })
-	case colFloatSparse:
-		cw.uvarint(uint64(nnz))
-		prev := -1
-		put := func(pos int, f float64) {
-			cw.uvarint(uint64(pos - prev))
-			cw.word(math.Float64bits(f))
-			prev = pos
-		}
-		if c.kind == colFloatSparse {
-			for i, p := range c.spos {
-				put(int(p), c.svals[i])
-			}
-			return
-		}
-		for i, f := range c.floats[:rows] {
-			if math.Float64bits(f) != 0 {
-				put(i, f)
-			}
-		}
 	}
 }
 
 // readChunk decodes the next chunk into cols (reusing their slices) and
-// returns its row count. Sparse runs decode into the sparse column
-// form, so scans of spilled data read it without expanding it.
+// returns its row count.
 func readChunk(r *bufio.Reader, cols []column) (int, error) {
 	rows64, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -1079,23 +991,30 @@ func readBitmap(r *bufio.Reader, rows int, set func(int)) error {
 	return nil
 }
 
+// readWord reads one little-endian 8-byte word straight out of the
+// reader's buffer, so reading a word allocates nothing. A word cut
+// short by the end of the stream fails with io.ErrUnexpectedEOF.
 func readWord(r *bufio.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+	b, err := r.Peek(8)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	x := binary.LittleEndian.Uint64(b)
+	_, _ = r.Discard(8) // cannot fail: Peek just buffered the 8 bytes
+	return x, nil
 }
 
-// readColumnRun decodes one column run, rejecting unknown kind tags and
-// inconsistent sparse payloads.
+// readColumnRun decodes one column run, rejecting unknown kind tags.
 func readColumnRun(r *bufio.Reader, c *column, rows int) error {
 	kb, err := r.ReadByte()
 	if err != nil {
 		return err
 	}
 	kind := colKind(kb)
-	if kind > colFloatSparse {
+	if kind > colGeneric {
 		return fmt.Errorf("sqlengine: corrupt spill file: column kind %d", kb)
 	}
 	c.reset()
@@ -1153,33 +1072,6 @@ func readColumnRun(r *bufio.Reader, c *column, rows int) error {
 		if err := readBitmap(r, rows, func(i int) { c.bools[i] = true }); err != nil {
 			return err
 		}
-	case colFloatSparse:
-		nnz, err := binary.ReadUvarint(r)
-		if err != nil {
-			return err
-		}
-		if nnz > uint64(rows) {
-			return fmt.Errorf("sqlengine: corrupt spill file: %d sparse entries for %d rows", nnz, rows)
-		}
-		prev := -1
-		for i := 0; i < int(nnz); i++ {
-			delta, err := binary.ReadUvarint(r)
-			if err != nil {
-				return err
-			}
-			pos := prev + int(delta)
-			if delta == 0 || delta > uint64(rows) || pos >= rows {
-				return fmt.Errorf("sqlengine: corrupt spill file: sparse position %d of %d rows", pos, rows)
-			}
-			prev = pos
-			x, err := readWord(r)
-			if err != nil {
-				return err
-			}
-			c.spos = append(c.spos, int32(pos))
-			c.svals = append(c.svals, math.Float64frombits(x))
-		}
-		c.encLen = rows
 	}
 	return nil
 }
@@ -1270,11 +1162,11 @@ func decodeValue(r *bufio.Reader) (Value, error) {
 		}
 		return NewInt(x), nil
 	case encFloat:
-		var buf [8]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
+		x, err := readWord(r)
+		if err != nil {
 			return Null, err
 		}
-		return NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))), nil
+		return NewFloat(math.Float64frombits(x)), nil
 	case encText:
 		ln, err := binary.ReadUvarint(r)
 		if err != nil {

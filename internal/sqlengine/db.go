@@ -64,10 +64,9 @@ type Config struct {
 	// non-empty value.
 	Fusion string
 	// Deprecated: Encodings named the removed switch to plain-only
-	// storage; mostly-zero REAL columns are always stored sparse
-	// (encoding.go). It stays only because the benchmark harness copies
-	// it field by field, and goes with the harness replay. Open rejects
-	// any non-empty value.
+	// storage; every column is stored plain (colstore.go). It stays only
+	// because the benchmark harness copies it field by field, and goes
+	// with the harness replay. Open rejects any non-empty value.
 	Encodings string
 	// Deprecated: Tracing named the removed switch to ignore obs spans;
 	// a statement whose context carries a span is always instrumented,
@@ -145,7 +144,6 @@ func Open(cfg Config) (*DB, error) {
 		kernels:      true,
 		kernelCache:  kernelCache,
 		kernelCtrs:   &kernelCounterSet{},
-		storageCtrs:  &storageCounterSet{},
 	}
 	return &DB{env: env, tables: map[string]*TableMeta{}}, nil
 }
@@ -158,12 +156,13 @@ func (db *DB) KernelCounters() map[string]int64 {
 	return db.env.kernelCtrs.snapshot()
 }
 
-// StorageCounters snapshots this engine instance's own sparsity-storage
-// counters — the same keys as the package-level StorageCounters(), but
-// scoped to this DB.
-func (db *DB) StorageCounters() map[string]int64 {
-	return db.env.storageCtrs.snapshot()
-}
+// StorageCounters returns an empty map.
+//
+// Deprecated: StorageCounters reported the removed sparse float
+// encoding; every REAL column is one plain vector, so there is nothing
+// to count. It stays only because the benchmark harness calls it, and
+// goes with the harness replay.
+func (db *DB) StorageCounters() map[string]int64 { return map[string]int64{} }
 
 // Close releases all tables and spill files.
 func (db *DB) Close() error {

@@ -171,7 +171,7 @@ func (db *DB) runExplainStmt(ctx context.Context, s *ExplainStmt, params []Value
 func writeExplainHeader(b *strings.Builder, names []string, kernelLine string) {
 	fmt.Fprintf(b, "output: %s\n", strings.Join(names, ", "))
 	fmt.Fprintf(b, "executor: vectorized (batch=%d, selection vectors), serial\n", batchSize)
-	fmt.Fprintf(b, "storage: columnar (typed column vectors + null bitmaps, spill=column chunks, encodings=on)\n")
+	fmt.Fprintf(b, "storage: columnar (typed column vectors + null bitmaps, spill=column chunks)\n")
 	fmt.Fprintf(b, "optimizer: on (constant folding, CTE inlining)\n")
 	fmt.Fprintf(b, "%s\n", kernelLine)
 }

@@ -136,7 +136,7 @@ func TestExplainStorageLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, frag := range []string{
-		"storage: columnar (typed column vectors + null bitmaps, spill=column chunks, encodings=on)",
+		"storage: columnar (typed column vectors + null bitmaps, spill=column chunks)",
 		"layout=columnar[int64 float64 string bool]",
 	} {
 		if !strings.Contains(plan, frag) {

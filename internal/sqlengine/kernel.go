@@ -168,9 +168,8 @@ func ResetKernelCounters() {
 // allocating. Programs are store-independent — execution
 // re-binds them to the current table vectors — so a sweep that re-plans
 // the same structural query with different gate numerics compiles once
-// and rebinds thereafter. No engine setting enters a program: encodings
-// are read from the bound stores at run time, so one cache serves
-// engines of any configuration. Every
+// and rebinds thereafter. No engine setting enters a program, so one
+// cache serves engines of any configuration. Every
 // engine opened without Config.KernelCache shares ProcessKernelCache.
 type KernelCache struct {
 	lru *lruCache[*kernelProg]
@@ -236,7 +235,7 @@ func (p *planner) runKernel(root planNode, collect bool) (*ColStore, *ColStore, 
 		if err := p.materializeAll(plan.stages[0].kern.join.left); err != nil {
 			return nil, nil, err
 		}
-		bound, reason := bindChain(env, plan)
+		bound, reason := bindChain(plan)
 		if bound == nil {
 			kernelRuntimeDecline(ctx, reason)
 			return nil, nil, nil

@@ -35,7 +35,7 @@ import (
 // then runs the same accumulation a chain of one runs over a store
 // holding those rows. Amplitudes are therefore bit-identical to
 // stage-at-a-time execution (one CREATE TABLE AS per stage) at every
-// encoding and budget that lets the chain run; the differential matrix
+// budget that lets the chain run; the differential matrix
 // in kernel_chain_test.go asserts it. One exception keeps the bits but
 // not the interior order: under a key-ordered top (ORDER BY s), the
 // chain's suffix of fan-in ≤ 2 stages may run over the cube
@@ -185,13 +185,13 @@ func compileChain(env *storageEnv, root planNode, dry bool) (*chainPlan, string)
 // fully (state store + gate buckets, via bindGateStage), later stages
 // on their gate side only — before anything executes, so a bind decline
 // falls back with no work done.
-func bindChain(env *storageEnv, plan *chainPlan) (*boundGate, string) {
-	bound0, reason := bindGateStage(env, plan.stages[0].kern)
+func bindChain(plan *chainPlan) (*boundGate, string) {
+	bound0, reason := bindGateStage(plan.stages[0].kern)
 	if bound0 == nil {
 		return nil, reason
 	}
 	for _, st := range plan.stages[1:] {
-		if reason := bindChainGate(env, st); reason != "" {
+		if reason := bindChainGate(st); reason != "" {
 			return nil, reason
 		}
 	}
@@ -199,7 +199,7 @@ func bindChain(env *storageEnv, plan *chainPlan) (*boundGate, string) {
 }
 
 // bindChainGate binds an interior stage's gate side.
-func bindChainGate(env *storageEnv, st *chainStage) string {
+func bindChainGate(st *chainStage) string {
 	gate := st.kern.gate.store
 	if err := gate.Freeze(); err != nil {
 		return kfSpilled
@@ -212,7 +212,7 @@ func bindChainGate(env *storageEnv, st *chainStage) string {
 		return ""
 	}
 	var reason string
-	st.buckets, st.gOut, reason = bindGateSide(env, st.kern.prog, gate)
+	st.buckets, st.gOut, reason = bindGateSide(st.kern.prog, gate)
 	return reason
 }
 
@@ -402,39 +402,26 @@ func kernelIntVec(cs *ColStore, idx int) []int64 {
 }
 
 // kernelFloatVec returns a frozen store's float column as a plain
-// vector (a sparse column decodes into fresh scratch, counted as a
-// kernel encoding bind); nil for a missing, nullable or non-float
-// column.
-func kernelFloatVec(env *storageEnv, cs *ColStore, idx int) []float64 {
+// vector; nil for a missing, nullable or non-float column.
+func kernelFloatVec(cs *ColStore, idx int) []float64 {
 	if idx < 0 || idx >= len(cs.cols) {
 		return nil
 	}
 	c := &cs.cols[idx]
-	if len(c.nulls) != 0 {
+	if len(c.nulls) != 0 || c.kind != colFloat {
 		return nil
 	}
-	switch c.kind {
-	case colFloat:
-		return c.floats
-	case colFloatSparse:
-		out := make([]float64, cs.rows)
-		for i, p := range c.spos {
-			out[p] = c.svals[i]
-		}
-		env.storageCtrs.bumpKernelEncBind()
-		return out
-	}
-	return nil
+	return c.floats
 }
 
 // bindGateSide binds a program's gate side: the build-key buckets and
 // the output-index vector for dense bounding.
-func bindGateSide(env *storageEnv, prog *kernelProg, gate *ColStore) (*kBuckets, []int64, string) {
+func bindGateSide(prog *kernelProg, gate *ColStore) (*kBuckets, []int64, string) {
 	gIn := kernelIntVec(gate, prog.gIn)
-	g0a := kernelFloatVec(env, gate, prog.g0a)
-	g0b := kernelFloatVec(env, gate, prog.g0b)
-	g1a := kernelFloatVec(env, gate, prog.g1a)
-	g1b := kernelFloatVec(env, gate, prog.g1b)
+	g0a := kernelFloatVec(gate, prog.g0a)
+	g0b := kernelFloatVec(gate, prog.g0b)
+	g1a := kernelFloatVec(gate, prog.g1a)
+	g1b := kernelFloatVec(gate, prog.g1b)
 	var gOut []int64
 	if prog.gOut >= 0 {
 		gOut = kernelIntVec(gate, prog.gOut)

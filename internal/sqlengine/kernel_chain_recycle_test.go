@@ -154,7 +154,7 @@ func chainRunBytes(t *testing.T, stages int) (uint64, int) {
 	if len(plan.stages) != stages {
 		t.Fatalf("chain compiled %d stages, want %d", len(plan.stages), stages)
 	}
-	bound0, reason := bindChain(db.env, plan)
+	bound0, reason := bindChain(plan)
 	if bound0 == nil {
 		t.Fatalf("chain did not bind: %s", reason)
 	}

@@ -152,7 +152,7 @@ func TestFinalStageJoinsChain(t *testing.T) {
 // sampled trace span. Every cell must be bitwise identical to its
 // stage-at-a-time twin, including row order. The cell names keep the
 // "columnar", "w=1" and "enc=on" labels: every cell runs the columnar
-// store with its sparse encoding on one goroutine.
+// store, plain vectors only, on one goroutine.
 func TestChainFusionDifferentialMatrix(t *testing.T) {
 	const stages = 3
 	for _, n := range []int{300, 20000} {
@@ -474,10 +474,8 @@ func TestCounterScopePerDB(t *testing.T) {
 			t.Fatalf("idle DB counter %s = %d, want 0 (cross-DB contamination)", k, v)
 		}
 	}
-	for k, v := range idle.StorageCounters() {
-		if v != 0 {
-			t.Fatalf("idle DB storage counter %s = %d, want 0", k, v)
-		}
+	if sc := active.StorageCounters(); len(sc) != 0 {
+		t.Fatalf("deprecated StorageCounters = %v, want an empty map", sc)
 	}
 	if got := KernelCounters()["executions"] - globalBefore; got == 0 {
 		t.Fatal("process-wide aggregate missed the execution")

@@ -154,7 +154,7 @@ func (r *kReserve) release() {
 // bindGateStage binds a chain's bottom stage to the current stores of
 // its scans, running the data-dependent checks the matcher cannot do
 // statically.
-func bindGateStage(env *storageEnv, k *gateKernel) (*boundGate, string) {
+func bindGateStage(k *gateKernel) (*boundGate, string) {
 	scan := scanOf(k.join.left)
 	if scan == nil {
 		return nil, kfScanShape
@@ -177,19 +177,17 @@ func bindGateStage(env *storageEnv, k *gateKernel) (*boundGate, string) {
 		bk.empty = true
 		return bk, ""
 	}
-	// Sparse float columns bind too: they decode into fresh scratch once
-	// per bind, so the fused loop keeps its plain-vector inner body.
 	bk.sKey = kernelIntVec(state, prog.sCol)
-	bk.s0a = kernelFloatVec(env, state, prog.s0a)
-	bk.s0b = kernelFloatVec(env, state, prog.s0b)
-	bk.s1a = kernelFloatVec(env, state, prog.s1a)
-	bk.s1b = kernelFloatVec(env, state, prog.s1b)
+	bk.s0a = kernelFloatVec(state, prog.s0a)
+	bk.s0b = kernelFloatVec(state, prog.s0b)
+	bk.s1a = kernelFloatVec(state, prog.s1a)
+	bk.s1b = kernelFloatVec(state, prog.s1b)
 	if bk.sKey == nil || bk.s0a == nil || bk.s0b == nil || bk.s1a == nil || bk.s1b == nil {
 		return nil, kfColumnTypes
 	}
 	var gOut []int64
 	var reason string
-	if bk.buckets, gOut, reason = bindGateSide(env, prog, gate); reason != "" {
+	if bk.buckets, gOut, reason = bindGateSide(prog, gate); reason != "" {
 		return nil, reason
 	}
 	if prog.gOutFn != nil {

@@ -119,7 +119,9 @@ func TestFinalResultSizedExactly(t *testing.T) {
 	if n := rs.store.Len(); n != 4096 {
 		t.Fatalf("result rows = %d, want 4096", n)
 	}
-	plain := 0
+	if len(rs.store.cols) == 0 {
+		t.Fatal("no typed column to check")
+	}
 	for i, c := range rs.store.cols {
 		var capacity int
 		switch c.kind {
@@ -128,15 +130,11 @@ func TestFinalResultSizedExactly(t *testing.T) {
 		case colFloat:
 			capacity = cap(c.floats)
 		default:
-			continue // an encoded float column keeps no plain vector
+			t.Fatalf("column %s: kind %v, want int64 or float64", rs.Columns[i], c.kind)
 		}
-		plain++
 		if capacity != 4096 {
 			t.Errorf("column %s: capacity %d, want exactly 4096", rs.Columns[i], capacity)
 		}
-	}
-	if plain == 0 {
-		t.Fatal("no plain typed column to check")
 	}
 }
 

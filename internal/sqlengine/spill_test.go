@@ -20,9 +20,9 @@ func newBudgetDB(t *testing.T, budget int64) *DB {
 	return db
 }
 
-// freezeTables freezes (and, with encodings on, encodes) base tables up
-// front, so budget baselines taken afterwards reflect the tables'
-// steady-state resident footprint rather than their pre-encode size.
+// freezeTables freezes base tables up front, so budget baselines taken
+// afterwards reflect the tables' steady-state resident footprint (a
+// spilled store flushes its pending chunk on Freeze).
 func freezeTables(t *testing.T, db *DB, names ...string) {
 	t.Helper()
 	for _, name := range names {

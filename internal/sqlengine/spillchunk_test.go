@@ -3,10 +3,12 @@ package sqlengine
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -15,7 +17,7 @@ import (
 // exact bits, in order.
 
 // chunkTestWidth is the column count of chunkTestRow.
-const chunkTestWidth = 8
+const chunkTestWidth = 11
 
 // chunkTestFloats are REAL values whose bits a careless codec loses.
 var chunkTestFloats = []float64{
@@ -41,9 +43,10 @@ func chunkTestFloat(rng *rand.Rand) float64 {
 }
 
 // chunkTestRow draws one row covering every column form a chunk holds:
-// INTEGER, REAL, mostly-zero REAL (the sparse form), all-zero REAL,
-// TEXT and BOOL columns with NULLs, a mixed-type column (the generic
-// form) and an all-NULL column.
+// INTEGER, REAL, mostly-zero REAL, all-zero REAL, TEXT and BOOL columns
+// with NULLs, a mixed-type column (the generic form), an all-NULL
+// column, and REAL columns that hold only -0.0, only one NaN payload
+// and only the smallest subnormal.
 func chunkTestRow(rng *rand.Rand) Row {
 	row := make(Row, chunkTestWidth)
 	row[0] = NewInt(rng.Int63() - rng.Int63())
@@ -67,12 +70,35 @@ func chunkTestRow(rng *rand.Rand) Row {
 		row[6] = NewFloat(chunkTestFloat(rng))
 	}
 	row[7] = Null
+	row[8] = NewFloat(chunkTestFloats[0])
+	row[9] = NewFloat(chunkTestFloats[1])
+	row[10] = NewFloat(math.SmallestNonzeroFloat64)
 	for _, c := range []int{0, 1, 2, 4, 5, 6} {
 		if rng.Intn(10) == 0 {
 			row[c] = Null
 		}
 	}
 	return row
+}
+
+// collectRows drains a store through its cursor into cloned rows.
+func collectRows(t *testing.T, cs *ColStore) []Row {
+	t.Helper()
+	it, err := cs.Cursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Row
+	for {
+		row, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, cloneRow(row))
+	}
 }
 
 // sameBits reports whether two values have the same type and the same
@@ -94,10 +120,9 @@ func sameBits(a, b Value) bool {
 
 // FuzzSpillChunkRoundTrip writes random chunks with writeChunk and reads
 // them back with readChunk: every value, NULL and REAL bit pattern must
-// survive, the writer must report the bytes it wrote, and the all-zero
-// REAL column must travel in the sparse form. Stores of at least
-// encodeMinRows rows sparse-encode their columns in memory before the
-// write; smaller ones reach writeChunk as plain vectors.
+// survive, the writer must report the bytes it wrote, and every REAL
+// column — mostly-zero, all-zero, -0.0, NaN-payload and subnormal alike
+// — must come back as a plain float64 vector.
 func FuzzSpillChunkRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint16(0))
 	f.Add(int64(2), uint16(1))
@@ -110,7 +135,6 @@ func FuzzSpillChunkRoundTrip(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		env := testEnv(t, 0)
 		cs := env.newStore()
-		cs.stats = &tableStats{}
 		want := make([]Row, rows)
 		for k := range want {
 			want[k] = chunkTestRow(rng)
@@ -129,7 +153,7 @@ func FuzzSpillChunkRoundTrip(f *testing.F) {
 
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
-		wrote, err := writeChunk(w, cols, rows, env.storageCtrs)
+		wrote, err := writeChunk(w, cols, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,8 +184,16 @@ func FuzzSpillChunkRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		if rows > 0 && got[3].kind != colFloatSparse {
-			t.Fatalf("all-zero REAL column came back as %v, want float64/sparse", got[3].kind)
+		for c := range got {
+			if got[c].kind != cols[c].kind {
+				t.Fatalf("column %d came back as %v, was %v", c, got[c].kind, cols[c].kind)
+			}
+		}
+		// Columns 3, 8, 9 and 10 are REAL and never NULL.
+		for _, c := range []int{3, 8, 9, 10} {
+			if rows > 0 && got[c].kind != colFloat {
+				t.Fatalf("REAL column %d came back as %v, want float64", c, got[c].kind)
+			}
 		}
 	})
 }
@@ -174,7 +206,6 @@ func TestSpillMultiChunkScanInOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	env := testEnv(t, 4<<10)
 	cs := env.newStore()
-	cs.stats = &tableStats{}
 	var want []Row
 	appendRows := func(n int) {
 		for k := 0; k < n; k++ {
@@ -185,7 +216,6 @@ func TestSpillMultiChunkScanInOrder(t *testing.T) {
 			}
 		}
 	}
-	encodedBefore := StorageCounters()["encoded_chunk_cols"]
 	appendRows(3000)
 	if err := cs.Freeze(); err != nil {
 		t.Fatal(err)
@@ -221,11 +251,6 @@ func TestSpillMultiChunkScanInOrder(t *testing.T) {
 	if chunks < 4 || onDisk != len(want) {
 		t.Fatalf("%d chunks holding %d rows, want several chunks holding %d", chunks, onDisk, len(want))
 	}
-	// The all-zero REAL column went to disk in the sparse form.
-	if d := StorageCounters()["encoded_chunk_cols"] - encodedBefore; d < int64(chunks) {
-		t.Fatalf("encoded_chunk_cols delta = %d, want >= %d (one per chunk)", d, chunks)
-	}
-
 	sc, err := cs.batchScan()
 	if err != nil {
 		t.Fatal(err)
@@ -261,5 +286,92 @@ func TestSpillMultiChunkScanInOrder(t *testing.T) {
 	cs.Release()
 	if used := env.budget.used.Load(); used != 0 {
 		t.Fatalf("leaked %d bytes", used)
+	}
+}
+
+// TestSpillV2CorruptColumnRuns: the spill chunk's column-run decoder
+// rejects unknown kind tags — the retired sparse tag among them — and
+// truncated payloads instead of mis-decoding them. A word cut short by
+// the end of the stream fails with io.ErrUnexpectedEOF.
+func TestSpillV2CorruptColumnRuns(t *testing.T) {
+	cases := []struct {
+		name    string
+		data    []byte
+		want    string
+		wantErr error
+	}{
+		{"unknown kind tag", []byte{99}, "column kind", nil},
+		// Tag 6 once named a sparse float run (nonzero count, then
+		// position deltas and words); no writer emits it any more.
+		{"retired sparse tag", []byte{6, 0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0}, "column kind", nil},
+		{"truncated payload", []byte{byte(colInt), 0, 1, 2}, "", io.ErrUnexpectedEOF},
+		{"truncated float word", []byte{byte(colFloat), 0, 1, 2, 3, 4, 5, 6, 7}, "", io.ErrUnexpectedEOF},
+		{"truncated generic float", []byte{byte(colGeneric), encFloat, 1, 2, 3}, "", io.ErrUnexpectedEOF},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var c column
+			err := readColumnRun(bufio.NewReader(bytes.NewReader(tc.data)), &c, 4)
+			if err == nil {
+				t.Fatal("corrupt run decoded without error")
+			}
+			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want substring %q", err, tc.want)
+			}
+			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Fatalf("error = %v, want %v", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestSpillScanAllocsFlat reads back a spilled multi-chunk store of
+// (INTEGER, REAL, REAL) rows: the allocations of a full scan must not
+// grow with the row count, so no word read from a chunk allocates.
+func TestSpillScanAllocsFlat(t *testing.T) {
+	scanAllocs := func(rows int) float64 {
+		env := testEnv(t, 16<<10)
+		cs := env.newStore()
+		t.Cleanup(cs.Release)
+		for k := 0; k < rows; k++ {
+			row := Row{NewInt(int64(k)), NewFloat(float64(k) / 7), NewFloat(0)}
+			if err := cs.Append(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cs.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		if !cs.Spilled() || cs.rows != 0 {
+			t.Fatalf("%d rows: store not wholly spilled (%d on disk)", rows, cs.fileRows)
+		}
+		scanned := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			sc, err := cs.batchScan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanned = 0
+			for {
+				b, err := sc.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+				scanned += b.rows()
+			}
+		})
+		if scanned != rows {
+			t.Fatalf("scan read %d rows, want %d", scanned, rows)
+		}
+		t.Logf("%d rows: %v allocs per scan", rows, allocs)
+		return allocs
+	}
+	small := scanAllocs(4096)
+	large := scanAllocs(8 * 4096)
+	if large > small+8 {
+		t.Fatalf("scan allocations grow with rows: %v for 4096 rows, %v for 32768", small, large)
 	}
 }

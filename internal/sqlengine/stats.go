@@ -5,27 +5,19 @@ import "fmt"
 // Table statistics. Every base-table store carries an optional
 // *tableStats collector that the storage layer updates incrementally at
 // append time (ColStore.Append/AppendBatch): row count, per-column null
-// count, integer min/max, and a zero count on numeric columns (the
-// sparsity signal of the amplitude columns in translated gate queries).
-// ANALYZE <table> rebuilds the same statistics from a full scan, for
-// tables whose store predates collection (CREATE TABLE AS SELECT
-// results).
+// count and integer min/max. ANALYZE <table> rebuilds the same
+// statistics from a full scan, for tables whose store predates
+// collection (CREATE TABLE AS SELECT results).
 //
-// Two readers use them, and both need exact values: the kernel's dense
+// One reader uses them, and it needs exact values: the kernel's dense
 // key bound (denseBound in kernel_gate.go) reads the state index
-// column's min, max and null count, and the sparse float encoding
-// (encodeColumns in encoding.go) reads the zero count. No plan is chosen
-// from them. Statistics after DELETE/UPDATE stay exact because
-// those statements rewrite the table into a fresh store with a fresh
-// collector.
+// column's min, max and null count. No plan is chosen from them.
+// Statistics after DELETE/UPDATE stay exact because those statements
+// rewrite the table into a fresh store with a fresh collector.
 
 // colStats accumulates one column's statistics.
 type colStats struct {
 	nulls int64
-	// zeros counts numeric values equal to zero — the sparsity signal:
-	// on an amplitude column, rows/(rows-zeros) bounds how much
-	// zero-amplitude pruning can shrink the state.
-	zeros int64
 	// intMin/intMax track INTEGER values only (intSeen reports whether
 	// any were observed).
 	intMin, intMax int64
@@ -44,13 +36,6 @@ func (c *colStats) observe(v Value) {
 			c.intMax = v.I
 		}
 		c.intSeen = true
-		if v.I == 0 {
-			c.zeros++
-		}
-	case TypeFloat:
-		if v.F == 0 {
-			c.zeros++
-		}
 	}
 }
 

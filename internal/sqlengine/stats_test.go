@@ -3,8 +3,7 @@ package sqlengine
 import "testing"
 
 // TestStatsIncrementalAtAppend: base tables collect row counts, null
-// counts, int min/max and zero counts as rows are appended — no ANALYZE
-// needed.
+// counts and int min/max as rows are appended — no ANALYZE needed.
 func TestStatsIncrementalAtAppend(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "CREATE TABLE t (s INTEGER, r REAL, name TEXT)")
@@ -20,20 +19,20 @@ func TestStatsIncrementalAtAppend(t *testing.T) {
 	if !s.intSeen || s.intMin != -3 || s.intMax != 7 {
 		t.Fatalf("int min/max = %+v", s)
 	}
-	if s.nulls != 0 || s.zeros != 0 {
-		t.Fatalf("nulls/zeros(s) = %+v", s)
+	if s.nulls != 0 {
+		t.Fatalf("nulls(s) = %+v", s)
 	}
 	r := ts.col(1)
-	if r.zeros != 2 || r.nulls != 0 || r.intSeen {
-		t.Fatalf("stats(r) = %+v, want 2 zeros, no nulls, no integers", r)
+	if r.nulls != 0 || r.intSeen {
+		t.Fatalf("stats(r) = %+v, want no nulls, no integers", r)
 	}
 	name := ts.col(2)
-	if name.nulls != 1 || name.zeros != 0 || name.intSeen {
-		t.Fatalf("stats(name) = %+v, want 1 null, no zeros, no integers", name)
+	if name.nulls != 1 || name.intSeen {
+		t.Fatalf("stats(name) = %+v, want 1 null, no integers", name)
 	}
 	mustExec(t, db, "INSERT INTO t VALUES (0, NULL, 'c')")
 	ts = db.lookupTable("t").store.stats
-	if s, r := ts.col(0), ts.col(1); ts.rows != 5 || s.zeros != 1 || s.intMin != -3 || r.nulls != 1 || r.zeros != 2 {
+	if s, r := ts.col(0), ts.col(1); ts.rows != 5 || s.intMin != -3 || r.nulls != 1 {
 		t.Fatalf("after one more row: rows=%d s=%+v r=%+v", ts.rows, s, r)
 	}
 }

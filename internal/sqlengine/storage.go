@@ -107,11 +107,10 @@ type storageEnv struct {
 	// Config.KernelCache names another).
 	kernels     bool
 	kernelCache *KernelCache
-	// kernelCtrs / storageCtrs are this engine instance's own counter
-	// scopes (every increment also feeds the process-wide aggregates;
-	// see kernelCounterSet and storageCounterSet).
-	kernelCtrs  *kernelCounterSet
-	storageCtrs *storageCounterSet
+	// kernelCtrs is this engine instance's own counter scope (every
+	// increment also feeds the process-wide aggregate; see
+	// kernelCounterSet).
+	kernelCtrs *kernelCounterSet
 	// workingFloor is the number of bytes a blocking operator (hash
 	// join build, hash aggregation, sort buffer) may force-reserve even
 	// when the budget is exhausted by table storage. Without it, grace
