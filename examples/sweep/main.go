@@ -70,7 +70,7 @@ func main() {
 	fmt.Printf("\nplan cache: %d misses, %d structural hits, %d exact hits over %d points\n",
 		st.Misses, st.StructuralHits, st.Hits, steps)
 	kc := qymera.KernelCounters()
-	fmt.Printf("gate kernels: %d compiles, %d cache hits, %d fused executions (%d fallbacks)\n",
-		kc["compiles"], kc["cache_hits"], kc["executions"], kc["fallbacks"])
+	fmt.Printf("gate kernels: %d compiles, %d cache hits, %d chain runs over %d stages (%d fallbacks)\n",
+		kc["compiles"], kc["cache_hits"], kc["chain_executions"], kc["chain_stages"], kc["fallbacks"])
 	fmt.Println("all three methods agree on the observable across the whole family")
 }

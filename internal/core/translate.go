@@ -201,14 +201,14 @@ func gateTableRows(m *linalg.Matrix) []GateRow {
 	return rows
 }
 
-// buildSetup renders the DDL+DML prologue: the initial state table plus
-// one table per distinct gate, each followed by an ANALYZE statement.
-// The ANALYZE statements guarantee the engine has row counts and the
-// index columns' integer min/max (which bound the state's key range)
-// even on engines whose stores did not collect statistics at insert. Shared by Translate and Rebind (the
-// rebinding path regenerates only this data section of a cached plan).
+// buildSetup renders the DDL+DML prologue: a CREATE TABLE and, when it
+// has rows, an INSERT for the initial state table and for each
+// distinct gate table. It is plain SQL with no engine hints: the engine
+// derives what it needs (row counts, the state's key range) from the
+// rows themselves. Shared by Translate and Rebind (the rebinding path
+// regenerates only this data section of a cached plan).
 func buildSetup(prefix string, initial *quantum.State, tables []GateTable) []string {
-	setup := make([]string, 0, 3+3*len(tables))
+	setup := make([]string, 0, 2+2*len(tables))
 	t0 := prefix + "0"
 	setup = append(setup, "CREATE TABLE "+t0+" (s INTEGER, r REAL, i REAL)")
 	if idx := initial.Indices(); len(idx) > 0 {
@@ -232,7 +232,6 @@ func buildSetup(prefix string, initial *quantum.State, tables []GateTable) []str
 		}
 		setup = append(setup, w.String())
 	}
-	setup = append(setup, "ANALYZE "+t0)
 	for _, tbl := range tables {
 		setup = append(setup, "CREATE TABLE "+tbl.Name+" (in_s INTEGER, out_s INTEGER, r REAL, i REAL)")
 		if len(tbl.Rows) > 0 {
@@ -257,7 +256,6 @@ func buildSetup(prefix string, initial *quantum.State, tables []GateTable) []str
 			}
 			setup = append(setup, w.String())
 		}
-		setup = append(setup, "ANALYZE "+tbl.Name)
 	}
 	return setup
 }

@@ -52,6 +52,13 @@ type UpdateStmt struct {
 	Where Expr
 }
 
+// AnalyzeStmt is ANALYZE <table>. The engine keeps no table
+// statistics, so it only checks that the table exists and reports its
+// row count.
+type AnalyzeStmt struct {
+	Table string
+}
+
 // ExplainStmt is EXPLAIN [ANALYZE] select: render the physical plan,
 // executing the query and annotating actual row counts when Analyze is
 // set.
@@ -122,6 +129,7 @@ type SubqueryRef struct {
 func (*CreateTableStmt) stmt() {}
 func (*ExplainStmt) stmt()     {}
 func (*DropTableStmt) stmt()   {}
+func (*AnalyzeStmt) stmt()     {}
 func (*InsertStmt) stmt()      {}
 func (*DeleteStmt) stmt()      {}
 func (*UpdateStmt) stmt()      {}

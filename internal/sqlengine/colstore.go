@@ -43,9 +43,6 @@ type ColStore struct {
 	// stream is unusable, so every later append, freeze, and scan must
 	// fail rather than write or decode past the partial chunk.
 	spillErr error
-	// stats, when non-nil, is updated incrementally on every append
-	// (base tables; see stats.go).
-	stats *tableStats
 	// capHint is the expected total row count (hintRows) or the exact
 	// one (sizeExact);
 	// typed column vectors allocate this capacity up front instead of
@@ -60,9 +57,8 @@ type ColStore struct {
 
 // colOrder is one column's append-time order bit: whether every value
 // appended so far is a non-NULL INTEGER no smaller than the one before
-// it. Appends fold one compare per value into it, as they fold the
-// statistics; it survives spilling and freezing, neither of which
-// reorders rows.
+// it. Appends fold one compare per value into it; it survives spilling
+// and freezing, neither of which reorders rows.
 type colOrder struct {
 	last         int64
 	seen, broken bool
@@ -532,9 +528,6 @@ func (cs *ColStore) Append(row Row) error {
 	}
 	cs.rows++
 	cs.memBytes += need
-	if cs.stats != nil {
-		cs.stats.observeRow(row)
-	}
 	return cs.maybeFlushChunk()
 }
 
@@ -586,15 +579,12 @@ func (cs *ColStore) AppendBatch(b *rowBatch) error {
 	}
 	cs.rows += n
 	cs.memBytes += need
-	if cs.stats != nil {
-		cs.stats.observeBatch(b)
-	}
 	return cs.maybeFlushChunk()
 }
 
 // appendAmps appends rows given as typed (s, r, i) vectors — the
 // kernel emitter's output — straight into the column vectors, with no
-// Value boxing. Reservation, column kinds and statistics are exactly
+// Value boxing. Reservation, column kinds and order bits are exactly
 // what AppendBatch produces for the same rows boxed as INTEGER, REAL,
 // REAL.
 func (cs *ColStore) appendAmps(s []int64, r, i []float64) error {
@@ -626,9 +616,6 @@ func (cs *ColStore) appendAmps(s []int64, r, i []float64) error {
 	cs.order[1].broken, cs.order[2].broken = true, true
 	cs.rows += n
 	cs.memBytes += need
-	if cs.stats != nil {
-		cs.stats.observeAmps(s, r, i)
-	}
 	return cs.maybeFlushChunk()
 }
 
@@ -810,7 +797,7 @@ func (s *colScan) NextBatch() (*rowBatch, error) {
 }
 
 // Cursor returns the row-at-a-time gather adapter over the columnar
-// data: each Next gathers one fresh Row from the current batch view.
+// data: each Next gathers one Row from the current batch view.
 // This is the engine's single row edge for columnar stores (ResultSet,
 // driver, sort-run merging, grace-partition iteration).
 func (cs *ColStore) Cursor() (*colCursor, error) {
@@ -822,12 +809,15 @@ func (cs *ColStore) Cursor() (*colCursor, error) {
 }
 
 // colCursor walks a frozen store row by row. Returned rows are owned by
-// the caller.
+// the caller: each batch's rows are carved from one slab, every row's
+// capacity clipped to its width, so no row aliases another and an
+// append to one reallocates instead of writing into its neighbour.
 type colCursor struct {
 	scan  *colScan
 	width int
 	b     *rowBatch
 	pos   int
+	slab  []Value
 }
 
 func (c *colCursor) Next() (Row, bool, error) {
@@ -840,8 +830,10 @@ func (c *colCursor) Next() (Row, bool, error) {
 			return nil, false, nil
 		}
 		c.b, c.pos = b, 0
+		c.slab = make([]Value, b.n*c.width)
 	}
-	row := make(Row, c.width)
+	lo, hi := c.pos*c.width, (c.pos+1)*c.width
+	row := Row(c.slab[lo:hi:hi])
 	for i := range row {
 		row[i] = c.b.cols[i][c.pos]
 	}

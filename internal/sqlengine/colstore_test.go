@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -397,5 +398,71 @@ func TestRowEncodingPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResultSetDrainAllocs: draining a result row by row allocates per
+// batch, not per row — the cursor carves each batch's rows from one
+// slab — and every row stays the caller's: rows hold their own values,
+// and appending to one does not write into the next.
+func TestResultSetDrainAllocs(t *testing.T) {
+	const n = 4096
+	db := newTestDB(t)
+	mustExec(t, db, "CREATE TABLE t (s INTEGER, r REAL, i REAL)")
+	rows := make([]string, n)
+	for k := range rows {
+		rows[k] = fmt.Sprintf("(%d, %d.5, -%d.25)", k, k, k)
+	}
+	for k := 0; k < n; k += 512 {
+		mustExec(t, db, "INSERT INTO t VALUES "+strings.Join(rows[k:k+512], ","))
+	}
+	res, err := db.Query("SELECT s, r, i FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	drain := func() []Row {
+		rs := &ResultSet{Columns: res.Columns, store: res.store}
+		out, err := rs.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	got := drain()
+	if len(got) != n {
+		t.Fatalf("drained %d rows, want %d", len(got), n)
+	}
+	for k, row := range got {
+		if len(row) != 3 || cap(row) != 3 || row[0].I != int64(k) || row[1].F != float64(k)+0.5 || row[2].F != -float64(k)-0.25 {
+			t.Fatalf("row %d = %v (cap %d)", k, row, cap(row))
+		}
+	}
+	grown := append(got[0], NewInt(-1))
+	if grown[0].I != 0 || got[1][0].I != 1 {
+		t.Fatalf("appending to row 0 changed row 1: %v", got[1])
+	}
+	var sink int
+	allocs := testing.AllocsPerRun(5, func() {
+		rs := &ResultSet{Columns: res.Columns, store: res.store}
+		sink = 0
+		for {
+			row, ok, err := rs.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			sink += len(row)
+		}
+	})
+	if sink != 3*n {
+		t.Fatalf("drained %d values, want %d", sink, 3*n)
+	}
+	batches := float64(n / batchSize)
+	t.Logf("%v allocs per %d-row drain (%v batches)", allocs, n, batches)
+	if allocs > 4*batches {
+		t.Fatalf("draining %d rows made %v allocations, want at most %v (4 per %d-row batch)", n, allocs, 4*batches, batchSize)
 	}
 }

@@ -304,16 +304,6 @@ func (db *DB) newExecCtx(ctx context.Context, params []Value) *execCtx {
 }
 
 func (db *DB) runSelect(stmtCtx context.Context, sel *SelectStmt, params []Value) (*ResultSet, error) {
-	return db.runSelectCollect(stmtCtx, sel, params, false)
-}
-
-// runSelectCollect is runSelect with optional statistics collection on
-// the result store: CTAS materialization passes collect=true so the
-// created table starts with exact incremental statistics (see
-// stats.go) — no per-stage ANALYZE rescan needed. Only the final
-// result store collects; intermediate stores (CTE materialization,
-// join internals) do not.
-func (db *DB) runSelectCollect(stmtCtx context.Context, sel *SelectStmt, params []Value, collect bool) (*ResultSet, error) {
 	ctx := db.newExecCtx(stmtCtx, params)
 	// All span calls below are nil no-ops when the statement is
 	// untraced (ctx.span == nil). Planning executes nothing, so the
@@ -336,7 +326,7 @@ func (db *DB) runSelectCollect(stmtCtx context.Context, sel *SelectStmt, params 
 		p.sampleEvery = ctx.sampleEvery
 	}
 	base := ctx.markSpill()
-	store, err := p.execute(node, collect)
+	store, err := p.execute(node)
 	if err != nil {
 		return nil, err
 	}
@@ -425,8 +415,8 @@ func (db *DB) execStmt(ctx context.Context, stmt Statement, params []Value) (int
 		defer db.mu.Unlock()
 		return db.execUpdate(ctx, s, params)
 	case *AnalyzeStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
+		db.mu.RLock()
+		defer db.mu.RUnlock()
 		return db.execAnalyze(s)
 	case *ExplainStmt:
 		rs, err := db.runExplainStmt(ctx, s, params)
@@ -452,11 +442,7 @@ func (db *DB) execCreate(ctx context.Context, s *CreateTableStmt, params []Value
 		return 0, fmt.Errorf("sqlengine: table %s already exists", s.Name)
 	}
 	if s.AsSelect != nil {
-		// The materialization collects statistics incrementally into the
-		// result store, so the created table's statistics are exact from
-		// the start and the translator's ANALYZE hits the fast no-rescan
-		// path (chained stage tables get stats without a round-trip).
-		rs, err := db.runSelectCollect(ctx, s.AsSelect, params, true)
+		rs, err := db.runSelect(ctx, s.AsSelect, params)
 		if err != nil {
 			return 0, err
 		}
@@ -477,12 +463,21 @@ func (db *DB) execCreate(ctx context.Context, s *CreateTableStmt, params []Value
 		seen[lc] = true
 	}
 	store := db.env.newStore()
-	// Base tables collect statistics incrementally from the first append
-	// (see stats.go); CTAS results arrive with statistics already
-	// collected during materialization (above).
-	store.stats = &tableStats{}
 	db.tables[key] = &TableMeta{Name: s.Name, Cols: s.Cols, store: store}
 	return 0, nil
+}
+
+// execAnalyze serves ANALYZE <table>: the table's row count, with no
+// scan and no freeze.
+func (db *DB) execAnalyze(s *AnalyzeStmt) (int64, error) {
+	if db.closed {
+		return 0, fmt.Errorf("sqlengine: database is closed")
+	}
+	meta := db.lookupTable(s.Table)
+	if meta == nil {
+		return 0, fmt.Errorf("sqlengine: no such table: %s", s.Table)
+	}
+	return meta.store.Len(), nil
 }
 
 func (db *DB) execDrop(s *DropTableStmt) (int64, error) {
@@ -648,9 +643,6 @@ func (db *DB) insertSelect(ctx context.Context, meta *TableMeta, sel *SelectStmt
 // is checked once per batchSize rows.
 func (db *DB) rewriteTable(ctx context.Context, meta *TableMeta, transform func(Row) (Row, bool, error)) (int64, error) {
 	newStore := db.env.newStore()
-	// The rewrite re-feeds every surviving row through a fresh
-	// collector, so statistics stay exact across DELETE/UPDATE.
-	newStore.stats = &tableStats{}
 	it, err := meta.store.Cursor()
 	if err != nil {
 		newStore.Release()

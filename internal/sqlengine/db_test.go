@@ -541,3 +541,37 @@ func TestOpenRejectsRemovedSwitches(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeStatement: ANALYZE <table> stays valid SQL. It reports the
+// table's row count and fails on a missing table.
+func TestAnalyzeStatement(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, "CREATE TABLE src (a INTEGER, b REAL)")
+	if n := mustExec(t, db, "ANALYZE src"); n != 0 {
+		t.Fatalf("ANALYZE of an empty table returned %d rows", n)
+	}
+	fillSequence(t, db, "src", 200)
+	mustExec(t, db, "CREATE TABLE derived AS SELECT a * 2 AS a2, b FROM src")
+	for _, tbl := range []string{"src", "derived", "DERIVED"} {
+		if n := mustExec(t, db, "ANALYZE "+tbl); n != 200 {
+			t.Fatalf("ANALYZE %s returned %d rows, want 200", tbl, n)
+		}
+	}
+	if _, err := db.Exec("ANALYZE missing"); err == nil || !strings.Contains(err.Error(), "no such table") {
+		t.Fatalf("ANALYZE of a missing table: err = %v, want no such table", err)
+	}
+}
+
+// TestAnalyzeKeepsThawedState: ANALYZE must leave the store writable
+// for subsequent inserts.
+func TestAnalyzeKeepsThawedState(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
+	mustExec(t, db, "INSERT INTO t VALUES (1)")
+	mustExec(t, db, "ANALYZE t")
+	mustExec(t, db, "INSERT INTO t VALUES (2)")
+	rows := queryAll(t, db, "SELECT a FROM t ORDER BY a")
+	if len(rows) != 2 {
+		t.Fatalf("rows = %v", rows)
+	}
+}

@@ -460,15 +460,14 @@ func planChildren(node planNode) []planNode {
 }
 
 // materializePlan runs a plan on the interpreter and materializes its
-// output into a table store, optionally collecting statistics on it
-// (CTAS materialization).
-func materializePlan(ctx *execCtx, node planNode, collect bool) (*ColStore, error) {
+// output into a table store.
+func materializePlan(ctx *execCtx, node planNode) (*ColStore, error) {
 	hint := hintForBudget(knownRows(node), ctx.env.budget)
 	it, err := node.open(ctx)
 	if err != nil {
 		return nil, err
 	}
-	store, err := materializeCollect(ctx, it, hint, collect)
+	store, err := materialize(ctx, it, hint)
 	it.Close()
 	return store, err
 }
@@ -491,21 +490,11 @@ func hintForBudget(rows int64, budget *MemBudget) int64 {
 
 // materialize drains a batch iterator into a fresh store, the
 // batch-in, column-vectors-out boundary: no per-row materialization.
-// Cancellation is checked once per drained batch.
-func materialize(ctx *execCtx, it batchIter) (*ColStore, error) {
-	return materializeCollect(ctx, it, 0, false)
-}
-
-// materializeCollect optionally attaches a statistics collector to the
-// result store before draining (CTAS materialization: the created
-// table then has exact statistics without an ANALYZE rescan). hint,
-// when positive, is the result's row count (knownRows) and pre-sizes
-// the store's column vectors.
-func materializeCollect(ctx *execCtx, it batchIter, hint int64, collect bool) (*ColStore, error) {
+// Cancellation is checked once per drained batch. hint, when positive,
+// is the result's row count (knownRows) and pre-sizes the store's
+// column vectors.
+func materialize(ctx *execCtx, it batchIter, hint int64) (*ColStore, error) {
 	store := ctx.env.newStore()
-	if collect {
-		store.stats = &tableStats{}
-	}
 	store.hintRows(hint)
 	for {
 		if err := ctx.cancelled(); err != nil {

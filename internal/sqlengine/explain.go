@@ -96,7 +96,7 @@ func (db *DB) explainAnalyzeSelect(stmtCtx context.Context, sel *SelectStmt, par
 	defer p.release()
 	node = instrumentPlan(node, 1)
 	p.sampleEvery = 1
-	store, err := p.execute(node, false)
+	store, err := p.execute(node)
 	if err != nil {
 		return "", err
 	}

@@ -834,7 +834,7 @@ func mix64(x uint64, depth int) uint64 {
 // nestedLoop joins without equi keys: the right side is materialized and
 // rescanned per left batch row.
 func (j *joinExec) nestedLoop(left, right batchIter) (*ColStore, error) {
-	rightStore, err := materialize(j.ctx, right)
+	rightStore, err := materialize(j.ctx, right, 0)
 	if err != nil {
 		return nil, err
 	}

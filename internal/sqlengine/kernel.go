@@ -218,7 +218,7 @@ func (c *KernelCache) store(key string, p *kernelProg) { c.lru.put(key, p, 1) }
 // ones: the top stage's input CTE materializes through its own chain,
 // and the top stage retries as a chain of one; a refused chain of one
 // declines to the interpreter, which spills.
-func (p *planner) runKernel(root planNode, collect bool) (*ColStore, *ColStore, error) {
+func (p *planner) runKernel(root planNode) (*ColStore, *ColStore, error) {
 	ctx, env := p.ctx, p.ctx.env
 	if !env.kernels {
 		return nil, nil, nil
@@ -242,7 +242,7 @@ func (p *planner) runKernel(root planNode, collect bool) (*ColStore, *ColStore, 
 		}
 		top := plan.top()
 		plan.keyOrder = plan.set != nil && sortsByGroupKey(root, top.core)
-		run, store, err := runChainKernel(ctx, plan, bound, collect && plan.set == nil)
+		run, store, err := runChainKernel(ctx, plan, bound)
 		if err == errChainBudget {
 			kernelRuntimeDecline(ctx, kfBudgetLimited)
 			if len(plan.stages) == 1 {

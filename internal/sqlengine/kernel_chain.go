@@ -79,15 +79,14 @@ func (c *chainPlan) top() *gateKernel { return c.stages[len(c.stages)-1].kern }
 // store would have held. It doubles as the kernel's emission sink
 // (kSink) and the next stage's input binding.
 type chainBuf struct {
-	having         bool
-	eps2           float64
-	keys           []int64
-	re, im         []float64
-	minKey, maxKey int64
-	// or is the OR of every key: the keys are a full sub-cube when
-	// there are 2^popcount(or) of them (kernel_cube.go).
-	or  int64
-	any bool
+	having bool
+	eps2   float64
+	keys   []int64
+	re, im []float64
+	// or is the OR of every key (keyOr, kept as rows arrive): the next
+	// stage's dense bound reads it, and the keys are a full sub-cube
+	// when there are 2^popcount(or) of them (kernel_cube.go).
+	or int64
 }
 
 // reset readies a recycled buffer to receive a stage's output: empty,
@@ -101,7 +100,7 @@ func (b *chainBuf) reset(having bool, eps2 float64, hint int64) {
 		b.im = make([]float64, 0, c)
 	}
 	b.keys, b.re, b.im = b.keys[:0], b.re[:0], b.im[:0]
-	b.minKey, b.maxKey, b.or, b.any = 0, 0, 0, false
+	b.or = 0
 }
 
 // footprint is the buffer's size once reset(…, hint) has run (hint 0:
@@ -133,14 +132,7 @@ func (b *chainBuf) add(key int64, r, i float64) {
 	b.keys = append(b.keys, key)
 	b.re = append(b.re, r)
 	b.im = append(b.im, i)
-	if !b.any || key < b.minKey {
-		b.minKey = key
-	}
-	if !b.any || key > b.maxKey {
-		b.maxKey = key
-	}
 	b.or |= key
-	b.any = true
 }
 
 // compileChain is the kernel tier's matcher. It finds the gate-stage
@@ -236,10 +228,8 @@ func bindChainInput(st *chainStage, in *chainBuf) *boundGate {
 	bk.s0a, bk.s0b = pick(prog.s0a), pick(prog.s0b)
 	bk.s1a, bk.s1b = pick(prog.s1a), pick(prog.s1b)
 	bk.buckets = st.buckets
-	if prog.gOutFn != nil && in.any && in.minKey >= 0 {
-		// The buffer tracks its own exact key range, standing in for
-		// the statistics a materialized store would carry.
-		bk.denseHi = gateDenseBound(pow2mask(in.maxKey), prog, st.gOut)
+	if prog.gOutFn != nil {
+		bk.denseHi = denseBound(in.or, prog, st.gOut)
 	}
 	bk.presizeDense()
 	return bk
@@ -269,12 +259,10 @@ type kernelRun struct {
 
 // runChainKernel executes a bound chain: every stage but the last emits
 // into the next stage's chainBuf; the last materializes through the
-// standard kernel emitter into a fresh store (with statistics when
-// collect is set, as a CTAS result or a CTE that a later chain reads
-// needs them). The run owns one accumulator and two stage buffers and
-// recycles them across all stages: stage k reads one buffer while
-// emitting into the other, so after the first stages warm them up a
-// stage allocates almost nothing. The last stage drops the idle buffer
+// standard kernel emitter into a fresh store. The run owns one
+// accumulator and two stage buffers and recycles them across all
+// stages: stage k reads one buffer while emitting into the other, so
+// after the first stages warm them up a stage allocates almost nothing. The last stage drops the idle buffer
 // before it runs. A key-ordered chain runs its cube suffix (cubeFrom)
 // over a key-indexed state vector instead whenever the state is a full
 // sub-cube (kernel_cube.go).
@@ -285,7 +273,7 @@ type kernelRun struct {
 // its own rows). The idle buffer is neither kept nor reserved for the
 // last stage. A refusal returns errChainBudget before the output store
 // exists. The reservation is released when the run ends.
-func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bool) (*kernelRun, *ColStore, error) {
+func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate) (*kernelRun, *ColStore, error) {
 	var (
 		acc  kAcc
 		bufs [2]chainBuf
@@ -319,7 +307,7 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bo
 			if ok {
 				run.cubeStages++
 				if i == last {
-					store, err := emitStore(ctx, prog, cubeRows(mout), collect, plan.keyOrder, func(em *kEmitter) error {
+					store, err := emitStore(ctx, prog, cubeRows(mout), plan.keyOrder, func(em *kEmitter) error {
 						return cb.emit(ctx, st, mout, em)
 					})
 					if err != nil {
@@ -371,7 +359,7 @@ func runChainKernel(ctx *execCtx, plan *chainPlan, bound0 *boundGate, collect bo
 			}
 		}
 		if i == last {
-			store, err := emitStore(ctx, prog, bk.groupHint, collect, plan.keyOrder, func(em *kEmitter) error {
+			store, err := emitStore(ctx, prog, bk.groupHint, plan.keyOrder, func(em *kEmitter) error {
 				return bk.run(ctx, em, &acc)
 			})
 			if err != nil {

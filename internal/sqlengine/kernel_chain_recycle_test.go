@@ -159,7 +159,7 @@ func chainRunBytes(t *testing.T, stages int) (uint64, int) {
 		t.Fatalf("chain did not bind: %s", reason)
 	}
 	run := func() {
-		_, store, err := runChainKernel(ctx, plan, bound0, true)
+		_, store, err := runChainKernel(ctx, plan, bound0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,7 +132,7 @@ func (c *cube) fit(st *chainStage, m int64) (int64, bool) {
 // amplitudes are finite, and stage st fits.
 func (c *cube) load(st *chainStage, in *chainBuf) {
 	m := in.or
-	if !in.any || in.minKey < 0 || int64(len(in.keys)) != cubeRows(m) {
+	if m < 0 || int64(len(in.keys)) != cubeRows(m) {
 		return
 	}
 	if _, ok := c.fit(st, m); !ok {

@@ -191,37 +191,32 @@ func bindGateStage(k *gateKernel) (*boundGate, string) {
 		return nil, reason
 	}
 	if prog.gOutFn != nil {
-		bk.denseHi = denseBound(state, prog, gOut)
+		bk.denseHi = denseBound(keyOr(bk.sKey), prog, gOut)
 	}
 	bk.presizeDense()
 	return bk, ""
 }
 
-// denseBound proves an upper bound on every group key of the
-// mask-merge form (s & mask) | f(out), or returns -1. For s ≥ 0 the
-// masked half is ⊆ the bits of s, so pow2mask(max s) covers it
-// (gateDenseBound ORs in the rest). Requires fresh exact statistics on
-// the state index column (CTAS/INSERT..SELECT materialization collects
-// them incrementally).
-func denseBound(state *ColStore, prog *kernelProg, gOut []int64) int64 {
-	ts := state.stats
-	if ts == nil || ts.rows != state.Len() {
-		return -1
+// keyOr returns the OR of keys. It is negative exactly when some key
+// is, and for keys ≥ 0 it has the same top bit as their maximum, so
+// pow2mask(keyOr(keys)) == pow2mask(max(keys)).
+func keyOr(keys []int64) int64 {
+	var or int64
+	for _, k := range keys {
+		or |= k
 	}
-	cs := ts.col(prog.sCol)
-	if cs == nil || !cs.intSeen || cs.intMin < 0 || cs.nulls != 0 {
-		return -1
-	}
-	return gateDenseBound(pow2mask(cs.intMax), prog, gOut)
+	return or
 }
 
-// gateDenseBound ORs the bits of every gate row's f(out) onto hi, the
-// covering mask of the state keys, giving the dense key bound — or -1
-// when hi is unbounded, an f(out) is negative, or the bound reaches
-// denseCap. The state side's mask comes from table statistics
-// (denseBound) or a fused chain buffer's own key range
-// (bindChainInput).
-func gateDenseBound(hi int64, prog *kernelProg, gOut []int64) int64 {
+// denseBound proves an upper bound on every group key of the
+// mask-merge form (s & mask) | f(out), or returns -1. or is the OR of
+// every state key s (keyOr, or a chain buffer's running chainBuf.or).
+// For s ≥ 0 the masked half is ⊆ the bits of s, so pow2mask(or) covers
+// it; the bits of every gate row's f(out) are ORed on top. The result
+// is -1 when a state key or an f(out) is negative, or when the bound
+// reaches denseCap.
+func denseBound(or int64, prog *kernelProg, gOut []int64) int64 {
+	hi := pow2mask(or)
 	if hi < 0 {
 		return -1
 	}
@@ -441,14 +436,11 @@ func madd(sum, a, b, c, d float64, sub bool) float64 {
 
 // emitStore materializes a kernel run's output store (the exact rows
 // the interpreted core would have produced): fill sends the rows to an
-// emitter over a fresh store pre-sized for hint rows, with statistics
-// when collect is set. keyOrder makes a dense bucketed run emit in
-// ascending key order instead of first-seen (see kEmitter).
-func emitStore(ctx *execCtx, prog *kernelProg, hint int64, collect, keyOrder bool, fill func(*kEmitter) error) (*ColStore, error) {
+// emitter over a fresh store pre-sized for hint rows. keyOrder makes a
+// dense bucketed run emit in ascending key order instead of first-seen
+// (see kEmitter).
+func emitStore(ctx *execCtx, prog *kernelProg, hint int64, keyOrder bool, fill func(*kEmitter) error) (*ColStore, error) {
 	out := ctx.env.newStore()
-	if collect {
-		out.stats = &tableStats{}
-	}
 	if hint > 0 {
 		out.hintRows(hint)
 	}

@@ -553,7 +553,7 @@ func parseKernelHaving(pred Expr, aggSchema planSchema) (float64, bool) {
 // denseGateSpec recognizes the canonical mask-merge group key
 // (s & keep) | f(out) — in either operand order, keep any constant —
 // and returns keep with the compiled gate-side half f. With it,
-// bindGateStage can bound every group key by pow2mask(max s) | OR(f(out))
+// bindGateStage can bound every group key by pow2mask(OR s) | OR(f(out))
 // and use a dense array accumulator: for s ≥ 0, (s & keep) ⊆ the bits
 // of s regardless of the mask's sign (the golden plans carry negative
 // mask literals like s & -2).

@@ -478,23 +478,3 @@ func TestKernelExplainAnalyze(t *testing.T) {
 		t.Fatalf("kernel output scan not marked in plan:\n%s", plan)
 	}
 }
-
-// TestKernelCTASCollectsStats: the kernel's output store feeds the
-// same statistics collector as the interpreted path, so CTAS over a
-// gate stage yields fresh stats without ANALYZE.
-func TestKernelCTASCollectsStats(t *testing.T) {
-	db := newOptDB(t, Config{})
-	setupGateStage(t, db, 64)
-	before := KernelCounters()["executions"]
-	mustExec(t, db, "CREATE TABLE t1 AS "+gateStageQuery(false))
-	if ran := KernelCounters()["executions"] - before; ran != 1 {
-		t.Fatalf("CTAS did not run the kernel (%d executions)", ran)
-	}
-	ts := db.lookupTable("t1").store.stats
-	if ts == nil || ts.rows != 64 {
-		t.Fatalf("stats after kernel CTAS: %+v", ts)
-	}
-	if c := ts.col(0); !c.intSeen || c.intMin != 0 || c.intMax != 63 {
-		t.Fatalf("kernel CTAS stats min/max = [%d, %d]", c.intMin, c.intMax)
-	}
-}

@@ -66,7 +66,7 @@ func TestPlanningExecutesNothing(t *testing.T) {
 		t.Fatalf("planning reserved %d bytes", got-used)
 	}
 
-	store, err := p.execute(root, false)
+	store, err := p.execute(root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,24 +69,24 @@ func (db *DB) buildPlan(ctx *execCtx, sel *SelectStmt) (planNode, []string, *pla
 
 // execute runs steps 2-4 for the plan rooted at node and returns its
 // result store.
-func (p *planner) execute(node planNode, collect bool) (*ColStore, error) {
-	store, swapped, err := p.runKernel(node, collect)
+func (p *planner) execute(node planNode) (*ColStore, error) {
+	store, swapped, err := p.runKernel(node)
 	if err != nil || store != nil {
 		return store, err
 	}
-	return p.interpret(node, collect, swapped)
+	return p.interpret(node, swapped)
 }
 
 // interpret materializes the CTEs node reads and runs node on the
 // interpreter. swapped is the kernel store a scan in node reads (or
 // nil): released here if an error strands it before that scan opens
 // (Release is idempotent).
-func (p *planner) interpret(node planNode, collect bool, swapped *ColStore) (*ColStore, error) {
+func (p *planner) interpret(node planNode, swapped *ColStore) (*ColStore, error) {
 	err := p.materializeAll(node)
 	var store *ColStore
 	if err == nil {
 		p.bind(node)
-		store, err = materializePlan(p.ctx, node, collect)
+		store, err = materializePlan(p.ctx, node)
 	}
 	if err != nil && swapped != nil {
 		swapped.Release()
@@ -124,9 +124,7 @@ func (p *planner) materialize(m *materializeNode) error {
 			sp.End()
 		}()
 	}
-	// A kernel store carries statistics: a chain reading it may prove
-	// a dense key bound from them.
-	store, swapped, err := p.runKernel(m.child, true)
+	store, swapped, err := p.runKernel(m.child)
 	if err != nil {
 		return err
 	}
@@ -134,7 +132,7 @@ func (p *planner) materialize(m *materializeNode) error {
 		if p.sampleEvery > 0 {
 			m.child = instrumentPlan(m.child, p.sampleEvery)
 		}
-		if store, err = p.interpret(m.child, false, swapped); err != nil {
+		if store, err = p.interpret(m.child, swapped); err != nil {
 			return err
 		}
 		if sp != nil {
