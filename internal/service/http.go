@@ -278,11 +278,6 @@ type MetricsJSON struct {
 		AdmittedBytes int64 `json:"admitted_bytes"`
 	} `json:"memory_budget"`
 
-	// Optimizer exposes the engine's cumulative query-optimizer rule
-	// counters (process-wide, across every engine instance the service
-	// created): plans_optimized, cte_inlined, cte_dead and const_folded.
-	Optimizer map[string]int64 `json:"optimizer"`
-
 	// Kernels exposes the engine's cumulative gate-stage kernel-tier
 	// counters (process-wide): compiles, cache_hits, executions,
 	// fallbacks, and per-reason fallback_<reason> counts.
@@ -338,7 +333,6 @@ func (s *Server) Metrics() MetricsJSON {
 		AdmissionWaits:  m.metrics.admissionWaits.Load(),
 		PlanCache:       m.PlanCacheStats(),
 		PlanCacheShards: m.PlanCacheShardStats(),
-		Optimizer:       sqlengine.OptimizerCounters(),
 		Kernels:         sqlengine.KernelCounters(),
 		Backends:        backends,
 		Phases:          phases,

@@ -210,11 +210,6 @@ func TestHTTPJobLifecycleAndMetrics(t *testing.T) {
 	if lat, ok := metrics.Backends["sql"]; !ok || lat.Count != 2 {
 		t.Fatalf("sql latency %+v", metrics.Backends)
 	}
-	// The SQL runs above went through the cost-based optimizer; its
-	// counters must be visible on /metrics.
-	if metrics.Optimizer["plans_optimized"] < 1 {
-		t.Fatalf("optimizer counters missing: %+v", metrics.Optimizer)
-	}
 
 	// Healthz.
 	r, err = http.Get(ts.URL + "/healthz")

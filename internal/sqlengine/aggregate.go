@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // aggCall describes one aggregate computation extracted from the query.
@@ -16,7 +17,7 @@ type aggCall struct {
 // aggNode evaluates GROUP BY aggregation. Its output schema is the group
 // expressions (qualified "#grp") followed by aggregate results
 // (qualified "#agg"); the planner rewrites the surrounding SELECT to
-// reference those synthetic columns. DISTINCT is lowered onto this node
+// reference those synthetic columns. DISTINCT is built onto this node
 // with all output columns as group keys and no aggregates.
 //
 // Execution is streaming: input batches are aggregated directly into a
@@ -34,8 +35,20 @@ type aggNode struct {
 	groupBy []Expr
 	aggs    []aggCall
 	// cols is the output schema, (#grp.g<i>..., #agg.a<i>...), fixed
-	// at lowering.
+	// by newAggNode.
 	cols planSchema
+}
+
+// newAggNode builds the aggregation and its output schema.
+func newAggNode(child planNode, groupBy []Expr, aggs []aggCall) *aggNode {
+	cols := make(planSchema, 0, len(groupBy)+len(aggs))
+	for i := range groupBy {
+		cols = append(cols, planCol{table: "#grp", name: "g" + strconv.Itoa(i)})
+	}
+	for i := range aggs {
+		cols = append(cols, planCol{table: "#agg", name: "a" + strconv.Itoa(i)})
+	}
+	return &aggNode{child: child, groupBy: groupBy, aggs: aggs, cols: cols}
 }
 
 func (n *aggNode) schema() planSchema { return n.cols }

@@ -153,6 +153,11 @@ type Literal struct{ Val Value }
 type ColumnRef struct {
 	Table string // "" if unqualified
 	Name  string
+	// slot, when positive, is the 1-based position of the column in the
+	// schema the planner made the reference for, which resolves it
+	// instead of the name (planSchema.resolveRef). The parser never sets
+	// it.
+	slot int
 }
 
 // ParamRef is a ? placeholder, numbered left to right from 0.

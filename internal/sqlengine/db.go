@@ -40,7 +40,7 @@ type Config struct {
 	// reset a shared budget (each store releases its own reservations).
 	Budget *MemBudget
 	// Deprecated: Optimizer named the removed switch to the unoptimized
-	// planner; the optimizer (optimize.go) always runs. It stays only
+	// planner; CTE inlining (build.go) always runs. It stays only
 	// because the benchmark harness copies it field by field, and goes
 	// with the harness replay. Open rejects any non-empty value.
 	Optimizer string

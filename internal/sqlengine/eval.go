@@ -5,31 +5,71 @@ import (
 	"strings"
 )
 
-// columnResolver maps a (qualifier, column) pair to a slot index in the
-// rows an operator produces. Matching is case-insensitive.
-type columnResolver interface {
-	// resolveColumn returns the row index of the column, or an error if
-	// unknown or ambiguous.
-	resolveColumn(table, name string) (int, error)
-}
-
 // compiledExpr evaluates an expression against a row.
 type compiledExpr func(row Row) (Value, error)
 
-// compileCtx carries what expression compilation needs.
+// compileCtx carries what expression compilation needs: the schema of
+// the rows the expression reads, which resolves its column references,
+// and the statement's bound parameters.
 type compileCtx struct {
-	resolver columnResolver
+	resolver planSchema
 	params   []Value
 }
 
 // compileExpr resolves all column references up front and returns a
-// closure tree; per-row evaluation does no name lookups.
+// closure tree; per-row evaluation does no name lookups. A constant
+// subtree is evaluated once, here (constValue).
 func compileExpr(e Expr, ctx *compileCtx) (compiledExpr, error) {
+	if v, ok := constValue(e); ok {
+		return func(Row) (Value, error) { return v, nil }, nil
+	}
+	return compileNode(e, ctx)
+}
+
+// constValue folds a constant expression: a literal, or an operator
+// tree with no column, parameter or aggregate beneath it (constExpr),
+// evaluated once by the row compiler — the code every row would run,
+// since all scalar functions are deterministic. ok is false for any
+// other expression and for one whose evaluation errors (ABS('x')),
+// which stays to report its error at run time.
+func constValue(e Expr) (Value, bool) {
 	switch n := e.(type) {
 	case *Literal:
-		v := n.Val
-		return func(Row) (Value, error) { return v, nil }, nil
+		return n.Val, true
+	case *ColumnRef, *ParamRef:
+		return Null, false
+	}
+	if !constExpr(e) {
+		return Null, false
+	}
+	c, err := compileNode(e, &compileCtx{})
+	if err != nil {
+		return Null, false
+	}
+	v, err := c(nil)
+	return v, err == nil
+}
 
+// constExpr reports whether e reads no column, parameter or aggregate.
+func constExpr(e Expr) bool {
+	ok := true
+	walkExpr(e, func(x Expr) {
+		switch f := x.(type) {
+		case *ColumnRef, *ParamRef:
+			ok = false
+		case *FuncCall:
+			if isAggregateName(f.Name) {
+				ok = false
+			}
+		}
+	})
+	return ok
+}
+
+// compileNode is compileExpr without the fold of e itself; its operands
+// still fold.
+func compileNode(e Expr, ctx *compileCtx) (compiledExpr, error) {
+	switch n := e.(type) {
 	case *ParamRef:
 		if n.Index >= len(ctx.params) {
 			return nil, fmt.Errorf("sqlengine: statement has parameter %d but only %d values bound", n.Index+1, len(ctx.params))
@@ -38,7 +78,7 @@ func compileExpr(e Expr, ctx *compileCtx) (compiledExpr, error) {
 		return func(Row) (Value, error) { return v, nil }, nil
 
 	case *ColumnRef:
-		idx, err := ctx.resolver.resolveColumn(n.Table, n.Name)
+		idx, err := ctx.resolver.resolveRef(n)
 		if err != nil {
 			return nil, err
 		}

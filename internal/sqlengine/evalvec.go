@@ -20,11 +20,12 @@ import "fmt"
 type vecExpr func(b *rowBatch, sel []int) (colVec, error)
 
 // compileVec compiles e for vectorized evaluation against ctx's
-// resolver.
+// resolver. A constant subtree is evaluated once, here (constValue).
 func compileVec(e Expr, ctx *compileCtx) (vecExpr, error) {
+	if v, ok := constValue(e); ok {
+		return constVec(v), nil
+	}
 	switch n := e.(type) {
-	case *Literal:
-		return constVec(n.Val), nil
 
 	case *ParamRef:
 		if n.Index >= len(ctx.params) {
@@ -33,7 +34,7 @@ func compileVec(e Expr, ctx *compileCtx) (vecExpr, error) {
 		return constVec(ctx.params[n.Index]), nil
 
 	case *ColumnRef:
-		idx, err := ctx.resolver.resolveColumn(n.Table, n.Name)
+		idx, err := ctx.resolver.resolveRef(n)
 		if err != nil {
 			return nil, err
 		}

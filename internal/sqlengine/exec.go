@@ -50,6 +50,18 @@ func (s planSchema) resolveColumn(table, name string) (int, error) {
 	return found, nil
 }
 
+// resolveRef finds the slot of a column reference: its position when
+// the planner made it (ColumnRef.slot), else its name.
+func (s planSchema) resolveRef(c *ColumnRef) (int, error) {
+	if c.slot > 0 {
+		if c.slot > len(s) {
+			return 0, fmt.Errorf("sqlengine: internal: column slot %d out of range %d", c.slot-1, len(s))
+		}
+		return c.slot - 1, nil
+	}
+	return s.resolveColumn(c.Table, c.Name)
+}
+
 // hasTable reports whether the schema exposes the given qualifier.
 func (s planSchema) hasTable(table string) bool {
 	table = strings.ToLower(table)
@@ -430,9 +442,9 @@ func (it *limitIter) NextBatch() (*rowBatch, error) {
 
 func (it *limitIter) Close() { it.child.Close() }
 
-// planChildren returns a physical node's children (the shared walk
-// behind EXPLAIN ANALYZE instrumentation and counter resets; mirrors
-// lchildren for the logical tree). Nodes not listed are leaves — a
+// planChildren returns a node's children (the shared walk behind CTE
+// inlining, EXPLAIN ANALYZE instrumentation and counter resets). Nodes
+// not listed are leaves — a
 // materializeNode too: its subplan runs, and is traced, on its own
 // (planner.materialize).
 func planChildren(node planNode) []planNode {

@@ -8,8 +8,8 @@ import (
 )
 
 // Explain returns a rendering of the physical plan for a SELECT
-// statement without executing it — the tree execution runs. The plan
-// shown is the optimized one; CTEs the execution materializes appear as
+// statement without executing it — the tree execution runs. CTEs the
+// execution materializes appear as
 // MaterializeCTE subplans (inlined CTEs appear in place). EXPLAIN itself
 // does no data movement.
 func (db *DB) Explain(sqlText string, params ...Value) (string, error) {

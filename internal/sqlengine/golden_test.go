@@ -93,9 +93,9 @@ var goldenCases = []struct {
 
 // TestGoldenPlans is the plan-regression gate: EXPLAIN output for a
 // fixed schema and query set is pinned under testdata/plans/. An
-// accidental plan change — a rule firing differently, an estimate
-// shifting, a physical choice flipping — fails CI with a readable
-// diff. Each query's answer is pinned beside its plan, so a plan that
+// accidental plan change — the builder making another tree, a CTE
+// inlined differently, a join strategy flipping — fails CI with a
+// readable diff. Each query's answer is pinned beside its plan, so a plan that
 // changes on purpose must still return the same rows, float bits
 // included. Regenerate intentionally with:
 //

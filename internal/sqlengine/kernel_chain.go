@@ -12,8 +12,8 @@ import (
 // A translated circuit is a chain of gate stages, each reading exactly
 // the previous stage's state table — as chained CTEs in single-query
 // mode, or (after core.FusedStatements regroups them) inside one
-// synthesized CREATE TABLE … AS WITH. Every interior stage CTE lowers
-// to a materializeNode (its single reference sits under the next
+// synthesized CREATE TABLE … AS WITH. Every interior stage CTE stays
+// a materializeNode (its single reference sits under the next
 // stage's float SUM, so inlining is blocked by the bit-neutrality
 // contract). The kernel tier's one entry point (planner.runKernel,
 // kernel.go) gets each plan before the CTEs it reads are materialized:
@@ -155,7 +155,7 @@ func compileChain(env *storageEnv, root planNode, dry bool) (*chainPlan, string)
 	plan := &chainPlan{stages: []*chainStage{{kern: above}}, set: set}
 	for chainStateSlots(above.prog) {
 		m := cteOf(above.join.left)
-		if m == nil || m.res.store != nil || m.uses != 1 {
+		if m == nil || m.store != nil || m.uses != 1 {
 			break
 		}
 		core, _ := unwrapStat(m.child).(*projectNode)

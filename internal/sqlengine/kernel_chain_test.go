@@ -72,7 +72,7 @@ func stageAtATime(t *testing.T, db *DB, stages int, having bool) string {
 // actually run (chain counters move) and agree bit for bit with the
 // stage-at-a-time engine, in both aggregation regimes.
 //
-// Counter accounting: the optimizer inlines the last CTE into the
+// Counter accounting: the planner inlines the last CTE into the
 // trivial final SELECT (a non-sensitive single-use reference), whose
 // core tops the chain: one kernel run covers all K stages and elides
 // the K-1 tables below the top.

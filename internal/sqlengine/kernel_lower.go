@@ -190,7 +190,7 @@ func compileGateStage(core *projectNode, env *storageEnv, dry bool) (*gateKernel
 		if !ok {
 			return nil, kfProjectShape
 		}
-		idx, err := aggSchema.resolveColumn(ref.Table, ref.Name)
+		idx, err := aggSchema.resolveRef(ref)
 		if err != nil || idx != i {
 			return nil, kfProjectShape
 		}
@@ -287,7 +287,7 @@ func compileGateProgram(agg *aggNode, having *filterNode, join *joinNode, joinSc
 	if !ok {
 		return nil, kfUnsupported
 	}
-	gIn, rerr := joinSchema[nLeft:].resolveColumn(rref.Table, rref.Name)
+	gIn, rerr := joinSchema[nLeft:].resolveRef(rref)
 	if rerr != nil {
 		return nil, kfUnsupported
 	}
@@ -319,7 +319,7 @@ func compileGateProgram(agg *aggNode, having *filterNode, join *joinNode, joinSc
 		eps2:   eps2,
 	}
 	prog.in = compileIdxProg(join.leftKeys[0], func(c *ColumnRef) bool {
-		idx, err := joinSchema.resolveColumn(c.Table, c.Name)
+		idx, err := joinSchema.resolveRef(c)
 		return err == nil && idx == prog.sCol
 	})
 	prog.gOutFn, prog.keep = denseGateSpec(agg.groupBy[0], joinSchema, nLeft, prog.sCol)
@@ -338,7 +338,7 @@ type kColBinder struct {
 }
 
 func (b *kColBinder) resolve(c *ColumnRef) (byte, error) {
-	idx, err := b.schema.resolveColumn(c.Table, c.Name)
+	idx, err := b.schema.resolveRef(c)
 	if err != nil {
 		return 0, err
 	}
@@ -504,7 +504,7 @@ func resolveRef(e Expr, schema planSchema) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	idx, err := schema.resolveColumn(ref.Table, ref.Name)
+	idx, err := schema.resolveRef(ref)
 	if err != nil {
 		return 0, false
 	}

@@ -10,8 +10,8 @@ import (
 	"qymera/internal/obs"
 )
 
-// Planning is a pure function of the statement and the statistics: it
-// lowers CTE materialization to materializeNodes and executes nothing.
+// Planning is a pure function of the statement and the catalog: a
+// materialized CTE is a materializeNode, and nothing executes.
 // These tests pin that split and the one-tree property it buys —
 // EXPLAIN, EXPLAIN ANALYZE and tracing all see the tree that runs.
 
@@ -58,7 +58,7 @@ func TestPlanningExecutesNothing(t *testing.T) {
 		t.Fatalf("plan holds %d CTE nodes, want %d", len(ctes), stages-1)
 	}
 	for _, m := range ctes {
-		if m.res.store != nil {
+		if m.store != nil {
 			t.Fatalf("planning materialized CTE %s", m.name)
 		}
 	}

@@ -6,13 +6,13 @@ import (
 	"strings"
 )
 
-// planner turns an optimized logical plan into the physical planNode
-// tree and then runs it. Lowering is pure: it reads no data and
-// executes nothing, and a materialized CTE becomes a materializeNode in
-// the tree, so EXPLAIN prints, the kernel tier matches and the executor
-// runs one and the same tree. A statement executes in four steps:
+// planner runs a plan tree. The tree comes from planBuilder (build.go)
+// and building is pure: it reads no data and executes nothing, and a
+// materialized CTE is a materializeNode in the tree, so EXPLAIN prints,
+// the kernel tier matches and the executor runs one and the same tree.
+// A statement executes in four steps:
 //
-//  1. lower (buildPlan);
+//  1. build (buildPlan);
 //  2. offer the root to the kernel tier (runKernel, kernel.go), which
 //     runs its gate-stage core and the gate-stage CTEs below it as one
 //     chain;
@@ -22,15 +22,11 @@ import (
 //     the grace-join pre-choice, from the now-exact store sizes (bind);
 //  4. open the root.
 //
-// A CTE the optimizer marked inline lowers to its subplan itself, and a
-// dead CTE is never lowered.
+// An inlined CTE is its subplan in place, and a dead CTE is in no tree.
 type planner struct {
 	ctx     *execCtx
 	db      *DB
 	cleanup []*ColStore // temp stores to release when the statement ends
-	// results holds each definition's store while lowering, shared by
-	// all of its references so a CTE read twice still materializes once.
-	results map[*cteDef]*cteResult
 	// sampleEvery, when positive, instruments each CTE subplan the
 	// interpreter runs (EXPLAIN ANALYZE, traced statements), so a stage
 	// a kernel ran carries no operator counters.
@@ -44,27 +40,18 @@ func (p *planner) release() {
 	p.cleanup = nil
 }
 
-// buildPlan parses nothing and executes nothing (step 1): it lowers sel
-// through the logical IR, the optimizer, and the physical planner. The
-// returned planner runs the plan (execute) and owns the CTE stores that
-// creates, so it must be released after execution.
+// buildPlan parses nothing and executes nothing (step 1): it builds
+// sel's plan tree and inlines its single-use CTEs. The returned planner
+// runs the plan (execute) and owns the CTE stores that creates, so it
+// must be released after execution.
 func (db *DB) buildPlan(ctx *execCtx, sel *SelectStmt) (planNode, []string, *planner, error) {
-	b := &logicalBuilder{db: db}
+	b := &planBuilder{db: db}
 	root, names, err := b.buildSelect(sel, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	root = optimizeLogical(root, b.defs)
-	p := &planner{ctx: ctx, db: db}
-	node, err := p.lower(root)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// The physical tree holds nothing of the logical plan: dropping the
-	// last reference keeps every garbage collection during execution
-	// from marking it again.
-	p.results = nil
-	return node, names, p, nil
+	inlineCTEs(root, false)
+	return root, names, &planner{ctx: ctx, db: db}, nil
 }
 
 // execute runs steps 2-4 for the plan rooted at node and returns its
@@ -112,7 +99,7 @@ func (p *planner) materializeAll(node planNode) error {
 // records the run as a "cte:<name>" span holding the work beneath it:
 // the kernel chain, the CTEs it read, its operators.
 func (p *planner) materialize(m *materializeNode) error {
-	if m.res.store != nil {
+	if m.store != nil {
 		return nil
 	}
 	sp := p.ctx.span
@@ -140,114 +127,8 @@ func (p *planner) materialize(m *materializeNode) error {
 		}
 	}
 	p.cleanup = append(p.cleanup, store)
-	m.res.store = store
+	m.store = store
 	return nil
-}
-
-// cteNode lowers one materialized CTE reference: the definition's
-// subplan under a materializeNode that shares the definition's store.
-func (p *planner) cteNode(d *cteDef) (*materializeNode, error) {
-	child, err := p.lower(d.plan)
-	if err != nil {
-		return nil, err
-	}
-	res := p.results[d]
-	if res == nil {
-		if p.results == nil {
-			p.results = map[*cteDef]*cteResult{}
-		}
-		res = &cteResult{}
-		p.results[d] = res
-	}
-	return &materializeNode{name: d.name, uses: d.uses, child: child, res: res}, nil
-}
-
-// lower converts one logical subtree to physical operators.
-func (p *planner) lower(n logicalNode) (planNode, error) {
-	switch t := n.(type) {
-	case *lOneRow:
-		return &oneRowNode{}, nil
-
-	case *lScan:
-		return &storeScanNode{store: t.meta.store, cols: t.cols}, nil
-
-	case *lCTERef:
-		var child planNode
-		var err error
-		if t.cte.inline {
-			child, err = p.lower(t.cte.plan)
-		} else {
-			child, err = p.cteNode(t.cte)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return newAliasNode(child, t.qual, t.cte.cols), nil
-
-	case *lFilter:
-		child, err := p.lower(t.child)
-		if err != nil {
-			return nil, err
-		}
-		return &filterNode{child: child, pred: t.pred}, nil
-
-	case *lProject:
-		child, err := p.lower(t.child)
-		if err != nil {
-			return nil, err
-		}
-		return &projectNode{child: child, exprs: t.exprs, cols: t.cols}, nil
-
-	case *lStrip:
-		child, err := p.lower(t.child)
-		if err != nil {
-			return nil, err
-		}
-		return &sliceProjectNode{child: child, keep: t.keep}, nil
-
-	case *lJoin:
-		left, err := p.lower(t.left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := p.lower(t.right)
-		if err != nil {
-			return nil, err
-		}
-		return &joinNode{
-			left: left, right: right, joinType: t.joinType,
-			leftKeys: t.leftKeys, rightKeys: t.rightKeys, residual: t.residual,
-		}, nil
-
-	case *lAgg:
-		child, err := p.lower(t.child)
-		if err != nil {
-			return nil, err
-		}
-		return &aggNode{child: child, groupBy: t.groupBy, aggs: t.aggs, cols: t.lschema()}, nil
-
-	case *lSort:
-		child, err := p.lower(t.child)
-		if err != nil {
-			return nil, err
-		}
-		return &sortNode{child: child, keys: t.keys}, nil
-
-	case *lLimit:
-		child, err := p.lower(t.child)
-		if err != nil {
-			return nil, err
-		}
-		return &limitNode{child: child, limit: t.limit, offset: t.offset}, nil
-
-	case *lAlias:
-		child, err := p.lower(t.child)
-		if err != nil {
-			return nil, err
-		}
-		return newAliasNode(child, t.table, t.names), nil
-	}
-	return nil, fmt.Errorf("sqlengine: internal: cannot lower %T", n)
 }
 
 // bind is step 3: it walks the tree choosing each equi-join's strategy
@@ -260,7 +141,7 @@ func (p *planner) bind(node planNode) {
 	switch n := node.(type) {
 	case *aliasNode:
 		if m, ok := unwrapStat(n.child).(*materializeNode); ok {
-			if m.res.store == nil {
+			if m.store == nil {
 				p.bind(m.child)
 			}
 			return
@@ -284,7 +165,7 @@ func estRowBytes(width int) int64 { return int64(48*width + 24) }
 // knownRows is the number of rows node produces when the engine knows
 // it without running node, or -1: exact for a store scan and a
 // materialized CTE, passed through the row-preserving operators, the
-// minimum under a literal LIMIT without OFFSET, and unknown for filter,
+// minimum under a constant LIMIT without OFFSET, and unknown for filter,
 // join and aggregate outputs.
 func knownRows(node planNode) int64 {
 	switch n := node.(type) {
@@ -293,8 +174,8 @@ func knownRows(node planNode) int64 {
 	case *storeScanNode:
 		return n.store.Len()
 	case *materializeNode:
-		if n.res.store != nil {
-			return n.res.store.Len()
+		if n.store != nil {
+			return n.store.Len()
 		}
 	case *statNode:
 		return knownRows(n.child)
@@ -307,15 +188,15 @@ func knownRows(node planNode) int64 {
 	case *sortNode:
 		return knownRows(n.child)
 	case *limitNode:
-		lim, ok := n.limit.(*Literal)
-		if !ok || lim.Val.T != TypeInt || n.offset != nil {
+		lim, ok := constValue(n.limit)
+		if !ok || lim.T != TypeInt || n.offset != nil {
 			return -1
 		}
 		rows := knownRows(n.child)
-		if rows < 0 || lim.Val.I < 0 { // a negative LIMIT is no limit
+		if rows < 0 || lim.I < 0 { // a negative LIMIT is no limit
 			return rows
 		}
-		return min(rows, lim.Val.I)
+		return min(rows, lim.I)
 	}
 	return -1
 }
@@ -347,31 +228,26 @@ func (n *aliasNode) schema() planSchema { return n.cols }
 
 func (n *aliasNode) open(ctx *execCtx) (batchIter, error) { return n.child.open(ctx) }
 
-// cteResult is the store one CTE definition materializes into, shared
-// by every materializeNode that references the definition.
-type cteResult struct {
-	store *ColStore
-}
-
-// materializeNode is a reference to a materialized CTE. Execution runs
-// child — the definition's physical subplan — once into the store
-// shared by all of the definition's references (planner.materialize),
-// and the node then scans that store.
+// materializeNode is a CTE definition, shared by every reference to
+// it that stays materialized (an alias over the node). Execution runs
+// child — the definition's subplan — once into store
+// (planner.materialize), and the node then scans that store.
 type materializeNode struct {
 	name  string
-	uses  int // the definition's reference count
+	cols  []string // the names the references expose
+	uses  int      // the definition's reference count
 	child planNode
-	res   *cteResult
+	store *ColStore // nil until materialized
 }
 
 func (n *materializeNode) schema() planSchema { return n.child.schema() }
 
 // scan is the store scan behind the node, nil until it is materialized.
 func (n *materializeNode) scan() *storeScanNode {
-	if n.res.store == nil {
+	if n.store == nil {
 		return nil
 	}
-	return &storeScanNode{store: n.res.store, cols: n.schema()}
+	return &storeScanNode{store: n.store, cols: n.schema()}
 }
 
 func (n *materializeNode) open(ctx *execCtx) (batchIter, error) {
@@ -434,7 +310,7 @@ func exprResolvesAgainst(e Expr, schema planSchema) bool {
 	ok := true
 	walkExpr(e, func(x Expr) {
 		if cr, isCol := x.(*ColumnRef); isCol {
-			if _, err := schema.resolveColumn(cr.Table, cr.Name); err != nil {
+			if _, err := schema.resolveRef(cr); err != nil {
 				ok = false
 			}
 		}
@@ -536,8 +412,8 @@ func sameExpr(a, b Expr, schema planSchema) bool {
 		if strings.EqualFold(x.Table, y.Table) && strings.EqualFold(x.Name, y.Name) {
 			return true
 		}
-		ix, errx := schema.resolveColumn(x.Table, x.Name)
-		iy, erry := schema.resolveColumn(y.Table, y.Name)
+		ix, errx := schema.resolveRef(x)
+		iy, erry := schema.resolveRef(y)
 		return errx == nil && erry == nil && ix == iy
 	case *Literal:
 		y, ok := b.(*Literal)

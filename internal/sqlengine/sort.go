@@ -72,7 +72,7 @@ func orderPreservingChild(n planNode, col int) (planNode, int, bool) {
 		if !ok {
 			return nil, 0, false
 		}
-		idx, err := n.child.schema().resolveColumn(ref.Table, ref.Name)
+		idx, err := n.child.schema().resolveRef(ref)
 		if err != nil {
 			return nil, 0, false
 		}
@@ -143,7 +143,7 @@ func simpleKeyIdx(keys []sortSpec, schema planSchema) ([]int, bool) {
 		if !isCol {
 			return nil, false
 		}
-		j, err := schema.resolveColumn(cr.Table, cr.Name)
+		j, err := schema.resolveRef(cr)
 		if err != nil {
 			return nil, false
 		}

@@ -7,9 +7,10 @@ package sqlengine
 // way a database serving repeated traffic does.
 //
 // Contract: nothing downstream of the parser writes to a Statement.
-// Planning, optimization and execution build their own nodes and copy
-// before rewriting (see foldExprs), so one cached AST is planned by
-// any number of engines, concurrently. The public ParseStatement and
+// The plan builder only reads the AST and makes every node and
+// expression it changes, and constants fold inside the compiled
+// closures, so one cached AST is planned by any number of engines,
+// concurrently. The public ParseStatement and
 // ParseScript stay uncached: their callers own the AST they get and
 // may change it.
 

@@ -1,8 +1,8 @@
 // Package sqlengine is an embedded relational database engine with a SQL
 // front end. It exists so that the Qymera circuit→SQL translation can run
-// against a real relational execution pipeline — parser, a three-tier
-// planner (logical plan IR, rule-driven rewriter, physical plans sized
-// from exact row counts), vectorized
+// against a real relational execution pipeline — parser, a one-pass
+// planner (operators built straight from the AST, sized from exact row
+// counts), vectorized
 // batch executor with streaming hash joins and hash aggregation, and
 // buffer-managed storage that spills to disk — using only the Go
 // standard library.
